@@ -75,9 +75,14 @@ def cmd_batch(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    baseline = MetricsReport.from_csv(Path(args.baseline).read_text())
-    other = MetricsReport.from_csv(Path(args.other).read_text())
-    print(format_compare(compare(baseline, other)))
+    reports = []
+    for path in (args.baseline, args.other):
+        try:
+            reports.append(MetricsReport.from_csv(Path(path).read_text()))
+        except ValueError as err:
+            print(f"bad metrics file {path}: {err}", file=sys.stderr)
+            return 1
+    print(format_compare(compare(*reports)))
     return 0
 
 

@@ -139,24 +139,34 @@ class MetricsReport:
 
     @classmethod
     def from_csv(cls, text: str) -> "MetricsReport":
-        lines = [ln for ln in text.splitlines() if ln]
-        header = lines[0].split(",")
-        if header[:2] != ["schema", "sidelinksim-metrics"]:
+        """Parse to_csv output; a malformed row raises ValueError naming its line."""
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln]
+        header = lines[0][1].split(",") if lines else []
+        if header[:2] != ["schema", "sidelinksim-metrics"] or len(lines) < 5:
             raise ValueError("not a metrics file")
-        if int(header[2]) != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema version {header[2]}")
-        scenario = lines[1].split(",", 1)[1]
-        seed = int(lines[2].split(",", 1)[1])
-        bucket = int(lines[3].split(",", 1)[1])
-        report = cls(scenario, seed, bucket)
-        for line in lines[5:]:
-            parts = line.split(",")
+        if header[2:] != [str(SCHEMA_VERSION)]:
+            raise ValueError(f"unsupported schema version {','.join(header[2:])!r}")
+        scenario, seed, bucket = (_row(n, ln, maxsplit=1)[1] for n, ln in lines[1:4])
+        report = cls(scenario, int(seed), int(bucket))
+        for n, line in lines[5:]:
+            parts = _row(n, line)
             if parts[0] == "series":
                 name, joined = parts[1], parts[2] if len(parts) > 2 else ""
+                if name not in SERIES_METRICS:
+                    raise ValueError(f"line {n}: unknown series metric {name!r}")
                 report.series[name] = [_parse(v) for v in joined.split(":") if v != ""]
-            else:
+            elif parts[0] in METRIC_ORDER:
                 report.totals[parts[0]] = _parse(parts[1])
+            else:
+                raise ValueError(f"line {n}: unknown metric {parts[0]!r}")
         return report
+
+
+def _row(n: int, line: str, maxsplit: int = -1) -> list[str]:
+    parts = line.split(",", maxsplit)
+    if len(parts) < 2:
+        raise ValueError(f"line {n}: {line!r} has no value")
+    return parts
 
 
 def _parse(token: str):

@@ -1,4 +1,4 @@
-"""Discrete-event engine and abstract propagation connecting the UEs.
+"""Abstract propagation connecting the UEs.
 
 Time is an integer slot counter. Power is dBm end to end; path loss is
 log-distance with optional seeded Gaussian shadowing. Collisions use a
@@ -12,12 +12,11 @@ arbitrated by their own procedures instead.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 
 class Channel(Enum):
@@ -30,29 +29,6 @@ class Channel(Enum):
     @property
     def on_data_grid(self) -> bool:
         return self in (Channel.PSCCH, Channel.PSSCH)
-
-
-@dataclass
-class SimClock:
-    current_slot: int = 0
-    slot_duration_ms: float = 1.0
-    slots_per_frame: int = 10
-
-    @property
-    def direct_frame_number(self) -> int:
-        return (self.current_slot // self.slots_per_frame) % 1024
-
-    @property
-    def slot_in_frame(self) -> int:
-        return self.current_slot % self.slots_per_frame
-
-    def advance_to(self, slot: int):
-        if slot < self.current_slot:
-            raise ValueError(f"clock cannot move back to {slot} from {self.current_slot}")
-        self.current_slot = slot
-
-    def slots_from_ms(self, ms: float) -> int:
-        return max(1, round(ms / self.slot_duration_ms))
 
 
 @dataclass
@@ -173,47 +149,6 @@ def deliver(
             )
         out[uid] = [r for r in recs if r.transmission.seq not in destroyed]
     return out, collisions
-
-
-@dataclass(order=True)
-class _QueuedEvent:
-    slot: int
-    seq: int
-    label: str = field(compare=False)
-    action: Callable[[], None] = field(compare=False)
-
-
-class EventQueue:
-    """Slot-ordered event queue; equal-slot events fire in insertion order."""
-
-    def __init__(self, clock: SimClock):
-        self.clock = clock
-        self._heap: list[_QueuedEvent] = []
-        self._seq = 0
-        self.processed = 0
-
-    def schedule(self, slot: int, label: str, action: Callable[[], None]):
-        if slot < self.clock.current_slot:
-            raise ValueError(
-                f"cannot schedule {label!r} at {slot}, clock is at {self.clock.current_slot}"
-            )
-        heapq.heappush(self._heap, _QueuedEvent(slot, self._seq, label, action))
-        self._seq += 1
-
-    def run_until(self, slot: int) -> int:
-        """Process everything due through `slot`; returns event count."""
-        ran = 0
-        while self._heap and self._heap[0].slot <= slot:
-            ev = heapq.heappop(self._heap)
-            self.clock.advance_to(ev.slot)
-            ev.action()
-            ran += 1
-        self.clock.advance_to(slot)
-        self.processed += ran
-        return ran
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
 
 def child_rng(seed: int, label: str) -> random.Random:

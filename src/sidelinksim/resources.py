@@ -14,6 +14,12 @@ with the claim's later occurrences. For r below the window length this
 yields the plain occurrence list (e.g. slots 5, 105, 205 for t0=5,
 r=100, window 300); for r a multiple of P it gives the claim continuous
 ownership of its pool position until it lapses.
+
+Since the window is exactly P slots long, each occurrence t = t0 + k*r
+blocks exactly one window slot, window_start + (t - window_start) % P,
+when t >= window_start, and none otherwise. The projection is therefore
+one subchannel bitmask per window slot, built in missRefreshLimit + 1
+steps per claim.
 """
 
 from __future__ import annotations
@@ -25,10 +31,6 @@ from .frames import Sci1A, fra_decode, fra_encode, tra_decode, tra_encode
 
 MISS_REFRESH_LIMIT = 2  # claims lapse after this many missed refresh periods
 RESELECTION_COUNTER_RANGE = (5, 15)
-
-
-class GrantExhausted(Exception):
-    """Mode-1 scheduler has no free cells left for the request."""
 
 
 @dataclass
@@ -81,7 +83,6 @@ class ResourcePool:
 class Reservation:
     """One projected occurrence stream decoded from a claim."""
 
-    source_id: int
     subchannel_start: int
     subchannel_len: int
     start_slot: int
@@ -92,16 +93,6 @@ class Reservation:
     @property
     def expiry_slot(self) -> int:
         return self.start_slot + MISS_REFRESH_LIMIT * self.rri_slots
-
-    def blocks_slot(self, slot: int, pool_period: int) -> bool:
-        for k in range(MISS_REFRESH_LIMIT + 1):
-            d = self.start_slot + k * self.rri_slots - slot
-            if d >= 0 and d % pool_period == 0:
-                return True
-        return False
-
-    def subchannels(self) -> range:
-        return range(self.subchannel_start, self.subchannel_start + self.subchannel_len)
 
 
 @dataclass
@@ -115,7 +106,7 @@ class ControlBurst:
 
 @dataclass
 class OccupancyMap:
-    """Blocked cells over one selection window, with re-sense inputs."""
+    """Heard claims projected onto one selection window."""
 
     pool: ResourcePool
     window_start: int
@@ -123,33 +114,21 @@ class OccupancyMap:
     reservations: list[Reservation]
     skipped_scis: int = 0
 
-    @property
-    def window(self) -> range:
-        return range(self.window_start, self.window_start + self.pool.slots_per_selection_window)
-
-    def blocked_cells(self) -> set[tuple[int, int]]:
+    def blocked_masks(self) -> list[int]:
+        """Blocked subchannels per window slot, bit sc set when sc is taken."""
         period = self.pool.slots_per_selection_window
-        out: set[tuple[int, int]] = set()
+        masks = [0] * period
         for res in self.reservations:
-            for slot in self.window:
-                if res.blocks_slot(slot, period):
-                    for sc in res.subchannels():
-                        out.add((slot, sc))
-        return out
-
-    def occupancy(self) -> dict[tuple[int, int], list[Reservation]]:
-        period = self.pool.slots_per_selection_window
-        out: dict[tuple[int, int], list[Reservation]] = {}
-        for res in self.reservations:
-            for slot in self.window:
-                if res.blocks_slot(slot, period):
-                    for sc in res.subchannels():
-                        out.setdefault((slot, sc), []).append(res)
-        return out
+            span = ((1 << res.subchannel_len) - 1) << res.subchannel_start
+            for k in range(MISS_REFRESH_LIMIT + 1):
+                ahead = res.start_slot + k * res.rri_slots - self.window_start
+                if ahead >= 0:
+                    masks[ahead % period] |= span
+        return masks
 
 
-def claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float, slot: int,
-                    source_id: int = -1) -> list[Reservation]:
+def claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
+                    slot: int) -> list[Reservation]:
     """Expand a decoded SCI 1-A into its reserved occurrence streams.
 
     The first occurrence sits at the announcement slot on the claim's
@@ -163,11 +142,9 @@ def claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float, slot: int,
     gaps = tra_decode(pool.sl_max_num_per_reserve, sci.time_resource)
     rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
     later_start = start if pool.sl_max_num_per_reserve == 2 else start2
-    claims = [Reservation(source_id, start, length, slot, rri, sci.priority, rsrp)]
+    claims = [Reservation(start, length, slot, rri, sci.priority, rsrp)]
     for gap in gaps:
-        claims.append(
-            Reservation(source_id, later_start, length, slot + gap, rri, sci.priority, rsrp)
-        )
+        claims.append(Reservation(later_start, length, slot + gap, rri, sci.priority, rsrp))
     return claims
 
 
@@ -175,8 +152,6 @@ def sense(
     received: list[tuple[Sci1A | None, float, int]],
     pool: ResourcePool,
     window_start: int,
-    threshold_dbm: float | None = None,
-    source_ids: list[int] | None = None,
 ) -> OccupancyMap:
     """Project heard claims onto the upcoming selection window.
 
@@ -184,17 +159,16 @@ def sense(
     sci stands for an undecodable one and is skipped but counted.
     Claims below the exclusion threshold are ignored.
     """
-    threshold = pool.rsrp_exclusion_threshold_dbm if threshold_dbm is None else threshold_dbm
+    threshold = pool.rsrp_exclusion_threshold_dbm
     reservations: list[Reservation] = []
     skipped = 0
-    for idx, (sci, rsrp, slot) in enumerate(received):
+    for sci, rsrp, slot in received:
         if sci is None:
             skipped += 1
             continue
         if rsrp < threshold:
             continue
-        src = source_ids[idx] if source_ids else -1
-        reservations.extend(claims_from_sci(sci, pool, rsrp, slot, src))
+        reservations.extend(claims_from_sci(sci, pool, rsrp, slot))
     live = [r for r in reservations if r.expiry_slot >= window_start]
     return OccupancyMap(pool, window_start, threshold, live, skipped)
 
@@ -214,14 +188,18 @@ class Selection:
 
 
 def candidate_positions(pool: ResourcePool, occ: OccupancyMap, demand: int) -> list[tuple[int, int]]:
-    """All (slot, start) spans of `demand` subchannels avoiding blocked cells."""
-    blocked = occ.blocked_cells()
-    out = []
-    for slot in occ.window:
-        for start in range(pool.num_subchannels - demand + 1):
-            if all((slot, sc) not in blocked for sc in range(start, start + demand)):
-                out.append((slot, start))
-    return out
+    """All (slot, start) spans of `demand` subchannels avoiding blocked cells.
+
+    Slot-major, start ascending: the selection draws by index into it.
+    """
+    span = (1 << demand) - 1
+    starts = range(pool.num_subchannels - demand + 1)
+    return [
+        (occ.window_start + offset, start)
+        for offset, mask in enumerate(occ.blocked_masks())
+        for start in starts
+        if not (mask >> start) & span
+    ]
 
 
 def select_resources(
@@ -280,34 +258,3 @@ def draw_reselection_counter(rng: random.Random) -> int:
     lo, hi = RESELECTION_COUNTER_RANGE
     return rng.randint(lo, hi)
 
-
-class Mode1Scheduler:
-    """gNodeB-side grant stub: authoritative first-fit over the grid."""
-
-    def __init__(self, pool: ResourcePool):
-        self.pool = pool
-        self.registered: set[int] = set()
-        self.grants: dict[tuple[int, int], int] = {}  # (slot, subchannel) -> ue
-
-    def register(self, ue_id: int):
-        self.registered.add(ue_id)
-
-    def grant(self, ue_id: int, demand: int) -> Selection:
-        if ue_id not in self.registered:
-            raise ValueError(f"ue {ue_id} not registered in coverage")
-        if demand < 1 or demand > self.pool.num_subchannels:
-            raise ValueError(f"demand {demand} impossible")
-        for slot in range(self.pool.slots_per_selection_window):
-            for start in range(self.pool.num_subchannels - demand + 1):
-                span = [(slot, sc) for sc in range(start, start + demand)]
-                if all(cell not in self.grants for cell in span):
-                    for cell in span:
-                        self.grants[cell] = ue_id
-                    total = self.pool.slots_per_selection_window * (
-                        self.pool.num_subchannels - demand + 1
-                    )
-                    return Selection(slot, start, demand, 0, total, float("-inf"))
-        raise GrantExhausted(f"no span of {demand} subchannels free")
-
-    def release(self, ue_id: int):
-        self.grants = {cell: ue for cell, ue in self.grants.items() if ue != ue_id}

@@ -257,10 +257,11 @@ class UeAgent:
             return
         g = rt.grant
         if slot != g.next_slot:
-            if slot > g.next_slot:  # fell behind (should not happen); realign
-                while g.next_slot < slot:
-                    g.next_slot += g.rri_slots
-                    g.remaining -= 1
+            # Grant occurrences that passed while no TB was pending went
+            # unused; a TB generated after them realigns to the next one.
+            while g.next_slot < slot:
+                g.next_slot += g.rri_slots
+                g.remaining -= 1
             return
         self._emit_tb(rt, slot, out)
 
@@ -415,7 +416,6 @@ class UeAgent:
 
     def close_feedback(self, slot: int):
         cfg = self.world.fb_cfg
-        anomaly = self.world.sc.defenses.harq_anomaly_check
         still_open: list[PendingTb] = []
         for pending in self.pending_tbs:
             if slot < pending.expected_slot + cfg.window_slots:

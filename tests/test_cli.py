@@ -74,6 +74,22 @@ def test_compare_two_runs(tiny, tmp_path, capsys):
     assert "slots_run,0," in out
 
 
+def test_compare_malformed_metrics_is_exit_1(tiny, tmp_path, capsys):
+    good = tmp_path / "good"
+    main(["run", tiny, "--out", str(good)])
+    text = (good / "metrics.csv").read_text()
+    short = tmp_path / "short.csv"
+    short.write_text(text.replace("slots_run,60\n", "slots_run\n"))
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text(text.replace("slots_run,", "slots_walked,"))
+    capsys.readouterr()
+    for bad, message in ((short, "line 6: 'slots_run' has no value"),
+                         (unknown, "line 6: unknown metric 'slots_walked'")):
+        assert main(["compare", str(good / "metrics.csv"), str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+
 def test_validate_accepts_catalog(capsys):
     assert main(["validate", BASELINE]) == 0
     assert capsys.readouterr().out.startswith("ok: baseline")

@@ -73,6 +73,21 @@ def test_from_csv_rejects_foreign_files():
         MetricsReport.from_csv("schema,sidelinksim-metrics,999\nscenario,x\nseed,0\nbucket_slots,100\nmetric,value\n")
 
 
+def test_from_csv_names_the_malformed_line():
+    lines = MetricsReport("demo", 1).to_csv().splitlines()
+    cases = {
+        "slots_run": "line 6: 'slots_run' has no value",
+        "not_a_metric,3": "line 6: unknown metric 'not_a_metric'",
+        "series,not_a_metric,1:2": "line 6: unknown series metric 'not_a_metric'",
+        "series": "line 6: 'series' has no value",
+    }
+    for row, message in cases.items():
+        text = "\n".join(lines[:5] + [row] + lines[6:]) + "\n"
+        with pytest.raises(ValueError) as err:
+            MetricsReport.from_csv(text)
+        assert str(err.value) == message
+
+
 def test_compare_reports_deltas():
     a = MetricsReport("demo", 1)
     b = MetricsReport("demo", 2)

@@ -10,8 +10,6 @@ from sidelinksim.frames import BitString
 from sidelinksim.radio import (
     Channel,
     ChannelModel,
-    EventQueue,
-    SimClock,
     Transmission,
     child_rng,
     deliver,
@@ -129,22 +127,3 @@ def test_child_rng_streams_are_independent():
     seq_a = [a.random() for _ in range(5)]
     assert [a2.random() for _ in range(5)] == seq_a
     assert [b.random() for _ in range(5)] != seq_a
-
-
-def test_sim_clock_frame_arithmetic():
-    clock = SimClock(current_slot=10245)
-    assert clock.direct_frame_number == 1024 % 1024
-    assert clock.slot_in_frame == 5
-
-
-def test_event_queue_orders_by_slot_then_insertion():
-    clock = SimClock()
-    q = EventQueue(clock)
-    fired = []
-    q.schedule(2, "b", lambda: fired.append("b"))
-    q.schedule(1, "a", lambda: fired.append("a"))
-    q.schedule(2, "c", lambda: fired.append("c"))
-    q.run_until(5)
-    assert fired == ["a", "b", "c"]
-    with pytest.raises(ValueError):
-        q.schedule(0, "late", lambda: None)

@@ -6,8 +6,6 @@ import pytest
 
 from sidelinksim.frames import Sci1A, fra_encode, tra_encode
 from sidelinksim.resources import (
-    GrantExhausted,
-    Mode1Scheduler,
     OccupancyMap,
     Reservation,
     ResourcePool,
@@ -24,8 +22,13 @@ POOL = ResourcePool(4, 10, [100, 1000])
 POOL3 = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
 
 
-def res(start_slot, rri, sc=0, width=1, rsrp=-60.0, src=-1, prio=1):
-    return Reservation(src, sc, width, start_slot, rri, prio, rsrp)
+def res(start_slot, rri, sc=0, width=1, rsrp=-60.0, prio=1):
+    return Reservation(sc, width, start_slot, rri, prio, rsrp)
+
+
+def blocked_at(claim, slot):
+    """Whether the claim blocks `slot`, read off a window starting there."""
+    return OccupancyMap(POOL, slot, -100.0, [claim]).blocked_masks()[0] != 0
 
 
 def test_pool_validation():
@@ -41,37 +44,40 @@ def test_pool_validation():
     assert POOL.total_cells == 40
 
 
-def test_blocks_slot_hand_cases():
+def test_blocked_masks_hand_cases():
     r = res(5, 100)
     # k=0 projects slot 5 and every earlier slot congruent mod 10
-    assert r.blocks_slot(5, 10)
-    assert r.blocks_slot(105, 10)   # k=1 exact hit
-    assert r.blocks_slot(205, 10)   # k=2 exact hit
-    assert not r.blocks_slot(305, 10)  # beyond the miss-refresh bound
-    assert not r.blocks_slot(6, 10)    # different pool position
-    assert r.blocks_slot(15, 10)    # d=-10 at k=0 but k=1 gives 90 % 10 == 0
+    assert blocked_at(r, 5)
+    assert blocked_at(r, 105)   # k=1 exact hit
+    assert blocked_at(r, 205)   # k=2 exact hit
+    assert not blocked_at(r, 305)  # beyond the miss-refresh bound
+    assert not blocked_at(r, 6)    # different pool position
+    assert blocked_at(r, 15)    # d=-10 at k=0 but k=1 gives 90 % 10 == 0
     assert r.expiry_slot == 205
+    # one mask per window slot, bit sc set for each subchannel of the span
+    wide = res(5, 100, sc=1, width=2)
+    masks = OccupancyMap(POOL, 100, -100.0, [wide]).blocked_masks()
+    assert masks == [0] * 5 + [0b0110] + [0] * 4
 
 
-def test_blocks_slot_rri_multiple_of_period_owns_position():
+def test_blocked_masks_rri_multiple_of_period_owns_position():
     # r = 10 with P = 10: the claim owns its pool position while alive.
     r = res(3, 10)
     for slot in range(3, 24):
         expected = slot % 10 == 3 and slot <= 23
-        assert r.blocks_slot(slot, 10) == expected
+        assert blocked_at(r, slot) == expected
 
 
 def test_claims_from_sci_reserve2_reuses_primary_span():
     fr = fra_encode(4, 2, 1, 2, 0)
     sci = Sci1A(priority=2, frequency_resource=fr,
                 time_resource=tra_encode(2, (7,)), rri_index=0, mcs=9)
-    claims = claims_from_sci(sci, POOL, -70.0, 50, source_id=9)
+    claims = claims_from_sci(sci, POOL, -70.0, 50)
     assert len(claims) == 2
     first, second = claims
     assert (first.start_slot, first.subchannel_start, first.subchannel_len) == (50, 1, 2)
     assert (second.start_slot, second.subchannel_start) == (57, 1)
     assert first.rri_slots == 100 and second.priority == 2
-    assert second.source_id == 9
 
 
 def test_claims_from_sci_reserve3_uses_secondary_start():
@@ -188,20 +194,3 @@ def test_reselection_counter_range():
     draws = {draw_reselection_counter(rng) for _ in range(500)}
     assert draws == set(range(5, 16))
 
-
-def test_mode1_scheduler_first_fit_and_exhaustion():
-    sched = Mode1Scheduler(POOL)
-    with pytest.raises(ValueError):
-        sched.grant(1, 1)  # not registered
-    sched.register(1)
-    sched.register(2)
-    first = sched.grant(1, 4)
-    assert (first.slot, first.subchannel_start) == (0, 0)
-    second = sched.grant(2, 4)
-    assert second.slot == 1
-    for _ in range(8):
-        sched.grant(2, 4)
-    with pytest.raises(GrantExhausted):
-        sched.grant(1, 1)
-    sched.release(2)
-    assert sched.grant(1, 4).slot == 1

@@ -3,9 +3,10 @@
 from dataclasses import replace
 from pathlib import Path
 
+from sidelinksim.harq import DataBurst
 from sidelinksim.metrics import event_line
 from sidelinksim.scenario import load_scenario, parse_scenario
-from sidelinksim.simulation import run_scenario
+from sidelinksim.simulation import World, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -145,3 +146,37 @@ def test_mixed_traffic_charges_broadcast_and_unicast():
     assert t["receiver_delivered"] > t["sender_delivered"] > 0
     # unicast acks only; broadcast adds none
     assert t["feedback_sent"] == t["sender_delivered"]
+
+
+def test_grant_realigns_past_occurrences_left_unused():
+    # TBs every 250 slots on a 100-slot grant: occurrences pass unused
+    # while nothing is pending, and the next TB rides the first one left.
+    sc = parse_scenario({
+        "name": "realign",
+        "seed": 5,
+        "duration_slots": 400,
+        "ues": [{"id": 1, "position": [0, 0]}],
+        "traffic": [{"src": 1, "dst": "broadcast", "period_slots": 250,
+                     "rri_ms": 100, "harq": False}],
+    })
+    world = World(sc)
+    agent = world.by_id[1]
+    rt = agent.flows[0]
+    sent = []
+
+    def step(slot):
+        sent.extend(tx.slot for tx in agent.act(slot) if isinstance(tx.payload, DataBurst))
+
+    for slot in range(250):
+        step(slot)
+    grant = rt.grant
+    assert len(sent) == 1
+    stale, remaining = grant.next_slot, grant.remaining
+    skipped = -(-(250 - stale) // grant.rri_slots)  # occurrences before slot 250
+    assert skipped >= 1 and remaining > skipped
+    realigned = stale + skipped * grant.rri_slots
+    for slot in range(250, realigned + 1):
+        step(slot)
+    assert rt.grant is grant  # realigned, not reselected
+    assert sent[1:] == [realigned]
+    assert grant.remaining == remaining - skipped - 1
