@@ -1,4 +1,4 @@
-"""Deterministic discrete-event simulator for sidelink radio security.
+"""Deterministic slot-stepped simulator for sidelink radio security.
 
 Models direct device-to-device links: synchronization beacons,
 sensing-based autonomous resource selection, feedback-driven

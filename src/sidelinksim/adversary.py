@@ -80,9 +80,10 @@ class AttackAction:
 
 
 class AttackerAgent:
-    """Base: window gating, jitter draws, the action log."""
+    """Base: window gating, jitter draws, the action log.
 
-    kind: AttackKind
+    `params` is the plan's parameters over the registry defaults for its kind.
+    """
 
     def __init__(self, attacker_id: int, l2_id: int, capability: AttackerCapability,
                  plan: AttackPlan, rng: random.Random):
@@ -90,9 +91,12 @@ class AttackerAgent:
         self.l2_id = l2_id
         self.cap = capability
         self.plan = plan
+        self.kind = plan.kind
+        self.params = {
+            name: spec.default for name, spec in ATTACK_REGISTRY[plan.kind][1].items()
+        } | plan.params
         self.rng = rng
         self.actions: list[AttackAction] = []
-        self._seq = 0
         # wired by the harness after construction
         self.pool: ResourcePool | None = None
         self.feedback_delay = 2
@@ -119,7 +123,6 @@ class AttackerAgent:
 
     def _tx(self, slot: int, channel: Channel, payload, log_kind: str,
             **detail) -> Transmission:
-        self._seq += 1
         self.actions.append(
             AttackAction(slot, log_kind, self.cap.tx_power_dbm, "sent", detail)
         )
@@ -144,8 +147,6 @@ class AttackerAgent:
 class SyncImpersonationAgent(AttackerAgent):
     """Clones the strongest legitimate SyncRef it has heard and rebroadcasts
     that identity louder, on the victim's burst phase."""
-
-    kind = AttackKind.SYNC_IMPERSONATION
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -186,19 +187,15 @@ class FalseSyncInjectionAgent(AttackerAgent):
     """Fabricates a top-tier sync identity (default the GNSS-direct id 0
     with the coverage indicator raised) and beacons it at high power."""
 
-    kind = AttackKind.FALSE_SYNC_INJECTION
-
-    PARAM_DEFAULTS = {"slss_id": 0, "tdd_config": 0}
-
     def transmissions(self, slot):
         if not self.active(slot):
             return []
         planned = slot + self.jitter()
         if planned % self.ssb_period != 0 or planned < 0:
             return []
-        slss_id = self.plan.params.get("slss_id", 0)
+        slss_id = self.params["slss_id"]
         mib = MibSl(
-            tdd_config=self.plan.params.get("tdd_config", 0),
+            tdd_config=self.params["tdd_config"],
             in_coverage=True,
             direct_frame_number=(slot // 10) % 1024,
             slot_index=slot % 10,
@@ -221,8 +218,6 @@ class ResourceBlockingAgent(AttackerAgent):
     victims keep sensing the cells as taken. Control-only: the frames carry
     no data payload and occupy no subchannel physically."""
 
-    kind = AttackKind.RESOURCE_BLOCKING
-
     def __init__(self, *args):
         super().__init__(*args)
         self._claim_cells: list[tuple[int, int]] | None = None  # (slot pos, subchannel)
@@ -231,8 +226,7 @@ class ResourceBlockingAgent(AttackerAgent):
 
     def _prepare(self, slot: int):
         assert self.pool is not None
-        p = self.plan.params
-        fraction = p.get("claim_fraction", 0.75)
+        fraction = self.params["claim_fraction"]
         pool = self.pool
         cells = [
             (s, c)
@@ -250,16 +244,15 @@ class ResourceBlockingAgent(AttackerAgent):
         if not self.active(slot) or self.pool is None:
             return []
         if self._listen_until is None:
-            discovery = 0 if self.cap.knows_pool_config else int(
-                self.plan.params.get("pool_discovery_slots", 100)
-            )
+            discovery = (0 if self.cap.knows_pool_config
+                         else int(self.params["pool_discovery_slots"]))
             self._listen_until = self.plan.window[0] + discovery
         if slot < self._listen_until:
             return []
         if self._claim_cells is None:
             self._prepare(slot)
         pool = self.pool
-        rri_ms = self.plan.params.get("rri_ms", max(pool.period_list_ms))
+        rri_ms = self.params["rri_ms"]
         rri = pool.rri_slots(rri_ms)
         period = pool.slots_per_selection_window
         out = []
@@ -277,7 +270,7 @@ class ResourceBlockingAgent(AttackerAgent):
                 ))
                 continue
             sci = Sci1A(
-                priority=self.plan.params.get("priority", 1),
+                priority=self.params["priority"],
                 frequency_resource=fra_encode(
                     pool.num_subchannels, pool.sl_max_num_per_reserve, sub, 1
                 ),
@@ -297,7 +290,8 @@ class ResourceBlockingAgent(AttackerAgent):
 
 class HarqSpoofAgent(AttackerAgent):
     """Watches data-channel control stages for HARQ process ids, then races
-    the legitimate receiver's feedback with a louder forgery."""
+    the legitimate receiver's feedback with a louder forgery: an ACK or a
+    NACK, by the plan's kind."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -310,8 +304,8 @@ class HarqSpoofAgent(AttackerAgent):
     def on_receptions(self, receptions, slot):
         if not self.cap.knows_harq_params:
             return
-        target_src = self.plan.params.get("target_src_l2")
-        target_dst = self.plan.params.get("target_dst_l2")
+        target_src = self.params["target_src_l2"]
+        target_dst = self.params["target_dst_l2"]
         for rec in receptions:
             burst = rec.transmission.payload
             if not isinstance(burst, DataBurst) or burst.sci2_bits is None:
@@ -325,7 +319,7 @@ class HarqSpoofAgent(AttackerAgent):
                 continue
             if target_dst is not None and burst.mac_dst_l2 != target_dst:
                 continue
-            offset = self.plan.params.get("slot_offset", 0)
+            offset = self.params["slot_offset"]
             emit = rec.transmission.slot + self.feedback_delay + offset + self.jitter()
             forged = FeedbackBurst(
                 ack=self.spoof_ack,
@@ -354,14 +348,6 @@ class HarqSpoofAgent(AttackerAgent):
         return out
 
 
-class HarqSpoofAckAgent(HarqSpoofAgent):
-    kind = AttackKind.HARQ_SPOOF_ACK
-
-
-class HarqSpoofNackAgent(HarqSpoofAgent):
-    kind = AttackKind.HARQ_SPOOF_NACK
-
-
 # ---------------------------------------------------------------------------
 # PC5 signalling exploits
 
@@ -378,7 +364,6 @@ class Pc5AttackAgent(AttackerAgent):
     def _pc5(self, slot: int, kind: K, src: int, dst: int, body: dict,
              log_kind: str) -> Transmission:
         msg = Pc5Message(kind, src, dst, counter=0, body=body)
-        self._seq += 1
         self.actions.append(AttackAction(slot, log_kind, self.cap.tx_power_dbm,
                                          "sent", {"dst": dst}))
         return Transmission(self.id, self.cap.tx_power_dbm, slot, Channel.PSSCH,
@@ -388,15 +373,13 @@ class Pc5AttackAgent(AttackerAgent):
 class Pc5ForgedRequestFloodAgent(Pc5AttackAgent):
     """Hammers a target with establishment requests from throwaway ids."""
 
-    kind = AttackKind.PC5_FORGED_REQUEST_FLOOD
-
     def transmissions(self, slot):
         if not self.active(slot):
             return []
-        every = self.plan.params.get("period_slots", 4)
+        every = self.params["period_slots"]
         if (slot - self.plan.window[0]) % every != 0:
             return []
-        target = self.plan.params.get("target_l2")
+        target = self.params["target_l2"]
         if target is None:
             return []
         body = {
@@ -464,7 +447,6 @@ class _ReactiveForger(Pc5AttackAgent):
 
 
 class Pc5ForgedRejectAgent(_ReactiveForger):
-    kind = AttackKind.PC5_FORGED_REJECT
     watch_kind = K.ESTABLISHMENT_REQUEST
     forge_kind = K.ESTABLISHMENT_REJECT
     cause = "congestion"
@@ -472,7 +454,6 @@ class Pc5ForgedRejectAgent(_ReactiveForger):
 
 
 class Pc5AuthDisruptAgent(_ReactiveForger):
-    kind = AttackKind.PC5_AUTH_DISRUPT
     watch_kind = K.AUTHENTICATION_REQUEST
     forge_kind = K.AUTHENTICATION_REJECT
     cause = "auth_disrupt"
@@ -480,7 +461,6 @@ class Pc5AuthDisruptAgent(_ReactiveForger):
 
 
 class Pc5FalseSecModeRejectAgent(_ReactiveForger):
-    kind = AttackKind.PC5_FALSE_SEC_MODE_REJECT
     watch_kind = K.SECURITY_MODE_COMMAND
     forge_kind = K.SECURITY_MODE_REJECT
     cause = "smc_reject"
@@ -490,14 +470,12 @@ class Pc5FalseSecModeRejectAgent(_ReactiveForger):
 class Pc5ReplayAgent(Pc5AttackAgent):
     """Captures establishment requests and re-emits them verbatim later."""
 
-    kind = AttackKind.PC5_REPLAY
-
     def __init__(self, *args):
         super().__init__(*args)
         self._captured: list[tuple[int, Pc5Message]] = []  # (replay slot, frame)
 
     def on_receptions(self, receptions, slot):
-        delay = self.plan.params.get("replay_delay_slots", 40)
+        delay = self.params["replay_delay_slots"]
         for rec in receptions:
             burst = rec.transmission.payload
             if not isinstance(burst, Pc5Burst):
@@ -516,7 +494,6 @@ class Pc5ReplayAgent(Pc5AttackAgent):
             if emit > slot:
                 keep.append((emit, msg))
             elif emit == slot and self.active(slot):
-                self._seq += 1
                 self.actions.append(AttackAction(
                     slot, "pc5_replay", self.cap.tx_power_dbm, "sent",
                     {"src": msg.src_l2, "dst": msg.dst_l2},
@@ -552,12 +529,10 @@ class TrackerAgent(AttackerAgent):
     disappears to one appearing within the window at similar power, with
     the predictable increment scheme tried first."""
 
-    kind = AttackKind.L2_TRACKING
-
     def __init__(self, *args):
         super().__init__(*args)
-        self.window_slots = self.plan.params.get("linkage_window_slots", 50)
-        self.rsrp_gate_db = self.plan.params.get("rsrp_similarity_db", 3.0)
+        self.window_slots = self.params["linkage_window_slots"]
+        self.rsrp_gate_db = self.params["rsrp_similarity_db"]
         self.traces: dict[int, _IdTrace] = {}
 
     def on_receptions(self, receptions, slot):
@@ -691,6 +666,12 @@ class ParamSpec:
     help: str
 
 
+_HARQ_SPOOF_PARAMS = {
+    "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)"),
+    "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)"),
+    "slot_offset": ParamSpec(0, "extra slots past the feedback deadline"),
+}
+
 ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec]]] = {
     AttackKind.SYNC_IMPERSONATION: (SyncImpersonationAgent, {}),
     AttackKind.FALSE_SYNC_INJECTION: (FalseSyncInjectionAgent, {
@@ -703,16 +684,8 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
         "priority": ParamSpec(1, "priority field carried on fake claims"),
         "pool_discovery_slots": ParamSpec(100, "listen time before injecting when pool unknown"),
     }),
-    AttackKind.HARQ_SPOOF_ACK: (HarqSpoofAckAgent, {
-        "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)"),
-        "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)"),
-        "slot_offset": ParamSpec(0, "extra slots past the feedback deadline"),
-    }),
-    AttackKind.HARQ_SPOOF_NACK: (HarqSpoofNackAgent, {
-        "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)"),
-        "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)"),
-        "slot_offset": ParamSpec(0, "extra slots past the feedback deadline"),
-    }),
+    AttackKind.HARQ_SPOOF_ACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
+    AttackKind.HARQ_SPOOF_NACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
     AttackKind.PC5_FORGED_REQUEST_FLOOD: (Pc5ForgedRequestFloodAgent, {
         "target_l2": ParamSpec(None, "layer-2 id to flood"),
         "period_slots": ParamSpec(4, "slots between forged requests"),

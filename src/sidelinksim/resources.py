@@ -35,9 +35,9 @@ RESELECTION_COUNTER_RANGE = (5, 15)
 
 @dataclass
 class ResourcePool:
-    num_subchannels: int
-    slots_per_selection_window: int
-    period_list_ms: list[int]
+    num_subchannels: int = 4
+    slots_per_selection_window: int = 10
+    period_list_ms: tuple[int, ...] = (100, 1000)
     sl_max_num_per_reserve: int = 2
     sensing_window_slots: int = 1100
     rsrp_exclusion_threshold_dbm: float = -100.0

@@ -2,28 +2,26 @@
 
 A scenario is a YAML mapping with sections for the channel, the
 resource pool, sync parameters, UEs, traffic flows, unicast links,
-attacks and defense toggles. Unknown keys anywhere are errors; all
-problems are collected and reported together with their paths.
+attacks and defense toggles. Each section's keys, value types and
+defaults are the fields of the dataclass it builds. Unknown keys and
+wrongly typed values anywhere are errors; all problems are collected
+and reported together with their paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import EnumMeta
 from pathlib import Path
 
 import yaml
 
 from .adversary import ATTACK_REGISTRY, AttackKind, AttackerCapability, AttackPlan
-from .defense import (
-    AnomalyCheckConfig,
-    DefenseConfig,
-    IncidentLogConfig,
-    PolicyEnforcerConfig,
-    PrivacyConfig,
-    ReplayGuardConfig,
-    SignedSsbConfig,
-)
-from .pc5 import PolicyLevel, SecurityPolicy
+from .defense import DefenseConfig
+from .pc5 import SecurityPolicy
 from .radio import ChannelModel
 from .resources import ResourcePool
 from .sync import SyncConfig
@@ -42,7 +40,7 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class UeSpec:
     id: int
-    position: tuple[float, float]
+    position: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (0.0, 0.0)
     role: str = "legit"
     network_sync_ref: bool = False
@@ -115,161 +113,151 @@ def _mapping(raw, path: str, errs: _Errors) -> dict:
     return raw
 
 
-def _check_keys(raw: dict, allowed: set[str], path: str, errs: _Errors):
-    for key in raw:
-        if key not in allowed:
-            errs.add(f"{path}.{key}", "unknown key")
-
-
-def _pair(raw, path: str, errs: _Errors, default=(0.0, 0.0)) -> tuple[float, float]:
+def _list(raw, path: str, errs: _Errors) -> list:
     if raw is None:
-        return default
+        return []
+    if not isinstance(raw, list):
+        errs.add(path, f"expected a list, got {type(raw).__name__}")
+        return []
+    return raw
+
+
+def _number(value) -> float:
+    """`value` as a float; it must already be an int or a float."""
+    if (problem := _type_error(value, float)) is not None:
+        raise TypeError(problem)
+    return float(value)
+
+
+def _pair(raw) -> tuple[float, float]:
+    if raw is None:
+        return 0.0, 0.0
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        errs.add(path, "expected a pair [x, y]")
-        return default
-    try:
-        return float(raw[0]), float(raw[1])
-    except (TypeError, ValueError):
-        errs.add(path, "pair entries must be numbers")
-        return default
+        raise ValueError("expected a pair [x, y]")
+    return _number(raw[0]), _number(raw[1])
 
 
-def _build(cls, kwargs: dict, path: str, errs: _Errors, fallback):
+def _ints(raw) -> tuple[int, ...]:
+    if not isinstance(raw, (list, tuple)) or any(_type_error(v, int) for v in raw):
+        raise TypeError("expected a list of integers")
+    return tuple(raw)
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict[str, object], frozenset[str], tuple[str, ...]]:
+    """Per dataclass `cls`: the resolved annotation of each field, the fields
+    that are nested sections or enums, and the fields with no default."""
+    hints = typing.get_type_hints(cls)
+    hints = {f.name: hints[f.name] for f in fields(cls)}
+    nested = frozenset(name for name, hint in hints.items()
+                       if is_dataclass(hint) or isinstance(hint, EnumMeta))
+    required = tuple(f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING)
+    return hints, nested, required
+
+
+@functools.cache
+def _accepted(hint) -> tuple[type, ...]:
+    """Runtime types a value annotated `hint` may have; a float also takes an int."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    out: list[type] = []
+    for arg in typing.get_args(hint) if union else (hint,):
+        out.extend((int, float) if arg is float else (arg,))
+    return tuple(out)
+
+
+def _type_error(value, hint) -> str | None:
+    """Why `value` does not fit annotation `hint`, or None if it does.
+
+    Values are never converted. The value's own type must be one the hint
+    names (or int for float), so a bool fits only where bool is named.
+    """
+    if type(value) in _accepted(hint):
+        return None
+    return f"expected {getattr(hint, '__name__', hint)}, got {type(value).__name__}"
+
+
+def _section(cls, raw, path: str, errs: _Errors, casts: dict | None = None):
+    """Build dataclass `cls` from mapping `raw`, or record why not and return None.
+
+    Keys are the field names; an absent key keeps its field default. A field
+    that is itself a dataclass is parsed as a nested section, an enum field
+    takes one of the enum's values, and a key in `casts` is checked and
+    converted by its cast. Any other value must already have the field's
+    annotated type. A bad key or value is recorded and left out, so the rest
+    of the section is still checked.
+    """
+    raw = _mapping(raw, path, errs)
+    hints, nested, required = _schema(cls)
+    kwargs = {}
+    for key, value in raw.items():
+        at = f"{path}.{key}"
+        hint = hints.get(key)
+        if hint is None:
+            errs.add(at, "unknown key")
+        elif casts and key in casts:
+            try:
+                kwargs[key] = casts[key](value)
+            except (TypeError, ValueError) as exc:
+                errs.add(at, str(exc))
+        elif key not in nested:
+            if (problem := _type_error(value, hint)) is None:
+                kwargs[key] = value
+            else:
+                errs.add(at, problem)
+        elif is_dataclass(hint):
+            kwargs[key] = _section(hint, value, at, errs) or hint()
+        else:
+            try:
+                kwargs[key] = hint(value)
+            except ValueError:
+                errs.add(at, f"must be one of {[m.value for m in hint]}")
+    missing = [name for name in required if name not in kwargs]
+    for name in missing:
+        if name not in raw:
+            errs.add(f"{path}.{name}", "required")
+    if missing:
+        return None
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         errs.add(path, str(exc))
-        return fallback
+        return None
 
 
 # ---------------------------------------------------------------------------
 # section parsers
 
 
-_CHANNEL_KEYS = {
-    "reference_loss_db", "path_loss_exponent", "noise_floor_dbm",
-    "shadowing_sigma_db", "capture_threshold_db", "tb_error_rate",
-}
+_POOL_CASTS = {"period_list_ms": _ints, "dmrs_patterns": _ints}
 
-_POOL_KEYS = {
-    "num_subchannels", "slots_per_selection_window", "period_list_ms",
-    "sl_max_num_per_reserve", "sensing_window_slots",
-    "rsrp_exclusion_threshold_dbm", "slot_duration_ms", "min_candidate_ratio",
-    "threshold_step_db", "dmrs_patterns", "additional_mcs_tables",
-    "psfch_period", "num_reserved_bits",
-}
-
-_SYNC_KEYS = {
-    "min_hyst_db", "diff_hyst_db", "tx_thresh_ooc_dbm",
-    "selection_rsrp_threshold_dbm", "ssb_period_slots",
-}
-
-_POLICY_KEYS = {"ciphering", "integrity", "allow_null_cipher", "auth_mandatory"}
-
-_UE_KEYS = {
-    "id", "position", "velocity", "role", "network_sync_ref",
-    "tx_power_dbm", "policy",
-}
-
-_TRAFFIC_KEYS = {
-    "src", "dst", "period_slots", "size_bytes", "start_slot",
-    "rri_ms", "harq", "priority",
-}
-
-_LINK_KEYS = {"initiator", "responder", "start_slot"}
+_UE_CASTS = {"position": _pair, "velocity": _pair, "tx_power_dbm": _number}
 
 _ATTACK_KEYS = {"kind", "window", "capability", "params"}
 
-_CAPABILITY_KEYS = {
-    "tx_power_dbm", "timing_precision_slots", "knows_pool_config",
-    "knows_harq_params", "has_key", "position",
-}
-
-_DEFENSE_SECTIONS = {
-    "signed_ssb": (SignedSsbConfig, {"enabled", "tag_bits"}),
-    "harq_anomaly_check": (
-        AnomalyCheckConfig,
-        {"enabled", "power_tolerance_db", "strict_window", "min_samples"},
-    ),
-    "replay_guard": (ReplayGuardConfig, {"enabled", "timestamp_skew_slots"}),
-    "policy_enforcer": (PolicyEnforcerConfig, {"enabled"}),
-    "privacy_randomizer": (PrivacyConfig, {"enabled", "timer_ms", "mode"}),
-    "incident_log": (IncidentLogConfig, {"enabled"}),
-}
-
-_TOP_KEYS = {
-    "name", "seed", "duration_slots", "channel", "pool", "sync",
-    "ues", "traffic", "links", "attacks", "defenses",
-}
-
-
-def _parse_policy(raw, path: str, errs: _Errors) -> SecurityPolicy:
-    raw = _mapping(raw, path, errs)
-    _check_keys(raw, _POLICY_KEYS, path, errs)
-    kwargs = {}
-    for axis in ("ciphering", "integrity"):
-        if axis in raw:
-            try:
-                kwargs[axis] = PolicyLevel(raw[axis])
-            except ValueError:
-                errs.add(f"{path}.{axis}",
-                         f"must be one of {[l.value for l in PolicyLevel]}")
-    if "allow_null_cipher" in raw:
-        kwargs["allow_null_cipher"] = bool(raw["allow_null_cipher"])
-    if "auth_mandatory" in raw:
-        kwargs["auth_mandatory"] = bool(raw["auth_mandatory"])
-    return SecurityPolicy(**kwargs)
-
 
 def _parse_ue(raw, path: str, errs: _Errors) -> UeSpec | None:
-    raw = _mapping(raw, path, errs)
-    _check_keys(raw, _UE_KEYS, path, errs)
-    if "id" not in raw or not isinstance(raw["id"], int):
-        errs.add(f"{path}.id", "required integer")
+    ue = _section(UeSpec, raw, path, errs, _UE_CASTS)
+    if ue is None:
         return None
-    ue_id = raw["id"]
-    if not 0 <= ue_id < ATTACKER_ID_BASE:
+    if not 0 <= ue.id < ATTACKER_ID_BASE:
         errs.add(f"{path}.id", f"must lie in [0, {ATTACKER_ID_BASE})")
-    role = raw.get("role", "legit")
-    if role not in UE_ROLES:
+    if ue.role not in UE_ROLES:
         errs.add(f"{path}.role", f"must be one of {UE_ROLES}")
-        role = "legit"
-    return UeSpec(
-        id=ue_id,
-        position=_pair(raw.get("position"), f"{path}.position", errs),
-        velocity=_pair(raw.get("velocity"), f"{path}.velocity", errs),
-        role=role,
-        network_sync_ref=bool(raw.get("network_sync_ref", False)),
-        tx_power_dbm=float(raw.get("tx_power_dbm", 23.0)),
-        policy=_parse_policy(raw.get("policy"), f"{path}.policy", errs),
-    )
+    return ue
 
 
 def _parse_traffic(raw, path: str, errs: _Errors, ue_ids: set[int],
                    pool: ResourcePool) -> TrafficFlow | None:
-    raw = _mapping(raw, path, errs)
-    _check_keys(raw, _TRAFFIC_KEYS, path, errs)
-    for required in ("src", "dst", "period_slots"):
-        if required not in raw:
-            errs.add(f"{path}.{required}", "required")
-            return None
-    src, dst = raw["src"], raw["dst"]
-    if src not in ue_ids:
-        errs.add(f"{path}.src", f"unknown UE id {src}")
-    if dst != "broadcast" and dst not in ue_ids:
-        errs.add(f"{path}.dst", f"unknown UE id {dst}")
-    if src == dst:
+    flow = _section(TrafficFlow, raw, path, errs)
+    if flow is None:
+        return None
+    if flow.src not in ue_ids:
+        errs.add(f"{path}.src", f"unknown UE id {flow.src}")
+    if flow.dst != "broadcast" and flow.dst not in ue_ids:
+        errs.add(f"{path}.dst", f"unknown UE id {flow.dst}")
+    if flow.src == flow.dst:
         errs.add(f"{path}.dst", "flow source and destination must differ")
-    flow = TrafficFlow(
-        src=src,
-        dst=dst,
-        period_slots=int(raw["period_slots"]),
-        size_bytes=int(raw.get("size_bytes", 300)),
-        start_slot=int(raw.get("start_slot", 0)),
-        rri_ms=int(raw.get("rri_ms", 100)),
-        harq=bool(raw.get("harq", True)),
-        priority=int(raw.get("priority", 3)),
-    )
     if flow.period_slots < 1:
         errs.add(f"{path}.period_slots", "must be positive")
     if flow.rri_ms not in pool.period_list_ms:
@@ -284,7 +272,9 @@ def _parse_traffic(raw, path: str, errs: _Errors, ue_ids: set[int],
 
 def _parse_attack(raw, path: str, errs: _Errors) -> AttackSpec | None:
     raw = _mapping(raw, path, errs)
-    _check_keys(raw, _ATTACK_KEYS, path, errs)
+    for key in raw:
+        if key not in _ATTACK_KEYS:
+            errs.add(f"{path}.{key}", "unknown key")
     if "kind" not in raw:
         errs.add(f"{path}.kind", "required")
         return None
@@ -299,41 +289,27 @@ def _parse_attack(raw, path: str, errs: _Errors) -> AttackSpec | None:
             or not all(isinstance(v, int) for v in window_raw)):
         errs.add(f"{path}.window", "required pair of integer slots [start, end)")
         return None
-    cap_raw = _mapping(raw.get("capability"), f"{path}.capability", errs)
-    _check_keys(cap_raw, _CAPABILITY_KEYS, f"{path}.capability", errs)
-    cap_kwargs = dict(cap_raw)
-    if "position" in cap_kwargs:
-        cap_kwargs["position"] = _pair(
-            cap_kwargs["position"], f"{path}.capability.position", errs
-        )
-    capability = _build(AttackerCapability, cap_kwargs, f"{path}.capability",
-                        errs, AttackerCapability())
+    capability = _section(AttackerCapability, raw.get("capability"),
+                          f"{path}.capability", errs,
+                          {"position": _pair}) or AttackerCapability()
     params = _mapping(raw.get("params"), f"{path}.params", errs)
     _, param_spec = ATTACK_REGISTRY[kind]
-    for key in params:
+    for key, value in params.items():
         if key not in param_spec:
             errs.add(f"{path}.params.{key}",
                      f"unknown parameter for {kind.value}")
-    plan = _build(AttackPlan, {
-        "kind": kind, "window": tuple(window_raw), "params": dict(params),
-    }, f"{path}.window", errs, None)
-    if plan is None:
+            continue
+        # a parameter takes the type of its default; a None default takes an int
+        default = param_spec[key].default
+        problem = _type_error(value, int | None if default is None else type(default))
+        if problem is not None:
+            errs.add(f"{path}.params.{key}", problem)
+    try:
+        plan = AttackPlan(kind, tuple(window_raw), dict(params))
+    except ValueError as exc:
+        errs.add(f"{path}.window", str(exc))
         return None
     return AttackSpec(plan=plan, capability=capability)
-
-
-def _parse_defenses(raw, path: str, errs: _Errors) -> DefenseConfig:
-    raw = _mapping(raw, path, errs)
-    _check_keys(raw, set(_DEFENSE_SECTIONS), path, errs)
-    kwargs = {}
-    for section, (cls, allowed) in _DEFENSE_SECTIONS.items():
-        if section not in raw:
-            continue
-        sub = _mapping(raw[section], f"{path}.{section}", errs)
-        _check_keys(sub, allowed, f"{path}.{section}", errs)
-        built = _build(cls, dict(sub), f"{path}.{section}", errs, cls())
-        kwargs[section] = built
-    return DefenseConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +319,10 @@ def _parse_defenses(raw, path: str, errs: _Errors) -> DefenseConfig:
 def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     errs = _Errors()
     raw = _mapping(raw, "scenario", errs)
-    _check_keys(raw, _TOP_KEYS, "scenario", errs)
+    top_keys, _, _ = _schema(Scenario)
+    for key in raw:
+        if key not in top_keys:
+            errs.add(f"scenario.{key}", "unknown key")
 
     name = str(raw.get("name", default_name))
     seed = raw.get("seed", 0)
@@ -355,36 +334,17 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         errs.add("scenario.duration_slots", "required positive integer")
         duration = 1
 
-    channel_raw = _mapping(raw.get("channel"), "scenario.channel", errs)
-    _check_keys(channel_raw, _CHANNEL_KEYS, "scenario.channel", errs)
-    channel = _build(ChannelModel, dict(channel_raw), "scenario.channel",
-                     errs, ChannelModel())
-
-    pool_raw = _mapping(raw.get("pool"), "scenario.pool", errs)
-    _check_keys(pool_raw, _POOL_KEYS, "scenario.pool", errs)
-    # grid shape defaults so partial (or absent) pool sections stay valid
-    pool_kwargs = {
-        "num_subchannels": 4,
-        "slots_per_selection_window": 10,
-        "period_list_ms": (100, 1000),
-        **pool_raw,
-    }
-    pool_kwargs["period_list_ms"] = tuple(pool_kwargs["period_list_ms"])
-    if "dmrs_patterns" in pool_kwargs:
-        pool_kwargs["dmrs_patterns"] = tuple(pool_kwargs["dmrs_patterns"])
-    pool = _build(ResourcePool, pool_kwargs, "scenario.pool", errs,
-                  ResourcePool(4, 10, (100, 1000)))
-
-    sync_raw = _mapping(raw.get("sync"), "scenario.sync", errs)
-    _check_keys(sync_raw, _SYNC_KEYS, "scenario.sync", errs)
-    sync = _build(SyncConfig, dict(sync_raw), "scenario.sync", errs, SyncConfig())
+    channel = _section(ChannelModel, raw.get("channel"), "scenario.channel",
+                       errs) or ChannelModel()
+    pool = _section(ResourcePool, raw.get("pool"), "scenario.pool", errs,
+                    _POOL_CASTS) or ResourcePool()
+    sync = _section(SyncConfig, raw.get("sync"), "scenario.sync", errs) or SyncConfig()
 
     ues: list[UeSpec] = []
     seen_ids: set[int] = set()
-    raw_ues = raw.get("ues")
-    if not isinstance(raw_ues, list) or not raw_ues:
+    raw_ues = _list(raw.get("ues"), "scenario.ues", errs)
+    if not raw_ues:
         errs.add("scenario.ues", "at least one UE is required")
-        raw_ues = []
     for i, entry in enumerate(raw_ues):
         ue = _parse_ue(entry, f"scenario.ues[{i}]", errs)
         if ue is None:
@@ -396,35 +356,32 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         ues.append(ue)
 
     traffic: list[TrafficFlow] = []
-    for i, entry in enumerate(raw.get("traffic") or []):
+    for i, entry in enumerate(_list(raw.get("traffic"), "scenario.traffic", errs)):
         flow = _parse_traffic(entry, f"scenario.traffic[{i}]", errs, seen_ids, pool)
         if flow is not None:
             traffic.append(flow)
 
     links: list[LinkSpec] = []
-    for i, entry in enumerate(raw.get("links") or []):
-        entry = _mapping(entry, f"scenario.links[{i}]", errs)
-        _check_keys(entry, _LINK_KEYS, f"scenario.links[{i}]", errs)
-        ok = True
+    for i, entry in enumerate(_list(raw.get("links"), "scenario.links", errs)):
+        path = f"scenario.links[{i}]"
+        link = _section(LinkSpec, entry, path, errs)
+        if link is None:
+            continue
         for side in ("initiator", "responder"):
-            if entry.get(side) not in seen_ids:
-                errs.add(f"scenario.links[{i}].{side}",
-                         f"unknown UE id {entry.get(side)}")
-                ok = False
-        if ok and entry["initiator"] == entry["responder"]:
-            errs.add(f"scenario.links[{i}]", "link endpoints must differ")
-            ok = False
-        if ok:
-            links.append(LinkSpec(entry["initiator"], entry["responder"],
-                                  int(entry.get("start_slot", 0))))
+            if getattr(link, side) not in seen_ids:
+                errs.add(f"{path}.{side}", f"unknown UE id {getattr(link, side)}")
+        if link.initiator == link.responder:
+            errs.add(path, "link endpoints must differ")
+        links.append(link)
 
     attacks: list[AttackSpec] = []
-    for i, entry in enumerate(raw.get("attacks") or []):
+    for i, entry in enumerate(_list(raw.get("attacks"), "scenario.attacks", errs)):
         spec = _parse_attack(entry, f"scenario.attacks[{i}]", errs)
         if spec is not None:
             attacks.append(spec)
 
-    defenses = _parse_defenses(raw.get("defenses"), "scenario.defenses", errs)
+    defenses = _section(DefenseConfig, raw.get("defenses"), "scenario.defenses",
+                        errs) or DefenseConfig()
 
     errs.raise_if_any()
     return Scenario(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .adversary import ATTACK_REGISTRY, AttackerAgent, TrackerAgent, build_attacker
+from .adversary import AttackerAgent, TrackerAgent, build_attacker
 from .defense import (
     FeedbackProfile,
     IncidentLog,
@@ -630,14 +630,12 @@ class World:
                               slot=record.slot)
             self.event(record.slot, "collision", receiver=record.receiver_id,
                        destroyed=len(record.destroyed_seqs))
+        # deliver keeps emission order, which is also seq order
         for agent in self.agents:
-            for rec in sorted(recs_by_receiver.get(agent.spec.id, ()),
-                              key=lambda r: r.transmission.seq):
+            for rec in recs_by_receiver[agent.spec.id]:
                 agent.receive(rec, slot)
         for attacker in self.attackers:
-            recs = sorted(recs_by_receiver.get(attacker.id, ()),
-                          key=lambda r: r.transmission.seq)
-            attacker.on_receptions(recs, slot)
+            attacker.on_receptions(recs_by_receiver[attacker.id], slot)
 
     def run(self) -> MetricsReport:
         for slot in range(self.sc.duration_slots):

@@ -59,7 +59,9 @@ def data_burst(src, dst, tb=1, harq=True, pid=3):
 def test_registry_covers_all_kinds_and_validates_params():
     assert set(ATTACK_REGISTRY) == set(AttackKind)
     for kind, (cls, params) in ATTACK_REGISTRY.items():
-        assert cls.kind == kind
+        agent = build(kind)
+        assert isinstance(agent, cls) and agent.kind == kind
+        assert agent.params == {name: spec.default for name, spec in params.items()}
         for name, spec in params.items():
             assert isinstance(spec.help, str) and spec.help
     with pytest.raises(ValueError):

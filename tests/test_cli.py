@@ -104,6 +104,18 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "scenario.duration_slots" in err
 
 
+@pytest.mark.parametrize("text", [
+    TINY + "channel: {shadowing_sigma_db: x}\n",
+    TINY.replace("period_slots: 50", "period_slots: abc"),
+], ids=["channel", "traffic"])
+def test_wrongly_typed_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert "scenario error" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_1(capsys):
     assert main(["run", "no_such_scenario.yaml"]) == 1
     assert "not found" in capsys.readouterr().err

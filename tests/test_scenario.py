@@ -1,5 +1,6 @@
-"""Scenario parsing: strict keys, collected errors, YAML loading."""
+"""Scenario parsing: strict keys and types, collected errors, YAML loading."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,22 @@ def minimal(**over):
     }
     base.update(over)
     return base
+
+
+def with_value(dotted, value):
+    """A valid scenario with every section present, and `value` set at `dotted`."""
+    raw = minimal(
+        traffic=[{"src": 1, "dst": 2, "period_slots": 100}],
+        links=[{"initiator": 1, "responder": 2}],
+        attacks=[{"kind": "harq_spoof_nack", "window": [10, 90]}],
+    )
+    keys = [int(k[1:-1]) if k.startswith("[") else k
+            for k in re.findall(r"\[\d+\]|\w+", dotted)]
+    node = raw
+    for key in keys[:-1]:
+        node = node[key] if isinstance(key, int) else node.setdefault(key, {})
+    node[keys[-1]] = value
+    return raw
 
 
 def test_minimal_scenario_parses_with_defaults():
@@ -77,6 +94,65 @@ def test_unknown_keys_are_errors_with_paths():
     text = str(err.value)
     assert "scenario.extra_section" in text
     assert "scenario.pool.subchannels" in text
+
+
+@pytest.mark.parametrize("section", [
+    "channel", "pool", "sync", "ues[0]", "ues[0].policy", "traffic[0]",
+    "links[0]", "attacks[0]", "attacks[0].capability", "defenses",
+    "defenses.signed_ssb", "defenses.harq_anomaly_check", "defenses.replay_guard",
+    "defenses.policy_enforcer", "defenses.privacy_randomizer", "defenses.incident_log",
+])
+def test_unknown_key_in_every_section(section):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(with_value(f"{section}.bogus", 1))
+    assert err.value.problems == [f"scenario.{section}.bogus: unknown key"]
+
+
+@pytest.mark.parametrize("dotted,value", [
+    ("channel.shadowing_sigma_db", "x"),
+    ("attacks[0].capability.timing_precision_slots", "x"),
+    ("attacks[0].params.slot_offset", "x"),
+    ("traffic[0].period_slots", "abc"),
+    ("ues[0].tx_power_dbm", "loud"),
+    ("links[0].start_slot", "x"),
+    ("traffic", 5),
+    ("traffic[0].dst", [1]),
+    ("pool.period_list_ms", 5),
+])
+def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(with_value(dotted, value))
+    assert any(p.startswith(f"scenario.{dotted}: ") for p in err.value.problems)
+
+
+def test_values_are_type_checked_not_converted():
+    sc = parse_scenario(with_value("channel.shadowing_sigma_db", 2))
+    assert type(sc.channel.shadowing_sigma_db) is int
+    sc = parse_scenario(with_value("attacks[0].params.target_src_l2", 5))
+    assert sc.attacks[0].plan.params == {"target_src_l2": 5}
+    for dotted, value in (("sync.ssb_period_slots", True),
+                          ("channel.noise_floor_dbm", False),
+                          ("defenses.replay_guard.enabled", 1),
+                          ("attacks[0].params.slot_offset", 1.5),
+                          ("ues[0].policy.allow_null_cipher", "no"),
+                          ("ues[0].network_sync_ref", "false"),
+                          ("ues[0].tx_power_dbm", True),
+                          ("ues[0].position", ["1", 2]),
+                          ("pool.dmrs_patterns", [0.5]),
+                          ("traffic[0].period_slots", 2.5),
+                          ("traffic[0].harq", "false"),
+                          ("links[0].start_slot", 2.9)):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(with_value(dotted, value))
+        assert err.value.problems[0].startswith(f"scenario.{dotted}: expected ")
+
+
+def test_bad_policy_axis_lists_the_valid_levels():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(with_value("ues[0].policy.ciphering", "SOMETIMES"))
+    assert err.value.problems == [
+        "scenario.ues[0].policy.ciphering: "
+        "must be one of ['REQUIRED', 'PREFERRED', 'NOT_NEEDED']"]
 
 
 def test_errors_are_collected_not_first_fail():
