@@ -4,6 +4,7 @@ import hashlib
 import hmac
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,8 @@ from sidelinksim.defense import ReplayGuard, enforce_policy
 from sidelinksim.frames import Pc5Message, Pc5MessageKind as K
 from sidelinksim.pc5 import (
     BROADCAST_L2,
+    CIPHER_ALG,
+    INTEG_ALG,
     KeyHierarchy,
     L2Identity,
     LinkPhase,
@@ -385,6 +388,103 @@ def test_identifier_update_rebinds_peer():
     assert any(e.kind == "identifier_update" for _, e in events)
     assert 0x000999 in b.links and 0x000101 not in b.links
     assert b.links[0x000999].peer_l2 == 0x000999
+
+
+# -- receive-path characterization -------------------------------------------
+#
+# Every message kind against every link state the receiver can hold: no
+# link, and each phase on each side. Each case is run without and with a
+# ReplayGuard, in three variants: "clear" is unprotected and echoes the
+# nonce the pending step is bound to, "unbound" is unprotected with a
+# wrong echo, and "sealed" is protected under the link's keys the way the
+# genuine peer would send it. A row records the reply kinds, the event
+# kinds with their detail keys, and the link's phase afterwards (or the
+# exception). pc5_receive_rows.txt holds the rows; a deliberate change to
+# the receive path re-records them with `"\n".join(receive_rows()) + "\n"`.
+
+ME, PEER = 0x000101, 0x000202
+RECEIVE_ROWS_FILE = Path(__file__).resolve().parent / "pc5_receive_rows.txt"
+
+
+def _receiver_at(phase, initiator):
+    """Endpoint ME holding a link to PEER in `phase`, and the slot after.
+
+    Real handshake steps take the link there when they can; the other
+    states (idle, released, a responder in request_sent) overwrite the
+    phase of an established link.
+    """
+    pol = SecurityPolicy(auth_mandatory=phase == LinkPhase.AUTHENTICATING)
+    me, peer = endpoint(1, ME, pol), endpoint(2, PEER, pol)
+    a, b = (me, peer) if initiator else (peer, me)
+    slot = 10
+    queue = [(b, a, m) for m in a.initiate(b.l2_id, slot)]
+    while queue and getattr(me.links.get(PEER), "phase", None) != phase:
+        receiver, sender, msg = queue.pop(0)
+        slot += 1
+        replies, _ = receiver.handle(msg, slot, None)
+        queue += [(sender, receiver, r) for r in replies]
+    me.links[PEER].phase = phase
+    return me, slot + 1
+
+
+def _case_message(kind, link, variant, slot):
+    bound = link.binding_nonce() if link is not None else None
+    body = {
+        "nonce": "ab" * 16, "ts": slot, "knrp_id": 7, "cipher": "REQUIRED",
+        "integ": "REQUIRED", "allow_null": 0, "auth_req": 0, "challenge": "cd" * 16,
+        "proof": "00" * 32, "cipher_alg": CIPHER_ALG, "integ_alg": INTEG_ALG, "n": 0,
+        "new_l2": 0x000999, "new_knrp_id": 9, "cause": "test",
+        "echo_nonce": "ff" * 16 if variant == "unbound" or bound is None else bound,
+    }
+    msg = Pc5Message(kind, PEER, ME, 1, body)
+    if variant != "sealed" or link is None:
+        return msg
+    if link.challenge is not None:
+        body["proof"] = prf(PSK, bytes.fromhex(link.challenge)).hex()
+    if link.ctx is not None:
+        ctx = LinkSecurityContext(link.ctx.keys, link.ctx.cipher_on, link.ctx.integrity_on,
+                                  tx_count=link.ctx.rx_high_water + 1)
+    else:
+        keys = derive_session(link.keys, bytes.fromhex(link.nonce_i),
+                              bytes.fromhex(body["nonce"]), CIPHER_ALG, INTEG_ALG)
+        ctx = LinkSecurityContext(keys, True, True)
+    return protect_pdu(ctx, msg)
+
+
+def _receive_case(phase, initiator, kind, variant, guarded):
+    if phase is None:
+        me, slot = endpoint(1, ME), 20
+    else:
+        me, slot = _receiver_at(phase, initiator)
+    msg = _case_message(kind, me.links.get(PEER), variant, slot)
+    try:
+        replies, events = me.handle(msg, slot, ReplayGuard(16) if guarded else None)
+    except Exception as exc:  # recorded, so a changed failure shows too
+        return f"raises {type(exc).__name__}"
+    link = me.links.get(PEER)
+    return "replies=[{}] events=[{}] phase={}".format(
+        " ".join(r.kind.name for r in replies),
+        " ".join(f"{e.kind}({','.join(sorted(e.detail))})" for e in events),
+        link.phase.value if link is not None else "-",
+    )
+
+
+def receive_rows():
+    states = [(None, None)] + [(p, i) for p in LinkPhase for i in (True, False)]
+    rows = []
+    for phase, initiator in states:
+        state = "none" if phase is None else f"{phase.value}/{'i' if initiator else 'r'}"
+        for kind in K:
+            for variant in ("clear", "unbound", "sealed"):
+                plain = _receive_case(phase, initiator, kind, variant, False)
+                guarded = _receive_case(phase, initiator, kind, variant, True)
+                row = f"{state} {kind.name} {variant}: {plain}"
+                rows.append(row if guarded == plain else f"{row} || guard: {guarded}")
+    return rows
+
+
+def test_receive_path_matches_recorded_rows():
+    assert receive_rows() == RECEIVE_ROWS_FILE.read_text().splitlines()
 
 
 # -- identifier privacy ------------------------------------------------------
