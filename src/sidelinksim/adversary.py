@@ -664,41 +664,59 @@ def permutation_f1_baseline(predicted_clusters: list[set[int]], truth: dict[int,
 class ParamSpec:
     default: object
     help: str
+    lo: float | None = None  # inclusive bounds; None leaves that side open
+    hi: float | None = None
 
+    def bounds(self) -> str:
+        """`lo..hi` with an open side left blank; empty when unbounded."""
+        if self.lo is None and self.hi is None:
+            return ""
+        return f"{'' if self.lo is None else self.lo}..{'' if self.hi is None else self.hi}"
+
+    def range_error(self, value) -> str | None:
+        """Why `value` (already of the right type) is out of bounds, or None."""
+        if value is None or ((self.lo is None or value >= self.lo)
+                             and (self.hi is None or value <= self.hi)):
+            return None
+        return f"{value} outside {self.bounds()}"
+
+
+_L2_MAX = (1 << 24) - 1
 
 _HARQ_SPOOF_PARAMS = {
-    "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)"),
-    "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)"),
+    "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)", 0, _L2_MAX),
+    "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)", 0, _L2_MAX),
     "slot_offset": ParamSpec(0, "extra slots past the feedback deadline"),
 }
 
 ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec]]] = {
     AttackKind.SYNC_IMPERSONATION: (SyncImpersonationAgent, {}),
     AttackKind.FALSE_SYNC_INJECTION: (FalseSyncInjectionAgent, {
-        "slss_id": ParamSpec(0, "sync identity to fabricate (0 claims GNSS-direct)"),
-        "tdd_config": ParamSpec(0, "TDD pattern index carried in the fake payload"),
+        "slss_id": ParamSpec(0, "sync identity to fabricate (0 claims GNSS-direct)", 0, 671),
+        "tdd_config": ParamSpec(0, "TDD pattern index carried in the fake payload", 0, 4095),
     }),
     AttackKind.RESOURCE_BLOCKING: (ResourceBlockingAgent, {
-        "claim_fraction": ParamSpec(0.75, "fraction of pool cells to claim"),
-        "rri_ms": ParamSpec(1000, "reservation interval advertised on each claim"),
-        "priority": ParamSpec(1, "priority field carried on fake claims"),
-        "pool_discovery_slots": ParamSpec(100, "listen time before injecting when pool unknown"),
+        "claim_fraction": ParamSpec(0.75, "fraction of pool cells to claim", 0, 1),
+        "rri_ms": ParamSpec(1000, "reservation interval advertised on each claim, "
+                                  "one of pool.period_list_ms"),
+        "priority": ParamSpec(1, "priority field carried on fake claims", 0, 7),
+        "pool_discovery_slots": ParamSpec(100, "listen time before injecting when pool unknown", 0),
     }),
     AttackKind.HARQ_SPOOF_ACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
     AttackKind.HARQ_SPOOF_NACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
     AttackKind.PC5_FORGED_REQUEST_FLOOD: (Pc5ForgedRequestFloodAgent, {
-        "target_l2": ParamSpec(None, "layer-2 id to flood"),
-        "period_slots": ParamSpec(4, "slots between forged requests"),
+        "target_l2": ParamSpec(None, "layer-2 id to flood", 0, _L2_MAX),
+        "period_slots": ParamSpec(4, "slots between forged requests", 1),
     }),
     AttackKind.PC5_FORGED_REJECT: (Pc5ForgedRejectAgent, {}),
     AttackKind.PC5_AUTH_DISRUPT: (Pc5AuthDisruptAgent, {}),
     AttackKind.PC5_REPLAY: (Pc5ReplayAgent, {
-        "replay_delay_slots": ParamSpec(40, "slots between capture and re-emission"),
+        "replay_delay_slots": ParamSpec(40, "slots between capture and re-emission", 0),
     }),
     AttackKind.PC5_FALSE_SEC_MODE_REJECT: (Pc5FalseSecModeRejectAgent, {}),
     AttackKind.L2_TRACKING: (TrackerAgent, {
-        "linkage_window_slots": ParamSpec(50, "max gap between an id vanishing and its successor"),
-        "rsrp_similarity_db": ParamSpec(3.0, "power gate for linking two ids"),
+        "linkage_window_slots": ParamSpec(50, "max gap between an id vanishing and its successor", 0),
+        "rsrp_similarity_db": ParamSpec(3.0, "power gate for linking two ids", 0),
     }),
 }
 

@@ -97,7 +97,8 @@ def cmd_list_attacks(args) -> int:
     for kind, (cls, params) in sorted(ATTACK_REGISTRY.items(), key=lambda kv: kv[0].value):
         print(f"{kind.value}  ({cls.__name__})")
         for name, spec in sorted(params.items()):
-            print(f"    {name} (default {spec.default!r}): {spec.help}")
+            bounds = f", {spec.bounds()}" if spec.bounds() else ""
+            print(f"    {name} (default {spec.default!r}{bounds}): {spec.help}")
     return 0
 
 

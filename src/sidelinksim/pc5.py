@@ -38,6 +38,7 @@ from .frames import (
 TAG_BYTES = 4
 NONCE_BYTES = 16
 PC5_TIMEOUT_SLOTS = 64
+KEEPALIVE_PERIOD_SLOTS = 2000
 KEEPALIVE_MAX_MISSES = 2
 CIPHER_ALG = "xor-hmac-stream"
 INTEG_ALG = "hmac-sha256-32"
@@ -303,10 +304,8 @@ class LinkState:
     nonce_i: str | None = None  # initiator nonce (hex)
     nonce_r: str | None = None  # responder nonce (hex)
     challenge: str | None = None
-    peer_policy_body: dict | None = None
     keepalive_next: int | None = None
     keepalive_misses: int = 0
-    rekey_nonce: str | None = None
 
     def binding_nonce(self) -> str | None:
         """Nonce a legitimate response to our pending step must echo."""
@@ -354,29 +353,20 @@ def _policy_from_body(body: dict) -> SecurityPolicy:
     )
 
 
+
+
 class Pc5Endpoint:
     """One UE's PC5 signalling side: links, keys, timers."""
 
-    def __init__(
-        self,
-        ue_id: int,
-        l2_id: int,
-        k_long_term: bytes,
-        policy: SecurityPolicy,
-        rng: random.Random,
-        keepalive_period_slots: int = 2000,
-        timeout_slots: int = PC5_TIMEOUT_SLOTS,
-    ):
+    def __init__(self, ue_id: int, l2_id: int, k_long_term: bytes,
+                 policy: SecurityPolicy, rng: random.Random):
         self.ue_id = ue_id
         self.l2_id = l2_id
         self.k_long_term = k_long_term
         self.policy = policy
         self.rng = rng
-        self.keepalive_period_slots = keepalive_period_slots
-        self.timeout_slots = timeout_slots
         self.links: dict[int, LinkState] = {}
         self._seq = 0
-        self.pending_peak = 0
 
     # -- helpers ---------------------------------------------------------
 
@@ -392,12 +382,11 @@ class Pc5Endpoint:
         ctx = link.ctx if link else None
         return protect_pdu(ctx, msg)
 
-    def _note_pending(self):
-        pending = sum(1 for l in self.links.values() if l.phase in PRE_ESTABLISHED)
-        self.pending_peak = max(self.pending_peak, pending)
-
-    def established_peers(self) -> list[int]:
-        return [p for p, l in self.links.items() if l.phase == LinkPhase.ESTABLISHED]
+    @staticmethod
+    def _establish(link: LinkState, slot: int, security: str) -> SecurityEvent:
+        link.phase = LinkPhase.ESTABLISHED
+        link.established_slot = slot
+        return SecurityEvent(slot, "established", link.peer_l2, {"security": security})
 
     # -- initiator side --------------------------------------------------
 
@@ -406,7 +395,6 @@ class Pc5Endpoint:
         link.nonce_i = self._nonce()
         link.keys = KeyHierarchy(self.k_long_term).with_knrp(self.rng.getrandbits(32))
         self.links[peer_l2] = link
-        self._note_pending()
         body = {
             "nonce": link.nonce_i,
             "ts": slot,
@@ -414,19 +402,6 @@ class Pc5Endpoint:
             **_policy_body(self.policy),
         }
         return [self._msg(K.ESTABLISHMENT_REQUEST, peer_l2, body, None)]
-
-    def release(self, peer_l2: int, slot: int, cause: str = "normal") -> list[Pc5Message]:
-        link = self.links.get(peer_l2)
-        if link is None or link.phase != LinkPhase.ESTABLISHED:
-            return []
-        return [self._msg(K.RELEASE_REQUEST, peer_l2, {"cause": cause}, link)]
-
-    def rekey(self, peer_l2: int, slot: int) -> list[Pc5Message]:
-        link = self.links.get(peer_l2)
-        if link is None or link.phase != LinkPhase.ESTABLISHED:
-            return []
-        link.rekey_nonce = self._nonce()
-        return [self._msg(K.REKEYING_REQUEST, peer_l2, {"nonce": link.rekey_nonce}, link)]
 
     def begin_identifier_update(self, new_l2: int, new_knrp_id: int) -> list[Pc5Message]:
         """Messages announcing an id change on every established link.
@@ -448,14 +423,14 @@ class Pc5Endpoint:
         out: list[Pc5Message] = []
         events: list[SecurityEvent] = []
         for peer, link in list(self.links.items()):
-            if link.phase in PRE_ESTABLISHED and slot - link.started_slot >= self.timeout_slots:
+            if link.phase in PRE_ESTABLISHED and slot - link.started_slot >= PC5_TIMEOUT_SLOTS:
                 events.append(SecurityEvent(slot, "link_failure", peer, {"cause": "timeout"}))
                 del self.links[peer]
                 continue
             if link.phase != LinkPhase.ESTABLISHED or not link.is_initiator:
                 continue
             if link.keepalive_next is None:
-                link.keepalive_next = link.established_slot + self.keepalive_period_slots
+                link.keepalive_next = link.established_slot + KEEPALIVE_PERIOD_SLOTS
             if slot >= link.keepalive_next:
                 if link.keepalive_misses >= KEEPALIVE_MAX_MISSES:
                     events.append(
@@ -465,54 +440,54 @@ class Pc5Endpoint:
                     continue
                 out.append(self._msg(K.KEEPALIVE_REQUEST, peer, {"n": link.keepalive_misses}, link))
                 link.keepalive_misses += 1
-                link.keepalive_next += self.keepalive_period_slots
+                link.keepalive_next += KEEPALIVE_PERIOD_SLOTS
         return out, events
 
     # -- receive path ----------------------------------------------------
 
     def handle(self, msg: Pc5Message, slot: int, guard=None) -> tuple[list[Pc5Message], list[SecurityEvent]]:
-        """Process one addressed PDU; returns (outbound, security events)."""
-        link = self.links.get(msg.src_l2)
-        handler = {
-            K.ESTABLISHMENT_REQUEST: self._on_request,
-            K.AUTHENTICATION_REQUEST: self._on_auth_request,
-            K.AUTHENTICATION_RESPONSE: self._on_auth_response,
-            K.SECURITY_MODE_COMMAND: self._on_smc,
-            K.SECURITY_MODE_COMPLETE: self._on_sm_complete,
-            K.ESTABLISHMENT_ACCEPT: self._on_accept,
-            K.ESTABLISHMENT_REJECT: self._on_abort_kind,
-            K.AUTHENTICATION_REJECT: self._on_abort_kind,
-            K.AUTHENTICATION_FAILURE: self._on_abort_kind,
-            K.SECURITY_MODE_REJECT: self._on_abort_kind,
-            K.KEEPALIVE_REQUEST: self._on_keepalive_request,
-            K.KEEPALIVE_RESPONSE: self._on_keepalive_response,
-            K.RELEASE_REQUEST: self._on_release_request,
-            K.RELEASE_ACCEPT: self._on_release_accept,
-            K.REKEYING_REQUEST: self._on_rekey_request,
-            K.REKEYING_RESPONSE: self._on_rekey_response,
-            K.IDENTIFIER_UPDATE_REQUEST: self._on_id_update_request,
-            K.IDENTIFIER_UPDATE_ACCEPT: self._on_id_update_accept,
-            K.IDENTIFIER_UPDATE_ACK: self._on_noop,
-            K.MODIFICATION_REQUEST: self._on_modification_request,
-            K.MODIFICATION_ACCEPT: self._on_noop,
-            K.MODIFICATION_REJECT: self._on_noop,
-            K.IDENTIFIER_UPDATE_REJECT: self._on_noop,
-        }.get(msg.kind)
-        if handler is None:
-            return [], [SecurityEvent(slot, "unknown_kind", msg.src_l2, {"kind": int(msg.kind)})]
-        return handler(link, msg, slot, guard)
+        """Process one addressed PDU; returns (outbound, security events).
 
-    def _protected_body(self, link: LinkState | None, msg: Pc5Message, slot: int):
-        """Unprotect an established-phase PDU or explain why not."""
-        if link is None or link.phase != LinkPhase.ESTABLISHED:
-            return None, [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                        {"kind": int(msg.kind)})]
-        try:
-            return unprotect_pdu(link.ctx, msg), []
-        except UnprotectError as err:
-            kind = "replay" if err.reason == "replay" else "discard_bad_tag"
-            return None, [SecurityEvent(slot, kind, msg.src_l2,
-                                        {"kind": int(msg.kind), "reason": err.reason})]
+        _RECEIVE says on which side and in which phases a link accepts
+        each kind; anything else is an unexpected message. From the
+        security-mode phase on, an accepted PDU is unprotected under the
+        link's context before anything reads it, and a handshake kind
+        (one sent before the context is in force) must echo the nonce
+        its pending step is bound to.
+        """
+        link = self.links.get(msg.src_l2)
+        if msg.kind == K.ESTABLISHMENT_REQUEST:
+            return self._on_request(link, msg, slot, guard)
+        side, phases, step = _RECEIVE.get(msg.kind, _UNHANDLED)
+        if link is None or link.phase not in phases or side not in (None, link.is_initiator):
+            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
+                                      {"kind": int(msg.kind)})]
+        if msg.kind in _ABORT_KINDS:
+            return self._abort(link, msg, slot, guard)
+        body = msg.body
+        if link.phase in (LinkPhase.SECURITY_MODE, LinkPhase.ESTABLISHED):
+            try:
+                body = unprotect_pdu(link.ctx, msg)
+            except UnprotectError as err:
+                kind = "replay" if err.reason == "replay" else "discard_bad_tag"
+                return [], [SecurityEvent(slot, kind, msg.src_l2,
+                                          {"kind": int(msg.kind), "reason": err.reason})]
+        if (PROTECTION[msg.kind].phase != SecurityPhase.AFTER
+                and body.get("echo_nonce") != link.binding_nonce()):
+            return [], [SecurityEvent(slot, "discard_unbound", msg.src_l2, {})]
+        return step(self, link, msg, body, slot) if step else ([], [])
+
+    def _abort(self, link: LinkState, msg: Pc5Message, slot: int, guard):
+        """Reject/failure kinds: abort a pending link (the attack surface)."""
+        if guard is not None:
+            verdict = guard.check_response(msg, slot, link.binding_nonce())
+            if verdict is not None:
+                return [], [SecurityEvent(slot, "replay_reject", msg.src_l2,
+                                          {"reason": verdict, "kind": int(msg.kind)})]
+        cause = msg.body.get("cause", "unspecified")
+        del self.links[msg.src_l2]
+        return [], [SecurityEvent(slot, "link_failure", msg.src_l2,
+                                  {"cause": cause, "kind": int(msg.kind)})]
 
     # -- establishment ---------------------------------------------------
 
@@ -538,20 +513,15 @@ class Pc5Endpoint:
         new.nonce_i = msg.body["nonce"]
         new.negotiation = negotiation
         new.keys = KeyHierarchy(self.k_long_term).with_knrp(msg.body["knrp_id"])
-        new.peer_policy_body = dict(msg.body)
         self.links[msg.src_l2] = new
         if negotiation.outcome == Outcome.UNPROTECTED:
-            new.phase = LinkPhase.ESTABLISHED
-            new.established_slot = slot
-            events.append(SecurityEvent(slot, "established", msg.src_l2, {"security": "none"}))
+            events.append(self._establish(new, slot, "none"))
             return [self._msg(K.ESTABLISHMENT_ACCEPT, msg.src_l2, {"sess_id": 0}, new)], events
         if self.policy.auth_mandatory or peer_policy.auth_mandatory:
             new.phase = LinkPhase.AUTHENTICATING
             new.challenge = self._nonce()
-            self._note_pending()
             body = {"challenge": new.challenge, "echo_nonce": new.nonce_i, "ts": slot}
             return [self._msg(K.AUTHENTICATION_REQUEST, msg.src_l2, body, None)], events
-        self._note_pending()
         return self._send_smc(new, slot), events
 
     def _send_smc(self, link: LinkState, slot: int) -> list[Pc5Message]:
@@ -566,7 +536,6 @@ class Pc5Endpoint:
             neg.integrity_alg,
         )
         link.ctx = LinkSecurityContext(link.keys, neg.cipher_on, neg.integrity_on)
-        self._note_pending()
         body = {
             "nonce": link.nonce_r,
             "echo_nonce": link.nonce_i,
@@ -595,52 +564,38 @@ class Pc5Endpoint:
                             self._next_seq(), body)
         return [protect_pdu(ctx, shadow)]
 
-    def _on_auth_request(self, link, msg, slot, guard):
-        if link is None or link.phase != LinkPhase.REQUEST_SENT or not link.is_initiator:
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        if msg.body.get("echo_nonce") != link.nonce_i:
-            return [], [SecurityEvent(slot, "discard_unbound", msg.src_l2, {})]
-        link.phase = LinkPhase.AUTHENTICATING
-        proof = prf(self.k_long_term, bytes.fromhex(msg.body["challenge"])).hex()
-        body = {"proof": proof, "echo_nonce": msg.body["challenge"], "ts": slot}
-        return [self._msg(K.AUTHENTICATION_RESPONSE, msg.src_l2, body, None)], []
+    # Each step below runs only for a kind its link accepts (see handle);
+    # body is the clear, echo-checked message body.
 
-    def _on_auth_response(self, link, msg, slot, guard):
-        if link is None or link.phase != LinkPhase.AUTHENTICATING or link.is_initiator:
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        if msg.body.get("echo_nonce") != link.challenge:
-            return [], [SecurityEvent(slot, "discard_unbound", msg.src_l2, {})]
+    def _on_auth_request(self, link, msg, body, slot):
+        link.phase = LinkPhase.AUTHENTICATING
+        proof = prf(self.k_long_term, bytes.fromhex(body["challenge"])).hex()
+        reply = {"proof": proof, "echo_nonce": body["challenge"], "ts": slot}
+        return [self._msg(K.AUTHENTICATION_RESPONSE, msg.src_l2, reply, None)], []
+
+    def _on_auth_response(self, link, msg, body, slot):
         expected = prf(self.k_long_term, bytes.fromhex(link.challenge)).hex()
-        if msg.body.get("proof") != expected:
+        if body.get("proof") != expected:
             del self.links[msg.src_l2]
-            body = {"cause": "bad_proof", "echo_nonce": link.nonce_i, "ts": slot}
+            reject = {"cause": "bad_proof", "echo_nonce": link.nonce_i, "ts": slot}
             return (
-                [self._msg(K.AUTHENTICATION_REJECT, msg.src_l2, body, None)],
+                [self._msg(K.AUTHENTICATION_REJECT, msg.src_l2, reject, None)],
                 [SecurityEvent(slot, "auth_fail", msg.src_l2, {})],
             )
         return self._send_smc(link, slot), []
 
-    def _on_smc(self, link, msg, slot, guard):
-        if link is None or not link.is_initiator or link.phase not in (
-            LinkPhase.REQUEST_SENT, LinkPhase.AUTHENTICATING
-        ):
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        if msg.body.get("echo_nonce") != link.nonce_i:
-            return [], [SecurityEvent(slot, "discard_unbound", msg.src_l2, {})]
+    def _on_smc(self, link, msg, body, slot):
         neg = Negotiation(
             Outcome.PROTECTED,
-            msg.body["cipher_alg"] != NULL_ALG,
-            msg.body["integ_alg"] != NULL_ALG,
+            body["cipher_alg"] != NULL_ALG,
+            body["integ_alg"] != NULL_ALG,
         )
         keys = derive_session(
             link.keys,
             bytes.fromhex(link.nonce_i),
-            bytes.fromhex(msg.body["nonce"]),
-            msg.body["cipher_alg"],
-            msg.body["integ_alg"],
+            bytes.fromhex(body["nonce"]),
+            body["cipher_alg"],
+            body["integ_alg"],
         )
         ctx = LinkSecurityContext(keys, neg.cipher_on, neg.integrity_on)
         try:
@@ -651,153 +606,70 @@ class Pc5Endpoint:
         link.negotiation = neg
         link.keys = keys
         link.ctx = ctx
-        link.nonce_r = msg.body["nonce"]
+        link.nonce_r = body["nonce"]
         link.phase = LinkPhase.SECURITY_MODE
-        body = {"echo_nonce": link.nonce_r}
-        return [self._msg(K.SECURITY_MODE_COMPLETE, msg.src_l2, body, link)], []
+        reply = {"echo_nonce": link.nonce_r}
+        return [self._msg(K.SECURITY_MODE_COMPLETE, msg.src_l2, reply, link)], []
 
-    def _on_sm_complete(self, link, msg, slot, guard):
-        if link is None or link.is_initiator or link.phase != LinkPhase.SECURITY_MODE:
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        try:
-            body = unprotect_pdu(link.ctx, msg)
-        except UnprotectError as err:
-            return [], [SecurityEvent(slot, "discard_bad_tag", msg.src_l2,
-                                      {"kind": int(msg.kind), "reason": err.reason})]
-        if body.get("echo_nonce") != link.nonce_r:
-            return [], [SecurityEvent(slot, "discard_unbound", msg.src_l2, {})]
-        link.phase = LinkPhase.ESTABLISHED
-        link.established_slot = slot
-        events = [SecurityEvent(slot, "established", msg.src_l2, {"security": "context"})]
-        body_out = {"sess_id": link.keys.k_nrp_sess_id}
-        return [self._msg(K.ESTABLISHMENT_ACCEPT, msg.src_l2, body_out, link)], events
+    def _on_sm_complete(self, link, msg, body, slot):
+        event = self._establish(link, slot, "context")
+        reply = {"sess_id": link.keys.k_nrp_sess_id}
+        return [self._msg(K.ESTABLISHMENT_ACCEPT, msg.src_l2, reply, link)], [event]
 
-    def _on_accept(self, link, msg, slot, guard):
-        if link is None or not link.is_initiator:
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        if link.phase == LinkPhase.REQUEST_SENT and link.ctx is None:
-            # null-security path: bare accept concludes it
-            link.phase = LinkPhase.ESTABLISHED
-            link.established_slot = slot
+    def _on_accept(self, link, msg, body, slot):
+        if link.phase == LinkPhase.REQUEST_SENT:
+            # null-security path: a bare accept concludes it
             link.negotiation = Negotiation(Outcome.UNPROTECTED)
-            return [], [SecurityEvent(slot, "established", msg.src_l2, {"security": "none"})]
-        if link.phase != LinkPhase.SECURITY_MODE:
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        try:
-            unprotect_pdu(link.ctx, msg)
-        except UnprotectError as err:
-            return [], [SecurityEvent(slot, "discard_bad_tag", msg.src_l2,
-                                      {"kind": int(msg.kind), "reason": err.reason})]
-        link.phase = LinkPhase.ESTABLISHED
-        link.established_slot = slot
-        return [], [SecurityEvent(slot, "established", msg.src_l2, {"security": "context"})]
-
-    def _on_abort_kind(self, link, msg, slot, guard):
-        """Reject/failure kinds: abort a pending link (the attack surface)."""
-        if link is None or link.phase not in PRE_ESTABLISHED:
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        if guard is not None:
-            verdict = guard.check_response(msg, slot, link.binding_nonce())
-            if verdict is not None:
-                return [], [SecurityEvent(slot, "replay_reject", msg.src_l2,
-                                          {"reason": verdict, "kind": int(msg.kind)})]
-        cause = msg.body.get("cause", "unspecified")
-        del self.links[msg.src_l2]
-        return [], [SecurityEvent(slot, "link_failure", msg.src_l2,
-                                  {"cause": cause, "kind": int(msg.kind)})]
+            return [], [self._establish(link, slot, "none")]
+        return [], [self._establish(link, slot, "context")]
 
     # -- established-phase procedures -------------------------------------
 
-    def _on_keepalive_request(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        return [self._msg(K.KEEPALIVE_RESPONSE, msg.src_l2, {"n": body["n"]}, link)], events
+    def _on_keepalive_request(self, link, msg, body, slot):
+        return [self._msg(K.KEEPALIVE_RESPONSE, msg.src_l2, {"n": body["n"]}, link)], []
 
-    def _on_keepalive_response(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
+    def _on_keepalive_response(self, link, msg, body, slot):
         link.keepalive_misses = 0
-        return [], events
+        return [], []
 
-    def _on_release_request(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        out = [self._msg(K.RELEASE_ACCEPT, msg.src_l2, {}, link)]
-        link.phase = LinkPhase.RELEASED
-        events.append(SecurityEvent(slot, "released", msg.src_l2, {"cause": body.get("cause")}))
-        return out, events
-
-    def _on_release_accept(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        link.phase = LinkPhase.RELEASED
-        events.append(SecurityEvent(slot, "released", msg.src_l2, {"cause": "accepted"}))
-        return [], events
-
-    def _on_rekey_request(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        fresh = self._nonce()
-        out = [self._msg(K.REKEYING_RESPONSE, msg.src_l2, {"nonce": fresh}, link)]
-        self._apply_rekey(link, body["nonce"], fresh)
-        events.append(SecurityEvent(slot, "rekeyed", msg.src_l2, {}))
-        return out, events
-
-    def _on_rekey_response(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        self._apply_rekey(link, link.rekey_nonce, body["nonce"])
-        events.append(SecurityEvent(slot, "rekeyed", msg.src_l2, {}))
-        return [], events
-
-    def _apply_rekey(self, link: LinkState, nonce_req: str, nonce_resp: str):
-        neg = link.negotiation
-        link.keys = derive_session(
-            link.keys, bytes.fromhex(nonce_req), bytes.fromhex(nonce_resp),
-            neg.cipher_alg, neg.integrity_alg,
-        )
-        link.ctx = LinkSecurityContext(link.keys, neg.cipher_on, neg.integrity_on)
-
-    def _on_id_update_request(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        old = msg.src_l2
-        new_l2 = body["new_l2"]
+    def _on_id_update_request(self, link, msg, body, slot):
+        old, new_l2 = msg.src_l2, body["new_l2"]
         out = [self._msg(K.IDENTIFIER_UPDATE_ACCEPT, old, {"echo_l2": new_l2}, link)]
         self.links[new_l2] = self.links.pop(old)
         link.peer_l2 = new_l2
         link.keys = link.keys.with_knrp(body["new_knrp_id"])
-        events.append(SecurityEvent(slot, "identifier_update", new_l2, {"old": old}))
-        return out, events
+        return out, [SecurityEvent(slot, "identifier_update", new_l2, {"old": old})]
 
-    def _on_id_update_accept(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        return [self._msg(K.IDENTIFIER_UPDATE_ACK, msg.src_l2, {}, link)], events
+    def _on_id_update_accept(self, link, msg, body, slot):
+        return [self._msg(K.IDENTIFIER_UPDATE_ACK, msg.src_l2, {}, link)], []
 
-    def _on_modification_request(self, link, msg, slot, guard):
-        body, events = self._protected_body(link, msg, slot)
-        if body is None:
-            return [], events
-        return [self._msg(K.MODIFICATION_ACCEPT, msg.src_l2, {}, link)], events
 
-    def _on_noop(self, link, msg, slot, guard):
-        if link is None:
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
-        if PROTECTION[msg.kind].phase == SecurityPhase.AFTER:
-            body, events = self._protected_body(link, msg, slot)
-            return [], events
-        return [], []
+# Reject and failure kinds abort a link in any pending phase, on either side.
+_ABORT_KINDS = frozenset({
+    K.ESTABLISHMENT_REJECT,
+    K.AUTHENTICATION_REJECT,
+    K.AUTHENTICATION_FAILURE,
+    K.SECURITY_MODE_REJECT,
+})
+
+_LIVE = (LinkPhase.ESTABLISHED,)
+
+# kind -> (side that accepts it: True initiator, False responder, None
+# either; link phases that accept it; step run on the clear body). The
+# _ABORT_KINDS have no step: handle passes them to _abort. A kind with no
+# entry is unprotected on a live link and dropped.
+_RECEIVE = {
+    K.AUTHENTICATION_REQUEST: (True, (LinkPhase.REQUEST_SENT,), Pc5Endpoint._on_auth_request),
+    K.AUTHENTICATION_RESPONSE: (False, (LinkPhase.AUTHENTICATING,), Pc5Endpoint._on_auth_response),
+    K.SECURITY_MODE_COMMAND: (True, (LinkPhase.REQUEST_SENT, LinkPhase.AUTHENTICATING),
+                              Pc5Endpoint._on_smc),
+    K.SECURITY_MODE_COMPLETE: (False, (LinkPhase.SECURITY_MODE,), Pc5Endpoint._on_sm_complete),
+    K.ESTABLISHMENT_ACCEPT: (True, (LinkPhase.REQUEST_SENT, LinkPhase.SECURITY_MODE),
+                             Pc5Endpoint._on_accept),
+    **dict.fromkeys(_ABORT_KINDS, (None, PRE_ESTABLISHED, None)),
+    K.KEEPALIVE_REQUEST: (None, _LIVE, Pc5Endpoint._on_keepalive_request),
+    K.KEEPALIVE_RESPONSE: (None, _LIVE, Pc5Endpoint._on_keepalive_response),
+    K.IDENTIFIER_UPDATE_REQUEST: (None, _LIVE, Pc5Endpoint._on_id_update_request),
+    K.IDENTIFIER_UPDATE_ACCEPT: (None, _LIVE, Pc5Endpoint._on_id_update_accept),
+}
+_UNHANDLED = (None, _LIVE, None)

@@ -55,6 +55,8 @@ class ResourcePool:
             raise ValueError("pool needs at least one subchannel")
         if self.slots_per_selection_window < 1:
             raise ValueError("selection window must be at least one slot")
+        if self.slot_duration_ms <= 0:
+            raise ValueError("slot_duration_ms must be positive")
         if not self.period_list_ms:
             raise ValueError("period list must not be empty")
         if max(self.period_list_ms) > 1000:

@@ -270,7 +270,7 @@ def _parse_traffic(raw, path: str, errs: _Errors, ue_ids: set[int],
     return flow
 
 
-def _parse_attack(raw, path: str, errs: _Errors) -> AttackSpec | None:
+def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool) -> AttackSpec | None:
     raw = _mapping(raw, path, errs)
     for key in raw:
         if key not in _ATTACK_KEYS:
@@ -299,9 +299,13 @@ def _parse_attack(raw, path: str, errs: _Errors) -> AttackSpec | None:
             errs.add(f"{path}.params.{key}",
                      f"unknown parameter for {kind.value}")
             continue
-        # a parameter takes the type of its default; a None default takes an int
-        default = param_spec[key].default
-        problem = _type_error(value, int | None if default is None else type(default))
+        # a parameter takes the type of its default (a None default takes an
+        # int) and lies within its bounds
+        spec = param_spec[key]
+        problem = (_type_error(value, int | None if spec.default is None else type(spec.default))
+                   or spec.range_error(value))
+        if problem is None and key == "rri_ms" and value not in pool.period_list_ms:
+            problem = f"{value} not in pool period list {pool.period_list_ms}"
         if problem is not None:
             errs.add(f"{path}.params.{key}", problem)
     try:
@@ -376,7 +380,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     attacks: list[AttackSpec] = []
     for i, entry in enumerate(_list(raw.get("attacks"), "scenario.attacks", errs)):
-        spec = _parse_attack(entry, f"scenario.attacks[{i}]", errs)
+        spec = _parse_attack(entry, f"scenario.attacks[{i}]", errs, pool)
         if spec is not None:
             attacks.append(spec)
 

@@ -421,15 +421,13 @@ class UeAgent:
             if slot < pending.expected_slot + cfg.window_slots:
                 still_open.append(pending)
                 continue
-            candidates = [
-                (fb, spoofed) for fb, spoofed in self.feedback_inbox
-                if fb.harq_process_id == pending.process_id
-                and in_window(fb.slot, pending.expected_slot, cfg)
-            ]
-            self.feedback_inbox = [
-                (fb, spoofed) for fb, spoofed in self.feedback_inbox
-                if (fb, spoofed) not in candidates
-            ]
+            candidates, unmatched = [], []
+            for entry in self.feedback_inbox:
+                fb = entry[0]
+                matches = (fb.harq_process_id == pending.process_id
+                           and in_window(fb.slot, pending.expected_slot, cfg))
+                (candidates if matches else unmatched).append(entry)
+            self.feedback_inbox = unmatched
             self._resolve(pending, candidates, slot)
         # drop anything that can no longer match an open window
         self.feedback_inbox = [

@@ -116,6 +116,30 @@ def test_wrongly_typed_value_is_exit_1_for_validate_and_run(tmp_path, capsys, te
         assert "scenario error" in capsys.readouterr().err
 
 
+OUT_OF_RANGE = {
+    "rri_ms": "{kind: resource_blocking, window: [0, 60], params: {rri_ms: 37}}",
+    "priority": "{kind: resource_blocking, window: [0, 60], params: {priority: 99}}",
+    "period_slots": ("{kind: pc5_forged_request_flood, window: [0, 60],"
+                     " params: {period_slots: 0, target_l2: 5}}"),
+    "target_l2": "{kind: pc5_forged_request_flood, window: [0, 60], params: {target_l2: 1073741824}}",
+    "slss_id": "{kind: false_sync_injection, window: [0, 60], params: {slss_id: 99999}}",
+    "tdd_config": "{kind: false_sync_injection, window: [0, 60], params: {tdd_config: 5000}}",
+}
+
+
+@pytest.mark.parametrize("text", [
+    *(TINY + f"attacks:\n  - {attack}\n" for attack in OUT_OF_RANGE.values()),
+    TINY + "pool: {slot_duration_ms: 0}\n",
+], ids=[*OUT_OF_RANGE, "slot_duration_ms"])
+def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    # signed beacons make the sync injector encode its tdd_config
+    bad.write_text(text + "defenses: {signed_ssb: {enabled: true}}\n")
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert "scenario error" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_1(capsys):
     assert main(["run", "no_such_scenario.yaml"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -128,3 +152,10 @@ def test_list_attacks_prints_catalog(capsys):
                  "pc5_forged_reject", "pc5_replay", "l2_tracking"):
         assert kind in out
     assert "claim_fraction" in out and "default" in out
+
+
+def test_list_attacks_prints_param_bounds(capsys):
+    assert main(["list-attacks"]) == 0
+    out = capsys.readouterr().out
+    assert "slss_id (default 0, 0..671)" in out
+    assert "period_slots (default 4, 1..)" in out

@@ -14,6 +14,8 @@ from sidelinksim.pc5 import (
     BROADCAST_L2,
     CIPHER_ALG,
     INTEG_ALG,
+    KEEPALIVE_PERIOD_SLOTS,
+    PC5_TIMEOUT_SLOTS,
     KeyHierarchy,
     L2Identity,
     LinkPhase,
@@ -36,9 +38,9 @@ PSK = b"\x11" * 32
 R, P, N = PolicyLevel.REQUIRED, PolicyLevel.PREFERRED, PolicyLevel.NOT_NEEDED
 
 
-def endpoint(ue_id, l2, policy=None, seed=0, **kw):
+def endpoint(ue_id, l2, policy=None, seed=0):
     return Pc5Endpoint(ue_id, l2, PSK, policy or SecurityPolicy(),
-                       random.Random(f"pc5test:{seed}:{ue_id}"), **kw)
+                       random.Random(f"pc5test:{seed}:{ue_id}"))
 
 
 def pump(a, b, first_msgs, slot=10, guard_a=None, guard_b=None, max_rounds=10):
@@ -220,7 +222,7 @@ def test_handshake_no_auth_establishes_with_context():
     assert a.links[0x000202].phase == LinkPhase.ESTABLISHED
     assert b.links[0x000101].phase == LinkPhase.ESTABLISHED
     assert a.links[0x000202].ctx.keys.nrpek == b.links[0x000101].ctx.keys.nrpek
-    assert a.established_peers() == [0x000202]
+    assert list(a.links) == [0x000202]
 
 
 def test_handshake_with_mutual_auth():
@@ -321,62 +323,38 @@ def test_forged_reject_blocked_by_echo_binding():
 
 
 def test_pending_link_times_out():
-    a = endpoint(1, 0x000101, timeout_slots=8)
+    a = endpoint(1, 0x000101)
     a.initiate(0x000202, 10)
-    out, events = a.tick(17)
+    out, events = a.tick(10 + PC5_TIMEOUT_SLOTS - 1)
     assert events == []
-    out, events = a.tick(18)
+    out, events = a.tick(10 + PC5_TIMEOUT_SLOTS)
     assert [e.kind for e in events] == ["link_failure"]
     assert events[0].detail["cause"] == "timeout"
     assert a.links == {}
 
 
 def test_keepalive_misses_release_the_link():
-    a = endpoint(1, 0x000101, keepalive_period_slots=20)
-    b = endpoint(2, 0x000202, keepalive_period_slots=20)
+    a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
     pump(a, b, a.initiate(0x000202, 10))
     established = a.links[0x000202].established_slot
     # peer never answers: two probes then failure
-    out1, ev1 = a.tick(established + 20)
+    out1, ev1 = a.tick(established + KEEPALIVE_PERIOD_SLOTS)
     assert [m.kind for m in out1] == [K.KEEPALIVE_REQUEST] and ev1 == []
-    out2, ev2 = a.tick(established + 40)
+    out2, ev2 = a.tick(established + 2 * KEEPALIVE_PERIOD_SLOTS)
     assert [m.kind for m in out2] == [K.KEEPALIVE_REQUEST] and ev2 == []
-    out3, ev3 = a.tick(established + 60)
+    out3, ev3 = a.tick(established + 3 * KEEPALIVE_PERIOD_SLOTS)
     assert out3 == [] and [e.kind for e in ev3] == ["link_failure"]
     assert ev3[0].detail["cause"] == "keepalive"
     assert a.links[0x000202].phase == LinkPhase.RELEASED
 
 
 def test_keepalive_answered_resets_misses():
-    a = endpoint(1, 0x000101, keepalive_period_slots=20)
-    b = endpoint(2, 0x000202, keepalive_period_slots=20)
+    a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
     pump(a, b, a.initiate(0x000202, 10))
     established = a.links[0x000202].established_slot
-    out, _ = a.tick(established + 20)
-    pump(a, b, out, slot=established + 21)
+    out, _ = a.tick(established + KEEPALIVE_PERIOD_SLOTS)
+    pump(a, b, out, slot=established + KEEPALIVE_PERIOD_SLOTS + 1)
     assert a.links[0x000202].keepalive_misses == 0
-
-
-def test_rekey_replaces_session_keys_on_both_sides():
-    a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
-    pump(a, b, a.initiate(0x000202, 10))
-    old_key = a.links[0x000202].ctx.keys.nrpek
-    events = pump(a, b, a.rekey(0x000202, 50), slot=50)
-    assert [e.kind for _, e in events].count("rekeyed") == 2
-    new_a = a.links[0x000202].ctx.keys.nrpek
-    assert new_a != old_key
-    assert new_a == b.links[0x000101].ctx.keys.nrpek
-    # traffic still flows under the new keys
-    pump(a, b, a.release(0x000202, 60), slot=60)
-    assert a.links[0x000202].phase == LinkPhase.RELEASED
-
-
-def test_release_handshake():
-    a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
-    pump(a, b, a.initiate(0x000202, 10))
-    events = pump(a, b, a.release(0x000202, 40, cause="done"), slot=40)
-    assert [e.kind for _, e in events].count("released") == 2
-    assert b.links[0x000101].phase == LinkPhase.RELEASED
 
 
 def test_identifier_update_rebinds_peer():
@@ -485,6 +463,19 @@ def receive_rows():
 
 def test_receive_path_matches_recorded_rows():
     assert receive_rows() == RECEIVE_ROWS_FILE.read_text().splitlines()
+
+
+def test_replayed_counter_is_a_replay_from_security_mode_on():
+    # a verified PDU advances the high-water mark even when its echo is wrong
+    me, slot = _receiver_at(LinkPhase.SECURITY_MODE, False)
+    ctx = me.links[PEER].ctx
+    sender = LinkSecurityContext(ctx.keys, ctx.cipher_on, ctx.integrity_on)
+    wire = protect_pdu(sender, Pc5Message(K.SECURITY_MODE_COMPLETE, PEER, ME, 1,
+                                          {"echo_nonce": "ff" * 16}))
+    _, events = me.handle(wire, slot)
+    assert [e.kind for e in events] == ["discard_unbound"]
+    _, events = me.handle(wire, slot + 1)
+    assert [(e.kind, e.detail["reason"]) for e in events] == [("replay", "replay")]
 
 
 # -- identifier privacy ------------------------------------------------------

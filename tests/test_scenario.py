@@ -125,6 +125,35 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     assert any(p.startswith(f"scenario.{dotted}: ") for p in err.value.problems)
 
 
+@pytest.mark.parametrize("kind,dotted,value", [
+    ("resource_blocking", "attacks[0].params.rri_ms", 37),
+    ("resource_blocking", "attacks[0].params.priority", 99),
+    ("pc5_forged_request_flood", "attacks[0].params.period_slots", 0),
+    ("pc5_forged_request_flood", "attacks[0].params.target_l2", 2**30),
+    ("false_sync_injection", "attacks[0].params.slss_id", 99999),
+    ("false_sync_injection", "attacks[0].params.tdd_config", 5000),
+    ("harq_spoof_nack", "pool.slot_duration_ms", 0),
+])
+def test_out_of_range_value_is_an_error(kind, dotted, value):
+    raw = with_value(dotted, value)
+    raw["attacks"][0]["kind"] = kind
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    section, name = dotted.rsplit(".", 1)
+    assert any(p.startswith(f"scenario.{section}") and name in p for p in err.value.problems)
+
+
+def test_attack_param_bounds_are_inclusive():
+    for kind, params in [("false_sync_injection", {"slss_id": 671, "tdd_config": 4095}),
+                         ("resource_blocking", {"priority": 7, "rri_ms": 100,
+                                                "claim_fraction": 1.0}),
+                         ("pc5_forged_request_flood", {"period_slots": 1,
+                                                       "target_l2": 2**24 - 1})]:
+        sc = parse_scenario(minimal(attacks=[{"kind": kind, "window": [0, 10],
+                                              "params": params}]))
+        assert sc.attacks[0].plan.params == params
+
+
 def test_values_are_type_checked_not_converted():
     sc = parse_scenario(with_value("channel.shadowing_sigma_db", 2))
     assert type(sc.channel.shadowing_sigma_db) is int
