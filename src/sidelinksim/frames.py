@@ -254,9 +254,13 @@ def tra_decode(max_reserve: int, value: int) -> tuple[int, ...]:
 # SCI stages
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sci1A:
-    """First-stage control: where the data sits and how it repeats."""
+    """First-stage control: where the data sits and how it repeats.
+
+    Frozen, because every receiver of one payload shares one decoded
+    instance (see `World.sci1a_cache`).
+    """
 
     priority: int
     frequency_resource: int

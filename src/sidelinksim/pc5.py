@@ -618,7 +618,11 @@ class Pc5Endpoint:
 
     def _on_accept(self, link, msg, body, slot):
         if link.phase == LinkPhase.REQUEST_SENT:
-            # null-security path: a bare accept concludes it
+            # null-security path: a bare accept concludes it, but only a
+            # policy with no REQUIRED axis can negotiate UNPROTECTED
+            if PolicyLevel.REQUIRED in (self.policy.ciphering, self.policy.integrity):
+                return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
+                                          {"kind": int(msg.kind)})]
             link.negotiation = Negotiation(Outcome.UNPROTECTED)
             return [], [self._establish(link, slot, "none")]
         return [], [self._establish(link, slot, "context")]

@@ -10,9 +10,12 @@ seed and a fixed label, so a (scenario, seed) pair replays exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .adversary import AttackerAgent, TrackerAgent, build_attacker
+from .bits import BitString
 from .defense import (
     FeedbackProfile,
     IncidentLog,
@@ -138,6 +141,8 @@ class UeAgent:
             self.state = SyncState(SyncSourceKind.INTERNAL_CLOCK, None, own,
                                    spec.network_sync_ref)
         self.buffer = CandidateBuffer(retention_slots=2 * cfg.ssb_period_slots)
+        # buffer.changes at the last ranking; None forces the next one
+        self._ranked_at: int | None = None
 
         policy = spec.policy
         if world.sc.defenses.policy_enforcer.enabled:
@@ -166,7 +171,8 @@ class UeAgent:
         out: list[Transmission] = []
         horizon = slot - self.world.sc.pool.sensing_window_slots
         if self.sensing and self.sensing[0][2] < horizon:
-            self.sensing = [e for e in self.sensing if e[2] >= horizon]
+            # entries arrive in slot order, so the stale ones are a prefix
+            del self.sensing[:bisect_left(self.sensing, horizon, key=itemgetter(2))]
 
         for channel, payload, span in self.outbox.pop(slot, ()):
             out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
@@ -182,25 +188,11 @@ class UeAgent:
         cfg = self.world.sc.sync
         if self.state.source in (SyncSourceKind.SYNC_REF_UE, SyncSourceKind.INTERNAL_CLOCK):
             cands = self.buffer.fresh(slot)
-            decision = select_sync_ref(self.state.reference, cands, cfg)
-            if decision.action == "switch":
-                self.state.source = SyncSourceKind.SYNC_REF_UE
-                self.state.reference = decision.candidate
-                self.state.switch_count += 1
-                heard = {c.slss.slss_id for c in cands}
-                self.state.own_slss = derive_own_slss(
-                    SyncSourceKind.SYNC_REF_UE, decision.candidate.slss, self.rng, heard
-                )
-                self.world.metrics.bump("sync_switches")
-                self.world.event(slot, "sync_switch", ue=self.spec.id,
-                                 slss=decision.candidate.slss.slss_id,
-                                 sender=decision.candidate.sender_id)
-            elif decision.action == "keep" and decision.candidate is not None:
-                self.state.reference = decision.candidate
-            elif decision.action == "internal_clock" and self.state.reference is not None:
-                self.state.source = SyncSourceKind.INTERNAL_CLOCK
-                self.state.reference = None
-                self.world.event(slot, "sync_lapse", ue=self.spec.id)
+            # The same candidates and the same reference give the same
+            # decision, and re-applying a keep changes nothing; so rank
+            # only after the buffer changed or this UE switched or lapsed.
+            if self.buffer.changes != self._ranked_at:
+                self._rank_sync_ref(slot, cands)
 
         if slot % cfg.ssb_period_slots != self.spec.id % cfg.ssb_period_slots:
             return
@@ -223,6 +215,30 @@ class UeAgent:
                                 Channel.PSBCH,
                                 SsbBurst(self.state.own_slss, mib, tag)))
         self.world.metrics.bump("ssb_sent")
+
+    def _rank_sync_ref(self, slot: int, cands: list[SyncCandidate]):
+        decision = select_sync_ref(self.state.reference, cands, self.world.sc.sync)
+        self._ranked_at = self.buffer.changes
+        if decision.action == "switch":
+            self.state.source = SyncSourceKind.SYNC_REF_UE
+            self.state.reference = decision.candidate
+            self.state.switch_count += 1
+            heard = {c.slss.slss_id for c in cands}
+            self.state.own_slss = derive_own_slss(
+                SyncSourceKind.SYNC_REF_UE, decision.candidate.slss, self.rng, heard
+            )
+            self._ranked_at = None
+            self.world.metrics.bump("sync_switches")
+            self.world.event(slot, "sync_switch", ue=self.spec.id,
+                             slss=decision.candidate.slss.slss_id,
+                             sender=decision.candidate.sender_id)
+        elif decision.action == "keep" and decision.candidate is not None:
+            self.state.reference = decision.candidate
+        elif decision.action == "internal_clock" and self.state.reference is not None:
+            self.state.source = SyncSourceKind.INTERNAL_CLOCK
+            self.state.reference = None
+            self._ranked_at = None
+            self.world.event(slot, "sync_lapse", ue=self.spec.id)
 
     def _pc5_step(self, slot: int, out: list[Transmission]):
         for link in self.world.sc.links:
@@ -360,10 +376,15 @@ class UeAgent:
                                        rec.transmission.sender_id))
 
     def _note_sci(self, bits, rsrp: float, slot: int):
+        cache = self.world.sci1a_cache
         try:
-            sci = Sci1A.decode(self.world.sc.pool, bits)
-        except ValueError:
-            sci = None
+            sci = cache[bits]
+        except KeyError:
+            try:
+                sci = Sci1A.decode(self.world.sc.pool, bits)
+            except ValueError:
+                sci = None
+            cache[bits] = sci
         self.sensing.append((sci, rsrp, slot))
 
     def _receive_data(self, rec, burst: DataBurst, slot: int):
@@ -506,6 +527,12 @@ class World:
         self.selection_log: list[SelectionRecord] = []
         self.tb_log: list[TbOutcome] = []
         self._tx_seq = 0
+        # SCI 1-A bits -> decoded claim, None for a malformed payload. A
+        # claim's content depends only on its bits and the pool, and only
+        # its RSRP on the receiver (TS 38.214 8.1.4), so each distinct
+        # payload heard is decoded once per world and every receiver's
+        # sensing list shares the (frozen) result.
+        self.sci1a_cache: dict[BitString, Sci1A | None] = {}
 
         self.agents: list[UeAgent] = [UeAgent(spec, self) for spec in scenario.ues]
         self.by_id = {a.spec.id: a for a in self.agents}

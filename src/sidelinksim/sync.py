@@ -182,10 +182,16 @@ class CandidateBuffer:
     Two senders sharing an id are indistinguishable on air (same sync
     sequence); the receiver locks onto the stronger instance, so a
     fresh weaker burst never evicts a fresh stronger one.
+
+    `changes` counts every edit of `entries`: a noted candidate that is
+    stored, and an aged-out entry that `fresh` drops. While it stands
+    still the candidate set is the same, so a selector that ranked it
+    needs to rank again only once the count has moved.
     """
 
     retention_slots: int
     entries: dict[int, SyncCandidate] = field(default_factory=dict)
+    changes: int = field(default=0, init=False)
 
     def note(self, cand: SyncCandidate):
         held = self.entries.get(cand.slss.slss_id)
@@ -195,10 +201,12 @@ class CandidateBuffer:
             or cand.rsrp_dbm >= held.rsrp_dbm
         ):
             self.entries[cand.slss.slss_id] = cand
+            self.changes += 1
 
     def fresh(self, now: int) -> list[SyncCandidate]:
         floor = now - self.retention_slots
         stale = [sid for sid, c in self.entries.items() if c.received_slot < floor]
         for sid in stale:
             del self.entries[sid]
+        self.changes += len(stale)
         return list(self.entries.values())

@@ -322,6 +322,26 @@ def test_forged_reject_blocked_by_echo_binding():
     assert events[0].kind == "link_failure"
 
 
+@pytest.mark.parametrize("cipher, integ, concludes", [
+    (R, R, False), (N, R, False), (R, N, False), (N, N, True), (P, N, True),
+])
+def test_forged_bare_accept_concludes_only_a_policy_with_no_required_axis(
+        cipher, integ, concludes):
+    a = endpoint(1, 0x000101, SecurityPolicy(ciphering=cipher, integrity=integ))
+    a.initiate(0x000202, 10)
+    forged = Pc5Message(K.ESTABLISHMENT_ACCEPT, 0x000202, 0x000101, 1, {})
+    replies, events = a.handle(forged, 11, None)
+    link = a.links[0x000202]
+    assert replies == []
+    if concludes:
+        assert [e.kind for e in events] == ["established"]
+        assert link.phase == LinkPhase.ESTABLISHED
+        assert link.negotiation.outcome == Outcome.UNPROTECTED
+    else:
+        assert [e.kind for e in events] == ["unexpected_message"]
+        assert link.phase == LinkPhase.REQUEST_SENT
+
+
 def test_pending_link_times_out():
     a = endpoint(1, 0x000101)
     a.initiate(0x000202, 10)

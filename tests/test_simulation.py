@@ -1,12 +1,19 @@
 """Whole-run behavior: determinism, accounting, defense neutrality."""
 
+import random
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from sidelinksim import simulation
+from sidelinksim.bits import BitString
+from sidelinksim.frames import MibSl, Sci1A, SlssIdentity
 from sidelinksim.harq import DataBurst
 from sidelinksim.metrics import event_line
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import World, run_scenario
+from sidelinksim.sync import SyncCandidate, SyncSourceKind
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -180,3 +187,91 @@ def test_grant_realigns_past_occurrences_left_unused():
     assert rt.grant is grant  # realigned, not reselected
     assert sent[1:] == [realigned]
     assert grant.remaining == remaining - skipped - 1
+
+
+# -- per-receiver work done once ------------------------------------------
+
+
+def lone_ue_world(**over):
+    raw = {"name": "lone", "seed": 3, "duration_slots": 10,
+           "ues": [{"id": 1, "position": [0, 0]}]}
+    raw.update(over)
+    return World(parse_scenario(raw))
+
+
+def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
+    world = World(small_unicast())
+    a, b = world.agents
+    pool = world.sc.pool
+    decoded = []
+    decode = Sci1A.decode.__func__
+    monkeypatch.setattr(Sci1A, "decode", classmethod(
+        lambda cls, pool, bits: decoded.append(bits) or decode(cls, pool, bits)))
+    sci = Sci1A(priority=1, frequency_resource=0, time_resource=0, rri_index=0, mcs=9)
+    a._note_sci(sci.encode(pool), -70.0, 5)
+    b._note_sci(sci.encode(pool), -80.0, 5)  # equal bits, another BitString
+    assert a.sensing[-1] == (sci, -70.0, 5) and b.sensing[-1] == (sci, -80.0, 5)
+    assert a.sensing[-1][0] is b.sensing[-1][0]
+    wrong_length = BitString(b"\x00", 8)
+    a._note_sci(wrong_length, -70.0, 6)
+    b._note_sci(BitString(b"\x00", 8), -70.0, 6)
+    assert a.sensing[-1][0] is None and b.sensing[-1][0] is None
+    assert len(decoded) == 2
+    assert world.sci1a_cache == {sci.encode(pool): sci, wrong_length: None}
+
+
+def test_sensing_prefix_prune_equals_the_filter():
+    world = lone_ue_world()
+    agent = world.agents[0]
+    window = world.sc.pool.sensing_window_slots
+    rng = random.Random(11)
+    for _ in range(300):
+        slots = sorted(rng.randrange(40) for _ in range(rng.randint(0, 25)))
+        entries = [(None, -70.0 - i, s) for i, s in enumerate(slots)]
+        horizon = rng.choice(slots) + rng.choice((-1, 0, 0, 1)) if slots else 5
+        agent.sensing = list(entries)
+        agent.act(horizon + window)
+        assert agent.sensing == [e for e in entries if e[2] >= horizon]
+
+
+def _sync_trace(seed, min_hyst_db, rank_every_slot):
+    """Drive one UE's sync step on a random stream of heard S-SSBs."""
+    world = lone_ue_world(sync={"min_hyst_db": min_hyst_db})
+    agent = world.agents[0]
+    rng = random.Random(seed)
+    ids = [(0, True), (7, True), (9, False), (340, True), (400, False), (401, False)]
+    trace = []
+    for slot in range(400):
+        quiet = (slot // 50) % 3 == 2  # long silences let entries age out
+        for _ in range(0 if quiet else rng.choice((0, 0, 1, 2))):
+            sid, cov = rng.choice(ids)
+            agent.buffer.note(SyncCandidate(SlssIdentity(sid, cov), rng.uniform(-112, -60),
+                                            MibSl(0, cov, 0, 0), slot, sid))
+        if rank_every_slot:
+            agent._ranked_at = None
+        agent._sync_step(slot, [])
+        st = agent.state
+        trace.append((st.source, st.reference, st.own_slss, st.switch_count))
+    return trace, world.events
+
+
+@pytest.mark.parametrize("min_hyst_db", [0.0, 6.0])
+def test_ranking_only_on_change_matches_ranking_every_slot(monkeypatch, min_hyst_db):
+    # with an entry margin, the first lock can skip a stronger-tier
+    # candidate that the next ranking switches to, buffer unchanged
+    calls = []
+    select = simulation.select_sync_ref
+    monkeypatch.setattr(simulation, "select_sync_ref",
+                        lambda *a: calls.append(1) or select(*a))
+    kinds = set()
+    for seed in range(12):
+        every, every_events = _sync_trace(seed, min_hyst_db, True)
+        ranked_every = len(calls)
+        on_change, events = _sync_trace(seed, min_hyst_db, False)
+        assert on_change == every
+        assert events == every_events
+        assert len(calls) - ranked_every < ranked_every / 2
+        kinds |= {e["type"] for e in events}
+        calls.clear()
+    assert kinds == {"sync_switch", "sync_lapse"}
+    assert any(src == SyncSourceKind.SYNC_REF_UE for src, *_ in on_change)

@@ -144,6 +144,23 @@ def test_candidate_buffer_keeps_stronger_instance():
     assert buf.entries[9].sender_id == 3
 
 
+def test_candidate_buffer_counts_changes():
+    buf = CandidateBuffer(retention_slots=32)
+    buf.note(cand(9, True, -60, slot=0))
+    assert buf.changes == 1  # a new entry
+    buf.note(cand(9, True, -80, slot=4))  # weaker fresh duplicate, ignored
+    assert buf.changes == 1
+    buf.note(cand(9, True, -50, slot=8))  # stronger duplicate replaces
+    assert buf.changes == 2
+    buf.fresh(40)  # floor at slot 8: nothing ages out
+    assert buf.changes == 2
+    buf.note(cand(12, True, -70, slot=20))
+    buf.fresh(41)  # the slot-8 entry ages out
+    assert buf.changes == 4 and list(buf.entries) == [12]
+    buf.fresh(41)
+    assert buf.changes == 4
+
+
 def test_candidate_buffer_ages_out():
     buf = CandidateBuffer(retention_slots=32)
     buf.note(cand(9, True, -60, slot=0))
