@@ -1,6 +1,7 @@
 """Attack agent behaviors: targeting, timing, capture, and the tracker."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +285,69 @@ def test_attack_actions_are_logged():
     assert [a.slot for a in agent.actions] == [0, 16]
     assert all(a.kind == "false_sync_injection" and a.outcome == "sent"
                for a in agent.actions)
+
+
+# -- deferred frames under jitter ----------------------------------------------
+# The HARQ spoofer, the reactive PC5 forgers and the replay agent schedule
+# frames for a later slot. Each is driven here as the world drives it
+# (transmissions for a slot, then that slot's receptions) with +-3 slots
+# of timing jitter, which no catalog digest covers. A row records either
+# an emitted frame or an action-log entry, in the order they happened, so
+# the file pins slot, kind, outcome and order within a slot (missed
+# windows included) and, through the forged nonces, each agent's rng draw
+# order. attack_log_rows.txt holds the rows; a deliberate change
+# re-records them with `"\n".join(deferred_frame_rows()) + "\n"`.
+
+ATTACK_LOG_ROWS_FILE = Path(__file__).resolve().parent / "attack_log_rows.txt"
+JITTERY = AttackerCapability(timing_precision_slots=3)
+
+
+def _describe(payload) -> str:
+    if isinstance(payload, FeedbackBurst):
+        return (f"feedback ack={payload.ack} pid={payload.harq_process_id}"
+                f" src={payload.src_l2:x} dst={payload.dst_l2:x}")
+    msg = payload.message
+    body = " ".join(f"{k}={v}" for k, v in msg.body.items())
+    return f"{msg.kind.name} src={msg.src_l2:x} dst={msg.dst_l2:x} {body}"
+
+
+def _drive(label, agent, heard, slots):
+    rows, logged = [], 0
+    for slot in range(slots):
+        for tx in agent.transmissions(slot):
+            rows.append(f"{label} {slot} tx {_describe(tx.payload)}")
+        for action in agent.actions[logged:]:
+            rows.append(f"{label} {action.slot} log {action.kind} {action.outcome}")
+        logged = len(agent.actions)
+        for payload in heard.get(slot, ()):
+            hear(agent, payload, slot, Channel.PSSCH)
+    return rows
+
+
+def _request(src, dst, n, kind=K.ESTABLISHMENT_REQUEST):
+    return Pc5Burst(message=Pc5Message(kind, src, dst, 1, {"nonce": f"{n:02x}" * 16}))
+
+
+def deferred_frame_rows() -> list[str]:
+    rows = []
+    bursts = {s: [data_burst(0x100 + i, 0x200 + s, tb=s * 4 + i, pid=(s + i) % 16)
+                  for i in range(s % 3 + 1)] for s in range(4, 60, 3)}
+    rows += _drive("nack", build(AttackKind.HARQ_SPOOF_NACK, window=(10, 50),
+                                 cap=JITTERY, seed="nack"), bursts, 70)
+    rows += _drive("ack", build(AttackKind.HARQ_SPOOF_ACK, window=(0, 40), cap=JITTERY,
+                                params={"slot_offset": -1}, seed="ack"), bursts, 70)
+    requests = {s: [_request(0x300 + i, 0x400 + s, s + i) for i in range(s % 3)]
+                + [_request(0x500, 0x600, s, K.AUTHENTICATION_REQUEST)]
+                for s in range(2, 50, 4)}
+    rows += _drive("reject", build(AttackKind.PC5_FORGED_REJECT, window=(5, 40),
+                                   cap=JITTERY, seed="reject"), requests, 60)
+    rows += _drive("auth", build(AttackKind.PC5_AUTH_DISRUPT, window=(5, 40),
+                                 cap=JITTERY, seed="auth"), requests, 60)
+    rows += _drive("replay", build(AttackKind.PC5_REPLAY, window=(0, 45), cap=JITTERY,
+                                   params={"replay_delay_slots": 6}, seed="replay"),
+                   requests, 60)
+    return rows
+
+
+def test_deferred_frames_match_recorded_rows():
+    assert deferred_frame_rows() == ATTACK_LOG_ROWS_FILE.read_text().splitlines()
