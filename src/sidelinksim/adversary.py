@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .bits import BitString
 from .defense import sign_ssb
 from .frames import (
     MibSl,
@@ -38,11 +37,9 @@ class AttackKind(Enum):
     RESOURCE_BLOCKING = "resource_blocking"
     HARQ_SPOOF_ACK = "harq_spoof_ack"
     HARQ_SPOOF_NACK = "harq_spoof_nack"
-    PC5_FORGED_REQUEST_FLOOD = "pc5_forged_request_flood"
     PC5_FORGED_REJECT = "pc5_forged_reject"
     PC5_AUTH_DISRUPT = "pc5_auth_disrupt"
     PC5_REPLAY = "pc5_replay"
-    PC5_FALSE_SEC_MODE_REJECT = "pc5_false_sec_mode_reject"
     L2_TRACKING = "l2_tracking"
 
 
@@ -54,6 +51,10 @@ class AttackerCapability:
     knows_harq_params: bool = True
     has_key: bool = False  # insider: provisioned with the scenario key
     position: tuple[float, float] = (0.0, 0.0)
+
+    def __post_init__(self):
+        if self.timing_precision_slots < 0:
+            raise ValueError(f"timing_precision_slots {self.timing_precision_slots} below 0")
 
 
 @dataclass(frozen=True)
@@ -76,19 +77,20 @@ class AttackAction:
     kind: str
     power_dbm: float
     outcome: str
-    detail: dict = field(default_factory=dict)
 
 
 class AttackerAgent:
-    """Base: window gating, jitter draws, the action log.
+    """Base: window gating, jitter draws, deferred frames, the action log.
 
-    `params` is the plan's parameters over the registry defaults for its kind.
+    `params` is the plan's parameters over the registry defaults for its
+    kind. The world's pool, feedback delay and beacon period are public
+    configuration; the beacon key reaches only an insider.
     """
 
-    def __init__(self, attacker_id: int, l2_id: int, capability: AttackerCapability,
-                 plan: AttackPlan, rng: random.Random):
+    def __init__(self, attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
+                 rng: random.Random, pool: ResourcePool, feedback_delay: int,
+                 ssb_period: int, ssb_key: bytes):
         self.id = attacker_id
-        self.l2_id = l2_id
         self.cap = capability
         self.plan = plan
         self.kind = plan.kind
@@ -96,22 +98,14 @@ class AttackerAgent:
             name: spec.default for name, spec in ATTACK_REGISTRY[plan.kind][1].items()
         } | plan.params
         self.rng = rng
+        self.pool = pool
+        self.feedback_delay = feedback_delay
+        self.ssb_period = ssb_period
+        self.ssb_key = ssb_key if capability.has_key else None
         self.actions: list[AttackAction] = []
-        # wired by the harness after construction
-        self.pool: ResourcePool | None = None
-        self.feedback_delay = 2
-        self.ssb_period = 16
-        self.ssb_key: bytes | None = None
-
-    def configure(self, pool=None, feedback_delay=None, ssb_period=None, ssb_key=None):
-        if pool is not None:
-            self.pool = pool
-        if feedback_delay is not None:
-            self.feedback_delay = feedback_delay
-        if ssb_period is not None:
-            self.ssb_period = ssb_period
-        if ssb_key is not None and self.cap.has_key:
-            self.ssb_key = ssb_key
+        # emit slot -> frames due then; a None channel marks a frame whose
+        # slot had already passed when it was scheduled
+        self._queue: dict[int, list[tuple[Channel | None, object]]] = {}
 
     def active(self, slot: int) -> bool:
         start, end = self.plan.window
@@ -121,15 +115,35 @@ class AttackerAgent:
         bound = self.cap.timing_precision_slots
         return self.rng.randint(-bound, bound) if bound else 0
 
-    def _tx(self, slot: int, channel: Channel, payload, log_kind: str,
-            **detail) -> Transmission:
-        self.actions.append(
-            AttackAction(slot, log_kind, self.cap.tx_power_dbm, "sent", detail)
-        )
+    def _log(self, slot: int, outcome: str):
+        self.actions.append(AttackAction(slot, self.kind.value, self.cap.tx_power_dbm, outcome))
+
+    def _tx(self, slot: int, channel: Channel, payload) -> Transmission:
+        self._log(slot, "sent")
         return Transmission(self.id, self.cap.tx_power_dbm, slot, channel, payload)
 
-    def _forged_tag(self) -> str:
-        return self.rng.getrandbits(32).to_bytes(4, "big").hex()
+    def _schedule(self, slot: int, emit: int, channel: Channel, payload):
+        """Queue a frame for `emit`. Scheduling happens after this slot's
+        transmissions, so a frame due now or earlier has missed its window,
+        and the next slot logs it as missed."""
+        if emit <= slot:
+            emit, channel = slot + 1, None
+        self._queue.setdefault(emit, []).append((channel, payload))
+
+    def _ssb(self, slot: int, slss: SlssIdentity, tdd_config: int,
+             in_coverage: bool) -> SsbBurst:
+        """A beacon for `slot`, signed validly only by an insider."""
+        mib = MibSl(
+            tdd_config=tdd_config,
+            in_coverage=in_coverage,
+            direct_frame_number=(slot // 10) % 1024,
+            slot_index=slot % 10,
+        )
+        if self.ssb_key is not None:
+            tag = sign_ssb(self.ssb_key, slss.slss_id, mib.encode())
+        else:
+            tag = self.rng.getrandbits(32).to_bytes(4, "big").hex()
+        return SsbBurst(slss=slss, mib=mib, auth_tag=tag)
 
     # hooks ---------------------------------------------------------------
 
@@ -137,7 +151,13 @@ class AttackerAgent:
         """Passive capture; everything an agent later forges it must hear here."""
 
     def transmissions(self, slot: int) -> list[Transmission]:
-        return []
+        out = []
+        for channel, payload in self._queue.pop(slot, ()):
+            if channel is None:
+                self._log(slot, "missed_window")
+            else:
+                out.append(self._tx(slot, channel, payload))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +188,8 @@ class SyncImpersonationAgent(AttackerAgent):
         _, burst, heard_slot = self._best
         if slot % self.ssb_period != heard_slot % self.ssb_period:
             return []
-        mib = MibSl(
-            tdd_config=burst.mib.tdd_config,
-            in_coverage=burst.mib.in_coverage,
-            direct_frame_number=(slot // 10) % 1024,
-            slot_index=slot % 10,
-        )
-        if self.ssb_key is not None:
-            tag = sign_ssb(self.ssb_key, burst.slss.slss_id, mib.encode())
-        else:
-            tag = self._forged_tag()
-        clone = SsbBurst(slss=burst.slss, mib=mib, auth_tag=tag)
-        return [self._tx(slot, Channel.PSBCH, clone, "sync_impersonation",
-                         slss_id=burst.slss.slss_id)]
+        clone = self._ssb(slot, burst.slss, burst.mib.tdd_config, burst.mib.in_coverage)
+        return [self._tx(slot, Channel.PSBCH, clone)]
 
 
 class FalseSyncInjectionAgent(AttackerAgent):
@@ -193,19 +202,9 @@ class FalseSyncInjectionAgent(AttackerAgent):
         planned = slot + self.jitter()
         if planned % self.ssb_period != 0 or planned < 0:
             return []
-        slss_id = self.params["slss_id"]
-        mib = MibSl(
-            tdd_config=self.params["tdd_config"],
-            in_coverage=True,
-            direct_frame_number=(slot // 10) % 1024,
-            slot_index=slot % 10,
-        )
-        if self.ssb_key is not None:
-            tag = sign_ssb(self.ssb_key, slss_id, mib.encode())
-        else:
-            tag = self._forged_tag()
-        burst = SsbBurst(slss=SlssIdentity(slss_id, in_coverage=True), mib=mib, auth_tag=tag)
-        return [self._tx(slot, Channel.PSBCH, burst, "false_sync_injection", slss_id=slss_id)]
+        slss = SlssIdentity(self.params["slss_id"], in_coverage=True)
+        burst = self._ssb(slot, slss, self.params["tdd_config"], in_coverage=True)
+        return [self._tx(slot, Channel.PSBCH, burst)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +224,13 @@ class ResourceBlockingAgent(AttackerAgent):
         self._listen_until: int | None = None
 
     def _prepare(self, slot: int):
-        assert self.pool is not None
-        fraction = self.params["claim_fraction"]
         pool = self.pool
         cells = [
             (s, c)
             for s in range(pool.slots_per_selection_window)
             for c in range(pool.num_subchannels)
         ]
-        take = round(fraction * len(cells))
+        take = round(self.params["claim_fraction"] * len(cells))
         self._claim_cells = cells[:take]
         period = pool.slots_per_selection_window
         for pos, sub in self._claim_cells:
@@ -241,7 +238,7 @@ class ResourceBlockingAgent(AttackerAgent):
             self._next_refresh[(pos, sub)] = first
 
     def transmissions(self, slot):
-        if not self.active(slot) or self.pool is None:
+        if not self.active(slot):
             return []
         if self._listen_until is None:
             discovery = (0 if self.cap.knows_pool_config
@@ -254,7 +251,6 @@ class ResourceBlockingAgent(AttackerAgent):
         pool = self.pool
         rri_ms = self.params["rri_ms"]
         rri = pool.rri_slots(rri_ms)
-        period = pool.slots_per_selection_window
         out = []
         for (pos, sub), due in list(self._next_refresh.items()):
             if slot < due:
@@ -264,10 +260,7 @@ class ResourceBlockingAgent(AttackerAgent):
             if emit != slot:
                 # jitter pushed the frame off its intended slot; it would
                 # claim the wrong pool position, so the injection is wasted
-                self.actions.append(AttackAction(
-                    slot, "resource_blocking", self.cap.tx_power_dbm,
-                    "missed_window", {"pos": pos, "sub": sub},
-                ))
+                self._log(slot, "missed_window")
                 continue
             sci = Sci1A(
                 priority=self.params["priority"],
@@ -278,9 +271,7 @@ class ResourceBlockingAgent(AttackerAgent):
                 rri_index=pool.period_list_ms.index(rri_ms),
                 mcs=9,
             )
-            burst = ControlBurst(sci1_bits=sci.encode(pool))
-            out.append(self._tx(slot, Channel.PSCCH, burst, "resource_blocking",
-                                pos=pos, sub=sub))
+            out.append(self._tx(slot, Channel.PSCCH, ControlBurst(sci1_bits=sci.encode(pool))))
         return out
 
 
@@ -292,14 +283,6 @@ class HarqSpoofAgent(AttackerAgent):
     """Watches data-channel control stages for HARQ process ids, then races
     the legitimate receiver's feedback with a louder forgery: an ACK or a
     NACK, by the plan's kind."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._queued: list[tuple[int, FeedbackBurst, int]] = []  # (emit slot, burst, tb slot)
-
-    @property
-    def spoof_ack(self) -> bool:
-        return self.kind == AttackKind.HARQ_SPOOF_ACK
 
     def on_receptions(self, receptions, slot):
         if not self.cap.knows_harq_params:
@@ -322,93 +305,32 @@ class HarqSpoofAgent(AttackerAgent):
             offset = self.params["slot_offset"]
             emit = rec.transmission.slot + self.feedback_delay + offset + self.jitter()
             forged = FeedbackBurst(
-                ack=self.spoof_ack,
+                ack=self.kind == AttackKind.HARQ_SPOOF_ACK,
                 harq_process_id=sci2.harq_process_id,
                 src_l2=burst.mac_dst_l2,  # claims to be the true receiver
                 dst_l2=burst.mac_src_l2,
                 spoofed=True,
             )
-            self._queued.append((emit, forged, rec.transmission.slot))
-
-    def transmissions(self, slot):
-        out = []
-        keep = []
-        for emit, burst, tb_slot in self._queued:
-            if emit > slot:
-                keep.append((emit, burst, tb_slot))
-            elif emit == slot:
-                out.append(self._tx(slot, Channel.PSFCH, burst, self.kind.value,
-                                    process=burst.harq_process_id, tb_slot=tb_slot))
-            else:
-                self.actions.append(AttackAction(
-                    slot, self.kind.value, self.cap.tx_power_dbm, "missed_window",
-                    {"process": burst.harq_process_id},
-                ))
-        self._queued = keep
-        return out
+            self._schedule(slot, emit, Channel.PSFCH, forged)
 
 
 # ---------------------------------------------------------------------------
 # PC5 signalling exploits
 
 
-class Pc5AttackAgent(AttackerAgent):
-    """Shared plumbing: watch link signalling, forge unprotected kinds.
+class _ReactiveForger(AttackerAgent):
+    """Forge an unprotected abort at whoever just took a handshake step.
 
-    Forgers here work from headers alone (kind, source, destination);
-    they never read message bodies, so they cannot echo a victim's
-    nonce. The replay variant is the exception by nature: it stores and
-    re-emits captured frames verbatim, without interpreting them.
+    The forger works from headers alone (kind, source, destination); it
+    never reads message bodies, so it cannot echo a victim's nonce.
     """
-
-    def _pc5(self, slot: int, kind: K, src: int, dst: int, body: dict,
-             log_kind: str) -> Transmission:
-        msg = Pc5Message(kind, src, dst, counter=0, body=body)
-        self.actions.append(AttackAction(slot, log_kind, self.cap.tx_power_dbm,
-                                         "sent", {"dst": dst}))
-        return Transmission(self.id, self.cap.tx_power_dbm, slot, Channel.PSSCH,
-                            Pc5Burst(message=msg))
-
-
-class Pc5ForgedRequestFloodAgent(Pc5AttackAgent):
-    """Hammers a target with establishment requests from throwaway ids."""
-
-    def transmissions(self, slot):
-        if not self.active(slot):
-            return []
-        every = self.params["period_slots"]
-        if (slot - self.plan.window[0]) % every != 0:
-            return []
-        target = self.params["target_l2"]
-        if target is None:
-            return []
-        body = {
-            "nonce": self.rng.randbytes(16).hex(),
-            "ts": slot,
-            "knrp_id": self.rng.getrandbits(32),
-            "cipher": "REQUIRED",
-            "integ": "REQUIRED",
-            "allow_null": 0,
-            "auth_req": 0,
-        }
-        fake_src = self.rng.getrandbits(24)
-        return [self._pc5(slot, K.ESTABLISHMENT_REQUEST, fake_src, target, body,
-                          "pc5_forged_request_flood")]
-
-
-class _ReactiveForger(Pc5AttackAgent):
-    """Forge an unprotected abort at whoever just took a handshake step."""
 
     watch_kind: K
     forge_kind: K
     cause: str
     # which side gets hit: "requester" forges toward the observed source,
     # "responder" toward the observed destination
-    target_side: str = "requester"
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._pending: list[tuple[int, int, int]] = []  # (emit slot, src, dst)
+    target_side: str
 
     def on_receptions(self, receptions, slot):
         for rec in receptions:
@@ -422,28 +344,17 @@ class _ReactiveForger(Pc5AttackAgent):
                 victim, impersonated = msg.src_l2, msg.dst_l2
             else:
                 victim, impersonated = msg.dst_l2, msg.src_l2
-            emit = rec.transmission.slot + 1 + self.jitter()
-            self._pending.append((max(emit, rec.transmission.slot + 1),
-                                  impersonated, victim))
+            emit = rec.transmission.slot + 1 + max(self.jitter(), 0)
+            forged = Pc5Message(self.forge_kind, impersonated, victim, counter=0,
+                                body={"cause": self.cause, "ts": emit})
+            self._schedule(slot, emit, Channel.PSSCH, Pc5Burst(message=forged))
 
     def transmissions(self, slot):
-        out = []
-        keep = []
-        for emit, src, dst in self._pending:
-            if emit > slot:
-                keep.append((emit, src, dst))
-            elif emit == slot:
-                body = {
-                    "cause": self.cause,
-                    "ts": slot,
-                    # header-only capability: the real nonce was in a body
-                    # this agent does not parse, so it guesses
-                    "echo_nonce": self.rng.randbytes(16).hex(),
-                }
-                out.append(self._pc5(slot, self.forge_kind, src, dst, body,
-                                     self.kind.value))
-        self._pending = keep
-        return out
+        # the real nonce was in a body this agent does not parse, so it
+        # guesses, drawing the guess as the frame goes out
+        for _, burst in self._queue.get(slot, ()):
+            burst.message.body["echo_nonce"] = self.rng.randbytes(16).hex()
+        return super().transmissions(slot)
 
 
 class Pc5ForgedRejectAgent(_ReactiveForger):
@@ -460,48 +371,22 @@ class Pc5AuthDisruptAgent(_ReactiveForger):
     target_side = "responder"  # the challenged initiator is the dst of the challenge
 
 
-class Pc5FalseSecModeRejectAgent(_ReactiveForger):
-    watch_kind = K.SECURITY_MODE_COMMAND
-    forge_kind = K.SECURITY_MODE_REJECT
-    cause = "smc_reject"
-    target_side = "requester"  # hit the responder that issued the command
-
-
-class Pc5ReplayAgent(Pc5AttackAgent):
-    """Captures establishment requests and re-emits them verbatim later."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._captured: list[tuple[int, Pc5Message]] = []  # (replay slot, frame)
+class Pc5ReplayAgent(AttackerAgent):
+    """Captures establishment requests and re-emits them verbatim later,
+    without interpreting them. A replay due outside the active window, or
+    already past when captured, is dropped."""
 
     def on_receptions(self, receptions, slot):
         delay = self.params["replay_delay_slots"]
         for rec in receptions:
             burst = rec.transmission.payload
-            if not isinstance(burst, Pc5Burst):
-                continue
-            msg = burst.message
-            if msg.kind != K.ESTABLISHMENT_REQUEST:
+            if not isinstance(burst, Pc5Burst) or burst.message.kind != K.ESTABLISHMENT_REQUEST:
                 continue
             if not self.active(rec.transmission.slot):
                 continue
-            self._captured.append((rec.transmission.slot + delay + self.jitter(), msg))
-
-    def transmissions(self, slot):
-        out = []
-        keep = []
-        for emit, msg in self._captured:
-            if emit > slot:
-                keep.append((emit, msg))
-            elif emit == slot and self.active(slot):
-                self.actions.append(AttackAction(
-                    slot, "pc5_replay", self.cap.tx_power_dbm, "sent",
-                    {"src": msg.src_l2, "dst": msg.dst_l2},
-                ))
-                out.append(Transmission(self.id, self.cap.tx_power_dbm, slot,
-                                        Channel.PSSCH, Pc5Burst(message=msg)))
-        self._captured = keep
-        return out
+            emit = rec.transmission.slot + delay + self.jitter()
+            if emit > slot and self.active(emit):
+                self._schedule(slot, emit, Channel.PSSCH, burst)
 
 
 # ---------------------------------------------------------------------------
@@ -704,16 +589,11 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
     }),
     AttackKind.HARQ_SPOOF_ACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
     AttackKind.HARQ_SPOOF_NACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
-    AttackKind.PC5_FORGED_REQUEST_FLOOD: (Pc5ForgedRequestFloodAgent, {
-        "target_l2": ParamSpec(None, "layer-2 id to flood", 0, _L2_MAX),
-        "period_slots": ParamSpec(4, "slots between forged requests", 1),
-    }),
     AttackKind.PC5_FORGED_REJECT: (Pc5ForgedRejectAgent, {}),
     AttackKind.PC5_AUTH_DISRUPT: (Pc5AuthDisruptAgent, {}),
     AttackKind.PC5_REPLAY: (Pc5ReplayAgent, {
         "replay_delay_slots": ParamSpec(40, "slots between capture and re-emission", 0),
     }),
-    AttackKind.PC5_FALSE_SEC_MODE_REJECT: (Pc5FalseSecModeRejectAgent, {}),
     AttackKind.L2_TRACKING: (TrackerAgent, {
         "linkage_window_slots": ParamSpec(50, "max gap between an id vanishing and its successor", 0),
         "rsrp_similarity_db": ParamSpec(3.0, "power gate for linking two ids", 0),
@@ -721,10 +601,11 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
 }
 
 
-def build_attacker(attacker_id: int, l2_id: int, capability: AttackerCapability,
-                   plan: AttackPlan, rng: random.Random) -> AttackerAgent:
+def build_attacker(attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
+                   rng: random.Random, *, pool: ResourcePool, feedback_delay: int,
+                   ssb_period: int, ssb_key: bytes) -> AttackerAgent:
     cls, param_spec = ATTACK_REGISTRY[plan.kind]
     unknown = set(plan.params) - set(param_spec)
     if unknown:
         raise ValueError(f"unknown parameters for {plan.kind.value}: {sorted(unknown)}")
-    return cls(attacker_id, l2_id, capability, plan, rng)
+    return cls(attacker_id, capability, plan, rng, pool, feedback_delay, ssb_period, ssb_key)

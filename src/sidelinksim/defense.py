@@ -36,7 +36,6 @@ class SignedSsbConfig:
 class AnomalyCheckConfig:
     enabled: bool = False
     power_tolerance_db: float = 3.0
-    strict_window: bool = True
     min_samples: int = 3
 
 
@@ -133,7 +132,6 @@ class FeedbackProfile:
 def harq_anomaly_check(
     profile: FeedbackProfile,
     fb: Feedback,
-    expected_slot: int,
     cfg: AnomalyCheckConfig,
 ) -> str | None:
     """Returns a flag reason, or None to accept.
@@ -141,8 +139,6 @@ def harq_anomaly_check(
     Accepted samples are the caller's to feed back into the profile;
     flagged ones must stay out of both arbitration and learning.
     """
-    if cfg.strict_window and fb.slot != expected_slot:
-        return "late_feedback"
     mean = profile.mean(fb.source_claimed_l2)
     if mean is None or profile.sample_count(fb.source_claimed_l2) < cfg.min_samples:
         return None  # cold start: accept and learn

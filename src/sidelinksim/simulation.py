@@ -159,7 +159,7 @@ class UeAgent:
         self.sensing: list[tuple[Sci1A | None, float, int]] = []
         self.pending_tbs: list[PendingTb] = []
         self.feedback_inbox: list[tuple[Feedback, bool]] = []
-        self.outbox: dict[int, list[tuple[Channel, object, tuple | None]]] = {}
+        self.outbox: dict[int, list[tuple[Channel, object]]] = {}
         self.tb_counter = 0
         self.delivered_seen: set[int] = set()
         self.spoof_hits: dict[int, int] = {}  # tb_id -> spoofed candidates seen
@@ -174,9 +174,9 @@ class UeAgent:
             # entries arrive in slot order, so the stale ones are a prefix
             del self.sensing[:bisect_left(self.sensing, horizon, key=itemgetter(2))]
 
-        for channel, payload, span in self.outbox.pop(slot, ()):
+        for channel, payload in self.outbox.pop(slot, ()):
             out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
-                                    channel, payload, span))
+                                    channel, payload))
 
         self._sync_step(slot, out)
         self._pc5_step(slot, out)
@@ -406,7 +406,7 @@ class UeAgent:
                              self.l2.current, burst.mac_src_l2)
         if fb is not None:
             due = slot + self.world.fb_cfg.feedback_delay_slots
-            self.outbox.setdefault(due, []).append((Channel.PSFCH, fb, None))
+            self.outbox.setdefault(due, []).append((Channel.PSFCH, fb))
             self.world.metrics.bump("feedback_sent")
 
     def _receive_pc5(self, burst: Pc5Burst, slot: int):
@@ -415,9 +415,7 @@ class UeAgent:
             return
         replies, events = self.endpoint.handle(msg, slot, self.guard)
         for reply in replies:
-            self.outbox.setdefault(slot + 1, []).append(
-                (Channel.PSSCH, Pc5Burst(message=reply), None)
-            )
+            self.outbox.setdefault(slot + 1, []).append((Channel.PSSCH, Pc5Burst(message=reply)))
         for ev in events:
             self.world.security_event(self, ev)
 
@@ -468,7 +466,7 @@ class UeAgent:
             else:
                 self.world.metrics.bump("feedback_candidates_legit")
             if anomaly.enabled:
-                reason = harq_anomaly_check(self.profile, fb, pending.expected_slot, anomaly)
+                reason = harq_anomaly_check(self.profile, fb, anomaly)
                 if reason is not None:
                     self.world.metrics.bump("feedback_flagged")
                     if not spoofed:
@@ -550,12 +548,9 @@ class World:
         for i, spec in enumerate(scenario.attacks):
             agent = build_attacker(
                 ATTACKER_ID_BASE + i,
-                self.take_l2(),
                 spec.capability,
                 spec.plan,
                 child_rng(self.seed, f"attacker:{i}"),
-            )
-            agent.configure(
                 pool=scenario.pool,
                 feedback_delay=self.fb_cfg.feedback_delay_slots,
                 ssb_period=scenario.sync.ssb_period_slots,
@@ -635,9 +630,7 @@ class World:
                 new, self.privacy_rng.getrandbits(32)
             )
             for msg in msgs:
-                agent.outbox.setdefault(slot, []).append(
-                    (Channel.PSSCH, Pc5Burst(message=msg), None)
-                )
+                agent.outbox.setdefault(slot, []).append((Channel.PSSCH, Pc5Burst(message=msg)))
             agent.endpoint.l2_id = new
             self.identity_truth[new] = agent.spec.id
             self.metrics.bump("identifier_refreshes")

@@ -36,11 +36,10 @@ POOL = ResourcePool(4, 10, [100, 1000])
 CAP = AttackerCapability()
 
 
-def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk"):
+def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x07" * 32):
     plan = AttackPlan(kind, window, params or {})
-    agent = build_attacker(9000, 0x900001, cap, plan, random.Random(seed))
-    agent.configure(pool=POOL, feedback_delay=2, ssb_period=16)
-    return agent
+    return build_attacker(9000, cap, plan, random.Random(seed),
+                          pool=POOL, feedback_delay=2, ssb_period=16, ssb_key=ssb_key)
 
 
 def hear(agent, payload, slot, channel, sender=1, rsrp=-70.0):
@@ -99,15 +98,13 @@ def test_false_sync_injection_beacons_on_period():
 def test_false_sync_injection_with_insider_key_signs_validly():
     key = b"\x07" * 32
     agent = build(AttackKind.FALSE_SYNC_INJECTION,
-                  cap=AttackerCapability(has_key=True))
-    agent.configure(ssb_key=key)
+                  cap=AttackerCapability(has_key=True), ssb_key=key)
     burst = agent.transmissions(0)[0].payload
     assert verify_ssb(key, 0, burst.mib.encode(), burst.auth_tag)
 
 
 def test_outsider_never_receives_the_key():
-    agent = build(AttackKind.FALSE_SYNC_INJECTION)  # has_key=False
-    agent.configure(ssb_key=b"\x07" * 32)
+    agent = build(AttackKind.FALSE_SYNC_INJECTION, ssb_key=b"\x07" * 32)  # has_key=False
     assert agent.ssb_key is None
 
 

@@ -119,11 +119,11 @@ def test_wrongly_typed_value_is_exit_1_for_validate_and_run(tmp_path, capsys, te
 OUT_OF_RANGE = {
     "rri_ms": "{kind: resource_blocking, window: [0, 60], params: {rri_ms: 37}}",
     "priority": "{kind: resource_blocking, window: [0, 60], params: {priority: 99}}",
-    "period_slots": ("{kind: pc5_forged_request_flood, window: [0, 60],"
-                     " params: {period_slots: 0, target_l2: 5}}"),
-    "target_l2": "{kind: pc5_forged_request_flood, window: [0, 60], params: {target_l2: 1073741824}}",
+    "target_src_l2": "{kind: harq_spoof_nack, window: [0, 60], params: {target_src_l2: 1073741824}}",
     "slss_id": "{kind: false_sync_injection, window: [0, 60], params: {slss_id: 99999}}",
     "tdd_config": "{kind: false_sync_injection, window: [0, 60], params: {tdd_config: 5000}}",
+    "timing_precision_slots": ("{kind: false_sync_injection, window: [0, 60],"
+                               " capability: {timing_precision_slots: -2}}"),
 }
 
 
@@ -158,4 +158,4 @@ def test_list_attacks_prints_param_bounds(capsys):
     assert main(["list-attacks"]) == 0
     out = capsys.readouterr().out
     assert "slss_id (default 0, 0..671)" in out
-    assert "period_slots (default 4, 1..)" in out
+    assert "replay_delay_slots (default 40, 0..)" in out

@@ -22,8 +22,8 @@ KEY = b"\x42" * 32
 MIB = MibSl(0, True, 100, 3).encode()
 
 
-def fb(rsrp, slot=12, src=0x0222):
-    return Feedback(FeedbackKind.NACK, 0, src, slot, rsrp)
+def fb(rsrp, src=0x0222):
+    return Feedback(FeedbackKind.NACK, 0, src, 12, rsrp)
 
 
 def test_config_validation():
@@ -59,11 +59,11 @@ def test_verify_rejects_tampering():
 def test_anomaly_check_cold_start_accepts():
     cfg = AnomalyCheckConfig(enabled=True, min_samples=3)
     prof = FeedbackProfile()
-    assert harq_anomaly_check(prof, fb(-50.0), 12, cfg) is None
+    assert harq_anomaly_check(prof, fb(-50.0), cfg) is None
     prof.learn(0x0222, -80.0)
     prof.learn(0x0222, -80.0)
     # still under min_samples: even a hot sample passes
-    assert harq_anomaly_check(prof, fb(-40.0), 12, cfg) is None
+    assert harq_anomaly_check(prof, fb(-40.0), cfg) is None
 
 
 def test_anomaly_check_flags_overpowered_sample():
@@ -71,20 +71,12 @@ def test_anomaly_check_flags_overpowered_sample():
     prof = FeedbackProfile()
     for _ in range(3):
         prof.learn(0x0222, -80.0)
-    assert harq_anomaly_check(prof, fb(-76.9), 12, cfg) == "power_anomaly"
-    assert harq_anomaly_check(prof, fb(-77.0), 12, cfg) is None  # exactly at bound
+    assert harq_anomaly_check(prof, fb(-76.9), cfg) == "power_anomaly"
+    assert harq_anomaly_check(prof, fb(-77.0), cfg) is None  # exactly at bound
     # one-sided: unusually weak feedback is not the screened threat
-    assert harq_anomaly_check(prof, fb(-120.0), 12, cfg) is None
+    assert harq_anomaly_check(prof, fb(-120.0), cfg) is None
     # a different source has its own profile
-    assert harq_anomaly_check(prof, fb(-40.0, src=0x0333), 12, cfg) is None
-
-
-def test_anomaly_check_strict_window():
-    cfg = AnomalyCheckConfig(enabled=True, strict_window=True)
-    prof = FeedbackProfile()
-    assert harq_anomaly_check(prof, fb(-80.0, slot=13), 12, cfg) == "late_feedback"
-    lax = AnomalyCheckConfig(enabled=True, strict_window=False)
-    assert harq_anomaly_check(prof, fb(-80.0, slot=13), 12, lax) is None
+    assert harq_anomaly_check(prof, fb(-40.0, src=0x0333), cfg) is None
 
 
 def test_profile_mean_tracks_accepted_samples():

@@ -128,8 +128,9 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
 @pytest.mark.parametrize("kind,dotted,value", [
     ("resource_blocking", "attacks[0].params.rri_ms", 37),
     ("resource_blocking", "attacks[0].params.priority", 99),
-    ("pc5_forged_request_flood", "attacks[0].params.period_slots", 0),
-    ("pc5_forged_request_flood", "attacks[0].params.target_l2", 2**30),
+    ("harq_spoof_nack", "attacks[0].params.target_src_l2", 2**30),
+    ("harq_spoof_nack", "attacks[0].params.target_src_l2", -1),
+    ("harq_spoof_nack", "attacks[0].capability.timing_precision_slots", -2),
     ("false_sync_injection", "attacks[0].params.slss_id", 99999),
     ("false_sync_injection", "attacks[0].params.tdd_config", 5000),
     ("harq_spoof_nack", "pool.slot_duration_ms", 0),
@@ -147,8 +148,9 @@ def test_attack_param_bounds_are_inclusive():
     for kind, params in [("false_sync_injection", {"slss_id": 671, "tdd_config": 4095}),
                          ("resource_blocking", {"priority": 7, "rri_ms": 100,
                                                 "claim_fraction": 1.0}),
-                         ("pc5_forged_request_flood", {"period_slots": 1,
-                                                       "target_l2": 2**24 - 1})]:
+                         ("harq_spoof_nack", {"target_src_l2": 2**24 - 1,
+                                              "target_dst_l2": 0}),
+                         ("pc5_replay", {"replay_delay_slots": 0})]:
         sc = parse_scenario(minimal(attacks=[{"kind": kind, "window": [0, 10],
                                               "params": params}]))
         assert sc.attacks[0].plan.params == params
