@@ -1,6 +1,8 @@
 """Whole-run behavior: determinism, accounting, defense neutrality."""
 
+import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -275,3 +277,69 @@ def test_ranking_only_on_change_matches_ranking_every_slot(monkeypatch, min_hyst
         calls.clear()
     assert kinds == {"sync_switch", "sync_lapse"}
     assert any(src == SyncSourceKind.SYNC_REF_UE for src, *_ in on_change)
+
+
+# -- feedback closure across many flows -------------------------------------
+
+
+def multi_flow_harq(slot_offset):
+    """UE 1 sends three unicast HARQ flows, two of them starting in slot
+    10; UE 4 sends eighteen, so it holds two flows on each of HARQ
+    process ids 0 and 1. Channel errors cause NACKs, and a NACK spoofer
+    with one slot of timing jitter races the feedback from slot 100 on,
+    `slot_offset` slots past the feedback slot."""
+    ues = [{"id": 0, "position": [0, 0], "role": "gnss_visible"},
+           *({"id": i, "position": p}
+             for i, p in enumerate([[40, 0], [80, 0], [40, 40], [0, 40]], 1))]
+    flows = [
+        {"src": 1, "dst": 2, "period_slots": 20, "start_slot": 10, "rri_ms": 20},
+        {"src": 1, "dst": 2, "period_slots": 20, "start_slot": 10, "rri_ms": 20},
+        {"src": 1, "dst": 3, "period_slots": 30, "start_slot": 15, "rri_ms": 20},
+        *({"src": 4, "dst": 2 + i % 2, "period_slots": 40, "start_slot": 5 + i, "rri_ms": 20}
+          for i in range(18)),
+    ]
+    return parse_scenario({
+        "name": "multi_flow_harq", "seed": 5, "duration_slots": 400, "ues": ues,
+        "channel": {"tb_error_rate": 0.1},
+        "pool": {"period_list_ms": [20, 100, 1000]},
+        "traffic": flows,
+        "attacks": [{"kind": "harq_spoof_nack", "window": [100, 400],
+                     "capability": {"position": [40, 20], "timing_precision_slots": 1},
+                     "params": {"slot_offset": slot_offset}}],
+        "defenses": {"harq_anomaly_check": {"enabled": True},
+                     "incident_log": {"enabled": True}},
+    })
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# slot_offset -> sha256 of (metrics.csv, events, tb_log rows), recorded
+# when feedback closure walked a list of pending TBs in emission order
+MULTI_FLOW_DIGESTS = {
+    -1: ("d2afeb497e8dd9b86f0ab2fe2898aa8ec641e909d1f4363b4e696150f996ad20",
+         "fc82a1a33d09f2f5ed8a5df99568d67907f0c00317df18991a76462395baf0d4",
+         "988eecbdc07136e240cc6e5341ec36fa08533679822fb0b27ea33fc0c4eedc0f"),
+    0: ("556a81d150c392dfb06f55c44e751abbe5dccaca62c1580e4dc864f83e7523e9",
+        "522a71fe24f2556296404f2061a5eaf54fb7dfc525b328b77eb085fc341b80db",
+        "28438b890969228f24385c0d45d106076f898245e7811beb8b3c3f235aec1130"),
+    1: ("20a9af0c4acb3b810f1a90703e0b5ba41420f5f72b0deb7254af394161263bfb",
+        "e888366e1a6599d474e15d9bb0afa4a746b0b93f3771ffa8e50843a7ba4c7d2a",
+        "13efc7a23c0595761fb9b35cf2dfa87bf994e5871d2cdefc201f0dedd68e2869"),
+}
+
+
+@pytest.mark.parametrize("slot_offset", sorted(MULTI_FLOW_DIGESTS))
+def test_multi_flow_feedback_closure_matches_recorded_digests(slot_offset):
+    report, events, world = run_scenario(multi_flow_harq(slot_offset))
+    rows = "".join(f"{r.ue_id} {r.tb_id} {r.first_tx_slot} {r.attempts} {r.state} "
+                   f"{r.spoof_candidates}\n" for r in world.tb_log)
+    # a TB sent once closes two slots after it went out, so an equal
+    # first slot on one UE means two closures in the same slot
+    first_sends = Counter((r.ue_id, r.first_tx_slot) for r in world.tb_log if r.attempts == 1)
+    assert max(first_sends.values()) > 1
+    assert {r.state for r in world.tb_log} == {"done", "failed"}
+    assert any(r.spoof_candidates for r in world.tb_log)
+    assert (_sha(report.to_csv()), _sha("".join(event_line(e) + "\n" for e in events)),
+            _sha(rows)) == MULTI_FLOW_DIGESTS[slot_offset]
