@@ -15,7 +15,7 @@ from .adversary import (
 )
 from .defense import DefenseConfig
 from .frames import MibSl, Pc5Message, Pc5MessageKind, Sci1A, Sci2A, SlssIdentity
-from .harq import FeedbackConfig, HarqProcess
+from .harq import HarqProcess
 from .metrics import MetricsReport, compare
 from .pc5 import Pc5Endpoint, SecurityPolicy, negotiate_policy
 from .radio import ChannelModel, child_rng, deliver
@@ -33,7 +33,6 @@ __all__ = [
     "AttackerCapability",
     "ChannelModel",
     "DefenseConfig",
-    "FeedbackConfig",
     "HarqProcess",
     "MetricsReport",
     "MibSl",

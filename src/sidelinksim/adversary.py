@@ -24,7 +24,7 @@ from .frames import (
     SlssIdentity,
     fra_encode,
 )
-from .harq import DataBurst, FeedbackBurst
+from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
 from .pc5 import Pc5Burst
 from .radio import Channel, Reception, Transmission
 from .resources import ControlBurst, ResourcePool
@@ -83,13 +83,12 @@ class AttackerAgent:
     """Base: window gating, jitter draws, deferred frames, the action log.
 
     `params` is the plan's parameters over the registry defaults for its
-    kind. The world's pool, feedback delay and beacon period are public
-    configuration; the beacon key reaches only an insider.
+    kind. The world's pool and beacon period are public configuration;
+    the beacon key reaches only an insider.
     """
 
     def __init__(self, attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
-                 rng: random.Random, pool: ResourcePool, feedback_delay: int,
-                 ssb_period: int, ssb_key: bytes):
+                 rng: random.Random, pool: ResourcePool, ssb_period: int, ssb_key: bytes):
         self.id = attacker_id
         self.cap = capability
         self.plan = plan
@@ -99,7 +98,6 @@ class AttackerAgent:
         } | plan.params
         self.rng = rng
         self.pool = pool
-        self.feedback_delay = feedback_delay
         self.ssb_period = ssb_period
         self.ssb_key = ssb_key if capability.has_key else None
         self.actions: list[AttackAction] = []
@@ -303,7 +301,7 @@ class HarqSpoofAgent(AttackerAgent):
             if target_dst is not None and burst.mac_dst_l2 != target_dst:
                 continue
             offset = self.params["slot_offset"]
-            emit = rec.transmission.slot + self.feedback_delay + offset + self.jitter()
+            emit = rec.transmission.slot + FEEDBACK_DELAY_SLOTS + offset + self.jitter()
             forged = FeedbackBurst(
                 ack=self.kind == AttackKind.HARQ_SPOOF_ACK,
                 harq_process_id=sci2.harq_process_id,
@@ -602,10 +600,10 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
 
 
 def build_attacker(attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
-                   rng: random.Random, *, pool: ResourcePool, feedback_delay: int,
-                   ssb_period: int, ssb_key: bytes) -> AttackerAgent:
+                   rng: random.Random, *, pool: ResourcePool, ssb_period: int,
+                   ssb_key: bytes) -> AttackerAgent:
     cls, param_spec = ATTACK_REGISTRY[plan.kind]
     unknown = set(plan.params) - set(param_spec)
     if unknown:
         raise ValueError(f"unknown parameters for {plan.kind.value}: {sorted(unknown)}")
-    return cls(attacker_id, capability, plan, rng, pool, feedback_delay, ssb_period, ssb_key)
+    return cls(attacker_id, capability, plan, rng, pool, ssb_period, ssb_key)

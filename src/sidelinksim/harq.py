@@ -3,19 +3,21 @@
 attempts counts transmissions of the pending TB, so the initial send is
 attempt 1. A NACK triggers a retransmission while attempts has not
 passed maxRetransmissions; a NACK arriving with attempts already at
-maxRetransmissions + 1 fails the process. Missing feedback at window
-close is treated as a NACK by default. Arbitration among same-window
-feedback bursts is by received power, which is what makes overpowering
-spoofs meaningful and underpowered ones useless.
+maxRetransmissions + 1 fails the process. Feedback for a TB sent in
+slot t is heard in slot t + FEEDBACK_DELAY_SLOTS and nowhere else, and
+missing feedback in that slot counts as a NACK. Arbitration among the
+feedback bursts heard in that slot is by received power, which is what
+makes overpowering spoofs meaningful and underpowered ones useless.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 RV_SEQUENCE = (0, 2, 3, 1)  # redundancy version by attempt, cycling
 MAX_PROCESS_ID = 15
+FEEDBACK_DELAY_SLOTS = 2  # TB slot to the slot that carries its feedback
 
 
 class TbState(Enum):
@@ -31,24 +33,10 @@ class FeedbackKind(Enum):
 
 
 @dataclass
-class FeedbackConfig:
-    feedback_delay_slots: int = 2
-    window_slots: int = 0  # tolerance after the expected slot; 0 = exact
-    missing_is_nack: bool = True
-
-    def __post_init__(self):
-        if self.feedback_delay_slots < 1:
-            raise ValueError("feedback delay must be >= 1 slot")
-        if self.window_slots < 0:
-            raise ValueError("window must be >= 0")
-
-
-@dataclass
 class Feedback:
     kind: FeedbackKind
     harq_process_id: int
     source_claimed_l2: int  # who the burst claims to come from
-    slot: int
     observed_rsrp_dbm: float
 
 
@@ -93,8 +81,6 @@ class HarqProcess:
     state: TbState = TbState.IDLE
     attempts: int = 0
     tb_id: int | None = None
-    dest_l2: int | None = None
-    history: list[int] = field(default_factory=list)  # rv per attempt, for audits
 
     def __post_init__(self):
         if not 0 <= self.process_id <= MAX_PROCESS_ID:
@@ -106,15 +92,13 @@ class HarqProcess:
             return RV_SEQUENCE[0]
         return RV_SEQUENCE[(self.attempts - 1) % len(RV_SEQUENCE)]
 
-    def start_tb(self, tb_id: int, dest_l2: int):
+    def start_tb(self, tb_id: int):
         if self.state == TbState.AWAITING_FEEDBACK:
             raise ValueError(f"process {self.process_id} still has a TB in flight")
         self.ndi ^= 1
         self.attempts = 0
         self.tb_id = tb_id
-        self.dest_l2 = dest_l2
         self.state = TbState.IDLE
-        self.history.clear()
 
     def record_transmission(self) -> tuple[int, int]:
         """Count one (re)transmission; returns (ndi, rv) for the SCI."""
@@ -124,15 +108,12 @@ class HarqProcess:
         if self.attempts > self.max_retransmissions + 1:
             raise AssertionError("transmitted beyond the retransmission bound")
         self.state = TbState.AWAITING_FEEDBACK
-        self.history.append(self.rv)
         return self.ndi, self.rv
 
-    def on_feedback(self, kind: FeedbackKind | None, cfg: FeedbackConfig) -> Action:
-        """Resolve the window outcome; None means nothing arrived."""
+    def on_feedback(self, kind: FeedbackKind | None) -> Action:
+        """Resolve the feedback slot; None (nothing arrived) is a NACK."""
         if self.state != TbState.AWAITING_FEEDBACK:
             raise ValueError(f"process {self.process_id} not awaiting feedback")
-        if kind is None and not cfg.missing_is_nack:
-            kind = FeedbackKind.ACK
         if kind == FeedbackKind.ACK:
             self.state = TbState.DONE
             return Action.COMPLETE
@@ -156,27 +137,11 @@ def feedback_for_tb(crc_ok: bool, harq_enabled: bool, process_id: int,
     )
 
 
-def in_window(slot: int, expected_slot: int, cfg: FeedbackConfig) -> bool:
-    return expected_slot <= slot <= expected_slot + cfg.window_slots
+def arbitrate_feedback(candidates: list[Feedback]) -> Feedback | None:
+    """Pick the winning feedback heard in a TB's feedback slot.
 
-
-def arbitrate_feedback(
-    candidates: list[Feedback],
-    expected_slot: int,
-    cfg: FeedbackConfig,
-) -> tuple[Feedback | None, list[Feedback]]:
-    """Pick the winning in-window feedback; returns (winner, discarded).
-
-    Stronger received power wins; ties go to the earlier slot, then to
-    ACK over NACK. Anything outside the window is discarded.
+    Stronger received power wins; a power tie goes to ACK over NACK, and
+    a full tie to the first candidate.
     """
-    kept, discarded = [], []
-    for fb in candidates:
-        (kept if in_window(fb.slot, expected_slot, cfg) else discarded).append(fb)
-    if not kept:
-        return None, discarded
-    winner = sorted(
-        kept,
-        key=lambda f: (-f.observed_rsrp_dbm, f.slot, 0 if f.kind == FeedbackKind.ACK else 1),
-    )[0]
-    return winner, discarded
+    return min(candidates, default=None,
+               key=lambda f: (-f.observed_rsrp_dbm, f.kind is not FeedbackKind.ACK))

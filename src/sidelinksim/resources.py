@@ -57,6 +57,10 @@ class ResourcePool:
             raise ValueError("selection window must be at least one slot")
         if self.slot_duration_ms <= 0:
             raise ValueError("slot_duration_ms must be positive")
+        if self.threshold_step_db <= 0:
+            # selection raises its threshold by this step until enough is free,
+            # so a step of 0 or less never ends
+            raise ValueError("threshold_step_db must be positive")
         if not self.period_list_ms:
             raise ValueError("period list must not be empty")
         if max(self.period_list_ms) > 1000:

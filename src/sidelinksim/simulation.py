@@ -2,7 +2,7 @@
 
 Slot phases, in order: identifier-privacy epochs, UE actions
 (sync bursts, sync evaluation, PC5 signalling, traffic), attacker
-actions, radio delivery, reception dispatch, feedback-window closure.
+actions, radio delivery, reception dispatch, feedback closure.
 Every random draw comes from a child generator derived from the run
 seed and a fixed label, so a (scenario, seed) pair replays exactly.
 """
@@ -27,17 +27,16 @@ from .defense import (
 )
 from .frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity
 from .harq import (
+    FEEDBACK_DELAY_SLOTS,
     Action,
     DataBurst,
     Feedback,
     FeedbackBurst,
-    FeedbackConfig,
     FeedbackKind,
     HarqProcess,
     TbState,
     arbitrate_feedback,
     feedback_for_tb,
-    in_window,
 )
 from .metrics import MetricsReport
 from .pc5 import BROADCAST_L2, L2Identity, Pc5Burst, Pc5Endpoint, refresh_identifier
@@ -88,16 +87,12 @@ class FlowRuntime:
     demand: int
     next_gen_slot: int
     grant: GrantState | None = None
-    pending_kind: str | None = None  # "new" | "retx"
-
-
-@dataclass
-class PendingTb:
-    flow_rt: FlowRuntime
-    process_id: int
-    tb_id: int
-    tb_slot: int
-    expected_slot: int
+    # the current TB: the slot of its first transmission, the slot its
+    # feedback is due (None while none is awaited) and the spoofed
+    # feedback candidates heard for it so far
+    first_slot: int = 0
+    feedback_slot: int | None = None
+    spoof_hits: int = 0
 
 
 @dataclass
@@ -157,13 +152,10 @@ class UeAgent:
 
         self.flows: list[FlowRuntime] = []
         self.sensing: list[tuple[Sci1A | None, float, int]] = []
-        self.pending_tbs: list[PendingTb] = []
         self.feedback_inbox: list[tuple[Feedback, bool]] = []
         self.outbox: dict[int, list[tuple[Channel, object]]] = {}
         self.tb_counter = 0
         self.delivered_seen: set[int] = set()
-        self.spoof_hits: dict[int, int] = {}  # tb_id -> spoofed candidates seen
-        self.tb_first_slot: dict[int, int] = {}
 
     # -- per-slot action ---------------------------------------------------
 
@@ -258,15 +250,13 @@ class UeAgent:
 
     def _flow_step(self, rt: FlowRuntime, slot: int, out: list[Transmission]):
         flow, proc = rt.flow, rt.process
-        in_flight = proc.attempts > 0 and proc.state not in (TbState.DONE, TbState.FAILED)
         if slot >= rt.next_gen_slot:
-            if not in_flight and rt.pending_kind is None:
+            if proc.tb_id is None or proc.state in (TbState.DONE, TbState.FAILED):
                 self.tb_counter += 1
-                tb_id = self.spec.id * 1_000_000 + self.tb_counter
-                proc.start_tb(tb_id, self.world.l2_of(flow.dst))
-                rt.pending_kind = "new"
+                proc.start_tb(self.spec.id * 1_000_000 + self.tb_counter)
             rt.next_gen_slot = slot + flow.period_slots
-        if rt.pending_kind is None:
+        # a loaded TB in IDLE is due: its first transmission or a retransmission
+        if proc.state != TbState.IDLE or proc.tb_id is None:
             return
         if rt.grant is None or rt.grant.remaining <= 0:
             self._reselect(rt, slot)
@@ -330,19 +320,15 @@ class UeAgent:
         out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
                                 Channel.PSSCH, burst,
                                 (g.subchannel_start, g.subchannel_len)))
-        if rt.pending_kind == "new":
+        if proc.attempts == 1:
             self.world.metrics.bump("tb_sent")
-            self.tb_first_slot[proc.tb_id] = slot
+            rt.first_slot, rt.spoof_hits = slot, 0
         else:
             self.world.metrics.bump("retransmissions", slot=slot)
-        rt.pending_kind = None
         g.next_slot += g.rri_slots
         g.remaining -= 1
         if flow.harq and cast == CastType.UNICAST:
-            self.pending_tbs.append(PendingTb(
-                rt, proc.process_id, proc.tb_id, slot,
-                slot + self.world.fb_cfg.feedback_delay_slots,
-            ))
+            rt.feedback_slot = slot + FEEDBACK_DELAY_SLOTS
         else:
             proc.state = TbState.DONE  # blind transmission, nothing to wait for
 
@@ -405,7 +391,7 @@ class UeAgent:
         fb = feedback_for_tb(crc_ok, sci2.harq_enabled, sci2.harq_process_id,
                              self.l2.current, burst.mac_src_l2)
         if fb is not None:
-            due = slot + self.world.fb_cfg.feedback_delay_slots
+            due = slot + FEEDBACK_DELAY_SLOTS
             self.outbox.setdefault(due, []).append((Channel.PSFCH, fb))
             self.world.metrics.bump("feedback_sent")
 
@@ -426,43 +412,33 @@ class UeAgent:
             kind=FeedbackKind.ACK if burst.ack else FeedbackKind.NACK,
             harq_process_id=burst.harq_process_id,
             source_claimed_l2=burst.src_l2,
-            slot=slot,
             observed_rsrp_dbm=rec.rsrp_dbm,
         )
         self.feedback_inbox.append((fb, burst.spoofed))
 
-    # -- feedback-window closure ---------------------------------------------
+    # -- feedback closure ------------------------------------------------------
 
     def close_feedback(self, slot: int):
-        cfg = self.world.fb_cfg
-        still_open: list[PendingTb] = []
-        for pending in self.pending_tbs:
-            if slot < pending.expected_slot + cfg.window_slots:
-                still_open.append(pending)
-                continue
-            candidates, unmatched = [], []
-            for entry in self.feedback_inbox:
-                fb = entry[0]
-                matches = (fb.harq_process_id == pending.process_id
-                           and in_window(fb.slot, pending.expected_slot, cfg))
-                (candidates if matches else unmatched).append(entry)
-            self.feedback_inbox = unmatched
-            self._resolve(pending, candidates, slot)
-        # drop anything that can no longer match an open window
-        self.feedback_inbox = [
-            (fb, spoofed) for fb, spoofed in self.feedback_inbox
-            if fb.slot + cfg.window_slots >= slot
-        ]
-        self.pending_tbs = still_open
+        """Resolve each flow whose feedback is due in this slot, in flow
+        order, from the feedback heard in this slot; the rest of it
+        answers nothing and is dropped."""
+        inbox = self.feedback_inbox
+        for rt in self.flows:
+            if rt.feedback_slot == slot:
+                rt.feedback_slot = None
+                pid = rt.process.process_id
+                matched = [entry for entry in inbox if entry[0].harq_process_id == pid]
+                inbox = [entry for entry in inbox if entry[0].harq_process_id != pid]
+                self._resolve(rt, matched, slot)
+        self.feedback_inbox.clear()
 
-    def _resolve(self, pending: PendingTb, candidates, slot: int):
-        cfg = self.world.fb_cfg
+    def _resolve(self, rt: FlowRuntime, candidates, slot: int):
         anomaly = self.world.sc.defenses.harq_anomaly_check
         accepted = []
         for fb, spoofed in candidates:
             if spoofed:
                 self.world.metrics.bump("feedback_spoofed")
-                self.spoof_hits[pending.tb_id] = self.spoof_hits.get(pending.tb_id, 0) + 1
+                rt.spoof_hits += 1
             else:
                 self.world.metrics.bump("feedback_candidates_legit")
             if anomaly.enabled:
@@ -475,29 +451,21 @@ class UeAgent:
                                                 fb.source_claimed_l2, reason)
                     continue
             accepted.append(fb)
-        winner, _ = arbitrate_feedback(accepted, pending.expected_slot, cfg)
+        winner = arbitrate_feedback(accepted)
         if winner is not None and anomaly.enabled:
             self.profile.learn(winner.source_claimed_l2, winner.observed_rsrp_dbm)
-        proc = pending.flow_rt.process
-        action = proc.on_feedback(winner.kind if winner else None, cfg)
+        proc = rt.process
+        action = proc.on_feedback(winner.kind if winner else None)
+        if action == Action.RETRANSMIT:
+            return  # the process is IDLE again, so the next grant resends
         if action == Action.COMPLETE:
             self.world.metrics.bump("sender_delivered", slot=slot)
-            self._finish_tb(pending, proc, "done")
-        elif action == Action.RETRANSMIT:
-            pending.flow_rt.pending_kind = "retx"
         else:
             self.world.metrics.bump("harq_failures")
-            self.world.event(slot, "harq_fail", ue=self.spec.id, tb=pending.tb_id,
+            self.world.event(slot, "harq_fail", ue=self.spec.id, tb=proc.tb_id,
                              attempts=proc.attempts)
-            self._finish_tb(pending, proc, "failed")
-
-    def _finish_tb(self, pending: PendingTb, proc: HarqProcess, state: str):
-        self.world.tb_log.append(TbOutcome(
-            self.spec.id, pending.tb_id,
-            self.tb_first_slot.pop(pending.tb_id, pending.tb_slot),
-            proc.attempts, state,
-            self.spoof_hits.pop(pending.tb_id, 0),
-        ))
+        self.world.tb_log.append(TbOutcome(self.spec.id, proc.tb_id, rt.first_slot,
+                                           proc.attempts, proc.state.value, rt.spoof_hits))
 
 
 class World:
@@ -510,7 +478,6 @@ class World:
         self.capture_sensing = capture_sensing
         self.metrics = MetricsReport(scenario.name, self.seed)
         self.events: list[dict] = []
-        self.fb_cfg = FeedbackConfig()
         self.incidents = IncidentLog(enabled=scenario.defenses.incident_log.enabled)
 
         self.crc_rng = child_rng(self.seed, "crc")
@@ -552,7 +519,6 @@ class World:
                 spec.plan,
                 child_rng(self.seed, f"attacker:{i}"),
                 pool=scenario.pool,
-                feedback_delay=self.fb_cfg.feedback_delay_slots,
                 ssb_period=scenario.sync.ssb_period_slots,
                 ssb_key=self.ssb_key,
             )

@@ -325,7 +325,7 @@ def test_criterion_5_harq_spoofing(announce):
     base_gap = base_rep.totals["sender_delivered"] - base_rep.totals["receiver_delivered"]
     assert gap > 0 and base_gap == 0, (gap, base_gap)
 
-    # (c) one slot late with a zero-tolerance window: no effect at all
+    # (c) one slot late, off the fixed feedback slot: no effect at all
     atk = nack_sc.attacks[0]
     late_plan = replace(atk.plan, params={**atk.plan.params, "slot_offset": 1})
     late_sc = replace(nack_sc, attacks=(replace(atk, plan=late_plan),))

@@ -39,7 +39,7 @@ CAP = AttackerCapability()
 def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x07" * 32):
     plan = AttackPlan(kind, window, params or {})
     return build_attacker(9000, cap, plan, random.Random(seed),
-                          pool=POOL, feedback_delay=2, ssb_period=16, ssb_key=ssb_key)
+                          pool=POOL, ssb_period=16, ssb_key=ssb_key)
 
 
 def hear(agent, payload, slot, channel, sender=1, rsrp=-70.0):

@@ -23,7 +23,7 @@ MIB = MibSl(0, True, 100, 3).encode()
 
 
 def fb(rsrp, src=0x0222):
-    return Feedback(FeedbackKind.NACK, 0, src, 12, rsrp)
+    return Feedback(FeedbackKind.NACK, 0, src, rsrp)
 
 
 def test_config_validation():

@@ -5,27 +5,16 @@ import pytest
 from sidelinksim.harq import (
     Action,
     Feedback,
-    FeedbackConfig,
     FeedbackKind,
     HarqProcess,
     TbState,
     arbitrate_feedback,
     feedback_for_tb,
-    in_window,
 )
 
-CFG = FeedbackConfig()
 
-
-def fb(kind, slot, rsrp, pid=0, src=2):
-    return Feedback(kind, pid, src, slot, rsrp)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FeedbackConfig(feedback_delay_slots=0)
-    with pytest.raises(ValueError):
-        FeedbackConfig(window_slots=-1)
+def fb(kind, rsrp, pid=0, src=2):
+    return Feedback(kind, pid, src, rsrp)
 
 
 def test_process_id_bounds():
@@ -36,22 +25,21 @@ def test_process_id_bounds():
 
 def test_rv_cycles_0_2_3_1():
     p = HarqProcess(0)
-    p.start_tb(1, dest_l2=7)
+    p.start_tb(1)
     rvs = []
     for _ in range(4):
         rvs.append(p.record_transmission()[1])
-        p.on_feedback(FeedbackKind.NACK, CFG)
+        p.on_feedback(FeedbackKind.NACK)
     assert rvs == [0, 2, 3, 1]
-    assert p.history == [0, 2, 3, 1]
 
 
 def test_nack_drives_attempts_to_max_plus_one_then_fail():
     p = HarqProcess(3)
-    p.start_tb(1, dest_l2=7)
+    p.start_tb(1)
     actions = []
     while True:
         p.record_transmission()
-        act = p.on_feedback(FeedbackKind.NACK, CFG)
+        act = p.on_feedback(FeedbackKind.NACK)
         actions.append(act)
         if act != Action.RETRANSMIT:
             break
@@ -62,45 +50,39 @@ def test_nack_drives_attempts_to_max_plus_one_then_fail():
 
 def test_ack_completes_immediately():
     p = HarqProcess(0)
-    p.start_tb(5, dest_l2=7)
+    p.start_tb(5)
     ndi0 = p.record_transmission()[0]
-    assert p.on_feedback(FeedbackKind.ACK, CFG) == Action.COMPLETE
+    assert p.on_feedback(FeedbackKind.ACK) == Action.COMPLETE
     assert p.state == TbState.DONE
     # next TB toggles NDI
-    p.start_tb(6, dest_l2=7)
+    p.start_tb(6)
     assert p.ndi == ndi0 ^ 1
 
 
 def test_start_tb_refuses_while_awaiting():
     p = HarqProcess(0)
-    p.start_tb(1, dest_l2=7)
+    p.start_tb(1)
     p.record_transmission()
     with pytest.raises(ValueError):
-        p.start_tb(2, dest_l2=7)
-    p.on_feedback(FeedbackKind.ACK, CFG)
-    p.start_tb(2, dest_l2=7)  # fine once resolved
+        p.start_tb(2)
+    p.on_feedback(FeedbackKind.ACK)
+    p.start_tb(2)  # fine once resolved
     assert p.tb_id == 2 and p.attempts == 0
 
 
 def test_feedback_requires_awaiting_state():
     p = HarqProcess(0)
     with pytest.raises(ValueError):
-        p.on_feedback(FeedbackKind.ACK, CFG)
+        p.on_feedback(FeedbackKind.ACK)
     with pytest.raises(ValueError):
         p.record_transmission()  # no TB loaded
 
 
 def test_missing_feedback_policy():
     p = HarqProcess(0)
-    p.start_tb(1, dest_l2=7)
+    p.start_tb(1)
     p.record_transmission()
-    assert p.on_feedback(None, CFG) == Action.RETRANSMIT  # missing -> NACK
-
-    q = HarqProcess(0)
-    q.start_tb(1, dest_l2=7)
-    q.record_transmission()
-    lax = FeedbackConfig(missing_is_nack=False)
-    assert q.on_feedback(None, lax) == Action.COMPLETE
+    assert p.on_feedback(None) == Action.RETRANSMIT  # missing -> NACK
 
 
 def test_feedback_for_tb_matrix():
@@ -111,40 +93,18 @@ def test_feedback_for_tb_matrix():
     assert feedback_for_tb(True, False, 4, 1, 2) is None
 
 
-def test_in_window_exact_and_tolerant():
-    strict = FeedbackConfig(window_slots=0)
-    assert in_window(12, 12, strict)
-    assert not in_window(13, 12, strict)
-    assert not in_window(11, 12, strict)
-    wide = FeedbackConfig(window_slots=2)
-    assert in_window(14, 12, wide)
-    assert not in_window(15, 12, wide)
+def test_arbitration_power_then_ack_then_first():
+    strong_nack = fb(FeedbackKind.NACK, -60.0)
+    weak_ack = fb(FeedbackKind.ACK, -80.0)
+    assert arbitrate_feedback([weak_ack, strong_nack]) is strong_nack
 
+    ack = fb(FeedbackKind.ACK, -70.0)
+    nack = fb(FeedbackKind.NACK, -70.0)
+    assert arbitrate_feedback([nack, ack]) is ack
 
-def test_arbitration_power_then_slot_then_ack():
-    cfg = FeedbackConfig(window_slots=2)
-    strong_nack = fb(FeedbackKind.NACK, 11, -60.0)
-    weak_ack = fb(FeedbackKind.ACK, 10, -80.0)
-    winner, discarded = arbitrate_feedback([weak_ack, strong_nack], 10, cfg)
-    assert winner is strong_nack and discarded == []
+    first = fb(FeedbackKind.NACK, -70.0, src=3)
+    second = fb(FeedbackKind.NACK, -70.0, src=4)
+    assert arbitrate_feedback([first, second]) is first
+    assert arbitrate_feedback([second, first]) is second
 
-    early = fb(FeedbackKind.NACK, 10, -70.0)
-    late = fb(FeedbackKind.ACK, 11, -70.0)
-    winner, _ = arbitrate_feedback([late, early], 10, cfg)
-    assert winner is early
-
-    ack = fb(FeedbackKind.ACK, 10, -70.0)
-    nack = fb(FeedbackKind.NACK, 10, -70.0)
-    winner, _ = arbitrate_feedback([nack, ack], 10, cfg)
-    assert winner is ack
-
-
-def test_arbitration_discards_out_of_window():
-    strict = FeedbackConfig(window_slots=0)
-    late = fb(FeedbackKind.ACK, 13, -50.0)
-    on_time = fb(FeedbackKind.NACK, 12, -90.0)
-    winner, discarded = arbitrate_feedback([late, on_time], 12, strict)
-    assert winner is on_time
-    assert discarded == [late]
-    winner, discarded = arbitrate_feedback([late], 12, strict)
-    assert winner is None and discarded == [late]
+    assert arbitrate_feedback([]) is None

@@ -134,6 +134,8 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("false_sync_injection", "attacks[0].params.slss_id", 99999),
     ("false_sync_injection", "attacks[0].params.tdd_config", 5000),
     ("harq_spoof_nack", "pool.slot_duration_ms", 0),
+    ("harq_spoof_nack", "pool.threshold_step_db", 0.0),
+    ("harq_spoof_nack", "pool.threshold_step_db", -3.0),
 ])
 def test_out_of_range_value_is_an_error(kind, dotted, value):
     raw = with_value(dotted, value)
