@@ -1,5 +1,6 @@
 """Propagation, capture, collisions, and seeded reproducibility."""
 
+import hashlib
 import math
 import random
 
@@ -127,3 +128,70 @@ def test_child_rng_streams_are_independent():
     seq_a = [a.random() for _ in range(5)]
     assert [a2.random() for _ in range(5)] == seq_a
     assert [b.random() for _ in range(5)] != seq_a
+
+
+# -- one busy slot, pinned -------------------------------------------------
+
+
+def busy_slot():
+    """20 nodes and 30 same-slot transmissions on all four channels: data
+    and control bursts on overlapping subchannel spans, sync and feedback
+    bursts beside them. Sixteen nodes share a cluster where weak senders
+    fall below the noise floor at the far side; two remote pairs hear
+    nothing from the cluster, so some receivers hold fewer than two data bursts."""
+    rng = random.Random(2024)
+    positions = {uid: (round(rng.uniform(-400, 400), 1), round(rng.uniform(-400, 400), 1))
+                 for uid in range(1, 17)}
+    # two remote pairs: each hears its partner at most
+    positions.update({17: (5000.0, 0.0), 18: (5060.0, 0.0),
+                      19: (0.0, -5000.0), 20: (0.0, -5030.5)})
+    mib = MibSl(0, True, 0, 0)
+    txs = []
+    for i in range(30):
+        sender = rng.randint(1, 20)
+        power = rng.choice((10.0, 23.0, 23.0, 33.0))
+        kind = i % 5
+        if kind in (0, 1):
+            tx = data_tx(sender, 7, (rng.randrange(12), rng.randint(1, 3)), power, tb=i)
+        elif kind == 2:
+            tx = Transmission(sender, power, 7, Channel.PSCCH, ControlBurst(BITS),
+                              (rng.randrange(12), rng.randint(1, 2)))
+        elif kind == 3:
+            tx = Transmission(sender, power, 7, Channel.PSBCH,
+                              SsbBurst(SlssIdentity(rng.randint(0, 671), True), mib))
+        else:
+            tx = Transmission(sender, power, 7, Channel.PSFCH,
+                              FeedbackBurst(True, 0, src_l2=sender, dst_l2=1))
+        tx.seq = i + 1
+        txs.append(tx)
+    return txs, positions
+
+
+# sha256 of the (receiver, seq, rsrp repr) lines and of the collision records
+BUSY_SLOT_RECEPTIONS = "d8c474b47b35830444d3f55a610e03157b8c0a72b8508110a4f66e8813e5db31"
+BUSY_SLOT_COLLISIONS = "1e6f53e83cd20159a7c38282b4187bccccb7dd6b8545ed9542990a5ad41fe8d5"
+
+
+def test_busy_slot_receptions_and_collisions_are_pinned():
+    txs, positions = busy_slot()
+    recs, collisions = deliver(txs, positions, ChannelModel(shadowing_sigma_db=4.0),
+                               random.Random(99))
+    assert list(recs) == list(positions)
+    heard = "".join(f"{uid} {r.transmission.seq} {r.rsrp_dbm!r}\n"
+                    for uid, rs in recs.items() for r in rs)
+    lost = "".join(f"{c.receiver_id} {c.slot} {c.destroyed_seqs}\n" for c in collisions)
+    assert 100 < heard.count("\n") < 20 * 30 and lost.count("\n") > 5
+    assert hashlib.sha256(heard.encode()).hexdigest() == BUSY_SLOT_RECEPTIONS
+    assert hashlib.sha256(lost.encode()).hexdigest() == BUSY_SLOT_COLLISIONS
+
+
+def test_deliver_level_is_rsrp_at_without_shadowing():
+    txs, positions = busy_slot()
+    model = ChannelModel(noise_floor_dbm=-1000.0)
+    recs, _ = deliver(txs, positions, model, random.Random(0))
+    for uid, rs in recs.items():
+        rx, ry = positions[uid]
+        for r in rs:
+            sx, sy = positions[r.transmission.sender_id]
+            distance = max(math.hypot(rx - sx, ry - sy), 1e-3)
+            assert r.rsrp_dbm == rsrp_at(r.transmission.tx_power_dbm, distance, model)
