@@ -419,6 +419,18 @@ class Pc5Endpoint:
 
     # -- timers ----------------------------------------------------------
 
+    def next_deadline(self) -> int | None:
+        """First slot in which `tick` acts: a pending link's timeout or an
+        initiator's keepalive; None while no timer runs."""
+        deadlines = []
+        for link in self.links.values():
+            if link.phase in PRE_ESTABLISHED:
+                deadlines.append(link.started_slot + PC5_TIMEOUT_SLOTS)
+            elif link.phase == LinkPhase.ESTABLISHED and link.is_initiator:
+                deadlines.append(link.established_slot + KEEPALIVE_PERIOD_SLOTS
+                                 if link.keepalive_next is None else link.keepalive_next)
+        return min(deadlines, default=None)
+
     def tick(self, slot: int) -> tuple[list[Pc5Message], list[SecurityEvent]]:
         out: list[Pc5Message] = []
         events: list[SecurityEvent] = []

@@ -25,10 +25,9 @@ class Channel(Enum):
     PSSCH = "PSSCH"  # data (control piggybacked)
     PSFCH = "PSFCH"  # HARQ feedback
 
-    # channels taking part in the subchannel-grid capture contest
-    @property
-    def on_data_grid(self) -> bool:
-        return self in (Channel.PSCCH, Channel.PSSCH)
+
+# channels taking part in the subchannel-grid capture contest
+DATA_GRID = frozenset({Channel.PSCCH, Channel.PSSCH})
 
 
 @dataclass
@@ -108,47 +107,60 @@ def deliver(
 ) -> tuple[dict[int, list[Reception]], list[CollisionRecord]]:
     """Propagate one slot's transmissions to every other node.
 
-    Returns receptions per receiver (in transmission emission order)
-    and the collision records for destroyed data-grid receptions.
+    Returns receptions per receiver, with a key for every node (in
+    transmission emission order), and the collision records for
+    destroyed data-grid receptions, in `positions` order.
     Shadowing is drawn once per (transmission, receiver) pair in a
     fixed iteration order so runs stay reproducible.
     """
+    # rsrp_at with the model constants hoisted, in the same operation order
+    ref_loss = model.reference_loss_db
+    slope = 10.0 * model.path_loss_exponent
+    sigma = model.shadowing_sigma_db
+    floor = model.noise_floor_dbm
+    gauss, log10, hypot = rng.gauss, math.log10, math.hypot
+    nodes = list(positions.items())
     raw: dict[int, list[Reception]] = {uid: [] for uid in positions}
+    contested: dict[int, list[Reception]] = {}  # data-grid receptions per receiver
     for tx in transmissions:
-        sx, sy = positions[tx.sender_id]
-        for uid in positions:
-            if uid == tx.sender_id:
+        sender = tx.sender_id
+        sx, sy = positions[sender]
+        power = tx.tx_power_dbm
+        grid = tx.channel in DATA_GRID
+        for uid, (rx, ry) in nodes:
+            if uid == sender:
                 continue
-            rx, ry = positions[uid]
-            distance = math.hypot(rx - sx, ry - sy)
             # co-location guard: the pure formula rejects zero distance
-            distance = max(distance, 1e-3)
-            level = rsrp_at(tx.tx_power_dbm, distance, model)
-            if model.shadowing_sigma_db > 0:
-                level += rng.gauss(0.0, model.shadowing_sigma_db)
-            if level > model.noise_floor_dbm:
-                raw[uid].append(Reception(tx, level))
+            distance = max(hypot(rx - sx, ry - sy), 1e-3)
+            level = power - ref_loss - slope * log10(distance)
+            if sigma > 0:
+                level += gauss(0.0, sigma)
+            if level > floor:
+                rec = Reception(tx, level)
+                raw[uid].append(rec)
+                if grid:
+                    contested.setdefault(uid, []).append(rec)
 
     collisions: list[CollisionRecord] = []
-    out: dict[int, list[Reception]] = {}
     for uid, recs in raw.items():
-        contested = [r for r in recs if r.transmission.channel.on_data_grid]
+        grid_recs = contested.get(uid, ())
+        if len(grid_recs) < 2:
+            continue
         destroyed: set[int] = set()
-        for i in range(len(contested)):
-            for j in range(i + 1, len(contested)):
-                a, b = contested[i], contested[j]
+        for i, a in enumerate(grid_recs):
+            for b in grid_recs[i + 1:]:
                 if not a.transmission.overlaps(b.transmission):
                     continue
-                weak, strong = sorted((a, b), key=lambda r: r.rsrp_dbm)
+                weak, strong = (b, a) if b.rsrp_dbm < a.rsrp_dbm else (a, b)
                 destroyed.add(weak.transmission.seq)
                 if strong.rsrp_dbm - weak.rsrp_dbm < model.capture_threshold_db:
                     destroyed.add(strong.transmission.seq)
         if destroyed:
             collisions.append(
-                CollisionRecord(uid, contested[0].transmission.slot, tuple(sorted(destroyed)))
+                CollisionRecord(uid, grid_recs[0].transmission.slot, tuple(sorted(destroyed)))
             )
-        out[uid] = [r for r in recs if r.transmission.seq not in destroyed]
-    return out, collisions
+            raw[uid] = [r for r in recs if r.transmission.seq not in destroyed]
+    return raw, collisions
 
 
 def child_rng(seed: int, label: str) -> random.Random:

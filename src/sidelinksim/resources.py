@@ -133,25 +133,47 @@ class OccupancyMap:
         return masks
 
 
-def claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
-                    slot: int) -> list[Reservation]:
-    """Expand a decoded SCI 1-A into its reserved occurrence streams.
+@dataclass(frozen=True)
+class ClaimShape:
+    """What one SCI 1-A reserves, relative to the slot it was heard in.
 
-    The first occurrence sits at the announcement slot on the claim's
-    primary span; later same-period occurrences (time gaps) reuse that
-    span for two-per-reserve pools and the secondary start for
-    three-per-reserve pools.
+    Each span is (offset, first subchannel): the first occurrence sits
+    at offset 0 on the claim's primary span; later same-period
+    occurrences (time gaps) reuse that span for two-per-reserve pools
+    and the secondary start for three-per-reserve pools.
     """
+
+    spans: tuple[tuple[int, int], ...]
+    length: int
+    rri_slots: int
+    priority: int
+
+    @property
+    def lifetime(self) -> int:
+        """Slots an occurrence keeps blocking after its own slot."""
+        return MISS_REFRESH_LIMIT * self.rri_slots
+
+    def reservation(self, offset: int, start: int, rsrp: float, slot: int) -> Reservation:
+        return Reservation(start, self.length, slot + offset, self.rri_slots,
+                           self.priority, rsrp)
+
+
+def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
+    """Decode the frequency and time resource fields of a claim once."""
     start, length, start2 = fra_decode(
         pool.num_subchannels, pool.sl_max_num_per_reserve, sci.frequency_resource
     )
     gaps = tra_decode(pool.sl_max_num_per_reserve, sci.time_resource)
-    rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
     later_start = start if pool.sl_max_num_per_reserve == 2 else start2
-    claims = [Reservation(start, length, slot, rri, sci.priority, rsrp)]
-    for gap in gaps:
-        claims.append(Reservation(later_start, length, slot + gap, rri, sci.priority, rsrp))
-    return claims
+    return ClaimShape(((0, start),) + tuple((gap, later_start) for gap in gaps), length,
+                      pool.rri_slots(pool.period_list_ms[sci.rri_index]), sci.priority)
+
+
+def claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
+                    slot: int) -> list[Reservation]:
+    """Expand a decoded SCI 1-A heard in `slot` into its occurrence streams."""
+    shape = claim_shape(sci, pool)
+    return [shape.reservation(offset, start, rsrp, slot) for offset, start in shape.spans]
 
 
 def sense(
@@ -163,10 +185,14 @@ def sense(
 
     received holds (sci, rsrp, slot) per decoded announcement; a None
     sci stands for an undecodable one and is skipped but counted.
-    Claims below the exclusion threshold are ignored.
+    Claims below the exclusion threshold are ignored, and so is each
+    occurrence that expired before the window starts. Each distinct
+    claim object is decoded once per call; the world hands every
+    receiver the same object for the same payload.
     """
     threshold = pool.rsrp_exclusion_threshold_dbm
-    reservations: list[Reservation] = []
+    shapes: dict[int, ClaimShape] = {}
+    live: list[Reservation] = []
     skipped = 0
     for sci, rsrp, slot in received:
         if sci is None:
@@ -174,8 +200,14 @@ def sense(
             continue
         if rsrp < threshold:
             continue
-        reservations.extend(claims_from_sci(sci, pool, rsrp, slot))
-    live = [r for r in reservations if r.expiry_slot >= window_start]
+        shape = shapes.get(id(sci))
+        if shape is None:
+            shape = shapes[id(sci)] = claim_shape(sci, pool)
+        # live while slot + offset + lifetime >= window_start
+        min_offset = window_start - shape.lifetime - slot
+        for offset, start in shape.spans:
+            if offset >= min_offset:
+                live.append(shape.reservation(offset, start, rsrp, slot))
     return OccupancyMap(pool, window_start, threshold, live, skipped)
 
 

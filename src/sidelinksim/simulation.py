@@ -5,6 +5,14 @@ Slot phases, in order: identifier-privacy epochs, UE actions
 actions, radio delivery, reception dispatch, feedback closure.
 Every random draw comes from a child generator derived from the run
 seed and a fixed label, so a (scenario, seed) pair replays exactly.
+
+Idle UEs are skipped. Each UE keeps `wake`, the next slot in which it
+has work due (`UeAgent.next_wake` lists what counts), and the loop
+calls `act` and `close_feedback` only for UEs whose wake has come.
+A reception that adds work (a changed sync buffer, an outbox entry, a
+feedback candidate, a handled PC5 message) pulls the wake forward. A
+slot with nothing on air skips delivery, and only moving nodes get
+their positions recomputed.
 """
 
 from __future__ import annotations
@@ -62,6 +70,8 @@ from .sync import (
 )
 
 MAX_PROCESSES = 16
+# sync sources that pick a SyncRef from the candidate buffer
+SELECTING = (SyncSourceKind.SYNC_REF_UE, SyncSourceKind.INTERNAL_CLOCK)
 
 
 def demand_subchannels(flow: TrafficFlow, num_subchannels: int) -> int:
@@ -138,6 +148,11 @@ class UeAgent:
         self.buffer = CandidateBuffer(retention_slots=2 * cfg.ssb_period_slots)
         # buffer.changes at the last ranking; None forces the next one
         self._ranked_at: int | None = None
+        # start slot -> responders of the links this UE initiates, in link order
+        self.link_starts: dict[int, list[int]] = {}
+        for link in world.sc.links:
+            if link.initiator == spec.id:
+                self.link_starts.setdefault(link.start_slot, []).append(link.responder)
 
         policy = spec.policy
         if world.sc.defenses.policy_enforcer.enabled:
@@ -156,6 +171,53 @@ class UeAgent:
         self.outbox: dict[int, list[tuple[Channel, object]]] = {}
         self.tb_counter = 0
         self.delivered_seen: set[int] = set()
+        self.wake: int | float = 0  # next slot with work due; math.inf for none
+
+    # -- wake on work ------------------------------------------------------
+
+    def next_wake(self, after: int) -> int | float:
+        """First slot from `after` on in which this UE has work due.
+
+        Work is due in its S-SSB phase while it would send one; at a
+        ranking once its candidate buffer changed, or when the oldest
+        entry ages out (while it selects a SyncRef); at a link start and
+        a PC5 timer deadline; at each flow's next TB; at a loaded TB's
+        grant occurrence, or at once to reselect or realign the grant;
+        at each outbox slot and each feedback slot. math.inf: nothing
+        is scheduled until a reception adds work (`_wake`).
+        """
+        due = list(self.outbox)
+        if self._sends_ssb():
+            period = self.world.sc.sync.ssb_period_slots
+            due.append(after + (self.spec.id - after) % period)
+        if self.state.source in SELECTING:
+            if self.buffer.changes != self._ranked_at:
+                return after
+            expiry = self.buffer.expiry()
+            if expiry is not None:
+                due.append(expiry)
+        due.extend(start for start in self.link_starts if start >= after)
+        deadline = self.endpoint.next_deadline()
+        if deadline is not None:
+            due.append(deadline)
+        for rt in self.flows:
+            due.append(rt.next_gen_slot)
+            if rt.feedback_slot is not None:
+                due.append(rt.feedback_slot)
+            proc, g = rt.process, rt.grant
+            if proc.state == TbState.IDLE and proc.tb_id is not None:
+                usable = g is not None and g.remaining > 0 and g.next_slot >= after
+                due.append(g.next_slot if usable else after)
+        return max(after, min(due, default=math.inf))
+
+    def _wake(self, slot: int):
+        if slot < self.wake:
+            self.wake = slot
+
+    def queue_tx(self, slot: int, channel: Channel, payload):
+        """Send `payload` in `slot` (this one or later) and wake for it."""
+        self.outbox.setdefault(slot, []).append((channel, payload))
+        self._wake(slot)
 
     # -- per-slot action ---------------------------------------------------
 
@@ -178,7 +240,7 @@ class UeAgent:
 
     def _sync_step(self, slot: int, out: list[Transmission]):
         cfg = self.world.sc.sync
-        if self.state.source in (SyncSourceKind.SYNC_REF_UE, SyncSourceKind.INTERNAL_CLOCK):
+        if self.state.source in SELECTING:
             cands = self.buffer.fresh(slot)
             # The same candidates and the same reference give the same
             # decision, and re-applying a keep changes nothing; so rank
@@ -188,8 +250,7 @@ class UeAgent:
 
         if slot % cfg.ssb_period_slots != self.spec.id % cfg.ssb_period_slots:
             return
-        measured = self.state.reference.rsrp_dbm if self.state.reference else None
-        if not should_transmit_ssb(self.state, measured, cfg):
+        if not self._sends_ssb():
             return
         mib = MibSl(
             tdd_config=0,
@@ -207,6 +268,11 @@ class UeAgent:
                                 Channel.PSBCH,
                                 SsbBurst(self.state.own_slss, mib, tag)))
         self.world.metrics.bump("ssb_sent")
+
+    def _sends_ssb(self) -> bool:
+        ref = self.state.reference
+        return should_transmit_ssb(self.state, ref.rsrp_dbm if ref else None,
+                                   self.world.sc.sync)
 
     def _rank_sync_ref(self, slot: int, cands: list[SyncCandidate]):
         decision = select_sync_ref(self.state.reference, cands, self.world.sc.sync)
@@ -233,11 +299,9 @@ class UeAgent:
             self.world.event(slot, "sync_lapse", ue=self.spec.id)
 
     def _pc5_step(self, slot: int, out: list[Transmission]):
-        for link in self.world.sc.links:
-            if link.initiator == self.spec.id and link.start_slot == slot:
-                peer_l2 = self.world.l2_of(link.responder)
-                for msg in self.endpoint.initiate(peer_l2, slot):
-                    out.append(self._pc5_tx(slot, msg))
+        for responder in self.link_starts.get(slot, ()):
+            for msg in self.endpoint.initiate(self.world.l2_of(responder), slot):
+                out.append(self._pc5_tx(slot, msg))
         msgs, events = self.endpoint.tick(slot)
         for msg in msgs:
             out.append(self._pc5_tx(slot, msg))
@@ -358,8 +422,10 @@ class UeAgent:
             self.world.incidents.record(slot, "signed_ssb",
                                         rec.transmission.sender_id, "bad_tag")
             return
-        self.buffer.note(SyncCandidate(burst.slss, rec.rsrp_dbm, burst.mib, slot,
-                                       rec.transmission.sender_id))
+        stored = self.buffer.note(SyncCandidate(burst.slss, rec.rsrp_dbm, burst.mib, slot,
+                                                rec.transmission.sender_id))
+        if stored and self.state.source in SELECTING:
+            self._wake(slot + 1)  # rank the changed buffer
 
     def _note_sci(self, bits, rsrp: float, slot: int):
         cache = self.world.sci1a_cache
@@ -391,8 +457,7 @@ class UeAgent:
         fb = feedback_for_tb(crc_ok, sci2.harq_enabled, sci2.harq_process_id,
                              self.l2.current, burst.mac_src_l2)
         if fb is not None:
-            due = slot + FEEDBACK_DELAY_SLOTS
-            self.outbox.setdefault(due, []).append((Channel.PSFCH, fb))
+            self.queue_tx(slot + FEEDBACK_DELAY_SLOTS, Channel.PSFCH, fb)
             self.world.metrics.bump("feedback_sent")
 
     def _receive_pc5(self, burst: Pc5Burst, slot: int):
@@ -401,9 +466,10 @@ class UeAgent:
             return
         replies, events = self.endpoint.handle(msg, slot, self.guard)
         for reply in replies:
-            self.outbox.setdefault(slot + 1, []).append((Channel.PSSCH, Pc5Burst(message=reply)))
+            self.queue_tx(slot + 1, Channel.PSSCH, Pc5Burst(message=reply))
         for ev in events:
             self.world.security_event(self, ev)
+        self._wake(slot)  # the step may have moved a PC5 timer
 
     def _receive_feedback(self, rec, burst: FeedbackBurst, slot: int):
         if burst.dst_l2 != self.l2.current:
@@ -415,6 +481,7 @@ class UeAgent:
             observed_rsrp_dbm=rec.rsrp_dbm,
         )
         self.feedback_inbox.append((fb, burst.spoofed))
+        self._wake(slot)  # closed, or dropped, at the end of this slot
 
     # -- feedback closure ------------------------------------------------------
 
@@ -524,7 +591,12 @@ class World:
             )
             self.attackers.append(agent)
 
+        # static nodes keep their slot-0 place; only moving UEs are recomputed
         self.positions: dict[int, tuple[float, float]] = {}
+        self.moving = [agent for agent in self.agents if any(agent.spec.velocity)]
+        self._place(self.agents, 0)
+        for attacker in self.attackers:
+            self.positions[attacker.id] = attacker.cap.position
 
     # -- shared helpers ------------------------------------------------------
 
@@ -568,14 +640,12 @@ class World:
 
     # -- slot phases -----------------------------------------------------------
 
-    def _update_positions(self, slot: int):
+    def _place(self, agents: list[UeAgent], slot: int):
         t_s = slot * self.sc.pool.slot_duration_ms / 1000.0
-        for agent in self.agents:
+        for agent in agents:
             x0, y0 = agent.spec.position
             vx, vy = agent.spec.velocity
             self.positions[agent.spec.id] = (x0 + vx * t_s, y0 + vy * t_s)
-        for attacker in self.attackers:
-            self.positions[attacker.id] = attacker.cap.position
 
     def _privacy_epoch(self, slot: int):
         cfg = self.sc.defenses.privacy_randomizer
@@ -596,7 +666,7 @@ class World:
                 new, self.privacy_rng.getrandbits(32)
             )
             for msg in msgs:
-                agent.outbox.setdefault(slot, []).append((Channel.PSSCH, Pc5Burst(message=msg)))
+                agent.queue_tx(slot, Channel.PSSCH, Pc5Burst(message=msg))
             agent.endpoint.l2_id = new
             self.identity_truth[new] = agent.spec.id
             self.metrics.bump("identifier_refreshes")
@@ -622,20 +692,27 @@ class World:
             attacker.on_receptions(recs_by_receiver[attacker.id], slot)
 
     def run(self) -> MetricsReport:
+        agents = self.agents
         for slot in range(self.sc.duration_slots):
-            self._update_positions(slot)
+            if self.moving:
+                self._place(self.moving, slot)
             self._privacy_epoch(slot)
             transmissions: list[Transmission] = []
-            for agent in self.agents:
-                transmissions.extend(agent.act(slot))
+            for agent in agents:
+                if agent.wake <= slot:
+                    transmissions.extend(agent.act(slot))
             for attacker in self.attackers:
                 injected = attacker.transmissions(slot)
                 if injected:
                     self.metrics.bump("attack_frames_sent", len(injected))
                 transmissions.extend(injected)
-            self._deliver_and_dispatch(transmissions, slot)
-            for agent in self.agents:
-                agent.close_feedback(slot)
+            if transmissions:
+                self._deliver_and_dispatch(transmissions, slot)
+            # every UE that acted is still due; receptions may add more
+            for agent in agents:
+                if agent.wake <= slot:
+                    agent.close_feedback(slot)
+                    agent.wake = agent.next_wake(slot + 1)
         self._finalize()
         return self.metrics
 

@@ -193,7 +193,8 @@ class CandidateBuffer:
     entries: dict[int, SyncCandidate] = field(default_factory=dict)
     changes: int = field(default=0, init=False)
 
-    def note(self, cand: SyncCandidate):
+    def note(self, cand: SyncCandidate) -> bool:
+        """Store the candidate unless a fresh stronger one holds its id."""
         held = self.entries.get(cand.slss.slss_id)
         if (
             held is None
@@ -202,6 +203,14 @@ class CandidateBuffer:
         ):
             self.entries[cand.slss.slss_id] = cand
             self.changes += 1
+            return True
+        return False
+
+    def expiry(self) -> int | None:
+        """First slot in which `fresh` drops an entry; None when empty."""
+        if not self.entries:
+            return None
+        return min(c.received_slot for c in self.entries.values()) + self.retention_slots + 1
 
     def fresh(self, now: int) -> list[SyncCandidate]:
         floor = now - self.retention_slots

@@ -6,6 +6,7 @@ import pytest
 
 from sidelinksim.frames import Sci1A, fra_encode, tra_encode
 from sidelinksim.resources import (
+    MISS_REFRESH_LIMIT,
     OccupancyMap,
     Reservation,
     ResourcePool,
@@ -194,3 +195,53 @@ def test_reselection_counter_range():
     draws = {draw_reselection_counter(rng) for _ in range(500)}
     assert draws == set(range(5, 16))
 
+
+
+# -- sense against the per-claim expansion ----------------------------------
+
+
+def reference_sense(received, pool, window_start):
+    """Every claim expanded on its own, then the expiry filter."""
+    threshold = pool.rsrp_exclusion_threshold_dbm
+    claims = [c for sci, rsrp, slot in received
+              if sci is not None and rsrp >= threshold
+              for c in claims_from_sci(sci, pool, rsrp, slot)]
+    live = [c for c in claims if c.expiry_slot >= window_start]
+    return OccupancyMap(pool, window_start, threshold, live,
+                        sum(sci is None for sci, _, _ in received))
+
+
+@pytest.mark.parametrize("pool, gaps", [
+    (POOL, ()), (POOL, (7,)), (POOL3, ()), (POOL3, (4,)), (POOL3, (4, 11)),
+], ids=["reserve2-0gap", "reserve2-1gap", "reserve3-0gap", "reserve3-1gap", "reserve3-2gap"])
+def test_sense_matches_claim_expansion_table(pool, gaps):
+    n, reserve = pool.num_subchannels, pool.sl_max_num_per_reserve
+    rng = random.Random(f"{reserve}:{gaps}")
+    scis = []
+    for rri_index in range(len(pool.period_list_ms)):
+        length = rng.randint(1, n)
+        fr = fra_encode(n, reserve, rng.randint(0, n - length), length,
+                        rng.randint(0, n - length))
+        scis.append(Sci1A(priority=rng.randint(0, 7), frequency_resource=fr,
+                          time_resource=tra_encode(reserve, gaps),
+                          rri_index=rri_index, mcs=9))
+    window_start = 2000
+    received = []
+    for slot in range(0, window_start, 7):
+        sci = rng.choice(scis)
+        twin = Sci1A(**vars(sci))  # equal claim, another object
+        received.append((rng.choice((sci, sci, twin, None)),
+                         rng.choice((-60.0, -99.5, -100.0, -100.5, -120.0)), slot))
+    # occurrences whose expiry falls on either side of the window start
+    for sci in scis:
+        life = MISS_REFRESH_LIMIT * pool.rri_slots(pool.period_list_ms[sci.rri_index])
+        for offset in (0, *gaps):
+            for edge in (window_start - 1, window_start):
+                received.append((sci, -70.0, edge - life - offset))
+    received.sort(key=lambda entry: entry[2])
+    got = sense(received, pool, window_start)
+    want = reference_sense(received, pool, window_start)
+    assert got == want
+    assert got.skipped_scis > 0 and 0 < len(got.reservations) < len(
+        [c for sci, _, slot in received if sci is not None
+         for c in claims_from_sci(sci, pool, -70.0, slot)])

@@ -13,6 +13,7 @@ from sidelinksim.bits import BitString
 from sidelinksim.frames import MibSl, Sci1A, SlssIdentity
 from sidelinksim.harq import DataBurst
 from sidelinksim.metrics import event_line
+from sidelinksim.resources import sense
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import World, run_scenario
 from sidelinksim.sync import SyncCandidate, SyncSourceKind
@@ -234,6 +235,21 @@ def test_sensing_prefix_prune_equals_the_filter():
         agent.sensing = list(entries)
         agent.act(horizon + window)
         assert agent.sensing == [e for e in entries if e[2] >= horizon]
+
+
+def test_sensing_window_drops_claims_sense_would_still_project():
+    # a 1000 ms claim stays live for two periods, longer than the
+    # 1100-slot sensing window: the prune in act, not sense, drops it
+    world = lone_ue_world()
+    agent = world.agents[0]
+    pool = world.sc.pool
+    sci = Sci1A(priority=1, frequency_resource=0, time_resource=0,
+                rri_index=pool.period_list_ms.index(1000), mcs=9)
+    slot = 100 + pool.sensing_window_slots + 1
+    agent.sensing = [(sci, -60.0, 100)]
+    assert sense(agent.sensing, pool, slot + 1).reservations
+    agent.act(slot)
+    assert agent.sensing == []
 
 
 def _sync_trace(seed, min_hyst_db, rank_every_slot):

@@ -1,0 +1,143 @@
+"""Wake on work: skipping idle UEs changes no output byte.
+
+The oracle run makes every UE due in every slot by replacing
+`UeAgent.next_wake`, so `act` and `close_feedback` run for each UE in
+each slot, as a loop without wake values would. Both runs must write
+the same metrics.csv and events.jsonl.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+from sidelinksim.frames import Pc5Message, Pc5MessageKind as K
+from sidelinksim.metrics import event_line
+from sidelinksim.pc5 import KEEPALIVE_PERIOD_SLOTS, PC5_TIMEOUT_SLOTS, LinkPhase, Pc5Burst
+from sidelinksim.radio import Channel, Reception, Transmission
+from sidelinksim.scenario import load_scenario, parse_scenario
+from sidelinksim.simulation import UeAgent, World
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+
+_spec = importlib.util.spec_from_file_location("bench_workloads",
+                                               ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def moving_ues():
+    """Four UEs driving through a static pair at up to 30 m/s, with
+    shadowing: received power, and so sync ranking, sensing and
+    feedback, changes as they move."""
+    ues = [{"id": 1, "position": [0, 0], "role": "gnss_visible"},
+           {"id": 2, "position": [60, 0]},
+           {"id": 3, "position": [-400, 20], "velocity": [30, 0]},
+           {"id": 4, "position": [400, -20], "velocity": [-25, 5]},
+           {"id": 5, "position": [0, 300], "velocity": [0, -20]},
+           {"id": 6, "position": [-200, -200], "velocity": [12.5, 12.5]}]
+    return parse_scenario({
+        "name": "moving", "seed": 8, "duration_slots": 1500, "ues": ues,
+        "channel": {"shadowing_sigma_db": 3.0, "tb_error_rate": 0.1},
+        "pool": {"period_list_ms": [20, 100, 1000]},
+        "traffic": [
+            {"src": 3, "dst": 2, "period_slots": 50, "rri_ms": 100},
+            {"src": 4, "dst": "broadcast", "period_slots": 100, "rri_ms": 100, "harq": False},
+            {"src": 5, "dst": 6, "period_slots": 40, "start_slot": 7, "rri_ms": 20},
+            {"src": 2, "dst": 4, "period_slots": 30, "start_slot": 3, "rri_ms": 20},
+        ],
+        "links": [{"initiator": 3, "responder": 2, "start_slot": 5}],
+    })
+
+
+def early_spoof():
+    """Spoofed NACKs land a slot before the feedback slot, when the TB
+    sender has nothing else due: they must be dropped, not kept for the
+    closure a slot later."""
+    raw = workloads.unicast_harq(1, pairs=3, duration_slots=700)
+    raw["attacks"][0]["params"] = {"slot_offset": -1}
+    return parse_scenario(raw)
+
+
+def pc5_timers():
+    """One link that establishes and reaches its first keepalive, and
+    one whose responder is out of range, so its request times out."""
+    return parse_scenario({
+        "name": "pc5_timers", "seed": 4, "duration_slots": 2100,
+        "ues": [{"id": 1, "position": [0, 0]}, {"id": 2, "position": [50, 0]},
+                {"id": 3, "position": [20000, 0]}],
+        "links": [{"initiator": 1, "responder": 2, "start_slot": 10},
+                  {"initiator": 1, "responder": 3, "start_slot": 30}],
+    })
+
+
+CASES = {
+    **{f"catalog:{p.stem}": (lambda p=p: load_scenario(p))
+       for p in sorted(SCENARIO_DIR.glob("*.yaml"))},
+    **{f"dense_broadcast:{seed}": (lambda seed=seed: parse_scenario(
+        workloads.dense_broadcast(seed, num_ues=16, duration_slots=300)))
+       for seed in (1, 2, 3)},
+    **{f"unicast_harq:{seed}": (lambda seed=seed: parse_scenario(
+        workloads.unicast_harq(seed, pairs=3, duration_slots=700)))
+       for seed in (1, 2, 3)},
+    "unicast_harq:early_spoof": early_spoof,
+    "moving": moving_ues,
+    "pc5_timers": pc5_timers,
+}
+
+
+def run_bytes(world: World) -> str:
+    report = world.run()
+    return report.to_csv() + "".join(event_line(e) + "\n" for e in world.events)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_skipping_idle_ues_matches_every_slot(monkeypatch, name):
+    woken = run_bytes(World(CASES[name]()))
+    with monkeypatch.context() as m:
+        m.setattr(UeAgent, "next_wake", lambda self, after: after)
+        every_slot = run_bytes(World(CASES[name]()))
+    assert woken == every_slot
+
+
+def test_pc5_timers_fire_while_idle_ues_sleep(monkeypatch):
+    acts = []
+    act = UeAgent.act
+    monkeypatch.setattr(UeAgent, "act", lambda self, slot: acts.append(slot) or act(self, slot))
+    world = World(pc5_timers())
+    world.run()
+    links = world.by_id[1].endpoint.links
+    (link,) = links.values()  # the unreachable one timed out and is gone
+    assert link.phase == LinkPhase.ESTABLISHED
+    assert link.keepalive_next == link.established_slot + 2 * KEEPALIVE_PERIOD_SLOTS
+    assert link.keepalive_misses == 0  # the probe was answered
+    timeouts = [e for e in world.events if e.get("cause") == "timeout"]
+    assert [e["slot"] for e in timeouts] == [30 + 64]
+    # three UEs for 2100 slots: the wake skips nearly all of them
+    assert len(acts) < 3 * 2100 / 4
+
+
+def test_only_moving_nodes_change_place():
+    world = World(moving_ues())
+    before = dict(world.positions)
+    world.run()
+    t_s = (world.sc.duration_slots - 1) * world.sc.pool.slot_duration_ms / 1000.0
+    for agent in world.agents:
+        (x0, y0), (vx, vy) = agent.spec.position, agent.spec.velocity
+        assert world.positions[agent.spec.id] == (x0 + vx * t_s, y0 + vy * t_s)
+        moved = world.positions[agent.spec.id] != before[agent.spec.id]
+        assert moved == (agent in world.moving) == any(agent.spec.velocity)
+
+
+def test_a_handled_pc5_message_wakes_the_ue():
+    world = World(pc5_timers())
+    ue, peer = world.by_id[1], world.l2_of(2)
+    ue.endpoint.initiate(peer, 5)
+    assert ue.endpoint.next_deadline() == 5 + PC5_TIMEOUT_SLOTS
+    ue.wake = math.inf
+    reject = Pc5Message(K.ESTABLISHMENT_REJECT, peer, ue.l2.current, 1, {"cause": "congestion"})
+    ue.receive(Reception(Transmission(2, 23.0, 7, Channel.PSSCH, Pc5Burst(reject)), -60.0), 7)
+    assert ue.endpoint.links == {} and ue.endpoint.next_deadline() is None
+    assert ue.wake == 7  # its timers are recomputed at the end of this slot
