@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -28,6 +29,8 @@ class Channel(Enum):
 
 # channels taking part in the subchannel-grid capture contest
 DATA_GRID = frozenset({Channel.PSCCH, Channel.PSSCH})
+# 2 pi as `random.Random.gauss` computes it
+TWOPI = 2.0 * math.pi
 
 
 @dataclass
@@ -42,6 +45,8 @@ class ChannelModel:
     def __post_init__(self):
         if self.path_loss_exponent < 2:
             raise ValueError(f"path loss exponent {self.path_loss_exponent} below 2")
+        if self.shadowing_sigma_db < 0:
+            raise ValueError(f"shadowing_sigma_db {self.shadowing_sigma_db} below 0")
         if not 0 <= self.tb_error_rate <= 1:
             raise ValueError(f"tb_error_rate {self.tb_error_rate} outside [0, 1]")
 
@@ -99,47 +104,80 @@ class CollisionRecord:
     destroyed_seqs: tuple[int, ...]
 
 
+# a sender's receivers, in `positions` order, and the path loss to each
+PathLossRow = tuple[tuple[int, ...], array]
+
+
+def path_loss_row(sender: int, positions: dict[int, tuple[float, float]],
+                  model: ChannelModel) -> PathLossRow:
+    """Receivers of `sender` in `positions` order, and the path loss to each."""
+    slope = 10.0 * model.path_loss_exponent
+    log10, hypot = math.log10, math.hypot
+    sx, sy = positions[sender]
+    receivers = tuple(uid for uid in positions if uid != sender)
+    # co-location guard: the pure formula rejects zero distance
+    losses = array("d", [slope * log10(max(hypot(rx - sx, ry - sy), 1e-3))
+                         for rx, ry in map(positions.__getitem__, receivers)])
+    return receivers, losses
+
+
 def deliver(
     transmissions: list[Transmission],
     positions: dict[int, tuple[float, float]],
     model: ChannelModel,
     rng: random.Random,
+    losses: dict[int, PathLossRow] | None = None,
 ) -> tuple[dict[int, list[Reception]], list[CollisionRecord]]:
     """Propagate one slot's transmissions to every other node.
 
     Returns receptions per receiver, with a key for every node (in
     transmission emission order), and the collision records for
     destroyed data-grid receptions, in `positions` order.
-    Shadowing is drawn once per (transmission, receiver) pair in a
-    fixed iteration order so runs stay reproducible.
+
+    `losses` caches one `path_loss_row` per sender; a missing row is
+    built on that sender's first transmission. The caller owns the
+    cache and must clear it whenever a node moves; without one, rows
+    last for this call. Shadowing is drawn once per (transmission,
+    receiver) pair, transmissions in order and receivers in
+    `positions` order, so runs stay reproducible. The draw is
+    `rng.gauss(0.0, sigma)` inlined: the same Box-Muller pair, with the
+    spare value read from and handed back to `rng.gauss_next`.
     """
     # rsrp_at with the model constants hoisted, in the same operation order
     ref_loss = model.reference_loss_db
-    slope = 10.0 * model.path_loss_exponent
     sigma = model.shadowing_sigma_db
     floor = model.noise_floor_dbm
-    gauss, log10, hypot = rng.gauss, math.log10, math.hypot
-    nodes = list(positions.items())
+    if losses is None:
+        losses = {}
+    rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
+    spare = rng.gauss_next
     raw: dict[int, list[Reception]] = {uid: [] for uid in positions}
     contested: dict[int, list[Reception]] = {}  # data-grid receptions per receiver
-    for tx in transmissions:
-        sender = tx.sender_id
-        sx, sy = positions[sender]
-        power = tx.tx_power_dbm
-        grid = tx.channel in DATA_GRID
-        for uid, (rx, ry) in nodes:
-            if uid == sender:
-                continue
-            # co-location guard: the pure formula rejects zero distance
-            distance = max(hypot(rx - sx, ry - sy), 1e-3)
-            level = power - ref_loss - slope * log10(distance)
-            if sigma > 0:
-                level += gauss(0.0, sigma)
-            if level > floor:
-                rec = Reception(tx, level)
-                raw[uid].append(rec)
-                if grid:
-                    contested.setdefault(uid, []).append(rec)
+    try:
+        for tx in transmissions:
+            sender = tx.sender_id
+            row = losses.get(sender)
+            if row is None:
+                row = losses[sender] = path_loss_row(sender, positions, model)
+            base = tx.tx_power_dbm - ref_loss
+            grid = tx.channel in DATA_GRID
+            for uid, loss in zip(*row):
+                level = base - loss
+                if sigma > 0:
+                    z, spare = spare, None
+                    if z is None:
+                        x2pi = rand() * TWOPI
+                        g2rad = sqrt(-2.0 * log(1.0 - rand()))
+                        z = cos(x2pi) * g2rad
+                        spare = sin(x2pi) * g2rad
+                    level += 0.0 + z * sigma
+                if level > floor:
+                    rec = Reception(tx, level)
+                    raw[uid].append(rec)
+                    if grid:
+                        contested.setdefault(uid, []).append(rec)
+    finally:
+        rng.gauss_next = spare
 
     collisions: list[CollisionRecord] = []
     for uid, recs in raw.items():

@@ -188,10 +188,14 @@ def sense(
     Claims below the exclusion threshold are ignored, and so is each
     occurrence that expired before the window starts. Each distinct
     claim object is decoded once per call; the world hands every
-    receiver the same object for the same payload.
+    receiver the same object for the same payload. An entry heard
+    before its claim's first live slot, where even the latest
+    occurrence has expired, is skipped with one comparison.
     """
     threshold = pool.rsrp_exclusion_threshold_dbm
-    shapes: dict[int, ClaimShape] = {}
+    # id(claim) -> (shape, first slot in which a heard claim still has a
+    # live occurrence)
+    shapes: dict[int, tuple[ClaimShape, int]] = {}
     live: list[Reservation] = []
     skipped = 0
     for sci, rsrp, slot in received:
@@ -200,9 +204,15 @@ def sense(
             continue
         if rsrp < threshold:
             continue
-        shape = shapes.get(id(sci))
-        if shape is None:
-            shape = shapes[id(sci)] = claim_shape(sci, pool)
+        try:
+            shape, first_live = shapes[id(sci)]
+        except KeyError:
+            shape = claim_shape(sci, pool)
+            latest = max(offset for offset, _ in shape.spans)
+            first_live = window_start - shape.lifetime - latest
+            shapes[id(sci)] = shape, first_live
+        if slot < first_live:
+            continue
         # live while slot + offset + lifetime >= window_start
         min_offset = window_start - shape.lifetime - slot
         for offset, start in shape.spans:

@@ -13,6 +13,11 @@ A reception that adds work (a changed sync buffer, an outbox entry, a
 feedback candidate, a handled PC5 message) pulls the wake forward. A
 slot with nothing on air skips delivery, and only moving nodes get
 their positions recomputed.
+
+Reception costs one cached path-loss row per sender: the world keeps
+the rows `deliver` builds and drops them all in any slot in which a
+node moves. Each UE that heard something gets one `receive` call per
+slot with its whole reception list.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .harq import (
 )
 from .metrics import MetricsReport
 from .pc5 import BROADCAST_L2, L2Identity, Pc5Burst, Pc5Endpoint, refresh_identifier
-from .radio import Channel, Transmission, child_rng, deliver
+from .radio import Channel, PathLossRow, Reception, Transmission, child_rng, deliver
 from .resources import (
     ControlBurst,
     Selection,
@@ -398,19 +403,27 @@ class UeAgent:
 
     # -- reception ----------------------------------------------------------
 
-    def receive(self, rec, slot: int):
-        payload = rec.transmission.payload
-        if isinstance(payload, SsbBurst):
-            self._receive_ssb(rec, payload, slot)
-        elif isinstance(payload, DataBurst):
-            self._note_sci(payload.sci1_bits, rec.rsrp_dbm, slot)
-            self._receive_data(rec, payload, slot)
-        elif isinstance(payload, ControlBurst):
-            self._note_sci(payload.sci1_bits, rec.rsrp_dbm, slot)
-        elif isinstance(payload, Pc5Burst):
-            self._receive_pc5(payload, slot)
-        elif isinstance(payload, FeedbackBurst):
-            self._receive_feedback(rec, payload, slot)
+    def receive(self, recs: list[Reception], slot: int):
+        """Handle every reception this UE heard in `slot`, in emission order."""
+        cache = self.world.sci1a_cache
+        sensing = self.sensing
+        for rec in recs:
+            payload = rec.transmission.payload
+            kind = type(payload)
+            if kind is DataBurst or kind is ControlBurst:
+                bits = payload.sci1_bits
+                try:
+                    sensing.append((cache[bits.data, bits.bit_length], rec.rsrp_dbm, slot))
+                except KeyError:
+                    self._note_sci(bits, rec.rsrp_dbm, slot)
+                if kind is DataBurst:
+                    self._receive_data(rec, payload, slot)
+            elif kind is SsbBurst:
+                self._receive_ssb(rec, payload, slot)
+            elif kind is Pc5Burst:
+                self._receive_pc5(payload, slot)
+            elif kind is FeedbackBurst:
+                self._receive_feedback(rec, payload, slot)
 
     def _receive_ssb(self, rec, burst: SsbBurst, slot: int):
         signed = self.world.sc.defenses.signed_ssb
@@ -427,16 +440,17 @@ class UeAgent:
         if stored and self.state.source in SELECTING:
             self._wake(slot + 1)  # rank the changed buffer
 
-    def _note_sci(self, bits, rsrp: float, slot: int):
+    def _note_sci(self, bits: BitString, rsrp: float, slot: int):
         cache = self.world.sci1a_cache
+        key = (bits.data, bits.bit_length)
         try:
-            sci = cache[bits]
+            sci = cache[key]
         except KeyError:
             try:
                 sci = Sci1A.decode(self.world.sc.pool, bits)
             except ValueError:
                 sci = None
-            cache[bits] = sci
+            cache[key] = sci
         self.sensing.append((sci, rsrp, slot))
 
     def _receive_data(self, rec, burst: DataBurst, slot: int):
@@ -559,12 +573,16 @@ class World:
         self.selection_log: list[SelectionRecord] = []
         self.tb_log: list[TbOutcome] = []
         self._tx_seq = 0
-        # SCI 1-A bits -> decoded claim, None for a malformed payload. A
-        # claim's content depends only on its bits and the pool, and only
-        # its RSRP on the receiver (TS 38.214 8.1.4), so each distinct
-        # payload heard is decoded once per world and every receiver's
-        # sensing list shares the (frozen) result.
-        self.sci1a_cache: dict[BitString, Sci1A | None] = {}
+        # SCI 1-A bits, as (data, bit_length), -> decoded claim, None for
+        # a malformed payload. A claim's content depends only on its bits
+        # and the pool, and only its RSRP on the receiver (TS 38.214
+        # 8.1.4), so each distinct payload heard is decoded once per world
+        # and every receiver's sensing list shares the (frozen) result.
+        # The tuple key compares like BitString equality but hashes in C.
+        self.sci1a_cache: dict[tuple[bytes, int], Sci1A | None] = {}
+        # sender -> its path-loss row (`radio.path_loss_row`), built on
+        # the sender's first transmission and dropped when any node moves
+        self.path_loss: dict[int, PathLossRow] = {}
 
         self.agents: list[UeAgent] = [UeAgent(spec, self) for spec in scenario.ues]
         self.by_id = {a.spec.id: a for a in self.agents}
@@ -677,7 +695,8 @@ class World:
             self._tx_seq += 1
             tx.seq = self._tx_seq
         recs_by_receiver, collisions = deliver(
-            transmissions, self.positions, self.sc.channel, self.channel_rng
+            transmissions, self.positions, self.sc.channel, self.channel_rng,
+            self.path_loss,
         )
         for record in collisions:
             self.metrics.bump("collision_count", len(record.destroyed_seqs),
@@ -686,8 +705,9 @@ class World:
                        destroyed=len(record.destroyed_seqs))
         # deliver keeps emission order, which is also seq order
         for agent in self.agents:
-            for rec in recs_by_receiver[agent.spec.id]:
-                agent.receive(rec, slot)
+            recs = recs_by_receiver[agent.spec.id]
+            if recs:
+                agent.receive(recs, slot)
         for attacker in self.attackers:
             attacker.on_receptions(recs_by_receiver[attacker.id], slot)
 
@@ -696,6 +716,7 @@ class World:
         for slot in range(self.sc.duration_slots):
             if self.moving:
                 self._place(self.moving, slot)
+                self.path_loss.clear()
             self._privacy_epoch(slot)
             transmissions: list[Transmission] = []
             for agent in agents:

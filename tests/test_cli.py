@@ -132,7 +132,9 @@ OUT_OF_RANGE = {
     TINY + "pool: {slot_duration_ms: 0}\n",
     TINY + "pool: {threshold_step_db: 0.0}\n",
     TINY + "pool: {threshold_step_db: -3.0}\n",
-], ids=[*OUT_OF_RANGE, "slot_duration_ms", "threshold_step_db_zero", "threshold_step_db_negative"])
+    TINY + "channel: {shadowing_sigma_db: -4.0}\n",
+], ids=[*OUT_OF_RANGE, "slot_duration_ms", "threshold_step_db_zero",
+        "threshold_step_db_negative", "shadowing_sigma_db_negative"])
 def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     # signed beacons make the sync injector encode its tdd_config

@@ -121,6 +121,29 @@ def test_shadowing_is_reproducible():
     assert r3[2][0].rsrp_dbm != r1[2][0].rsrp_dbm
 
 
+def test_shadowing_draws_match_random_gauss():
+    sigma = 4.0
+    model = ChannelModel(shadowing_sigma_db=sigma, noise_floor_dbm=-1000.0)
+    positions = {1: (0.0, 0.0), 2: (40.0, 10.0), 3: (-70.0, 25.0), 4: (15.0, -90.0)}
+    rng, reference = random.Random(5), random.Random(5)
+    # 1, 3 and 5 feedback bursts (no capture contest), 3 receivers each: odd
+    # pair counts, so the spare Box-Muller value carries across the calls
+    for count in (1, 3, 5):
+        txs = [Transmission(1 + i % 4, 23.0 - i, 0, Channel.PSFCH,
+                            FeedbackBurst(True, 0, src_l2=1, dst_l2=2))
+               for i in range(count)]
+        recs, _ = deliver(txs, positions, model, rng)
+        heard = {(uid, id(r.transmission)): r.rsrp_dbm for uid, rs in recs.items() for r in rs}
+        assert len(heard) == 3 * count
+        for tx in txs:  # draws go transmission by transmission, receivers in order
+            sx, sy = positions[tx.sender_id]
+            for uid, (rx, ry) in positions.items():
+                if uid != tx.sender_id:
+                    level = rsrp_at(tx.tx_power_dbm, math.hypot(rx - sx, ry - sy), model)
+                    assert heard[uid, id(tx)] == level + reference.gauss(0.0, sigma)
+    assert rng.getstate() == reference.getstate()
+
+
 def test_child_rng_streams_are_independent():
     a = child_rng(1234, "alpha")
     b = child_rng(1234, "beta")

@@ -136,6 +136,7 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("harq_spoof_nack", "pool.slot_duration_ms", 0),
     ("harq_spoof_nack", "pool.threshold_step_db", 0.0),
     ("harq_spoof_nack", "pool.threshold_step_db", -3.0),
+    ("harq_spoof_nack", "channel.shadowing_sigma_db", -4.0),
 ])
 def test_out_of_range_value_is_an_error(kind, dotted, value):
     raw = with_value(dotted, value)

@@ -1,9 +1,10 @@
 """Whole-run behavior: determinism, accounting, defense neutrality."""
 
 import hashlib
+import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from sidelinksim.bits import BitString
 from sidelinksim.frames import MibSl, Sci1A, SlssIdentity
 from sidelinksim.harq import DataBurst
 from sidelinksim.metrics import event_line
+from sidelinksim.radio import rsrp_at
 from sidelinksim.resources import sense
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import World, run_scenario
@@ -220,7 +222,36 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
     b._note_sci(BitString(b"\x00", 8), -70.0, 6)
     assert a.sensing[-1][0] is None and b.sensing[-1][0] is None
     assert len(decoded) == 2
-    assert world.sci1a_cache == {sci.encode(pool): sci, wrong_length: None}
+    assert world.sci1a_cache == {astuple(sci.encode(pool)): sci, astuple(wrong_length): None}
+
+
+def test_cached_path_loss_follows_moving_nodes(monkeypatch):
+    # no shadowing, so every level is the log-distance value at the
+    # positions of its own slot; a path-loss row kept from an earlier
+    # slot would give the old distance
+    world = World(parse_scenario({
+        "name": "moving", "seed": 2, "duration_slots": 300,
+        "ues": [{"id": 1, "position": [-300, 0], "velocity": [400, 50],
+                 "role": "gnss_visible"},
+                {"id": 2, "position": [0, 0]}, {"id": 3, "position": [90, -60]}],
+        "traffic": [{"src": 1, "dst": "broadcast", "period_slots": 20, "harq": False},
+                    {"src": 2, "dst": 3, "period_slots": 25, "start_slot": 5}],
+    }))
+    heard = []
+    deliver = simulation.deliver
+
+    def recording(transmissions, positions, *args):
+        recs, collisions = deliver(transmissions, positions, *args)
+        heard.extend((dict(positions), uid, r) for uid, rs in recs.items() for r in rs)
+        return recs, collisions
+
+    monkeypatch.setattr(simulation, "deliver", recording)
+    world.run()
+    assert len({r.transmission.slot for _, _, r in heard}) > 10
+    for positions, uid, r in heard:
+        (sx, sy), (rx, ry) = positions[r.transmission.sender_id], positions[uid]
+        assert r.rsrp_dbm == rsrp_at(r.transmission.tx_power_dbm,
+                                     math.hypot(rx - sx, ry - sy), world.sc.channel)
 
 
 def test_sensing_prefix_prune_equals_the_filter():
