@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 
 from .defense import sign_ssb
 from .frames import (
@@ -534,8 +536,9 @@ def permutation_f1_baseline(predicted_clusters: list[set[int]], truth: dict[int,
         rng.shuffle(shuffled)
         null_truth = dict(zip(ids, shuffled))
         scores.append(precision_recall_f1(predicted, pairs_from_truth(null_truth))["f1"])
-    mean = sum(scores) / len(scores)
-    var = sum((s - mean) ** 2 for s in scores) / len(scores)
+    # left-to-right float sums, as the built-in sum gives only before Python 3.12
+    mean = reduce(add, scores, 0.0) / len(scores)
+    var = reduce(add, ((s - mean) ** 2 for s in scores), 0.0) / len(scores)
     return mean, var ** 0.5
 
 

@@ -6,7 +6,9 @@
     slsim validate scenario.yaml
     slsim list-attacks
 
-Exit codes: 0 success, 1 scenario/usage problem, 2 runtime failure.
+Exit codes: 0 success, 1 scenario/usage problem, 2 runtime failure. A
+scenario file that is missing, unreadable (a directory, say) or not UTF-8
+is a scenario/usage problem, and so is an --out path that cannot be written.
 Set SLSIM_LOG=debug (or info/warning) for progress logging on stderr.
 """
 
@@ -145,6 +147,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FileNotFoundError as err:
         print(f"not found: {err.filename}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        print(f"cannot access: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # pragma: no cover - last-resort diagnostics
         log.exception("run failed")

@@ -29,6 +29,9 @@ from .sync import SyncConfig
 MAX_SEED = (1 << 64) - 1
 ATTACKER_ID_BASE = 9000
 UE_ROLES = ("legit", "gnode_b", "gnss_visible")
+# libyaml's C loader where pyyaml was built with it. It shares SafeLoader's
+# constructor and resolver, so both build the same objects from a file.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
@@ -404,9 +407,15 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Load and validate a scenario file.
+
+    The loader decodes the bytes itself, so a file that is not UTF-8 is a
+    ScenarioError like any other malformed YAML. OSError from reading the
+    file propagates.
+    """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_bytes(), Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"{path}: {exc}"]) from exc
     return parse_scenario(raw, default_name=path.stem)

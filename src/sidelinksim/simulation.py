@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 
 from .adversary import AttackerAgent, TrackerAgent, build_attacker
 from .bits import BitString
@@ -458,7 +459,9 @@ class UeAgent:
         broadcast = burst.mac_dst_l2 == BROADCAST_L2
         if not mine and not broadcast:
             return
-        crc_ok = self.world.crc_rng.random() >= self.world.sc.channel.tb_error_rate
+        # crc_rng feeds nothing else, so an error-free channel skips the draw
+        error_rate = self.world.sc.channel.tb_error_rate
+        crc_ok = error_rate == 0 or self.world.crc_rng.random() >= error_rate
         if crc_ok and burst.tb_id not in self.delivered_seen:
             self.delivered_seen.add(burst.tb_id)
             self.world.metrics.bump("receiver_delivered", slot=slot)
@@ -753,7 +756,10 @@ class World:
             if self.by_id[rec.ue_id].spec.role == "legit"
         ]
         if ratios:
-            self.metrics.gauge("candidate_set_ratio", sum(ratios) / len(ratios))
+            # left to right: from Python 3.12 the built-in sum compensates float
+            # rounding, which would make the output bytes depend on the version
+            mean = reduce(add, ratios, 0.0) / len(ratios)
+            self.metrics.gauge("candidate_set_ratio", mean)
         for attacker in self.attackers:
             if isinstance(attacker, TrackerAgent):
                 truth = {

@@ -149,6 +149,23 @@ def test_missing_file_is_exit_1(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_exit_1_for_validate_and_run(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(b"a: \xff\n")
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "scenario error" in err and str(bad) in err
+
+
+def test_directory_path_is_exit_1_for_validate_and_run(tmp_path, capsys):
+    for command in ("validate", "run"):
+        assert main([command, str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot access: ") and str(tmp_path) in err
+        assert len(err.splitlines()) == 1
+
+
 def test_list_attacks_prints_catalog(capsys):
     assert main(["list-attacks"]) == 0
     out = capsys.readouterr().out

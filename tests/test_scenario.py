@@ -4,12 +4,14 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from sidelinksim.adversary import AttackKind
 from sidelinksim.pc5 import PolicyLevel
 from sidelinksim.scenario import (
     ATTACKER_ID_BASE,
     Scenario,
+    YAML_LOADER,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -283,3 +285,12 @@ def test_shipped_catalog_parses():
         sc = load_scenario(f)
         assert sc.duration_slots > 0
         assert sc.ues
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_loader_matches_pure_python_safe_loader(path):
+    # SafeLoader is the fallback where pyyaml lacks libyaml, and the reference here.
+    # repr also tells 1 from 1.0 from True and checks key order.
+    data = path.read_bytes()
+    reference = yaml.load(data, Loader=yaml.SafeLoader)
+    assert repr(yaml.load(data, Loader=YAML_LOADER)) == repr(reference)
