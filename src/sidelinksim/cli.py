@@ -8,7 +8,8 @@
 
 Exit codes: 0 success, 1 scenario/usage problem, 2 runtime failure. A
 scenario file that is missing, unreadable (a directory, say) or not UTF-8
-is a scenario/usage problem, and so is an --out path that cannot be written.
+is a scenario/usage problem, and so are an --out path that cannot be
+written and a malformed --seeds value.
 Set SLSIM_LOG=debug (or info/warning) for progress logging on stderr.
 """
 
@@ -34,12 +35,23 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+class UsageError(ValueError):
+    """A malformed command-line value (exit 1)."""
+
+
 def _parse_seeds(text: str) -> list[int]:
     """Accept "3", "1,4,9", or an inclusive range "1:10"."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise UsageError(f'--seeds {text!r}: expected "3", "1,4,9" or "1:10"') from None
+    if not seeds:
+        raise UsageError(f"--seeds {text!r}: no seeds given")
+    return seeds
 
 
 def _write_outputs(out_dir: Path, report: MetricsReport, events: list[dict]):
@@ -59,11 +71,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    scenario = load_scenario(args.scenario)
     seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        print("no seeds given", file=sys.stderr)
-        return 1
+    scenario = load_scenario(args.scenario)
     for seed in seeds:
         report, events, _ = run_scenario(scenario, seed=seed)
         if args.out:
@@ -141,9 +150,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ScenarioError as err:
-        print(f"scenario error: {err}", file=sys.stderr)
+        print("scenario error:", file=sys.stderr)
         for problem in err.problems:
             print(f"  - {problem}", file=sys.stderr)
+        return 1
+    except UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
         return 1
     except FileNotFoundError as err:
         print(f"not found: {err.filename}", file=sys.stderr)

@@ -67,6 +67,9 @@ GAUGE_METRICS = (
     "tracking_f1",
 )
 
+# names `bump` accepts
+COUNTER_METRICS = frozenset(METRIC_ORDER).difference(GAUGE_METRICS)
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -96,12 +99,12 @@ class MetricsReport:
             self.series.setdefault(name, [])
 
     def bump(self, name: str, amount: int = 1, slot: int = 0):
-        if name not in self.totals or name in GAUGE_METRICS:
+        if name not in COUNTER_METRICS:
             raise KeyError(f"unknown counter metric {name!r}")
         self.totals[name] += amount
-        if name in self.series:
+        buckets = self.series.get(name)
+        if buckets is not None:
             bucket = slot // self.bucket_slots
-            buckets = self.series[name]
             while len(buckets) <= bucket:
                 buckets.append(0)
             buckets[bucket] += amount

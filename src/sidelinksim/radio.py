@@ -142,6 +142,12 @@ def deliver(
     `positions` order, so runs stay reproducible. The draw is
     `rng.gauss(0.0, sigma)` inlined: the same Box-Muller pair, with the
     spare value read from and handed back to `rng.gauss_next`.
+
+    Whether two transmissions overlap does not depend on the receiver,
+    so the capture contest is found once per slot: the overlapping
+    pairs among the data-grid transmissions. A slot without one keeps
+    no levels for it; otherwise each receiver judges only the pairs it
+    heard both halves of.
     """
     # rsrp_at with the model constants hoisted, in the same operation order
     ref_loss = model.reference_loss_db
@@ -149,18 +155,22 @@ def deliver(
     floor = model.noise_floor_dbm
     if losses is None:
         losses = {}
+    grid = [(k, tx) for k, tx in enumerate(transmissions) if tx.channel in DATA_GRID]
+    pairs = [(i, j) for n, (i, a) in enumerate(grid) for j, b in grid[n + 1:]
+             if a.overlaps(b)]
+    # receiver -> level, for each transmission in a contest
+    heard: dict[int, dict[int, float]] = {k: {} for pair in pairs for k in pair}
     rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
     spare = rng.gauss_next
     raw: dict[int, list[Reception]] = {uid: [] for uid in positions}
-    contested: dict[int, list[Reception]] = {}  # data-grid receptions per receiver
     try:
-        for tx in transmissions:
+        for k, tx in enumerate(transmissions):
             sender = tx.sender_id
             row = losses.get(sender)
             if row is None:
                 row = losses[sender] = path_loss_row(sender, positions, model)
             base = tx.tx_power_dbm - ref_loss
-            grid = tx.channel in DATA_GRID
+            levels = heard.get(k)
             for uid, loss in zip(*row):
                 level = base - loss
                 if sigma > 0:
@@ -172,32 +182,31 @@ def deliver(
                         spare = sin(x2pi) * g2rad
                     level += 0.0 + z * sigma
                 if level > floor:
-                    rec = Reception(tx, level)
-                    raw[uid].append(rec)
-                    if grid:
-                        contested.setdefault(uid, []).append(rec)
+                    raw[uid].append(Reception(tx, level))
+                    if levels is not None:
+                        levels[uid] = level
     finally:
         rng.gauss_next = spare
 
     collisions: list[CollisionRecord] = []
-    for uid, recs in raw.items():
-        grid_recs = contested.get(uid, ())
-        if len(grid_recs) < 2:
-            continue
+    if not pairs:
+        return raw, collisions
+    threshold = model.capture_threshold_db
+    for uid in raw:
         destroyed: set[int] = set()
-        for i, a in enumerate(grid_recs):
-            for b in grid_recs[i + 1:]:
-                if not a.transmission.overlaps(b.transmission):
-                    continue
-                weak, strong = (b, a) if b.rsrp_dbm < a.rsrp_dbm else (a, b)
-                destroyed.add(weak.transmission.seq)
-                if strong.rsrp_dbm - weak.rsrp_dbm < model.capture_threshold_db:
-                    destroyed.add(strong.transmission.seq)
+        for i, j in pairs:
+            a, b = heard[i].get(uid), heard[j].get(uid)
+            if a is None or b is None:
+                continue
+            # the later transmission is the weak one only if strictly weaker
+            weak, strong = (j, i) if b < a else (i, j)
+            destroyed.add(transmissions[weak].seq)
+            if abs(b - a) < threshold:
+                destroyed.add(transmissions[strong].seq)
         if destroyed:
-            collisions.append(
-                CollisionRecord(uid, grid_recs[0].transmission.slot, tuple(sorted(destroyed)))
-            )
-            raw[uid] = [r for r in recs if r.transmission.seq not in destroyed]
+            collisions.append(CollisionRecord(uid, transmissions[0].slot,
+                                              tuple(sorted(destroyed))))
+            raw[uid] = [r for r in raw[uid] if r.transmission.seq not in destroyed]
     return raw, collisions
 
 

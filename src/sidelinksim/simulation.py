@@ -16,8 +16,12 @@ their positions recomputed.
 
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
-node moves. Each UE that heard something gets one `receive` call per
-slot with its whole reception list.
+node moves; `deliver` finds the slot's capture contest once, not per
+receiver. Each UE that heard something gets one `receive` call per
+slot with its whole reception list. `receive` drops data and feedback
+addressed to another UE before any further call and returns the number
+of TBs newly delivered, so `receiver_delivered` is bumped once per
+slot with the sum.
 """
 
 from __future__ import annotations
@@ -404,10 +408,18 @@ class UeAgent:
 
     # -- reception ----------------------------------------------------------
 
-    def receive(self, recs: list[Reception], slot: int):
-        """Handle every reception this UE heard in `slot`, in emission order."""
+    def receive(self, recs: list[Reception], slot: int) -> int:
+        """Handle every reception this UE heard in `slot`, in emission order.
+
+        Returns the number of TBs newly delivered to this UE; data and
+        feedback addressed to another UE go no further than the address.
+        """
         cache = self.world.sci1a_cache
         sensing = self.sensing
+        l2 = self.l2.current
+        seen = self.delivered_seen
+        lossless = self.world.sc.channel.tb_error_rate == 0
+        delivered = 0
         for rec in recs:
             payload = rec.transmission.payload
             kind = type(payload)
@@ -418,13 +430,20 @@ class UeAgent:
                 except KeyError:
                     self._note_sci(bits, rec.rsrp_dbm, slot)
                 if kind is DataBurst:
-                    self._receive_data(rec, payload, slot)
+                    dst = payload.mac_dst_l2
+                    if dst == l2 or (dst == BROADCAST_L2 and not lossless):
+                        delivered += self._receive_data(rec, payload, slot)
+                    elif dst == BROADCAST_L2 and payload.tb_id not in seen:
+                        seen.add(payload.tb_id)
+                        delivered += 1
+            elif kind is FeedbackBurst:
+                if payload.dst_l2 == l2:
+                    self._receive_feedback(rec, payload, slot)
             elif kind is SsbBurst:
                 self._receive_ssb(rec, payload, slot)
             elif kind is Pc5Burst:
                 self._receive_pc5(payload, slot)
-            elif kind is FeedbackBurst:
-                self._receive_feedback(rec, payload, slot)
+        return delivered
 
     def _receive_ssb(self, rec, burst: SsbBurst, slot: int):
         signed = self.world.sc.defenses.signed_ssb
@@ -454,28 +473,27 @@ class UeAgent:
             cache[key] = sci
         self.sensing.append((sci, rsrp, slot))
 
-    def _receive_data(self, rec, burst: DataBurst, slot: int):
-        mine = burst.mac_dst_l2 == self.l2.current
-        broadcast = burst.mac_dst_l2 == BROADCAST_L2
-        if not mine and not broadcast:
-            return
+    def _receive_data(self, rec, burst: DataBurst, slot: int) -> bool:
+        """Data addressed to this UE, or broadcast on a lossy channel;
+        True if it newly delivers a TB."""
         # crc_rng feeds nothing else, so an error-free channel skips the draw
         error_rate = self.world.sc.channel.tb_error_rate
         crc_ok = error_rate == 0 or self.world.crc_rng.random() >= error_rate
-        if crc_ok and burst.tb_id not in self.delivered_seen:
+        new = crc_ok and burst.tb_id not in self.delivered_seen
+        if new:
             self.delivered_seen.add(burst.tb_id)
-            self.world.metrics.bump("receiver_delivered", slot=slot)
-        if not mine:
-            return
+        if burst.mac_dst_l2 != self.l2.current:
+            return new
         try:
             sci2 = Sci2A.decode(burst.sci2_bits)
         except ValueError:
-            return
+            return new
         fb = feedback_for_tb(crc_ok, sci2.harq_enabled, sci2.harq_process_id,
                              self.l2.current, burst.mac_src_l2)
         if fb is not None:
             self.queue_tx(slot + FEEDBACK_DELAY_SLOTS, Channel.PSFCH, fb)
             self.world.metrics.bump("feedback_sent")
+        return new
 
     def _receive_pc5(self, burst: Pc5Burst, slot: int):
         msg = burst.message
@@ -489,8 +507,6 @@ class UeAgent:
         self._wake(slot)  # the step may have moved a PC5 timer
 
     def _receive_feedback(self, rec, burst: FeedbackBurst, slot: int):
-        if burst.dst_l2 != self.l2.current:
-            return
         fb = Feedback(
             kind=FeedbackKind.ACK if burst.ack else FeedbackKind.NACK,
             harq_process_id=burst.harq_process_id,
@@ -707,10 +723,13 @@ class World:
             self.event(record.slot, "collision", receiver=record.receiver_id,
                        destroyed=len(record.destroyed_seqs))
         # deliver keeps emission order, which is also seq order
+        delivered = 0
         for agent in self.agents:
             recs = recs_by_receiver[agent.spec.id]
             if recs:
-                agent.receive(recs, slot)
+                delivered += agent.receive(recs, slot)
+        if delivered:
+            self.metrics.bump("receiver_delivered", delivered, slot=slot)
         for attacker in self.attackers:
             attacker.on_receptions(recs_by_receiver[attacker.id], slot)
 

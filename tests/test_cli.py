@@ -35,6 +35,15 @@ def test_parse_seeds_forms():
     assert _parse_seeds("1:4") == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("seeds", ["1:x", "a,b", ":", "3:1", ","])
+def test_malformed_seeds_is_exit_1(tiny, capsys, seeds):
+    assert main(["batch", tiny, "--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --seeds ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_run_writes_outputs_and_prints_csv(tiny, tmp_path, capsys):
     out = tmp_path / "results"
     assert main(["run", tiny, "--out", str(out)]) == 0
@@ -102,6 +111,16 @@ def test_validate_reports_problems(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scenario error" in err
     assert "scenario.duration_slots" in err
+
+
+def test_each_problem_is_printed_once(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("duration_slots: -1\nues: []\n")
+    assert main(["validate", str(bad)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    problems = [line for line in lines if "scenario.duration_slots" in line or "scenario.ues" in line]
+    assert len(problems) == 2 and len(set(problems)) == 2
+    assert lines == ["scenario error:", *problems]
 
 
 @pytest.mark.parametrize("text", [

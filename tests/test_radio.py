@@ -5,15 +5,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.frames import BitString
 from sidelinksim.radio import (
+    DATA_GRID,
+    TWOPI,
     Channel,
     ChannelModel,
+    CollisionRecord,
+    Reception,
     Transmission,
     child_rng,
     deliver,
+    path_loss_row,
     rsrp_at,
 )
 from sidelinksim.resources import ControlBurst
@@ -218,3 +224,110 @@ def test_deliver_level_is_rsrp_at_without_shadowing():
             sx, sy = positions[r.transmission.sender_id]
             distance = max(math.hypot(rx - sx, ry - sy), 1e-3)
             assert r.rsrp_dbm == rsrp_at(r.transmission.tx_power_dbm, distance, model)
+
+
+# -- deliver against a per-receiver capture contest ----------------------------
+
+
+def reference_deliver(transmissions, positions, model, rng, losses=None):
+    """`deliver` as it was when each receiver ran its own capture contest
+    over every pair of data-grid receptions it heard."""
+    ref_loss = model.reference_loss_db
+    sigma = model.shadowing_sigma_db
+    floor = model.noise_floor_dbm
+    if losses is None:
+        losses = {}
+    rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
+    spare = rng.gauss_next
+    raw = {uid: [] for uid in positions}
+    contested = {}  # data-grid receptions per receiver
+    try:
+        for tx in transmissions:
+            sender = tx.sender_id
+            row = losses.get(sender)
+            if row is None:
+                row = losses[sender] = path_loss_row(sender, positions, model)
+            base = tx.tx_power_dbm - ref_loss
+            grid = tx.channel in DATA_GRID
+            for uid, loss in zip(*row):
+                level = base - loss
+                if sigma > 0:
+                    z, spare = spare, None
+                    if z is None:
+                        x2pi = rand() * TWOPI
+                        g2rad = sqrt(-2.0 * log(1.0 - rand()))
+                        z = cos(x2pi) * g2rad
+                        spare = sin(x2pi) * g2rad
+                    level += 0.0 + z * sigma
+                if level > floor:
+                    rec = Reception(tx, level)
+                    raw[uid].append(rec)
+                    if grid:
+                        contested.setdefault(uid, []).append(rec)
+    finally:
+        rng.gauss_next = spare
+
+    collisions = []
+    for uid, recs in raw.items():
+        grid_recs = contested.get(uid, ())
+        if len(grid_recs) < 2:
+            continue
+        destroyed = set()
+        for i, a in enumerate(grid_recs):
+            for b in grid_recs[i + 1:]:
+                if not a.transmission.overlaps(b.transmission):
+                    continue
+                weak, strong = (b, a) if b.rsrp_dbm < a.rsrp_dbm else (a, b)
+                destroyed.add(weak.transmission.seq)
+                if strong.rsrp_dbm - weak.rsrp_dbm < model.capture_threshold_db:
+                    destroyed.add(strong.transmission.seq)
+        if destroyed:
+            collisions.append(
+                CollisionRecord(uid, grid_recs[0].transmission.slot, tuple(sorted(destroyed)))
+            )
+            raw[uid] = [r for r in recs if r.transmission.seq not in destroyed]
+    return raw, collisions
+
+
+@st.composite
+def slots(draw):
+    """One slot: 2-10 nodes on a 100 m grid (equal distances are common),
+    1-8 transmissions, mostly on the data grid and over few subchannels,
+    some without a subchannel span. Powers 3 dB apart meet the capture
+    threshold exactly; far nodes fall below the noise floor."""
+    uids = draw(st.lists(st.integers(0, 40), min_size=2, max_size=10, unique=True))
+    coord = st.integers(-8, 8).map(lambda c: 100.0 * c)
+    positions = {uid: (draw(coord), draw(coord)) for uid in uids}
+    channels = [Channel.PSSCH, Channel.PSSCH, Channel.PSCCH, Channel.PSCCH, *Channel]
+    txs = []
+    for seq in range(1, draw(st.integers(1, 8)) + 1):
+        start = draw(st.integers(-1, 4))
+        span = None if start < 0 else (start, draw(st.integers(1, 3)))
+        # few senders and powers, so equal levels at a receiver are common
+        tx = Transmission(draw(st.sampled_from(uids[:3])),
+                          draw(st.sampled_from((20.0, 23.0, 26.0))), 7,
+                          draw(st.sampled_from(channels)), None, span)
+        tx.seq = seq
+        txs.append(tx)
+    return txs, positions
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(slot=slots(), sigma=st.sampled_from((0.0, 0.0, 2.0, 4.0)),
+       threshold=st.sampled_from((0.0, 3.0)), seed=st.integers(0, 2**16), warm=st.booleans())
+def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm):
+    txs, positions = slot
+    # with no capture margin, which of two equal levels survives shows
+    model = ChannelModel(shadowing_sigma_db=sigma, capture_threshold_db=threshold)
+    results = []
+    for fn in (deliver, reference_deliver):
+        rng = random.Random(seed)
+        if warm:  # leave a spare Box-Muller value for the first draw
+            rng.gauss(0.0, 1.0)
+        recs, collisions = fn(txs, positions, model, rng)
+        results.append((
+            [(uid, [(r.transmission.seq, r.rsrp_dbm) for r in rs]) for uid, rs in recs.items()],
+            [(c.receiver_id, c.slot, c.destroyed_seqs) for c in collisions],
+            rng.getstate(),
+        ))
+    assert results[0] == results[1]

@@ -19,6 +19,7 @@ from sidelinksim.resources import sense
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import World, run_scenario
 from sidelinksim.sync import SyncCandidate, SyncSourceKind
+from test_wake import moving_ues, workloads
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -252,6 +253,37 @@ def test_cached_path_loss_follows_moving_nodes(monkeypatch):
         (sx, sy), (rx, ry) = positions[r.transmission.sender_id], positions[uid]
         assert r.rsrp_dbm == rsrp_at(r.transmission.tx_power_dbm,
                                      math.hypot(rx - sx, ry - sy), world.sc.channel)
+
+
+def lossy_dense_broadcast():
+    """Broadcast with collisions, TB errors and shadowing."""
+    raw = workloads.dense_broadcast(3, num_ues=30, duration_slots=400)
+    raw["channel"]["tb_error_rate"] = 0.3
+    return parse_scenario(raw)
+
+
+# sha256 of metrics.csv plus events.jsonl, recorded while every data
+# reception went through `_receive_data`, which bumped
+# `receiver_delivered` once per delivered TB
+BROADCAST_DIGESTS = {
+    "moving": "86a56aa781e344af2cd025b06ba55b79434833618d84721dafdab268c141f87d",
+    "lossy_dense_broadcast": "739d7f971351f592e6697da9992b7b270eaa2d65e563181e4db88a57a73a7953",
+}
+
+
+@pytest.mark.parametrize("name, build, collides", [
+    ("moving", moving_ues, False),
+    ("lossy_dense_broadcast", lossy_dense_broadcast, True),
+])
+def test_lossy_broadcast_tally_matches_recorded_digests(name, build, collides):
+    # no catalog file has lossy broadcast, and the wake oracle compares
+    # two runs of the same `receive`, so neither would catch a wrong tally
+    world = World(build())
+    report = world.run()
+    assert world.sc.channel.tb_error_rate > 0 and report.totals["receiver_delivered"] > 0
+    assert (report.totals["collision_count"] > 0) == collides
+    text = report.to_csv() + "".join(event_line(e) + "\n" for e in world.events)
+    assert _sha(text) == BROADCAST_DIGESTS[name]
 
 
 def test_sensing_prefix_prune_equals_the_filter():
