@@ -24,6 +24,7 @@ from .frames import (
     Sci1A,
     Sci2A,
     SlssIdentity,
+    decode_once,
     fra_encode,
 )
 from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
@@ -173,14 +174,14 @@ class SyncImpersonationAgent(AttackerAgent):
         self._best: tuple[float, SsbBurst, int] | None = None  # (rsrp, burst, slot)
 
     def on_receptions(self, receptions, slot):
-        for rec in receptions:
-            burst = rec.transmission.payload
+        for tx, rsrp in receptions:
+            burst = tx.payload
             if not isinstance(burst, SsbBurst):
                 continue
-            if rec.transmission.sender_id == self.id:
+            if tx.sender_id == self.id:
                 continue
-            if self._best is None or rec.rsrp_dbm > self._best[0]:
-                self._best = (rec.rsrp_dbm, burst, rec.transmission.slot)
+            if self._best is None or rsrp > self._best[0]:
+                self._best = (rsrp, burst, tx.slot)
 
     def transmissions(self, slot):
         if not self.active(slot) or self._best is None:
@@ -284,26 +285,30 @@ class HarqSpoofAgent(AttackerAgent):
     the legitimate receiver's feedback with a louder forgery: an ACK or a
     NACK, by the plan's kind."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._sci2a: dict = {}  # SCI 2-A payloads heard, each decoded once
+
     def on_receptions(self, receptions, slot):
         if not self.cap.knows_harq_params:
             return
         target_src = self.params["target_src_l2"]
         target_dst = self.params["target_dst_l2"]
-        for rec in receptions:
-            burst = rec.transmission.payload
+        for tx, _ in receptions:
+            burst = tx.payload
             if not isinstance(burst, DataBurst) or burst.sci2_bits is None:
                 continue
-            if not self.active(rec.transmission.slot):
+            if not self.active(tx.slot):
                 continue
-            sci2 = Sci2A.decode(burst.sci2_bits)
-            if not sci2.harq_enabled:
+            sci2 = decode_once(self._sci2a, Sci2A.decode, burst.sci2_bits)
+            if sci2 is None or not sci2.harq_enabled:
                 continue
             if target_src is not None and burst.mac_src_l2 != target_src:
                 continue
             if target_dst is not None and burst.mac_dst_l2 != target_dst:
                 continue
             offset = self.params["slot_offset"]
-            emit = rec.transmission.slot + FEEDBACK_DELAY_SLOTS + offset + self.jitter()
+            emit = tx.slot + FEEDBACK_DELAY_SLOTS + offset + self.jitter()
             forged = FeedbackBurst(
                 ack=self.kind == AttackKind.HARQ_SPOOF_ACK,
                 harq_process_id=sci2.harq_process_id,
@@ -333,18 +338,18 @@ class _ReactiveForger(AttackerAgent):
     target_side: str
 
     def on_receptions(self, receptions, slot):
-        for rec in receptions:
-            burst = rec.transmission.payload
+        for tx, _ in receptions:
+            burst = tx.payload
             if not isinstance(burst, Pc5Burst):
                 continue
             msg = burst.message
-            if msg.kind != self.watch_kind or not self.active(rec.transmission.slot):
+            if msg.kind != self.watch_kind or not self.active(tx.slot):
                 continue
             if self.target_side == "requester":
                 victim, impersonated = msg.src_l2, msg.dst_l2
             else:
                 victim, impersonated = msg.dst_l2, msg.src_l2
-            emit = rec.transmission.slot + 1 + max(self.jitter(), 0)
+            emit = tx.slot + 1 + max(self.jitter(), 0)
             forged = Pc5Message(self.forge_kind, impersonated, victim, counter=0,
                                 body={"cause": self.cause, "ts": emit})
             self._schedule(slot, emit, Channel.PSSCH, Pc5Burst(message=forged))
@@ -378,13 +383,13 @@ class Pc5ReplayAgent(AttackerAgent):
 
     def on_receptions(self, receptions, slot):
         delay = self.params["replay_delay_slots"]
-        for rec in receptions:
-            burst = rec.transmission.payload
+        for tx, _ in receptions:
+            burst = tx.payload
             if not isinstance(burst, Pc5Burst) or burst.message.kind != K.ESTABLISHMENT_REQUEST:
                 continue
-            if not self.active(rec.transmission.slot):
+            if not self.active(tx.slot):
                 continue
-            emit = rec.transmission.slot + delay + self.jitter()
+            emit = tx.slot + delay + self.jitter()
             if emit > slot and self.active(emit):
                 self._schedule(slot, emit, Channel.PSSCH, burst)
 
@@ -421,20 +426,20 @@ class TrackerAgent(AttackerAgent):
         self.traces: dict[int, _IdTrace] = {}
 
     def on_receptions(self, receptions, slot):
-        for rec in receptions:
-            burst = rec.transmission.payload
+        for tx, rsrp in receptions:
+            burst = tx.payload
             src = None
             if isinstance(burst, DataBurst):
                 src = burst.mac_src_l2
             elif isinstance(burst, Pc5Burst):
                 src = burst.message.src_l2
-            if src is None or not self.active(rec.transmission.slot):
+            if src is None or not self.active(tx.slot):
                 continue
             t = self.traces.get(src)
             if t is None:
-                t = self.traces[src] = _IdTrace(rec.transmission.slot, rec.transmission.slot)
-            t.last_seen = max(t.last_seen, rec.transmission.slot)
-            t.rsrp_sum += rec.rsrp_dbm
+                t = self.traces[src] = _IdTrace(tx.slot, tx.slot)
+            t.last_seen = max(t.last_seen, tx.slot)
+            t.rsrp_sum += rsrp
             t.samples += 1
 
     def link(self) -> list[set[int]]:

@@ -152,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as err:
         print("scenario error:", file=sys.stderr)
         for problem in err.problems:
-            print(f"  - {problem}", file=sys.stderr)
+            # continuation lines (libyaml's "  in ..." position) stay under the bullet
+            print("  - " + str(problem).replace("\n", "\n    "), file=sys.stderr)
         return 1
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

@@ -325,9 +325,13 @@ class CastType(IntEnum):
     BROADCAST = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sci2A:
-    """Second-stage control: who the TB is for and its HARQ context."""
+    """Second-stage control: who the TB is for and its HARQ context.
+
+    Frozen, because every addressed receiver of one payload shares one
+    decoded instance (see `World.sci2a_cache`).
+    """
 
     harq_process_id: int
     ndi: int
@@ -381,6 +385,22 @@ class Sci2A:
             harq_enabled=harq_enabled,
             cast_type=cast_type,
         )
+
+
+def decode_once(cache: dict, decode, *args):
+    """`decode(*args)`, memoised in `cache` by the content of the payload
+    (the last argument); None for a malformed payload."""
+    bits = args[-1]
+    key = (bits.data, bits.bit_length)
+    try:
+        return cache[key]
+    except KeyError:
+        try:
+            sci = decode(*args)
+        except ValueError:
+            sci = None
+        cache[key] = sci
+        return sci
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,8 @@ class Transmission:
         return a0 < b0 + blen and b0 < a0 + alen
 
 
-@dataclass
-class Reception:
-    transmission: Transmission
-    rsrp_dbm: float
+# what one node heard of one transmission: (transmission, rsrp_dbm)
+Reception = tuple[Transmission, float]
 
 
 @dataclass
@@ -130,9 +128,10 @@ def deliver(
 ) -> tuple[dict[int, list[Reception]], list[CollisionRecord]]:
     """Propagate one slot's transmissions to every other node.
 
-    Returns receptions per receiver, with a key for every node (in
-    transmission emission order), and the collision records for
-    destroyed data-grid receptions, in `positions` order.
+    Returns receptions per receiver, with a key for every node: plain
+    `(transmission, rsrp_dbm)` pairs in transmission emission order.
+    Also returns the collision records for destroyed data-grid
+    receptions, in `positions` order.
 
     `losses` caches one `path_loss_row` per sender; a missing row is
     built on that sender's first transmission. The caller owns the
@@ -182,7 +181,7 @@ def deliver(
                         spare = sin(x2pi) * g2rad
                     level += 0.0 + z * sigma
                 if level > floor:
-                    raw[uid].append(Reception(tx, level))
+                    raw[uid].append((tx, level))
                     if levels is not None:
                         levels[uid] = level
     finally:
@@ -206,7 +205,7 @@ def deliver(
         if destroyed:
             collisions.append(CollisionRecord(uid, transmissions[0].slot,
                                               tuple(sorted(destroyed))))
-            raw[uid] = [r for r in raw[uid] if r.transmission.seq not in destroyed]
+            raw[uid] = [r for r in raw[uid] if r[0].seq not in destroyed]
     return raw, collisions
 
 

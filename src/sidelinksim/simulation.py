@@ -17,11 +17,16 @@ their positions recomputed.
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
 node moves; `deliver` finds the slot's capture contest once, not per
-receiver. Each UE that heard something gets one `receive` call per
-slot with its whole reception list. `receive` drops data and feedback
-addressed to another UE before any further call and returns the number
-of TBs newly delivered, so `receiver_delivered` is bumped once per
-slot with the sum.
+receiver. A reception is a plain `(transmission, rsrp_dbm)` pair.
+Each UE that heard something gets one `receive` call per slot with its
+whole reception list. `receive` drops data and feedback addressed to
+another UE before any further call and returns the number of TBs newly
+delivered, so `receiver_delivered` is bumped once per slot with the sum.
+
+A TB's control costs scale with grants and headers, not with
+transmissions: SCI 1-A is encoded once per grant, SCI 2-A once per
+distinct header, and each distinct SCI 1-A or SCI 2-A payload is decoded
+once per world, every receiver sharing the frozen result.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .defense import (
     sign_ssb,
     verify_ssb,
 )
-from .frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity
+from .frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, decode_once
 from .harq import (
     FEEDBACK_DELAY_SLOTS,
     Action,
@@ -93,11 +98,9 @@ def demand_subchannels(flow: TrafficFlow, num_subchannels: int) -> int:
 class GrantState:
     next_slot: int
     remaining: int
-    subchannel_start: int
-    subchannel_len: int
+    span: tuple[int, int]  # (subchannel start, length)
     rri_slots: int
-    rri_ms: int
-    selection: Selection
+    sci1_bits: BitString  # the grant's SCI 1-A, the same for each of its TBs
 
 
 @dataclass
@@ -196,29 +199,36 @@ class UeAgent:
         at each outbox slot and each feedback slot. math.inf: nothing
         is scheduled until a reception adds work (`_wake`).
         """
-        due = list(self.outbox)
+        selecting = self.state.source in SELECTING
+        if selecting and self.buffer.changes != self._ranked_at:
+            return after
+        due = min(self.outbox) if self.outbox else math.inf
         if self._sends_ssb():
             period = self.world.sc.sync.ssb_period_slots
-            due.append(after + (self.spec.id - after) % period)
-        if self.state.source in SELECTING:
-            if self.buffer.changes != self._ranked_at:
-                return after
+            phase = after + (self.spec.id - after) % period
+            if phase < due:
+                due = phase
+        if selecting:
             expiry = self.buffer.expiry()
-            if expiry is not None:
-                due.append(expiry)
-        due.extend(start for start in self.link_starts if start >= after)
+            if expiry is not None and expiry < due:
+                due = expiry
+        if self.link_starts:  # `_pc5_step` pops each start it has used
+            due = min(due, *self.link_starts)
         deadline = self.endpoint.next_deadline()
-        if deadline is not None:
-            due.append(deadline)
+        if deadline is not None and deadline < due:
+            due = deadline
         for rt in self.flows:
-            due.append(rt.next_gen_slot)
-            if rt.feedback_slot is not None:
-                due.append(rt.feedback_slot)
+            if rt.next_gen_slot < due:
+                due = rt.next_gen_slot
+            if rt.feedback_slot is not None and rt.feedback_slot < due:
+                due = rt.feedback_slot
             proc, g = rt.process, rt.grant
-            if proc.state == TbState.IDLE and proc.tb_id is not None:
-                usable = g is not None and g.remaining > 0 and g.next_slot >= after
-                due.append(g.next_slot if usable else after)
-        return max(after, min(due, default=math.inf))
+            if proc.state is TbState.IDLE and proc.tb_id is not None:
+                if g is None or g.remaining <= 0 or g.next_slot < after:
+                    return after
+                if g.next_slot < due:
+                    due = g.next_slot
+        return due if due > after else after
 
     def _wake(self, slot: int):
         if slot < self.wake:
@@ -309,7 +319,7 @@ class UeAgent:
             self.world.event(slot, "sync_lapse", ue=self.spec.id)
 
     def _pc5_step(self, slot: int, out: list[Transmission]):
-        for responder in self.link_starts.get(slot, ()):
+        for responder in self.link_starts.pop(slot, ()):
             for msg in self.endpoint.initiate(self.world.l2_of(responder), slot):
                 out.append(self._pc5_tx(slot, msg))
         msgs, events = self.endpoint.tick(slot)
@@ -352,14 +362,13 @@ class UeAgent:
         sel = select_resources(pool, occ, rt.demand, self.rng)
         counter = draw_reselection_counter(self.rng)
         had_grant = rt.grant is not None
+        flow = rt.flow
         rt.grant = GrantState(
             next_slot=sel.slot,
             remaining=counter,
-            subchannel_start=sel.subchannel_start,
-            subchannel_len=sel.subchannel_len,
-            rri_slots=pool.rri_slots(rt.flow.rri_ms),
-            rri_ms=rt.flow.rri_ms,
-            selection=sel,
+            span=(sel.subchannel_start, sel.subchannel_len),
+            rri_slots=pool.rri_slots(flow.rri_ms),
+            sci1_bits=announce(sel, flow.rri_ms, flow.priority, pool).encode(pool),
         )
         self.world.metrics.bump("selections")
         if had_grant:
@@ -374,26 +383,23 @@ class UeAgent:
     def _emit_tb(self, rt: FlowRuntime, slot: int, out: list[Transmission]):
         flow, proc, g = rt.flow, rt.process, rt.grant
         ndi, rv = proc.record_transmission()
-        pool = self.world.sc.pool
         dst_l2 = self.world.l2_of(flow.dst)
         cast = CastType.BROADCAST if flow.dst == "broadcast" else CastType.UNICAST
-        sci1 = announce(g.selection, g.rri_ms, flow.priority, pool)
-        sci2 = Sci2A.for_tb(
-            process_id=proc.process_id, ndi=ndi, rv=rv,
-            src_l2=self.l2.current, dst_l2=dst_l2,
-            harq_enabled=flow.harq, cast_type=cast,
-        )
+        # Sci2A.for_tb's arguments, in its order
+        header = (proc.process_id, ndi, rv, self.l2.current, dst_l2, flow.harq, cast)
+        sci2_bits = self.world.sci2a_bits.get(header)
+        if sci2_bits is None:
+            sci2_bits = self.world.sci2a_bits[header] = Sci2A.for_tb(*header).encode()
         burst = DataBurst(
-            sci1_bits=sci1.encode(pool),
-            sci2_bits=sci2.encode(),
+            sci1_bits=g.sci1_bits,
+            sci2_bits=sci2_bits,
             mac_src_l2=self.l2.current,
             mac_dst_l2=dst_l2,
             tb_id=proc.tb_id,
             size_bytes=flow.size_bytes,
         )
         out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
-                                Channel.PSSCH, burst,
-                                (g.subchannel_start, g.subchannel_len)))
+                                Channel.PSSCH, burst, g.span))
         if proc.attempts == 1:
             self.world.metrics.bump("tb_sent")
             rt.first_slot, rt.spoof_hits = slot, 0
@@ -420,60 +426,49 @@ class UeAgent:
         seen = self.delivered_seen
         lossless = self.world.sc.channel.tb_error_rate == 0
         delivered = 0
-        for rec in recs:
-            payload = rec.transmission.payload
+        for tx, rsrp in recs:
+            payload = tx.payload
             kind = type(payload)
             if kind is DataBurst or kind is ControlBurst:
                 bits = payload.sci1_bits
                 try:
-                    sensing.append((cache[bits.data, bits.bit_length], rec.rsrp_dbm, slot))
+                    sensing.append((cache[bits.data, bits.bit_length], rsrp, slot))
                 except KeyError:
-                    self._note_sci(bits, rec.rsrp_dbm, slot)
+                    self._note_sci(bits, rsrp, slot)
                 if kind is DataBurst:
                     dst = payload.mac_dst_l2
                     if dst == l2 or (dst == BROADCAST_L2 and not lossless):
-                        delivered += self._receive_data(rec, payload, slot)
+                        delivered += self._receive_data(payload, slot)
                     elif dst == BROADCAST_L2 and payload.tb_id not in seen:
                         seen.add(payload.tb_id)
                         delivered += 1
             elif kind is FeedbackBurst:
                 if payload.dst_l2 == l2:
-                    self._receive_feedback(rec, payload, slot)
+                    self._receive_feedback(payload, rsrp, slot)
             elif kind is SsbBurst:
-                self._receive_ssb(rec, payload, slot)
+                self._receive_ssb(payload, rsrp, tx.sender_id, slot)
             elif kind is Pc5Burst:
                 self._receive_pc5(payload, slot)
         return delivered
 
-    def _receive_ssb(self, rec, burst: SsbBurst, slot: int):
+    def _receive_ssb(self, burst: SsbBurst, rsrp: float, sender: int, slot: int):
         signed = self.world.sc.defenses.signed_ssb
         if signed.enabled and not verify_ssb(
             self.world.ssb_key, burst.slss.slss_id, burst.mib.encode(),
             burst.auth_tag, signed.tag_bits,
         ):
             self.world.metrics.bump("ssb_rejected")
-            self.world.incidents.record(slot, "signed_ssb",
-                                        rec.transmission.sender_id, "bad_tag")
+            self.world.incidents.record(slot, "signed_ssb", sender, "bad_tag")
             return
-        stored = self.buffer.note(SyncCandidate(burst.slss, rec.rsrp_dbm, burst.mib, slot,
-                                                rec.transmission.sender_id))
+        stored = self.buffer.note(SyncCandidate(burst.slss, rsrp, burst.mib, slot, sender))
         if stored and self.state.source in SELECTING:
             self._wake(slot + 1)  # rank the changed buffer
 
     def _note_sci(self, bits: BitString, rsrp: float, slot: int):
-        cache = self.world.sci1a_cache
-        key = (bits.data, bits.bit_length)
-        try:
-            sci = cache[key]
-        except KeyError:
-            try:
-                sci = Sci1A.decode(self.world.sc.pool, bits)
-            except ValueError:
-                sci = None
-            cache[key] = sci
+        sci = decode_once(self.world.sci1a_cache, Sci1A.decode, self.world.sc.pool, bits)
         self.sensing.append((sci, rsrp, slot))
 
-    def _receive_data(self, rec, burst: DataBurst, slot: int) -> bool:
+    def _receive_data(self, burst: DataBurst, slot: int) -> bool:
         """Data addressed to this UE, or broadcast on a lossy channel;
         True if it newly delivers a TB."""
         # crc_rng feeds nothing else, so an error-free channel skips the draw
@@ -484,9 +479,8 @@ class UeAgent:
             self.delivered_seen.add(burst.tb_id)
         if burst.mac_dst_l2 != self.l2.current:
             return new
-        try:
-            sci2 = Sci2A.decode(burst.sci2_bits)
-        except ValueError:
+        sci2 = decode_once(self.world.sci2a_cache, Sci2A.decode, burst.sci2_bits)
+        if sci2 is None:
             return new
         fb = feedback_for_tb(crc_ok, sci2.harq_enabled, sci2.harq_process_id,
                              self.l2.current, burst.mac_src_l2)
@@ -506,12 +500,12 @@ class UeAgent:
             self.world.security_event(self, ev)
         self._wake(slot)  # the step may have moved a PC5 timer
 
-    def _receive_feedback(self, rec, burst: FeedbackBurst, slot: int):
+    def _receive_feedback(self, burst: FeedbackBurst, rsrp: float, slot: int):
         fb = Feedback(
             kind=FeedbackKind.ACK if burst.ack else FeedbackKind.NACK,
             harq_process_id=burst.harq_process_id,
             source_claimed_l2=burst.src_l2,
-            observed_rsrp_dbm=rec.rsrp_dbm,
+            observed_rsrp_dbm=rsrp,
         )
         self.feedback_inbox.append((fb, burst.spoofed))
         self._wake(slot)  # closed, or dropped, at the end of this slot
@@ -599,6 +593,11 @@ class World:
         # and every receiver's sensing list shares the (frozen) result.
         # The tuple key compares like BitString equality but hashes in C.
         self.sci1a_cache: dict[tuple[bytes, int], Sci1A | None] = {}
+        # the same for SCI 2-A, decoded by addressed receivers
+        self.sci2a_cache: dict[tuple[bytes, int], Sci2A | None] = {}
+        # Sci2A.for_tb arguments -> the encoded header; a sender's header
+        # repeats for every TB of a process, so each is encoded once
+        self.sci2a_bits: dict[tuple, BitString] = {}
         # sender -> its path-loss row (`radio.path_loss_row`), built on
         # the sender's first transmission and dropped when any node moves
         self.path_loss: dict[int, PathLossRow] = {}

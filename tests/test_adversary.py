@@ -27,7 +27,7 @@ from sidelinksim.frames import (
 from sidelinksim.defense import sign_ssb, verify_ssb
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.pc5 import Pc5Burst
-from sidelinksim.radio import Channel, Reception, Transmission
+from sidelinksim.radio import Channel, Transmission
 from sidelinksim.resources import ControlBurst, ResourcePool, claims_from_sci
 from sidelinksim.frames import Sci1A
 from sidelinksim.sync import SsbBurst
@@ -45,7 +45,7 @@ def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x
 def hear(agent, payload, slot, channel, sender=1, rsrp=-70.0):
     tx = Transmission(sender, 23.0, slot, channel, payload,
                       (0, 1) if channel == Channel.PSSCH else None)
-    agent.on_receptions([Reception(tx, rsrp)], slot)
+    agent.on_receptions([(tx, rsrp)], slot)
 
 
 def data_burst(src, dst, tb=1, harq=True, pid=3):

@@ -123,6 +123,18 @@ def test_each_problem_is_printed_once(tmp_path, capsys):
     assert lines == ["scenario error:", *problems]
 
 
+def test_a_multi_line_problem_stays_under_its_bullet(tmp_path, capsys):
+    # libyaml reports an undecodable byte on two lines: the error, then its position
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"a: \xff")
+    assert main(["validate", str(bad)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "scenario error:" and len(lines) > 2
+    assert lines[1].startswith("  - ") and "unacceptable character" in lines[1]
+    assert all(line.startswith("    ") for line in lines[2:])
+    assert any("position 3" in line for line in lines[2:])
+
+
 @pytest.mark.parametrize("text", [
     TINY + "channel: {shadowing_sigma_db: x}\n",
     TINY.replace("period_slots: 50", "period_slots: abc"),

@@ -15,7 +15,6 @@ from sidelinksim.radio import (
     Channel,
     ChannelModel,
     CollisionRecord,
-    Reception,
     Transmission,
     child_rng,
     deliver,
@@ -89,7 +88,7 @@ def test_capture_lets_much_stronger_burst_through():
     a.seq, b.seq = 1, 2
     positions = {1: (0, 50), 2: (0, -50), 3: (0, 0)}
     recs, collisions = deliver([a, b], positions, MODEL, random.Random(0))
-    assert [r.transmission.seq for r in recs[3]] == [1]
+    assert [tx.seq for tx, _ in recs[3]] == [1]
     assert collisions[0].destroyed_seqs == (2,)
 
 
@@ -122,9 +121,9 @@ def test_shadowing_is_reproducible():
     positions = {1: (0, 0), 2: (80, 0)}
     r1, _ = deliver(list(txs), positions, model, random.Random(11))
     r2, _ = deliver(list(txs), positions, model, random.Random(11))
-    assert r1[2][0].rsrp_dbm == r2[2][0].rsrp_dbm
+    assert r1[2][0][1] == r2[2][0][1]
     r3, _ = deliver(list(txs), positions, model, random.Random(12))
-    assert r3[2][0].rsrp_dbm != r1[2][0].rsrp_dbm
+    assert r3[2][0][1] != r1[2][0][1]
 
 
 def test_shadowing_draws_match_random_gauss():
@@ -139,7 +138,7 @@ def test_shadowing_draws_match_random_gauss():
                             FeedbackBurst(True, 0, src_l2=1, dst_l2=2))
                for i in range(count)]
         recs, _ = deliver(txs, positions, model, rng)
-        heard = {(uid, id(r.transmission)): r.rsrp_dbm for uid, rs in recs.items() for r in rs}
+        heard = {(uid, id(tx)): rsrp for uid, rs in recs.items() for tx, rsrp in rs}
         assert len(heard) == 3 * count
         for tx in txs:  # draws go transmission by transmission, receivers in order
             sx, sy = positions[tx.sender_id]
@@ -206,8 +205,8 @@ def test_busy_slot_receptions_and_collisions_are_pinned():
     recs, collisions = deliver(txs, positions, ChannelModel(shadowing_sigma_db=4.0),
                                random.Random(99))
     assert list(recs) == list(positions)
-    heard = "".join(f"{uid} {r.transmission.seq} {r.rsrp_dbm!r}\n"
-                    for uid, rs in recs.items() for r in rs)
+    heard = "".join(f"{uid} {tx.seq} {rsrp!r}\n"
+                    for uid, rs in recs.items() for tx, rsrp in rs)
     lost = "".join(f"{c.receiver_id} {c.slot} {c.destroyed_seqs}\n" for c in collisions)
     assert 100 < heard.count("\n") < 20 * 30 and lost.count("\n") > 5
     assert hashlib.sha256(heard.encode()).hexdigest() == BUSY_SLOT_RECEPTIONS
@@ -220,10 +219,10 @@ def test_deliver_level_is_rsrp_at_without_shadowing():
     recs, _ = deliver(txs, positions, model, random.Random(0))
     for uid, rs in recs.items():
         rx, ry = positions[uid]
-        for r in rs:
-            sx, sy = positions[r.transmission.sender_id]
+        for tx, rsrp in rs:
+            sx, sy = positions[tx.sender_id]
             distance = max(math.hypot(rx - sx, ry - sy), 1e-3)
-            assert r.rsrp_dbm == rsrp_at(r.transmission.tx_power_dbm, distance, model)
+            assert rsrp == rsrp_at(tx.tx_power_dbm, distance, model)
 
 
 # -- deliver against a per-receiver capture contest ----------------------------
@@ -260,7 +259,7 @@ def reference_deliver(transmissions, positions, model, rng, losses=None):
                         spare = sin(x2pi) * g2rad
                     level += 0.0 + z * sigma
                 if level > floor:
-                    rec = Reception(tx, level)
+                    rec = (tx, level)
                     raw[uid].append(rec)
                     if grid:
                         contested.setdefault(uid, []).append(rec)
@@ -275,17 +274,17 @@ def reference_deliver(transmissions, positions, model, rng, losses=None):
         destroyed = set()
         for i, a in enumerate(grid_recs):
             for b in grid_recs[i + 1:]:
-                if not a.transmission.overlaps(b.transmission):
+                if not a[0].overlaps(b[0]):
                     continue
-                weak, strong = (b, a) if b.rsrp_dbm < a.rsrp_dbm else (a, b)
-                destroyed.add(weak.transmission.seq)
-                if strong.rsrp_dbm - weak.rsrp_dbm < model.capture_threshold_db:
-                    destroyed.add(strong.transmission.seq)
+                weak, strong = (b, a) if b[1] < a[1] else (a, b)
+                destroyed.add(weak[0].seq)
+                if strong[1] - weak[1] < model.capture_threshold_db:
+                    destroyed.add(strong[0].seq)
         if destroyed:
             collisions.append(
-                CollisionRecord(uid, grid_recs[0].transmission.slot, tuple(sorted(destroyed)))
+                CollisionRecord(uid, grid_recs[0][0].slot, tuple(sorted(destroyed)))
             )
-            raw[uid] = [r for r in recs if r.transmission.seq not in destroyed]
+            raw[uid] = [r for r in recs if r[0].seq not in destroyed]
     return raw, collisions
 
 
@@ -326,7 +325,7 @@ def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm
             rng.gauss(0.0, 1.0)
         recs, collisions = fn(txs, positions, model, rng)
         results.append((
-            [(uid, [(r.transmission.seq, r.rsrp_dbm) for r in rs]) for uid, rs in recs.items()],
+            [(uid, [(tx.seq, rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
             [(c.receiver_id, c.slot, c.destroyed_seqs) for c in collisions],
             rng.getstate(),
         ))

@@ -11,8 +11,8 @@ import pytest
 
 from sidelinksim import simulation
 from sidelinksim.bits import BitString
-from sidelinksim.frames import MibSl, Sci1A, SlssIdentity
-from sidelinksim.harq import DataBurst
+from sidelinksim.frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, fra_decode
+from sidelinksim.harq import FEEDBACK_DELAY_SLOTS, DataBurst
 from sidelinksim.metrics import event_line
 from sidelinksim.radio import rsrp_at
 from sidelinksim.resources import sense
@@ -195,6 +195,41 @@ def test_grant_realigns_past_occurrences_left_unused():
     assert grant.remaining == remaining - skipped - 1
 
 
+def test_each_tbs_control_stages_describe_that_tb(monkeypatch):
+    # Receivers read the MAC ids, not the SCI 2-A ones, so control bits
+    # kept from another TB, grant or identifier would pass every golden
+    # digest; they must match the world as it stands at emission.
+    world = World(parse_scenario(workloads.unicast_harq(0)))
+    pool = world.sc.pool
+    emit = simulation.UeAgent._emit_tb
+    emitted = []
+
+    def checked(agent, rt, slot, out):
+        emit(agent, rt, slot, out)
+        tx, proc = out[-1], rt.process
+        burst = tx.payload
+        sci1 = Sci1A.decode(pool, burst.sci1_bits)
+        start, length, _ = fra_decode(pool.num_subchannels, pool.sl_max_num_per_reserve,
+                                      sci1.frequency_resource)
+        assert (start, length) == tx.subchannel_range
+        assert sci1.rri_index == pool.period_list_ms.index(rt.flow.rri_ms)
+        assert (burst.mac_src_l2, burst.mac_dst_l2) == (agent.l2.current,
+                                                        world.l2_of(rt.flow.dst))
+        sci2 = Sci2A.decode(burst.sci2_bits)
+        assert (sci2.source_id, sci2.dest_id) == (burst.mac_src_l2 & 0xFF,
+                                                  burst.mac_dst_l2 & 0xFFFF)
+        assert (sci2.harq_process_id, sci2.ndi, sci2.rv) == (proc.process_id, proc.ndi,
+                                                             proc.rv)
+        emitted.append((burst.mac_src_l2, sci2.rv))
+
+    monkeypatch.setattr(simulation.UeAgent, "_emit_tb", checked)
+    report = world.run()
+    assert report.totals["identifier_refreshes"] == 72
+    assert report.totals["retransmissions"] > 0
+    assert len({src for src, _ in emitted}) > len(world.agents)  # refreshed ids sent
+    assert len({rv for _, rv in emitted}) > 1
+
+
 # -- per-receiver work done once ------------------------------------------
 
 
@@ -226,6 +261,33 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
     assert world.sci1a_cache == {astuple(sci.encode(pool)): sci, astuple(wrong_length): None}
 
 
+def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
+    world = World(small_unicast())
+    a, b = world.agents
+    decoded = []
+    decode = Sci2A.decode.__func__
+    monkeypatch.setattr(Sci2A, "decode", classmethod(
+        lambda cls, bits: decoded.append(bits) or decode(cls, bits)))
+    sci2 = Sci2A(harq_process_id=3, ndi=1, rv=0, source_id=7, dest_id=9,
+                 harq_enabled=True, cast_type=CastType.UNICAST)
+
+    def burst(agent, bits, tb):
+        return DataBurst(None, bits, mac_src_l2=7, mac_dst_l2=agent.l2.current,
+                         tb_id=tb, size_bytes=300)
+
+    assert a._receive_data(burst(a, sci2.encode(), 1), 5)
+    assert b._receive_data(burst(b, sci2.encode(), 2), 5)  # equal bits, another BitString
+    for agent in (a, b):
+        [(_, fb)] = agent.outbox[5 + FEEDBACK_DELAY_SLOTS]
+        assert (fb.harq_process_id, fb.src_l2, fb.dst_l2) == (3, agent.l2.current, 7)
+    wrong_length = BitString(b"\x00", 8)
+    assert a._receive_data(burst(a, wrong_length, 3), 6)
+    assert b._receive_data(burst(b, BitString(b"\x00", 8), 4), 6)
+    assert 6 + FEEDBACK_DELAY_SLOTS not in a.outbox  # no header, no feedback
+    assert len(decoded) == 2
+    assert world.sci2a_cache == {astuple(sci2.encode()): sci2, astuple(wrong_length): None}
+
+
 def test_cached_path_loss_follows_moving_nodes(monkeypatch):
     # no shadowing, so every level is the log-distance value at the
     # positions of its own slot; a path-loss row kept from an earlier
@@ -243,16 +305,17 @@ def test_cached_path_loss_follows_moving_nodes(monkeypatch):
 
     def recording(transmissions, positions, *args):
         recs, collisions = deliver(transmissions, positions, *args)
-        heard.extend((dict(positions), uid, r) for uid, rs in recs.items() for r in rs)
+        heard.extend((dict(positions), uid, tx, rsrp) for uid, rs in recs.items()
+                     for tx, rsrp in rs)
         return recs, collisions
 
     monkeypatch.setattr(simulation, "deliver", recording)
     world.run()
-    assert len({r.transmission.slot for _, _, r in heard}) > 10
-    for positions, uid, r in heard:
-        (sx, sy), (rx, ry) = positions[r.transmission.sender_id], positions[uid]
-        assert r.rsrp_dbm == rsrp_at(r.transmission.tx_power_dbm,
-                                     math.hypot(rx - sx, ry - sy), world.sc.channel)
+    assert len({tx.slot for _, _, tx, _ in heard}) > 10
+    for positions, uid, tx, rsrp in heard:
+        (sx, sy), (rx, ry) = positions[tx.sender_id], positions[uid]
+        assert rsrp == rsrp_at(tx.tx_power_dbm,
+                               math.hypot(rx - sx, ry - sy), world.sc.channel)
 
 
 def lossy_dense_broadcast():
