@@ -29,7 +29,7 @@ from .frames import (
 )
 from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
 from .pc5 import Pc5Burst
-from .radio import Channel, Reception, Transmission
+from .radio import Reception, Transmission
 from .resources import ControlBurst, ResourcePool
 from .sync import SsbBurst
 
@@ -104,9 +104,9 @@ class AttackerAgent:
         self.ssb_period = ssb_period
         self.ssb_key = ssb_key if capability.has_key else None
         self.actions: list[AttackAction] = []
-        # emit slot -> frames due then; a None channel marks a frame whose
-        # slot had already passed when it was scheduled
-        self._queue: dict[int, list[tuple[Channel | None, object]]] = {}
+        # emit slot -> payloads due then; None marks a frame whose slot
+        # had already passed when it was scheduled
+        self._queue: dict[int, list[object | None]] = {}
 
     def active(self, slot: int) -> bool:
         start, end = self.plan.window
@@ -119,17 +119,17 @@ class AttackerAgent:
     def _log(self, slot: int, outcome: str):
         self.actions.append(AttackAction(slot, self.kind.value, self.cap.tx_power_dbm, outcome))
 
-    def _tx(self, slot: int, channel: Channel, payload) -> Transmission:
+    def _tx(self, slot: int, payload) -> Transmission:
         self._log(slot, "sent")
-        return Transmission(self.id, self.cap.tx_power_dbm, slot, channel, payload)
+        return Transmission(self.id, self.cap.tx_power_dbm, payload)
 
-    def _schedule(self, slot: int, emit: int, channel: Channel, payload):
+    def _schedule(self, slot: int, emit: int, payload):
         """Queue a frame for `emit`. Scheduling happens after this slot's
         transmissions, so a frame due now or earlier has missed its window,
         and the next slot logs it as missed."""
         if emit <= slot:
-            emit, channel = slot + 1, None
-        self._queue.setdefault(emit, []).append((channel, payload))
+            emit, payload = slot + 1, None
+        self._queue.setdefault(emit, []).append(payload)
 
     def _ssb(self, slot: int, slss: SlssIdentity, tdd_config: int,
              in_coverage: bool) -> SsbBurst:
@@ -153,11 +153,11 @@ class AttackerAgent:
 
     def transmissions(self, slot: int) -> list[Transmission]:
         out = []
-        for channel, payload in self._queue.pop(slot, ()):
-            if channel is None:
+        for payload in self._queue.pop(slot, ()):
+            if payload is None:
                 self._log(slot, "missed_window")
             else:
-                out.append(self._tx(slot, channel, payload))
+                out.append(self._tx(slot, payload))
         return out
 
 
@@ -181,7 +181,7 @@ class SyncImpersonationAgent(AttackerAgent):
             if tx.sender_id == self.id:
                 continue
             if self._best is None or rsrp > self._best[0]:
-                self._best = (rsrp, burst, tx.slot)
+                self._best = (rsrp, burst, slot)
 
     def transmissions(self, slot):
         if not self.active(slot) or self._best is None:
@@ -190,7 +190,7 @@ class SyncImpersonationAgent(AttackerAgent):
         if slot % self.ssb_period != heard_slot % self.ssb_period:
             return []
         clone = self._ssb(slot, burst.slss, burst.mib.tdd_config, burst.mib.in_coverage)
-        return [self._tx(slot, Channel.PSBCH, clone)]
+        return [self._tx(slot, clone)]
 
 
 class FalseSyncInjectionAgent(AttackerAgent):
@@ -205,7 +205,7 @@ class FalseSyncInjectionAgent(AttackerAgent):
             return []
         slss = SlssIdentity(self.params["slss_id"], in_coverage=True)
         burst = self._ssb(slot, slss, self.params["tdd_config"], in_coverage=True)
-        return [self._tx(slot, Channel.PSBCH, burst)]
+        return [self._tx(slot, burst)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ class ResourceBlockingAgent(AttackerAgent):
                 rri_index=pool.period_list_ms.index(rri_ms),
                 mcs=9,
             )
-            out.append(self._tx(slot, Channel.PSCCH, ControlBurst(sci1_bits=sci.encode(pool))))
+            out.append(self._tx(slot, ControlBurst(sci1_bits=sci.encode(pool))))
         return out
 
 
@@ -290,15 +290,13 @@ class HarqSpoofAgent(AttackerAgent):
         self._sci2a: dict = {}  # SCI 2-A payloads heard, each decoded once
 
     def on_receptions(self, receptions, slot):
-        if not self.cap.knows_harq_params:
+        if not self.cap.knows_harq_params or not self.active(slot):
             return
         target_src = self.params["target_src_l2"]
         target_dst = self.params["target_dst_l2"]
         for tx, _ in receptions:
             burst = tx.payload
             if not isinstance(burst, DataBurst) or burst.sci2_bits is None:
-                continue
-            if not self.active(tx.slot):
                 continue
             sci2 = decode_once(self._sci2a, Sci2A.decode, burst.sci2_bits)
             if sci2 is None or not sci2.harq_enabled:
@@ -308,7 +306,7 @@ class HarqSpoofAgent(AttackerAgent):
             if target_dst is not None and burst.mac_dst_l2 != target_dst:
                 continue
             offset = self.params["slot_offset"]
-            emit = tx.slot + FEEDBACK_DELAY_SLOTS + offset + self.jitter()
+            emit = slot + FEEDBACK_DELAY_SLOTS + offset + self.jitter()
             forged = FeedbackBurst(
                 ack=self.kind == AttackKind.HARQ_SPOOF_ACK,
                 harq_process_id=sci2.harq_process_id,
@@ -316,7 +314,7 @@ class HarqSpoofAgent(AttackerAgent):
                 dst_l2=burst.mac_src_l2,
                 spoofed=True,
             )
-            self._schedule(slot, emit, Channel.PSFCH, forged)
+            self._schedule(slot, emit, forged)
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +336,30 @@ class _ReactiveForger(AttackerAgent):
     target_side: str
 
     def on_receptions(self, receptions, slot):
+        if not self.active(slot):
+            return
         for tx, _ in receptions:
             burst = tx.payload
             if not isinstance(burst, Pc5Burst):
                 continue
             msg = burst.message
-            if msg.kind != self.watch_kind or not self.active(tx.slot):
+            if msg.kind != self.watch_kind:
                 continue
             if self.target_side == "requester":
                 victim, impersonated = msg.src_l2, msg.dst_l2
             else:
                 victim, impersonated = msg.dst_l2, msg.src_l2
-            emit = tx.slot + 1 + max(self.jitter(), 0)
+            emit = slot + 1 + max(self.jitter(), 0)
             forged = Pc5Message(self.forge_kind, impersonated, victim, counter=0,
                                 body={"cause": self.cause, "ts": emit})
-            self._schedule(slot, emit, Channel.PSSCH, Pc5Burst(message=forged))
+            self._schedule(slot, emit, Pc5Burst(message=forged))
 
     def transmissions(self, slot):
         # the real nonce was in a body this agent does not parse, so it
         # guesses, drawing the guess as the frame goes out
-        for _, burst in self._queue.get(slot, ()):
-            burst.message.body["echo_nonce"] = self.rng.randbytes(16).hex()
+        for burst in self._queue.get(slot, ()):
+            if burst is not None:
+                burst.message.body["echo_nonce"] = self.rng.randbytes(16).hex()
         return super().transmissions(slot)
 
 
@@ -382,16 +383,16 @@ class Pc5ReplayAgent(AttackerAgent):
     already past when captured, is dropped."""
 
     def on_receptions(self, receptions, slot):
+        if not self.active(slot):
+            return
         delay = self.params["replay_delay_slots"]
         for tx, _ in receptions:
             burst = tx.payload
             if not isinstance(burst, Pc5Burst) or burst.message.kind != K.ESTABLISHMENT_REQUEST:
                 continue
-            if not self.active(tx.slot):
-                continue
-            emit = tx.slot + delay + self.jitter()
+            emit = slot + delay + self.jitter()
             if emit > slot and self.active(emit):
-                self._schedule(slot, emit, Channel.PSSCH, burst)
+                self._schedule(slot, emit, burst)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +427,8 @@ class TrackerAgent(AttackerAgent):
         self.traces: dict[int, _IdTrace] = {}
 
     def on_receptions(self, receptions, slot):
+        if not self.active(slot):
+            return
         for tx, rsrp in receptions:
             burst = tx.payload
             src = None
@@ -433,12 +436,12 @@ class TrackerAgent(AttackerAgent):
                 src = burst.mac_src_l2
             elif isinstance(burst, Pc5Burst):
                 src = burst.message.src_l2
-            if src is None or not self.active(tx.slot):
+            if src is None:
                 continue
             t = self.traces.get(src)
             if t is None:
-                t = self.traces[src] = _IdTrace(tx.slot, tx.slot)
-            t.last_seen = max(t.last_seen, tx.slot)
+                t = self.traces[src] = _IdTrace(slot, slot)
+            t.last_seen = max(t.last_seen, slot)
             t.rsrp_sum += rsrp
             t.samples += 1
 

@@ -35,12 +35,6 @@ class BitString:
     def to_int(self) -> int:
         return int.from_bytes(self.data, "big") >> (-self.bit_length % 8)
 
-    def hex(self) -> str:
-        return self.data.hex()
-
-    def __len__(self) -> int:
-        return self.bit_length
-
 
 class BitWriter:
     """Accumulates unsigned fields MSB-first."""
@@ -57,10 +51,6 @@ class BitWriter:
         self._value = (self._value << width) | value
         self._bits += width
         return self
-
-    @property
-    def bit_length(self) -> int:
-        return self._bits
 
     def finish(self) -> BitString:
         pad = -self._bits % 8
@@ -86,10 +76,6 @@ class BitReader:
         out = self._value >> self._remaining
         self._value &= (1 << self._remaining) - 1
         return out
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
 
     def expect_end(self):
         if self._remaining:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .bits import BitString
 from .frames import Pc5Message
-from .harq import Feedback
+from .harq import FeedbackBurst
 
 VALID_TAG_BITS = (16, 32)
 
@@ -131,18 +131,20 @@ class FeedbackProfile:
 
 def harq_anomaly_check(
     profile: FeedbackProfile,
-    fb: Feedback,
+    heard: tuple[FeedbackBurst, float],
     cfg: AnomalyCheckConfig,
 ) -> str | None:
-    """Returns a flag reason, or None to accept.
+    """Screens one heard `(burst, rsrp_dbm)` pair against the profile of
+    the source it claims; returns a flag reason, or None to accept.
 
     Accepted samples are the caller's to feed back into the profile;
     flagged ones must stay out of both arbitration and learning.
     """
-    mean = profile.mean(fb.source_claimed_l2)
-    if mean is None or profile.sample_count(fb.source_claimed_l2) < cfg.min_samples:
+    burst, rsrp = heard
+    mean = profile.mean(burst.src_l2)
+    if mean is None or profile.sample_count(burst.src_l2) < cfg.min_samples:
         return None  # cold start: accept and learn
-    if fb.observed_rsrp_dbm > mean + cfg.power_tolerance_db:
+    if rsrp > mean + cfg.power_tolerance_db:
         return "power_anomaly"
     return None
 

@@ -3,11 +3,12 @@
 attempts counts transmissions of the pending TB, so the initial send is
 attempt 1. A NACK triggers a retransmission while attempts has not
 passed maxRetransmissions; a NACK arriving with attempts already at
-maxRetransmissions + 1 fails the process. Feedback for a TB sent in
-slot t is heard in slot t + FEEDBACK_DELAY_SLOTS and nowhere else, and
-missing feedback in that slot counts as a NACK. Arbitration among the
-feedback bursts heard in that slot is by received power, which is what
-makes overpowering spoofs meaningful and underpowered ones useless.
+maxRetransmissions + 1 fails the process. The feedback for a TB sent
+in slot t is heard in slot t + FEEDBACK_DELAY_SLOTS and nowhere else,
+and missing feedback in that slot counts as a NACK. Arbitration among
+the feedback bursts heard in that slot, as (burst, rsrp_dbm) pairs, is
+by received power, which is what makes overpowering spoofs meaningful
+and underpowered ones useless.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 RV_SEQUENCE = (0, 2, 3, 1)  # redundancy version by attempt, cycling
-MAX_PROCESS_ID = 15
+MAX_PROCESSES = 16  # HARQ processes per UE, ids 0..MAX_PROCESSES - 1
 FEEDBACK_DELAY_SLOTS = 2  # TB slot to the slot that carries its feedback
 
 
@@ -27,24 +28,9 @@ class TbState(Enum):
     FAILED = "failed"
 
 
-class FeedbackKind(Enum):
-    ACK = "ack"
-    NACK = "nack"
-
-
-@dataclass
-class Feedback:
-    kind: FeedbackKind
-    harq_process_id: int
-    source_claimed_l2: int  # who the burst claims to come from
-    observed_rsrp_dbm: float
-
-
 @dataclass
 class FeedbackBurst:
     """PSFCH payload: one bit of feedback plus addressing context."""
-
-    CHANNEL = "PSFCH"
 
     ack: bool
     harq_process_id: int
@@ -56,8 +42,6 @@ class FeedbackBurst:
 @dataclass
 class DataBurst:
     """PSSCH payload: a transport block with its piggybacked control."""
-
-    CHANNEL = "PSSCH"
 
     sci1_bits: object  # BitString for the pool's SCI 1-A layout
     sci2_bits: object  # BitString, 35-bit SCI 2-A
@@ -83,8 +67,9 @@ class HarqProcess:
     tb_id: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.process_id <= MAX_PROCESS_ID:
-            raise ValueError(f"process id {self.process_id} outside 0..{MAX_PROCESS_ID}")
+        if not 0 <= self.process_id < MAX_PROCESSES:
+            raise ValueError(
+                f"process id {self.process_id} outside 0..{MAX_PROCESSES - 1}")
 
     @property
     def rv(self) -> int:
@@ -110,11 +95,11 @@ class HarqProcess:
         self.state = TbState.AWAITING_FEEDBACK
         return self.ndi, self.rv
 
-    def on_feedback(self, kind: FeedbackKind | None) -> Action:
+    def on_feedback(self, ack: bool | None) -> Action:
         """Resolve the feedback slot; None (nothing arrived) is a NACK."""
         if self.state != TbState.AWAITING_FEEDBACK:
             raise ValueError(f"process {self.process_id} not awaiting feedback")
-        if kind == FeedbackKind.ACK:
+        if ack:
             self.state = TbState.DONE
             return Action.COMPLETE
         if self.attempts <= self.max_retransmissions:
@@ -137,11 +122,13 @@ def feedback_for_tb(crc_ok: bool, harq_enabled: bool, process_id: int,
     )
 
 
-def arbitrate_feedback(candidates: list[Feedback]) -> Feedback | None:
-    """Pick the winning feedback heard in a TB's feedback slot.
+def arbitrate_feedback(
+    candidates: list[tuple[FeedbackBurst, float]],
+) -> tuple[FeedbackBurst, float] | None:
+    """Pick the winning feedback heard in a TB's feedback slot, from
+    `(burst, rsrp_dbm)` pairs.
 
     Stronger received power wins; a power tie goes to ACK over NACK, and
     a full tie to the first candidate.
     """
-    return min(candidates, default=None,
-               key=lambda f: (-f.observed_rsrp_dbm, f.kind is not FeedbackKind.ACK))
+    return min(candidates, default=None, key=lambda c: (-c[1], not c[0].ack))

@@ -328,9 +328,7 @@ class SecurityEvent:
 
 @dataclass
 class Pc5Burst:
-    """PC5 signalling rides the data channel off the sensing grid."""
-
-    CHANNEL = "PSSCH"
+    """PSSCH payload: PC5 signalling, with no SCI for sensing to read."""
 
     message: Pc5Message
 

@@ -1,13 +1,15 @@
 """Abstract propagation connecting the UEs.
 
 Time is an integer slot counter. Power is dBm end to end; path loss is
-log-distance with optional seeded Gaussian shadowing. Collisions use a
-capture model: of two same-slot transmissions with overlapping
-subchannel spans, the stronger survives only if it exceeds the weaker
-by at least the capture threshold, otherwise both are destroyed. The
-capture contest applies to the data/control grid (PSSCH, PSCCH);
-broadcast sync and feedback bursts ride dedicated resources and are
-arbitrated by their own procedures instead.
+log-distance with optional seeded Gaussian shadowing. A transmission's
+payload class names its physical channel: `SsbBurst` rides PSBCH,
+`ControlBurst` PSCCH, `DataBurst` and `Pc5Burst` PSSCH, and
+`FeedbackBurst` PSFCH. Collisions use a capture model among the
+overlapping transmissions with a subchannel span: of two such same-slot
+transmissions, the stronger survives only if it exceeds the weaker by at
+least the capture threshold, otherwise both are destroyed. The world
+gives a span only to data bursts, on their grant's subchannels; control,
+sync, feedback and PC5 bursts carry none, so none of them is destroyed.
 """
 
 from __future__ import annotations
@@ -16,19 +18,8 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any
 
-
-class Channel(Enum):
-    PSBCH = "PSBCH"  # sync broadcast
-    PSCCH = "PSCCH"  # first-stage control
-    PSSCH = "PSSCH"  # data (control piggybacked)
-    PSFCH = "PSFCH"  # HARQ feedback
-
-
-# channels taking part in the subchannel-grid capture contest
-DATA_GRID = frozenset({Channel.PSCCH, Channel.PSSCH})
 # 2 pi as `random.Random.gauss` computes it
 TWOPI = 2.0 * math.pi
 
@@ -66,18 +57,10 @@ def rsrp_at(tx_power_dbm: float, distance_m: float, model: ChannelModel) -> floa
 class Transmission:
     sender_id: int
     tx_power_dbm: float
-    slot: int
-    channel: Channel
     payload: Any
     subchannel_range: tuple[int, int] | None = None  # (start, length)
-    seq: int = 0  # emission order within the run, set by the world
 
     def __post_init__(self):
-        declared = getattr(self.payload, "CHANNEL", None)
-        if declared is not None and declared != self.channel.value:
-            raise ValueError(
-                f"payload for {declared} cannot ride {self.channel.value}"
-            )
         if self.subchannel_range is not None:
             start, length = self.subchannel_range
             if start < 0 or length < 1:
@@ -98,8 +81,7 @@ Reception = tuple[Transmission, float]
 @dataclass
 class CollisionRecord:
     receiver_id: int
-    slot: int
-    destroyed_seqs: tuple[int, ...]
+    destroyed: tuple[int, ...]  # indices into the slot's transmissions
 
 
 # a sender's receivers, in `positions` order, and the path loss to each
@@ -129,9 +111,10 @@ def deliver(
     """Propagate one slot's transmissions to every other node.
 
     Returns receptions per receiver, with a key for every node: plain
-    `(transmission, rsrp_dbm)` pairs in transmission emission order.
-    Also returns the collision records for destroyed data-grid
-    receptions, in `positions` order.
+    `(transmission, rsrp_dbm)` pairs in transmission order. Also returns
+    the collision records for destroyed receptions, in `positions`
+    order; a record names each destroyed transmission by its index in
+    `transmissions`.
 
     `losses` caches one `path_loss_row` per sender; a missing row is
     built on that sender's first transmission. The caller owns the
@@ -144,9 +127,9 @@ def deliver(
 
     Whether two transmissions overlap does not depend on the receiver,
     so the capture contest is found once per slot: the overlapping
-    pairs among the data-grid transmissions. A slot without one keeps
-    no levels for it; otherwise each receiver judges only the pairs it
-    heard both halves of.
+    pairs among the transmissions with a subchannel span. A slot without
+    one keeps no levels for it; otherwise each receiver judges only the
+    pairs it heard both halves of.
     """
     # rsrp_at with the model constants hoisted, in the same operation order
     ref_loss = model.reference_loss_db
@@ -154,7 +137,8 @@ def deliver(
     floor = model.noise_floor_dbm
     if losses is None:
         losses = {}
-    grid = [(k, tx) for k, tx in enumerate(transmissions) if tx.channel in DATA_GRID]
+    grid = [(k, tx) for k, tx in enumerate(transmissions)
+            if tx.subchannel_range is not None]
     pairs = [(i, j) for n, (i, a) in enumerate(grid) for j, b in grid[n + 1:]
              if a.overlaps(b)]
     # receiver -> level, for each transmission in a contest
@@ -199,13 +183,13 @@ def deliver(
                 continue
             # the later transmission is the weak one only if strictly weaker
             weak, strong = (j, i) if b < a else (i, j)
-            destroyed.add(transmissions[weak].seq)
+            destroyed.add(weak)
             if abs(b - a) < threshold:
-                destroyed.add(transmissions[strong].seq)
+                destroyed.add(strong)
         if destroyed:
-            collisions.append(CollisionRecord(uid, transmissions[0].slot,
-                                              tuple(sorted(destroyed))))
-            raw[uid] = [r for r in raw[uid] if r[0].seq not in destroyed]
+            collisions.append(CollisionRecord(uid, tuple(sorted(destroyed))))
+            gone = {id(transmissions[k]) for k in destroyed}
+            raw[uid] = [r for r in raw[uid] if id(r[0]) not in gone]
     return raw, collisions
 
 

@@ -103,9 +103,7 @@ class Reservation:
 
 @dataclass
 class ControlBurst:
-    """A standalone first-stage announcement (no data attached)."""
-
-    CHANNEL = "PSCCH"
+    """PSCCH payload: a standalone first-stage announcement (no data attached)."""
 
     sci1_bits: object  # BitString, decoded against the receiver's pool
 

@@ -51,11 +51,10 @@ from .defense import (
 from .frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, decode_once
 from .harq import (
     FEEDBACK_DELAY_SLOTS,
+    MAX_PROCESSES,
     Action,
     DataBurst,
-    Feedback,
     FeedbackBurst,
-    FeedbackKind,
     HarqProcess,
     TbState,
     arbitrate_feedback,
@@ -63,7 +62,7 @@ from .harq import (
 )
 from .metrics import MetricsReport
 from .pc5 import BROADCAST_L2, L2Identity, Pc5Burst, Pc5Endpoint, refresh_identifier
-from .radio import Channel, PathLossRow, Reception, Transmission, child_rng, deliver
+from .radio import PathLossRow, Reception, Transmission, child_rng, deliver
 from .resources import (
     ControlBurst,
     Selection,
@@ -84,7 +83,6 @@ from .sync import (
     should_transmit_ssb,
 )
 
-MAX_PROCESSES = 16
 # sync sources that pick a SyncRef from the candidate buffer
 SELECTING = (SyncSourceKind.SYNC_REF_UE, SyncSourceKind.INTERNAL_CLOCK)
 
@@ -180,8 +178,8 @@ class UeAgent:
 
         self.flows: list[FlowRuntime] = []
         self.sensing: list[tuple[Sci1A | None, float, int]] = []
-        self.feedback_inbox: list[tuple[Feedback, bool]] = []
-        self.outbox: dict[int, list[tuple[Channel, object]]] = {}
+        self.feedback_inbox: list[tuple[FeedbackBurst, float]] = []  # (burst, rsrp)
+        self.outbox: dict[int, list[object]] = {}  # slot -> payloads to send
         self.tb_counter = 0
         self.delivered_seen: set[int] = set()
         self.wake: int | float = 0  # next slot with work due; math.inf for none
@@ -234,9 +232,9 @@ class UeAgent:
         if slot < self.wake:
             self.wake = slot
 
-    def queue_tx(self, slot: int, channel: Channel, payload):
+    def queue_tx(self, slot: int, payload):
         """Send `payload` in `slot` (this one or later) and wake for it."""
-        self.outbox.setdefault(slot, []).append((channel, payload))
+        self.outbox.setdefault(slot, []).append(payload)
         self._wake(slot)
 
     # -- per-slot action ---------------------------------------------------
@@ -248,9 +246,8 @@ class UeAgent:
             # entries arrive in slot order, so the stale ones are a prefix
             del self.sensing[:bisect_left(self.sensing, horizon, key=itemgetter(2))]
 
-        for channel, payload in self.outbox.pop(slot, ()):
-            out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
-                                    channel, payload))
+        for payload in self.outbox.pop(slot, ()):
+            out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, payload))
 
         self._sync_step(slot, out)
         self._pc5_step(slot, out)
@@ -284,8 +281,7 @@ class UeAgent:
             tag = sign_ssb(self.world.ssb_key, self.state.own_slss.slss_id,
                            mib.encode(), signed.tag_bits)
             self.world.metrics.bump("airtime_overhead_bits", signed.tag_bits)
-        out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
-                                Channel.PSBCH,
+        out.append(Transmission(self.spec.id, self.spec.tx_power_dbm,
                                 SsbBurst(self.state.own_slss, mib, tag)))
         self.world.metrics.bump("ssb_sent")
 
@@ -321,16 +317,15 @@ class UeAgent:
     def _pc5_step(self, slot: int, out: list[Transmission]):
         for responder in self.link_starts.pop(slot, ()):
             for msg in self.endpoint.initiate(self.world.l2_of(responder), slot):
-                out.append(self._pc5_tx(slot, msg))
+                out.append(self._pc5_tx(msg))
         msgs, events = self.endpoint.tick(slot)
         for msg in msgs:
-            out.append(self._pc5_tx(slot, msg))
+            out.append(self._pc5_tx(msg))
         for ev in events:
             self.world.security_event(self, ev)
 
-    def _pc5_tx(self, slot: int, msg) -> Transmission:
-        return Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
-                            Channel.PSSCH, Pc5Burst(message=msg))
+    def _pc5_tx(self, msg) -> Transmission:
+        return Transmission(self.spec.id, self.spec.tx_power_dbm, Pc5Burst(message=msg))
 
     def _flow_step(self, rt: FlowRuntime, slot: int, out: list[Transmission]):
         flow, proc = rt.flow, rt.process
@@ -398,8 +393,7 @@ class UeAgent:
             tb_id=proc.tb_id,
             size_bytes=flow.size_bytes,
         )
-        out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, slot,
-                                Channel.PSSCH, burst, g.span))
+        out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, burst, g.span))
         if proc.attempts == 1:
             self.world.metrics.bump("tb_sent")
             rt.first_slot, rt.spoof_hits = slot, 0
@@ -444,7 +438,8 @@ class UeAgent:
                         delivered += 1
             elif kind is FeedbackBurst:
                 if payload.dst_l2 == l2:
-                    self._receive_feedback(payload, rsrp, slot)
+                    self.feedback_inbox.append((payload, rsrp))
+                    self._wake(slot)  # closed, or dropped, at the end of this slot
             elif kind is SsbBurst:
                 self._receive_ssb(payload, rsrp, tx.sender_id, slot)
             elif kind is Pc5Burst:
@@ -485,7 +480,7 @@ class UeAgent:
         fb = feedback_for_tb(crc_ok, sci2.harq_enabled, sci2.harq_process_id,
                              self.l2.current, burst.mac_src_l2)
         if fb is not None:
-            self.queue_tx(slot + FEEDBACK_DELAY_SLOTS, Channel.PSFCH, fb)
+            self.queue_tx(slot + FEEDBACK_DELAY_SLOTS, fb)
             self.world.metrics.bump("feedback_sent")
         return new
 
@@ -495,20 +490,10 @@ class UeAgent:
             return
         replies, events = self.endpoint.handle(msg, slot, self.guard)
         for reply in replies:
-            self.queue_tx(slot + 1, Channel.PSSCH, Pc5Burst(message=reply))
+            self.queue_tx(slot + 1, Pc5Burst(message=reply))
         for ev in events:
             self.world.security_event(self, ev)
         self._wake(slot)  # the step may have moved a PC5 timer
-
-    def _receive_feedback(self, burst: FeedbackBurst, rsrp: float, slot: int):
-        fb = Feedback(
-            kind=FeedbackKind.ACK if burst.ack else FeedbackKind.NACK,
-            harq_process_id=burst.harq_process_id,
-            source_claimed_l2=burst.src_l2,
-            observed_rsrp_dbm=rsrp,
-        )
-        self.feedback_inbox.append((fb, burst.spoofed))
-        self._wake(slot)  # closed, or dropped, at the end of this slot
 
     # -- feedback closure ------------------------------------------------------
 
@@ -529,27 +514,27 @@ class UeAgent:
     def _resolve(self, rt: FlowRuntime, candidates, slot: int):
         anomaly = self.world.sc.defenses.harq_anomaly_check
         accepted = []
-        for fb, spoofed in candidates:
-            if spoofed:
+        for heard in candidates:
+            burst = heard[0]
+            if burst.spoofed:
                 self.world.metrics.bump("feedback_spoofed")
                 rt.spoof_hits += 1
             else:
                 self.world.metrics.bump("feedback_candidates_legit")
             if anomaly.enabled:
-                reason = harq_anomaly_check(self.profile, fb, anomaly)
+                reason = harq_anomaly_check(self.profile, heard, anomaly)
                 if reason is not None:
                     self.world.metrics.bump("feedback_flagged")
-                    if not spoofed:
+                    if not burst.spoofed:
                         self.world.metrics.bump("feedback_flagged_legit")
-                    self.world.incidents.record(slot, "harq_anomaly",
-                                                fb.source_claimed_l2, reason)
+                    self.world.incidents.record(slot, "harq_anomaly", burst.src_l2, reason)
                     continue
-            accepted.append(fb)
+            accepted.append(heard)
         winner = arbitrate_feedback(accepted)
         if winner is not None and anomaly.enabled:
-            self.profile.learn(winner.source_claimed_l2, winner.observed_rsrp_dbm)
+            self.profile.learn(winner[0].src_l2, winner[1])
         proc = rt.process
-        action = proc.on_feedback(winner.kind if winner else None)
+        action = proc.on_feedback(winner[0].ack if winner else None)
         if action == Action.RETRANSMIT:
             return  # the process is IDLE again, so the next grant resends
         if action == Action.COMPLETE:
@@ -585,7 +570,6 @@ class World:
         self.identity_truth: dict[int, int] = {}
         self.selection_log: list[SelectionRecord] = []
         self.tb_log: list[TbOutcome] = []
-        self._tx_seq = 0
         # SCI 1-A bits, as (data, bit_length), -> decoded claim, None for
         # a malformed payload. A claim's content depends only on its bits
         # and the pool, and only its RSRP on the receiver (TS 38.214
@@ -702,26 +686,21 @@ class World:
                 new, self.privacy_rng.getrandbits(32)
             )
             for msg in msgs:
-                agent.queue_tx(slot, Channel.PSSCH, Pc5Burst(message=msg))
+                agent.queue_tx(slot, Pc5Burst(message=msg))
             agent.endpoint.l2_id = new
             self.identity_truth[new] = agent.spec.id
             self.metrics.bump("identifier_refreshes")
             self.event(slot, "identifier_refresh", ue=agent.spec.id)
 
     def _deliver_and_dispatch(self, transmissions: list[Transmission], slot: int):
-        for tx in transmissions:
-            self._tx_seq += 1
-            tx.seq = self._tx_seq
         recs_by_receiver, collisions = deliver(
             transmissions, self.positions, self.sc.channel, self.channel_rng,
             self.path_loss,
         )
         for record in collisions:
-            self.metrics.bump("collision_count", len(record.destroyed_seqs),
-                              slot=record.slot)
-            self.event(record.slot, "collision", receiver=record.receiver_id,
-                       destroyed=len(record.destroyed_seqs))
-        # deliver keeps emission order, which is also seq order
+            self.metrics.bump("collision_count", len(record.destroyed), slot=slot)
+            self.event(slot, "collision", receiver=record.receiver_id,
+                       destroyed=len(record.destroyed))
         delivered = 0
         for agent in self.agents:
             recs = recs_by_receiver[agent.spec.id]

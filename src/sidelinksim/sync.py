@@ -51,9 +51,7 @@ class SyncCandidate:
 
 @dataclass
 class SsbBurst:
-    """What a SyncRef puts on air each period."""
-
-    CHANNEL = "PSBCH"
+    """PSBCH payload: what a SyncRef puts on air each period."""
 
     slss: SlssIdentity
     mib: MibSl

@@ -27,7 +27,7 @@ from sidelinksim.frames import (
 from sidelinksim.defense import sign_ssb, verify_ssb
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.pc5 import Pc5Burst
-from sidelinksim.radio import Channel, Transmission
+from sidelinksim.radio import Transmission
 from sidelinksim.resources import ControlBurst, ResourcePool, claims_from_sci
 from sidelinksim.frames import Sci1A
 from sidelinksim.sync import SsbBurst
@@ -42,10 +42,8 @@ def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x
                           pool=POOL, ssb_period=16, ssb_key=ssb_key)
 
 
-def hear(agent, payload, slot, channel, sender=1, rsrp=-70.0):
-    tx = Transmission(sender, 23.0, slot, channel, payload,
-                      (0, 1) if channel == Channel.PSSCH else None)
-    agent.on_receptions([(tx, rsrp)], slot)
+def hear(agent, payload, slot, sender=1, rsrp=-70.0):
+    agent.on_receptions([(Transmission(sender, 23.0, payload), rsrp)], slot)
 
 
 def data_burst(src, dst, tb=1, harq=True, pid=3):
@@ -112,8 +110,8 @@ def test_sync_impersonation_clones_strongest_heard_identity():
     agent = build(AttackKind.SYNC_IMPERSONATION, window=(0, 100))
     weak = SsbBurst(SlssIdentity(40, True), MibSl(0, True, 0, 0))
     strong = SsbBurst(SlssIdentity(7, True), MibSl(1, True, 0, 0))
-    hear(agent, weak, 0, Channel.PSBCH, sender=2, rsrp=-80.0)
-    hear(agent, strong, 0, Channel.PSBCH, sender=3, rsrp=-60.0)
+    hear(agent, weak, 0, sender=2, rsrp=-80.0)
+    hear(agent, strong, 0, sender=3, rsrp=-60.0)
     assert agent.transmissions(1) == []  # off the victim's burst phase
     out = agent.transmissions(16)
     assert len(out) == 1
@@ -156,9 +154,9 @@ def test_resource_blocking_listens_first_without_pool_knowledge():
 def test_harq_spoof_targets_and_times_the_race():
     agent = build(AttackKind.HARQ_SPOOF_NACK, window=(0, 100),
                   params={"target_src_l2": 0x000111, "target_dst_l2": 0x000222})
-    hear(agent, data_burst(0x000111, 0x000222, pid=5), 10, Channel.PSSCH)
-    hear(agent, data_burst(0x000333, 0x000222), 10, Channel.PSSCH)  # wrong sender
-    hear(agent, data_burst(0x000111, 0x000444), 10, Channel.PSSCH)  # wrong receiver
+    hear(agent, data_burst(0x000111, 0x000222, pid=5), 10)
+    hear(agent, data_burst(0x000333, 0x000222), 10)  # wrong sender
+    hear(agent, data_burst(0x000111, 0x000444), 10)  # wrong receiver
     assert agent.transmissions(11) == []
     out = agent.transmissions(12)  # tb slot + feedback delay
     assert len(out) == 1
@@ -172,7 +170,7 @@ def test_harq_spoof_targets_and_times_the_race():
 def test_harq_spoof_ack_variant_and_slot_offset():
     agent = build(AttackKind.HARQ_SPOOF_ACK, window=(0, 100),
                   params={"slot_offset": 1})
-    hear(agent, data_burst(0x000111, 0x000222), 10, Channel.PSSCH)
+    hear(agent, data_burst(0x000111, 0x000222), 10)
     assert agent.transmissions(12) == []
     out = agent.transmissions(13)
     assert out and out[0].payload.ack
@@ -180,8 +178,8 @@ def test_harq_spoof_ack_variant_and_slot_offset():
 
 def test_harq_spoof_ignores_feedback_disabled_and_inactive_windows():
     agent = build(AttackKind.HARQ_SPOOF_NACK, window=(50, 100))
-    hear(agent, data_burst(1, 2, harq=False), 60, Channel.PSSCH)
-    hear(agent, data_burst(1, 2), 10, Channel.PSSCH)  # before the window
+    hear(agent, data_burst(1, 2, harq=False), 60)
+    hear(agent, data_burst(1, 2), 10)  # before the window
     assert all(agent.transmissions(s) == [] for s in range(70))
 
 
@@ -191,7 +189,7 @@ def test_forged_reject_races_observed_requests():
                      {"nonce": "aa" * 16, "ts": 10, "knrp_id": 1,
                       "cipher": "REQUIRED", "integ": "REQUIRED",
                       "allow_null": 0, "auth_req": 0})
-    hear(agent, Pc5Burst(message=req), 10, Channel.PSSCH)
+    hear(agent, Pc5Burst(message=req), 10)
     out = agent.transmissions(11)
     assert len(out) == 1
     forged = out[0].payload.message
@@ -209,7 +207,7 @@ def test_replay_agent_re_emits_captured_frame_verbatim():
                      {"nonce": "bb" * 16, "ts": 10, "knrp_id": 2,
                       "cipher": "REQUIRED", "integ": "REQUIRED",
                       "allow_null": 0, "auth_req": 0})
-    hear(agent, Pc5Burst(message=req), 10, Channel.PSSCH)
+    hear(agent, Pc5Burst(message=req), 10)
     assert agent.transmissions(49) == []
     out = agent.transmissions(50)
     assert len(out) == 1
@@ -222,11 +220,11 @@ def test_tracker_links_increment_scheme_first():
                   params={"linkage_window_slots": 50})
     # UE A: id 100 then 101 (weak refresh); UE B: id 500 throughout
     for slot in range(0, 200, 40):
-        hear(agent, data_burst(100, 0xFFFFFF, tb=slot), slot, Channel.PSSCH, rsrp=-70.0)
-        hear(agent, data_burst(500, 0xFFFFFF, tb=slot), slot, Channel.PSSCH, rsrp=-60.0)
+        hear(agent, data_burst(100, 0xFFFFFF, tb=slot), slot, rsrp=-70.0)
+        hear(agent, data_burst(500, 0xFFFFFF, tb=slot), slot, rsrp=-60.0)
     for slot in range(200, 400, 40):
-        hear(agent, data_burst(101, 0xFFFFFF, tb=slot), slot, Channel.PSSCH, rsrp=-70.0)
-        hear(agent, data_burst(500, 0xFFFFFF, tb=slot), slot, Channel.PSSCH, rsrp=-60.0)
+        hear(agent, data_burst(101, 0xFFFFFF, tb=slot), slot, rsrp=-70.0)
+        hear(agent, data_burst(500, 0xFFFFFF, tb=slot), slot, rsrp=-60.0)
     clusters = agent.link()
     assert {100, 101} in clusters and {500} in clusters
     truth = {100: 1, 101: 1, 500: 2}
@@ -236,10 +234,10 @@ def test_tracker_links_increment_scheme_first():
 def test_tracker_falls_back_to_power_similarity():
     agent = build(AttackKind.L2_TRACKING, params={"rsrp_similarity_db": 3.0})
     for slot in range(0, 100, 20):
-        hear(agent, data_burst(0x111111, 0xFFFFFF), slot, Channel.PSSCH, rsrp=-70.0)
-        hear(agent, data_burst(0x333333, 0xFFFFFF), slot, Channel.PSSCH, rsrp=-90.0)
+        hear(agent, data_burst(0x111111, 0xFFFFFF), slot, rsrp=-70.0)
+        hear(agent, data_burst(0x333333, 0xFFFFFF), slot, rsrp=-90.0)
     for slot in range(120, 220, 20):
-        hear(agent, data_burst(0x222222, 0xFFFFFF), slot, Channel.PSSCH, rsrp=-70.4)
+        hear(agent, data_burst(0x222222, 0xFFFFFF), slot, rsrp=-70.4)
     clusters = agent.link()
     assert {0x111111, 0x222222} in clusters  # similar power, succession in window
     assert {0x333333} in clusters  # 20 dB apart never links
@@ -247,8 +245,8 @@ def test_tracker_falls_back_to_power_similarity():
 
 def test_tracker_respects_linkage_window():
     agent = build(AttackKind.L2_TRACKING, params={"linkage_window_slots": 50})
-    hear(agent, data_burst(0x111111, 0xFFFFFF), 0, Channel.PSSCH, rsrp=-70.0)
-    hear(agent, data_burst(0x222222, 0xFFFFFF), 100, Channel.PSSCH, rsrp=-70.0)
+    hear(agent, data_burst(0x111111, 0xFFFFFF), 0, rsrp=-70.0)
+    hear(agent, data_burst(0x222222, 0xFFFFFF), 100, rsrp=-70.0)
     assert agent.link() == [{0x111111}, {0x222222}]
 
 
@@ -317,7 +315,7 @@ def _drive(label, agent, heard, slots):
             rows.append(f"{label} {action.slot} log {action.kind} {action.outcome}")
         logged = len(agent.actions)
         for payload in heard.get(slot, ()):
-            hear(agent, payload, slot, Channel.PSSCH)
+            hear(agent, payload, slot)
     return rows
 
 

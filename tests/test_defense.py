@@ -16,14 +16,14 @@ from sidelinksim.defense import (
     verify_ssb,
 )
 from sidelinksim.frames import MibSl
-from sidelinksim.harq import Feedback, FeedbackKind
+from sidelinksim.harq import FeedbackBurst
 
 KEY = b"\x42" * 32
 MIB = MibSl(0, True, 100, 3).encode()
 
 
 def fb(rsrp, src=0x0222):
-    return Feedback(FeedbackKind.NACK, 0, src, rsrp)
+    return FeedbackBurst(False, 0, src_l2=src, dst_l2=0x0111), rsrp
 
 
 def test_config_validation():

@@ -4,8 +4,7 @@ import pytest
 
 from sidelinksim.harq import (
     Action,
-    Feedback,
-    FeedbackKind,
+    FeedbackBurst,
     HarqProcess,
     TbState,
     arbitrate_feedback,
@@ -13,8 +12,8 @@ from sidelinksim.harq import (
 )
 
 
-def fb(kind, rsrp, pid=0, src=2):
-    return Feedback(kind, pid, src, rsrp)
+def fb(ack, rsrp, pid=0, src=2):
+    return FeedbackBurst(ack, pid, src_l2=src, dst_l2=1), rsrp
 
 
 def test_process_id_bounds():
@@ -29,7 +28,7 @@ def test_rv_cycles_0_2_3_1():
     rvs = []
     for _ in range(4):
         rvs.append(p.record_transmission()[1])
-        p.on_feedback(FeedbackKind.NACK)
+        p.on_feedback(False)
     assert rvs == [0, 2, 3, 1]
 
 
@@ -39,7 +38,7 @@ def test_nack_drives_attempts_to_max_plus_one_then_fail():
     actions = []
     while True:
         p.record_transmission()
-        act = p.on_feedback(FeedbackKind.NACK)
+        act = p.on_feedback(False)
         actions.append(act)
         if act != Action.RETRANSMIT:
             break
@@ -52,7 +51,7 @@ def test_ack_completes_immediately():
     p = HarqProcess(0)
     p.start_tb(5)
     ndi0 = p.record_transmission()[0]
-    assert p.on_feedback(FeedbackKind.ACK) == Action.COMPLETE
+    assert p.on_feedback(True) == Action.COMPLETE
     assert p.state == TbState.DONE
     # next TB toggles NDI
     p.start_tb(6)
@@ -65,7 +64,7 @@ def test_start_tb_refuses_while_awaiting():
     p.record_transmission()
     with pytest.raises(ValueError):
         p.start_tb(2)
-    p.on_feedback(FeedbackKind.ACK)
+    p.on_feedback(True)
     p.start_tb(2)  # fine once resolved
     assert p.tb_id == 2 and p.attempts == 0
 
@@ -73,7 +72,7 @@ def test_start_tb_refuses_while_awaiting():
 def test_feedback_requires_awaiting_state():
     p = HarqProcess(0)
     with pytest.raises(ValueError):
-        p.on_feedback(FeedbackKind.ACK)
+        p.on_feedback(True)
     with pytest.raises(ValueError):
         p.record_transmission()  # no TB loaded
 
@@ -94,16 +93,16 @@ def test_feedback_for_tb_matrix():
 
 
 def test_arbitration_power_then_ack_then_first():
-    strong_nack = fb(FeedbackKind.NACK, -60.0)
-    weak_ack = fb(FeedbackKind.ACK, -80.0)
+    strong_nack = fb(False, -60.0)
+    weak_ack = fb(True, -80.0)
     assert arbitrate_feedback([weak_ack, strong_nack]) is strong_nack
 
-    ack = fb(FeedbackKind.ACK, -70.0)
-    nack = fb(FeedbackKind.NACK, -70.0)
+    ack = fb(True, -70.0)
+    nack = fb(False, -70.0)
     assert arbitrate_feedback([nack, ack]) is ack
 
-    first = fb(FeedbackKind.NACK, -70.0, src=3)
-    second = fb(FeedbackKind.NACK, -70.0, src=4)
+    first = fb(False, -70.0, src=3)
+    second = fb(False, -70.0, src=4)
     assert arbitrate_feedback([first, second]) is first
     assert arbitrate_feedback([second, first]) is second
 

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sidelinksim.harq import DataBurst, FeedbackBurst
-from sidelinksim.frames import BitString
+from sidelinksim.frames import BitString, Pc5Message, Pc5MessageKind
+from sidelinksim.pc5 import Pc5Burst
 from sidelinksim.radio import (
-    DATA_GRID,
     TWOPI,
-    Channel,
     ChannelModel,
     CollisionRecord,
     Transmission,
@@ -29,10 +28,10 @@ MODEL = ChannelModel()
 BITS = BitString(b"", 0)
 
 
-def data_tx(sender, slot, span, power=23.0, tb=1):
+def data_tx(sender, span, power=23.0, tb=1):
     burst = DataBurst(BITS, BITS, mac_src_l2=sender, mac_dst_l2=0xFFFFFF,
                       tb_id=tb, size_bytes=300)
-    return Transmission(sender, power, slot, Channel.PSSCH, burst, span)
+    return Transmission(sender, power, burst, span)
 
 
 def test_rsrp_known_value():
@@ -50,51 +49,43 @@ def test_rsrp_monotone_in_distance():
         assert rsrp_at(23.0, d1, MODEL) > rsrp_at(23.0, d2, MODEL)
 
 
-def test_transmission_channel_payload_mismatch():
-    burst = ControlBurst(sci1_bits=BITS)
-    with pytest.raises(ValueError):
-        Transmission(1, 23.0, 0, Channel.PSSCH, burst)
-
-
 def test_deliver_drops_below_noise_floor():
     # 23 dBm at 2 km is ~ -112.8 dBm, under the -110 floor
-    tx = data_tx(1, 0, (0, 1))
+    tx = data_tx(1, (0, 1))
     recs, _ = deliver([tx], {1: (0, 0), 2: (2000, 0)}, MODEL, random.Random(0))
     assert recs[2] == []
 
 
 def test_deliver_skips_sender_itself():
-    tx = data_tx(1, 0, (0, 1))
+    tx = data_tx(1, (0, 1))
     recs, _ = deliver([tx], {1: (0, 0), 2: (50, 0)}, MODEL, random.Random(0))
     assert len(recs[2]) == 1
     assert recs[1] == []
 
 
 def test_overlapping_equal_power_bursts_destroy_each_other():
-    a = data_tx(1, 0, (0, 2), tb=1)
-    b = data_tx(2, 0, (1, 2), tb=2)
-    a.seq, b.seq = 1, 2
+    a = data_tx(1, (0, 2), tb=1)
+    b = data_tx(2, (1, 2), tb=2)
     positions = {1: (0, 50), 2: (0, -50), 3: (0, 0)}  # equidistant receiver
     recs, collisions = deliver([a, b], positions, MODEL, random.Random(0))
     assert recs[3] == []
     assert len(collisions) == 1
     assert collisions[0].receiver_id == 3
-    assert set(collisions[0].destroyed_seqs) == {1, 2}
+    assert set(collisions[0].destroyed) == {0, 1}
 
 
 def test_capture_lets_much_stronger_burst_through():
-    a = data_tx(1, 0, (0, 1), power=33.0, tb=1)
-    b = data_tx(2, 0, (0, 1), power=23.0, tb=2)
-    a.seq, b.seq = 1, 2
+    a = data_tx(1, (0, 1), power=33.0, tb=1)
+    b = data_tx(2, (0, 1), power=23.0, tb=2)
     positions = {1: (0, 50), 2: (0, -50), 3: (0, 0)}
     recs, collisions = deliver([a, b], positions, MODEL, random.Random(0))
-    assert [tx.seq for tx, _ in recs[3]] == [1]
-    assert collisions[0].destroyed_seqs == (2,)
+    assert [tx for tx, _ in recs[3]] == [a]
+    assert collisions[0].destroyed == (1,)
 
 
 def test_disjoint_subchannels_do_not_collide():
-    a = data_tx(1, 0, (0, 1), tb=1)
-    b = data_tx(2, 0, (2, 2), tb=2)
+    a = data_tx(1, (0, 1), tb=1)
+    b = data_tx(2, (2, 2), tb=2)
     recs, collisions = deliver([a, b], {1: (0, 50), 2: (0, -50), 3: (0, 0)},
                                MODEL, random.Random(0))
     assert len(recs[3]) == 2
@@ -102,22 +93,26 @@ def test_disjoint_subchannels_do_not_collide():
 
 
 def test_control_plane_never_collides_with_data():
+    # only a subchannel span enters the capture contest: six bursts at
+    # equal power and distance from node 5, and none of them is lost
     mib = MibSl(0, True, 0, 0)
-    ssb = Transmission(1, 23.0, 0, Channel.PSBCH, SsbBurst(SlssIdentity(0, True), mib))
-    fb = Transmission(2, 23.0, 0, Channel.PSFCH,
-                      FeedbackBurst(True, 0, src_l2=2, dst_l2=3))
-    data = data_tx(4, 0, (0, 4))
-    recs, collisions = deliver([ssb, fb, data],
+    ssb = Transmission(1, 23.0, SsbBurst(SlssIdentity(0, True), mib))
+    fb = Transmission(2, 23.0, FeedbackBurst(True, 0, src_l2=2, dst_l2=3))
+    data = data_tx(4, (0, 4))
+    control = Transmission(6, 23.0, ControlBurst(BITS))
+    reject = Pc5Message(Pc5MessageKind.ESTABLISHMENT_REJECT, 7, 3, 0, {})
+    pc5 = Transmission(7, 23.0, Pc5Burst(reject))
+    recs, collisions = deliver([ssb, fb, data, control, pc5],
                                {1: (0, 30), 2: (30, 0), 3: (0, -30), 4: (-30, 0),
-                                5: (0, 0)},
+                                5: (0, 0), 6: (18, 24), 7: (-18, -24)},
                                MODEL, random.Random(0))
     assert collisions == []
-    assert len(recs[5]) == 3
+    assert [tx for tx, _ in recs[5]] == [ssb, fb, data, control, pc5]
 
 
 def test_shadowing_is_reproducible():
     model = ChannelModel(shadowing_sigma_db=4.0)
-    txs = [data_tx(1, 0, (0, 1))]
+    txs = [data_tx(1, (0, 1))]
     positions = {1: (0, 0), 2: (80, 0)}
     r1, _ = deliver(list(txs), positions, model, random.Random(11))
     r2, _ = deliver(list(txs), positions, model, random.Random(11))
@@ -134,8 +129,7 @@ def test_shadowing_draws_match_random_gauss():
     # 1, 3 and 5 feedback bursts (no capture contest), 3 receivers each: odd
     # pair counts, so the spare Box-Muller value carries across the calls
     for count in (1, 3, 5):
-        txs = [Transmission(1 + i % 4, 23.0 - i, 0, Channel.PSFCH,
-                            FeedbackBurst(True, 0, src_l2=1, dst_l2=2))
+        txs = [Transmission(1 + i % 4, 23.0 - i, FeedbackBurst(True, 0, src_l2=1, dst_l2=2))
                for i in range(count)]
         recs, _ = deliver(txs, positions, model, rng)
         heard = {(uid, id(tx)): rsrp for uid, rs in recs.items() for tx, rsrp in rs}
@@ -180,22 +174,22 @@ def busy_slot():
         power = rng.choice((10.0, 23.0, 23.0, 33.0))
         kind = i % 5
         if kind in (0, 1):
-            tx = data_tx(sender, 7, (rng.randrange(12), rng.randint(1, 3)), power, tb=i)
+            tx = data_tx(sender, (rng.randrange(12), rng.randint(1, 3)), power, tb=i)
         elif kind == 2:
-            tx = Transmission(sender, power, 7, Channel.PSCCH, ControlBurst(BITS),
+            tx = Transmission(sender, power, ControlBurst(BITS),
                               (rng.randrange(12), rng.randint(1, 2)))
         elif kind == 3:
-            tx = Transmission(sender, power, 7, Channel.PSBCH,
+            tx = Transmission(sender, power,
                               SsbBurst(SlssIdentity(rng.randint(0, 671), True), mib))
         else:
-            tx = Transmission(sender, power, 7, Channel.PSFCH,
-                              FeedbackBurst(True, 0, src_l2=sender, dst_l2=1))
-        tx.seq = i + 1
+            tx = Transmission(sender, power, FeedbackBurst(True, 0, src_l2=sender, dst_l2=1))
         txs.append(tx)
     return txs, positions
 
 
-# sha256 of the (receiver, seq, rsrp repr) lines and of the collision records
+# sha256 of the (receiver, transmission number, rsrp repr) lines and of the
+# (receiver, slot 7, destroyed numbers) collision lines; transmissions are
+# numbered from 1 in list order
 BUSY_SLOT_RECEPTIONS = "d8c474b47b35830444d3f55a610e03157b8c0a72b8508110a4f66e8813e5db31"
 BUSY_SLOT_COLLISIONS = "1e6f53e83cd20159a7c38282b4187bccccb7dd6b8545ed9542990a5ad41fe8d5"
 
@@ -205,9 +199,11 @@ def test_busy_slot_receptions_and_collisions_are_pinned():
     recs, collisions = deliver(txs, positions, ChannelModel(shadowing_sigma_db=4.0),
                                random.Random(99))
     assert list(recs) == list(positions)
-    heard = "".join(f"{uid} {tx.seq} {rsrp!r}\n"
+    number = {id(tx): k + 1 for k, tx in enumerate(txs)}
+    heard = "".join(f"{uid} {number[id(tx)]} {rsrp!r}\n"
                     for uid, rs in recs.items() for tx, rsrp in rs)
-    lost = "".join(f"{c.receiver_id} {c.slot} {c.destroyed_seqs}\n" for c in collisions)
+    lost = "".join(f"{c.receiver_id} 7 {tuple(k + 1 for k in c.destroyed)}\n"
+                   for c in collisions)
     assert 100 < heard.count("\n") < 20 * 30 and lost.count("\n") > 5
     assert hashlib.sha256(heard.encode()).hexdigest() == BUSY_SLOT_RECEPTIONS
     assert hashlib.sha256(lost.encode()).hexdigest() == BUSY_SLOT_COLLISIONS
@@ -230,7 +226,8 @@ def test_deliver_level_is_rsrp_at_without_shadowing():
 
 def reference_deliver(transmissions, positions, model, rng, losses=None):
     """`deliver` as it was when each receiver ran its own capture contest
-    over every pair of data-grid receptions it heard."""
+    over every pair of receptions with a subchannel span it heard; a
+    transmission is known by its index in `transmissions`."""
     ref_loss = model.reference_loss_db
     sigma = model.shadowing_sigma_db
     floor = model.noise_floor_dbm
@@ -238,16 +235,16 @@ def reference_deliver(transmissions, positions, model, rng, losses=None):
         losses = {}
     rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
     spare = rng.gauss_next
-    raw = {uid: [] for uid in positions}
-    contested = {}  # data-grid receptions per receiver
+    raw = {uid: [] for uid in positions}  # (index, transmission, level)
+    contested = {}  # receptions with a subchannel span, per receiver
     try:
-        for tx in transmissions:
+        for k, tx in enumerate(transmissions):
             sender = tx.sender_id
             row = losses.get(sender)
             if row is None:
                 row = losses[sender] = path_loss_row(sender, positions, model)
             base = tx.tx_power_dbm - ref_loss
-            grid = tx.channel in DATA_GRID
+            grid = tx.subchannel_range is not None
             for uid, loss in zip(*row):
                 level = base - loss
                 if sigma > 0:
@@ -259,7 +256,7 @@ def reference_deliver(transmissions, positions, model, rng, losses=None):
                         spare = sin(x2pi) * g2rad
                     level += 0.0 + z * sigma
                 if level > floor:
-                    rec = (tx, level)
+                    rec = (k, tx, level)
                     raw[uid].append(rec)
                     if grid:
                         contested.setdefault(uid, []).append(rec)
@@ -274,40 +271,34 @@ def reference_deliver(transmissions, positions, model, rng, losses=None):
         destroyed = set()
         for i, a in enumerate(grid_recs):
             for b in grid_recs[i + 1:]:
-                if not a[0].overlaps(b[0]):
+                if not a[1].overlaps(b[1]):
                     continue
-                weak, strong = (b, a) if b[1] < a[1] else (a, b)
-                destroyed.add(weak[0].seq)
-                if strong[1] - weak[1] < model.capture_threshold_db:
-                    destroyed.add(strong[0].seq)
+                weak, strong = (b, a) if b[2] < a[2] else (a, b)
+                destroyed.add(weak[0])
+                if strong[2] - weak[2] < model.capture_threshold_db:
+                    destroyed.add(strong[0])
         if destroyed:
-            collisions.append(
-                CollisionRecord(uid, grid_recs[0][0].slot, tuple(sorted(destroyed)))
-            )
-            raw[uid] = [r for r in recs if r[0].seq not in destroyed]
-    return raw, collisions
+            collisions.append(CollisionRecord(uid, tuple(sorted(destroyed))))
+            raw[uid] = [r for r in recs if r[0] not in destroyed]
+    return {uid: [(tx, level) for _, tx, level in recs] for uid, recs in raw.items()}, collisions
 
 
 @st.composite
 def slots(draw):
     """One slot: 2-10 nodes on a 100 m grid (equal distances are common),
-    1-8 transmissions, mostly on the data grid and over few subchannels,
-    some without a subchannel span. Powers 3 dB apart meet the capture
-    threshold exactly; far nodes fall below the noise floor."""
+    1-8 transmissions, most over few subchannels and some without a
+    subchannel span. Powers 3 dB apart meet the capture threshold
+    exactly; far nodes fall below the noise floor."""
     uids = draw(st.lists(st.integers(0, 40), min_size=2, max_size=10, unique=True))
     coord = st.integers(-8, 8).map(lambda c: 100.0 * c)
     positions = {uid: (draw(coord), draw(coord)) for uid in uids}
-    channels = [Channel.PSSCH, Channel.PSSCH, Channel.PSCCH, Channel.PSCCH, *Channel]
     txs = []
-    for seq in range(1, draw(st.integers(1, 8)) + 1):
+    for _ in range(draw(st.integers(1, 8))):
         start = draw(st.integers(-1, 4))
         span = None if start < 0 else (start, draw(st.integers(1, 3)))
         # few senders and powers, so equal levels at a receiver are common
-        tx = Transmission(draw(st.sampled_from(uids[:3])),
-                          draw(st.sampled_from((20.0, 23.0, 26.0))), 7,
-                          draw(st.sampled_from(channels)), None, span)
-        tx.seq = seq
-        txs.append(tx)
+        txs.append(Transmission(draw(st.sampled_from(uids[:3])),
+                                draw(st.sampled_from((20.0, 23.0, 26.0))), None, span))
     return txs, positions
 
 
@@ -316,6 +307,7 @@ def slots(draw):
        threshold=st.sampled_from((0.0, 3.0)), seed=st.integers(0, 2**16), warm=st.booleans())
 def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm):
     txs, positions = slot
+    index = {id(tx): k for k, tx in enumerate(txs)}
     # with no capture margin, which of two equal levels survives shows
     model = ChannelModel(shadowing_sigma_db=sigma, capture_threshold_db=threshold)
     results = []
@@ -325,8 +317,8 @@ def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm
             rng.gauss(0.0, 1.0)
         recs, collisions = fn(txs, positions, model, rng)
         results.append((
-            [(uid, [(tx.seq, rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
-            [(c.receiver_id, c.slot, c.destroyed_seqs) for c in collisions],
+            [(uid, [(index[id(tx)], rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
+            [(c.receiver_id, c.destroyed) for c in collisions],
             rng.getstate(),
         ))
     assert results[0] == results[1]

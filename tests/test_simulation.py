@@ -178,7 +178,7 @@ def test_grant_realigns_past_occurrences_left_unused():
     sent = []
 
     def step(slot):
-        sent.extend(tx.slot for tx in agent.act(slot) if isinstance(tx.payload, DataBurst))
+        sent.extend(slot for tx in agent.act(slot) if isinstance(tx.payload, DataBurst))
 
     for slot in range(250):
         step(slot)
@@ -278,7 +278,7 @@ def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
     assert a._receive_data(burst(a, sci2.encode(), 1), 5)
     assert b._receive_data(burst(b, sci2.encode(), 2), 5)  # equal bits, another BitString
     for agent in (a, b):
-        [(_, fb)] = agent.outbox[5 + FEEDBACK_DELAY_SLOTS]
+        [fb] = agent.outbox[5 + FEEDBACK_DELAY_SLOTS]
         assert (fb.harq_process_id, fb.src_l2, fb.dst_l2) == (3, agent.l2.current, 7)
     wrong_length = BitString(b"\x00", 8)
     assert a._receive_data(burst(a, wrong_length, 3), 6)
@@ -311,7 +311,7 @@ def test_cached_path_loss_follows_moving_nodes(monkeypatch):
 
     monkeypatch.setattr(simulation, "deliver", recording)
     world.run()
-    assert len({tx.slot for _, _, tx, _ in heard}) > 10
+    assert len({positions[1] for positions, _, _, _ in heard}) > 10
     for positions, uid, tx, rsrp in heard:
         (sx, sy), (rx, ry) = positions[tx.sender_id], positions[uid]
         assert rsrp == rsrp_at(tx.tx_power_dbm,

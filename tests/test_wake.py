@@ -15,7 +15,7 @@ import pytest
 from sidelinksim.frames import Pc5Message, Pc5MessageKind as K
 from sidelinksim.metrics import event_line
 from sidelinksim.pc5 import KEEPALIVE_PERIOD_SLOTS, PC5_TIMEOUT_SLOTS, LinkPhase, Pc5Burst
-from sidelinksim.radio import Channel, Reception, Transmission
+from sidelinksim.radio import Reception, Transmission
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import UeAgent, World
 
@@ -138,7 +138,7 @@ def test_a_handled_pc5_message_wakes_the_ue():
     assert ue.endpoint.next_deadline() == 5 + PC5_TIMEOUT_SLOTS
     ue.wake = math.inf
     reject = Pc5Message(K.ESTABLISHMENT_REJECT, peer, ue.l2.current, 1, {"cause": "congestion"})
-    heard: Reception = (Transmission(2, 23.0, 7, Channel.PSSCH, Pc5Burst(reject)), -60.0)
+    heard: Reception = (Transmission(2, 23.0, Pc5Burst(reject)), -60.0)
     ue.receive([heard], 7)
     assert ue.endpoint.links == {} and ue.endpoint.next_deadline() is None
     assert ue.wake == 7  # its timers are recomputed at the end of this slot
