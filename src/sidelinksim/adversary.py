@@ -28,7 +28,6 @@ from .frames import (
     fra_encode,
 )
 from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
-from .pc5 import Pc5Burst
 from .radio import Reception, Transmission
 from .resources import ControlBurst, ResourcePool
 from .sync import SsbBurst
@@ -339,11 +338,8 @@ class _ReactiveForger(AttackerAgent):
         if not self.active(slot):
             return
         for tx, _ in receptions:
-            burst = tx.payload
-            if not isinstance(burst, Pc5Burst):
-                continue
-            msg = burst.message
-            if msg.kind != self.watch_kind:
+            msg = tx.payload
+            if not isinstance(msg, Pc5Message) or msg.kind != self.watch_kind:
                 continue
             if self.target_side == "requester":
                 victim, impersonated = msg.src_l2, msg.dst_l2
@@ -352,14 +348,14 @@ class _ReactiveForger(AttackerAgent):
             emit = slot + 1 + max(self.jitter(), 0)
             forged = Pc5Message(self.forge_kind, impersonated, victim, counter=0,
                                 body={"cause": self.cause, "ts": emit})
-            self._schedule(slot, emit, Pc5Burst(message=forged))
+            self._schedule(slot, emit, forged)
 
     def transmissions(self, slot):
         # the real nonce was in a body this agent does not parse, so it
         # guesses, drawing the guess as the frame goes out
-        for burst in self._queue.get(slot, ()):
-            if burst is not None:
-                burst.message.body["echo_nonce"] = self.rng.randbytes(16).hex()
+        for forged in self._queue.get(slot, ()):
+            if forged is not None:
+                forged.body["echo_nonce"] = self.rng.randbytes(16).hex()
         return super().transmissions(slot)
 
 
@@ -387,12 +383,12 @@ class Pc5ReplayAgent(AttackerAgent):
             return
         delay = self.params["replay_delay_slots"]
         for tx, _ in receptions:
-            burst = tx.payload
-            if not isinstance(burst, Pc5Burst) or burst.message.kind != K.ESTABLISHMENT_REQUEST:
+            msg = tx.payload
+            if not isinstance(msg, Pc5Message) or msg.kind != K.ESTABLISHMENT_REQUEST:
                 continue
             emit = slot + delay + self.jitter()
             if emit > slot and self.active(emit):
-                self._schedule(slot, emit, burst)
+                self._schedule(slot, emit, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +430,8 @@ class TrackerAgent(AttackerAgent):
             src = None
             if isinstance(burst, DataBurst):
                 src = burst.mac_src_l2
-            elif isinstance(burst, Pc5Burst):
-                src = burst.message.src_l2
+            elif isinstance(burst, Pc5Message):
+                src = burst.src_l2
             if src is None:
                 continue
             t = self.traces.get(src)

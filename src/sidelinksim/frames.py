@@ -518,7 +518,3 @@ class Pc5Message:
         """Bytes covered by the integrity tag: header plus wire payload."""
         wire = self.cipher_blob.encode() if self.cipher_blob is not None else self.body_bytes()
         return self.header_bytes() + b"|" + wire
-
-    @property
-    def protection(self) -> Protection:
-        return PROTECTION[self.kind]

@@ -67,17 +67,12 @@ class SecurityPolicy:
     auth_mandatory: bool = False
 
 
-class Outcome(Enum):
-    PROTECTED = "protected"
-    UNPROTECTED = "unprotected"
-    MISMATCH = "mismatch"
-
-
 @dataclass(frozen=True)
 class Negotiation:
-    outcome: Outcome
-    cipher_on: bool = False
-    integrity_on: bool = False
+    """Agreed protection per axis; both off is an unprotected link."""
+
+    cipher_on: bool
+    integrity_on: bool
 
     @property
     def cipher_alg(self) -> str:
@@ -100,15 +95,14 @@ def _axis(a: PolicyLevel, b: PolicyLevel, null_ok: bool) -> bool | None:
     return False  # NOT_NEEDED with NOT_NEEDED or PREFERRED
 
 
-def negotiate_policy(a: SecurityPolicy, b: SecurityPolicy) -> Negotiation:
+def negotiate_policy(a: SecurityPolicy, b: SecurityPolicy) -> Negotiation | None:
+    """The agreed protection, or None for a mismatch."""
     both_null_ok = a.allow_null_cipher and b.allow_null_cipher
     cipher = _axis(a.ciphering, b.ciphering, both_null_ok)
     integ = _axis(a.integrity, b.integrity, False)
     if cipher is None or integ is None:
-        return Negotiation(Outcome.MISMATCH)
-    if cipher or integ:
-        return Negotiation(Outcome.PROTECTED, cipher, integ)
-    return Negotiation(Outcome.UNPROTECTED)
+        return None
+    return Negotiation(cipher, integ)
 
 
 # ---------------------------------------------------------------------------
@@ -240,35 +234,23 @@ L2_SPACE = 1 << 24
 BROADCAST_L2 = L2_SPACE - 1
 
 
-@dataclass
-class L2Identity:
-    current: int
-    history: list[tuple[int, int, int]] = field(default_factory=list)  # (id, from, to)
-    born_slot: int = 0
-
-
-def refresh_identifier(identity: L2Identity, rng: random.Random, mode: str,
-                       slot: int, live_ids: set[int]) -> int:
-    """Roll the layer-2 id; returns the new value.
+def refresh_identifier(current: int, retired: set[int], rng: random.Random, mode: str,
+                       live_ids: set[int]) -> int:
+    """Roll the layer-2 id `current`, adding it to `retired`; returns the new value.
 
     weak mode is the predictable id+1 scheme kept for the tracking
-    experiment; secure mode redraws on any clash with this UE's own
-    history or an id currently live in the run.
+    experiment; secure mode redraws on any clash with an id this UE
+    held before or one currently live in the run.
     """
-    used = {h[0] for h in identity.history} | {identity.current}
-    if mode == "weak":
-        new = (identity.current + 1) % L2_SPACE
-    elif mode == "secure":
-        while True:
-            new = rng.getrandbits(24)
-            if new != BROADCAST_L2 and new not in used and new not in live_ids:
-                break
-    else:
+    if mode not in ("weak", "secure"):
         raise ValueError(f"unknown randomization mode {mode!r}")
-    identity.history.append((identity.current, identity.born_slot, slot))
-    identity.current = new
-    identity.born_slot = slot
-    return new
+    retired.add(current)
+    if mode == "weak":
+        return (current + 1) % L2_SPACE
+    while True:
+        new = rng.getrandbits(24)
+        if new != BROADCAST_L2 and new not in retired and new not in live_ids:
+            return new
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +278,15 @@ class LinkState:
     peer_l2: int
     is_initiator: bool
     phase: LinkPhase = LinkPhase.IDLE
-    started_slot: int = 0
-    established_slot: int | None = None
+    # the slot in which `tick` next acts: a pending link's timeout or an
+    # initiator's keepalive; None while no timer runs
+    deadline: int | None = None
     negotiation: Negotiation | None = None
     ctx: LinkSecurityContext | None = None
     keys: KeyHierarchy | None = None
     nonce_i: str | None = None  # initiator nonce (hex)
     nonce_r: str | None = None  # responder nonce (hex)
     challenge: str | None = None
-    keepalive_next: int | None = None
     keepalive_misses: int = 0
 
     def binding_nonce(self) -> str | None:
@@ -326,13 +308,6 @@ class SecurityEvent:
     detail: dict = field(default_factory=dict)
 
 
-@dataclass
-class Pc5Burst:
-    """PSSCH payload: PC5 signalling, with no SCI for sensing to read."""
-
-    message: Pc5Message
-
-
 def _policy_body(policy: SecurityPolicy) -> dict:
     return {
         "cipher": policy.ciphering.value,
@@ -351,45 +326,47 @@ def _policy_from_body(body: dict) -> SecurityPolicy:
     )
 
 
+def _unexpected(msg: Pc5Message, slot: int) -> tuple[list, list[SecurityEvent]]:
+    return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2, {"kind": int(msg.kind)})]
 
 
 class Pc5Endpoint:
     """One UE's PC5 signalling side: links, keys, timers."""
 
-    def __init__(self, ue_id: int, l2_id: int, k_long_term: bytes,
-                 policy: SecurityPolicy, rng: random.Random):
-        self.ue_id = ue_id
-        self.l2_id = l2_id
+    def __init__(self, l2_id: int, k_long_term: bytes, policy: SecurityPolicy,
+                 rng: random.Random):
+        self.l2_id = l2_id  # this UE's layer-2 id
         self.k_long_term = k_long_term
         self.policy = policy
         self.rng = rng
         self.links: dict[int, LinkState] = {}
-        self._seq = 0
 
     # -- helpers ---------------------------------------------------------
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def _nonce(self) -> str:
         return self.rng.randbytes(NONCE_BYTES).hex()
 
     def _msg(self, kind: K, dst: int, body: dict, link: LinkState | None) -> Pc5Message:
-        msg = Pc5Message(kind, self.l2_id, dst, self._next_seq(), body)
+        msg = Pc5Message(kind, self.l2_id, dst, 0, body)
         ctx = link.ctx if link else None
         return protect_pdu(ctx, msg)
+
+    def _below_policy(self, neg: Negotiation) -> bool:
+        """True if `neg` leaves off an axis this UE's policy REQUIRES."""
+        return ((self.policy.ciphering == PolicyLevel.REQUIRED and not neg.cipher_on)
+                or (self.policy.integrity == PolicyLevel.REQUIRED and not neg.integrity_on))
 
     @staticmethod
     def _establish(link: LinkState, slot: int, security: str) -> SecurityEvent:
         link.phase = LinkPhase.ESTABLISHED
-        link.established_slot = slot
+        link.deadline = slot + KEEPALIVE_PERIOD_SLOTS if link.is_initiator else None
         return SecurityEvent(slot, "established", link.peer_l2, {"security": security})
 
     # -- initiator side --------------------------------------------------
 
     def initiate(self, peer_l2: int, slot: int) -> list[Pc5Message]:
-        link = LinkState(peer_l2, True, LinkPhase.REQUEST_SENT, started_slot=slot)
+        link = LinkState(peer_l2, True, LinkPhase.REQUEST_SENT,
+                         deadline=slot + PC5_TIMEOUT_SLOTS)
         link.nonce_i = self._nonce()
         link.keys = KeyHierarchy(self.k_long_term).with_knrp(self.rng.getrandbits(32))
         self.links[peer_l2] = link
@@ -404,8 +381,8 @@ class Pc5Endpoint:
     def begin_identifier_update(self, new_l2: int, new_knrp_id: int) -> list[Pc5Message]:
         """Messages announcing an id change on every established link.
 
-        Sent under the old source id; the caller switches self.l2_id
-        after putting these on air.
+        Sent under the old source id; this endpoint takes `new_l2` once
+        they are built.
         """
         out = []
         for peer, link in self.links.items():
@@ -413,44 +390,33 @@ class Pc5Endpoint:
                 body = {"new_l2": new_l2, "new_knrp_id": new_knrp_id}
                 out.append(self._msg(K.IDENTIFIER_UPDATE_REQUEST, peer, body, link))
                 link.keys = link.keys.with_knrp(new_knrp_id)
+        self.l2_id = new_l2
         return out
 
     # -- timers ----------------------------------------------------------
 
     def next_deadline(self) -> int | None:
-        """First slot in which `tick` acts: a pending link's timeout or an
-        initiator's keepalive; None while no timer runs."""
-        deadlines = []
-        for link in self.links.values():
-            if link.phase in PRE_ESTABLISHED:
-                deadlines.append(link.started_slot + PC5_TIMEOUT_SLOTS)
-            elif link.phase == LinkPhase.ESTABLISHED and link.is_initiator:
-                deadlines.append(link.established_slot + KEEPALIVE_PERIOD_SLOTS
-                                 if link.keepalive_next is None else link.keepalive_next)
-        return min(deadlines, default=None)
+        """First slot in which `tick` acts; None while no timer runs."""
+        return min((link.deadline for link in self.links.values()
+                    if link.deadline is not None), default=None)
 
     def tick(self, slot: int) -> tuple[list[Pc5Message], list[SecurityEvent]]:
         out: list[Pc5Message] = []
         events: list[SecurityEvent] = []
         for peer, link in list(self.links.items()):
-            if link.phase in PRE_ESTABLISHED and slot - link.started_slot >= PC5_TIMEOUT_SLOTS:
+            if link.deadline is None or slot < link.deadline:
+                continue
+            if link.phase in PRE_ESTABLISHED:
                 events.append(SecurityEvent(slot, "link_failure", peer, {"cause": "timeout"}))
                 del self.links[peer]
-                continue
-            if link.phase != LinkPhase.ESTABLISHED or not link.is_initiator:
-                continue
-            if link.keepalive_next is None:
-                link.keepalive_next = link.established_slot + KEEPALIVE_PERIOD_SLOTS
-            if slot >= link.keepalive_next:
-                if link.keepalive_misses >= KEEPALIVE_MAX_MISSES:
-                    events.append(
-                        SecurityEvent(slot, "link_failure", peer, {"cause": "keepalive"})
-                    )
-                    link.phase = LinkPhase.RELEASED
-                    continue
+            elif link.keepalive_misses >= KEEPALIVE_MAX_MISSES:
+                events.append(SecurityEvent(slot, "link_failure", peer, {"cause": "keepalive"}))
+                link.phase = LinkPhase.RELEASED
+                link.deadline = None
+            else:
                 out.append(self._msg(K.KEEPALIVE_REQUEST, peer, {"n": link.keepalive_misses}, link))
                 link.keepalive_misses += 1
-                link.keepalive_next += KEEPALIVE_PERIOD_SLOTS
+                link.deadline += KEEPALIVE_PERIOD_SLOTS
         return out, events
 
     # -- receive path ----------------------------------------------------
@@ -470,8 +436,7 @@ class Pc5Endpoint:
             return self._on_request(link, msg, slot, guard)
         side, phases, step = _RECEIVE.get(msg.kind, _UNHANDLED)
         if link is None or link.phase not in phases or side not in (None, link.is_initiator):
-            return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                      {"kind": int(msg.kind)})]
+            return _unexpected(msg, slot)
         if msg.kind in _ABORT_KINDS:
             return self._abort(link, msg, slot, guard)
         body = msg.body
@@ -511,20 +476,21 @@ class Pc5Endpoint:
             # replayed or duplicate establishment against a live link:
             # answered statelessly, never touching the standing context
             events.append(SecurityEvent(slot, "duplicate_session", msg.src_l2, {}))
-            reply = self._stateless_smc(msg, slot)
-            return reply, events
+            keys = KeyHierarchy(self.k_long_term).with_knrp(msg.body["knrp_id"])
+            smc, _ = self._smc(keys, msg.body["nonce"], Negotiation(True, True), msg.src_l2, slot)
+            return [smc], events
         peer_policy = _policy_from_body(msg.body)
         negotiation = negotiate_policy(self.policy, peer_policy)
-        if negotiation.outcome == Outcome.MISMATCH:
+        if negotiation is None:
             events.append(SecurityEvent(slot, "policy_mismatch", msg.src_l2, {}))
             body = {"cause": "policy_mismatch", "echo_nonce": msg.body["nonce"], "ts": slot}
             return [self._msg(K.ESTABLISHMENT_REJECT, msg.src_l2, body, None)], events
-        new = LinkState(msg.src_l2, False, started_slot=slot)
+        new = LinkState(msg.src_l2, False, deadline=slot + PC5_TIMEOUT_SLOTS)
         new.nonce_i = msg.body["nonce"]
         new.negotiation = negotiation
         new.keys = KeyHierarchy(self.k_long_term).with_knrp(msg.body["knrp_id"])
         self.links[msg.src_l2] = new
-        if negotiation.outcome == Outcome.UNPROTECTED:
+        if not (negotiation.cipher_on or negotiation.integrity_on):
             events.append(self._establish(new, slot, "none"))
             return [self._msg(K.ESTABLISHMENT_ACCEPT, msg.src_l2, {"sess_id": 0}, new)], events
         if self.policy.auth_mandatory or peer_policy.auth_mandatory:
@@ -536,43 +502,27 @@ class Pc5Endpoint:
 
     def _send_smc(self, link: LinkState, slot: int) -> list[Pc5Message]:
         link.phase = LinkPhase.SECURITY_MODE
-        link.nonce_r = self._nonce()
-        neg = link.negotiation
-        link.keys = derive_session(
-            link.keys,
-            bytes.fromhex(link.nonce_i),
-            bytes.fromhex(link.nonce_r),
-            neg.cipher_alg,
-            neg.integrity_alg,
-        )
-        link.ctx = LinkSecurityContext(link.keys, neg.cipher_on, neg.integrity_on)
+        smc, link.ctx = self._smc(link.keys, link.nonce_i, link.negotiation, link.peer_l2, slot)
+        link.keys = link.ctx.keys
+        link.nonce_r = smc.body["nonce"]  # a command is never ciphered
+        return [smc]
+
+    def _smc(self, keys: KeyHierarchy, nonce_i: str, neg: Negotiation, dst: int,
+             slot: int) -> tuple[Pc5Message, LinkSecurityContext]:
+        """A Security Mode Command under fresh session keys, and the
+        context those keys start."""
+        nonce_r = self._nonce()
+        keys = derive_session(keys, bytes.fromhex(nonce_i), bytes.fromhex(nonce_r),
+                              neg.cipher_alg, neg.integrity_alg)
+        ctx = LinkSecurityContext(keys, neg.cipher_on, neg.integrity_on)
         body = {
-            "nonce": link.nonce_r,
-            "echo_nonce": link.nonce_i,
+            "nonce": nonce_r,
+            "echo_nonce": nonce_i,
             "cipher_alg": neg.cipher_alg,
             "integ_alg": neg.integrity_alg,
             "ts": slot,
         }
-        return [self._msg(K.SECURITY_MODE_COMMAND, link.peer_l2, body, link)]
-
-    def _stateless_smc(self, msg: Pc5Message, slot: int) -> list[Pc5Message]:
-        keys = KeyHierarchy(self.k_long_term).with_knrp(msg.body["knrp_id"])
-        nonce_r = self._nonce()
-        keys = derive_session(
-            keys, bytes.fromhex(msg.body["nonce"]), bytes.fromhex(nonce_r),
-            CIPHER_ALG, INTEG_ALG,
-        )
-        ctx = LinkSecurityContext(keys, True, True)
-        body = {
-            "nonce": nonce_r,
-            "echo_nonce": msg.body["nonce"],
-            "cipher_alg": CIPHER_ALG,
-            "integ_alg": INTEG_ALG,
-            "ts": slot,
-        }
-        shadow = Pc5Message(K.SECURITY_MODE_COMMAND, self.l2_id, msg.src_l2,
-                            self._next_seq(), body)
-        return [protect_pdu(ctx, shadow)]
+        return protect_pdu(ctx, Pc5Message(K.SECURITY_MODE_COMMAND, self.l2_id, dst, 0, body)), ctx
 
     # Each step below runs only for a kind its link accepts (see handle);
     # body is the clear, echo-checked message body.
@@ -595,11 +545,9 @@ class Pc5Endpoint:
         return self._send_smc(link, slot), []
 
     def _on_smc(self, link, msg, body, slot):
-        neg = Negotiation(
-            Outcome.PROTECTED,
-            body["cipher_alg"] != NULL_ALG,
-            body["integ_alg"] != NULL_ALG,
-        )
+        neg = Negotiation(body["cipher_alg"] != NULL_ALG, body["integ_alg"] != NULL_ALG)
+        if self._below_policy(neg):  # a downgrade this UE's policy forbids
+            return _unexpected(msg, slot)
         keys = derive_session(
             link.keys,
             bytes.fromhex(link.nonce_i),
@@ -629,11 +577,11 @@ class Pc5Endpoint:
     def _on_accept(self, link, msg, body, slot):
         if link.phase == LinkPhase.REQUEST_SENT:
             # null-security path: a bare accept concludes it, but only a
-            # policy with no REQUIRED axis can negotiate UNPROTECTED
-            if PolicyLevel.REQUIRED in (self.policy.ciphering, self.policy.integrity):
-                return [], [SecurityEvent(slot, "unexpected_message", msg.src_l2,
-                                          {"kind": int(msg.kind)})]
-            link.negotiation = Negotiation(Outcome.UNPROTECTED)
+            # policy with no REQUIRED axis can negotiate an unprotected link
+            unprotected = Negotiation(False, False)
+            if self._below_policy(unprotected):
+                return _unexpected(msg, slot)
+            link.negotiation = unprotected
             return [], [self._establish(link, slot, "none")]
         return [], [self._establish(link, slot, "context")]
 

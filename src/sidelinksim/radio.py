@@ -3,7 +3,7 @@
 Time is an integer slot counter. Power is dBm end to end; path loss is
 log-distance with optional seeded Gaussian shadowing. A transmission's
 payload class names its physical channel: `SsbBurst` rides PSBCH,
-`ControlBurst` PSCCH, `DataBurst` and `Pc5Burst` PSSCH, and
+`ControlBurst` PSCCH, `DataBurst` and `Pc5Message` PSSCH, and
 `FeedbackBurst` PSFCH. Collisions use a capture model among the
 overlapping transmissions with a subchannel span: of two such same-slot
 transmissions, the stronger survives only if it exceeds the weaker by at

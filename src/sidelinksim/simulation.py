@@ -48,7 +48,7 @@ from .defense import (
     sign_ssb,
     verify_ssb,
 )
-from .frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, decode_once
+from .frames import CastType, MibSl, Pc5Message, Sci1A, Sci2A, SlssIdentity, decode_once
 from .harq import (
     FEEDBACK_DELAY_SLOTS,
     MAX_PROCESSES,
@@ -61,7 +61,7 @@ from .harq import (
     feedback_for_tb,
 )
 from .metrics import MetricsReport
-from .pc5 import BROADCAST_L2, L2Identity, Pc5Burst, Pc5Endpoint, refresh_identifier
+from .pc5 import BROADCAST_L2, Pc5Endpoint, refresh_identifier
 from .radio import PathLossRow, Reception, Transmission, child_rng, deliver
 from .resources import (
     ControlBurst,
@@ -143,8 +143,9 @@ class UeAgent:
         self.spec = spec
         self.world = world
         self.rng = child_rng(world.seed, f"ue:{spec.id}")
-        self.l2 = L2Identity(current=world.take_l2(), born_slot=0)
-        world.identity_truth[self.l2.current] = spec.id
+        l2_id = world.take_l2()
+        world.identity_truth[l2_id] = spec.id
+        self.retired_l2: set[int] = set()  # layer-2 ids this UE held before
 
         cfg = world.sc.sync
         if spec.role == "gnss_visible":
@@ -168,10 +169,8 @@ class UeAgent:
         policy = spec.policy
         if world.sc.defenses.policy_enforcer.enabled:
             policy = enforce_policy(policy)
-        self.endpoint = Pc5Endpoint(
-            spec.id, self.l2.current, world.psk, policy,
-            child_rng(world.seed, f"pc5:{spec.id}"),
-        )
+        self.endpoint = Pc5Endpoint(l2_id, world.psk, policy,
+                                    child_rng(world.seed, f"pc5:{spec.id}"))
         guard_cfg = world.sc.defenses.replay_guard
         self.guard = ReplayGuard(guard_cfg.timestamp_skew_slots) if guard_cfg.enabled else None
         self.profile = FeedbackProfile()
@@ -325,7 +324,7 @@ class UeAgent:
             self.world.security_event(self, ev)
 
     def _pc5_tx(self, msg) -> Transmission:
-        return Transmission(self.spec.id, self.spec.tx_power_dbm, Pc5Burst(message=msg))
+        return Transmission(self.spec.id, self.spec.tx_power_dbm, msg)
 
     def _flow_step(self, rt: FlowRuntime, slot: int, out: list[Transmission]):
         flow, proc = rt.flow, rt.process
@@ -381,14 +380,14 @@ class UeAgent:
         dst_l2 = self.world.l2_of(flow.dst)
         cast = CastType.BROADCAST if flow.dst == "broadcast" else CastType.UNICAST
         # Sci2A.for_tb's arguments, in its order
-        header = (proc.process_id, ndi, rv, self.l2.current, dst_l2, flow.harq, cast)
+        header = (proc.process_id, ndi, rv, self.endpoint.l2_id, dst_l2, flow.harq, cast)
         sci2_bits = self.world.sci2a_bits.get(header)
         if sci2_bits is None:
             sci2_bits = self.world.sci2a_bits[header] = Sci2A.for_tb(*header).encode()
         burst = DataBurst(
             sci1_bits=g.sci1_bits,
             sci2_bits=sci2_bits,
-            mac_src_l2=self.l2.current,
+            mac_src_l2=self.endpoint.l2_id,
             mac_dst_l2=dst_l2,
             tb_id=proc.tb_id,
             size_bytes=flow.size_bytes,
@@ -416,7 +415,7 @@ class UeAgent:
         """
         cache = self.world.sci1a_cache
         sensing = self.sensing
-        l2 = self.l2.current
+        l2 = self.endpoint.l2_id
         seen = self.delivered_seen
         lossless = self.world.sc.channel.tb_error_rate == 0
         delivered = 0
@@ -442,7 +441,7 @@ class UeAgent:
                     self._wake(slot)  # closed, or dropped, at the end of this slot
             elif kind is SsbBurst:
                 self._receive_ssb(payload, rsrp, tx.sender_id, slot)
-            elif kind is Pc5Burst:
+            elif kind is Pc5Message:
                 self._receive_pc5(payload, slot)
         return delivered
 
@@ -472,25 +471,24 @@ class UeAgent:
         new = crc_ok and burst.tb_id not in self.delivered_seen
         if new:
             self.delivered_seen.add(burst.tb_id)
-        if burst.mac_dst_l2 != self.l2.current:
+        if burst.mac_dst_l2 != self.endpoint.l2_id:
             return new
         sci2 = decode_once(self.world.sci2a_cache, Sci2A.decode, burst.sci2_bits)
         if sci2 is None:
             return new
         fb = feedback_for_tb(crc_ok, sci2.harq_enabled, sci2.harq_process_id,
-                             self.l2.current, burst.mac_src_l2)
+                             self.endpoint.l2_id, burst.mac_src_l2)
         if fb is not None:
             self.queue_tx(slot + FEEDBACK_DELAY_SLOTS, fb)
             self.world.metrics.bump("feedback_sent")
         return new
 
-    def _receive_pc5(self, burst: Pc5Burst, slot: int):
-        msg = burst.message
-        if msg.dst_l2 != self.l2.current:
+    def _receive_pc5(self, msg: Pc5Message, slot: int):
+        if msg.dst_l2 != self.endpoint.l2_id:
             return
         replies, events = self.endpoint.handle(msg, slot, self.guard)
         for reply in replies:
-            self.queue_tx(slot + 1, Pc5Burst(message=reply))
+            self.queue_tx(slot + 1, reply)
         for ev in events:
             self.world.security_event(self, ev)
         self._wake(slot)  # the step may have moved a PC5 timer
@@ -630,7 +628,7 @@ class World:
     def l2_of(self, ue_id) -> int:
         if ue_id == "broadcast":
             return BROADCAST_L2
-        return self.by_id[ue_id].l2.current
+        return self.by_id[ue_id].endpoint.l2_id
 
     def event(self, slot: int, event_type: str, **fields):
         entry = {"slot": slot, "type": event_type}
@@ -674,20 +672,17 @@ class World:
         timer_slots = int(round(cfg.timer_ms / self.sc.pool.slot_duration_ms))
         if timer_slots <= 0 or slot % timer_slots != 0:
             return
-        live = {a.l2.current for a in self.agents}
+        live = {a.endpoint.l2_id for a in self.agents}
         for agent in self.agents:
             if agent.spec.role != "legit":
                 continue
-            old = agent.l2.current
-            new = refresh_identifier(agent.l2, self.privacy_rng, cfg.mode, slot, live)
+            old = agent.endpoint.l2_id
+            new = refresh_identifier(old, agent.retired_l2, self.privacy_rng, cfg.mode, live)
             live.discard(old)
             live.add(new)
-            msgs = agent.endpoint.begin_identifier_update(
-                new, self.privacy_rng.getrandbits(32)
-            )
-            for msg in msgs:
-                agent.queue_tx(slot, Pc5Burst(message=msg))
-            agent.endpoint.l2_id = new
+            for msg in agent.endpoint.begin_identifier_update(
+                    new, self.privacy_rng.getrandbits(32)):
+                agent.queue_tx(slot, msg)
             self.identity_truth[new] = agent.spec.id
             self.metrics.bump("identifier_refreshes")
             self.event(slot, "identifier_refresh", ue=agent.spec.id)

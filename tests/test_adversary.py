@@ -26,7 +26,6 @@ from sidelinksim.frames import (
 )
 from sidelinksim.defense import sign_ssb, verify_ssb
 from sidelinksim.harq import DataBurst, FeedbackBurst
-from sidelinksim.pc5 import Pc5Burst
 from sidelinksim.radio import Transmission
 from sidelinksim.resources import ControlBurst, ResourcePool, claims_from_sci
 from sidelinksim.frames import Sci1A
@@ -189,10 +188,10 @@ def test_forged_reject_races_observed_requests():
                      {"nonce": "aa" * 16, "ts": 10, "knrp_id": 1,
                       "cipher": "REQUIRED", "integ": "REQUIRED",
                       "allow_null": 0, "auth_req": 0})
-    hear(agent, Pc5Burst(message=req), 10)
+    hear(agent, req, 10)
     out = agent.transmissions(11)
     assert len(out) == 1
-    forged = out[0].payload.message
+    forged = out[0].payload
     assert forged.kind == K.ESTABLISHMENT_REJECT
     assert forged.src_l2 == 0x000202  # impersonates the responder
     assert forged.dst_l2 == 0x000101  # hits the requester
@@ -207,11 +206,11 @@ def test_replay_agent_re_emits_captured_frame_verbatim():
                      {"nonce": "bb" * 16, "ts": 10, "knrp_id": 2,
                       "cipher": "REQUIRED", "integ": "REQUIRED",
                       "allow_null": 0, "auth_req": 0})
-    hear(agent, Pc5Burst(message=req), 10)
+    hear(agent, req, 10)
     assert agent.transmissions(49) == []
     out = agent.transmissions(50)
     assert len(out) == 1
-    assert out[0].payload.message is req  # byte-for-byte the captured frame
+    assert out[0].payload is req  # byte-for-byte the captured frame
     assert agent.transmissions(51) == []
 
 
@@ -301,9 +300,8 @@ def _describe(payload) -> str:
     if isinstance(payload, FeedbackBurst):
         return (f"feedback ack={payload.ack} pid={payload.harq_process_id}"
                 f" src={payload.src_l2:x} dst={payload.dst_l2:x}")
-    msg = payload.message
-    body = " ".join(f"{k}={v}" for k, v in msg.body.items())
-    return f"{msg.kind.name} src={msg.src_l2:x} dst={msg.dst_l2:x} {body}"
+    body = " ".join(f"{k}={v}" for k, v in payload.body.items())
+    return f"{payload.kind.name} src={payload.src_l2:x} dst={payload.dst_l2:x} {body}"
 
 
 def _drive(label, agent, heard, slots):
@@ -320,7 +318,7 @@ def _drive(label, agent, heard, slots):
 
 
 def _request(src, dst, n, kind=K.ESTABLISHMENT_REQUEST):
-    return Pc5Burst(message=Pc5Message(kind, src, dst, 1, {"nonce": f"{n:02x}" * 16}))
+    return Pc5Message(kind, src, dst, 1, {"nonce": f"{n:02x}" * 16})
 
 
 def deferred_frame_rows() -> list[str]:

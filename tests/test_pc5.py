@@ -17,11 +17,9 @@ from sidelinksim.pc5 import (
     KEEPALIVE_PERIOD_SLOTS,
     PC5_TIMEOUT_SLOTS,
     KeyHierarchy,
-    L2Identity,
     LinkPhase,
     LinkSecurityContext,
     Negotiation,
-    Outcome,
     Pc5Endpoint,
     PolicyLevel,
     SecurityPolicy,
@@ -39,12 +37,13 @@ R, P, N = PolicyLevel.REQUIRED, PolicyLevel.PREFERRED, PolicyLevel.NOT_NEEDED
 
 
 def endpoint(ue_id, l2, policy=None, seed=0):
-    return Pc5Endpoint(ue_id, l2, PSK, policy or SecurityPolicy(),
+    return Pc5Endpoint(l2, PSK, policy or SecurityPolicy(),
                        random.Random(f"pc5test:{seed}:{ue_id}"))
 
 
 def pump(a, b, first_msgs, slot=10, guard_a=None, guard_b=None, max_rounds=10):
-    """Shuttle messages between two endpoints until both sides go quiet."""
+    """Shuttle messages between two endpoints until both sides go quiet;
+    returns (receiver's l2 id, event) pairs."""
     events = []
     inbound = [(b, a, m) for m in first_msgs]
     for _ in range(max_rounds):
@@ -54,7 +53,7 @@ def pump(a, b, first_msgs, slot=10, guard_a=None, guard_b=None, max_rounds=10):
         for receiver, sender, msg in inbound:
             guard = guard_a if receiver is a else guard_b
             replies, evs = receiver.handle(msg, slot, guard)
-            events.extend((receiver.ue_id, e) for e in evs)
+            events.extend((receiver.l2_id, e) for e in evs)
             nxt.extend((sender, receiver, m) for m in replies)
         inbound = nxt
         slot += 1
@@ -79,17 +78,15 @@ def test_negotiation_matrix_cipher_axis():
         b = SecurityPolicy(ciphering=b_lvl, integrity=N)
         got = negotiate_policy(a, b)
         if want is None:
-            assert got.outcome == Outcome.MISMATCH, (a_lvl, b_lvl)
-        elif want:
-            assert got.outcome == Outcome.PROTECTED and got.cipher_on, (a_lvl, b_lvl)
+            assert got is None, (a_lvl, b_lvl)
         else:
-            assert got.outcome == Outcome.UNPROTECTED, (a_lvl, b_lvl)
+            assert got == Negotiation(want, False), (a_lvl, b_lvl)
 
 
 def test_negotiation_preferred_pair_with_null_allowed():
     a = SecurityPolicy(ciphering=P, integrity=N, allow_null_cipher=True)
     b = SecurityPolicy(ciphering=P, integrity=N, allow_null_cipher=True)
-    assert negotiate_policy(a, b).outcome == Outcome.UNPROTECTED
+    assert negotiate_policy(a, b) == Negotiation(False, False)
     # one side refusing null keeps the cipher on
     c = SecurityPolicy(ciphering=P, integrity=N, allow_null_cipher=False)
     assert negotiate_policy(a, c).cipher_on
@@ -99,8 +96,7 @@ def test_negotiation_axes_are_independent():
     a = SecurityPolicy(ciphering=N, integrity=R)
     b = SecurityPolicy(ciphering=N, integrity=P)
     got = negotiate_policy(a, b)
-    assert got.outcome == Outcome.PROTECTED
-    assert not got.cipher_on and got.integrity_on
+    assert got == Negotiation(False, True)
     assert got.cipher_alg == "null" and got.integrity_alg != "null"
 
 
@@ -238,7 +234,7 @@ def test_handshake_null_security_short_path():
     a, b = endpoint(1, 0x000101, pol), endpoint(2, 0x000202, pol)
     events = pump(a, b, a.initiate(0x000202, 10))
     assert [e.kind for _, e in events].count("established") == 2
-    assert a.links[0x000202].negotiation.outcome == Outcome.UNPROTECTED
+    assert a.links[0x000202].negotiation == Negotiation(False, False)
     assert a.links[0x000202].ctx is None
 
 
@@ -255,7 +251,7 @@ def test_handshake_policy_mismatch_rejects():
 
 def test_wrong_psk_fails_authentication():
     pol = SecurityPolicy(auth_mandatory=True)
-    a = Pc5Endpoint(1, 0x000101, b"\x22" * 32, pol, random.Random(1))
+    a = Pc5Endpoint(0x000101, b"\x22" * 32, pol, random.Random(1))
     b = endpoint(2, 0x000202, pol)
     events = pump(a, b, a.initiate(0x000202, 10))
     kinds = [e.kind for _, e in events]
@@ -336,42 +332,78 @@ def test_forged_bare_accept_concludes_only_a_policy_with_no_required_axis(
     if concludes:
         assert [e.kind for e in events] == ["established"]
         assert link.phase == LinkPhase.ESTABLISHED
-        assert link.negotiation.outcome == Outcome.UNPROTECTED
+        assert link.negotiation == Negotiation(False, False)
     else:
         assert [e.kind for e in events] == ["unexpected_message"]
         assert link.phase == LinkPhase.REQUEST_SENT
 
 
+def established_slot(events, l2):
+    """Slot of the `established` event `pump` recorded for endpoint `l2`."""
+    (slot,) = [e.slot for who, e in events if who == l2 and e.kind == "established"]
+    return slot
+
+
+@pytest.mark.parametrize("cipher, integ, accepted", [
+    (R, R, False), (N, R, False), (R, N, False), (N, N, True),
+])
+def test_null_smc_passes_only_a_policy_with_no_required_axis(cipher, integ, accepted):
+    a = endpoint(1, 0x000101, SecurityPolicy(ciphering=cipher, integrity=integ))
+    (request,) = a.initiate(0x000202, 10)
+    # the request carries the initiator's nonce in the clear, so a forger can echo it
+    forged = Pc5Message(K.SECURITY_MODE_COMMAND, 0x000202, 0x000101, 0,
+                        {"nonce": "ee" * 16, "echo_nonce": request.body["nonce"],
+                         "cipher_alg": "null", "integ_alg": "null", "ts": 11})
+    replies, events = a.handle(forged, 11, None)
+    link = a.links[0x000202]
+    if accepted:
+        assert [r.kind for r in replies] == [K.SECURITY_MODE_COMPLETE] and events == []
+        assert link.phase == LinkPhase.SECURITY_MODE
+    else:
+        assert replies == [] and [e.kind for e in events] == ["unexpected_message"]
+        assert link.phase == LinkPhase.REQUEST_SENT and link.ctx is None
+
+
 def test_pending_link_times_out():
     a = endpoint(1, 0x000101)
+    assert a.next_deadline() is None
     a.initiate(0x000202, 10)
+    assert a.next_deadline() == 10 + PC5_TIMEOUT_SLOTS
     out, events = a.tick(10 + PC5_TIMEOUT_SLOTS - 1)
     assert events == []
+    assert a.next_deadline() == 10 + PC5_TIMEOUT_SLOTS
     out, events = a.tick(10 + PC5_TIMEOUT_SLOTS)
     assert [e.kind for e in events] == ["link_failure"]
     assert events[0].detail["cause"] == "timeout"
     assert a.links == {}
+    assert a.next_deadline() is None
 
 
 def test_keepalive_misses_release_the_link():
     a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
-    pump(a, b, a.initiate(0x000202, 10))
-    established = a.links[0x000202].established_slot
+    events = pump(a, b, a.initiate(0x000202, 10))
+    established = established_slot(events, a.l2_id)
+    assert a.next_deadline() == established + KEEPALIVE_PERIOD_SLOTS
+    # the responder's established link runs no timer
+    assert b.links[0x000101].phase == LinkPhase.ESTABLISHED
+    assert b.next_deadline() is None
     # peer never answers: two probes then failure
     out1, ev1 = a.tick(established + KEEPALIVE_PERIOD_SLOTS)
     assert [m.kind for m in out1] == [K.KEEPALIVE_REQUEST] and ev1 == []
+    assert a.next_deadline() == established + 2 * KEEPALIVE_PERIOD_SLOTS
     out2, ev2 = a.tick(established + 2 * KEEPALIVE_PERIOD_SLOTS)
     assert [m.kind for m in out2] == [K.KEEPALIVE_REQUEST] and ev2 == []
+    assert a.next_deadline() == established + 3 * KEEPALIVE_PERIOD_SLOTS
     out3, ev3 = a.tick(established + 3 * KEEPALIVE_PERIOD_SLOTS)
     assert out3 == [] and [e.kind for e in ev3] == ["link_failure"]
     assert ev3[0].detail["cause"] == "keepalive"
     assert a.links[0x000202].phase == LinkPhase.RELEASED
+    assert a.next_deadline() is None
 
 
 def test_keepalive_answered_resets_misses():
     a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
-    pump(a, b, a.initiate(0x000202, 10))
-    established = a.links[0x000202].established_slot
+    established = established_slot(pump(a, b, a.initiate(0x000202, 10)), a.l2_id)
     out, _ = a.tick(established + KEEPALIVE_PERIOD_SLOTS)
     pump(a, b, out, slot=established + KEEPALIVE_PERIOD_SLOTS + 1)
     assert a.links[0x000202].keepalive_misses == 0
@@ -381,7 +413,8 @@ def test_identifier_update_rebinds_peer():
     a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
     pump(a, b, a.initiate(0x000202, 10))
     msgs = a.begin_identifier_update(0x000999, new_knrp_id=77)
-    a.l2_id = 0x000999
+    assert [m.src_l2 for m in msgs] == [0x000101]  # sent under the old id
+    assert a.l2_id == 0x000999
     events = pump(a, b, msgs, slot=30)
     assert any(e.kind == "identifier_update" for _, e in events)
     assert 0x000999 in b.links and 0x000101 not in b.links
@@ -502,25 +535,25 @@ def test_replayed_counter_is_a_replay_from_security_mode_on():
 
 
 def test_refresh_identifier_weak_is_predictable():
-    ident = L2Identity(current=0x000500)
-    new = refresh_identifier(ident, random.Random(0), "weak", 100, set())
+    retired = set()
+    new = refresh_identifier(0x000500, retired, random.Random(0), "weak", set())
     assert new == 0x000501
-    assert ident.history == [(0x000500, 0, 100)]
-    assert ident.born_slot == 100
+    assert retired == {0x000500}
 
 
 def test_refresh_identifier_secure_avoids_history_and_live_ids():
     rng = random.Random(12)
-    ident = L2Identity(current=0x000500)
+    current, retired = 0x000500, set()
     live = {rng.getrandbits(24) for _ in range(64)}
-    seen = set()
-    for slot in range(1, 40):
-        new = refresh_identifier(ident, rng, "secure", slot, live)
-        assert new != BROADCAST_L2
-        assert new not in live and new not in seen
-        seen.add(new)
+    seen = {current}
+    for _ in range(39):
+        current = refresh_identifier(current, retired, rng, "secure", live)
+        assert current != BROADCAST_L2
+        assert current not in live and current not in seen
+        seen.add(current)
+    assert retired | {current} == seen
     with pytest.raises(ValueError):
-        refresh_identifier(ident, rng, "sometimes", 50, set())
+        refresh_identifier(current, retired, rng, "sometimes", set())
 
 
 def test_enforce_policy_hardens_everything():

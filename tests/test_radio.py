@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.frames import BitString, Pc5Message, Pc5MessageKind
-from sidelinksim.pc5 import Pc5Burst
 from sidelinksim.radio import (
     TWOPI,
     ChannelModel,
@@ -101,7 +100,7 @@ def test_control_plane_never_collides_with_data():
     data = data_tx(4, (0, 4))
     control = Transmission(6, 23.0, ControlBurst(BITS))
     reject = Pc5Message(Pc5MessageKind.ESTABLISHMENT_REJECT, 7, 3, 0, {})
-    pc5 = Transmission(7, 23.0, Pc5Burst(reject))
+    pc5 = Transmission(7, 23.0, reject)
     recs, collisions = deliver([ssb, fb, data, control, pc5],
                                {1: (0, 30), 2: (30, 0), 3: (0, -30), 4: (-30, 0),
                                 5: (0, 0), 6: (18, 24), 7: (-18, -24)},

@@ -213,7 +213,7 @@ def test_each_tbs_control_stages_describe_that_tb(monkeypatch):
                                       sci1.frequency_resource)
         assert (start, length) == tx.subchannel_range
         assert sci1.rri_index == pool.period_list_ms.index(rt.flow.rri_ms)
-        assert (burst.mac_src_l2, burst.mac_dst_l2) == (agent.l2.current,
+        assert (burst.mac_src_l2, burst.mac_dst_l2) == (agent.endpoint.l2_id,
                                                         world.l2_of(rt.flow.dst))
         sci2 = Sci2A.decode(burst.sci2_bits)
         assert (sci2.source_id, sci2.dest_id) == (burst.mac_src_l2 & 0xFF,
@@ -272,14 +272,14 @@ def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
                  harq_enabled=True, cast_type=CastType.UNICAST)
 
     def burst(agent, bits, tb):
-        return DataBurst(None, bits, mac_src_l2=7, mac_dst_l2=agent.l2.current,
+        return DataBurst(None, bits, mac_src_l2=7, mac_dst_l2=agent.endpoint.l2_id,
                          tb_id=tb, size_bytes=300)
 
     assert a._receive_data(burst(a, sci2.encode(), 1), 5)
     assert b._receive_data(burst(b, sci2.encode(), 2), 5)  # equal bits, another BitString
     for agent in (a, b):
         [fb] = agent.outbox[5 + FEEDBACK_DELAY_SLOTS]
-        assert (fb.harq_process_id, fb.src_l2, fb.dst_l2) == (3, agent.l2.current, 7)
+        assert (fb.harq_process_id, fb.src_l2, fb.dst_l2) == (3, agent.endpoint.l2_id, 7)
     wrong_length = BitString(b"\x00", 8)
     assert a._receive_data(burst(a, wrong_length, 3), 6)
     assert b._receive_data(burst(b, BitString(b"\x00", 8), 4), 6)

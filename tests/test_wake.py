@@ -14,7 +14,7 @@ import pytest
 
 from sidelinksim.frames import Pc5Message, Pc5MessageKind as K
 from sidelinksim.metrics import event_line
-from sidelinksim.pc5 import KEEPALIVE_PERIOD_SLOTS, PC5_TIMEOUT_SLOTS, LinkPhase, Pc5Burst
+from sidelinksim.pc5 import KEEPALIVE_PERIOD_SLOTS, PC5_TIMEOUT_SLOTS, LinkPhase
 from sidelinksim.radio import Reception, Transmission
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import UeAgent, World
@@ -111,7 +111,9 @@ def test_pc5_timers_fire_while_idle_ues_sleep(monkeypatch):
     links = world.by_id[1].endpoint.links
     (link,) = links.values()  # the unreachable one timed out and is gone
     assert link.phase == LinkPhase.ESTABLISHED
-    assert link.keepalive_next == link.established_slot + 2 * KEEPALIVE_PERIOD_SLOTS
+    (established,) = [e["slot"] for e in world.events
+                      if e.get("kind") == "established" and e["ue"] == 1]
+    assert link.deadline == established + 2 * KEEPALIVE_PERIOD_SLOTS
     assert link.keepalive_misses == 0  # the probe was answered
     timeouts = [e for e in world.events if e.get("cause") == "timeout"]
     assert [e["slot"] for e in timeouts] == [30 + 64]
@@ -137,8 +139,8 @@ def test_a_handled_pc5_message_wakes_the_ue():
     ue.endpoint.initiate(peer, 5)
     assert ue.endpoint.next_deadline() == 5 + PC5_TIMEOUT_SLOTS
     ue.wake = math.inf
-    reject = Pc5Message(K.ESTABLISHMENT_REJECT, peer, ue.l2.current, 1, {"cause": "congestion"})
-    heard: Reception = (Transmission(2, 23.0, Pc5Burst(reject)), -60.0)
+    reject = Pc5Message(K.ESTABLISHMENT_REJECT, peer, ue.endpoint.l2_id, 1, {"cause": "congestion"})
+    heard: Reception = (Transmission(2, 23.0, reject), -60.0)
     ue.receive([heard], 7)
     assert ue.endpoint.links == {} and ue.endpoint.next_deadline() is None
     assert ue.wake == 7  # its timers are recomputed at the end of this slot
