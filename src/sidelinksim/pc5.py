@@ -546,7 +546,9 @@ class Pc5Endpoint:
 
     def _on_smc(self, link, msg, body, slot):
         neg = Negotiation(body["cipher_alg"] != NULL_ALG, body["integ_alg"] != NULL_ALG)
-        if self._below_policy(neg):  # a downgrade this UE's policy forbids
+        # a both-off negotiation is concluded by a bare accept, so a
+        # command with neither algorithm on is forged
+        if not (neg.cipher_on or neg.integrity_on) or self._below_policy(neg):
             return _unexpected(msg, slot)
         keys = derive_session(
             link.keys,

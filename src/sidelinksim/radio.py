@@ -18,10 +18,16 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from collections.abc import Collection
 from typing import Any
 
 # 2 pi as `random.Random.gauss` computes it
 TWOPI = 2.0 * math.pi
+
+
+def spare_normal(u1: float, u2: float) -> float:
+    """The spare value `random.Random.gauss` keeps from its uniform draws."""
+    return math.sin(u1 * TWOPI) * math.sqrt(-2.0 * math.log(1.0 - u2))
 
 
 @dataclass
@@ -107,6 +113,7 @@ def deliver(
     model: ChannelModel,
     rng: random.Random,
     losses: dict[int, PathLossRow] | None = None,
+    readers: list[Collection[int] | None] | None = None,
 ) -> tuple[dict[int, list[Reception]], list[CollisionRecord]]:
     """Propagate one slot's transmissions to every other node.
 
@@ -116,14 +123,23 @@ def deliver(
     order; a record names each destroyed transmission by its index in
     `transmissions`.
 
+    `readers`, one entry per transmission, names the nodes that read
+    it; None (for the list or an entry) means every node. A node
+    outside a transmission's readers gets no reception of it, and a
+    transmission in a capture contest is still levelled for every node,
+    so the collision records do not depend on `readers`.
+
     `losses` caches one `path_loss_row` per sender; a missing row is
     built on that sender's first transmission. The caller owns the
     cache and must clear it whenever a node moves; without one, rows
     last for this call. Shadowing is drawn once per (transmission,
     receiver) pair, transmissions in order and receivers in
-    `positions` order, so runs stay reproducible. The draw is
-    `rng.gauss(0.0, sigma)` inlined: the same Box-Muller pair, with the
-    spare value read from and handed back to `rng.gauss_next`.
+    `positions` order, so runs stay reproducible, whoever reads them.
+    The draw is `rng.gauss(0.0, sigma)` inlined: the same Box-Muller
+    pair, with the spare value read from and handed back to
+    `rng.gauss_next`. A pair nobody reads makes only its `rng.random()`
+    calls; the spare value of a pair it opens is computed from those
+    two draws only once a reader, or the hand-back, needs it.
 
     Whether two transmissions overlap does not depend on the receiver,
     so the capture contest is found once per slot: the overlapping
@@ -144,6 +160,8 @@ def deliver(
     # receiver -> level, for each transmission in a contest
     heard: dict[int, dict[int, float]] = {k: {} for pair in pairs for k in pair}
     rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
+    # the spare value of a half-used Box-Muller pair: a float, or the
+    # pair's two uniform draws while nobody has read its value
     spare = rng.gauss_next
     raw: dict[int, list[Reception]] = {uid: [] for uid in positions}
     try:
@@ -154,7 +172,15 @@ def deliver(
                 row = losses[sender] = path_loss_row(sender, positions, model)
             base = tx.tx_power_dbm - ref_loss
             levels = heard.get(k)
+            reads = None if readers is None else readers[k]
+            # a pair outside `reads` is skipped, unless the transmission is
+            # in a contest: that levels every pair and keeps only the readers'
+            skip, keep = (reads, None) if levels is None else (None, reads)
             for uid, loss in zip(*row):
+                if skip is not None and uid not in skip:
+                    if sigma > 0:
+                        spare = (rand(), rand()) if spare is None else None
+                    continue
                 level = base - loss
                 if sigma > 0:
                     z, spare = spare, None
@@ -163,12 +189,17 @@ def deliver(
                         g2rad = sqrt(-2.0 * log(1.0 - rand()))
                         z = cos(x2pi) * g2rad
                         spare = sin(x2pi) * g2rad
+                    elif z.__class__ is tuple:
+                        z = spare_normal(*z)
                     level += 0.0 + z * sigma
                 if level > floor:
-                    raw[uid].append((tx, level))
+                    if keep is None or uid in keep:
+                        raw[uid].append((tx, level))
                     if levels is not None:
                         levels[uid] = level
     finally:
+        if spare.__class__ is tuple:
+            spare = spare_normal(*spare)
         rng.gauss_next = spare
 
     collisions: list[CollisionRecord] = []

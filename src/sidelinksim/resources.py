@@ -151,6 +151,11 @@ class ClaimShape:
         """Slots an occurrence keeps blocking after its own slot."""
         return MISS_REFRESH_LIMIT * self.rri_slots
 
+    @property
+    def reach(self) -> int:
+        """Slots after the heard slot until the latest occurrence expires."""
+        return self.lifetime + max(offset for offset, _ in self.spans)
+
     def reservation(self, offset: int, start: int, rsrp: float, slot: int) -> Reservation:
         return Reservation(start, self.length, slot + offset, self.rri_slots,
                            self.priority, rsrp)
@@ -206,8 +211,7 @@ def sense(
             shape, first_live = shapes[id(sci)]
         except KeyError:
             shape = claim_shape(sci, pool)
-            latest = max(offset for offset, _ in shape.spans)
-            first_live = window_start - shape.lifetime - latest
+            first_live = window_start - shape.reach
             shapes[id(sci)] = shape, first_live
         if slot < first_live:
             continue

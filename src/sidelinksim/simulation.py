@@ -17,11 +17,23 @@ their positions recomputed.
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
 node moves; `deliver` finds the slot's capture contest once, not per
-receiver. A reception is a plain `(transmission, rsrp_dbm)` pair.
-Each UE that heard something gets one `receive` call per slot with its
-whole reception list. `receive` drops data and feedback addressed to
-another UE before any further call and returns the number of TBs newly
-delivered, so `receiver_delivered` is bumped once per slot with the sum.
+receiver. A reception is a plain `(transmission, rsrp_dbm)` pair, built
+only for a node that reads the transmission. Everyone reads data,
+control and sync bursts. PSFCH feedback and PC5 messages name one
+layer-2 id, and only the UE holding it acts on them, so in a slot with
+one on air the world names their readers: that UE and every attacker
+(`World.l2_readers`, rebuilt whenever identifiers change). Pairs
+nobody reads still make their shadowing draws, so the channel stream
+does not depend on who reads. Each UE that heard something gets one
+`receive` call per slot with its whole reception list. `receive` drops
+data addressed to another UE before any further call and returns the
+number of TBs newly delivered, so `receiver_delivered` is bumped once
+per slot with the sum.
+
+A reselection senses only the live suffix of the UE's slot-ordered
+sensing list: an entry heard more than `World.sensing_reach` slots (the
+largest lifetime plus latest offset of any claim decoded so far) before
+the selection window holds no live occurrence in it.
 
 A TB's control costs scale with grants and headers, not with
 transmissions: SCI 1-A is encoded once per grant, SCI 2-A once per
@@ -67,6 +79,7 @@ from .resources import (
     ControlBurst,
     Selection,
     announce,
+    claim_shape,
     draw_reselection_counter,
     select_resources,
     sense,
@@ -257,12 +270,12 @@ class UeAgent:
     def _sync_step(self, slot: int, out: list[Transmission]):
         cfg = self.world.sc.sync
         if self.state.source in SELECTING:
-            cands = self.buffer.fresh(slot)
+            self.buffer.prune(slot)
             # The same candidates and the same reference give the same
             # decision, and re-applying a keep changes nothing; so rank
             # only after the buffer changed or this UE switched or lapsed.
             if self.buffer.changes != self._ranked_at:
-                self._rank_sync_ref(slot, cands)
+                self._rank_sync_ref(slot, list(self.buffer.entries.values()))
 
         if slot % cfg.ssb_period_slots != self.spec.id % cfg.ssb_period_slots:
             return
@@ -352,7 +365,10 @@ class UeAgent:
     def _reselect(self, rt: FlowRuntime, slot: int):
         pool = self.world.sc.pool
         window_start = slot + 1
-        occ = sense(self.sensing, pool, window_start)
+        # entries heard before any claim could still be live are dead to this window
+        live = bisect_left(self.sensing, window_start - self.world.sensing_reach,
+                           key=itemgetter(2))
+        occ = sense(self.sensing[live:], pool, window_start)
         sel = select_resources(pool, occ, rt.demand, self.rng)
         counter = draw_reselection_counter(self.rng)
         had_grant = rt.grant is not None
@@ -410,8 +426,10 @@ class UeAgent:
     def receive(self, recs: list[Reception], slot: int) -> int:
         """Handle every reception this UE heard in `slot`, in emission order.
 
-        Returns the number of TBs newly delivered to this UE; data and
-        feedback addressed to another UE go no further than the address.
+        Returns the number of TBs newly delivered to this UE; data
+        addressed to another UE goes no further than the address. The
+        world delivers feedback and PC5 messages only to the UE holding
+        their destination layer-2 id (`World.l2_readers`).
         """
         cache = self.world.sci1a_cache
         sensing = self.sensing
@@ -436,9 +454,8 @@ class UeAgent:
                         seen.add(payload.tb_id)
                         delivered += 1
             elif kind is FeedbackBurst:
-                if payload.dst_l2 == l2:
-                    self.feedback_inbox.append((payload, rsrp))
-                    self._wake(slot)  # closed, or dropped, at the end of this slot
+                self.feedback_inbox.append((payload, rsrp))
+                self._wake(slot)  # closed, or dropped, at the end of this slot
             elif kind is SsbBurst:
                 self._receive_ssb(payload, rsrp, tx.sender_id, slot)
             elif kind is Pc5Message:
@@ -459,7 +476,12 @@ class UeAgent:
             self._wake(slot + 1)  # rank the changed buffer
 
     def _note_sci(self, bits: BitString, rsrp: float, slot: int):
-        sci = decode_once(self.world.sci1a_cache, Sci1A.decode, self.world.sc.pool, bits)
+        """Sensing entry for SCI 1-A bits not yet in `sci1a_cache`."""
+        world = self.world
+        sci = decode_once(world.sci1a_cache, Sci1A.decode, world.sc.pool, bits)
+        if sci is not None:
+            world.sensing_reach = max(world.sensing_reach,
+                                      claim_shape(sci, world.sc.pool).reach)
         self.sensing.append((sci, rsrp, slot))
 
     def _receive_data(self, burst: DataBurst, slot: int) -> bool:
@@ -484,8 +506,6 @@ class UeAgent:
         return new
 
     def _receive_pc5(self, msg: Pc5Message, slot: int):
-        if msg.dst_l2 != self.endpoint.l2_id:
-            return
         replies, events = self.endpoint.handle(msg, slot, self.guard)
         for reply in replies:
             self.queue_tx(slot + 1, reply)
@@ -575,6 +595,10 @@ class World:
         # and every receiver's sensing list shares the (frozen) result.
         # The tuple key compares like BitString equality but hashes in C.
         self.sci1a_cache: dict[tuple[bytes, int], Sci1A | None] = {}
+        # the largest `ClaimShape.reach` of a claim in sci1a_cache: a
+        # sensing entry heard longer ago than that before a selection
+        # window holds no live occurrence in it
+        self.sensing_reach = 0
         # the same for SCI 2-A, decoded by addressed receivers
         self.sci2a_cache: dict[tuple[bytes, int], Sci2A | None] = {}
         # Sci2A.for_tb arguments -> the encoded header; a sender's header
@@ -615,6 +639,10 @@ class World:
         self._place(self.agents, 0)
         for attacker in self.attackers:
             self.positions[attacker.id] = attacker.cap.position
+        # feedback and PC5 messages go to one layer-2 id; every attacker
+        # hears everything
+        self.eavesdroppers = frozenset(attacker.id for attacker in self.attackers)
+        self._index_l2()
 
     # -- shared helpers ------------------------------------------------------
 
@@ -624,6 +652,14 @@ class World:
             if candidate not in self._l2_used:
                 self._l2_used.add(candidate)
                 return candidate
+
+    def _index_l2(self):
+        """Map each held layer-2 id to the nodes that read what is
+        addressed to it: the UEs holding it and every attacker."""
+        holders: dict[int, set[int]] = {}
+        for agent in self.agents:
+            holders.setdefault(agent.endpoint.l2_id, set()).add(agent.spec.id)
+        self.l2_readers = {l2: self.eavesdroppers.union(ids) for l2, ids in holders.items()}
 
     def l2_of(self, ue_id) -> int:
         if ue_id == "broadcast":
@@ -686,11 +722,19 @@ class World:
             self.identity_truth[new] = agent.spec.id
             self.metrics.bump("identifier_refreshes")
             self.event(slot, "identifier_refresh", ue=agent.spec.id)
+        self._index_l2()
 
     def _deliver_and_dispatch(self, transmissions: list[Transmission], slot: int):
+        readers = None  # every node reads every transmission
+        for k, tx in enumerate(transmissions):
+            kind = type(tx.payload)
+            if kind is FeedbackBurst or kind is Pc5Message:
+                if readers is None:
+                    readers = [None] * len(transmissions)
+                readers[k] = self.l2_readers.get(tx.payload.dst_l2, self.eavesdroppers)
         recs_by_receiver, collisions = deliver(
             transmissions, self.positions, self.sc.channel, self.channel_rng,
-            self.path_loss,
+            self.path_loss, readers,
         )
         for record in collisions:
             self.metrics.bump("collision_count", len(record.destroyed), slot=slot)

@@ -11,6 +11,7 @@ UE falls back to its internal clock.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -182,14 +183,16 @@ class CandidateBuffer:
     fresh weaker burst never evicts a fresh stronger one.
 
     `changes` counts every edit of `entries`: a noted candidate that is
-    stored, and an aged-out entry that `fresh` drops. While it stands
+    stored, and an aged-out entry that `prune` drops. While it stands
     still the candidate set is the same, so a selector that ranked it
     needs to rank again only once the count has moved.
     """
 
     retention_slots: int
-    entries: dict[int, SyncCandidate] = field(default_factory=dict)
+    entries: dict[int, SyncCandidate] = field(default_factory=dict, init=False)
     changes: int = field(default=0, init=False)
+    # a lower bound on the entries' slots, exact after a pruning scan
+    _oldest: float = field(default=math.inf, init=False, repr=False, compare=False)
 
     def note(self, cand: SyncCandidate) -> bool:
         """Store the candidate unless a fresh stronger one holds its id."""
@@ -201,19 +204,26 @@ class CandidateBuffer:
         ):
             self.entries[cand.slss.slss_id] = cand
             self.changes += 1
+            if cand.received_slot < self._oldest:
+                self._oldest = cand.received_slot
             return True
         return False
 
     def expiry(self) -> int | None:
-        """First slot in which `fresh` drops an entry; None when empty."""
+        """First slot in which `prune` drops an entry; None when empty."""
         if not self.entries:
             return None
         return min(c.received_slot for c in self.entries.values()) + self.retention_slots + 1
 
-    def fresh(self, now: int) -> list[SyncCandidate]:
+    def prune(self, now: int):
+        """Drop the entries heard before `now - retention_slots`; the
+        entries are scanned only once the oldest may have aged out."""
         floor = now - self.retention_slots
+        if self._oldest >= floor:
+            return
         stale = [sid for sid, c in self.entries.items() if c.received_slot < floor]
         for sid in stale:
             del self.entries[sid]
         self.changes += len(stale)
-        return list(self.entries.values())
+        self._oldest = min((c.received_slot for c in self.entries.values()),
+                           default=math.inf)

@@ -344,11 +344,15 @@ def established_slot(events, l2):
     return slot
 
 
-@pytest.mark.parametrize("cipher, integ, accepted", [
-    (R, R, False), (N, R, False), (R, N, False), (N, N, True),
+@pytest.mark.parametrize("cipher, integ, allow_null", [
+    (R, R, False), (N, R, False), (R, N, False), (N, N, False), (P, P, False),
+    (N, N, True),
 ])
-def test_null_smc_passes_only_a_policy_with_no_required_axis(cipher, integ, accepted):
-    a = endpoint(1, 0x000101, SecurityPolicy(ciphering=cipher, integrity=integ))
+def test_null_smc_is_refused_under_every_policy(cipher, integ, allow_null):
+    # a responder answers a both-off negotiation with a bare accept, so
+    # a Security Mode Command naming null for both algorithms is forged
+    a = endpoint(1, 0x000101, SecurityPolicy(ciphering=cipher, integrity=integ,
+                                             allow_null_cipher=allow_null))
     (request,) = a.initiate(0x000202, 10)
     # the request carries the initiator's nonce in the clear, so a forger can echo it
     forged = Pc5Message(K.SECURITY_MODE_COMMAND, 0x000202, 0x000101, 0,
@@ -356,12 +360,12 @@ def test_null_smc_passes_only_a_policy_with_no_required_axis(cipher, integ, acce
                          "cipher_alg": "null", "integ_alg": "null", "ts": 11})
     replies, events = a.handle(forged, 11, None)
     link = a.links[0x000202]
-    if accepted:
-        assert [r.kind for r in replies] == [K.SECURITY_MODE_COMPLETE] and events == []
-        assert link.phase == LinkPhase.SECURITY_MODE
-    else:
-        assert replies == [] and [e.kind for e in events] == ["unexpected_message"]
-        assert link.phase == LinkPhase.REQUEST_SENT and link.ctx is None
+    assert replies == [] and [e.kind for e in events] == ["unexpected_message"]
+    assert link.phase == LinkPhase.REQUEST_SENT and link.ctx is None
+    # a bare accept after it can no longer report an unprotected link as protected
+    accept = Pc5Message(K.ESTABLISHMENT_ACCEPT, 0x000202, 0x000101, 1, {})
+    _, events = a.handle(accept, 12, None)
+    assert all(e.detail.get("security") != "context" for e in events)
 
 
 def test_pending_link_times_out():

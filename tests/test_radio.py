@@ -321,3 +321,49 @@ def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm
             rng.getstate(),
         ))
     assert results[0] == results[1]
+
+
+# -- deliver to named readers -----------------------------------------------------
+
+
+@st.composite
+def read_slots(draw):
+    """A slot from `slots()` and, per transmission, None (every node
+    reads it) or a random set of its readers, the sender and unknown
+    ids included."""
+    txs, positions = draw(slots())
+    uids = sorted(positions)
+    readers = [draw(st.one_of(st.none(), st.sets(st.sampled_from(uids + [99]))))
+               for _ in txs]
+    return txs, positions, readers
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(slot=read_slots(), sigma=st.sampled_from((0.0, 2.0)),
+       seed=st.integers(0, 2**16), warm=st.booleans())
+def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm):
+    """Each node gets the all-pairs receptions of what it reads, the
+    collision records are the all-pairs ones, and the generator ends in
+    the same state (`gauss_next` included): skipped pairs still draw."""
+    txs, positions, readers = slot
+    index = {id(tx): k for k, tx in enumerate(txs)}
+    model = ChannelModel(shadowing_sigma_db=sigma)
+    results = []
+    for fn in (deliver, reference_deliver):
+        rng = random.Random(seed)
+        if warm:  # carry a spare Box-Muller value in
+            rng.gauss(0.0, 1.0)
+        if fn is deliver:
+            recs, collisions = deliver(txs, positions, model, rng, readers=readers)
+        else:
+            recs, collisions = fn(txs, positions, model, rng)
+            recs = {uid: [(tx, rsrp) for tx, rsrp in rs
+                          if readers[index[id(tx)]] is None or uid in readers[index[id(tx)]]]
+                    for uid, rs in recs.items()}
+        results.append((
+            [(uid, [(index[id(tx)], rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
+            [(c.receiver_id, c.destroyed) for c in collisions],
+            rng.getstate(),
+            rng.gauss_next,
+        ))
+    assert results[0] == results[1]

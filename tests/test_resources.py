@@ -1,6 +1,8 @@
 """Occupancy projection, candidate filtering, and selection fallback."""
 
 import random
+from bisect import bisect_left
+from operator import itemgetter
 
 import pytest
 
@@ -13,6 +15,7 @@ from sidelinksim.resources import (
     Selection,
     announce,
     candidate_positions,
+    claim_shape,
     claims_from_sci,
     draw_reselection_counter,
     select_resources,
@@ -245,3 +248,35 @@ def test_sense_matches_claim_expansion_table(pool, gaps):
     assert got.skipped_scis > 0 and 0 < len(got.reservations) < len(
         [c for sci, _, slot in received if sci is not None
          for c in claims_from_sci(sci, pool, -70.0, slot)])
+
+
+# -- sense on the live suffix -----------------------------------------------------
+
+
+@pytest.mark.parametrize("periods, cut", [((20, 100), True), ((20, 100, 1000), False)],
+                         ids=["short-claims", "with-1000ms"])
+def test_sense_on_the_reach_suffix_matches_the_whole_list(periods, cut):
+    """The world hands `sense` only the entries heard at most the largest
+    claim reach before the window; that gives the same reservations, in
+    the same order. 1000 ms claims reach past the sensing window, so
+    their list keeps every entry."""
+    pool = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
+    rng = random.Random(str(periods))
+    scis = []
+    for rri_ms in periods:
+        for gaps in ((), (4,), (4, 11)):
+            length = rng.randint(1, 4)
+            fr = fra_encode(10, 3, rng.randint(0, 10 - length), length,
+                            rng.randint(0, 10 - length))
+            scis.append(Sci1A(priority=rng.randint(0, 7), frequency_resource=fr,
+                              time_resource=tra_encode(3, gaps),
+                              rri_index=pool.period_list_ms.index(rri_ms), mcs=9))
+    window_start = 3000
+    received = [(rng.choice(scis + [None]), rng.choice((-60.0, -90.0, -120.0)), slot)
+                for slot in range(window_start - pool.sensing_window_slots, window_start, 3)]
+    reach = max(claim_shape(sci, pool).reach for sci in scis)
+    live = bisect_left(received, window_start - reach, key=itemgetter(2))
+    assert (live > 0) == cut
+    whole = sense(received, pool, window_start)
+    assert whole.reservations
+    assert sense(received[live:], pool, window_start).reservations == whole.reservations

@@ -15,7 +15,7 @@ from sidelinksim.frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, fra_
 from sidelinksim.harq import FEEDBACK_DELAY_SLOTS, DataBurst
 from sidelinksim.metrics import event_line
 from sidelinksim.radio import rsrp_at
-from sidelinksim.resources import sense
+from sidelinksim.resources import claim_shape, sense
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import World, run_scenario
 from sidelinksim.sync import SyncCandidate, SyncSourceKind
@@ -259,6 +259,28 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
     assert a.sensing[-1][0] is None and b.sensing[-1][0] is None
     assert len(decoded) == 2
     assert world.sci1a_cache == {astuple(sci.encode(pool)): sci, astuple(wrong_length): None}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_scenario(workloads.unicast_harq(2, pairs=3, duration_slots=600)),
+    lambda: load_scenario(SCENARIO_DIR / "resource_blocking.yaml"),
+    moving_ues,
+], ids=["unicast_harq", "resource_blocking", "moving"])
+def test_sensing_reach_is_the_largest_cached_claim_reach(make, monkeypatch):
+    world = World(make())
+    pool = world.sc.pool
+    calls = []
+
+    def checked_sense(received, pool_, window_start):
+        reaches = [claim_shape(sci, pool).reach
+                   for sci in world.sci1a_cache.values() if sci is not None]
+        assert world.sensing_reach == max(reaches, default=0)
+        calls.append(window_start)
+        return sense(received, pool_, window_start)
+
+    monkeypatch.setattr(simulation, "sense", checked_sense)
+    world.run()
+    assert len(calls) > 5 and world.sensing_reach > 0
 
 
 def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):

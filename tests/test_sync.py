@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from sidelinksim.frames import MibSl, SlssIdentity
 from sidelinksim.sync import (
     CandidateBuffer,
@@ -152,12 +154,12 @@ def test_candidate_buffer_counts_changes():
     assert buf.changes == 1
     buf.note(cand(9, True, -50, slot=8))  # stronger duplicate replaces
     assert buf.changes == 2
-    buf.fresh(40)  # floor at slot 8: nothing ages out
+    buf.prune(40)  # floor at slot 8: nothing ages out
     assert buf.changes == 2
     buf.note(cand(12, True, -70, slot=20))
-    buf.fresh(41)  # the slot-8 entry ages out
+    buf.prune(41)  # the slot-8 entry ages out
     assert buf.changes == 4 and list(buf.entries) == [12]
-    buf.fresh(41)
+    buf.prune(41)
     assert buf.changes == 4
 
 
@@ -165,9 +167,43 @@ def test_candidate_buffer_ages_out():
     buf = CandidateBuffer(retention_slots=32)
     buf.note(cand(9, True, -60, slot=0))
     buf.note(cand(11, True, -70, slot=30))
-    fresh = buf.fresh(32)  # floor at slot 0, both still inside
-    assert {c.slss.slss_id for c in fresh} == {9, 11}
-    assert [c.slss.slss_id for c in buf.fresh(40)] == [11]
+    buf.prune(32)  # floor at slot 0, both still inside
+    assert set(buf.entries) == {9, 11}
+    buf.prune(40)
+    assert list(buf.entries) == [11]
     # a stale strong entry no longer shadows a new weak one
     buf.note(cand(11, True, -90, slot=100))
     assert buf.entries[11].rsrp_dbm == -90
+
+
+def reference_fresh(buf, now):
+    """`CandidateBuffer` pruning as it was: scan every entry on every
+    call, then list the survivors."""
+    floor = now - buf.retention_slots
+    stale = [sid for sid, c in buf.entries.items() if c.received_slot < floor]
+    for sid in stale:
+        del buf.entries[sid]
+    buf.changes += len(stale)
+    return list(buf.entries.values())
+
+
+NOTE = st.tuples(st.just("note"), st.integers(0, 4), st.sampled_from((-90, -70, -50)),
+                 st.integers(0, 150))
+PRUNE = st.tuples(st.just("prune"), st.integers(0, 200))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ops=st.lists(st.one_of(NOTE, PRUNE), max_size=40))
+def test_prune_matches_scanning_every_call(ops):
+    # slots in any order, though the world notes and prunes them in slot order
+    buf, ref = CandidateBuffer(retention_slots=32), CandidateBuffer(retention_slots=32)
+    for op in ops:
+        if op[0] == "note":
+            _, sid, rsrp, slot = op
+            assert buf.note(cand(sid, True, rsrp, slot)) == ref.note(cand(sid, True, rsrp, slot))
+        else:
+            buf.prune(op[1])
+            assert list(buf.entries.values()) == reference_fresh(ref, op[1])
+        assert buf.changes == ref.changes
+        assert list(buf.entries.items()) == list(ref.entries.items())
+        assert buf.expiry() == ref.expiry()
