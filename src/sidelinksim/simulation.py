@@ -22,7 +22,7 @@ only for a node that reads the transmission. Everyone reads data,
 control and sync bursts. PSFCH feedback and PC5 messages name one
 layer-2 id, and only the UE holding it acts on them, so in a slot with
 one on air the world names their readers: that UE and every attacker
-(`World.l2_readers`, rebuilt whenever identifiers change). Pairs
+(`World.l2_readers`, rebuilt after identifiers change). Pairs
 nobody reads still make their shadowing draws, so the channel stream
 does not depend on who reads. Each UE that heard something gets one
 `receive` call per slot with its whole reception list. `receive` drops
@@ -642,7 +642,9 @@ class World:
         # feedback and PC5 messages go to one layer-2 id; every attacker
         # hears everything
         self.eavesdroppers = frozenset(attacker.id for attacker in self.attackers)
-        self._index_l2()
+        # held layer-2 id -> the nodes that read what is addressed to it;
+        # None until a slot needs it, and again after ids change
+        self.l2_readers: dict[int, frozenset[int]] | None = None
 
     # -- shared helpers ------------------------------------------------------
 
@@ -653,13 +655,13 @@ class World:
                 self._l2_used.add(candidate)
                 return candidate
 
-    def _index_l2(self):
-        """Map each held layer-2 id to the nodes that read what is
-        addressed to it: the UEs holding it and every attacker."""
+    def _index_l2(self) -> dict[int, frozenset[int]]:
+        """`l2_readers`: the UEs holding each layer-2 id, and every attacker."""
         holders: dict[int, set[int]] = {}
         for agent in self.agents:
             holders.setdefault(agent.endpoint.l2_id, set()).add(agent.spec.id)
         self.l2_readers = {l2: self.eavesdroppers.union(ids) for l2, ids in holders.items()}
+        return self.l2_readers
 
     def l2_of(self, ue_id) -> int:
         if ue_id == "broadcast":
@@ -722,7 +724,7 @@ class World:
             self.identity_truth[new] = agent.spec.id
             self.metrics.bump("identifier_refreshes")
             self.event(slot, "identifier_refresh", ue=agent.spec.id)
-        self._index_l2()
+        self.l2_readers = None
 
     def _deliver_and_dispatch(self, transmissions: list[Transmission], slot: int):
         readers = None  # every node reads every transmission
@@ -731,7 +733,8 @@ class World:
             if kind is FeedbackBurst or kind is Pc5Message:
                 if readers is None:
                     readers = [None] * len(transmissions)
-                readers[k] = self.l2_readers.get(tx.payload.dst_l2, self.eavesdroppers)
+                    l2_readers = self.l2_readers or self._index_l2()
+                readers[k] = l2_readers.get(tx.payload.dst_l2, self.eavesdroppers)
         recs_by_receiver, collisions = deliver(
             transmissions, self.positions, self.sc.channel, self.channel_rng,
             self.path_loss, readers,
