@@ -20,9 +20,9 @@ node moves; `deliver` finds the slot's capture contest once, not per
 receiver. A reception is a plain `(transmission, rsrp_dbm)` pair, built
 only for a node that reads the transmission. Everyone reads data,
 control and sync bursts. PSFCH feedback and PC5 messages name one
-layer-2 id, and only the UE holding it acts on them, so in a slot with
-one on air the world names their readers: that UE and every attacker
-(`World.l2_readers`, rebuilt after identifiers change). Pairs
+layer-2 id, and only a UE holding it acts on them, so in a slot with
+one on air the world names their readers: the UEs holding it and every
+attacker (`World.l2_readers`, rebuilt after identifiers change). Pairs
 nobody reads still make their shadowing draws, so the channel stream
 does not depend on who reads. Each UE that heard something gets one
 `receive` call per slot with its whole reception list. `receive` drops
@@ -428,7 +428,7 @@ class UeAgent:
 
         Returns the number of TBs newly delivered to this UE; data
         addressed to another UE goes no further than the address. The
-        world delivers feedback and PC5 messages only to the UE holding
+        world delivers feedback and PC5 messages only to the UEs holding
         their destination layer-2 id (`World.l2_readers`).
         """
         cache = self.world.sci1a_cache
