@@ -295,10 +295,6 @@ class Sci1A:
             "reserved": pool.num_reserved_bits,
         }
 
-    @staticmethod
-    def bit_length(pool) -> int:
-        return sum(Sci1A.field_widths(pool).values())
-
     def encode(self, pool) -> BitString:
         w = BitWriter()
         for name, width in self.field_widths(pool).items():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from itertools import chain
 from dataclasses import dataclass
 from collections.abc import Collection
 from typing import Any
@@ -114,20 +115,22 @@ def deliver(
     rng: random.Random,
     losses: dict[int, PathLossRow] | None = None,
     readers: list[Collection[int] | None] | None = None,
-) -> tuple[dict[int, list[Reception]], list[CollisionRecord]]:
+    sensed: Collection[int] = (),
+) -> tuple[dict[int, list[Reception]], list[CollisionRecord], dict[int, dict[int, float]]]:
     """Propagate one slot's transmissions to every other node.
 
     Returns receptions per receiver, with a key for every node: plain
     `(transmission, rsrp_dbm)` pairs in transmission order. Also returns
     the collision records for destroyed receptions, in `positions`
     order; a record names each destroyed transmission by its index in
-    `transmissions`.
+    `transmissions`. Last, a row per index in `sensed`, in that order:
+    node -> level, for the nodes that kept it, in `positions` order.
 
     `readers`, one entry per transmission, names the nodes that read
     it; None (for the list or an entry) means every node. A node
-    outside a transmission's readers gets no reception of it, and a
-    transmission in a capture contest is still levelled for every node,
-    so the collision records do not depend on `readers`.
+    outside a transmission's readers gets no reception of it, but a
+    sensed transmission, or one in a capture contest, is levelled for
+    every node, so rows and collision records do not depend on readers.
 
     `losses` caches one `path_loss_row` per sender; a missing row is
     built on that sender's first transmission. The caller owns the
@@ -157,8 +160,8 @@ def deliver(
             if tx.subchannel_range is not None]
     pairs = [(i, j) for n, (i, a) in enumerate(grid) for j, b in grid[n + 1:]
              if a.overlaps(b)]
-    # receiver -> level, for each transmission in a contest
-    heard: dict[int, dict[int, float]] = {k: {} for pair in pairs for k in pair}
+    # receiver -> level, for each transmission sensed or in a contest
+    heard: dict[int, dict[int, float]] = {k: {} for k in [*sensed, *chain(*pairs)]}
     rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
     # the spare value of a half-used Box-Muller pair: a float, or the
     # pair's two uniform draws while nobody has read its value
@@ -173,8 +176,8 @@ def deliver(
             base = tx.tx_power_dbm - ref_loss
             levels = heard.get(k)
             reads = None if readers is None else readers[k]
-            # a pair outside `reads` is skipped, unless the transmission is
-            # in a contest: that levels every pair and keeps only the readers'
+            # a pair outside `reads` is skipped, unless the transmission is sensed
+            # or in a contest: that levels every pair, but only readers get it
             skip, keep = (reads, None) if levels is None else (None, reads)
             for uid, loss in zip(*row):
                 if skip is not None and uid not in skip:
@@ -203,8 +206,9 @@ def deliver(
         rng.gauss_next = spare
 
     collisions: list[CollisionRecord] = []
+    rows = {k: heard[k] for k in sensed}
     if not pairs:
-        return raw, collisions
+        return raw, collisions, rows
     threshold = model.capture_threshold_db
     for uid in raw:
         destroyed: set[int] = set()
@@ -221,7 +225,9 @@ def deliver(
             collisions.append(CollisionRecord(uid, tuple(sorted(destroyed))))
             gone = {id(transmissions[k]) for k in destroyed}
             raw[uid] = [r for r in raw[uid] if id(r[0]) not in gone]
-    return raw, collisions
+            for k in destroyed:
+                del heard[k][uid]
+    return raw, collisions, rows
 
 
 def child_rng(seed: int, label: str) -> random.Random:

@@ -18,22 +18,23 @@ Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
 node moves; `deliver` finds the slot's capture contest once, not per
 receiver. A reception is a plain `(transmission, rsrp_dbm)` pair, built
-only for a node that reads the transmission. Everyone reads data,
-control and sync bursts. PSFCH feedback and PC5 messages name one
-layer-2 id, and only a UE holding it acts on them, so in a slot with
-one on air the world names their readers: the UEs holding it and every
-attacker (`World.l2_readers`, rebuilt after identifiers change). Pairs
-nobody reads still make their shadowing draws, so the channel stream
-does not depend on who reads. Each UE that heard something gets one
-`receive` call per slot with its whole reception list. `receive` drops
-data addressed to another UE before any further call and returns the
-number of TBs newly delivered, so `receiver_delivered` is bumped once
-per slot with the sum.
+only for a node that acts on it: every node for sync bursts and for
+broadcast data on a lossy channel (each UE draws its own CRC); the UEs
+holding the destination layer-2 id and every attacker for addressed
+data, PSFCH feedback and PC5 messages (`World.l2_readers`, rebuilt
+after identifiers change); attackers alone for control and lossless
+broadcast data. Pairs nobody reads still make their shadowing draws,
+so the channel stream does not depend on who reads.
 
-A reselection senses only the live suffix of the UE's slot-ordered
-sensing list: an entry heard more than `World.sensing_reach` slots (the
-largest lifetime plus latest offset of any claim decoded so far) before
-the selection window holds no live occurrence in it.
+Sensing is kept once per world: for each SCI-bearing transmission
+`deliver` returns a row, node -> level for the nodes that kept it, and
+the world logs `(slot, claim, row)`, which also tallies lossless
+broadcast delivery (a TB counts the first time a UE hears it). A
+reselection reads its own column of the log, cut to the sensing window
+and to `World.sensing_reach` (the largest lifetime plus latest offset
+of any claim decoded so far) before the selection window. Each slot on
+air cuts it too: the reach only grows, and an entry's claim reach is at
+most the reach when it was heard, so a cut entry is dead to later windows.
 
 A TB's control costs scale with grants and headers, not with
 transmissions: SCI 1-A is encoded once per grant, SCI 2-A once per
@@ -146,7 +147,6 @@ class SelectionRecord:
     ue_id: int
     decided_slot: int
     selection: Selection
-    sensed: list | None  # snapshot for oracle replay, when capture is on
 
 
 class UeAgent:
@@ -189,6 +189,7 @@ class UeAgent:
         self.profile = FeedbackProfile()
 
         self.flows: list[FlowRuntime] = []
+        # the (claim, rsrp, slot) entries `sense` got at the last reselection
         self.sensing: list[tuple[Sci1A | None, float, int]] = []
         self.feedback_inbox: list[tuple[FeedbackBurst, float]] = []  # (burst, rsrp)
         self.outbox: dict[int, list[object]] = {}  # slot -> payloads to send
@@ -253,11 +254,6 @@ class UeAgent:
 
     def act(self, slot: int) -> list[Transmission]:
         out: list[Transmission] = []
-        horizon = slot - self.world.sc.pool.sensing_window_slots
-        if self.sensing and self.sensing[0][2] < horizon:
-            # entries arrive in slot order, so the stale ones are a prefix
-            del self.sensing[:bisect_left(self.sensing, horizon, key=itemgetter(2))]
-
         for payload in self.outbox.pop(slot, ()):
             out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, payload))
 
@@ -365,10 +361,10 @@ class UeAgent:
     def _reselect(self, rt: FlowRuntime, slot: int):
         pool = self.world.sc.pool
         window_start = slot + 1
-        # entries heard before any claim could still be live are dead to this window
-        live = bisect_left(self.sensing, window_start - self.world.sensing_reach,
-                           key=itemgetter(2))
-        occ = sense(self.sensing[live:], pool, window_start)
+        uid = self.spec.id
+        self.sensing = [(claim, rsrp, heard) for heard, claim, row in self.world.live_sensing(slot)
+                        if (rsrp := row.get(uid)) is not None]
+        occ = sense(self.sensing, pool, window_start)
         sel = select_resources(pool, occ, rt.demand, self.rng)
         counter = draw_reselection_counter(self.rng)
         had_grant = rt.grant is not None
@@ -384,8 +380,7 @@ class UeAgent:
         if had_grant:
             self.world.metrics.bump("reselections")
         self.world.metrics.bump("candidate_positions", sel.candidate_count)
-        snapshot = list(self.sensing) if self.world.capture_sensing else None
-        self.world.selection_log.append(SelectionRecord(self.spec.id, slot, sel, snapshot))
+        self.world.selection_log.append(SelectionRecord(self.spec.id, slot, sel))
         self.world.event(slot, "selection", ue=self.spec.id, tx_slot=sel.slot,
                          candidates=sel.candidate_count, total=sel.total_positions,
                          threshold=sel.threshold_dbm)
@@ -424,35 +419,15 @@ class UeAgent:
     # -- reception ----------------------------------------------------------
 
     def receive(self, recs: list[Reception], slot: int) -> int:
-        """Handle every reception this UE heard in `slot`, in emission order.
-
-        Returns the number of TBs newly delivered to this UE; data
-        addressed to another UE goes no further than the address. The
-        world delivers feedback and PC5 messages only to the UEs holding
-        their destination layer-2 id (`World.l2_readers`).
-        """
-        cache = self.world.sci1a_cache
-        sensing = self.sensing
-        l2 = self.endpoint.l2_id
-        seen = self.delivered_seen
-        lossless = self.world.sc.channel.tb_error_rate == 0
+        """Handle what this UE heard in `slot` and acts on (the module
+        docstring lists it), in emission order; returns the number of
+        TBs newly delivered to this UE."""
         delivered = 0
         for tx, rsrp in recs:
             payload = tx.payload
             kind = type(payload)
-            if kind is DataBurst or kind is ControlBurst:
-                bits = payload.sci1_bits
-                try:
-                    sensing.append((cache[bits.data, bits.bit_length], rsrp, slot))
-                except KeyError:
-                    self._note_sci(bits, rsrp, slot)
-                if kind is DataBurst:
-                    dst = payload.mac_dst_l2
-                    if dst == l2 or (dst == BROADCAST_L2 and not lossless):
-                        delivered += self._receive_data(payload, slot)
-                    elif dst == BROADCAST_L2 and payload.tb_id not in seen:
-                        seen.add(payload.tb_id)
-                        delivered += 1
+            if kind is DataBurst:
+                delivered += self._receive_data(payload, slot)
             elif kind is FeedbackBurst:
                 self.feedback_inbox.append((payload, rsrp))
                 self._wake(slot)  # closed, or dropped, at the end of this slot
@@ -474,15 +449,6 @@ class UeAgent:
         stored = self.buffer.note(SyncCandidate(burst.slss, rsrp, burst.mib, slot, sender))
         if stored and self.state.source in SELECTING:
             self._wake(slot + 1)  # rank the changed buffer
-
-    def _note_sci(self, bits: BitString, rsrp: float, slot: int):
-        """Sensing entry for SCI 1-A bits not yet in `sci1a_cache`."""
-        world = self.world
-        sci = decode_once(world.sci1a_cache, Sci1A.decode, world.sc.pool, bits)
-        if sci is not None:
-            world.sensing_reach = max(world.sensing_reach,
-                                      claim_shape(sci, world.sc.pool).reach)
-        self.sensing.append((sci, rsrp, slot))
 
     def _receive_data(self, burst: DataBurst, slot: int) -> bool:
         """Data addressed to this UE, or broadcast on a lossy channel;
@@ -568,11 +534,9 @@ class UeAgent:
 class World:
     """Everything one run owns; `run()` executes the slot loop."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None,
-                 capture_sensing: bool = False):
+    def __init__(self, scenario: Scenario, seed: int | None = None):
         self.sc = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.capture_sensing = capture_sensing
         self.metrics = MetricsReport(scenario.name, self.seed)
         self.events: list[dict] = []
         self.incidents = IncidentLog(enabled=scenario.defenses.incident_log.enabled)
@@ -588,11 +552,12 @@ class World:
         self.identity_truth: dict[int, int] = {}
         self.selection_log: list[SelectionRecord] = []
         self.tb_log: list[TbOutcome] = []
-        # SCI 1-A bits, as (data, bit_length), -> decoded claim, None for
-        # a malformed payload. A claim's content depends only on its bits
-        # and the pool, and only its RSRP on the receiver (TS 38.214
-        # 8.1.4), so each distinct payload heard is decoded once per world
-        # and every receiver's sensing list shares the (frozen) result.
+        # (slot, claim, `deliver` row) per SCI-bearing transmission, in order
+        self.sensing_log: list[tuple[int, Sci1A | None, dict[int, float]]] = []
+        # SCI 1-A bits, as (data, bit_length), -> decoded claim, None for a malformed
+        # payload. A claim's content depends only on its bits and the pool, and only
+        # its RSRP on the receiver (TS 38.214 8.1.4), so each distinct payload sent is
+        # decoded once per world and every sensing entry shares the (frozen) result.
         # The tuple key compares like BitString equality but hashes in C.
         self.sci1a_cache: dict[tuple[bytes, int], Sci1A | None] = {}
         # the largest `ClaimShape.reach` of a claim in sci1a_cache: a
@@ -663,6 +628,15 @@ class World:
         self.l2_readers = {l2: self.eavesdroppers.union(ids) for l2, ids in holders.items()}
         return self.l2_readers
 
+    def live_sensing(self, slot: int) -> list[tuple[int, Sci1A | None, dict[int, float]]]:
+        """`sensing_log` cut to what a reselection in `slot` may read: the
+        sensing window and `sensing_reach` slots before the selection window."""
+        log = self.sensing_log
+        cut = max(slot - self.sc.pool.sensing_window_slots, slot + 1 - self.sensing_reach)
+        if log and log[0][0] < cut:
+            del log[:bisect_left(log, cut, key=itemgetter(0))]
+        return log
+
     def l2_of(self, ue_id) -> int:
         if ue_id == "broadcast":
             return BROADCAST_L2
@@ -727,23 +701,47 @@ class World:
         self.l2_readers = None
 
     def _deliver_and_dispatch(self, transmissions: list[Transmission], slot: int):
-        readers = None  # every node reads every transmission
+        l2_readers = self.l2_readers or self._index_l2()
+        eavesdroppers = self.eavesdroppers
+        lossless = self.sc.channel.tb_error_rate == 0
+        readers, sensed = [], []  # per transmission (None: every node); SCI-bearing ones
         for k, tx in enumerate(transmissions):
-            kind = type(tx.payload)
-            if kind is FeedbackBurst or kind is Pc5Message:
-                if readers is None:
-                    readers = [None] * len(transmissions)
-                    l2_readers = self.l2_readers or self._index_l2()
-                readers[k] = l2_readers.get(tx.payload.dst_l2, self.eavesdroppers)
-        recs_by_receiver, collisions = deliver(
+            payload = tx.payload
+            kind = type(payload)
+            if kind is DataBurst or kind is ControlBurst:
+                sensed.append(k)
+                dst = payload.mac_dst_l2 if kind is DataBurst else None  # control: attackers
+                readers.append(None if dst == BROADCAST_L2 and not lossless
+                               else l2_readers.get(dst, eavesdroppers))
+            elif kind is FeedbackBurst or kind is Pc5Message:
+                readers.append(l2_readers.get(payload.dst_l2, eavesdroppers))
+            else:
+                readers.append(None)
+        recs_by_receiver, collisions, rows = deliver(
             transmissions, self.positions, self.sc.channel, self.channel_rng,
-            self.path_loss, readers,
+            self.path_loss, readers, sensed,
         )
         for record in collisions:
             self.metrics.bump("collision_count", len(record.destroyed), slot=slot)
             self.event(slot, "collision", receiver=record.receiver_id,
                        destroyed=len(record.destroyed))
         delivered = 0
+        cache, pool = self.sci1a_cache, self.sc.pool
+        self.live_sensing(slot)  # drop what no later reselection reads
+        for k, row in rows.items():
+            payload = transmissions[k].payload
+            bits = payload.sci1_bits
+            fresh = (bits.data, bits.bit_length) not in cache
+            claim = decode_once(cache, Sci1A.decode, pool, bits)
+            if fresh and claim is not None:
+                self.sensing_reach = max(self.sensing_reach, claim_shape(claim, pool).reach)
+            self.sensing_log.append((slot, claim, row))
+            if lossless and type(payload) is DataBurst and payload.mac_dst_l2 == BROADCAST_L2:
+                tb = payload.tb_id
+                for agent in map(self.by_id.get, row):  # None for an attacker
+                    if agent is not None and tb not in agent.delivered_seen:
+                        agent.delivered_seen.add(tb)
+                        delivered += 1
         for agent in self.agents:
             recs = recs_by_receiver[agent.spec.id]
             if recs:
@@ -822,8 +820,8 @@ class World:
         self.metrics.check_fold()
 
 
-def run_scenario(scenario: Scenario, seed: int | None = None,
-                 capture_sensing: bool = False) -> tuple[MetricsReport, list[dict], World]:
-    world = World(scenario, seed=seed, capture_sensing=capture_sensing)
+def run_scenario(scenario: Scenario,
+                 seed: int | None = None) -> tuple[MetricsReport, list[dict], World]:
+    world = World(scenario, seed=seed)
     report = world.run()
     return report, world.events, world

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from sidelinksim import simulation
 from sidelinksim.adversary import TrackerAgent, permutation_f1_baseline
 from sidelinksim.frames import (
     PROTECTION,
@@ -37,6 +38,7 @@ from sidelinksim.pc5 import (
     unprotect_pdu,
 )
 from sidelinksim.radio import child_rng
+from sidelinksim.resources import sense
 from sidelinksim.scenario import load_scenario
 from sidelinksim.simulation import run_scenario
 
@@ -190,7 +192,7 @@ def test_criterion_3_sync_capture_and_signed_defense(announce):
 def oracle_candidates(pool, snapshot, window_start, demand):
     """Independent re-derivation of the candidate count and threshold.
 
-    Plain nested loops over the captured sensing snapshot: decode each
+    Plain nested loops over the entries `sense` was handed: decode each
     claim, project every occurrence with the k in 0..2 / modulo rule,
     drop expired ones, count free spans, and raise the threshold in the
     same 3 dB steps until the one-in-five floor is met.
@@ -242,17 +244,22 @@ def mean_ratio(world, lo, hi):
     return sum(vals) / len(vals)
 
 
-def test_criterion_4_resource_blocking(announce):
+def test_criterion_4_resource_blocking(announce, monkeypatch):
     t0 = time.perf_counter()
     sc = catalog("resource_blocking")
-    attacked_rep, _, attacked = run_scenario(sc, capture_sensing=True)
+    sensed = []  # what each selection's `sense` call was handed
+    with monkeypatch.context() as mp:
+        mp.setattr(simulation, "sense", lambda received, *args: (
+            sensed.append(list(received)) or sense(received, *args)))
+        attacked_rep, _, attacked = run_scenario(sc)
     baseline_rep, _, baseline = run_scenario(replace(sc, attacks=()))
 
     # brute-force oracle equality on every captured selection
     checked = 0
-    for rec in attacked.selection_log:
+    assert len(sensed) == len(attacked.selection_log)
+    for rec, entries in zip(attacked.selection_log, sensed):
         count, threshold = oracle_candidates(
-            sc.pool, rec.sensed, rec.decided_slot + 1, rec.selection.subchannel_len)
+            sc.pool, entries, rec.decided_slot + 1, rec.selection.subchannel_len)
         assert count == rec.selection.candidate_count, rec
         assert threshold == rec.selection.threshold_dbm, rec
         checked += 1

@@ -107,8 +107,8 @@ def test_sci_2a_for_tb_truncates_l2_ids():
 
 # frozen width anchors for the two reference pools
 def test_sci_1a_width_anchors():
-    assert Sci1A.bit_length(POOL_4x10) == 26
-    assert Sci1A.bit_length(POOL_10x20) == 36
+    assert sum(Sci1A.field_widths(POOL_4x10).values()) == 26
+    assert sum(Sci1A.field_widths(POOL_10x20).values()) == 36
 
 
 def test_sci_1a_round_trip_both_pools():

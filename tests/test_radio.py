@@ -51,13 +51,13 @@ def test_rsrp_monotone_in_distance():
 def test_deliver_drops_below_noise_floor():
     # 23 dBm at 2 km is ~ -112.8 dBm, under the -110 floor
     tx = data_tx(1, (0, 1))
-    recs, _ = deliver([tx], {1: (0, 0), 2: (2000, 0)}, MODEL, random.Random(0))
+    recs, _, _ = deliver([tx], {1: (0, 0), 2: (2000, 0)}, MODEL, random.Random(0))
     assert recs[2] == []
 
 
 def test_deliver_skips_sender_itself():
     tx = data_tx(1, (0, 1))
-    recs, _ = deliver([tx], {1: (0, 0), 2: (50, 0)}, MODEL, random.Random(0))
+    recs, _, _ = deliver([tx], {1: (0, 0), 2: (50, 0)}, MODEL, random.Random(0))
     assert len(recs[2]) == 1
     assert recs[1] == []
 
@@ -66,7 +66,7 @@ def test_overlapping_equal_power_bursts_destroy_each_other():
     a = data_tx(1, (0, 2), tb=1)
     b = data_tx(2, (1, 2), tb=2)
     positions = {1: (0, 50), 2: (0, -50), 3: (0, 0)}  # equidistant receiver
-    recs, collisions = deliver([a, b], positions, MODEL, random.Random(0))
+    recs, collisions, _ = deliver([a, b], positions, MODEL, random.Random(0))
     assert recs[3] == []
     assert len(collisions) == 1
     assert collisions[0].receiver_id == 3
@@ -77,7 +77,7 @@ def test_capture_lets_much_stronger_burst_through():
     a = data_tx(1, (0, 1), power=33.0, tb=1)
     b = data_tx(2, (0, 1), power=23.0, tb=2)
     positions = {1: (0, 50), 2: (0, -50), 3: (0, 0)}
-    recs, collisions = deliver([a, b], positions, MODEL, random.Random(0))
+    recs, collisions, _ = deliver([a, b], positions, MODEL, random.Random(0))
     assert [tx for tx, _ in recs[3]] == [a]
     assert collisions[0].destroyed == (1,)
 
@@ -85,7 +85,7 @@ def test_capture_lets_much_stronger_burst_through():
 def test_disjoint_subchannels_do_not_collide():
     a = data_tx(1, (0, 1), tb=1)
     b = data_tx(2, (2, 2), tb=2)
-    recs, collisions = deliver([a, b], {1: (0, 50), 2: (0, -50), 3: (0, 0)},
+    recs, collisions, _ = deliver([a, b], {1: (0, 50), 2: (0, -50), 3: (0, 0)},
                                MODEL, random.Random(0))
     assert len(recs[3]) == 2
     assert collisions == []
@@ -101,7 +101,7 @@ def test_control_plane_never_collides_with_data():
     control = Transmission(6, 23.0, ControlBurst(BITS))
     reject = Pc5Message(Pc5MessageKind.ESTABLISHMENT_REJECT, 7, 3, 0, {})
     pc5 = Transmission(7, 23.0, reject)
-    recs, collisions = deliver([ssb, fb, data, control, pc5],
+    recs, collisions, _ = deliver([ssb, fb, data, control, pc5],
                                {1: (0, 30), 2: (30, 0), 3: (0, -30), 4: (-30, 0),
                                 5: (0, 0), 6: (18, 24), 7: (-18, -24)},
                                MODEL, random.Random(0))
@@ -113,10 +113,10 @@ def test_shadowing_is_reproducible():
     model = ChannelModel(shadowing_sigma_db=4.0)
     txs = [data_tx(1, (0, 1))]
     positions = {1: (0, 0), 2: (80, 0)}
-    r1, _ = deliver(list(txs), positions, model, random.Random(11))
-    r2, _ = deliver(list(txs), positions, model, random.Random(11))
+    r1, _, _ = deliver(list(txs), positions, model, random.Random(11))
+    r2, _, _ = deliver(list(txs), positions, model, random.Random(11))
     assert r1[2][0][1] == r2[2][0][1]
-    r3, _ = deliver(list(txs), positions, model, random.Random(12))
+    r3, _, _ = deliver(list(txs), positions, model, random.Random(12))
     assert r3[2][0][1] != r1[2][0][1]
 
 
@@ -130,7 +130,7 @@ def test_shadowing_draws_match_random_gauss():
     for count in (1, 3, 5):
         txs = [Transmission(1 + i % 4, 23.0 - i, FeedbackBurst(True, 0, src_l2=1, dst_l2=2))
                for i in range(count)]
-        recs, _ = deliver(txs, positions, model, rng)
+        recs, _, _ = deliver(txs, positions, model, rng)
         heard = {(uid, id(tx)): rsrp for uid, rs in recs.items() for tx, rsrp in rs}
         assert len(heard) == 3 * count
         for tx in txs:  # draws go transmission by transmission, receivers in order
@@ -195,7 +195,7 @@ BUSY_SLOT_COLLISIONS = "1e6f53e83cd20159a7c38282b4187bccccb7dd6b8545ed9542990a5a
 
 def test_busy_slot_receptions_and_collisions_are_pinned():
     txs, positions = busy_slot()
-    recs, collisions = deliver(txs, positions, ChannelModel(shadowing_sigma_db=4.0),
+    recs, collisions, _ = deliver(txs, positions, ChannelModel(shadowing_sigma_db=4.0),
                                random.Random(99))
     assert list(recs) == list(positions)
     number = {id(tx): k + 1 for k, tx in enumerate(txs)}
@@ -211,7 +211,7 @@ def test_busy_slot_receptions_and_collisions_are_pinned():
 def test_deliver_level_is_rsrp_at_without_shadowing():
     txs, positions = busy_slot()
     model = ChannelModel(noise_floor_dbm=-1000.0)
-    recs, _ = deliver(txs, positions, model, random.Random(0))
+    recs, _, _ = deliver(txs, positions, model, random.Random(0))
     for uid, rs in recs.items():
         rx, ry = positions[uid]
         for tx, rsrp in rs:
@@ -223,10 +223,11 @@ def test_deliver_level_is_rsrp_at_without_shadowing():
 # -- deliver against a per-receiver capture contest ----------------------------
 
 
-def reference_deliver(transmissions, positions, model, rng, losses=None):
+def reference_deliver(transmissions, positions, model, rng, losses=None, sensed=()):
     """`deliver` as it was when each receiver ran its own capture contest
     over every pair of receptions with a subchannel span it heard; a
-    transmission is known by its index in `transmissions`."""
+    transmission is known by its index in `transmissions`. The row of a
+    sensed transmission is read off every node's kept receptions."""
     ref_loss = model.reference_loss_db
     sigma = model.shadowing_sigma_db
     floor = model.noise_floor_dbm
@@ -279,7 +280,22 @@ def reference_deliver(transmissions, positions, model, rng, losses=None):
         if destroyed:
             collisions.append(CollisionRecord(uid, tuple(sorted(destroyed))))
             raw[uid] = [r for r in recs if r[0] not in destroyed]
-    return {uid: [(tx, level) for _, tx, level in recs] for uid, recs in raw.items()}, collisions
+    rows = {k: {} for k in sensed}
+    for uid, recs in raw.items():
+        for k, _, level in recs:
+            if k in rows:
+                rows[k][uid] = level
+    recs = {uid: [(tx, level) for _, tx, level in recs] for uid, recs in raw.items()}
+    return recs, collisions, rows
+
+
+def row_items(rows, collisions):
+    """Rows as comparable lists, after checking that no destroyed pair
+    is in one."""
+    for c in collisions:
+        for k in c.destroyed:
+            assert c.receiver_id not in rows.get(k, ())
+    return [(k, list(row.items())) for k, row in rows.items()]
 
 
 @st.composite
@@ -303,9 +319,11 @@ def slots(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(slot=slots(), sigma=st.sampled_from((0.0, 0.0, 2.0, 4.0)),
-       threshold=st.sampled_from((0.0, 3.0)), seed=st.integers(0, 2**16), warm=st.booleans())
-def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm):
+       threshold=st.sampled_from((0.0, 3.0)), seed=st.integers(0, 2**16), warm=st.booleans(),
+       sensed=st.sets(st.integers(0, 7)))
+def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm, sensed):
     txs, positions = slot
+    sensed = sorted(k for k in sensed if k < len(txs))
     index = {id(tx): k for k, tx in enumerate(txs)}
     # with no capture margin, which of two equal levels survives shows
     model = ChannelModel(shadowing_sigma_db=sigma, capture_threshold_db=threshold)
@@ -314,10 +332,11 @@ def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm
         rng = random.Random(seed)
         if warm:  # leave a spare Box-Muller value for the first draw
             rng.gauss(0.0, 1.0)
-        recs, collisions = fn(txs, positions, model, rng)
+        recs, collisions, rows = fn(txs, positions, model, rng, sensed=sensed)
         results.append((
             [(uid, [(index[id(tx)], rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
             [(c.receiver_id, c.destroyed) for c in collisions],
+            row_items(rows, collisions),
             rng.getstate(),
         ))
     assert results[0] == results[1]
@@ -340,12 +359,14 @@ def read_slots(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(slot=read_slots(), sigma=st.sampled_from((0.0, 2.0)),
-       seed=st.integers(0, 2**16), warm=st.booleans())
-def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm):
+       seed=st.integers(0, 2**16), warm=st.booleans(), sensed=st.sets(st.integers(0, 7)))
+def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm, sensed):
     """Each node gets the all-pairs receptions of what it reads, the
-    collision records are the all-pairs ones, and the generator ends in
-    the same state (`gauss_next` included): skipped pairs still draw."""
+    collision records and the rows of sensed transmissions are the
+    all-pairs ones, and the generator ends in the same state
+    (`gauss_next` included): skipped pairs still draw."""
     txs, positions, readers = slot
+    sensed = sorted(k for k in sensed if k < len(txs))
     index = {id(tx): k for k, tx in enumerate(txs)}
     model = ChannelModel(shadowing_sigma_db=sigma)
     results = []
@@ -354,15 +375,17 @@ def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm):
         if warm:  # carry a spare Box-Muller value in
             rng.gauss(0.0, 1.0)
         if fn is deliver:
-            recs, collisions = deliver(txs, positions, model, rng, readers=readers)
+            recs, collisions, rows = deliver(txs, positions, model, rng, readers=readers,
+                                             sensed=sensed)
         else:
-            recs, collisions = fn(txs, positions, model, rng)
+            recs, collisions, rows = fn(txs, positions, model, rng, sensed=sensed)
             recs = {uid: [(tx, rsrp) for tx, rsrp in rs
                           if readers[index[id(tx)]] is None or uid in readers[index[id(tx)]]]
                     for uid, rs in recs.items()}
         results.append((
             [(uid, [(index[id(tx)], rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
             [(c.receiver_id, c.destroyed) for c in collisions],
+            row_items(rows, collisions),
             rng.getstate(),
             rng.gauss_next,
         ))

@@ -8,16 +8,18 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidelinksim import simulation
 from sidelinksim.bits import BitString
 from sidelinksim.frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, fra_decode
 from sidelinksim.harq import FEEDBACK_DELAY_SLOTS, DataBurst
 from sidelinksim.metrics import event_line
-from sidelinksim.radio import rsrp_at
-from sidelinksim.resources import claim_shape, sense
+from sidelinksim.pc5 import BROADCAST_L2
+from sidelinksim.radio import Transmission, rsrp_at
+from sidelinksim.resources import ControlBurst, claim_shape, sense
 from sidelinksim.scenario import load_scenario, parse_scenario
-from sidelinksim.simulation import World, run_scenario
+from sidelinksim.simulation import UeAgent, World, run_scenario
 from sidelinksim.sync import SyncCandidate, SyncSourceKind
 from test_wake import moving_ues, workloads
 
@@ -249,14 +251,19 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
     monkeypatch.setattr(Sci1A, "decode", classmethod(
         lambda cls, pool, bits: decoded.append(bits) or decode(cls, pool, bits)))
     sci = Sci1A(priority=1, frequency_resource=0, time_resource=0, rri_index=0, mcs=9)
-    a._note_sci(sci.encode(pool), -70.0, 5)
-    b._note_sci(sci.encode(pool), -80.0, 5)  # equal bits, another BitString
-    assert a.sensing[-1] == (sci, -70.0, 5) and b.sensing[-1] == (sci, -80.0, 5)
-    assert a.sensing[-1][0] is b.sensing[-1][0]
+
+    def announce(sender, bits):
+        return Transmission(sender.spec.id, sender.spec.tx_power_dbm, ControlBurst(bits))
+
+    # equal bits, another BitString
+    world._deliver_and_dispatch([announce(a, sci.encode(pool)), announce(b, sci.encode(pool))], 5)
     wrong_length = BitString(b"\x00", 8)
-    a._note_sci(wrong_length, -70.0, 6)
-    b._note_sci(BitString(b"\x00", 8), -70.0, 6)
-    assert a.sensing[-1][0] is None and b.sensing[-1][0] is None
+    world._deliver_and_dispatch([announce(a, wrong_length),
+                                 announce(b, BitString(b"\x00", 8))], 6)
+    log = world.sensing_log
+    assert [(slot, claim, list(row)) for slot, claim, row in log] == [
+        (5, sci, [2]), (5, sci, [1]), (6, None, [2]), (6, None, [1])]
+    assert log[0][1] is log[1][1]
     assert len(decoded) == 2
     assert world.sci1a_cache == {astuple(sci.encode(pool)): sci, astuple(wrong_length): None}
 
@@ -310,6 +317,26 @@ def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
     assert world.sci2a_cache == {astuple(sci2.encode()): sci2, astuple(wrong_length): None}
 
 
+def test_a_re_emitted_broadcast_tb_counts_once_per_ue():
+    # the lossless broadcast tally reads rows, not receptions: a verbatim
+    # re-emission in the same slot, and again in a later one, is heard by
+    # the same UEs, and each still counts the TB once
+    world = World(parse_scenario({
+        "name": "tally", "seed": 1, "duration_slots": 10,
+        "ues": [{"id": i, "position": [30 * i, 0]} for i in range(1, 4)]}))
+    sender = world.agents[0]
+    sci = Sci1A(priority=3, frequency_resource=0, time_resource=0, rri_index=0, mcs=9)
+    sci2 = Sci2A.for_tb(0, 0, 0, sender.endpoint.l2_id, BROADCAST_L2, False, CastType.BROADCAST)
+    burst = DataBurst(sci.encode(world.sc.pool), sci2.encode(), mac_src_l2=sender.endpoint.l2_id,
+                      mac_dst_l2=BROADCAST_L2, tb_id=7, size_bytes=300)
+    tx = Transmission(1, 23.0, burst)
+    world._deliver_and_dispatch([tx, tx], 5)
+    assert [list(row) for _, _, row in world.sensing_log] == [[2, 3], [2, 3]]
+    assert world.metrics.totals["receiver_delivered"] == 2
+    world._deliver_and_dispatch([tx], 6)
+    assert world.metrics.totals["receiver_delivered"] == 2
+
+
 def test_cached_path_loss_follows_moving_nodes(monkeypatch):
     # no shadowing, so every level is the log-distance value at the
     # positions of its own slot; a path-loss row kept from an earlier
@@ -326,10 +353,12 @@ def test_cached_path_loss_follows_moving_nodes(monkeypatch):
     deliver = simulation.deliver
 
     def recording(transmissions, positions, *args):
-        recs, collisions = deliver(transmissions, positions, *args)
+        recs, collisions, rows = deliver(transmissions, positions, *args)
         heard.extend((dict(positions), uid, tx, rsrp) for uid, rs in recs.items()
                      for tx, rsrp in rs)
-        return recs, collisions
+        heard.extend((dict(positions), uid, transmissions[k], rsrp) for k, row in rows.items()
+                     for uid, rsrp in row.items())
+        return recs, collisions, rows
 
     monkeypatch.setattr(simulation, "deliver", recording)
     world.run()
@@ -373,31 +402,131 @@ def test_lossy_broadcast_tally_matches_recorded_digests(name, build, collides):
 
 def test_sensing_prefix_prune_equals_the_filter():
     world = lone_ue_world()
-    agent = world.agents[0]
     window = world.sc.pool.sensing_window_slots
     rng = random.Random(11)
     for _ in range(300):
         slots = sorted(rng.randrange(40) for _ in range(rng.randint(0, 25)))
-        entries = [(None, -70.0 - i, s) for i, s in enumerate(slots)]
-        horizon = rng.choice(slots) + rng.choice((-1, 0, 0, 1)) if slots else 5
-        agent.sensing = list(entries)
-        agent.act(horizon + window)
-        assert agent.sensing == [e for e in entries if e[2] >= horizon]
+        entries = [(s, None, {1: -70.0 - i}) for i, s in enumerate(slots)]
+        cut = rng.choice(slots) + rng.choice((-1, 0, 0, 1)) if slots else 5
+        # the cut is the sensing window's or the reach's, whichever is later
+        if rng.random() < 0.5:
+            slot, world.sensing_reach = cut + window, window + 1 + rng.randrange(50)
+        else:
+            world.sensing_reach = rng.randint(0, 60)
+            slot = cut - 1 + world.sensing_reach
+        world.sensing_log = list(entries)
+        assert world.live_sensing(slot) == [e for e in entries if e[0] >= cut]
+        assert world.sensing_log == [e for e in entries if e[0] >= cut]
 
 
 def test_sensing_window_drops_claims_sense_would_still_project():
     # a 1000 ms claim stays live for two periods, longer than the
-    # 1100-slot sensing window: the prune in act, not sense, drops it
+    # 1100-slot sensing window: the log cut, not sense, drops it
     world = lone_ue_world()
-    agent = world.agents[0]
     pool = world.sc.pool
     sci = Sci1A(priority=1, frequency_resource=0, time_resource=0,
                 rri_index=pool.period_list_ms.index(1000), mcs=9)
+    world.sensing_reach = claim_shape(sci, pool).reach
     slot = 100 + pool.sensing_window_slots + 1
-    agent.sensing = [(sci, -60.0, 100)]
-    assert sense(agent.sensing, pool, slot + 1).reservations
-    agent.act(slot)
-    assert agent.sensing == []
+    assert slot + 1 - world.sensing_reach < 100
+    assert sense([(sci, -60.0, 100)], pool, slot + 1).reservations
+    world.sensing_log = [(100, sci, {1: -60.0})]
+    assert world.live_sensing(slot) == []
+
+
+@st.composite
+def sensing_worlds(draw):
+    """2-8 UEs in a 200 m square, some moving, with broadcast and unicast
+    flows of two subchannels on a two-subchannel pool, so selections
+    overlap and collide; a lossless or lossy channel; at times a
+    resource_blocking attacker. Its 1000 ms claims reach past the
+    sensing window, and the 100 ms claims of the UEs reach past a
+    150-slot window but not a 300-slot one, so either cut can bind."""
+    n = draw(st.integers(2, 8))
+    coord = st.integers(-100, 100)
+    ues = [{"id": i, "position": [draw(coord), draw(coord)],
+            "velocity": [draw(st.sampled_from((0, 0, 0, 30, -45))), 0]}
+           for i in range(1, n + 1)]
+    traffic = []
+    for src in range(1, n + 1):
+        for _ in range(draw(st.integers(1 if src == 1 else 0, 2))):
+            dst = draw(st.sampled_from(["broadcast"] + [j for j in range(1, n + 1) if j != src]))
+            traffic.append({"src": src, "dst": dst, "size_bytes": 600,
+                            "period_slots": draw(st.sampled_from((20, 50, 100))),
+                            "rri_ms": draw(st.sampled_from((20, 50, 100))),
+                            "start_slot": draw(st.integers(0, 40)),
+                            "harq": dst != "broadcast" and draw(st.booleans())})
+    raw = {"name": "sensing", "seed": draw(st.integers(0, 999)), "duration_slots": 400,
+           "channel": {"shadowing_sigma_db": draw(st.sampled_from((0.0, 2.0))),
+                       "tb_error_rate": draw(st.sampled_from((0.0, 0.0, 0.3)))},
+           "pool": {"num_subchannels": 2, "slots_per_selection_window": 5,
+                    "period_list_ms": [20, 50, 100, 1000],
+                    "sensing_window_slots": draw(st.sampled_from((150, 300)))},
+           "ues": ues, "traffic": traffic}
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 150))
+        raw["attacks"] = [{"kind": "resource_blocking", "window": [start, start + 150],
+                           "capability": {"position": [draw(coord), draw(coord)]},
+                           "params": {"claim_fraction": draw(st.sampled_from((0.25, 0.5))),
+                                      "rri_ms": 1000}}]
+    return parse_scenario(raw)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(sc=sensing_worlds())
+def test_entries_from_the_log_equal_the_per_reception_lists(sc):
+    """At every reselection, `sense` gets the UE's own column of the
+    log's live suffix: in order, every SCI-bearing reception the UE kept
+    (`deliver` to every node, on a copy of the channel generator), cut
+    at the sensing window and the reach. Each reselection and each slot
+    on air cut the one log, so they cut every UE's reference list: an
+    entry cut then holds no live occurrence in a later window either."""
+    world = World(sc)
+    pool = sc.pool
+    kept = {agent.spec.id: [] for agent in world.agents}
+
+    def claim(bits):
+        try:
+            return Sci1A.decode(pool, bits)
+        except ValueError:
+            return None
+
+    def cut(slot):
+        bound = max(slot - pool.sensing_window_slots, slot + 1 - world.sensing_reach)
+        for entries in kept.values():
+            entries[:] = [e for e in entries if e[2] >= bound]
+
+    dispatch = World._deliver_and_dispatch
+
+    def reference_dispatch(self, transmissions, slot):
+        cut(slot)
+        twin = random.Random()
+        twin.setstate(self.channel_rng.getstate())
+        recs, _, _ = simulation.deliver(transmissions, self.positions, sc.channel, twin,
+                                        self.path_loss)
+        for uid, rs in recs.items():
+            kept.get(uid, []).extend(
+                (claim(tx.payload.sci1_bits), rsrp, slot) for tx, rsrp in rs
+                if isinstance(tx.payload, (DataBurst, ControlBurst)))
+        dispatch(self, transmissions, slot)
+
+    handed = []
+    reselect = UeAgent._reselect
+    checked = []
+
+    def checked_reselect(self, rt, slot):
+        cut(slot)
+        reselect(self, rt, slot)
+        assert handed[-1] == kept[self.spec.id]
+        checked.append(len(handed[-1]))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "sense", lambda received, *args: (
+            handed.append(received) or sense(received, *args)))
+        mp.setattr(World, "_deliver_and_dispatch", reference_dispatch)
+        mp.setattr(UeAgent, "_reselect", checked_reselect)
+        world.run()
+    assert checked
 
 
 def _sync_trace(seed, min_hyst_db, rank_every_slot):
