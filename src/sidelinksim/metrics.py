@@ -3,11 +3,16 @@
 The CSV layout is versioned and row-ordered so two runs of the same
 (scenario, seed) diff byte-for-byte. Counter metrics optionally keep a
 bucketed series whose fold must equal the total.
+
+Event lines are rendered by one C JSON encoder built at import: the
+same bytes as `json.dumps(event, sort_keys=True, separators=(",", ":"))`
+without building a new encoder for every event. It makes no
+circular-reference check, since events are flat dicts of scalars.
 """
 
 from __future__ import annotations
 
-import json
+import json.encoder
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -205,12 +210,29 @@ def format_compare(deltas: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+if json.encoder.c_make_encoder is None:
+    raise ImportError("sidelinksim.metrics needs the C accelerator of the json module (_json)")
+
+# the encoder `json.dumps(event, sort_keys=True, separators=(",", ":"))`
+# builds on every call: markers, default, string encoder, indent, key and
+# item separators, sort_keys, skipkeys, allow_nan
+_ENCODE = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True)
+
+
 def event_line(event: dict) -> str:
-    """One event log line: compact, key-sorted, reproducible."""
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    """One event log line: compact, key-sorted, reproducible.
+
+    The same bytes as `json.dumps(event, sort_keys=True, separators=(",",
+    ":"))`, from one prebuilt encoder of the same type and settings; an
+    unserializable value raises TypeError as there. Unlike `json.dumps`,
+    it does not check for circular references (markers is None), so an
+    event that contains itself recurses until RecursionError.
+    """
+    return "".join(_ENCODE(event, 0))
 
 
 def write_events(path, events: list[dict]):
     with open(path, "w") as fh:
-        for event in events:
-            fh.write(event_line(event) + "\n")
+        fh.writelines(event_line(event) + "\n" for event in events)

@@ -11,6 +11,7 @@ and reported together with their paths.
 from __future__ import annotations
 
 import functools
+import re
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -323,6 +324,12 @@ def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool) -> AttackSp
 # top level
 
 
+# the control characters (Unicode category Cc) and the line and paragraph
+# separators: every character str.splitlines breaks on is among them, so a
+# name without them stays on its one metrics.csv row
+_NAME_BREAKS = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
 def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     errs = _Errors()
     raw = _mapping(raw, "scenario", errs)
@@ -331,7 +338,12 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         if key not in top_keys:
             errs.add(f"scenario.{key}", "unknown key")
 
-    name = str(raw.get("name", default_name))
+    name = raw.get("name", default_name)
+    if (problem := _type_error(name, str)) is not None:
+        errs.add("scenario.name", problem)
+        name = default_name
+    elif _NAME_BREAKS.search(name):
+        errs.add("scenario.name", f"{name!r} holds a line break or control character")
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
         errs.add("scenario.seed", "must be an integer in [0, 2^64)")

@@ -138,7 +138,8 @@ def test_a_multi_line_problem_stays_under_its_bullet(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     TINY + "channel: {shadowing_sigma_db: x}\n",
     TINY.replace("period_slots: 50", "period_slots: abc"),
-], ids=["channel", "traffic"])
+    TINY.replace("name: tiny", "name: 5"),
+], ids=["channel", "traffic", "name"])
 def test_wrongly_typed_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
@@ -164,8 +165,9 @@ OUT_OF_RANGE = {
     TINY + "pool: {threshold_step_db: 0.0}\n",
     TINY + "pool: {threshold_step_db: -3.0}\n",
     TINY + "channel: {shadowing_sigma_db: -4.0}\n",
+    TINY.replace("name: tiny", 'name: "a\\nb"'),
 ], ids=[*OUT_OF_RANGE, "slot_duration_ms", "threshold_step_db_zero",
-        "threshold_step_db_negative", "shadowing_sigma_db_negative"])
+        "threshold_step_db_negative", "shadowing_sigma_db_negative", "name_line_break"])
 def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     # signed beacons make the sync injector encode its tdd_config

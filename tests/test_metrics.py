@@ -1,4 +1,8 @@
-"""Metrics accounting, CSV round-trip, and run comparison."""
+"""Metrics accounting, CSV round-trip, run comparison and event lines."""
+
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,23 @@ from sidelinksim.metrics import (
     compare,
     event_line,
     format_compare,
+    write_events,
 )
+from sidelinksim.scenario import load_scenario, parse_scenario
+from sidelinksim.simulation import run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+
+_spec = importlib.util.spec_from_file_location("bench_workloads",
+                                               ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+
+
+def dumps(event):
+    """The reference rendering that event_line must reproduce byte for byte."""
+    return json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
 def test_all_metrics_initialized():
@@ -109,3 +129,49 @@ def test_compare_reports_deltas():
 def test_event_line_is_compact_and_key_sorted():
     line = event_line({"slot": 3, "event": "collision", "a": 1})
     assert line == '{"a":1,"event":"collision","slot":3}'
+
+
+@pytest.mark.parametrize("label", [*sorted(p.stem for p in SCENARIO_DIR.glob("*.yaml")),
+                                   "dense_broadcast-1", "unicast_harq-1"])
+def test_event_line_matches_json_dumps_on_every_event_of_a_run(label):
+    name, _, seed = label.partition("-")
+    scenario = (parse_scenario(getattr(workloads, name)(int(seed)), default_name=name) if seed
+                else load_scenario(SCENARIO_DIR / f"{name}.yaml"))
+    events = run_scenario(scenario)[2].events
+    assert events
+    for event in events:
+        assert event_line(event) == dumps(event)
+
+
+EDGE_VALUES = [
+    "héllo wörld ✓ 𝄞 \u2028",
+    "\x00\x01\x1f\x7f\t\n\r\"\\/",
+    float("inf"), float("-inf"), float("nan"),
+    -0.0, 1e-300, 0.1, 123456789012345678901234567890, -(10**29),
+    None, True, False,
+    [3, [None, "x"], {"b": 1, "a": 2}],
+    {"zeta": 1, "alpha": {"y": 2, "x": [1.5]}, "Mid": None},
+]
+
+
+def test_event_line_matches_json_dumps_on_edge_values():
+    for value in EDGE_VALUES:
+        assert event_line({"value": value, "slot": 1}) == dumps({"value": value, "slot": 1})
+    event = {f"k{i:02d}": v for i, v in reversed(list(enumerate(EDGE_VALUES)))}
+    assert event_line(event) == dumps(event)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", 1j])
+def test_event_line_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError) as ours:
+        event_line({"value": value})
+    with pytest.raises(TypeError) as reference:
+        dumps({"value": value})
+    assert str(ours.value) == str(reference.value)
+
+
+def test_write_events_writes_one_event_line_per_event(tmp_path):
+    events = [{"value": v, "slot": i} for i, v in enumerate(EDGE_VALUES)]
+    path = tmp_path / "events.jsonl"
+    write_events(path, events)
+    assert path.read_bytes().decode() == "".join(event_line(e) + "\n" for e in events)

@@ -15,6 +15,7 @@ from sidelinksim.pc5 import (
     CIPHER_ALG,
     INTEG_ALG,
     KEEPALIVE_PERIOD_SLOTS,
+    L2_SPACE,
     PC5_TIMEOUT_SLOTS,
     KeyHierarchy,
     LinkPhase,
@@ -539,10 +540,15 @@ def test_replayed_counter_is_a_replay_from_security_mode_on():
 
 
 def test_refresh_identifier_weak_is_predictable():
-    retired = set()
-    new = refresh_identifier(0x000500, retired, random.Random(0), "weak", set())
-    assert new == 0x000501
-    assert retired == {0x000500}
+    for current, expected in [
+        (0x000500, 0x000501),
+        (L2_SPACE - 3, L2_SPACE - 2),
+        (L2_SPACE - 2, 0),  # steps past the broadcast id
+    ]:
+        retired = set()
+        new = refresh_identifier(current, retired, random.Random(0), "weak", set())
+        assert new == expected
+        assert retired == {current}
 
 
 def test_refresh_identifier_secure_avoids_history_and_live_ids():

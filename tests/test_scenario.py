@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, strategies as st
 
 from sidelinksim.adversary import AttackKind
+from sidelinksim.metrics import MetricsReport
 from sidelinksim.pc5 import PolicyLevel
 from sidelinksim.scenario import (
     ATTACKER_ID_BASE,
@@ -120,6 +122,8 @@ def test_unknown_key_in_every_section(section):
     ("traffic", 5),
     ("traffic[0].dst", [1]),
     ("pool.period_list_ms", 5),
+    ("name", 5),
+    ("name", None),
 ])
 def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     with pytest.raises(ScenarioError) as err:
@@ -147,6 +151,23 @@ def test_out_of_range_value_is_an_error(kind, dotted, value):
         parse_scenario(raw)
     section, name = dotted.rsplit(".", 1)
     assert any(p.startswith(f"scenario.{section}") and name in p for p in err.value.problems)
+
+
+@given(st.text(max_size=8))
+@example("a\nb")
+@example("a\x85b")
+@example("a\u2028b")
+@example(" a, b – é ")
+def test_a_name_is_refused_or_reads_back_from_metrics_csv(name):
+    # every character str.splitlines breaks on is refused, so metrics.csv
+    # keeps the name on its one row
+    try:
+        sc = parse_scenario(minimal(name=name))
+    except ScenarioError as err:
+        assert [p for p in err.problems if p.startswith("scenario.name: ")]
+        assert not name.isprintable()
+    else:
+        assert MetricsReport.from_csv(MetricsReport(sc.name, sc.seed).to_csv()).scenario == name
 
 
 def test_attack_param_bounds_are_inclusive():
