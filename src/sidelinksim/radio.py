@@ -49,17 +49,6 @@ class ChannelModel:
             raise ValueError(f"tb_error_rate {self.tb_error_rate} outside [0, 1]")
 
 
-def rsrp_at(tx_power_dbm: float, distance_m: float, model: ChannelModel) -> float:
-    """Received power from log-distance path loss, no fading."""
-    if distance_m <= 0:
-        raise ValueError(f"distance {distance_m} must be positive")
-    return (
-        tx_power_dbm
-        - model.reference_loss_db
-        - 10.0 * model.path_loss_exponent * math.log10(distance_m)
-    )
-
-
 @dataclass
 class Transmission:
     sender_id: int
@@ -102,7 +91,7 @@ def path_loss_row(sender: int, positions: dict[int, tuple[float, float]],
     log10, hypot = math.log10, math.hypot
     sx, sy = positions[sender]
     receivers = tuple(uid for uid in positions if uid != sender)
-    # co-location guard: the pure formula rejects zero distance
+    # co-location guard: log10 has no value at zero distance
     losses = array("d", [slope * log10(max(hypot(rx - sx, ry - sy), 1e-3))
                          for rx, ry in map(positions.__getitem__, receivers)])
     return receivers, losses
@@ -150,7 +139,9 @@ def deliver(
     one keeps no levels for it; otherwise each receiver judges only the
     pairs it heard both halves of.
     """
-    # rsrp_at with the model constants hoisted, in the same operation order
+    # log-distance path loss, no fading: a level is
+    # (tx_power - reference_loss) - 10 * exponent * log10(distance), in that
+    # operation order, with the model constants hoisted
     ref_loss = model.reference_loss_db
     sigma = model.shadowing_sigma_db
     floor = model.noise_floor_dbm

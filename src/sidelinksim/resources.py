@@ -80,10 +80,6 @@ class ResourcePool:
     def rri_slots(self, rri_ms: int) -> int:
         return round(rri_ms / self.slot_duration_ms)
 
-    @property
-    def total_cells(self) -> int:
-        return self.num_subchannels * self.slots_per_selection_window
-
 
 @dataclass
 class Reservation:
@@ -95,10 +91,6 @@ class Reservation:
     rri_slots: int
     priority: int
     observed_rsrp_dbm: float
-
-    @property
-    def expiry_slot(self) -> int:
-        return self.start_slot + MISS_REFRESH_LIMIT * self.rri_slots
 
 
 @dataclass
@@ -170,13 +162,6 @@ def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
     later_start = start if pool.sl_max_num_per_reserve == 2 else start2
     return ClaimShape(((0, start),) + tuple((gap, later_start) for gap in gaps), length,
                       pool.rri_slots(pool.period_list_ms[sci.rri_index]), sci.priority)
-
-
-def claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
-                    slot: int) -> list[Reservation]:
-    """Expand a decoded SCI 1-A heard in `slot` into its occurrence streams."""
-    shape = claim_shape(sci, pool)
-    return [shape.reservation(offset, start, rsrp, slot) for offset, start in shape.spans]
 
 
 def sense(

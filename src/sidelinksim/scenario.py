@@ -11,6 +11,7 @@ and reported together with their paths.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import types
 import typing
@@ -174,11 +175,14 @@ def _type_error(value, hint) -> str | None:
     """Why `value` does not fit annotation `hint`, or None if it does.
 
     Values are never converted. The value's own type must be one the hint
-    names (or int for float), so a bool fits only where bool is named.
+    names (or int for float), so a bool fits only where bool is named. A
+    float must be finite: nothing downstream takes an infinity or a NaN.
     """
-    if type(value) in _accepted(hint):
-        return None
-    return f"expected {getattr(hint, '__name__', hint)}, got {type(value).__name__}"
+    if type(value) not in _accepted(hint):
+        return f"expected {getattr(hint, '__name__', hint)}, got {type(value).__name__}"
+    if type(value) is float and not math.isfinite(value):
+        return f"must be finite, got {value}"
+    return None
 
 
 def _section(cls, raw, path: str, errs: _Errors, casts: dict | None = None):

@@ -28,8 +28,10 @@ so the channel stream does not depend on who reads.
 
 Sensing is kept once per world: for each SCI-bearing transmission
 `deliver` returns a row, node -> level for the nodes that kept it, and
-the world logs `(slot, claim, row)`, which also tallies lossless
-broadcast delivery (a TB counts the first time a UE hears it). A
+the world logs `(slot, claim, row)`. Delivery is kept once per world
+too, in one ledger, `World.delivered`: TB id -> bitmask of the UEs that
+have it. A TB counts once per UE, the first time the UE gets it: from
+a row for lossless broadcast data, from `_receive_data` otherwise. A
 reselection reads its own column of the log, cut to the sensing window
 and to `World.sensing_reach` (the largest lifetime plus latest offset
 of any claim decoded so far) before the selection window. Each slot on
@@ -48,7 +50,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, itemgetter
+from operator import add, itemgetter, or_
 
 from .adversary import AttackerAgent, TrackerAgent, build_attacker
 from .bits import BitString
@@ -194,7 +196,6 @@ class UeAgent:
         self.feedback_inbox: list[tuple[FeedbackBurst, float]] = []  # (burst, rsrp)
         self.outbox: dict[int, list[object]] = {}  # slot -> payloads to send
         self.tb_counter = 0
-        self.delivered_seen: set[int] = set()
         self.wake: int | float = 0  # next slot with work due; math.inf for none
 
     # -- wake on work ------------------------------------------------------
@@ -456,9 +457,12 @@ class UeAgent:
         # crc_rng feeds nothing else, so an error-free channel skips the draw
         error_rate = self.world.sc.channel.tb_error_rate
         crc_ok = error_rate == 0 or self.world.crc_rng.random() >= error_rate
-        new = crc_ok and burst.tb_id not in self.delivered_seen
+        ledger = self.world.delivered
+        seen = ledger.get(burst.tb_id, 0)
+        bit = self.world.ue_bits[self.spec.id]
+        new = crc_ok and not seen & bit
         if new:
-            self.delivered_seen.add(burst.tb_id)
+            ledger[burst.tb_id] = seen | bit
         if burst.mac_dst_l2 != self.endpoint.l2_id:
             return new
         sci2 = decode_once(self.world.sci2a_cache, Sci2A.decode, burst.sci2_bits)
@@ -572,6 +576,9 @@ class World:
         # sender -> its path-loss row (`radio.path_loss_row`), built on
         # the sender's first transmission and dropped when any node moves
         self.path_loss: dict[int, PathLossRow] = {}
+        # TB id -> bitmask of the UEs that have it (bit i: self.agents[i]);
+        # `receiver_delivered` counts each bit the first time it is set
+        self.delivered: dict[int, int] = {}
 
         self.agents: list[UeAgent] = [UeAgent(spec, self) for spec in scenario.ues]
         self.by_id = {a.spec.id: a for a in self.agents}
@@ -597,6 +604,9 @@ class World:
                 ssb_key=self.ssb_key,
             )
             self.attackers.append(agent)
+        # node id -> its bit in `delivered`; an attacker has none
+        self.ue_bits = dict.fromkeys((attacker.id for attacker in self.attackers), 0)
+        self.ue_bits.update((agent.spec.id, 1 << i) for i, agent in enumerate(self.agents))
 
         # static nodes keep their slot-0 place; only moving UEs are recomputed
         self.positions: dict[int, tuple[float, float]] = {}
@@ -727,6 +737,7 @@ class World:
                        destroyed=len(record.destroyed))
         delivered = 0
         cache, pool = self.sci1a_cache, self.sc.pool
+        ledger, ue_bits = self.delivered, self.ue_bits
         self.live_sensing(slot)  # drop what no later reselection reads
         for k, row in rows.items():
             payload = transmissions[k].payload
@@ -737,11 +748,11 @@ class World:
                 self.sensing_reach = max(self.sensing_reach, claim_shape(claim, pool).reach)
             self.sensing_log.append((slot, claim, row))
             if lossless and type(payload) is DataBurst and payload.mac_dst_l2 == BROADCAST_L2:
-                tb = payload.tb_id
-                for agent in map(self.by_id.get, row):  # None for an attacker
-                    if agent is not None and tb not in agent.delivered_seen:
-                        agent.delivered_seen.add(tb)
-                        delivered += 1
+                seen = ledger.get(payload.tb_id, 0)
+                new = reduce(or_, map(ue_bits.__getitem__, row), 0) & ~seen
+                if new:
+                    ledger[payload.tb_id] = seen | new
+                    delivered += new.bit_count()
         for agent in self.agents:
             recs = recs_by_receiver[agent.spec.id]
             if recs:

@@ -27,9 +27,10 @@ from sidelinksim.frames import (
 from sidelinksim.defense import sign_ssb, verify_ssb
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.radio import Transmission
-from sidelinksim.resources import ControlBurst, ResourcePool, claims_from_sci
+from sidelinksim.resources import ControlBurst, ResourcePool
 from sidelinksim.frames import Sci1A
 from sidelinksim.sync import SsbBurst
+from test_resources import reference_claims_from_sci, reference_total_cells
 
 POOL = ResourcePool(4, 10, [100, 1000])
 CAP = AttackerCapability()
@@ -133,10 +134,10 @@ def test_resource_blocking_claims_requested_fraction():
         for tx in agent.transmissions(slot):
             assert isinstance(tx.payload, ControlBurst)
             sci = Sci1A.decode(POOL, tx.payload.sci1_bits)
-            claim = claims_from_sci(sci, POOL, -60.0, slot)[0]
+            claim = reference_claims_from_sci(sci, POOL, -60.0, slot)[0]
             assert claim.rri_slots == 1000
             seen[(slot % 10, claim.subchannel_start)] = slot
-    assert len(seen) == round(0.75 * POOL.total_cells) == 30
+    assert len(seen) == round(0.75 * reference_total_cells(POOL)) == 30
     # each claim refreshes every interval, holding the cells indefinitely
     refreshed = [tx for slot in range(1000, 2000) for tx in agent.transmissions(slot)]
     assert len(refreshed) == 30

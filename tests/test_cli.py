@@ -177,6 +177,21 @@ def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, tex
         assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    TINY + "defenses: {privacy_randomizer: {enabled: true, timer_ms: .inf}}\n",
+    TINY + "defenses: {privacy_randomizer: {enabled: true, timer_ms: .nan}}\n",
+    TINY + ("attacks:\n  - {kind: harq_spoof_nack, window: [0, 60],"
+            " capability: {tx_power_dbm: .inf}}\n"),
+    TINY + "pool: {rsrp_exclusion_threshold_dbm: .nan}\n",
+], ids=["timer_ms_inf", "timer_ms_nan", "tx_power_dbm_inf", "rsrp_exclusion_threshold_dbm_nan"])
+def test_a_non_finite_float_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_1(capsys):
     assert main(["run", "no_such_scenario.yaml"]) == 1
     assert "not found" in capsys.readouterr().err

@@ -17,7 +17,6 @@ from sidelinksim.radio import (
     child_rng,
     deliver,
     path_loss_row,
-    rsrp_at,
 )
 from sidelinksim.resources import ControlBurst
 from sidelinksim.sync import SsbBurst
@@ -25,6 +24,18 @@ from sidelinksim.frames import MibSl, SlssIdentity
 
 MODEL = ChannelModel()
 BITS = BitString(b"", 0)
+
+
+def reference_rsrp_at(tx_power_dbm: float, distance_m: float, model: ChannelModel) -> float:
+    """Received power from log-distance path loss, no fading: the level
+    `deliver` computes, before shadowing, with its constants inlined."""
+    if distance_m <= 0:
+        raise ValueError(f"distance {distance_m} must be positive")
+    return (
+        tx_power_dbm
+        - model.reference_loss_db
+        - 10.0 * model.path_loss_exponent * math.log10(distance_m)
+    )
 
 
 def data_tx(sender, span, power=23.0, tb=1):
@@ -35,9 +46,9 @@ def data_tx(sender, span, power=23.0, tb=1):
 
 def test_rsrp_known_value():
     # 23 dBm at 100 m: 23 - 46.7 - 27*log10(100) = -77.7
-    assert rsrp_at(23.0, 100.0, MODEL) == pytest.approx(-77.7)
+    assert reference_rsrp_at(23.0, 100.0, MODEL) == pytest.approx(-77.7)
     with pytest.raises(ValueError):
-        rsrp_at(23.0, 0.0, MODEL)
+        reference_rsrp_at(23.0, 0.0, MODEL)
 
 
 def test_rsrp_monotone_in_distance():
@@ -45,7 +56,7 @@ def test_rsrp_monotone_in_distance():
     for _ in range(100):
         d1 = rng.uniform(1, 500)
         d2 = d1 + rng.uniform(0.1, 500)
-        assert rsrp_at(23.0, d1, MODEL) > rsrp_at(23.0, d2, MODEL)
+        assert reference_rsrp_at(23.0, d1, MODEL) > reference_rsrp_at(23.0, d2, MODEL)
 
 
 def test_deliver_drops_below_noise_floor():
@@ -137,7 +148,7 @@ def test_shadowing_draws_match_random_gauss():
             sx, sy = positions[tx.sender_id]
             for uid, (rx, ry) in positions.items():
                 if uid != tx.sender_id:
-                    level = rsrp_at(tx.tx_power_dbm, math.hypot(rx - sx, ry - sy), model)
+                    level = reference_rsrp_at(tx.tx_power_dbm, math.hypot(rx - sx, ry - sy), model)
                     assert heard[uid, id(tx)] == level + reference.gauss(0.0, sigma)
     assert rng.getstate() == reference.getstate()
 
@@ -217,7 +228,7 @@ def test_deliver_level_is_rsrp_at_without_shadowing():
         for tx, rsrp in rs:
             sx, sy = positions[tx.sender_id]
             distance = max(math.hypot(rx - sx, ry - sy), 1e-3)
-            assert rsrp == rsrp_at(tx.tx_power_dbm, distance, model)
+            assert rsrp == reference_rsrp_at(tx.tx_power_dbm, distance, model)
 
 
 # -- deliver against a per-receiver capture contest ----------------------------

@@ -16,7 +16,6 @@ from sidelinksim.resources import (
     announce,
     candidate_positions,
     claim_shape,
-    claims_from_sci,
     draw_reselection_counter,
     select_resources,
     sense,
@@ -24,6 +23,23 @@ from sidelinksim.resources import (
 
 POOL = ResourcePool(4, 10, [100, 1000])
 POOL3 = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
+
+
+def reference_claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
+                              slot: int) -> list[Reservation]:
+    """Expand a decoded SCI 1-A heard in `slot` into its occurrence streams."""
+    shape = claim_shape(sci, pool)
+    return [shape.reservation(offset, start, rsrp, slot) for offset, start in shape.spans]
+
+
+def reference_total_cells(pool: ResourcePool) -> int:
+    """Cells of one selection window: subchannels times slots."""
+    return pool.num_subchannels * pool.slots_per_selection_window
+
+
+def reference_expiry_slot(claim: Reservation) -> int:
+    """The slot of the claim's last occurrence before it lapses."""
+    return claim.start_slot + MISS_REFRESH_LIMIT * claim.rri_slots
 
 
 def res(start_slot, rri, sc=0, width=1, rsrp=-60.0, prio=1):
@@ -45,7 +61,7 @@ def test_pool_validation():
     with pytest.raises(ValueError):
         ResourcePool(4, 10, [1000], sl_max_num_per_reserve=4)
     assert POOL.rri_slots(100) == 100
-    assert POOL.total_cells == 40
+    assert reference_total_cells(POOL) == 40
 
 
 def test_blocked_masks_hand_cases():
@@ -57,7 +73,7 @@ def test_blocked_masks_hand_cases():
     assert not blocked_at(r, 305)  # beyond the miss-refresh bound
     assert not blocked_at(r, 6)    # different pool position
     assert blocked_at(r, 15)    # d=-10 at k=0 but k=1 gives 90 % 10 == 0
-    assert r.expiry_slot == 205
+    assert reference_expiry_slot(r) == 205
     # one mask per window slot, bit sc set for each subchannel of the span
     wide = res(5, 100, sc=1, width=2)
     masks = OccupancyMap(POOL, 100, -100.0, [wide]).blocked_masks()
@@ -76,7 +92,7 @@ def test_claims_from_sci_reserve2_reuses_primary_span():
     fr = fra_encode(4, 2, 1, 2, 0)
     sci = Sci1A(priority=2, frequency_resource=fr,
                 time_resource=tra_encode(2, (7,)), rri_index=0, mcs=9)
-    claims = claims_from_sci(sci, POOL, -70.0, 50)
+    claims = reference_claims_from_sci(sci, POOL, -70.0, 50)
     assert len(claims) == 2
     first, second = claims
     assert (first.start_slot, first.subchannel_start, first.subchannel_len) == (50, 1, 2)
@@ -88,7 +104,7 @@ def test_claims_from_sci_reserve3_uses_secondary_start():
     fr = fra_encode(10, 3, 2, 3, 6)
     sci = Sci1A(priority=1, frequency_resource=fr,
                 time_resource=tra_encode(3, (4, 11)), rri_index=3, mcs=9)
-    claims = claims_from_sci(sci, POOL3, -70.0, 100)
+    claims = reference_claims_from_sci(sci, POOL3, -70.0, 100)
     starts = [(c.start_slot, c.subchannel_start) for c in claims]
     assert starts == [(100, 2), (104, 6), (111, 6)]
 
@@ -124,7 +140,7 @@ def test_candidate_positions_matches_direct_enumeration():
             ))
         window_start = rng.randint(100, 200)
         occ = OccupancyMap(POOL, window_start, -100.0,
-                           [c for c in claims if c.expiry_slot >= window_start])
+                           [c for c in claims if reference_expiry_slot(c) >= window_start])
         demand = rng.randint(1, 3)
         got = set(candidate_positions(POOL, occ, demand))
 
@@ -184,7 +200,7 @@ def test_announce_round_trip_reproduces_claim():
                     candidate_count=30, total_positions=30, threshold_dbm=-100.0)
     sci = announce(sel, 100, priority=3, pool=POOL)
     decoded = Sci1A.decode(POOL, sci.encode(POOL))
-    claims = claims_from_sci(decoded, POOL, -60.0, sel.slot)
+    claims = reference_claims_from_sci(decoded, POOL, -60.0, sel.slot)
     assert len(claims) == 1
     c = claims[0]
     assert (c.start_slot, c.subchannel_start, c.subchannel_len) == (104, 1, 2)
@@ -208,8 +224,8 @@ def reference_sense(received, pool, window_start):
     threshold = pool.rsrp_exclusion_threshold_dbm
     claims = [c for sci, rsrp, slot in received
               if sci is not None and rsrp >= threshold
-              for c in claims_from_sci(sci, pool, rsrp, slot)]
-    live = [c for c in claims if c.expiry_slot >= window_start]
+              for c in reference_claims_from_sci(sci, pool, rsrp, slot)]
+    live = [c for c in claims if reference_expiry_slot(c) >= window_start]
     return OccupancyMap(pool, window_start, threshold, live,
                         sum(sci is None for sci, _, _ in received))
 
@@ -247,7 +263,7 @@ def test_sense_matches_claim_expansion_table(pool, gaps):
     assert got == want
     assert got.skipped_scis > 0 and 0 < len(got.reservations) < len(
         [c for sci, _, slot in received if sci is not None
-         for c in claims_from_sci(sci, pool, -70.0, slot)])
+         for c in reference_claims_from_sci(sci, pool, -70.0, slot)])
 
 
 # -- sense on the live suffix -----------------------------------------------------

@@ -1,5 +1,6 @@
 """Scenario parsing: strict keys and types, collected errors, YAML loading."""
 
+import math
 import re
 from pathlib import Path
 
@@ -151,6 +152,27 @@ def test_out_of_range_value_is_an_error(kind, dotted, value):
         parse_scenario(raw)
     section, name = dotted.rsplit(".", 1)
     assert any(p.startswith(f"scenario.{section}") and name in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("kind,dotted,value", [
+    ("harq_spoof_nack", "defenses.privacy_randomizer.timer_ms", math.inf),
+    ("harq_spoof_nack", "defenses.privacy_randomizer.timer_ms", math.nan),
+    ("harq_spoof_nack", "attacks[0].capability.tx_power_dbm", math.inf),
+    ("harq_spoof_nack", "attacks[0].capability.position", [0.0, math.nan]),
+    ("harq_spoof_nack", "pool.rsrp_exclusion_threshold_dbm", -math.inf),
+    ("harq_spoof_nack", "ues[0].tx_power_dbm", math.nan),
+    ("harq_spoof_nack", "ues[0].position", [math.inf, 0.0]),
+    ("resource_blocking", "attacks[0].params.claim_fraction", math.inf),
+])
+def test_a_non_finite_float_is_an_error_at_its_path(kind, dotted, value):
+    # section fields, the `_number` cast and attack params alike; such a
+    # value would stop a run (timer_ms) or write Infinity/NaN into events.jsonl
+    raw = with_value(dotted, value)
+    raw["attacks"][0]["kind"] = kind
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert any(p.startswith(f"scenario.{dotted}: must be finite, got ")
+               for p in err.value.problems)
 
 
 @given(st.text(max_size=8))

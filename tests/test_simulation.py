@@ -16,11 +16,12 @@ from sidelinksim.frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, fra_
 from sidelinksim.harq import FEEDBACK_DELAY_SLOTS, DataBurst
 from sidelinksim.metrics import event_line
 from sidelinksim.pc5 import BROADCAST_L2
-from sidelinksim.radio import Transmission, rsrp_at
+from sidelinksim.radio import Transmission
 from sidelinksim.resources import ControlBurst, claim_shape, sense
-from sidelinksim.scenario import load_scenario, parse_scenario
+from sidelinksim.scenario import ATTACKER_ID_BASE, load_scenario, parse_scenario
 from sidelinksim.simulation import UeAgent, World, run_scenario
 from sidelinksim.sync import SyncCandidate, SyncSourceKind
+from test_radio import reference_rsrp_at
 from test_wake import moving_ues, workloads
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -317,24 +318,61 @@ def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
     assert world.sci2a_cache == {astuple(sci2.encode()): sci2, astuple(wrong_length): None}
 
 
+def ledger_count(world: World) -> int:
+    """`receiver_delivered` as the delivery ledger holds it: one bit per (TB, UE)."""
+    return sum(mask.bit_count() for mask in world.delivered.values())
+
+
 def test_a_re_emitted_broadcast_tb_counts_once_per_ue():
     # the lossless broadcast tally reads rows, not receptions: a verbatim
     # re-emission in the same slot, and again in a later one, is heard by
-    # the same UEs, and each still counts the TB once
-    world = World(parse_scenario({
-        "name": "tally", "seed": 1, "duration_slots": 10,
-        "ues": [{"id": i, "position": [30 * i, 0]} for i in range(1, 4)]}))
-    sender = world.agents[0]
-    sci = Sci1A(priority=3, frequency_resource=0, time_resource=0, rri_index=0, mcs=9)
-    sci2 = Sci2A.for_tb(0, 0, 0, sender.endpoint.l2_id, BROADCAST_L2, False, CastType.BROADCAST)
-    burst = DataBurst(sci.encode(world.sc.pool), sci2.encode(), mac_src_l2=sender.endpoint.l2_id,
-                      mac_dst_l2=BROADCAST_L2, tb_id=7, size_bytes=300)
-    tx = Transmission(1, 23.0, burst)
-    world._deliver_and_dispatch([tx, tx], 5)
-    assert [list(row) for _, _, row in world.sensing_log] == [[2, 3], [2, 3]]
-    assert world.metrics.totals["receiver_delivered"] == 2
-    world._deliver_and_dispatch([tx], 6)
-    assert world.metrics.totals["receiver_delivered"] == 2
+    # the same UEs, and each still counts the TB once. An attacker in the
+    # row has no bit, and on a lossy channel each UE's own reception of a
+    # TB it already has counts nothing
+    def tally(channel, attacks=()):
+        world = World(parse_scenario({
+            "name": "tally", "seed": 1, "duration_slots": 10, "channel": channel,
+            "ues": [{"id": i, "position": [30 * i, 0]} for i in range(1, 4)],
+            "attacks": list(attacks)}))
+        sender = world.agents[0]
+        sci = Sci1A(priority=3, frequency_resource=0, time_resource=0, rri_index=0, mcs=9)
+        sci2 = Sci2A.for_tb(0, 0, 0, sender.endpoint.l2_id, BROADCAST_L2, False,
+                            CastType.BROADCAST)
+        burst = DataBurst(sci.encode(world.sc.pool), sci2.encode(),
+                          mac_src_l2=sender.endpoint.l2_id, mac_dst_l2=BROADCAST_L2,
+                          tb_id=7, size_bytes=300)
+        tx = Transmission(1, 23.0, burst)
+        world._deliver_and_dispatch([tx, tx], 5)
+        counts = [world.metrics.totals["receiver_delivered"]]
+        world._deliver_and_dispatch([tx], 6)
+        counts.append(world.metrics.totals["receiver_delivered"])
+        assert world.delivered == {7: 0b110} and ledger_count(world) == 2
+        return world, counts
+
+    world, counts = tally({})
+    assert [list(row) for _, _, row in world.sensing_log] == [[2, 3]] * 3
+    assert counts == [2, 2]
+    spy = {"kind": "harq_spoof_nack", "window": [0, 10], "capability": {"position": [45, 5]}}
+    world, counts = tally({}, [spy])
+    assert [list(row) for _, _, row in world.sensing_log] == [[2, 3, ATTACKER_ID_BASE]] * 3
+    assert counts == [2, 2]
+    world, counts = tally({"tb_error_rate": 1e-9})
+    assert counts == [2, 2]
+
+
+LEDGER_RUNS = {
+    **{path.stem: lambda path=path: load_scenario(path) for path in SCENARIO_DIR.glob("*.yaml")},
+    "dense_broadcast-1": lambda: parse_scenario(workloads.dense_broadcast(1)),
+    "unicast_harq-1": lambda: parse_scenario(workloads.unicast_harq(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEDGER_RUNS))
+def test_the_delivery_ledger_holds_every_receiver_delivered_count(name):
+    world = World(LEDGER_RUNS[name]())
+    report = world.run()
+    assert ledger_count(world) == report.totals["receiver_delivered"]
+    assert all(0 < mask < 1 << len(world.agents) for mask in world.delivered.values())
 
 
 def test_cached_path_loss_follows_moving_nodes(monkeypatch):
@@ -365,8 +403,8 @@ def test_cached_path_loss_follows_moving_nodes(monkeypatch):
     assert len({positions[1] for positions, _, _, _ in heard}) > 10
     for positions, uid, tx, rsrp in heard:
         (sx, sy), (rx, ry) = positions[tx.sender_id], positions[uid]
-        assert rsrp == rsrp_at(tx.tx_power_dbm,
-                               math.hypot(rx - sx, ry - sy), world.sc.channel)
+        assert rsrp == reference_rsrp_at(tx.tx_power_dbm,
+                                         math.hypot(rx - sx, ry - sy), world.sc.channel)
 
 
 def lossy_dense_broadcast():
@@ -527,6 +565,7 @@ def test_entries_from_the_log_equal_the_per_reception_lists(sc):
         mp.setattr(UeAgent, "_reselect", checked_reselect)
         world.run()
     assert checked
+    assert ledger_count(world) == world.metrics.totals["receiver_delivered"]
 
 
 def _sync_trace(seed, min_hyst_db, rank_every_slot):
