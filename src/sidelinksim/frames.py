@@ -60,14 +60,6 @@ def check_l2_id(value: int, label: str = "l2 id") -> int:
 # synchronization identity and MIB-SL
 
 
-class CoverageClass(Enum):
-    """Which population an SLSS id belongs to, a pure function of the id."""
-
-    GNSS_DIRECT = "gnss_direct"        # id 0: transmitter syncs straight off GNSS
-    IN_COVERAGE = "in_coverage"        # ids 1..335: assigned under network coverage
-    OUT_OF_COVERAGE = "out_of_coverage"  # ids 336..671: self-selected outside coverage
-
-
 @dataclass(frozen=True)
 class SlssIdentity:
     """Sidelink sync signal identity plus the priority indicator I_C.
@@ -84,30 +76,6 @@ class SlssIdentity:
     def __post_init__(self):
         if not 0 <= self.slss_id < SLSS_COUNT:
             raise ValueError(f"slss_id {self.slss_id} outside 0..{SLSS_COUNT - 1}")
-
-    @property
-    def s_pss(self) -> int:
-        return self.slss_id // 336
-
-    @property
-    def s_sss(self) -> int:
-        return self.slss_id % 336
-
-    @classmethod
-    def from_sequences(cls, s_pss: int, s_sss: int, in_coverage: bool) -> "SlssIdentity":
-        if s_pss not in (0, 1):
-            raise ValueError(f"s_pss {s_pss} not in {{0, 1}}")
-        if not 0 <= s_sss < 336:
-            raise ValueError(f"s_sss {s_sss} outside 0..335")
-        return cls(336 * s_pss + s_sss, in_coverage)
-
-    @property
-    def coverage_class(self) -> CoverageClass:
-        if self.slss_id == 0:
-            return CoverageClass.GNSS_DIRECT
-        if self.slss_id <= 335:
-            return CoverageClass.IN_COVERAGE
-        return CoverageClass.OUT_OF_COVERAGE
 
 
 @dataclass

@@ -405,6 +405,12 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     defenses = _section(DefenseConfig, raw.get("defenses"), "scenario.defenses",
                         errs) or DefenseConfig()
+    privacy = defenses.privacy_randomizer
+    if privacy.enabled and round(privacy.timer_ms / pool.slot_duration_ms) < 1:
+        # the world refreshes identifiers every that many slots
+        errs.add("scenario.defenses.privacy_randomizer.timer_ms",
+                 f"{privacy.timer_ms} ms rounds to no whole slot of "
+                 f"{pool.slot_duration_ms} ms; an enabled randomizer needs at least one")
 
     errs.raise_if_any()
     return Scenario(

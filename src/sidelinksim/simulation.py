@@ -6,13 +6,18 @@ actions, radio delivery, reception dispatch, feedback closure.
 Every random draw comes from a child generator derived from the run
 seed and a fixed label, so a (scenario, seed) pair replays exactly.
 
-Idle UEs are skipped. Each UE keeps `wake`, the next slot in which it
-has work due (`UeAgent.next_wake` lists what counts), and the loop
-calls `act` and `close_feedback` only for UEs whose wake has come.
-A reception that adds work (a changed sync buffer, an outbox entry, a
-feedback candidate, a handled PC5 message) pulls the wake forward. A
-slot with nothing on air skips delivery, and only moving nodes get
-their positions recomputed.
+Idle UEs are skipped. Each UE keeps two due slots: `sync_at`, the next
+slot in which its sync step (prune, rank, S-SSB) has work
+(`UeAgent.sync_due`), and `wake`, the next slot with any other work
+(`UeAgent.next_wake`). The loop calls `act`, which runs the sync step
+first, and `close_feedback` for a UE whose wake has come; a UE whose
+sync_at alone has come runs just its sync step, in the same agent
+order. At the end of the slot each due slot that has come is
+recomputed. A reception that adds work pulls a due slot forward: a
+changed sync buffer the sync_at; an outbox entry, a feedback candidate
+or a handled PC5 message the wake. Identifier-privacy epochs run only in
+epoch slots. A slot with nothing on air skips delivery, and only moving
+nodes get their positions recomputed.
 
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
@@ -196,34 +201,24 @@ class UeAgent:
         self.feedback_inbox: list[tuple[FeedbackBurst, float]] = []  # (burst, rsrp)
         self.outbox: dict[int, list[object]] = {}  # slot -> payloads to send
         self.tb_counter = 0
-        self.wake: int | float = 0  # next slot with work due; math.inf for none
+        # next slot with work due besides the sync step, and next slot in
+        # which the sync step has work; math.inf for none
+        self.wake: int | float = 0
+        self.sync_at: int | float = 0
 
     # -- wake on work ------------------------------------------------------
 
     def next_wake(self, after: int) -> int | float:
-        """First slot from `after` on in which this UE has work due.
+        """First slot from `after` on in which this UE has work due
+        besides its sync step (`sync_due` covers that).
 
-        Work is due in its S-SSB phase while it would send one; at a
-        ranking once its candidate buffer changed, or when the oldest
-        entry ages out (while it selects a SyncRef); at a link start and
-        a PC5 timer deadline; at each flow's next TB; at a loaded TB's
-        grant occurrence, or at once to reselect or realign the grant;
-        at each outbox slot and each feedback slot. math.inf: nothing
-        is scheduled until a reception adds work (`_wake`).
+        Work is due at a link start and a PC5 timer deadline; at each
+        flow's next TB; at a loaded TB's grant occurrence, or at once to
+        reselect or realign the grant; at each outbox slot and each
+        feedback slot. math.inf: nothing is scheduled until a reception
+        adds work (`_wake`).
         """
-        selecting = self.state.source in SELECTING
-        if selecting and self.buffer.changes != self._ranked_at:
-            return after
         due = min(self.outbox) if self.outbox else math.inf
-        if self._sends_ssb():
-            period = self.world.sc.sync.ssb_period_slots
-            phase = after + (self.spec.id - after) % period
-            if phase < due:
-                due = phase
-        if selecting:
-            expiry = self.buffer.expiry()
-            if expiry is not None and expiry < due:
-                due = expiry
         if self.link_starts:  # `_pc5_step` pops each start it has used
             due = min(due, *self.link_starts)
         deadline = self.endpoint.next_deadline()
@@ -240,6 +235,28 @@ class UeAgent:
                     return after
                 if g.next_slot < due:
                     due = g.next_slot
+        return due if due > after else after
+
+    def sync_due(self, after: int) -> int | float:
+        """First slot from `after` on in which `_sync_step` has work.
+
+        While this UE selects a SyncRef: at once if its candidate buffer
+        changed since the last ranking, else when the oldest entry ages
+        out. In its S-SSB phase while it would send one. math.inf:
+        nothing until a heard S-SSB changes the buffer (`_receive_ssb`).
+        """
+        due = math.inf
+        if self.state.source in SELECTING:
+            if self.buffer.changes != self._ranked_at:
+                return after
+            expiry = self.buffer.expiry()
+            if expiry is not None:
+                due = expiry
+        if self._sends_ssb():
+            period = self.world.sc.sync.ssb_period_slots
+            phase = after + (self.spec.id - after) % period
+            if phase < due:
+                due = phase
         return due if due > after else after
 
     def _wake(self, slot: int):
@@ -448,8 +465,8 @@ class UeAgent:
             self.world.incidents.record(slot, "signed_ssb", sender, "bad_tag")
             return
         stored = self.buffer.note(SyncCandidate(burst.slss, rsrp, burst.mib, slot, sender))
-        if stored and self.state.source in SELECTING:
-            self._wake(slot + 1)  # rank the changed buffer
+        if stored and self.state.source in SELECTING and slot + 1 < self.sync_at:
+            self.sync_at = slot + 1  # rank the changed buffer
 
     def _receive_data(self, burst: DataBurst, slot: int) -> bool:
         """Data addressed to this UE, or broadcast on a lossy channel;
@@ -688,12 +705,9 @@ class World:
             self.positions[agent.spec.id] = (x0 + vx * t_s, y0 + vy * t_s)
 
     def _privacy_epoch(self, slot: int):
+        """Give every legit UE a fresh layer-2 id; `run` calls it first in
+        each epoch slot but slot 0."""
         cfg = self.sc.defenses.privacy_randomizer
-        if not cfg.enabled or cfg.mode == "static" or slot == 0:
-            return
-        timer_slots = int(round(cfg.timer_ms / self.sc.pool.slot_duration_ms))
-        if timer_slots <= 0 or slot % timer_slots != 0:
-            return
         live = {a.endpoint.l2_id for a in self.agents}
         for agent in self.agents:
             if agent.spec.role != "legit":
@@ -764,15 +778,22 @@ class World:
 
     def run(self) -> MetricsReport:
         agents = self.agents
+        privacy = self.sc.defenses.privacy_randomizer
+        # slots per identifier-privacy epoch; 0: identifiers never change
+        epoch = (round(privacy.timer_ms / self.sc.pool.slot_duration_ms)
+                 if privacy.enabled and privacy.mode != "static" else 0)
         for slot in range(self.sc.duration_slots):
             if self.moving:
                 self._place(self.moving, slot)
                 self.path_loss.clear()
-            self._privacy_epoch(slot)
+            if epoch > 0 and slot and slot % epoch == 0:
+                self._privacy_epoch(slot)
             transmissions: list[Transmission] = []
             for agent in agents:
                 if agent.wake <= slot:
                     transmissions.extend(agent.act(slot))
+                elif agent.sync_at <= slot:
+                    agent._sync_step(slot, transmissions)
             for attacker in self.attackers:
                 injected = attacker.transmissions(slot)
                 if injected:
@@ -780,11 +801,15 @@ class World:
                 transmissions.extend(injected)
             if transmissions:
                 self._deliver_and_dispatch(transmissions, slot)
-            # every UE that acted is still due; receptions may add more
+            # every UE that stepped is still due; receptions may add more.
+            # A sync step before its sync_at has no work, so a UE whose
+            # sync_at has not come keeps it.
             for agent in agents:
                 if agent.wake <= slot:
                     agent.close_feedback(slot)
                     agent.wake = agent.next_wake(slot + 1)
+                if agent.sync_at <= slot:
+                    agent.sync_at = agent.sync_due(slot + 1)
         self._finalize()
         return self.metrics
 

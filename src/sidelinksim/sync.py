@@ -191,21 +191,25 @@ class CandidateBuffer:
     retention_slots: int
     entries: dict[int, SyncCandidate] = field(default_factory=dict, init=False)
     changes: int = field(default=0, init=False)
-    # a lower bound on the entries' slots, exact after a pruning scan
+    # the oldest entry's slot, math.inf while empty
     _oldest: float = field(default=math.inf, init=False, repr=False, compare=False)
 
     def note(self, cand: SyncCandidate) -> bool:
         """Store the candidate unless a fresh stronger one holds its id."""
-        held = self.entries.get(cand.slss.slss_id)
+        sid, slot = cand.slss.slss_id, cand.received_slot
+        held = self.entries.get(sid)
         if (
             held is None
-            or held.received_slot < cand.received_slot - self.retention_slots
+            or held.received_slot < slot - self.retention_slots
             or cand.rsrp_dbm >= held.rsrp_dbm
         ):
-            self.entries[cand.slss.slss_id] = cand
+            self.entries[sid] = cand
             self.changes += 1
-            if cand.received_slot < self._oldest:
-                self._oldest = cand.received_slot
+            if slot < self._oldest:
+                self._oldest = slot
+            elif held is not None and held.received_slot == self._oldest < slot:
+                # the replaced entry may have been the only one that old
+                self._oldest = min(c.received_slot for c in self.entries.values())
             return True
         return False
 
@@ -213,11 +217,11 @@ class CandidateBuffer:
         """First slot in which `prune` drops an entry; None when empty."""
         if not self.entries:
             return None
-        return min(c.received_slot for c in self.entries.values()) + self.retention_slots + 1
+        return self._oldest + self.retention_slots + 1
 
     def prune(self, now: int):
         """Drop the entries heard before `now - retention_slots`; the
-        entries are scanned only once the oldest may have aged out."""
+        entries are scanned only once the oldest has aged out."""
         floor = now - self.retention_slots
         if self._oldest >= floor:
             return

@@ -16,7 +16,6 @@ from sidelinksim import simulation
 from sidelinksim.adversary import TrackerAgent, permutation_f1_baseline
 from sidelinksim.frames import (
     PROTECTION,
-    CoverageClass,
     MibSl,
     Pc5Message,
     Pc5MessageKind,
@@ -41,6 +40,8 @@ from sidelinksim.radio import child_rng
 from sidelinksim.resources import sense
 from sidelinksim.scenario import load_scenario
 from sidelinksim.simulation import run_scenario
+from sidelinksim.sync import tier
+from test_frames import TIER_CLASS, reference_coverage_class, reference_slss_id
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -138,23 +139,20 @@ def test_criterion_1_frame_fidelity(announce):
 def test_criterion_2_slss_bijection(announce):
     t0 = time.perf_counter()
     seen = {}
-    for s_pss in (0, 1):
-        for s_sss in range(336):
-            ident = SlssIdentity.from_sequences(s_pss, s_sss, in_coverage=True)
+    for n_id2 in (0, 1):
+        for n_id1 in range(336):
+            ident = SlssIdentity(reference_slss_id(n_id2, n_id1), in_coverage=True)
             assert ident.slss_id not in seen
-            seen[ident.slss_id] = (s_pss, s_sss)
+            seen[ident.slss_id] = (n_id2, n_id1)
     assert len(seen) == 672
     assert set(seen) == set(range(672))
+    with pytest.raises(ValueError):
+        SlssIdentity(672, True)
 
-    classes = {
-        0: CoverageClass.GNSS_DIRECT,
-        1: CoverageClass.IN_COVERAGE,
-        335: CoverageClass.IN_COVERAGE,
-        336: CoverageClass.OUT_OF_COVERAGE,
-        671: CoverageClass.OUT_OF_COVERAGE,
-    }
-    for slss_id, want in classes.items():
-        assert SlssIdentity(slss_id, True).coverage_class is want
+    # the SyncRef selector ranks each id by its coverage class
+    for slss_id in (0, 1, 335, 336, 671):
+        want = reference_coverage_class(slss_id)
+        assert TIER_CLASS[tier(SlssIdentity(slss_id, True))] == want
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

@@ -192,6 +192,17 @@ def test_a_non_finite_float_is_exit_1_for_validate_and_run(tmp_path, capsys, tex
         assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timer_ms", ["0", "-1", "0.3", "0.5"])
+def test_a_privacy_timer_under_one_slot_is_exit_1_for_validate_and_run(tmp_path, capsys,
+                                                                       timer_ms):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(TINY + "defenses: {privacy_randomizer: {enabled: true, timer_ms: %s}}\n"
+                   % timer_ms)
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert "scenario.defenses.privacy_randomizer.timer_ms: " in capsys.readouterr().err
+
+
 def test_missing_file_is_exit_1(capsys):
     assert main(["run", "no_such_scenario.yaml"]) == 1
     assert "not found" in capsys.readouterr().err

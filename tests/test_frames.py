@@ -10,7 +10,6 @@ from sidelinksim.frames import (
     BitString,
     BitWriter,
     CastType,
-    CoverageClass,
     MibSl,
     Pc5Message,
     Pc5MessageKind,
@@ -27,6 +26,7 @@ from sidelinksim.frames import (
     tra_width,
 )
 from sidelinksim.resources import ResourcePool
+from sidelinksim.sync import tier
 
 POOL_4x10 = ResourcePool(4, 10, [100, 1000])
 POOL_10x20 = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
@@ -176,20 +176,41 @@ def test_slss_identity_rejects_out_of_range():
         SlssIdentity(-1, True)
 
 
+def reference_slss_id(n_id2: int, n_id1: int) -> int:
+    """TS 38.211 8.4.2: N_ID^SL = N_ID,1^SL + 336 N_ID,2^SL, the S-PSS
+    carrying N_ID,2^SL in {0, 1} and the S-SSS N_ID,1^SL in 0..335."""
+    assert n_id2 in (0, 1) and 0 <= n_id1 < 336
+    return n_id1 + 336 * n_id2
+
+
+def reference_coverage_class(slss_id: int) -> str:
+    """The population an SLSS id belongs to (TS 38.331 5.8.5): id 0 is a
+    sender synced straight off GNSS, 1..335 are assigned under network
+    coverage, 336..671 are self-selected outside it."""
+    if slss_id == 0:
+        return "gnss_direct"
+    return "in_coverage" if slss_id <= 335 else "out_of_coverage"
+
+
+# SyncRef priority tier (lower is better) -> the coverage class it ranks
+TIER_CLASS = {0: "gnss_direct", 1: "in_coverage", 2: "in_coverage",
+              3: "out_of_coverage", 4: "out_of_coverage"}
+
+
 def test_slss_coverage_boundaries():
-    assert SlssIdentity(0, True).coverage_class is CoverageClass.GNSS_DIRECT
-    assert SlssIdentity(1, True).coverage_class is CoverageClass.IN_COVERAGE
-    assert SlssIdentity(335, True).coverage_class is CoverageClass.IN_COVERAGE
-    assert SlssIdentity(336, False).coverage_class is CoverageClass.OUT_OF_COVERAGE
-    assert SlssIdentity(671, False).coverage_class is CoverageClass.OUT_OF_COVERAGE
+    for slss_id, want in [(0, "gnss_direct"), (1, "in_coverage"), (335, "in_coverage"),
+                          (336, "out_of_coverage"), (671, "out_of_coverage")]:
+        assert reference_coverage_class(slss_id) == want
+        for in_coverage in (True, False):
+            assert TIER_CLASS[tier(SlssIdentity(slss_id, in_coverage))] == want
 
 
 def test_slss_sequence_mapping_is_bijective():
     seen = set()
-    for s_pss in (0, 1):
-        for s_sss in range(336):
-            ident = SlssIdentity.from_sequences(s_pss, s_sss, False)
-            assert (ident.s_pss, ident.s_sss) == (s_pss, s_sss)
+    for n_id2 in (0, 1):
+        for n_id1 in range(336):
+            ident = SlssIdentity(reference_slss_id(n_id2, n_id1), False)
+            assert divmod(ident.slss_id, 336) == (n_id2, n_id1)
             seen.add(ident.slss_id)
     assert len(seen) == 672
     assert seen == set(range(672))

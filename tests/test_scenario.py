@@ -19,6 +19,7 @@ from sidelinksim.scenario import (
     load_scenario,
     parse_scenario,
 )
+from sidelinksim.simulation import World
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -173,6 +174,30 @@ def test_a_non_finite_float_is_an_error_at_its_path(kind, dotted, value):
         parse_scenario(raw)
     assert any(p.startswith(f"scenario.{dotted}: must be finite, got ")
                for p in err.value.problems)
+
+
+def privacy(timer_ms, slot_duration_ms=1.0):
+    return minimal(pool={"slot_duration_ms": slot_duration_ms},
+                   defenses={"privacy_randomizer": {"enabled": True, "timer_ms": timer_ms,
+                                                    "mode": "weak"}})
+
+
+@pytest.mark.parametrize("timer_ms", [0, -1, 0.3, 0.5])
+def test_an_enabled_privacy_timer_under_one_slot_is_an_error(timer_ms):
+    # it rounds to no whole slot (round() takes 0.5 to 0), so no
+    # identifier would ever be refreshed
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(privacy(timer_ms))
+    (problem,) = err.value.problems
+    assert problem.startswith("scenario.defenses.privacy_randomizer.timer_ms: ")
+
+
+@pytest.mark.parametrize("timer_ms,slot_duration_ms", [(1.0, 1.0), (0.3, 0.25)])
+def test_a_one_slot_privacy_timer_refreshes_every_slot(timer_ms, slot_duration_ms):
+    world = World(parse_scenario(privacy(timer_ms, slot_duration_ms)))
+    world.run()
+    # two legit UEs, refreshed in every slot but the first
+    assert world.metrics.totals["identifier_refreshes"] == 2 * (100 - 1)
 
 
 @given(st.text(max_size=8))

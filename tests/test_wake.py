@@ -1,13 +1,16 @@
 """Wake on work: skipping idle UEs changes no output byte.
 
 The oracle run makes every UE due in every slot by replacing
-`UeAgent.next_wake`, so `act` and `close_feedback` run for each UE in
-each slot, as a loop without wake values would. Both runs must write
-the same metrics.csv and events.jsonl.
+`UeAgent.next_wake`, so `act` (sync step included) and `close_feedback`
+run for each UE in each slot, as a loop without due slots would. Both
+runs must write the same metrics.csv and events.jsonl.
 """
 
+import hashlib
 import importlib.util
+import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,35 @@ def test_skipping_idle_ues_matches_every_slot(monkeypatch, name):
         m.setattr(UeAgent, "next_wake", lambda self, after: after)
         every_slot = run_bytes(World(CASES[name]()))
     assert woken == every_slot
+
+
+@pytest.mark.parametrize("workload", ["dense_broadcast", "unicast_harq"])
+def test_full_size_workloads_write_their_digest_woken_and_every_slot(monkeypatch, workload):
+    """The benchmark's seed-0 workloads at full size, where most steps
+    are sync-only: both runs write the bytes perfbench/golden.json pins."""
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    (label, raw, seed), = workloads.build(workload, ROOT, workloads.DEFAULT_SEED)
+    scenario = parse_scenario(raw, default_name=label)
+    calls = Counter()
+
+    def counted(name):
+        step = getattr(UeAgent, name)
+
+        def counting(self, *args):
+            calls[name] += 1
+            return step(self, *args)
+        return counting
+
+    with monkeypatch.context() as m:
+        for name in ("act", "_sync_step"):
+            m.setattr(UeAgent, name, counted(name))
+        woken = run_bytes(World(scenario, seed))
+    assert calls["_sync_step"] > calls["act"]  # so the oracle covers sync-only steps
+    with monkeypatch.context() as m:
+        m.setattr(UeAgent, "next_wake", lambda self, after: after)
+        every_slot = run_bytes(World(scenario, seed))
+    for out in (woken, every_slot):
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[workload][label]
 
 
 def test_pc5_timers_fire_while_idle_ues_sleep(monkeypatch):
