@@ -10,6 +10,7 @@ from the agent's seeded source within the configured bound.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -221,6 +222,7 @@ class ResourceBlockingAgent(AttackerAgent):
         super().__init__(*args)
         self._claim_cells: list[tuple[int, int]] | None = None  # (slot pos, subchannel)
         self._next_refresh: dict[tuple[int, int], int] = {}
+        self._next_due: int | float = math.inf  # the earliest of _next_refresh
         self._listen_until: int | None = None
 
     def _prepare(self, slot: int):
@@ -236,6 +238,7 @@ class ResourceBlockingAgent(AttackerAgent):
         for pos, sub in self._claim_cells:
             first = slot + ((pos - slot) % period)
             self._next_refresh[(pos, sub)] = first
+        self._next_due = min(self._next_refresh.values(), default=math.inf)
 
     def transmissions(self, slot):
         if not self.active(slot):
@@ -248,6 +251,8 @@ class ResourceBlockingAgent(AttackerAgent):
             return []
         if self._claim_cells is None:
             self._prepare(slot)
+        if slot < self._next_due:
+            return []
         pool = self.pool
         rri_ms = self.params["rri_ms"]
         rri = pool.rri_slots(rri_ms)
@@ -272,6 +277,7 @@ class ResourceBlockingAgent(AttackerAgent):
                 mcs=9,
             )
             out.append(self._tx(slot, ControlBurst(sci1_bits=sci.encode(pool))))
+        self._next_due = min(self._next_refresh.values())
         return out
 
 

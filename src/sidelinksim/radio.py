@@ -16,19 +16,27 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from array import array
 from itertools import chain
 from dataclasses import dataclass
 from collections.abc import Collection
+from math import cos, log, sin, sqrt
 from typing import Any
 
 # 2 pi as `random.Random.gauss` computes it
 TWOPI = 2.0 * math.pi
-
-
-def spare_normal(u1: float, u2: float) -> float:
-    """The spare value `random.Random.gauss` keeps from its uniform draws."""
-    return math.sin(u1 * TWOPI) * math.sqrt(-2.0 * math.log(1.0 - u2))
+ULP = 2.0 ** -53  # the step of `random.Random.random`
+TWOPI_ULP = TWOPI * ULP  # exact: a power-of-two rescale of TWOPI
+TWO53 = 1 << 53
+# the bits of a 64-bit word, little-endian, that `random()` keeps of its
+# first 32-bit output (the top 27) and of its second (the top 26)
+LOW_BITS = b"\xe0\xff\xff\xff\x00\x00\x00\x00"
+HIGH_BITS = b"\x00\x00\x00\x00\xc0\xff\xff\xff"
+# |z| <= sqrt(-2 ln 2**-53) ~ 8.5717 for a normal built from `random()`
+# uniforms, so a level more than this many sigmas from the noise floor is
+# on its side of the floor whatever its draw
+SURE_SIGMAS = 9.0
 
 
 @dataclass
@@ -80,8 +88,19 @@ class CollisionRecord:
     destroyed: tuple[int, ...]  # indices into the slot's transmissions
 
 
-# a sender's receivers, in `positions` order, and the path loss to each
-PathLossRow = tuple[tuple[int, ...], array]
+class PathLossRow:
+    """A sender's receivers, in `positions` order, the path loss to each,
+    and each receiver's place among them."""
+
+    __slots__ = ("receivers", "losses", "index", "kept")
+
+    def __init__(self, receivers: tuple[int, ...], losses: array):
+        self.receivers = receivers
+        self.losses = losses
+        self.index = dict(zip(receivers, range(len(receivers))))
+        # power less reference loss -> `LazyRow.kept_bits` memo: (bits of the
+        # receivers kept whatever their draw, receivers whose draw decides)
+        self.kept: dict[float, tuple[int, tuple[int, ...]]] = {}
 
 
 def path_loss_row(sender: int, positions: dict[int, tuple[float, float]],
@@ -94,7 +113,129 @@ def path_loss_row(sender: int, positions: dict[int, tuple[float, float]],
     # co-location guard: log10 has no value at zero distance
     losses = array("d", [slope * log10(max(hypot(rx - sx, ry - sy), 1e-3))
                          for rx, ry in map(positions.__getitem__, receivers)])
-    return receivers, losses
+    return PathLossRow(receivers, losses)
+
+
+class Shadowing:
+    """One slot's shadowing, drawn in one pass and worked out when read.
+
+    Pair p is the slot's p-th (transmission, receiver) pair, transmissions
+    in order and receivers in `positions` order. `normal(p)` is the value
+    `rng.gauss(0.0, 1.0)` would return for it, were it called once per
+    pair in that order: the same Box-Muller pairs, the spare value read
+    from `rng.gauss_next` first and handed back at once. All the slot's
+    uniforms come from one `rng.getrandbits` call, which advances the
+    generator exactly as that many `rng.random()` calls. Each 64-bit word
+    of it holds the two 32-bit outputs one `random()` combines, low half
+    first; `steps` keeps each uniform as that combination, its integer
+    count of 2**-53 steps.
+    """
+
+    __slots__ = ("sigma", "spare", "steps")
+
+    def __init__(self, rng: random.Random, pairs: int, sigma: float):
+        self.sigma = sigma
+        self.spare = spare = rng.gauss_next
+        fresh = pairs - (spare is not None)  # the pairs past the carried spare
+        self.steps = steps = array("Q")
+        if fresh > 0:
+            count = 2 * ((fresh + 1) // 2)  # two uniforms per Box-Muller pair
+            words = rng.getrandbits(64 * count)
+            # per word, random()'s (low >> 5) * 2**26 + (high >> 6), for all words at once
+            words = ((words & int.from_bytes(LOW_BITS * count, "little")) << 21
+                     | (words & int.from_bytes(HIGH_BITS * count, "little")) >> 38)
+            steps.frombytes(words.to_bytes(8 * count, "little"))
+            if sys.byteorder != "little":
+                steps.byteswap()
+        if pairs:
+            rng.gauss_next = self.normal(pairs) if fresh & 1 else None
+
+    def normal(self, p: int) -> float:
+        """Pair `p`'s standard normal draw."""
+        spare = self.spare
+        if spare is not None:
+            if not p:
+                return spare
+            p -= 1
+        steps = self.steps
+        x2pi = steps[p & -2] * TWOPI_ULP
+        g2rad = sqrt(-2.0 * log((TWO53 - steps[p | 1]) * ULP))
+        return (sin(x2pi) if p & 1 else cos(x2pi)) * g2rad
+
+    def cursor(self, p: int) -> tuple[float | None, int]:
+        """Where a pass over the pairs from `p` on starts: the value of
+        pair `p` if it is the carried spare or the second half of a
+        Box-Muller pair, else None; and the index in `steps` of the next
+        Box-Muller pair to open."""
+        fresh = p - (self.spare is not None)  # p's place past the carried spare
+        if fresh < 0:
+            return self.spare, 0
+        if fresh & 1:
+            return self.normal(p), fresh + 1
+        return None, fresh
+
+
+class LazyRow:
+    """A sensed transmission's row, each level worked out when read.
+
+    `get(uid)` is the level node `uid` kept, or None for a level at or
+    below the noise floor and for a node that is no receiver. It gives
+    what an eager pass would have, whenever it is read: the row keeps its
+    slot's `Shadowing` (None without shadowing), so it outlives the slot.
+    """
+
+    __slots__ = ("shadowing", "start", "base", "path_loss", "floor")
+
+    def __init__(self, shadowing: Shadowing | None, start: int, base: float,
+                 path_loss: PathLossRow, floor: float):
+        self.shadowing = shadowing
+        self.start = start  # pair number of the first receiver
+        self.base = base  # power less reference loss
+        self.path_loss = path_loss
+        self.floor = floor
+
+    def get(self, uid: int) -> float | None:
+        row = self.path_loss
+        i = row.index.get(uid)
+        if i is None:
+            return None
+        level = self.base - row.losses[i]
+        shadowing = self.shadowing
+        if shadowing is not None:
+            level += 0.0 + shadowing.normal(self.start + i) * shadowing.sigma
+        return level if level > self.floor else None
+
+    def kept_bits(self, bits: dict[int, int]) -> int:
+        """The OR of `bits[uid]` over the nodes that keep their level.
+
+        Shadowing moves a level by less than SURE_SIGMAS sigmas, so a node
+        that far above the floor before shadowing keeps it whatever its
+        draw, and one that far below loses it; only the nodes between are
+        worked out. The rest is memoised in the path-loss row, per power,
+        so `bits` must be one mapping for every row of a path-loss cache.
+        """
+        row, base = self.path_loss, self.base
+        memo = row.kept.get(base)
+        if memo is None:
+            shadowing, floor = self.shadowing, self.floor
+            margin = 0.0 if shadowing is None else SURE_SIGMAS * shadowing.sigma
+            sure, near = 0, []
+            for uid, loss in zip(row.receivers, row.losses):
+                unshadowed = base - loss
+                if unshadowed - margin > floor:
+                    sure |= bits[uid]
+                elif unshadowed + margin > floor:
+                    near.append(uid)
+            memo = row.kept[base] = (sure, tuple(near))
+        mask, near = memo
+        for uid in near:
+            if self.get(uid) is not None:
+                mask |= bits[uid]
+        return mask
+
+
+# what `deliver` returns per sensed transmission; read it through `get`
+SensedRow = dict[int, float] | LazyRow
 
 
 def deliver(
@@ -105,33 +246,37 @@ def deliver(
     losses: dict[int, PathLossRow] | None = None,
     readers: list[Collection[int] | None] | None = None,
     sensed: Collection[int] = (),
-) -> tuple[dict[int, list[Reception]], list[CollisionRecord], dict[int, dict[int, float]]]:
+) -> tuple[dict[int, list[Reception]], list[CollisionRecord], dict[int, SensedRow]]:
     """Propagate one slot's transmissions to every other node.
 
     Returns receptions per receiver, with a key for every node: plain
     `(transmission, rsrp_dbm)` pairs in transmission order. Also returns
     the collision records for destroyed receptions, in `positions`
     order; a record names each destroyed transmission by its index in
-    `transmissions`. Last, a row per index in `sensed`, in that order:
-    node -> level, for the nodes that kept it, in `positions` order.
+    `transmissions`. Last, a row per index in `sensed`, in that order,
+    read through `row.get(node)`: the level the node kept, or None.
 
     `readers`, one entry per transmission, names the nodes that read
     it; None (for the list or an entry) means every node. A node
-    outside a transmission's readers gets no reception of it, but a
-    sensed transmission, or one in a capture contest, is levelled for
-    every node, so rows and collision records do not depend on readers.
+    outside a transmission's readers gets no reception of it; rows and
+    collision records do not depend on readers.
 
     `losses` caches one `path_loss_row` per sender; a missing row is
     built on that sender's first transmission. The caller owns the
     cache and must clear it whenever a node moves; without one, rows
-    last for this call. Shadowing is drawn once per (transmission,
-    receiver) pair, transmissions in order and receivers in
-    `positions` order, so runs stay reproducible, whoever reads them.
-    The draw is `rng.gauss(0.0, sigma)` inlined: the same Box-Muller
-    pair, with the spare value read from and handed back to
-    `rng.gauss_next`. A pair nobody reads makes only its `rng.random()`
-    calls; the spare value of a pair it opens is computed from those
-    two draws only once a reader, or the hand-back, needs it.
+    last for this call.
+
+    Each slot draws the shadowing uniforms of every (transmission,
+    receiver) pair at once, in pair order: transmissions in order,
+    receivers in `positions` order (`Shadowing`). So runs stay
+    reproducible, whoever reads them. A pair's level is
+    `base - loss + rng.gauss(0.0, sigma)`, as if `gauss` were called once
+    per pair in that order, and it is computed when it is read. That is
+    at once for a reception, and for every pair of a transmission that
+    every node reads or that is in a capture contest; such a sensed
+    transmission's row is a dict, with destroyed pairs removed. Any
+    other sensed transmission's row is a `LazyRow`, which computes a
+    level on `get`.
 
     Whether two transmissions overlap does not depend on the receiver,
     so the capture contest is found once per slot: the overlapping
@@ -151,53 +296,67 @@ def deliver(
             if tx.subchannel_range is not None]
     pairs = [(i, j) for n, (i, a) in enumerate(grid) for j, b in grid[n + 1:]
              if a.overlaps(b)]
-    # receiver -> level, for each transmission sensed or in a contest
-    heard: dict[int, dict[int, float]] = {k: {} for k in [*sensed, *chain(*pairs)]}
-    rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
-    # the spare value of a half-used Box-Muller pair: a float, or the
-    # pair's two uniform draws while nobody has read its value
-    spare = rng.gauss_next
+    # receiver -> level, for each transmission whose levels are all computed
+    # and kept: the contest members, and sensed ones that every node reads
+    heard: dict[int, dict[int, float]] = {k: {} for k in chain(*pairs)}
+    wanted = set(sensed)
+    shadowing = None
+    if sigma > 0:
+        # every sender is a node (`path_loss_row` looks it up), so each
+        # transmission has one pair per other node
+        shadowing = Shadowing(rng, len(transmissions) * (len(positions) - 1), sigma)
+        # locals for the per-pair loop below
+        steps, twopi_ulp, two53, ulp = shadowing.steps, TWOPI_ULP, TWO53, ULP
+        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
     raw: dict[int, list[Reception]] = {uid: [] for uid in positions}
-    try:
-        for k, tx in enumerate(transmissions):
-            sender = tx.sender_id
-            row = losses.get(sender)
-            if row is None:
-                row = losses[sender] = path_loss_row(sender, positions, model)
-            base = tx.tx_power_dbm - ref_loss
+    lazy: dict[int, LazyRow] = {}
+    start = 0  # pair number of the transmission's first receiver
+    for k, tx in enumerate(transmissions):
+        sender = tx.sender_id
+        row = losses.get(sender)
+        if row is None:
+            row = losses[sender] = path_loss_row(sender, positions, model)
+        base = tx.tx_power_dbm - ref_loss
+        reads = None if readers is None else readers[k]
+        if reads is None or k in heard:
             levels = heard.get(k)
-            reads = None if readers is None else readers[k]
-            # a pair outside `reads` is skipped, unless the transmission is sensed
-            # or in a contest: that levels every pair, but only readers get it
-            skip, keep = (reads, None) if levels is None else (None, reads)
-            for uid, loss in zip(*row):
-                if skip is not None and uid not in skip:
-                    if sigma > 0:
-                        spare = (rand(), rand()) if spare is None else None
-                    continue
+            if levels is None and k in wanted:
+                levels = heard[k] = {}
+            if sigma > 0:
+                spare, j = shadowing.cursor(start)
+            for uid, loss in zip(row.receivers, row.losses):
                 level = base - loss
                 if sigma > 0:
+                    # `Shadowing.normal`, pair after pair
                     z, spare = spare, None
                     if z is None:
-                        x2pi = rand() * TWOPI
-                        g2rad = sqrt(-2.0 * log(1.0 - rand()))
+                        x2pi = steps[j] * twopi_ulp
+                        g2rad = sqrt(-2.0 * log((two53 - steps[j + 1]) * ulp))
                         z = cos(x2pi) * g2rad
                         spare = sin(x2pi) * g2rad
-                    elif z.__class__ is tuple:
-                        z = spare_normal(*z)
+                        j += 2
                     level += 0.0 + z * sigma
                 if level > floor:
-                    if keep is None or uid in keep:
+                    if reads is None or uid in reads:
                         raw[uid].append((tx, level))
                     if levels is not None:
                         levels[uid] = level
-    finally:
-        if spare.__class__ is tuple:
-            spare = spare_normal(*spare)
-        rng.gauss_next = spare
+        else:
+            index, row_losses = row.index, row.losses
+            for uid in reads:
+                i = index.get(uid)
+                if i is not None:
+                    level = base - row_losses[i]
+                    if sigma > 0:
+                        level += 0.0 + shadowing.normal(start + i) * sigma
+                    if level > floor:
+                        raw[uid].append((tx, level))
+            if k in wanted:
+                lazy[k] = LazyRow(shadowing, start, base, row, floor)
+        start += len(row.receivers)
 
     collisions: list[CollisionRecord] = []
-    rows = {k: heard[k] for k in sensed}
+    rows = {k: heard[k] if k in heard else lazy[k] for k in sensed}
     if not pairs:
         return raw, collisions, rows
     threshold = model.capture_threshold_db

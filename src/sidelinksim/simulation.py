@@ -22,21 +22,30 @@ nodes get their positions recomputed.
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
 node moves; `deliver` finds the slot's capture contest once, not per
-receiver. A reception is a plain `(transmission, rsrp_dbm)` pair, built
-only for a node that acts on it: every node for sync bursts and for
-broadcast data on a lossy channel (each UE draws its own CRC); the UEs
-holding the destination layer-2 id and every attacker for addressed
-data, PSFCH feedback and PC5 messages (`World.l2_readers`, rebuilt
-after identifiers change); attackers alone for control and lossless
-broadcast data. Pairs nobody reads still make their shadowing draws,
-so the channel stream does not depend on who reads.
+receiver. Each slot draws the shadowing uniforms of every (transmission,
+receiver) pair in one pass, in pair order, so the channel stream does
+not depend on who reads; a level is computed only when it is read. A
+reception is a plain `(transmission, rsrp_dbm)` pair, built only for a
+node that acts on it: every node for sync bursts and for broadcast data
+on a lossy channel (each UE draws its own CRC); the UEs holding the
+destination layer-2 id and every attacker for addressed data, PSFCH
+feedback and PC5 messages (`World.l2_readers`, rebuilt after
+identifiers change); attackers alone for control and lossless broadcast
+data.
 
 Sensing is kept once per world: for each SCI-bearing transmission
-`deliver` returns a row, node -> level for the nodes that kept it, and
-the world logs `(slot, claim, row)`. Delivery is kept once per world
-too, in one ledger, `World.delivered`: TB id -> bitmask of the UEs that
-have it. A TB counts once per UE, the first time the UE gets it: from
-a row for lossless broadcast data, from `_receive_data` otherwise. A
+`deliver` returns a row, read through `row.get(node)` (the level the
+node kept, or None), and the world logs `(slot, claim, row)`. A row is
+a dict when its levels were computed anyway (a transmission every node
+reads, or one in a capture contest); otherwise it is a
+`radio.LazyRow`, which computes a level when `get` asks for it, so the
+levels no reselection reads are never computed. Delivery is kept once
+per world too, in one ledger, `World.delivered`: TB id -> bitmask of
+the UEs that have it. A TB counts once per UE, the first time the UE
+gets it: from its row for lossless broadcast data, and from
+`_receive_data` otherwise. For a lazy row the mask of the UEs surely
+above the noise floor, whatever their draw, is kept with the path-loss
+row (`LazyRow.kept_bits`), and only the UEs near the floor are computed. A
 reselection reads its own column of the log, cut to the sensing window
 and to `World.sensing_reach` (the largest lifetime plus latest offset
 of any claim decoded so far) before the selection window. Each slot on
@@ -82,7 +91,7 @@ from .harq import (
 )
 from .metrics import MetricsReport
 from .pc5 import BROADCAST_L2, Pc5Endpoint, refresh_identifier
-from .radio import PathLossRow, Reception, Transmission, child_rng, deliver
+from .radio import LazyRow, PathLossRow, Reception, SensedRow, Transmission, child_rng, deliver
 from .resources import (
     ControlBurst,
     Selection,
@@ -574,7 +583,7 @@ class World:
         self.selection_log: list[SelectionRecord] = []
         self.tb_log: list[TbOutcome] = []
         # (slot, claim, `deliver` row) per SCI-bearing transmission, in order
-        self.sensing_log: list[tuple[int, Sci1A | None, dict[int, float]]] = []
+        self.sensing_log: list[tuple[int, Sci1A | None, SensedRow]] = []
         # SCI 1-A bits, as (data, bit_length), -> decoded claim, None for a malformed
         # payload. A claim's content depends only on its bits and the pool, and only
         # its RSRP on the receiver (TS 38.214 8.1.4), so each distinct payload sent is
@@ -591,7 +600,8 @@ class World:
         # repeats for every TB of a process, so each is encoded once
         self.sci2a_bits: dict[tuple, BitString] = {}
         # sender -> its path-loss row (`radio.path_loss_row`), built on
-        # the sender's first transmission and dropped when any node moves
+        # the sender's first transmission and dropped when any node moves;
+        # it also keeps the sender's lossless-broadcast masks (`kept_bits`)
         self.path_loss: dict[int, PathLossRow] = {}
         # TB id -> bitmask of the UEs that have it (bit i: self.agents[i]);
         # `receiver_delivered` counts each bit the first time it is set
@@ -655,7 +665,7 @@ class World:
         self.l2_readers = {l2: self.eavesdroppers.union(ids) for l2, ids in holders.items()}
         return self.l2_readers
 
-    def live_sensing(self, slot: int) -> list[tuple[int, Sci1A | None, dict[int, float]]]:
+    def live_sensing(self, slot: int) -> list[tuple[int, Sci1A | None, SensedRow]]:
         """`sensing_log` cut to what a reselection in `slot` may read: the
         sensing window and `sensing_reach` slots before the selection window."""
         log = self.sensing_log
@@ -763,7 +773,8 @@ class World:
             self.sensing_log.append((slot, claim, row))
             if lossless and type(payload) is DataBurst and payload.mac_dst_l2 == BROADCAST_L2:
                 seen = ledger.get(payload.tb_id, 0)
-                new = reduce(or_, map(ue_bits.__getitem__, row), 0) & ~seen
+                new = (row.kept_bits(ue_bits) if row.__class__ is LazyRow
+                       else reduce(or_, map(ue_bits.__getitem__, row), 0)) & ~seen
                 if new:
                     ledger[payload.tb_id] = seen | new
                     delivered += new.bit_count()

@@ -10,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.frames import BitString, Pc5Message, Pc5MessageKind
 from sidelinksim.radio import (
+    SURE_SIGMAS,
     TWOPI,
     ChannelModel,
     CollisionRecord,
+    LazyRow,
+    Shadowing,
     Transmission,
     child_rng,
     deliver,
@@ -256,7 +259,7 @@ def reference_deliver(transmissions, positions, model, rng, losses=None, sensed=
                 row = losses[sender] = path_loss_row(sender, positions, model)
             base = tx.tx_power_dbm - ref_loss
             grid = tx.subchannel_range is not None
-            for uid, loss in zip(*row):
+            for uid, loss in zip(row.receivers, row.losses):
                 level = base - loss
                 if sigma > 0:
                     z, spare = spare, None
@@ -300,23 +303,32 @@ def reference_deliver(transmissions, positions, model, rng, losses=None, sensed=
     return recs, collisions, rows
 
 
-def row_items(rows, collisions):
-    """Rows as comparable lists, after checking that no destroyed pair
-    is in one."""
+def row_items(rows, collisions, nodes, order):
+    """Rows as comparable lists, each read through `get` for every node in
+    `nodes` in an order shuffled by `order`, after checking that no
+    destroyed pair is in one."""
     for c in collisions:
         for k in c.destroyed:
-            assert c.receiver_id not in rows.get(k, ())
-    return [(k, list(row.items())) for k, row in rows.items()]
+            if k in rows:
+                assert rows[k].get(c.receiver_id) is None
+    items = []
+    for k, row in rows.items():
+        shuffled = list(nodes)
+        order.shuffle(shuffled)
+        items.append((k, sorted((uid, row.get(uid)) for uid in shuffled)))
+    return items
 
 
 @st.composite
 def slots(draw):
-    """One slot: 2-10 nodes on a 100 m grid (equal distances are common),
-    1-8 transmissions, most over few subchannels and some without a
-    subchannel span. Powers 3 dB apart meet the capture threshold
-    exactly; far nodes fall below the noise floor."""
+    """One slot: 2-10 nodes on a grid of 1, 100 or 700 m (equal distances
+    are common; on the coarse grids some pairs land near the noise floor
+    and some far below it), 1-8 transmissions, most over few subchannels
+    and some without a subchannel span. Powers 3 dB apart meet the
+    capture threshold exactly."""
     uids = draw(st.lists(st.integers(0, 40), min_size=2, max_size=10, unique=True))
-    coord = st.integers(-8, 8).map(lambda c: 100.0 * c)
+    scale = draw(st.sampled_from((100.0, 100.0, 1.0, 700.0)))
+    coord = st.integers(-8, 8).map(lambda c: scale * c)
     positions = {uid: (draw(coord), draw(coord)) for uid in uids}
     txs = []
     for _ in range(draw(st.integers(1, 8))):
@@ -328,8 +340,28 @@ def slots(draw):
     return txs, positions
 
 
+# shadowing: none, usual, subnormal (every draw rounds to a few units of
+# the smallest double) and huge (levels far from the floor either way)
+SIGMAS = (0.0, 0.0, 2.0, 4.0, 5e-324, 1e300)
+
+
+def run_twice(fn, txs, positions, model, seed, warm, **kwargs):
+    """Two slots of `fn` on one generator: the first slot's results, its
+    rows read once after each slot, and the generator's end state."""
+    rng = random.Random(seed)
+    if warm:  # leave a spare Box-Muller value for the first draw
+        rng.gauss(0.0, 1.0)
+    recs, collisions, rows = fn(txs, positions, model, rng, **kwargs)
+    nodes = [*positions, 99]  # and a node that is no receiver
+    order = random.Random(seed + 1)
+    first = row_items(rows, collisions, nodes, order)
+    fn(txs[::-1], positions, model, rng, **kwargs)  # rows outlive their slot
+    assert row_items(rows, collisions, nodes, order) == first
+    return recs, collisions, first, rng.getstate(), rng.gauss_next
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(slot=slots(), sigma=st.sampled_from((0.0, 0.0, 2.0, 4.0)),
+@given(slot=slots(), sigma=st.sampled_from(SIGMAS),
        threshold=st.sampled_from((0.0, 3.0)), seed=st.integers(0, 2**16), warm=st.booleans(),
        sensed=st.sets(st.integers(0, 7)))
 def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm, sensed):
@@ -340,15 +372,14 @@ def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm
     model = ChannelModel(shadowing_sigma_db=sigma, capture_threshold_db=threshold)
     results = []
     for fn in (deliver, reference_deliver):
-        rng = random.Random(seed)
-        if warm:  # leave a spare Box-Muller value for the first draw
-            rng.gauss(0.0, 1.0)
-        recs, collisions, rows = fn(txs, positions, model, rng, sensed=sensed)
+        recs, collisions, rows, state, spare = run_twice(fn, txs, positions, model, seed, warm,
+                                                         sensed=sensed)
         results.append((
             [(uid, [(index[id(tx)], rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
             [(c.receiver_id, c.destroyed) for c in collisions],
-            row_items(rows, collisions),
-            rng.getstate(),
+            rows,
+            state,
+            spare,
         ))
     assert results[0] == results[1]
 
@@ -369,35 +400,119 @@ def read_slots(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(slot=read_slots(), sigma=st.sampled_from((0.0, 2.0)),
+@given(slot=read_slots(), sigma=st.sampled_from(SIGMAS),
        seed=st.integers(0, 2**16), warm=st.booleans(), sensed=st.sets(st.integers(0, 7)))
 def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm, sensed):
     """Each node gets the all-pairs receptions of what it reads, the
     collision records and the rows of sensed transmissions are the
-    all-pairs ones, and the generator ends in the same state
-    (`gauss_next` included): skipped pairs still draw."""
+    all-pairs ones, whenever they are read, and the generator ends in
+    the same state (`gauss_next` included): unread pairs still draw."""
     txs, positions, readers = slot
     sensed = sorted(k for k in sensed if k < len(txs))
     index = {id(tx): k for k, tx in enumerate(txs)}
     model = ChannelModel(shadowing_sigma_db=sigma)
     results = []
     for fn in (deliver, reference_deliver):
-        rng = random.Random(seed)
-        if warm:  # carry a spare Box-Muller value in
-            rng.gauss(0.0, 1.0)
+        kwargs = {"sensed": sensed}
         if fn is deliver:
-            recs, collisions, rows = deliver(txs, positions, model, rng, readers=readers,
-                                             sensed=sensed)
-        else:
-            recs, collisions, rows = fn(txs, positions, model, rng, sensed=sensed)
+            kwargs["readers"] = readers
+        recs, collisions, rows, state, spare = run_twice(fn, txs, positions, model, seed, warm,
+                                                         **kwargs)
+        if fn is reference_deliver:
             recs = {uid: [(tx, rsrp) for tx, rsrp in rs
                           if readers[index[id(tx)]] is None or uid in readers[index[id(tx)]]]
                     for uid, rs in recs.items()}
         results.append((
             [(uid, [(index[id(tx)], rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],
             [(c.receiver_id, c.destroyed) for c in collisions],
-            row_items(rows, collisions),
-            rng.getstate(),
-            rng.gauss_next,
+            rows,
+            state,
+            spare,
         ))
     assert results[0] == results[1]
+
+
+# -- the premises of one bulk draw per slot ------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 99, 1000])
+@pytest.mark.parametrize("warm", [False, True])
+def test_getrandbits_words_rebuild_random_draws(n, warm):
+    """`getrandbits(64 * n)` advances the generator exactly as n `random()`
+    calls, and its 32-bit words, low first, rebuild each value; the steps
+    a `Shadowing` keeps are those values in units of 2**-53."""
+    for seed in range(20):
+        bulk, single = random.Random(seed), random.Random(seed)
+        if warm:
+            for rng in (bulk, single):
+                rng.random()
+                rng.gauss(0.0, 1.0)  # leaves a spare in gauss_next
+        bits = bulk.getrandbits(64 * n)
+        words = [(bits >> 32 * k) & 0xFFFFFFFF for k in range(2 * n)]
+        rebuilt = [((words[2 * k] >> 5) * 2.0 ** 26 + (words[2 * k + 1] >> 6)) * 2.0 ** -53
+                   for k in range(n)]
+        assert rebuilt == [single.random() for _ in range(n)]
+        assert bulk.getstate() == single.getstate()
+
+        shadowing_rng, single = random.Random(seed), random.Random(seed)
+        steps = Shadowing(shadowing_rng, 2 * n, 1.0).steps  # n Box-Muller pairs
+        assert [step * 2.0 ** -53 for step in steps] == [single.random() for _ in range(2 * n)]
+        assert shadowing_rng.getstate()[:2] == single.getstate()[:2]
+
+
+class FixedBits:
+    """A generator stand-in whose `getrandbits` returns set words."""
+
+    def __init__(self, words):
+        self.words = words
+        self.gauss_next = None
+
+    def getrandbits(self, k):
+        assert k == 64 * len(self.words)
+        return sum(word << 64 * i for i, word in enumerate(self.words))
+
+
+def test_no_normal_from_random_uniforms_exceeds_the_bound():
+    """|z| <= sqrt(-2 ln 2**-53) < SURE_SIGMAS for every Box-Muller value
+    built from `random()` uniforms: the largest u2 is 1 - 2**-53, and
+    |cos| and |sin| are at most 1."""
+    bound = math.sqrt(-2.0 * math.log(2.0 ** -53))
+    assert 8.57 < bound < 8.572 < SURE_SIGMAS
+    top = 0xFFFFFFFFFFFFFFFF  # both outputs all ones: u = 1 - 2**-53
+    # u1 = 0, 1/4, 1/2, 3/4 and its largest value; u2 at its largest
+    u1_words = [0, 1 << 30, 1 << 31, 3 << 30, top]
+    words = [w for u1 in u1_words for w in (u1, top)]
+    shadowing = Shadowing(FixedBits(words), 2 * len(u1_words), 1.0)
+    assert shadowing.steps[1] == 2 ** 53 - 1 and shadowing.steps[2] == 2 ** 51
+    normals = [shadowing.normal(p) for p in range(2 * len(u1_words))]
+    assert max(map(abs, normals)) == bound == normals[0] == -normals[4]
+    rng = random.Random(11)
+    assert max(abs(rng.gauss(0.0, 1.0)) for _ in range(100_000)) < bound
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0, 5e-324, 1e300])
+def test_kept_bits_equal_the_or_over_kept_nodes(sigma):
+    """A lazy row's ledger mask, from the sure bound, is the OR of the bits
+    of the nodes whose `get` keeps a level: near the floor, far from it,
+    and where levels overflow to +-inf or NaN (transmit power 1e308,
+    reference loss -1e308, a node at 1e308)."""
+    rng = random.Random(3)
+    positions = {uid: (rng.uniform(0.0, 3000.0), rng.uniform(0.0, 300.0)) for uid in range(30)}
+    positions.update({30: (1e308, 0.0), 31: (-1e308, 0.0), 32: (0.0, 0.0), 33: (0.0, 0.0)})
+    bits = {uid: 1 << uid for uid in positions}
+    checked = 0
+    for ref_loss in (46.7, -1e308):
+        model = ChannelModel(reference_loss_db=ref_loss, shadowing_sigma_db=sigma)
+        cache = {}
+        channel = random.Random(ref_loss)
+        for _ in range(3):  # the memo in the path-loss cache, reused by later slots
+            txs = [Transmission(sender, power, None)
+                   for sender in (0, 5, 30, 32) for power in (23.0, -40.0, 1e308)]
+            _, _, rows = deliver(txs, positions, model, channel, cache,
+                                 readers=[()] * len(txs), sensed=range(len(txs)))
+            for row in rows.values():
+                assert isinstance(row, LazyRow)
+                kept = [uid for uid in positions if row.get(uid) is not None]
+                assert row.kept_bits(bits) == sum(bits[uid] for uid in kept)
+                checked += 0 < len(kept) < len(positions) - 1
+    assert checked > 0

@@ -262,7 +262,7 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
     world._deliver_and_dispatch([announce(a, wrong_length),
                                  announce(b, BitString(b"\x00", 8))], 6)
     log = world.sensing_log
-    assert [(slot, claim, list(row)) for slot, claim, row in log] == [
+    assert [(slot, claim, kept(row, world.positions)) for slot, claim, row in log] == [
         (5, sci, [2]), (5, sci, [1]), (6, None, [2]), (6, None, [1])]
     assert log[0][1] is log[1][1]
     assert len(decoded) == 2
@@ -318,6 +318,11 @@ def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
     assert world.sci2a_cache == {astuple(sci2.encode()): sci2, astuple(wrong_length): None}
 
 
+def kept(row, nodes) -> list[int]:
+    """The nodes, in `nodes` order, that kept a `deliver` row's level."""
+    return [uid for uid in nodes if row.get(uid) is not None]
+
+
 def ledger_count(world: World) -> int:
     """`receiver_delivered` as the delivery ledger holds it: one bit per (TB, UE)."""
     return sum(mask.bit_count() for mask in world.delivered.values())
@@ -350,11 +355,12 @@ def test_a_re_emitted_broadcast_tb_counts_once_per_ue():
         return world, counts
 
     world, counts = tally({})
-    assert [list(row) for _, _, row in world.sensing_log] == [[2, 3]] * 3
+    assert [kept(row, world.positions) for _, _, row in world.sensing_log] == [[2, 3]] * 3
     assert counts == [2, 2]
     spy = {"kind": "harq_spoof_nack", "window": [0, 10], "capability": {"position": [45, 5]}}
     world, counts = tally({}, [spy])
-    assert [list(row) for _, _, row in world.sensing_log] == [[2, 3, ATTACKER_ID_BASE]] * 3
+    assert ([kept(row, world.positions) for _, _, row in world.sensing_log]
+            == [[2, 3, ATTACKER_ID_BASE]] * 3)
     assert counts == [2, 2]
     world, counts = tally({"tb_error_rate": 1e-9})
     assert counts == [2, 2]
@@ -395,7 +401,7 @@ def test_cached_path_loss_follows_moving_nodes(monkeypatch):
         heard.extend((dict(positions), uid, tx, rsrp) for uid, rs in recs.items()
                      for tx, rsrp in rs)
         heard.extend((dict(positions), uid, transmissions[k], rsrp) for k, row in rows.items()
-                     for uid, rsrp in row.items())
+                     for uid in positions if (rsrp := row.get(uid)) is not None)
         return recs, collisions, rows
 
     monkeypatch.setattr(simulation, "deliver", recording)
