@@ -14,8 +14,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
-from operator import add
 
 from .defense import sign_ssb
 from .frames import (
@@ -529,27 +527,6 @@ def precision_recall_f1(predicted: set, actual: set) -> dict[str, float]:
         "recall": recall,
         "f1": 2 * precision * recall / (precision + recall),
     }
-
-
-def permutation_f1_baseline(predicted_clusters: list[set[int]], truth: dict[int, int],
-                            rng: random.Random, trials: int = 200) -> tuple[float, float]:
-    """Chance level for the linkage score: shuffle which UE owns each id,
-    keeping cluster sizes, and score the same prediction each time.
-    Returns (mean, standard deviation) of the null F1 distribution.
-    """
-    predicted = pairs_from_clusters(predicted_clusters)
-    ids = sorted(truth)
-    owners = [truth[i] for i in ids]
-    scores = []
-    for _ in range(trials):
-        shuffled = owners[:]
-        rng.shuffle(shuffled)
-        null_truth = dict(zip(ids, shuffled))
-        scores.append(precision_recall_f1(predicted, pairs_from_truth(null_truth))["f1"])
-    # left-to-right float sums, as the built-in sum gives only before Python 3.12
-    mean = reduce(add, scores, 0.0) / len(scores)
-    var = reduce(add, ((s - mean) ** 2 for s in scores), 0.0) / len(scores)
-    return mean, var ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ transmissions, the stronger survives only if it exceeds the weaker by at
 least the capture threshold, otherwise both are destroyed. The world
 gives a span only to data bursts, on their grant's subchannels; control,
 sync, feedback and PC5 bursts carry none, so none of them is destroyed.
+`deliver` makes a node's reception list on its first reception; the
+nodes that hear nothing in a slot share one empty list.
 """
 
 from __future__ import annotations
@@ -249,8 +251,10 @@ def deliver(
 ) -> tuple[dict[int, list[Reception]], list[CollisionRecord], dict[int, SensedRow]]:
     """Propagate one slot's transmissions to every other node.
 
-    Returns receptions per receiver, with a key for every node: plain
-    `(transmission, rsrp_dbm)` pairs in transmission order. Also returns
+    Returns receptions per receiver, with a key for every node in
+    `positions` order: plain `(transmission, rsrp_dbm)` pairs in
+    transmission order. Every node that heard nothing shares one empty
+    list, so the caller must treat the lists as read-only. Also returns
     the collision records for destroyed receptions, in `positions`
     order; a record names each destroyed transmission by its index in
     `transmissions`. Last, a row per index in `sensed`, in that order,
@@ -308,7 +312,9 @@ def deliver(
         # locals for the per-pair loop below
         steps, twopi_ulp, two53, ulp = shadowing.steps, TWOPI_ULP, TWO53, ULP
         log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-    raw: dict[int, list[Reception]] = {uid: [] for uid in positions}
+    # silent nodes share `silent`; a node gets its own list on its first reception
+    silent: list[Reception] = []
+    raw: dict[int, list[Reception]] = dict.fromkeys(positions, silent)
     lazy: dict[int, LazyRow] = {}
     start = 0  # pair number of the transmission's first receiver
     for k, tx in enumerate(transmissions):
@@ -338,7 +344,11 @@ def deliver(
                     level += 0.0 + z * sigma
                 if level > floor:
                     if reads is None or uid in reads:
-                        raw[uid].append((tx, level))
+                        recs = raw[uid]
+                        if recs is silent:
+                            raw[uid] = [(tx, level)]
+                        else:
+                            recs.append((tx, level))
                     if levels is not None:
                         levels[uid] = level
         else:
@@ -350,7 +360,11 @@ def deliver(
                     if sigma > 0:
                         level += 0.0 + shadowing.normal(start + i) * sigma
                     if level > floor:
-                        raw[uid].append((tx, level))
+                        recs = raw[uid]
+                        if recs is silent:
+                            raw[uid] = [(tx, level)]
+                        else:
+                            recs.append((tx, level))
             if k in wanted:
                 lazy[k] = LazyRow(shadowing, start, base, row, floor)
         start += len(row.receivers)

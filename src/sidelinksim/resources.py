@@ -19,7 +19,9 @@ Since the window is exactly P slots long, each occurrence t = t0 + k*r
 blocks exactly one window slot, window_start + (t - window_start) % P,
 when t >= window_start, and none otherwise. The projection is therefore
 one subchannel bitmask per window slot, built in missRefreshLimit + 1
-steps per claim.
+steps per claim, each one rri after the last. `sense` decodes each
+distinct claim once per call and builds its live occurrence streams
+straight from that shape.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class ResourcePool:
         return round(rri_ms / self.slot_duration_ms)
 
 
-@dataclass
+@dataclass(slots=True)
 class Reservation:
     """One projected occurrence stream decoded from a claim."""
 
@@ -114,12 +116,15 @@ class OccupancyMap:
         """Blocked subchannels per window slot, bit sc set when sc is taken."""
         period = self.pool.slots_per_selection_window
         masks = [0] * period
+        window_start = self.window_start
         for res in self.reservations:
             span = ((1 << res.subchannel_len) - 1) << res.subchannel_start
-            for k in range(MISS_REFRESH_LIMIT + 1):
-                ahead = res.start_slot + k * res.rri_slots - self.window_start
+            rri = res.rri_slots
+            ahead = res.start_slot - window_start  # occurrence k is k * rri later
+            for _ in range(MISS_REFRESH_LIMIT + 1):
                 if ahead >= 0:
                     masks[ahead % period] |= span
+                ahead += rri
         return masks
 
 
@@ -147,10 +152,6 @@ class ClaimShape:
     def reach(self) -> int:
         """Slots after the heard slot until the latest occurrence expires."""
         return self.lifetime + max(offset for offset, _ in self.spans)
-
-    def reservation(self, offset: int, start: int, rsrp: float, slot: int) -> Reservation:
-        return Reservation(start, self.length, slot + offset, self.rri_slots,
-                           self.priority, rsrp)
 
 
 def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
@@ -204,7 +205,8 @@ def sense(
         min_offset = window_start - shape.lifetime - slot
         for offset, start in shape.spans:
             if offset >= min_offset:
-                live.append(shape.reservation(offset, start, rsrp, slot))
+                live.append(Reservation(start, shape.length, slot + offset,
+                                        shape.rri_slots, shape.priority, rsrp))
     return OccupancyMap(pool, window_start, threshold, live, skipped)
 
 

@@ -43,7 +43,8 @@ levels no reselection reads are never computed. Delivery is kept once
 per world too, in one ledger, `World.delivered`: TB id -> bitmask of
 the UEs that have it. A TB counts once per UE, the first time the UE
 gets it: from its row for lossless broadcast data, and from
-`_receive_data` otherwise. For a lazy row the mask of the UEs surely
+`_receive_data` otherwise; every run ends by checking that the ledger's
+bits sum to `receiver_delivered`. For a lazy row the mask of the UEs surely
 above the noise floor, whatever their draw, is kept with the path-loss
 row (`LazyRow.kept_bits`), and only the UEs near the floor are computed. A
 reselection reads its own column of the log, cut to the sensing window
@@ -298,7 +299,7 @@ class UeAgent:
             # decision, and re-applying a keep changes nothing; so rank
             # only after the buffer changed or this UE switched or lapsed.
             if self.buffer.changes != self._ranked_at:
-                self._rank_sync_ref(slot, list(self.buffer.entries.values()))
+                self._rank_sync_ref(slot)
 
         if slot % cfg.ssb_period_slots != self.spec.id % cfg.ssb_period_slots:
             return
@@ -310,9 +311,9 @@ class UeAgent:
             direct_frame_number=(slot // 10) % 1024,
             slot_index=slot % 10,
         )
-        signed = self.world.sc.defenses.signed_ssb
+        signed = self.world.ssb_signing
         tag = None
-        if signed.enabled:
+        if signed is not None:
             tag = sign_ssb(self.world.ssb_key, self.state.own_slss.slss_id,
                            mib.encode(), signed.tag_bits)
             self.world.metrics.bump("airtime_overhead_bits", signed.tag_bits)
@@ -325,16 +326,16 @@ class UeAgent:
         return should_transmit_ssb(self.state, ref.rsrp_dbm if ref else None,
                                    self.world.sc.sync)
 
-    def _rank_sync_ref(self, slot: int, cands: list[SyncCandidate]):
-        decision = select_sync_ref(self.state.reference, cands, self.world.sc.sync)
+    def _rank_sync_ref(self, slot: int):
+        entries = self.buffer.entries  # SLSS id -> candidate
+        decision = select_sync_ref(self.state.reference, entries.values(), self.world.sc.sync)
         self._ranked_at = self.buffer.changes
         if decision.action == "switch":
             self.state.source = SyncSourceKind.SYNC_REF_UE
             self.state.reference = decision.candidate
             self.state.switch_count += 1
-            heard = {c.slss.slss_id for c in cands}
             self.state.own_slss = derive_own_slss(
-                SyncSourceKind.SYNC_REF_UE, decision.candidate.slss, self.rng, heard
+                SyncSourceKind.SYNC_REF_UE, decision.candidate.slss, self.rng, set(entries)
             )
             self._ranked_at = None
             self.world.metrics.bump("sync_switches")
@@ -465,8 +466,8 @@ class UeAgent:
         return delivered
 
     def _receive_ssb(self, burst: SsbBurst, rsrp: float, sender: int, slot: int):
-        signed = self.world.sc.defenses.signed_ssb
-        if signed.enabled and not verify_ssb(
+        signed = self.world.ssb_signing
+        if signed is not None and not verify_ssb(
             self.world.ssb_key, burst.slss.slss_id, burst.mib.encode(),
             burst.auth_tag, signed.tag_bits,
         ):
@@ -578,6 +579,9 @@ class World:
         self._l2_used: set[int] = {BROADCAST_L2}
         self.psk = child_rng(self.seed, "psk").randbytes(32)
         self.ssb_key = child_rng(self.seed, "ssbkey").randbytes(32)
+        # the signed-SSB settings, None while signing is off
+        signed = scenario.defenses.signed_ssb
+        self.ssb_signing = signed if signed.enabled else None
 
         self.identity_truth: dict[int, int] = {}
         self.selection_log: list[SelectionRecord] = []
@@ -680,9 +684,7 @@ class World:
         return self.by_id[ue_id].endpoint.l2_id
 
     def event(self, slot: int, event_type: str, **fields):
-        entry = {"slot": slot, "type": event_type}
-        entry.update(fields)
-        self.events.append(entry)
+        self.events.append({"slot": slot, "type": event_type, **fields})
 
     def security_event(self, agent: UeAgent, ev):
         detail = {("msg_kind" if k == "kind" else k): v for k, v in ev.detail.items()}
@@ -865,6 +867,11 @@ class World:
                            outcome=action.outcome)
         self.events.sort(key=lambda e: (e["slot"], 0 if e["type"] != "attack" else 1))
         self.metrics.check_fold()
+        # each (TB, UE) delivery sets one ledger bit and counts once
+        held = sum(mask.bit_count() for mask in self.delivered.values())
+        counted = self.metrics.totals["receiver_delivered"]
+        if held != counted:
+            raise AssertionError(f"delivery ledger holds {held}, receiver_delivered {counted}")
 
 
 def run_scenario(scenario: Scenario,

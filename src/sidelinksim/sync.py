@@ -6,13 +6,15 @@ indicator set, in-coverage without it, out-of-coverage with it, and
 out-of-coverage without it. Within a tier higher power wins; remaining
 ties go to the lowest id. Selection applies entry hysteresis on first
 lock and a switching margin afterwards; with no usable candidate the
-UE falls back to its internal clock.
+UE falls back to its internal clock. A selection finds the best usable
+candidate in one pass over the candidates, without sorting them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,7 +43,7 @@ class SyncSourceKind(Enum):
     INTERNAL_CLOCK = "internal_clock"
 
 
-@dataclass
+@dataclass(slots=True)
 class SyncCandidate:
     slss: SlssIdentity
     rsrp_dbm: float
@@ -77,12 +79,6 @@ def tier(slss: SlssIdentity) -> int:
     return 3 if slss.in_coverage else 4
 
 
-def rank_candidates(cands: list[SyncCandidate], cfg: SyncConfig) -> list[SyncCandidate]:
-    """Usable candidates, best first; below-threshold entries are dropped."""
-    usable = [c for c in cands if c.rsrp_dbm >= cfg.selection_rsrp_threshold_dbm]
-    return sorted(usable, key=lambda c: (tier(c.slss), -c.rsrp_dbm, c.slss.slss_id))
-
-
 @dataclass
 class SyncDecision:
     action: str  # "keep" | "switch" | "internal_clock"
@@ -91,7 +87,7 @@ class SyncDecision:
 
 def select_sync_ref(
     current: SyncCandidate | None,
-    cands: list[SyncCandidate],
+    cands: Iterable[SyncCandidate],
     cfg: SyncConfig,
 ) -> SyncDecision:
     """Hold, switch, or lapse to internal clock given fresh candidates.
@@ -99,25 +95,40 @@ def select_sync_ref(
     current is the held SyncRef UE candidate, None when the UE is on its
     internal clock. Primary sources (GNSS, gNodeB) are handled upstream
     and never reach this selector.
+
+    A candidate is usable at or above the selection threshold, and on
+    first lock at or above the threshold plus the entry margin. The best
+    usable one, by (tier, higher power, lower id), is found in one pass;
+    of two that tie on all three, the first in `cands` wins.
     """
-    ranked = rank_candidates(cands, cfg)
+    floor = cfg.selection_rsrp_threshold_dbm
     if current is None:
-        for cand in ranked:
-            if cand.rsrp_dbm >= cfg.selection_rsrp_threshold_dbm + cfg.min_hyst_db:
-                return SyncDecision("switch", cand)
+        floor += cfg.min_hyst_db
+    best = None
+    best_tier, best_rsrp, best_id = 5, 0.0, 0  # tier 5: below every candidate
+    for cand in cands:
+        rsrp = cand.rsrp_dbm
+        if rsrp >= floor:
+            slss = cand.slss
+            sid = slss.slss_id
+            # `tier`, inline
+            rank = (0 if sid == 0 else (1 if slss.in_coverage else 2) if sid <= 335
+                    else 3 if slss.in_coverage else 4)
+            if rank < best_tier or rank == best_tier and (
+                    rsrp > best_rsrp or rsrp == best_rsrp and sid < best_id):
+                best, best_tier, best_rsrp, best_id = cand, rank, rsrp, sid
+    if best is None:
         return SyncDecision("internal_clock")
-    if not ranked:
-        return SyncDecision("internal_clock")
-    best = ranked[0]
-    if tier(best.slss) < tier(current.slss):
+    if current is None:
         return SyncDecision("switch", best)
-    if (
-        tier(best.slss) == tier(current.slss)
-        and best.slss.slss_id != current.slss.slss_id
-        and best.rsrp_dbm >= current.rsrp_dbm + cfg.diff_hyst_db
+    held_tier = tier(current.slss)
+    same_id = best_id == current.slss.slss_id
+    if best_tier < held_tier or (
+        best_tier == held_tier and not same_id
+        and best_rsrp >= current.rsrp_dbm + cfg.diff_hyst_db
     ):
         return SyncDecision("switch", best)
-    if best.slss.slss_id == current.slss.slss_id:
+    if same_id:
         # same reference heard again; track its latest measurement
         return SyncDecision("keep", best)
     return SyncDecision("keep", current)

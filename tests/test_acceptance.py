@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from sidelinksim import simulation
-from sidelinksim.adversary import TrackerAgent, permutation_f1_baseline
+from sidelinksim.adversary import TrackerAgent
 from sidelinksim.frames import (
     PROTECTION,
     MibSl,
@@ -42,6 +42,7 @@ from sidelinksim.scenario import load_scenario
 from sidelinksim.simulation import run_scenario
 from sidelinksim.sync import tier
 from test_frames import TIER_CLASS, reference_coverage_class, reference_slss_id
+from test_adversary import permutation_f1_baseline
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -1,6 +1,8 @@
 """Attack agent behaviors: targeting, timing, capture, and the tracker."""
 
 import random
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,6 @@ from sidelinksim.adversary import (
     build_attacker,
     pairs_from_clusters,
     pairs_from_truth,
-    permutation_f1_baseline,
     precision_recall_f1,
 )
 from sidelinksim.frames import (
@@ -34,6 +35,27 @@ from test_resources import reference_claims_from_sci, reference_total_cells
 
 POOL = ResourcePool(4, 10, [100, 1000])
 CAP = AttackerCapability()
+
+
+def permutation_f1_baseline(predicted_clusters: list[set[int]], truth: dict[int, int],
+                            rng: random.Random, trials: int = 200) -> tuple[float, float]:
+    """Chance level for the linkage score: shuffle which UE owns each id,
+    keeping cluster sizes, and score the same prediction each time.
+    Returns (mean, standard deviation) of the null F1 distribution.
+    """
+    predicted = pairs_from_clusters(predicted_clusters)
+    ids = sorted(truth)
+    owners = [truth[i] for i in ids]
+    scores = []
+    for _ in range(trials):
+        shuffled = owners[:]
+        rng.shuffle(shuffled)
+        null_truth = dict(zip(ids, shuffled))
+        scores.append(precision_recall_f1(predicted, pairs_from_truth(null_truth))["f1"])
+    # left-to-right float sums, as the built-in sum gives only before Python 3.12
+    mean = reduce(add, scores, 0.0) / len(scores)
+    var = reduce(add, ((s - mean) ** 2 for s in scores), 0.0) / len(scores)
+    return mean, var ** 0.5
 
 
 def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x07" * 32):

@@ -13,10 +13,11 @@ from typing import Callable
 
 import pytest
 
-from sidelinksim.adversary import AttackKind, TrackerAgent, permutation_f1_baseline
+from sidelinksim.adversary import AttackKind, TrackerAgent
 from sidelinksim.radio import child_rng
 from sidelinksim.scenario import parse_scenario
 from sidelinksim.simulation import World, run_scenario
+from test_adversary import permutation_f1_baseline
 
 GNSS = {"id": 0, "position": [0, 0], "role": "gnss_visible"}
 

@@ -29,7 +29,8 @@ def reference_claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
                               slot: int) -> list[Reservation]:
     """Expand a decoded SCI 1-A heard in `slot` into its occurrence streams."""
     shape = claim_shape(sci, pool)
-    return [shape.reservation(offset, start, rsrp, slot) for offset, start in shape.spans]
+    return [Reservation(start, shape.length, slot + offset, shape.rri_slots, shape.priority, rsrp)
+            for offset, start in shape.spans]
 
 
 def reference_total_cells(pool: ResourcePool) -> int:

@@ -381,6 +381,14 @@ def test_the_delivery_ledger_holds_every_receiver_delivered_count(name):
     assert all(0 < mask < 1 << len(world.agents) for mask in world.delivered.values())
 
 
+def test_a_run_refuses_a_delivery_counted_twice(monkeypatch):
+    receive_data = UeAgent._receive_data
+    monkeypatch.setattr(UeAgent, "_receive_data",
+                        lambda self, burst, slot: 2 * receive_data(self, burst, slot))
+    with pytest.raises(AssertionError, match="delivery ledger holds"):
+        World(load_scenario(SCENARIO_DIR / "baseline.yaml")).run()
+
+
 def test_cached_path_loss_follows_moving_nodes(monkeypatch):
     # no shadowing, so every level is the log-distance value at the
     # positions of its own slot; a path-loss row kept from an earlier

@@ -9,10 +9,10 @@ from sidelinksim.sync import (
     CandidateBuffer,
     SyncCandidate,
     SyncConfig,
+    SyncDecision,
     SyncSourceKind,
     SyncState,
     derive_own_slss,
-    rank_candidates,
     select_sync_ref,
     should_transmit_ssb,
     tier,
@@ -24,6 +24,38 @@ MIB = MibSl(0, True, 0, 0)
 
 def cand(slss_id, in_cov, rsrp, slot=0, sender=-1):
     return SyncCandidate(SlssIdentity(slss_id, in_cov), rsrp, MIB, slot, sender)
+
+
+def reference_rank_candidates(cands, cfg):
+    """Usable candidates, best first, by sorting; below-threshold entries
+    are dropped."""
+    usable = [c for c in cands if c.rsrp_dbm >= cfg.selection_rsrp_threshold_dbm]
+    return sorted(usable, key=lambda c: (tier(c.slss), -c.rsrp_dbm, c.slss.slss_id))
+
+
+def reference_select_sync_ref(current, cands, cfg):
+    """`select_sync_ref` as it was: rank every usable candidate, then
+    walk the ranking."""
+    ranked = reference_rank_candidates(cands, cfg)
+    if current is None:
+        for c in ranked:
+            if c.rsrp_dbm >= cfg.selection_rsrp_threshold_dbm + cfg.min_hyst_db:
+                return SyncDecision("switch", c)
+        return SyncDecision("internal_clock")
+    if not ranked:
+        return SyncDecision("internal_clock")
+    best = ranked[0]
+    if tier(best.slss) < tier(current.slss):
+        return SyncDecision("switch", best)
+    if (
+        tier(best.slss) == tier(current.slss)
+        and best.slss.slss_id != current.slss.slss_id
+        and best.rsrp_dbm >= current.rsrp_dbm + cfg.diff_hyst_db
+    ):
+        return SyncDecision("switch", best)
+    if best.slss.slss_id == current.slss.slss_id:
+        return SyncDecision("keep", best)
+    return SyncDecision("keep", current)
 
 
 def test_tier_boundaries():
@@ -40,8 +72,9 @@ def test_tier_boundaries():
 def test_rank_drops_below_threshold():
     weak = cand(5, True, CFG.selection_rsrp_threshold_dbm - 0.1)
     strong = cand(400, False, -60)
-    ranked = rank_candidates([weak, strong], CFG)
-    assert ranked == [strong]
+    assert reference_rank_candidates([weak, strong], CFG) == [strong]
+    # the weak candidate's tier would outrank the strong one's
+    assert select_sync_ref(None, [weak, strong], CFG).candidate is strong
 
 
 def test_rank_matches_brute_force():
@@ -56,7 +89,45 @@ def test_rank_matches_brute_force():
             (c for c in cands if c.rsrp_dbm >= CFG.selection_rsrp_threshold_dbm),
             key=lambda c: (tier(c.slss), -c.rsrp_dbm, c.slss.slss_id),
         )
-        assert rank_candidates(list(cands), CFG) == expected
+        assert reference_rank_candidates(list(cands), CFG) == expected
+
+
+# ids at every tier edge: 0, the in-coverage range 1..335 and the
+# out-of-coverage range 336..671, each with and without the indicator
+SYNC_IDS = st.sampled_from((0, 1, 7, 335, 336, 400, 671))
+
+
+@st.composite
+def sync_rankings(draw):
+    """(current, candidates, cfg) for `select_sync_ref`: few ids, so
+    duplicates are common, and powers on the threshold, the entry margin
+    and the switching margin, so ties and edges are common too."""
+    threshold = draw(st.sampled_from((-105.0, -100.5)))
+    cfg = SyncConfig(min_hyst_db=draw(st.sampled_from((0.0, 2.0))),
+                     diff_hyst_db=draw(st.sampled_from((0.0, 3.0))),
+                     selection_rsrp_threshold_dbm=threshold)
+    edges = (threshold - 0.5, threshold, threshold + 1.0, threshold + cfg.min_hyst_db,
+             threshold + cfg.min_hyst_db + cfg.diff_hyst_db, -80.0, -77.0)
+    power = st.one_of(st.sampled_from(edges), st.floats(-120.0, -50.0))
+
+    def candidate(sender):
+        return cand(draw(SYNC_IDS), draw(st.booleans()), draw(power), sender=sender)
+
+    cands = [candidate(i) for i in range(draw(st.integers(0, 7)))]
+    held = draw(st.sampled_from(("none", "listed", "absent") if cands else ("none", "absent")))
+    current = (None if held == "none" else draw(st.sampled_from(cands)) if held == "listed"
+               else candidate(-2))
+    return current, cands, cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=sync_rankings())
+def test_one_pass_selection_matches_the_sorted_ranking(case):
+    current, cands, cfg = case
+    got = select_sync_ref(current, cands, cfg)
+    want = reference_select_sync_ref(current, cands, cfg)
+    assert got.action == want.action
+    assert got.candidate is want.candidate
 
 
 def test_acquire_needs_threshold_plus_hysteresis():
