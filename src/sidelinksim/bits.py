@@ -36,47 +36,29 @@ class BitString:
         return int.from_bytes(self.data, "big") >> (-self.bit_length % 8)
 
 
-class BitWriter:
-    """Accumulates unsigned fields MSB-first."""
-
-    def __init__(self):
-        self._value = 0
-        self._bits = 0
-
-    def write(self, value: int, width: int) -> "BitWriter":
-        if width < 0:
-            raise ValueError(f"negative field width {width}")
-        if value < 0 or value >= (1 << width):
+def pack(fields) -> BitString:
+    """`(value, width)` pairs, most significant bit first, as one payload.
+    Refuses a value that does not fit its width, and a negative width."""
+    acc = bits = 0
+    for value, width in fields:
+        # nonzero for a negative value too; a negative width raises
+        if value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        self._value = (self._value << width) | value
-        self._bits += width
-        return self
-
-    def finish(self) -> BitString:
-        pad = -self._bits % 8
-        raw = (self._value << pad).to_bytes((self._bits + pad) // 8, "big")
-        return BitString(raw, self._bits)
+        acc = acc << width | value
+        bits += width
+    pad = -bits % 8
+    return BitString((acc << pad).to_bytes((bits + pad) // 8, "big"), bits)
 
 
-class BitReader:
-    """Consumes unsigned fields MSB-first from a BitString."""
-
-    def __init__(self, source: BitString):
-        self._value = source.to_int()
-        self._remaining = source.bit_length
-
-    def read(self, width: int) -> int:
-        if width < 0:
-            raise ValueError(f"negative field width {width}")
-        if width > self._remaining:
-            raise ValueError(
-                f"read of {width} bits exceeds {self._remaining} remaining"
-            )
-        self._remaining -= width
-        out = self._value >> self._remaining
-        self._value &= (1 << self._remaining) - 1
-        return out
-
-    def expect_end(self):
-        if self._remaining:
-            raise ValueError(f"{self._remaining} unread bits at payload end")
+def unpack(payload: BitString, widths, what: str) -> list[int]:
+    """The field values of `payload` at `widths`, most significant bit first.
+    Refuses, naming the payload `what`, any length but the sum of the widths."""
+    left = sum(widths)
+    if payload.bit_length != left:
+        raise ValueError(f"{what} is {left} bits, got {payload.bit_length}")
+    value = payload.to_int()
+    out = []
+    for width in widths:
+        left -= width
+        out.append(value >> left & ((1 << width) - 1))
+    return out

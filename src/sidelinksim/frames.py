@@ -1,20 +1,21 @@
 """Sidelink air-interface payload codecs.
 
 Everything here is a pure codec: dataclasses describing what a payload
-carries, plus encode/decode against the big-endian bit layouts below.
-No channel state, no timing.
+carries, plus encode/decode against the big-endian bit layouts below. Each
+class states its layout once, as a width table, and every payload goes
+through `bits.pack` and `bits.unpack`. No channel state, no timing.
 
 MIB-SL (32 bits, broadcast on PSBCH):
 
-    +----------------+------+---------------------------------------+
-    | field          | bits | meaning                               |
-    +----------------+------+---------------------------------------+
-    | tdd_config     |  12  | uplink/downlink slot pattern index    |
-    | in_coverage    |   1  | transmitter hears a network directly  |
-    | frame_number   |  10  | direct frame number, 0..1023          |
-    | slot_index     |   7  | slot within the frame, 0..127         |
-    | reserved       |   2  | spare, transmitted as written         |
-    +----------------+------+---------------------------------------+
+    +---------------------+------+---------------------------------------+
+    | field               | bits | meaning                               |
+    +---------------------+------+---------------------------------------+
+    | tdd_config          |  12  | uplink/downlink slot pattern index    |
+    | in_coverage         |   1  | transmitter hears a network directly  |
+    | direct_frame_number |  10  | direct frame number, 0..1023          |
+    | slot_index          |   7  | slot within the frame, 0..127         |
+    | reserved            |   2  | spare, transmitted as written         |
+    +---------------------+------+---------------------------------------+
 
 SCI 2-A (35 bits, second-stage control on PSSCH):
 
@@ -38,16 +39,15 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from math import ceil, log2
+from operator import attrgetter
 from typing import Any
 
-from .bits import BitReader, BitString, BitWriter
+from .bits import BitString, pack, unpack
 
 L2_ID_BITS = 24
 L2_ID_MASK = (1 << L2_ID_BITS) - 1
 
 SLSS_COUNT = 672  # 2 PSS sequences x 336 SSS sequences
-MIB_SL_BITS = 32
-SCI_2A_BITS = 35
 
 
 def check_l2_id(value: int, label: str = "l2 id") -> int:
@@ -86,29 +86,19 @@ class MibSl:
     slot_index: int
     reserved: int = 0
 
+    # the table above, in field order: decode builds the instance positionally
+    WIDTHS = {"tdd_config": 12, "in_coverage": 1, "direct_frame_number": 10,
+              "slot_index": 7, "reserved": 2}
+    _values = property(attrgetter(*WIDTHS))
+    _widths = tuple(WIDTHS.values())
+
     def encode(self) -> BitString:
-        w = BitWriter()
-        w.write(self.tdd_config, 12)
-        w.write(int(self.in_coverage), 1)
-        w.write(self.direct_frame_number, 10)
-        w.write(self.slot_index, 7)
-        w.write(self.reserved, 2)
-        return w.finish()
+        return pack(zip(self._values, self._widths))
 
     @classmethod
     def decode(cls, payload: BitString) -> "MibSl":
-        if payload.bit_length != MIB_SL_BITS:
-            raise ValueError(f"MIB-SL is {MIB_SL_BITS} bits, got {payload.bit_length}")
-        r = BitReader(payload)
-        mib = cls(
-            tdd_config=r.read(12),
-            in_coverage=bool(r.read(1)),
-            direct_frame_number=r.read(10),
-            slot_index=r.read(7),
-            reserved=r.read(2),
-        )
-        r.expect_end()
-        return mib
+        tdd_config, in_coverage, *rest = unpack(payload, cls._widths, "MIB-SL")
+        return cls(tdd_config, bool(in_coverage), *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +254,14 @@ class Sci1A:
         }
 
     def encode(self, pool) -> BitString:
-        w = BitWriter()
-        for name, width in self.field_widths(pool).items():
-            w.write(getattr(self, name), width)
-        return w.finish()
+        widths = self.field_widths(pool)
+        return pack(zip(attrgetter(*widths)(self), widths.values()))
 
     @classmethod
     def decode(cls, pool, payload: BitString) -> "Sci1A":
         widths = cls.field_widths(pool)
-        expected = sum(widths.values())
-        if payload.bit_length != expected:
-            raise ValueError(
-                f"SCI 1-A for this pool is {expected} bits, got {payload.bit_length}"
-            )
-        r = BitReader(payload)
-        fields = {name: r.read(width) for name, width in widths.items()}
-        r.expect_end()
-        return cls(**fields)
+        values = unpack(payload, widths.values(), "SCI 1-A for this pool")
+        return cls(**dict(zip(widths, values)))
 
 
 class CastType(IntEnum):
@@ -306,35 +287,19 @@ class Sci2A:
     cast_type: CastType
     csi_request: int = 0
 
+    # the table above, in field order: decode builds the instance positionally
+    WIDTHS = {"harq_process_id": 4, "ndi": 1, "rv": 2, "source_id": 8, "dest_id": 16,
+              "harq_enabled": 1, "cast_type": 2, "csi_request": 1}
+    _values = property(attrgetter(*WIDTHS))
+    _widths = tuple(WIDTHS.values())
+
     def encode(self) -> BitString:
-        w = BitWriter()
-        w.write(self.harq_process_id, 4)
-        w.write(self.ndi, 1)
-        w.write(self.rv, 2)
-        w.write(self.source_id, 8)
-        w.write(self.dest_id, 16)
-        w.write(int(self.harq_enabled), 1)
-        w.write(int(self.cast_type), 2)
-        w.write(self.csi_request, 1)
-        return w.finish()
+        return pack(zip(self._values, self._widths))
 
     @classmethod
     def decode(cls, payload: BitString) -> "Sci2A":
-        if payload.bit_length != SCI_2A_BITS:
-            raise ValueError(f"SCI 2-A is {SCI_2A_BITS} bits, got {payload.bit_length}")
-        r = BitReader(payload)
-        sci = cls(
-            harq_process_id=r.read(4),
-            ndi=r.read(1),
-            rv=r.read(2),
-            source_id=r.read(8),
-            dest_id=r.read(16),
-            harq_enabled=bool(r.read(1)),
-            cast_type=CastType(r.read(2)),
-            csi_request=r.read(1),
-        )
-        r.expect_end()
-        return sci
+        *head, harq_enabled, cast_type, csi_request = unpack(payload, cls._widths, "SCI 2-A")
+        return cls(*head, bool(harq_enabled), CastType(cast_type), csi_request)
 
     @classmethod
     def for_tb(cls, process_id: int, ndi: int, rv: int, src_l2: int, dst_l2: int,

@@ -65,6 +65,10 @@ class ResourcePool:
             raise ValueError("threshold_step_db must be positive")
         if not self.period_list_ms:
             raise ValueError("period list must not be empty")
+        if min(self.period_list_ms) <= 0:
+            # a grant steps by its period, so a period of 0 or less never ends
+            raise ValueError(f"period_list_ms holds {min(self.period_list_ms)}; "
+                             "every period must be positive")
         if max(self.period_list_ms) > 1000:
             raise ValueError(f"period list max {max(self.period_list_ms)} exceeds 1000 ms")
         if 1000 not in self.period_list_ms:

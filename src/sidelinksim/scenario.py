@@ -395,6 +395,8 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
                 errs.add(f"{path}.{side}", f"unknown UE id {getattr(link, side)}")
         if link.initiator == link.responder:
             errs.add(path, "link endpoints must differ")
+        if link.start_slot < 0:
+            errs.add(f"{path}.start_slot", "must not be negative")
         links.append(link)
 
     attacks: list[AttackSpec] = []

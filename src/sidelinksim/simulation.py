@@ -57,6 +57,11 @@ A TB's control costs scale with grants and headers, not with
 transmissions: SCI 1-A is encoded once per grant, SCI 2-A once per
 distinct header, and each distinct SCI 1-A or SCI 2-A payload is decoded
 once per world, every receiver sharing the frozen result.
+
+Every sent TB gets one `TbOutcome` in `World.tb_log`: a TB without
+feedback ("sent") when it goes out, a HARQ TB when it is done or failed.
+Every run ends by checking that `tb_sent` equals the outcomes plus the
+HARQ TBs still in flight.
 """
 
 from __future__ import annotations
@@ -147,9 +152,10 @@ class FlowRuntime:
     spoof_hits: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class TbOutcome:
-    """Ground-truth record of one finished transport block."""
+    """Ground-truth record of one finished transport block: a HARQ TB
+    once it is done or failed, any other TB ("sent") when it goes out."""
 
     ue_id: int
     tb_id: int
@@ -443,6 +449,8 @@ class UeAgent:
             rt.feedback_slot = slot + FEEDBACK_DELAY_SLOTS
         else:
             proc.state = TbState.DONE  # blind transmission, nothing to wait for
+            self.world.tb_log.append(TbOutcome(self.spec.id, proc.tb_id, slot,
+                                               proc.attempts, "sent", 0))
 
     # -- reception ----------------------------------------------------------
 
@@ -872,6 +880,13 @@ class World:
         counted = self.metrics.totals["receiver_delivered"]
         if held != counted:
             raise AssertionError(f"delivery ledger holds {held}, receiver_delivered {counted}")
+        # every sent TB has one outcome, or is a HARQ TB still in flight
+        in_flight = sum(1 for agent in self.agents for rt in agent.flows if rt.process.attempts
+                        and rt.process.state not in (TbState.DONE, TbState.FAILED))
+        sent = self.metrics.totals["tb_sent"]
+        if sent != len(self.tb_log) + in_flight:
+            raise AssertionError(f"{sent} TBs sent, {len(self.tb_log)} outcomes "
+                                 f"and {in_flight} in flight")
 
 
 def run_scenario(scenario: Scenario,

@@ -166,8 +166,13 @@ OUT_OF_RANGE = {
     TINY + "pool: {threshold_step_db: -3.0}\n",
     TINY + "channel: {shadowing_sigma_db: -4.0}\n",
     TINY.replace("name: tiny", 'name: "a\\nb"'),
+    # a flow on a period of 0 or less never got past its first grant
+    TINY.replace("rri_ms: 100", "rri_ms: 0") + "pool: {period_list_ms: [0, 1000]}\n",
+    TINY.replace("rri_ms: 100", "rri_ms: -100") + "pool: {period_list_ms: [-100, 1000]}\n",
+    TINY + "links:\n  - {initiator: 1, responder: 2, start_slot: -1}\n",
 ], ids=[*OUT_OF_RANGE, "slot_duration_ms", "threshold_step_db_zero",
-        "threshold_step_db_negative", "shadowing_sigma_db_negative", "name_line_break"])
+        "threshold_step_db_negative", "shadowing_sigma_db_negative", "name_line_break",
+        "period_list_ms_zero", "period_list_ms_negative", "link_start_slot_negative"])
 def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     # signed beacons make the sync injector encode its tdd_config

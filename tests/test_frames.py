@@ -4,11 +4,10 @@ import random
 
 import pytest
 
+from sidelinksim.bits import pack, unpack
 from sidelinksim.frames import (
     PROTECTION,
-    BitReader,
     BitString,
-    BitWriter,
     CastType,
     MibSl,
     Pc5Message,
@@ -38,19 +37,28 @@ def test_bitstring_rejects_bad_padding():
     BitString(b"\xf0", 4)  # ok
 
 
-def test_bitwriter_reader_round_trip():
+def test_pack_unpack_round_trip():
     rng = random.Random(99)
     for _ in range(200):
         widths = [rng.randint(1, 24) for _ in range(rng.randint(1, 8))]
         values = [rng.getrandbits(w) for w in widths]
-        w = BitWriter()
-        for v, width in zip(values, widths):
-            w.write(v, width)
-        bs = w.finish()
+        # a width-0 field and a field at its maximum value ride along
+        at = rng.randrange(len(widths) + 1)
+        widths.insert(at, 0)
+        values.insert(at, 0)
+        widths.append(rng.randint(1, 24))
+        values.append((1 << widths[-1]) - 1)
+        bs = pack(zip(values, widths))
         assert bs.bit_length == sum(widths)
-        r = BitReader(bs)
-        assert [r.read(width) for width in widths] == values
-        r.expect_end()
+        assert unpack(bs, widths, "payload") == values
+        # MSB first: the first field holds the top bits
+        assert bs.to_int() >> (sum(widths) - widths[0]) == values[0]
+
+
+@pytest.mark.parametrize("value,width", [(1 << 5, 5), (-1, 5), (1, 0), (0, -1), (3, -2)])
+def test_pack_refuses_a_value_outside_its_width_and_a_negative_width(value, width):
+    with pytest.raises(ValueError):
+        pack([(1, 3), (value, width)])
 
 
 def test_mib_sl_is_exactly_32_bits():
@@ -72,7 +80,7 @@ def test_mib_sl_round_trip():
 
 
 def test_mib_sl_rejects_wrong_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^MIB-SL is 32 bits, got 24$"):
         MibSl.decode(BitString(b"\x00\x00\x00", 24))
 
 
@@ -125,6 +133,28 @@ def test_sci_1a_rejects_wrong_pool_length():
     bits = sci.encode(POOL_4x10)
     with pytest.raises(ValueError):
         Sci1A.decode(POOL_10x20, bits)
+
+
+def one_bit_off(bits: BitString, delta: int) -> BitString:
+    """`bits` with one zero bit appended (delta 1) or its last bit dropped (-1)."""
+    if delta > 0:
+        return pack([(bits.to_int(), bits.bit_length), (0, 1)])
+    return pack([(bits.to_int() >> 1, bits.bit_length - 1)])
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("what,bits,decode", [
+    ("MIB-SL", MibSl(0x0AB, True, 517, 44).encode(), MibSl.decode),
+    ("SCI 2-A", Sci2A(3, 1, 2, 0x5A, 0xBEEF, True, CastType.UNICAST).encode(), Sci2A.decode),
+    ("SCI 1-A for this pool", Sci1A(1, 3, 0, 1, 9).encode(POOL_4x10),
+     lambda bits: Sci1A.decode(POOL_4x10, bits)),
+], ids=["mib_sl", "sci_2a", "sci_1a"])
+def test_a_payload_one_bit_short_or_long_is_refused(what, bits, decode, delta):
+    decode(bits)
+    off = one_bit_off(bits, delta)
+    with pytest.raises(ValueError, match=f"^{what} is {bits.bit_length} bits, "
+                                         f"got {bits.bit_length + delta}$"):
+        decode(off)
 
 
 def test_fra_bijection():

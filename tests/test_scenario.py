@@ -145,6 +145,9 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("harq_spoof_nack", "pool.threshold_step_db", 0.0),
     ("harq_spoof_nack", "pool.threshold_step_db", -3.0),
     ("harq_spoof_nack", "channel.shadowing_sigma_db", -4.0),
+    ("harq_spoof_nack", "pool.period_list_ms", [0, 1000]),
+    ("harq_spoof_nack", "pool.period_list_ms", [-100, 1000]),
+    ("harq_spoof_nack", "links[0].start_slot", -1),
 ])
 def test_out_of_range_value_is_an_error(kind, dotted, value):
     raw = with_value(dotted, value)

@@ -389,6 +389,33 @@ def test_a_run_refuses_a_delivery_counted_twice(monkeypatch):
         World(load_scenario(SCENARIO_DIR / "baseline.yaml")).run()
 
 
+def test_a_blind_tb_has_one_sent_outcome():
+    # baseline has HARQ flows and one flow without feedback
+    report, _, world = run_scenario(load_scenario(SCENARIO_DIR / "baseline.yaml"))
+    states = Counter(tb.state for tb in world.tb_log)
+    assert set(states) == {"done", "sent"}
+    assert sum(states.values()) == report.totals["tb_sent"]
+    assert len({tb.tb_id for tb in world.tb_log}) == len(world.tb_log)
+    assert all(tb.attempts == 1 and tb.spoof_candidates == 0
+               for tb in world.tb_log if tb.state == "sent")
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+def test_a_run_refuses_a_tb_without_exactly_one_outcome(monkeypatch, change):
+    finalize = World._finalize
+
+    def finalize_changed(world):
+        if change == "drop":
+            world.tb_log.pop()
+        else:
+            world.tb_log.append(world.tb_log[-1])
+        finalize(world)
+
+    monkeypatch.setattr(World, "_finalize", finalize_changed)
+    with pytest.raises(AssertionError, match="TBs sent"):
+        World(load_scenario(SCENARIO_DIR / "baseline.yaml")).run()
+
+
 def test_cached_path_loss_follows_moving_nodes(monkeypatch):
     # no shadowing, so every level is the log-distance value at the
     # positions of its own slot; a path-loss row kept from an earlier
