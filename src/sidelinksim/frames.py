@@ -5,7 +5,8 @@ carries, plus encode/decode against the big-endian bit layouts below. Each
 class states its layout once, as a width table, and every payload goes
 through `bits.pack` and `bits.unpack`. No channel state, no timing.
 
-MIB-SL (32 bits, broadcast on PSBCH):
+MIB-SL (32 bits, broadcast on PSBCH; encoded only, since no receiver
+reads its fields):
 
     +---------------------+------+---------------------------------------+
     | field               | bits | meaning                               |
@@ -86,7 +87,7 @@ class MibSl:
     slot_index: int
     reserved: int = 0
 
-    # the table above, in field order: decode builds the instance positionally
+    # the table above, in field order
     WIDTHS = {"tdd_config": 12, "in_coverage": 1, "direct_frame_number": 10,
               "slot_index": 7, "reserved": 2}
     _values = property(attrgetter(*WIDTHS))
@@ -94,11 +95,6 @@ class MibSl:
 
     def encode(self) -> BitString:
         return pack(zip(self._values, self._widths))
-
-    @classmethod
-    def decode(cls, payload: BitString) -> "MibSl":
-        tdd_config, in_coverage, *rest = unpack(payload, cls._widths, "MIB-SL")
-        return cls(tdd_config, bool(in_coverage), *rest)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,7 @@ def deliver(
     losses: dict[int, PathLossRow] | None = None,
     readers: list[Collection[int] | None] | None = None,
     sensed: Collection[int] = (),
+    rowed: Collection[int] = (),
 ) -> tuple[dict[int, list[Reception]], list[CollisionRecord], dict[int, SensedRow]]:
     """Propagate one slot's transmissions to every other node.
 
@@ -257,13 +258,15 @@ def deliver(
     list, so the caller must treat the lists as read-only. Also returns
     the collision records for destroyed receptions, in `positions`
     order; a record names each destroyed transmission by its index in
-    `transmissions`. Last, a row per index in `sensed`, in that order,
+    `transmissions`. Last, a row per index in `sensed` and then `rowed`,
     read through `row.get(node)`: the level the node kept, or None.
 
     `readers`, one entry per transmission, names the nodes that read
     it; None (for the list or an entry) means every node. A node
     outside a transmission's readers gets no reception of it; rows and
-    collision records do not depend on readers.
+    collision records do not depend on readers. Every node reads a
+    transmission in `rowed` from its row, a dict of every kept level;
+    only its readers get receptions of it.
 
     `losses` caches one `path_loss_row` per sender; a missing row is
     built on that sender's first transmission. The caller owns the
@@ -277,10 +280,10 @@ def deliver(
     `base - loss + rng.gauss(0.0, sigma)`, as if `gauss` were called once
     per pair in that order, and it is computed when it is read. That is
     at once for a reception, and for every pair of a transmission that
-    every node reads or that is in a capture contest; such a sensed
-    transmission's row is a dict, with destroyed pairs removed. Any
-    other sensed transmission's row is a `LazyRow`, which computes a
-    level on `get`.
+    every node reads, that is in a capture contest or that is rowed;
+    such a transmission's row is a dict, with destroyed pairs removed.
+    Any other sensed transmission's row is a `LazyRow`, which computes
+    a level on `get`.
 
     Whether two transmissions overlap does not depend on the receiver,
     so the capture contest is found once per slot: the overlapping
@@ -301,8 +304,8 @@ def deliver(
     pairs = [(i, j) for n, (i, a) in enumerate(grid) for j, b in grid[n + 1:]
              if a.overlaps(b)]
     # receiver -> level, for each transmission whose levels are all computed
-    # and kept: the contest members, and sensed ones that every node reads
-    heard: dict[int, dict[int, float]] = {k: {} for k in chain(*pairs)}
+    # and kept: contest members, rowed ones and sensed ones every node reads
+    heard: dict[int, dict[int, float]] = {k: {} for k in chain(*pairs, rowed)}
     wanted = set(sensed)
     shadowing = None
     if sigma > 0:
@@ -370,7 +373,7 @@ def deliver(
         start += len(row.receivers)
 
     collisions: list[CollisionRecord] = []
-    rows = {k: heard[k] if k in heard else lazy[k] for k in sensed}
+    rows = {k: heard[k] if k in heard else lazy[k] for k in chain(sensed, rowed)}
     if not pairs:
         return raw, collisions, rows
     threshold = model.capture_threshold_db
@@ -387,8 +390,9 @@ def deliver(
                 destroyed.add(strong)
         if destroyed:
             collisions.append(CollisionRecord(uid, tuple(sorted(destroyed))))
-            gone = {id(transmissions[k]) for k in destroyed}
-            raw[uid] = [r for r in raw[uid] if id(r[0]) not in gone]
+            if raw[uid] is not silent:  # a node that reads nothing keeps `silent`
+                gone = {id(transmissions[k]) for k in destroyed}
+                raw[uid] = [r for r in raw[uid] if id(r[0]) not in gone]
             for k in destroyed:
                 del heard[k][uid]
     return raw, collisions, rows

@@ -256,7 +256,7 @@ def _parse_ue(raw, path: str, errs: _Errors) -> UeSpec | None:
 
 
 def _parse_traffic(raw, path: str, errs: _Errors, ue_ids: set[int],
-                   pool: ResourcePool) -> TrafficFlow | None:
+                   pool: ResourcePool | None) -> TrafficFlow | None:
     flow = _section(TrafficFlow, raw, path, errs)
     if flow is None:
         return None
@@ -268,7 +268,7 @@ def _parse_traffic(raw, path: str, errs: _Errors, ue_ids: set[int],
         errs.add(f"{path}.dst", "flow source and destination must differ")
     if flow.period_slots < 1:
         errs.add(f"{path}.period_slots", "must be positive")
-    if flow.rri_ms not in pool.period_list_ms:
+    if pool is not None and flow.rri_ms not in pool.period_list_ms:
         errs.add(f"{path}.rri_ms",
                  f"{flow.rri_ms} not in pool period list {pool.period_list_ms}")
     if not 0 <= flow.priority <= 7:
@@ -278,7 +278,7 @@ def _parse_traffic(raw, path: str, errs: _Errors, ue_ids: set[int],
     return flow
 
 
-def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool) -> AttackSpec | None:
+def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool | None) -> AttackSpec | None:
     raw = _mapping(raw, path, errs)
     for key in raw:
         if key not in _ATTACK_KEYS:
@@ -312,7 +312,8 @@ def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool) -> AttackSp
         spec = param_spec[key]
         problem = (_type_error(value, int | None if spec.default is None else type(spec.default))
                    or spec.range_error(value))
-        if problem is None and key == "rri_ms" and value not in pool.period_list_ms:
+        if (problem is None and key == "rri_ms" and pool is not None
+                and value not in pool.period_list_ms):
             problem = f"{value} not in pool period list {pool.period_list_ms}"
         if problem is not None:
             errs.add(f"{path}.params.{key}", problem)
@@ -359,8 +360,9 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     channel = _section(ChannelModel, raw.get("channel"), "scenario.channel",
                        errs) or ChannelModel()
-    pool = _section(ResourcePool, raw.get("pool"), "scenario.pool", errs,
-                    _POOL_CASTS) or ResourcePool()
+    # a refused pool section is None here: no rri_ms is checked against it
+    parsed_pool = _section(ResourcePool, raw.get("pool"), "scenario.pool", errs, _POOL_CASTS)
+    pool = parsed_pool or ResourcePool()
     sync = _section(SyncConfig, raw.get("sync"), "scenario.sync", errs) or SyncConfig()
 
     ues: list[UeSpec] = []
@@ -380,7 +382,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     traffic: list[TrafficFlow] = []
     for i, entry in enumerate(_list(raw.get("traffic"), "scenario.traffic", errs)):
-        flow = _parse_traffic(entry, f"scenario.traffic[{i}]", errs, seen_ids, pool)
+        flow = _parse_traffic(entry, f"scenario.traffic[{i}]", errs, seen_ids, parsed_pool)
         if flow is not None:
             traffic.append(flow)
 
@@ -401,7 +403,7 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
 
     attacks: list[AttackSpec] = []
     for i, entry in enumerate(_list(raw.get("attacks"), "scenario.attacks", errs)):
-        spec = _parse_attack(entry, f"scenario.attacks[{i}]", errs, pool)
+        spec = _parse_attack(entry, f"scenario.attacks[{i}]", errs, parsed_pool)
         if spec is not None:
             attacks.append(spec)
 

@@ -9,15 +9,19 @@ seed and a fixed label, so a (scenario, seed) pair replays exactly.
 Idle UEs are skipped. Each UE keeps two due slots: `sync_at`, the next
 slot in which its sync step (prune, rank, S-SSB) has work
 (`UeAgent.sync_due`), and `wake`, the next slot with any other work
-(`UeAgent.next_wake`). The loop calls `act`, which runs the sync step
-first, and `close_feedback` for a UE whose wake has come; a UE whose
-sync_at alone has come runs just its sync step, in the same agent
-order. At the end of the slot each due slot that has come is
-recomputed. A reception that adds work pulls a due slot forward: a
-changed sync buffer the sync_at; an outbox entry, a feedback candidate
-or a handled PC5 message the wake. Identifier-privacy epochs run only in
-epoch slots. A slot with nothing on air skips delivery, and only moving
-nodes get their positions recomputed.
+(`UeAgent.next_wake`). The loop calls `act` and `close_feedback` for a
+UE whose wake has come; `act` runs the sync step first, but only if
+sync_at has come too, and the PC5 step only while the UE has a link or
+a link start pending. A UE whose sync_at alone has come runs just its
+sync step, in the same agent order. A sync step ranks the SyncRef
+candidates only after the buffer changed, and once more after a first
+lock under an entry margin (`UeAgent._rank_sync_ref`). At the end of the
+slot each due slot that has come is recomputed. A reception that adds
+work pulls a due slot forward: a changed sync buffer the sync_at; an
+outbox entry, a feedback candidate or a handled PC5 message the wake.
+Identifier-privacy epochs run only in epoch slots. A slot with nothing
+on air skips delivery, and only moving nodes get their positions
+recomputed.
 
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
@@ -26,12 +30,15 @@ receiver. Each slot draws the shadowing uniforms of every (transmission,
 receiver) pair in one pass, in pair order, so the channel stream does
 not depend on who reads; a level is computed only when it is read. A
 reception is a plain `(transmission, rsrp_dbm)` pair, built only for a
-node that acts on it: every node for sync bursts and for broadcast data
-on a lossy channel (each UE draws its own CRC); the UEs holding the
-destination layer-2 id and every attacker for addressed data, PSFCH
-feedback and PC5 messages (`World.l2_readers`, rebuilt after
-identifiers change); attackers alone for control and lossless broadcast
-data.
+node that acts on it: every node for broadcast data on a lossy channel
+(each UE draws its own CRC); the UEs holding the destination layer-2 id
+and every attacker for addressed data, PSFCH feedback and PC5 messages
+(`World.l2_readers`, rebuilt after identifiers change); attackers alone
+for control, lossless broadcast data and S-SSBs. Every UE reads an S-SSB
+from its row instead: `deliver` computes the burst's levels in its pair
+pass and returns them as a dict, and `World._note_ssb` notes each UE's
+candidate from it in `positions` order, checking a signed burst's tag
+once.
 
 Sensing is kept once per world: for each SCI-bearing transmission
 `deliver` returns a row, read through `row.get(node)` (the level the
@@ -259,7 +266,7 @@ class UeAgent:
         While this UE selects a SyncRef: at once if its candidate buffer
         changed since the last ranking, else when the oldest entry ages
         out. In its S-SSB phase while it would send one. math.inf:
-        nothing until a heard S-SSB changes the buffer (`_receive_ssb`).
+        nothing until a heard S-SSB changes the buffer (`World._note_ssb`).
         """
         due = math.inf
         if self.state.source in SELECTING:
@@ -287,12 +294,12 @@ class UeAgent:
     # -- per-slot action ---------------------------------------------------
 
     def act(self, slot: int) -> list[Transmission]:
-        out: list[Transmission] = []
-        for payload in self.outbox.pop(slot, ()):
-            out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, payload))
-
-        self._sync_step(slot, out)
-        self._pc5_step(slot, out)
+        out = [Transmission(self.spec.id, self.spec.tx_power_dbm, payload)
+               for payload in self.outbox.pop(slot, ())]
+        if self.sync_at <= slot:  # before it, a sync step has no work
+            self._sync_step(slot, out)
+        if self.link_starts or self.endpoint.links:
+            self._pc5_step(slot, out)
         for rt in self.flows:
             self._flow_step(rt, slot, out)
         return out
@@ -303,7 +310,7 @@ class UeAgent:
             self.buffer.prune(slot)
             # The same candidates and the same reference give the same
             # decision, and re-applying a keep changes nothing; so rank
-            # only after the buffer changed or this UE switched or lapsed.
+            # only after the buffer changed or when `_rank_sync_ref` forced it.
             if self.buffer.changes != self._ranked_at:
                 self._rank_sync_ref(slot)
 
@@ -334,6 +341,7 @@ class UeAgent:
 
     def _rank_sync_ref(self, slot: int):
         entries = self.buffer.entries  # SLSS id -> candidate
+        first_lock = self.state.reference is None
         decision = select_sync_ref(self.state.reference, entries.values(), self.world.sc.sync)
         self._ranked_at = self.buffer.changes
         if decision.action == "switch":
@@ -343,7 +351,11 @@ class UeAgent:
             self.state.own_slss = derive_own_slss(
                 SyncSourceKind.SYNC_REF_UE, decision.candidate.slss, self.rng, set(entries)
             )
-            self._ranked_at = None
+            # Re-ranking this buffer would keep the candidate just chosen (and
+            # after a lapse find nothing usable again); only a first lock under
+            # an entry margin ranked at a floor that a held reference lowers.
+            if first_lock and self.world.sc.sync.min_hyst_db > 0:
+                self._ranked_at = None
             self.world.metrics.bump("sync_switches")
             self.world.event(slot, "sync_switch", ue=self.spec.id,
                              slss=decision.candidate.slss.slss_id,
@@ -353,7 +365,6 @@ class UeAgent:
         elif decision.action == "internal_clock" and self.state.reference is not None:
             self.state.source = SyncSourceKind.INTERNAL_CLOCK
             self.state.reference = None
-            self._ranked_at = None
             self.world.event(slot, "sync_lapse", ue=self.spec.id)
 
     def _pc5_step(self, slot: int, out: list[Transmission]):
@@ -467,24 +478,9 @@ class UeAgent:
             elif kind is FeedbackBurst:
                 self.feedback_inbox.append((payload, rsrp))
                 self._wake(slot)  # closed, or dropped, at the end of this slot
-            elif kind is SsbBurst:
-                self._receive_ssb(payload, rsrp, tx.sender_id, slot)
             elif kind is Pc5Message:
                 self._receive_pc5(payload, slot)
         return delivered
-
-    def _receive_ssb(self, burst: SsbBurst, rsrp: float, sender: int, slot: int):
-        signed = self.world.ssb_signing
-        if signed is not None and not verify_ssb(
-            self.world.ssb_key, burst.slss.slss_id, burst.mib.encode(),
-            burst.auth_tag, signed.tag_bits,
-        ):
-            self.world.metrics.bump("ssb_rejected")
-            self.world.incidents.record(slot, "signed_ssb", sender, "bad_tag")
-            return
-        stored = self.buffer.note(SyncCandidate(burst.slss, rsrp, burst.mib, slot, sender))
-        if stored and self.state.source in SELECTING and slot + 1 < self.sync_at:
-            self.sync_at = slot + 1  # rank the changed buffer
 
     def _receive_data(self, burst: DataBurst, slot: int) -> bool:
         """Data addressed to this UE, or broadcast on a lossy channel;
@@ -748,7 +744,8 @@ class World:
         l2_readers = self.l2_readers or self._index_l2()
         eavesdroppers = self.eavesdroppers
         lossless = self.sc.channel.tb_error_rate == 0
-        readers, sensed = [], []  # per transmission (None: every node); SCI-bearing ones
+        # per transmission its readers (None: every node); SCI-bearing ones; S-SSBs
+        readers, sensed, bursts = [], [], []
         for k, tx in enumerate(transmissions):
             payload = tx.payload
             kind = type(payload)
@@ -759,21 +756,27 @@ class World:
                                else l2_readers.get(dst, eavesdroppers))
             elif kind is FeedbackBurst or kind is Pc5Message:
                 readers.append(l2_readers.get(payload.dst_l2, eavesdroppers))
-            else:
-                readers.append(None)
+            else:  # SsbBurst
+                bursts.append(k)
+                readers.append(eavesdroppers)
         recs_by_receiver, collisions, rows = deliver(
             transmissions, self.positions, self.sc.channel, self.channel_rng,
-            self.path_loss, readers, sensed,
+            self.path_loss, readers, sensed, bursts,
         )
         for record in collisions:
-            self.metrics.bump("collision_count", len(record.destroyed), slot=slot)
             self.event(slot, "collision", receiver=record.receiver_id,
                        destroyed=len(record.destroyed))
+        if collisions:
+            self.metrics.bump("collision_count", sum(len(r.destroyed) for r in collisions),
+                              slot=slot)
+        for k in bursts:
+            self._note_ssb(transmissions[k], rows[k], slot)
         delivered = 0
         cache, pool = self.sci1a_cache, self.sc.pool
         ledger, ue_bits = self.delivered, self.ue_bits
         self.live_sensing(slot)  # drop what no later reselection reads
-        for k, row in rows.items():
+        for k in sensed:
+            row = rows[k]
             payload = transmissions[k].payload
             bits = payload.sci1_bits
             fresh = (bits.data, bits.bit_length) not in cache
@@ -796,6 +799,25 @@ class World:
             self.metrics.bump("receiver_delivered", delivered, slot=slot)
         for attacker in self.attackers:
             attacker.on_receptions(recs_by_receiver[attacker.id], slot)
+
+    def _note_ssb(self, tx: Transmission, row: dict[int, float], slot: int):
+        """Each UE in S-SSB `tx`'s row notes it, in `positions` order. The tag
+        does not depend on the receiver, so it is checked once."""
+        burst, sender, by_id, signed = tx.payload, tx.sender_id, self.by_id, self.ssb_signing
+        slss, mib = burst.slss, burst.mib
+        if signed is not None and not verify_ssb(self.ssb_key, slss.slss_id, mib.encode(),
+                                                 burst.auth_tag, signed.tag_bits):
+            for uid in row:
+                if uid in by_id:
+                    self.metrics.bump("ssb_rejected")
+                    self.incidents.record(slot, "signed_ssb", sender, "bad_tag")
+            return
+        for uid, rsrp in row.items():
+            agent = by_id.get(uid)
+            if (agent is not None
+                    and agent.buffer.note(SyncCandidate(slss, rsrp, mib, slot, sender))
+                    and agent.state.source in SELECTING and slot + 1 < agent.sync_at):
+                agent.sync_at = slot + 1  # rank the changed buffer
 
     def run(self) -> MetricsReport:
         agents = self.agents

@@ -41,7 +41,12 @@ from sidelinksim.resources import sense
 from sidelinksim.scenario import load_scenario
 from sidelinksim.simulation import run_scenario
 from sidelinksim.sync import tier
-from test_frames import TIER_CLASS, reference_coverage_class, reference_slss_id
+from test_frames import (
+    TIER_CLASS,
+    reference_coverage_class,
+    reference_mib_sl_decode,
+    reference_slss_id,
+)
 from test_adversary import permutation_f1_baseline
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -107,7 +112,7 @@ def test_criterion_1_frame_fidelity(announce):
             direct_frame_number=rng.randrange(1024),
             slot_index=rng.getrandbits(7),
         )
-        assert MibSl.decode(m.encode()) == m
+        assert reference_mib_sl_decode(m.encode()) == m
     for _ in range(1000):
         s = Sci2A(
             harq_process_id=rng.randrange(16),

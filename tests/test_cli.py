@@ -183,6 +183,21 @@ def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, tex
 
 
 @pytest.mark.parametrize("text", [
+    TINY.replace("rri_ms: 100", "rri_ms: 0") + "pool: {period_list_ms: [0, 1000]}\n",
+    TINY + "pool: {period_list_ms: [0, 1000]}\n"
+    + "attacks:\n  - {kind: resource_blocking, window: [0, 60], params: {rri_ms: 0}}\n",
+], ids=["flow_rri_ms", "attack_rri_ms"])
+def test_a_refused_pool_prints_only_its_own_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scenario error:",
+        "  - scenario.pool: period_list_ms holds 0; every period must be positive",
+    ]
+
+
+@pytest.mark.parametrize("text", [
     TINY + "defenses: {privacy_randomizer: {enabled: true, timer_ms: .inf}}\n",
     TINY + "defenses: {privacy_randomizer: {enabled: true, timer_ms: .nan}}\n",
     TINY + ("attacks:\n  - {kind: harq_spoof_nack, window: [0, 60],"

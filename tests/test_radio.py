@@ -400,22 +400,26 @@ def read_slots(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(slot=read_slots(), sigma=st.sampled_from(SIGMAS),
-       seed=st.integers(0, 2**16), warm=st.booleans(), sensed=st.sets(st.integers(0, 7)))
-def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm, sensed):
+@given(slot=read_slots(), sigma=st.sampled_from(SIGMAS), seed=st.integers(0, 2**16),
+       warm=st.booleans(), sensed=st.sets(st.integers(0, 7)), rowed=st.sets(st.integers(0, 7)))
+def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm, sensed, rowed):
     """Each node gets the all-pairs receptions of what it reads, the
-    collision records and the rows of sensed transmissions are the
-    all-pairs ones, whenever they are read, and the generator ends in
-    the same state (`gauss_next` included): unread pairs still draw."""
+    collision records and the rows of sensed and rowed transmissions are
+    the all-pairs ones, whenever they are read, and the generator ends in
+    the same state (`gauss_next` included): unread pairs still draw. A
+    rowed transmission's row is a dict, whoever reads it."""
     txs, positions, readers = slot
     sensed = sorted(k for k in sensed if k < len(txs))
+    rowed = sorted(k for k in rowed if k < len(txs) and k not in sensed)
     index = {id(tx): k for k, tx in enumerate(txs)}
     model = ChannelModel(shadowing_sigma_db=sigma)
     results = []
     for fn in (deliver, reference_deliver):
-        kwargs = {"sensed": sensed}
+        kwargs = {"sensed": sensed + rowed}
         if fn is deliver:
-            kwargs["readers"] = readers
+            kwargs = {"readers": readers, "sensed": sensed, "rowed": rowed}
+            eager = fn(txs, positions, model, random.Random(seed), **kwargs)[2]
+            assert all(type(eager[k]) is dict for k in rowed)
         recs, collisions, rows, state, spare = run_twice(fn, txs, positions, model, seed, warm,
                                                          **kwargs)
         if fn is reference_deliver:

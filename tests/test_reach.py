@@ -26,8 +26,12 @@ SRC = ROOT / "src" / "sidelinksim"
 
 # qualified name -> why no catalog run, workload or CLI command enters it
 ALLOWED = {
-    "MibSl.decode": "receivers never decode the MIB-SL; criterion 1 and "
-                    "tests/test_frames.py round-trip it (ROADMAP item 7)",
+    # No catalog file runs pc5_auth_disrupt against the policy enforcer, which
+    # would reach the next three (its row in tests/test_attack_effects.py
+    # does). A new scenarios/*.yaml file changes the scenario set of the
+    # benchmark's `catalog` workload, which perfbench/golden.json and
+    # perfbench/selftest.py pin, so that file waits for a change to the
+    # benchmark.
     "enforce_policy": "only the policy enforcer calls it, and no catalog file enables it",
     "Pc5Endpoint._on_auth_request": "authentication runs only with policy_enforcer or "
                                     "auth_mandatory, and no catalog file sets either",

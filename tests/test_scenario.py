@@ -158,6 +158,30 @@ def test_out_of_range_value_is_an_error(kind, dotted, value):
     assert any(p.startswith(f"scenario.{section}") and name in p for p in err.value.problems)
 
 
+POOL_ZERO = "scenario.pool: period_list_ms holds 0; every period must be positive"
+
+
+@pytest.mark.parametrize("pool,flow_rri,attack_rri,problems", [
+    # a refused pool is not the file's pool, so nothing is checked against it
+    ([0, 1000], 0, 100, [POOL_ZERO]),
+    ([0, 1000], 100, 0, [POOL_ZERO]),
+    ([0, 1000], 0, 0, [POOL_ZERO]),
+    # a parsed pool still is
+    ([20, 1000], 100, 100, ["scenario.traffic[0].rri_ms: 100 not in pool period list (20, 1000)",
+                            "scenario.attacks[0].params.rri_ms: 100 not in pool period list "
+                            "(20, 1000)"]),
+])
+def test_rri_ms_is_checked_only_against_a_pool_that_parsed(pool, flow_rri, attack_rri,
+                                                           problems):
+    raw = minimal(pool={"period_list_ms": pool},
+                  traffic=[{"src": 1, "dst": 2, "period_slots": 100, "rri_ms": flow_rri}],
+                  attacks=[{"kind": "resource_blocking", "window": [10, 90],
+                            "params": {"rri_ms": attack_rri}}])
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert err.value.problems == problems
+
+
 @pytest.mark.parametrize("kind,dotted,value", [
     ("harq_spoof_nack", "defenses.privacy_randomizer.timer_ms", math.inf),
     ("harq_spoof_nack", "defenses.privacy_randomizer.timer_ms", math.nan),

@@ -1,9 +1,10 @@
 """Wake on work: skipping idle UEs changes no output byte.
 
-The oracle run makes every UE due in every slot by replacing
-`UeAgent.next_wake`, so `act` (sync step included) and `close_feedback`
-run for each UE in each slot, as a loop without due slots would. Both
-runs must write the same metrics.csv and events.jsonl.
+The oracle run (`every_slot`) makes every UE due in every slot, for its
+sync step too, and ranks its SyncRef candidates at every sync step, so
+`act`, `_sync_step`, the ranking and `close_feedback` run for each UE in
+each slot, as a loop without due slots would. Both runs must write the
+same metrics.csv and events.jsonl.
 """
 
 import hashlib
@@ -55,6 +56,20 @@ def moving_ues():
     })
 
 
+def entry_margin():
+    """A GNSS UE about 800 m from six others, with an entry margin and
+    shadowing: a first lock often skips the GNSS UE, just above the
+    selection threshold but below threshold plus margin, for a weaker-tier
+    neighbour, and the re-rank this forces switches to it."""
+    ues = [{"id": 1, "position": [0, 0], "role": "gnss_visible"},
+           *({"id": i, "position": [800 + 30 * (i % 3), 25 * (i // 3)]} for i in range(2, 8))]
+    return parse_scenario({
+        "name": "entry_margin", "seed": 1, "duration_slots": 600, "ues": ues,
+        "channel": {"shadowing_sigma_db": 3.0}, "sync": {"min_hyst_db": 6.0},
+        "traffic": [{"src": 2, "dst": 3, "period_slots": 50, "rri_ms": 100}],
+    })
+
+
 def early_spoof():
     """Spoofed NACKs land a slot before the feedback slot, when the TB
     sender has nothing else due: they must be dropped, not kept for the
@@ -86,6 +101,7 @@ CASES = {
         workloads.unicast_harq(seed, pairs=3, duration_slots=700)))
        for seed in (1, 2, 3)},
     "unicast_harq:early_spoof": early_spoof,
+    "entry_margin": entry_margin,
     "moving": moving_ues,
     "pc5_timers": pc5_timers,
 }
@@ -96,13 +112,26 @@ def run_bytes(world: World) -> str:
     return report.to_csv() + "".join(event_line(e) + "\n" for e in world.events)
 
 
+def every_slot(m: pytest.MonkeyPatch):
+    """Make every UE due in every slot, for its sync step as well, and
+    rank the SyncRef candidates at every sync step."""
+    m.setattr(UeAgent, "next_wake", lambda self, after: after)
+    m.setattr(UeAgent, "sync_due", lambda self, after: after)
+    step = UeAgent._sync_step
+
+    def ranking_step(self, slot, out):
+        self._ranked_at = None
+        step(self, slot, out)
+    m.setattr(UeAgent, "_sync_step", ranking_step)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_skipping_idle_ues_matches_every_slot(monkeypatch, name):
     woken = run_bytes(World(CASES[name]()))
     with monkeypatch.context() as m:
-        m.setattr(UeAgent, "next_wake", lambda self, after: after)
-        every_slot = run_bytes(World(CASES[name]()))
-    assert woken == every_slot
+        every_slot(m)
+        oracle = run_bytes(World(CASES[name]()))
+    assert woken == oracle
 
 
 @pytest.mark.parametrize("workload", ["dense_broadcast", "unicast_harq"])
@@ -113,24 +142,30 @@ def test_full_size_workloads_write_their_digest_woken_and_every_slot(monkeypatch
     (label, raw, seed), = workloads.build(workload, ROOT, workloads.DEFAULT_SEED)
     scenario = parse_scenario(raw, default_name=label)
     calls = Counter()
+    act, step = UeAgent.act, UeAgent._sync_step
+    in_act = []
 
-    def counted(name):
-        step = getattr(UeAgent, name)
+    def counting_act(self, slot):
+        in_act.append(slot)
+        try:
+            return act(self, slot)
+        finally:
+            in_act.pop()
 
-        def counting(self, *args):
-            calls[name] += 1
-            return step(self, *args)
-        return counting
+    def counting_step(self, slot, out):
+        calls["sync in act" if in_act else "sync only"] += 1
+        return step(self, slot, out)
 
     with monkeypatch.context() as m:
-        for name in ("act", "_sync_step"):
-            m.setattr(UeAgent, name, counted(name))
+        m.setattr(UeAgent, "act", counting_act)
+        m.setattr(UeAgent, "_sync_step", counting_step)
         woken = run_bytes(World(scenario, seed))
-    assert calls["_sync_step"] > calls["act"]  # so the oracle covers sync-only steps
+    # so the oracle covers sync-only steps
+    assert calls["sync only"] > calls["sync in act"]
     with monkeypatch.context() as m:
-        m.setattr(UeAgent, "next_wake", lambda self, after: after)
-        every_slot = run_bytes(World(scenario, seed))
-    for out in (woken, every_slot):
+        every_slot(m)
+        oracle = run_bytes(World(scenario, seed))
+    for out in (woken, oracle):
         assert hashlib.sha256(out.encode()).hexdigest() == golden[workload][label]
 
 
