@@ -132,12 +132,7 @@ class AttackerAgent:
     def _ssb(self, slot: int, slss: SlssIdentity, tdd_config: int,
              in_coverage: bool) -> SsbBurst:
         """A beacon for `slot`, signed validly only by an insider."""
-        mib = MibSl(
-            tdd_config=tdd_config,
-            in_coverage=in_coverage,
-            direct_frame_number=(slot // 10) % 1024,
-            slot_index=slot % 10,
-        )
+        mib = MibSl.at(slot, tdd_config, in_coverage)
         if self.ssb_key is not None:
             tag = sign_ssb(self.ssb_key, slss.slss_id, mib.encode())
         else:

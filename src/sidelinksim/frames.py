@@ -93,6 +93,11 @@ class MibSl:
     _values = property(attrgetter(*WIDTHS))
     _widths = tuple(WIDTHS.values())
 
+    @classmethod
+    def at(cls, slot: int, tdd_config: int, in_coverage: bool) -> MibSl:
+        """The MIB-SL of an S-SSB sent in `slot`."""
+        return cls(tdd_config, in_coverage, (slot // 10) % 1024, slot % 10)
+
     def encode(self) -> BitString:
         return pack(zip(self._values, self._widths))
 

@@ -10,8 +10,10 @@ transmissions, the stronger survives only if it exceeds the weaker by at
 least the capture threshold, otherwise both are destroyed. The world
 gives a span only to data bursts, on their grant's subchannels; control,
 sync, feedback and PC5 bursts carry none, so none of them is destroyed.
-`deliver` makes a node's reception list on its first reception; the
-nodes that hear nothing in a slot share one empty list.
+`deliver` works a slot in three passes: a row of levels per
+transmission, the capture contest on those rows, then each reader's
+receptions read from them. A node's reception list is made on its first
+reception; the nodes that hear nothing in a slot share one empty list.
 """
 
 from __future__ import annotations
@@ -134,6 +136,9 @@ class Shadowing:
     """
 
     __slots__ = ("sigma", "spare", "steps")
+    # (words, LOW_BITS and HIGH_BITS over them) for the most words a slot
+    # has drawn yet: the longer masks pick the same bits of a shorter draw
+    masks = (0, 0, 0)
 
     def __init__(self, rng: random.Random, pairs: int, sigma: float):
         self.sigma = sigma
@@ -143,9 +148,12 @@ class Shadowing:
         if fresh > 0:
             count = 2 * ((fresh + 1) // 2)  # two uniforms per Box-Muller pair
             words = rng.getrandbits(64 * count)
+            if count > Shadowing.masks[0]:
+                Shadowing.masks = (count, int.from_bytes(LOW_BITS * count, "little"),
+                                   int.from_bytes(HIGH_BITS * count, "little"))
+            _, low, high = Shadowing.masks
             # per word, random()'s (low >> 5) * 2**26 + (high >> 6), for all words at once
-            words = ((words & int.from_bytes(LOW_BITS * count, "little")) << 21
-                     | (words & int.from_bytes(HIGH_BITS * count, "little")) >> 38)
+            words = (words & low) << 21 | (words & high) >> 38
             steps.frombytes(words.to_bytes(8 * count, "little"))
             if sys.byteorder != "little":
                 steps.byteswap()
@@ -164,17 +172,23 @@ class Shadowing:
         g2rad = sqrt(-2.0 * log((TWO53 - steps[p | 1]) * ULP))
         return (sin(x2pi) if p & 1 else cos(x2pi)) * g2rad
 
-    def cursor(self, p: int) -> tuple[float | None, int]:
-        """Where a pass over the pairs from `p` on starts: the value of
-        pair `p` if it is the carried spare or the second half of a
-        Box-Muller pair, else None; and the index in `steps` of the next
-        Box-Muller pair to open."""
+    def normals(self, p: int, n: int) -> list[float]:
+        """The draws of pairs `p` to `p + n - 1`, as `normal` gives each."""
+        out = []
         fresh = p - (self.spare is not None)  # p's place past the carried spare
-        if fresh < 0:
-            return self.spare, 0
-        if fresh & 1:
-            return self.normal(p), fresh + 1
-        return None, fresh
+        if fresh & 1:  # the carried spare (fresh -1) or a Box-Muller pair's second half
+            out.append(self.normal(p))
+            fresh += 1
+        # whole Box-Muller pairs from `fresh` on, the last one's second half
+        # cut if unread
+        steps = self.steps[fresh:fresh + 2 * ((n - len(out) + 1) // 2)]
+        x2pi = [u * TWOPI_ULP for u in steps[::2]]
+        g2rad = [sqrt(-2.0 * log((TWO53 - u) * ULP)) for u in steps[1::2]]
+        for x, g in zip(x2pi, g2rad):
+            out.append(cos(x) * g)
+            out.append(sin(x) * g)
+        del out[n:]
+        return out
 
 
 class LazyRow:
@@ -275,21 +289,20 @@ def deliver(
 
     Each slot draws the shadowing uniforms of every (transmission,
     receiver) pair at once, in pair order: transmissions in order,
-    receivers in `positions` order (`Shadowing`). So runs stay
-    reproducible, whoever reads them. A pair's level is
+    receivers in `positions` order (`Shadowing`), so runs stay
+    reproducible whoever reads them. A pair's level is
     `base - loss + rng.gauss(0.0, sigma)`, as if `gauss` were called once
-    per pair in that order, and it is computed when it is read. That is
-    at once for a reception, and for every pair of a transmission that
-    every node reads, that is in a capture contest or that is rowed;
-    such a transmission's row is a dict, with destroyed pairs removed.
-    Any other sensed transmission's row is a `LazyRow`, which computes
-    a level on `get`.
+    per pair in that order. Three passes follow:
 
-    Whether two transmissions overlap does not depend on the receiver,
-    so the capture contest is found once per slot: the overlapping
-    pairs among the transmissions with a subchannel span. A slot without
-    one keeps no levels for it; otherwise each receiver judges only the
-    pairs it heard both halves of.
+    1. Levels: one row per transmission. A transmission in a capture
+       contest, rowed, or read by every node gets a dict of every kept
+       level; any other gets a `LazyRow`, which computes a level on `get`.
+    2. Capture contest: overlap does not depend on the receiver, so the
+       contest is the overlapping pairs among the transmissions with a
+       subchannel span, found once per slot. Each receiver judges the
+       pairs it heard both halves of; a destroyed pair leaves its row.
+    3. Receptions: each transmission's readers, or its whole row when
+       every node reads it, read their levels from the row.
     """
     # log-distance path loss, no fading: a level is
     # (tx_power - reference_loss) - 10 * exponent * log10(distance), in that
@@ -303,22 +316,13 @@ def deliver(
             if tx.subchannel_range is not None]
     pairs = [(i, j) for n, (i, a) in enumerate(grid) for j, b in grid[n + 1:]
              if a.overlaps(b)]
-    # receiver -> level, for each transmission whose levels are all computed
-    # and kept: contest members, rowed ones and sensed ones every node reads
-    heard: dict[int, dict[int, float]] = {k: {} for k in chain(*pairs, rowed)}
-    wanted = set(sensed)
-    shadowing = None
-    if sigma > 0:
-        # every sender is a node (`path_loss_row` looks it up), so each
-        # transmission has one pair per other node
-        shadowing = Shadowing(rng, len(transmissions) * (len(positions) - 1), sigma)
-        # locals for the per-pair loop below
-        steps, twopi_ulp, two53, ulp = shadowing.steps, TWOPI_ULP, TWO53, ULP
-        log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
-    # silent nodes share `silent`; a node gets its own list on its first reception
-    silent: list[Reception] = []
-    raw: dict[int, list[Reception]] = dict.fromkeys(positions, silent)
-    lazy: dict[int, LazyRow] = {}
+    eager = set(chain(*pairs, rowed))
+    # every sender is a node (`path_loss_row` looks it up), so each
+    # transmission has one pair per other node
+    shadowing = (Shadowing(rng, len(transmissions) * (len(positions) - 1), sigma)
+                 if sigma > 0 else None)
+    # levels: per transmission, a dict of every kept level or a `LazyRow`
+    levels: list[SensedRow] = []
     start = 0  # pair number of the transmission's first receiver
     for k, tx in enumerate(transmissions):
         sender = tx.sender_id
@@ -326,61 +330,24 @@ def deliver(
         if row is None:
             row = losses[sender] = path_loss_row(sender, positions, model)
         base = tx.tx_power_dbm - ref_loss
-        reads = None if readers is None else readers[k]
-        if reads is None or k in heard:
-            levels = heard.get(k)
-            if levels is None and k in wanted:
-                levels = heard[k] = {}
-            if sigma > 0:
-                spare, j = shadowing.cursor(start)
-            for uid, loss in zip(row.receivers, row.losses):
-                level = base - loss
-                if sigma > 0:
-                    # `Shadowing.normal`, pair after pair
-                    z, spare = spare, None
-                    if z is None:
-                        x2pi = steps[j] * twopi_ulp
-                        g2rad = sqrt(-2.0 * log((two53 - steps[j + 1]) * ulp))
-                        z = cos(x2pi) * g2rad
-                        spare = sin(x2pi) * g2rad
-                        j += 2
-                    level += 0.0 + z * sigma
-                if level > floor:
-                    if reads is None or uid in reads:
-                        recs = raw[uid]
-                        if recs is silent:
-                            raw[uid] = [(tx, level)]
-                        else:
-                            recs.append((tx, level))
-                    if levels is not None:
-                        levels[uid] = level
+        if k not in eager and readers is not None and readers[k] is not None:
+            levels.append(LazyRow(shadowing, start, base, row, floor))
+        elif shadowing is None:
+            levels.append({uid: level for uid, loss in zip(row.receivers, row.losses)
+                           if (level := base - loss) > floor})
         else:
-            index, row_losses = row.index, row.losses
-            for uid in reads:
-                i = index.get(uid)
-                if i is not None:
-                    level = base - row_losses[i]
-                    if sigma > 0:
-                        level += 0.0 + shadowing.normal(start + i) * sigma
-                    if level > floor:
-                        recs = raw[uid]
-                        if recs is silent:
-                            raw[uid] = [(tx, level)]
-                        else:
-                            recs.append((tx, level))
-            if k in wanted:
-                lazy[k] = LazyRow(shadowing, start, base, row, floor)
+            normals = shadowing.normals(start, len(row.receivers))
+            levels.append({uid: level for uid, loss, z in zip(row.receivers, row.losses, normals)
+                           if (level := base - loss + (0.0 + z * sigma)) > floor})
         start += len(row.receivers)
 
+    # the capture contest, on dict rows: a destroyed pair leaves its row
     collisions: list[CollisionRecord] = []
-    rows = {k: heard[k] if k in heard else lazy[k] for k in chain(sensed, rowed)}
-    if not pairs:
-        return raw, collisions, rows
     threshold = model.capture_threshold_db
-    for uid in raw:
+    for uid in positions if pairs else ():
         destroyed: set[int] = set()
         for i, j in pairs:
-            a, b = heard[i].get(uid), heard[j].get(uid)
+            a, b = levels[i].get(uid), levels[j].get(uid)
             if a is None or b is None:
                 continue
             # the later transmission is the weak one only if strictly weaker
@@ -390,12 +357,25 @@ def deliver(
                 destroyed.add(strong)
         if destroyed:
             collisions.append(CollisionRecord(uid, tuple(sorted(destroyed))))
-            if raw[uid] is not silent:  # a node that reads nothing keeps `silent`
-                gone = {id(transmissions[k]) for k in destroyed}
-                raw[uid] = [r for r in raw[uid] if id(r[0]) not in gone]
             for k in destroyed:
-                del heard[k][uid]
-    return raw, collisions, rows
+                del levels[k][uid]
+
+    # receptions: silent nodes share `silent`; a node gets its own list on
+    # its first reception
+    silent: list[Reception] = []
+    raw: dict[int, list[Reception]] = dict.fromkeys(positions, silent)
+    for k, tx in enumerate(transmissions):
+        row = levels[k]
+        get = row.get
+        for uid in row if readers is None or readers[k] is None else readers[k]:
+            level = get(uid)
+            if level is not None:
+                recs = raw[uid]
+                if recs is silent:
+                    raw[uid] = [(tx, level)]
+                else:
+                    recs.append((tx, level))
+    return raw, collisions, {k: levels[k] for k in chain(sensed, rowed)}
 
 
 def child_rng(seed: int, label: str) -> random.Random:

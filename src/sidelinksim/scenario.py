@@ -294,7 +294,7 @@ def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool | None) -> A
         return None
     window_raw = raw.get("window")
     if (not isinstance(window_raw, (list, tuple)) or len(window_raw) != 2
-            or not all(isinstance(v, int) for v in window_raw)):
+            or any(_type_error(v, int) for v in window_raw)):
         errs.add(f"{path}.window", "required pair of integer slots [start, end)")
         return None
     capability = _section(AttackerCapability, raw.get("capability"),
@@ -350,11 +350,11 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     elif _NAME_BREAKS.search(name):
         errs.add("scenario.name", f"{name!r} holds a line break or control character")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed <= MAX_SEED:
+    if _type_error(seed, int) or not 0 <= seed <= MAX_SEED:
         errs.add("scenario.seed", "must be an integer in [0, 2^64)")
         seed = 0
     duration = raw.get("duration_slots")
-    if not isinstance(duration, int) or duration <= 0:
+    if _type_error(duration, int) or duration <= 0:
         errs.add("scenario.duration_slots", "required positive integer")
         duration = 1
 

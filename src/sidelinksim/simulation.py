@@ -25,18 +25,20 @@ recomputed.
 
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
-node moves; `deliver` finds the slot's capture contest once, not per
-receiver. Each slot draws the shadowing uniforms of every (transmission,
-receiver) pair in one pass, in pair order, so the channel stream does
-not depend on who reads; a level is computed only when it is read. A
+node moves. `deliver` works a slot in three passes: a row of levels per
+transmission, the capture contest (found once per slot, not per
+receiver) on those rows, then the receptions, read from the rows. Each
+slot draws the shadowing uniforms of every (transmission, receiver)
+pair in one go, in pair order, so the channel stream does not depend on
+who reads; a lazy row computes a level only when it is read. A
 reception is a plain `(transmission, rsrp_dbm)` pair, built only for a
 node that acts on it: every node for broadcast data on a lossy channel
 (each UE draws its own CRC); the UEs holding the destination layer-2 id
 and every attacker for addressed data, PSFCH feedback and PC5 messages
 (`World.l2_readers`, rebuilt after identifiers change); attackers alone
 for control, lossless broadcast data and S-SSBs. Every UE reads an S-SSB
-from its row instead: `deliver` computes the burst's levels in its pair
-pass and returns them as a dict, and `World._note_ssb` notes each UE's
+from its row instead: S-SSBs are rowed, so `deliver` returns each
+burst's levels as a dict, and `World._note_ssb` notes each UE's
 candidate from it in `positions` order, checking a signed burst's tag
 once.
 
@@ -201,8 +203,9 @@ class UeAgent:
             self.state = SyncState(SyncSourceKind.INTERNAL_CLOCK, None, own,
                                    spec.network_sync_ref)
         self.buffer = CandidateBuffer(retention_slots=2 * cfg.ssb_period_slots)
-        # buffer.changes at the last ranking; None forces the next one
-        self._ranked_at: int | None = None
+        # buffer.changes at the last ranking (an empty buffer needs none);
+        # None forces the next one
+        self._ranked_at: int | None = self.buffer.changes
         # start slot -> responders of the links this UE initiates, in link order
         self.link_starts: dict[int, list[int]] = {}
         for link in world.sc.links:
@@ -318,12 +321,7 @@ class UeAgent:
             return
         if not self._sends_ssb():
             return
-        mib = MibSl(
-            tdd_config=0,
-            in_coverage=self.state.own_slss.in_coverage,
-            direct_frame_number=(slot // 10) % 1024,
-            slot_index=slot % 10,
-        )
+        mib = MibSl.at(slot, 0, self.state.own_slss.in_coverage)
         signed = self.world.ssb_signing
         tag = None
         if signed is not None:

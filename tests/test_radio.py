@@ -444,7 +444,8 @@ def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm, sensed, r
 def test_getrandbits_words_rebuild_random_draws(n, warm):
     """`getrandbits(64 * n)` advances the generator exactly as n `random()`
     calls, and its 32-bit words, low first, rebuild each value; the steps
-    a `Shadowing` keeps are those values in units of 2**-53."""
+    a `Shadowing` keeps are those values in units of 2**-53, and its
+    `normals` are its `normal` draws, from every pair on."""
     for seed in range(20):
         bulk, single = random.Random(seed), random.Random(seed)
         if warm:
@@ -459,9 +460,21 @@ def test_getrandbits_words_rebuild_random_draws(n, warm):
         assert bulk.getstate() == single.getstate()
 
         shadowing_rng, single = random.Random(seed), random.Random(seed)
-        steps = Shadowing(shadowing_rng, 2 * n, 1.0).steps  # n Box-Muller pairs
+        if warm:
+            for rng in (shadowing_rng, single):
+                rng.random()
+                rng.gauss(0.0, 1.0)
+        shadowing = Shadowing(shadowing_rng, 2 * n, 1.0)  # n Box-Muller pairs
+        steps = shadowing.steps
         assert [step * 2.0 ** -53 for step in steps] == [single.random() for _ in range(2 * n)]
         assert shadowing_rng.getstate()[:2] == single.getstate()[:2]
+
+        # both parities of start and end, after the carried spare (warm) or
+        # not: every run of pairs for a few pairs, else runs of up to four
+        draws = [shadowing.normal(q) for q in range(2 * n)]
+        for p in range(2 * n + 1):
+            for count in range(min(2 * n - p, 2 * n if n <= 8 else 4) + 1):
+                assert shadowing.normals(p, count) == draws[p:p + count]
 
 
 class FixedBits:

@@ -126,6 +126,9 @@ def test_unknown_key_in_every_section(section):
     ("pool.period_list_ms", 5),
     ("name", 5),
     ("name", None),
+    ("seed", True),
+    ("duration_slots", True),
+    ("attacks[0].window", [False, True]),
 ])
 def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     with pytest.raises(ScenarioError) as err:
