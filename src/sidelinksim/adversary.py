@@ -17,18 +17,18 @@ from enum import Enum
 
 from .defense import sign_ssb
 from .frames import (
+    L2_ID_MASK,
     MibSl,
     Pc5Message,
     Pc5MessageKind as K,
-    Sci1A,
     Sci2A,
     SlssIdentity,
     decode_once,
-    fra_encode,
 )
 from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
+from .pc5 import weak_successor
 from .radio import Reception, Transmission
-from .resources import ControlBurst, ResourcePool
+from .resources import ControlBurst, ResourcePool, announce
 from .sync import SsbBurst
 
 
@@ -84,12 +84,13 @@ class AttackerAgent:
     """Base: window gating, jitter draws, deferred frames, the action log.
 
     `params` is the plan's parameters over the registry defaults for its
-    kind. The world's pool and beacon period are public configuration;
-    the beacon key reaches only an insider.
+    kind. The world's pool, beacon period and beacon tag length are public
+    configuration; the beacon key reaches only an insider.
     """
 
     def __init__(self, attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
-                 rng: random.Random, pool: ResourcePool, ssb_period: int, ssb_key: bytes):
+                 rng: random.Random, pool: ResourcePool, ssb_period: int, ssb_key: bytes,
+                 tag_bits: int):
         self.id = attacker_id
         self.cap = capability
         self.plan = plan
@@ -101,6 +102,7 @@ class AttackerAgent:
         self.pool = pool
         self.ssb_period = ssb_period
         self.ssb_key = ssb_key if capability.has_key else None
+        self.tag_bits = tag_bits
         self.actions: list[AttackAction] = []
         # emit slot -> payloads due then; None marks a frame whose slot
         # had already passed when it was scheduled
@@ -131,12 +133,12 @@ class AttackerAgent:
 
     def _ssb(self, slot: int, slss: SlssIdentity, tdd_config: int,
              in_coverage: bool) -> SsbBurst:
-        """A beacon for `slot`, signed validly only by an insider."""
+        """A beacon for `slot`, its tag of the configured length valid only from an insider."""
         mib = MibSl.at(slot, tdd_config, in_coverage)
         if self.ssb_key is not None:
-            tag = sign_ssb(self.ssb_key, slss.slss_id, mib.encode())
+            tag = sign_ssb(self.ssb_key, slss.slss_id, mib.encode(), self.tag_bits)
         else:
-            tag = self.rng.getrandbits(32).to_bytes(4, "big").hex()
+            tag = self.rng.getrandbits(self.tag_bits).to_bytes(self.tag_bits // 8, "big").hex()
         return SsbBurst(slss=slss, mib=mib, auth_tag=tag)
 
     # hooks ---------------------------------------------------------------
@@ -213,64 +215,41 @@ class ResourceBlockingAgent(AttackerAgent):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self._claim_cells: list[tuple[int, int]] | None = None  # (slot pos, subchannel)
-        self._next_refresh: dict[tuple[int, int], int] = {}
-        self._next_due: int | float = math.inf  # the earliest of _next_refresh
-        self._listen_until: int | None = None
-
-    def _prepare(self, slot: int):
-        pool = self.pool
-        cells = [
-            (s, c)
-            for s in range(pool.slots_per_selection_window)
-            for c in range(pool.num_subchannels)
-        ]
-        take = round(self.params["claim_fraction"] * len(cells))
-        self._claim_cells = cells[:take]
-        period = pool.slots_per_selection_window
-        for pos, sub in self._claim_cells:
-            first = slot + ((pos - slot) % period)
-            self._next_refresh[(pos, sub)] = first
-        self._next_due = min(self._next_refresh.values(), default=math.inf)
+        discovery = 0 if self.cap.knows_pool_config else int(self.params["pool_discovery_slots"])
+        self._listen_until = self.plan.window[0] + discovery
+        # [next refresh slot, encoded claim] per claimed cell, built at the first claim slot
+        self._cells: list[list] | None = None
+        self._next_due: int | float = math.inf  # the earliest refresh slot
 
     def transmissions(self, slot):
-        if not self.active(slot):
-            return []
-        if self._listen_until is None:
-            discovery = (0 if self.cap.knows_pool_config
-                         else int(self.params["pool_discovery_slots"]))
-            self._listen_until = self.plan.window[0] + discovery
-        if slot < self._listen_until:
-            return []
-        if self._claim_cells is None:
-            self._prepare(slot)
-        if slot < self._next_due:
+        if not self.active(slot) or slot < self._listen_until:
             return []
         pool = self.pool
         rri_ms = self.params["rri_ms"]
+        if self._cells is None:
+            n, period = pool.num_subchannels, pool.slots_per_selection_window
+            take = round(self.params["claim_fraction"] * period * n)
+            self._cells = [
+                [slot + (i // n - slot) % period,
+                 announce(pool, i % n, 1, rri_ms, self.params["priority"]).encode(pool)]
+                for i in range(take)
+            ]
+            self._next_due = min((due for due, _ in self._cells), default=math.inf)
+        if slot < self._next_due:
+            return []
         rri = pool.rri_slots(rri_ms)
         out = []
-        for (pos, sub), due in list(self._next_refresh.items()):
-            if slot < due:
+        for cell in self._cells:
+            if slot < cell[0]:
                 continue
-            emit = slot + self.jitter()
-            self._next_refresh[(pos, sub)] = due + rri
-            if emit != slot:
+            cell[0] += rri
+            if self.jitter():
                 # jitter pushed the frame off its intended slot; it would
                 # claim the wrong pool position, so the injection is wasted
                 self._log(slot, "missed_window")
-                continue
-            sci = Sci1A(
-                priority=self.params["priority"],
-                frequency_resource=fra_encode(
-                    pool.num_subchannels, pool.sl_max_num_per_reserve, sub, 1
-                ),
-                time_resource=0,
-                rri_index=pool.period_list_ms.index(rri_ms),
-                mcs=9,
-            )
-            out.append(self._tx(slot, ControlBurst(sci1_bits=sci.encode(pool))))
-        self._next_due = min(self._next_refresh.values())
+            else:
+                out.append(self._tx(slot, ControlBurst(sci1_bits=cell[1])))
+        self._next_due = min(due for due, _ in self._cells)
         return out
 
 
@@ -464,7 +443,7 @@ class TrackerAgent(AttackerAgent):
             ]
             if not candidates:
                 continue
-            increment = [(o, t) for o, t in candidates if (o + 1) % (1 << 24) == new_id]
+            increment = [(o, t) for o, t in candidates if weak_successor(o) == new_id]
             if increment:
                 union(new_id, increment[0][0])
                 continue
@@ -549,11 +528,10 @@ class ParamSpec:
         return f"{value} outside {self.bounds()}"
 
 
-_L2_MAX = (1 << 24) - 1
-
 _HARQ_SPOOF_PARAMS = {
-    "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)", 0, _L2_MAX),
-    "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)", 0, _L2_MAX),
+    "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)", 0, L2_ID_MASK),
+    "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)",
+                               0, L2_ID_MASK),
     "slot_offset": ParamSpec(0, "extra slots past the feedback deadline"),
 }
 
@@ -586,9 +564,9 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
 
 def build_attacker(attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
                    rng: random.Random, *, pool: ResourcePool, ssb_period: int,
-                   ssb_key: bytes) -> AttackerAgent:
+                   ssb_key: bytes, tag_bits: int) -> AttackerAgent:
     cls, param_spec = ATTACK_REGISTRY[plan.kind]
     unknown = set(plan.params) - set(param_spec)
     if unknown:
         raise ValueError(f"unknown parameters for {plan.kind.value}: {sorted(unknown)}")
-    return cls(attacker_id, capability, plan, rng, pool, ssb_period, ssb_key)
+    return cls(attacker_id, capability, plan, rng, pool, ssb_period, ssb_key, tag_bits)

@@ -9,7 +9,8 @@
 Exit codes: 0 success, 1 scenario/usage problem, 2 runtime failure. A
 scenario file that is missing, unreadable (a directory, say) or not UTF-8
 is a scenario/usage problem, and so are an --out path that cannot be
-written and a malformed --seeds value.
+written, a malformed --seeds value and a seed outside [0, 2^64), the
+range a scenario file's seed must lie in.
 Set SLSIM_LOG=debug (or info/warning) for progress logging on stderr.
 """
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from .adversary import ATTACK_REGISTRY
 from .metrics import MetricsReport, compare, format_compare, write_events
-from .scenario import ScenarioError, load_scenario
+from .scenario import MAX_SEED, ScenarioError, load_scenario
 from .simulation import run_scenario
 
 log = logging.getLogger("sidelinksim")
@@ -51,6 +52,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise UsageError(f'--seeds {text!r}: expected "3", "1,4,9" or "1:10"') from None
     if not seeds:
         raise UsageError(f"--seeds {text!r}: no seeds given")
+    if min(seeds) < 0 or max(seeds) > MAX_SEED:
+        raise UsageError(f"--seeds {text!r}: a seed must be an integer in [0, 2^64)")
     return seeds
 
 
@@ -61,6 +64,8 @@ def _write_outputs(out_dir: Path, report: MetricsReport, events: list[dict]):
 
 
 def cmd_run(args) -> int:
+    if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+        raise UsageError(f"--seed {args.seed}: a seed must be an integer in [0, 2^64)")
     scenario = load_scenario(args.scenario)
     report, events, _ = run_scenario(scenario, seed=args.seed)
     if args.out:

@@ -80,7 +80,7 @@ class DefenseConfig:
 # signed sync bursts
 
 
-def sign_ssb(key: bytes, slss_id: int, mib: BitString, tag_bits: int = 32) -> str:
+def sign_ssb(key: bytes, slss_id: int, mib: BitString, tag_bits: int) -> str:
     """Truncated MAC over the sync identity and its payload, hex-encoded."""
     if tag_bits not in VALID_TAG_BITS:
         raise ValueError(f"tag_bits must be one of {VALID_TAG_BITS}")
@@ -89,7 +89,7 @@ def sign_ssb(key: bytes, slss_id: int, mib: BitString, tag_bits: int = 32) -> st
 
 
 def verify_ssb(key: bytes, slss_id: int, mib: BitString, tag: str | None,
-               tag_bits: int = 32) -> bool:
+               tag_bits: int) -> bool:
     if tag is None:
         return False
     expected = sign_ssb(key, slss_id, mib, tag_bits)

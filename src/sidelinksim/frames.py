@@ -130,7 +130,7 @@ def tra_width(max_reserve: int) -> int:
 
 
 def fra_encode(num_subchannels: int, max_reserve: int,
-               start: int, length: int, start2: int = 0) -> int:
+               start: int, length: int, start2: int) -> int:
     """Index of a contiguous subchannel assignment.
 
     Enumeration is lexicographic over (length, start) and, when three

@@ -234,20 +234,24 @@ L2_SPACE = 1 << 24
 BROADCAST_L2 = L2_SPACE - 1
 
 
+def weak_successor(l2_id: int) -> int:
+    """The weak scheme's next id after `l2_id`: +1, stepping past BROADCAST_L2 to 0."""
+    return (l2_id + 1) % BROADCAST_L2
+
+
 def refresh_identifier(current: int, retired: set[int], rng: random.Random, mode: str,
                        live_ids: set[int]) -> int:
     """Roll the layer-2 id `current`, adding it to `retired`; returns the new value.
 
-    weak mode is the predictable id+1 scheme kept for the tracking
-    experiment; it steps past BROADCAST_L2 to 0. secure mode redraws on
-    any clash with an id this UE held before or one currently live in
-    the run.
+    weak mode is the predictable `weak_successor` scheme kept for the
+    tracking experiment. secure mode redraws on any clash with an id this
+    UE held before or one currently live in the run.
     """
     if mode not in ("weak", "secure"):
         raise ValueError(f"unknown randomization mode {mode!r}")
     retired.add(current)
     if mode == "weak":
-        return (current + 1) % BROADCAST_L2
+        return weak_successor(current)
     while True:
         new = rng.getrandbits(24)
         if new != BROADCAST_L2 and new not in retired and new not in live_ids:

@@ -275,23 +275,17 @@ def select_resources(
     return Selection(slot, start, demand, len(cands), total, threshold)
 
 
-def announce(selection: Selection, rri_ms: int, priority: int, pool: ResourcePool,
-             mcs: int = 9) -> Sci1A:
-    """SCI 1-A whose decoded claim equals the selection."""
+def announce(pool: ResourcePool, start: int, length: int, rri_ms: int, priority: int) -> Sci1A:
+    """SCI 1-A claiming subchannels [start, start + length) every rri_ms."""
     if rri_ms not in pool.period_list_ms:
         raise ValueError(f"rri {rri_ms} ms not in pool period list {pool.period_list_ms}")
+    reserve = pool.sl_max_num_per_reserve
     return Sci1A(
         priority=priority,
-        frequency_resource=fra_encode(
-            pool.num_subchannels,
-            pool.sl_max_num_per_reserve,
-            selection.subchannel_start,
-            selection.subchannel_len,
-            selection.subchannel_start,
-        ),
-        time_resource=tra_encode(pool.sl_max_num_per_reserve, ()),
+        frequency_resource=fra_encode(pool.num_subchannels, reserve, start, length, start),
+        time_resource=tra_encode(reserve, ()),
         rri_index=pool.period_list_ms.index(rri_ms),
-        mcs=mcs,
+        mcs=9,
     )
 
 

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add, itemgetter, or_
 
@@ -417,7 +417,8 @@ class UeAgent:
             remaining=counter,
             span=(sel.subchannel_start, sel.subchannel_len),
             rri_slots=pool.rri_slots(flow.rri_ms),
-            sci1_bits=announce(sel, flow.rri_ms, flow.priority, pool).encode(pool),
+            sci1_bits=announce(pool, sel.subchannel_start, sel.subchannel_len, flow.rri_ms,
+                               flow.priority).encode(pool),
         )
         self.world.metrics.bump("selections")
         if had_grant:
@@ -635,6 +636,7 @@ class World:
                 pool=scenario.pool,
                 ssb_period=scenario.sync.ssb_period_slots,
                 ssb_key=self.ssb_key,
+                tag_bits=scenario.defenses.signed_ssb.tag_bits,
             )
             self.attackers.append(agent)
         # node id -> its bit in `delivered`; an attacker has none

@@ -6,6 +6,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
+import yaml
 
 from sidelinksim.adversary import (
     ATTACK_REGISTRY,
@@ -27,13 +28,17 @@ from sidelinksim.frames import (
 )
 from sidelinksim.defense import sign_ssb, verify_ssb
 from sidelinksim.harq import DataBurst, FeedbackBurst
+from sidelinksim.pc5 import refresh_identifier
 from sidelinksim.radio import Transmission
 from sidelinksim.resources import ControlBurst, ResourcePool
 from sidelinksim.frames import Sci1A
+from sidelinksim.scenario import parse_scenario
+from sidelinksim.simulation import run_scenario
 from sidelinksim.sync import SsbBurst
 from test_resources import reference_claims_from_sci, reference_total_cells
 
 POOL = ResourcePool(4, 10, [100, 1000])
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CAP = AttackerCapability()
 
 
@@ -58,10 +63,11 @@ def permutation_f1_baseline(predicted_clusters: list[set[int]], truth: dict[int,
     return mean, var ** 0.5
 
 
-def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x07" * 32):
+def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x07" * 32,
+          tag_bits=32):
     plan = AttackPlan(kind, window, params or {})
     return build_attacker(9000, cap, plan, random.Random(seed),
-                          pool=POOL, ssb_period=16, ssb_key=ssb_key)
+                          pool=POOL, ssb_period=16, ssb_key=ssb_key, tag_bits=tag_bits)
 
 
 def hear(agent, payload, slot, sender=1, rsrp=-70.0):
@@ -112,7 +118,7 @@ def test_false_sync_injection_beacons_on_period():
     assert burst.slss.slss_id == 0 and burst.slss.in_coverage
     assert burst.mib.direct_frame_number == 1 and burst.mib.slot_index == 6
     # no key: the tag is noise, so a verifying receiver drops it
-    assert not verify_ssb(b"\x01" * 32, 0, burst.mib.encode(), burst.auth_tag)
+    assert not verify_ssb(b"\x01" * 32, 0, burst.mib.encode(), burst.auth_tag, 32)
 
 
 def test_false_sync_injection_with_insider_key_signs_validly():
@@ -120,7 +126,29 @@ def test_false_sync_injection_with_insider_key_signs_validly():
     agent = build(AttackKind.FALSE_SYNC_INJECTION,
                   cap=AttackerCapability(has_key=True), ssb_key=key)
     burst = agent.transmissions(0)[0].payload
-    assert verify_ssb(key, 0, burst.mib.encode(), burst.auth_tag)
+    assert verify_ssb(key, 0, burst.mib.encode(), burst.auth_tag, 32)
+
+
+@pytest.mark.parametrize("tag_bits", [16, 32])
+def test_beacon_tags_take_the_configured_length(tag_bits):
+    key = b"\x07" * 32
+    insider = build(AttackKind.FALSE_SYNC_INJECTION, cap=AttackerCapability(has_key=True),
+                    ssb_key=key, tag_bits=tag_bits)
+    outsider = build(AttackKind.FALSE_SYNC_INJECTION, ssb_key=key, tag_bits=tag_bits)
+    signed, forged = (agent.transmissions(0)[0].payload for agent in (insider, outsider))
+    assert verify_ssb(key, 0, signed.mib.encode(), signed.auth_tag, tag_bits)
+    assert len(signed.auth_tag) == len(forged.auth_tag) == tag_bits // 4  # hex digits
+
+
+def test_insider_beacons_capture_alike_at_either_tag_length():
+    raw = yaml.safe_load((SCENARIO_DIR / "sync_false_injection_signed.yaml").read_text())
+    raw["attacks"][0]["capability"]["has_key"] = True
+    rows = []
+    for tag_bits in (32, 16):
+        raw["defenses"]["signed_ssb"]["tag_bits"] = tag_bits
+        report, _, _ = run_scenario(parse_scenario(raw))
+        rows.append((report.totals["sync_victims"], report.totals["ssb_rejected"]))
+    assert rows[0] == rows[1] and rows[0][0] > 0 and rows[0][1] == 0, rows
 
 
 def test_outsider_never_receives_the_key():
@@ -253,6 +281,17 @@ def test_tracker_links_increment_scheme_first():
     assert agent.report(truth) == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
 
 
+def test_tracker_links_the_weak_refresh_past_the_broadcast_id():
+    # 20 dB apart under a 0 dB power gate: only the increment rule can link
+    agent = build(AttackKind.L2_TRACKING, params={"rsrp_similarity_db": 0.0})
+    for old in (0xFFFFFE, 5):
+        hear(agent, data_burst(old, 0xFFFFFF), 0, rsrp=-70.0)
+    for new in (refresh_identifier(0xFFFFFE, set(), random.Random(0), "weak", set()), 6):
+        hear(agent, data_burst(new, 0xFFFFFF), 20, rsrp=-90.0)
+    clusters = agent.link()
+    assert {0xFFFFFE, 0} in clusters and {5, 6} in clusters
+
+
 def test_tracker_falls_back_to_power_similarity():
     agent = build(AttackKind.L2_TRACKING, params={"rsrp_similarity_db": 3.0})
     for slot in range(0, 100, 20):
@@ -306,20 +345,24 @@ def test_attack_actions_are_logged():
 
 # -- deferred frames under jitter ----------------------------------------------
 # The HARQ spoofer, the reactive PC5 forgers and the replay agent schedule
-# frames for a later slot. Each is driven here as the world drives it
-# (transmissions for a slot, then that slot's receptions) with +-3 slots
-# of timing jitter, which no catalog digest covers. A row records either
-# an emitted frame or an action-log entry, in the order they happened, so
-# the file pins slot, kind, outcome and order within a slot (missed
-# windows included) and, through the forged nonces, each agent's rng draw
-# order. attack_log_rows.txt holds the rows; a deliberate change
-# re-records them with `"\n".join(deferred_frame_rows()) + "\n"`.
+# frames for a later slot; the resource blocker refreshes each claimed cell
+# on its own schedule and wastes a refresh that jitter moves. Each is driven
+# here as the world drives it (transmissions for a slot, then that slot's
+# receptions) with +-3 slots of timing jitter, which no catalog digest
+# covers. A row records either an emitted frame or an action-log entry, in
+# the order they happened, so the file pins slot, kind, outcome and order
+# within a slot (missed windows included) and, through the forged nonces
+# and the blocker's missed refreshes, each agent's rng draw order.
+# attack_log_rows.txt holds the rows; a deliberate change re-records them
+# with `"\n".join(deferred_frame_rows()) + "\n"`.
 
 ATTACK_LOG_ROWS_FILE = Path(__file__).resolve().parent / "attack_log_rows.txt"
 JITTERY = AttackerCapability(timing_precision_slots=3)
 
 
 def _describe(payload) -> str:
+    if isinstance(payload, ControlBurst):
+        return f"claim {payload.sci1_bits.data.hex()}"
     if isinstance(payload, FeedbackBurst):
         return (f"feedback ack={payload.ack} pid={payload.harq_process_id}"
                 f" src={payload.src_l2:x} dst={payload.dst_l2:x}")
@@ -362,6 +405,9 @@ def deferred_frame_rows() -> list[str]:
     rows += _drive("replay", build(AttackKind.PC5_REPLAY, window=(0, 45), cap=JITTERY,
                                    params={"replay_delay_slots": 6}, seed="replay"),
                    requests, 60)
+    blind = AttackerCapability(timing_precision_slots=3, knows_pool_config=False)
+    rows += _drive("block", build(AttackKind.RESOURCE_BLOCKING, window=(20, 280), cap=blind,
+                                  params={"rri_ms": 100}, seed="block"), {}, 300)
     return rows
 
 

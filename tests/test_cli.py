@@ -44,6 +44,23 @@ def test_malformed_seeds_is_exit_1(tiny, capsys, seeds):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--seed", "-1"], ["run", "--seed", str(1 << 64)],
+    ["batch", "--seeds=-2:-1"], ["batch", "--seeds", f"1,{1 << 64}"],
+])
+def test_seed_outside_the_scenario_range_is_exit_1(tiny, capsys, args):
+    assert main([args[0], tiny, *args[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {args[1].split('=')[0]} ")
+    assert captured.err.rstrip().endswith("a seed must be an integer in [0, 2^64)")
+
+
+def test_largest_seed_runs(tiny, capsys):
+    assert main(["run", tiny, "--seed", str((1 << 64) - 1)]) == 0
+    assert f"seed,{(1 << 64) - 1}" in capsys.readouterr().out
+
+
 def test_run_writes_outputs_and_prints_csv(tiny, tmp_path, capsys):
     out = tmp_path / "results"
     assert main(["run", tiny, "--out", str(out)]) == 0

@@ -182,7 +182,7 @@ def test_fra_bijection():
 
 def test_fra_rejects_out_of_range():
     with pytest.raises(ValueError):
-        fra_encode(4, 2, 3, 2)  # start 3 + length 2 > 4 subchannels
+        fra_encode(4, 2, 3, 2, 3)  # start 3 + length 2 > 4 subchannels
     with pytest.raises(ValueError):
         fra_decode(4, 2, fra_value_count(4, 2))
 

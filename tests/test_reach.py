@@ -1,6 +1,7 @@
 """Reachability gate: every function in src is entered by the catalog, the
 two benchmark workload generators or the CLI commands, or it is on the
-allowlist below with the reason nothing there enters it.
+allowlist below with the reason nothing there enters it. And every name a
+src module imports is used there.
 
 The probe runs in a fresh interpreter whose function-entry tracer is set
 before `sidelinksim` is imported, so a function called only at import
@@ -12,6 +13,7 @@ as entered. Run as a script, this file is that probe:
 It prints the (file name, first line, name) of each src function entered.
 """
 
+import ast
 import importlib.util
 import inspect
 import json
@@ -121,6 +123,27 @@ def test_every_src_function_is_reached_or_allowed(tmp_path):
              if not any(name.startswith(other + ".") for other in unreached)]
     assert sorted(set(outer) - set(ALLOWED)) == [], "unreached and not on the allowlist"
     assert sorted(set(ALLOWED) - set(unreached)) == [], "on the allowlist but reached or gone"
+
+
+def test_every_src_import_is_used():
+    """A name a src module imports and never uses is a leftover. Exempt:
+    `__init__.py`, whose imports are the package's exports, and `from
+    __future__` imports, which are compiler directives."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []
 
 
 if __name__ == "__main__":

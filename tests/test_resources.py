@@ -199,7 +199,7 @@ def test_select_resources_empty_window_uniform():
 def test_announce_round_trip_reproduces_claim():
     sel = Selection(slot=104, subchannel_start=1, subchannel_len=2,
                     candidate_count=30, total_positions=30, threshold_dbm=-100.0)
-    sci = announce(sel, 100, priority=3, pool=POOL)
+    sci = announce(POOL, sel.subchannel_start, sel.subchannel_len, 100, priority=3)
     decoded = Sci1A.decode(POOL, sci.encode(POOL))
     claims = reference_claims_from_sci(decoded, POOL, -60.0, sel.slot)
     assert len(claims) == 1
@@ -207,7 +207,7 @@ def test_announce_round_trip_reproduces_claim():
     assert (c.start_slot, c.subchannel_start, c.subchannel_len) == (104, 1, 2)
     assert c.rri_slots == 100 and c.priority == 3
     with pytest.raises(ValueError):
-        announce(sel, 37, priority=1, pool=POOL)
+        announce(POOL, sel.subchannel_start, sel.subchannel_len, 37, priority=1)
 
 
 def test_reselection_counter_range():
