@@ -390,9 +390,10 @@ class _IdTrace:
 
 
 class TrackerAgent(AttackerAgent):
-    """Passive capture of cleartext MAC source ids; links an id that
-    disappears to one appearing within the window at similar power, with
-    the predictable increment scheme tried first."""
+    """Passive capture of cleartext MAC source ids; links an id to the
+    earlier id it is the predictable increment of, however long apart,
+    and otherwise to one that disappeared within the window at similar
+    power."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -434,23 +435,18 @@ class TrackerAgent(AttackerAgent):
 
         by_first = sorted(self.traces.items(), key=lambda kv: (kv[1].first_seen, kv[0]))
         for new_id, new_trace in by_first:
-            candidates = [
-                (old_id, old_trace)
-                for old_id, old_trace in self.traces.items()
-                if old_id != new_id
-                and old_trace.last_seen < new_trace.first_seen
-                and new_trace.first_seen - old_trace.last_seen <= self.window_slots
-            ]
-            if not candidates:
-                continue
-            increment = [(o, t) for o, t in candidates if weak_successor(o) == new_id]
+            earlier = [(old_id, old_trace) for old_id, old_trace in self.traces.items()
+                       if old_trace.last_seen < new_trace.first_seen]
+            # a +1 id links whatever the gap: the weak scheme names its predecessor
+            increment = [o for o, _ in earlier if weak_successor(o) == new_id]
             if increment:
-                union(new_id, increment[0][0])
+                union(new_id, increment[0])
                 continue
             near = [
                 (abs(t.mean_rsrp - new_trace.mean_rsrp), -t.last_seen, o)
-                for o, t in candidates
-                if abs(t.mean_rsrp - new_trace.mean_rsrp) <= self.rsrp_gate_db
+                for o, t in earlier
+                if new_trace.first_seen - t.last_seen <= self.window_slots
+                and abs(t.mean_rsrp - new_trace.mean_rsrp) <= self.rsrp_gate_db
             ]
             if near:
                 near.sort()
@@ -556,7 +552,7 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
         "replay_delay_slots": ParamSpec(40, "slots between capture and re-emission", 0),
     }),
     AttackKind.L2_TRACKING: (TrackerAgent, {
-        "linkage_window_slots": ParamSpec(50, "max gap between an id vanishing and its successor", 0),
+        "linkage_window_slots": ParamSpec(50, "max gap between an id vanishing and a successor linked by power", 0),
         "rsrp_similarity_db": ParamSpec(3.0, "power gate for linking two ids", 0),
     }),
 }

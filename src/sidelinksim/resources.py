@@ -18,16 +18,19 @@ ownership of its pool position until it lapses.
 Since the window is exactly P slots long, each occurrence t = t0 + k*r
 blocks exactly one window slot, window_start + (t - window_start) % P,
 when t >= window_start, and none otherwise. The projection is therefore
-one subchannel bitmask per window slot, built in missRefreshLimit + 1
-steps per claim, each one rri after the last. `sense` decodes each
-distinct claim once per call and builds its live occurrence streams
-straight from that shape.
+one subchannel bitmask per window slot, built once per occupancy map in
+missRefreshLimit + 1 steps per claim, each one rri after the last; when
+r is a multiple of P every step lands on the same window slot, so such
+a claim sets its one cell in a single step. A claim's shape is decoded
+once per world: the caller keeps a shape cache (the world fills it as it
+decodes each distinct claim) and `sense` builds each live occurrence
+stream straight from the cached shape.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .frames import Sci1A, fra_decode, fra_encode, tra_decode, tra_encode
 
@@ -95,7 +98,6 @@ class Reservation:
     subchannel_len: int
     start_slot: int
     rri_slots: int
-    priority: int
     observed_rsrp_dbm: float
 
 
@@ -108,13 +110,20 @@ class ControlBurst:
 
 @dataclass
 class OccupancyMap:
-    """Heard claims projected onto one selection window."""
+    """Heard claims projected onto one selection window.
+
+    `masks` is the projection (`blocked_masks`), made once when the map
+    is built; a map with other reservations is a new map.
+    """
 
     pool: ResourcePool
     window_start: int
     threshold_dbm: float
     reservations: list[Reservation]
-    skipped_scis: int = 0
+    masks: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.masks = self.blocked_masks()
 
     def blocked_masks(self) -> list[int]:
         """Blocked subchannels per window slot, bit sc set when sc is taken."""
@@ -125,6 +134,12 @@ class OccupancyMap:
             span = ((1 << res.subchannel_len) - 1) << res.subchannel_start
             rri = res.rri_slots
             ahead = res.start_slot - window_start  # occurrence k is k * rri later
+            if rri % period == 0:
+                # every occurrence lands on one window slot, blocked once the
+                # last of them is not before the window
+                if ahead + MISS_REFRESH_LIMIT * rri >= 0:
+                    masks[ahead % period] |= span
+                continue
             for _ in range(MISS_REFRESH_LIMIT + 1):
                 if ahead >= 0:
                     masks[ahead % period] |= span
@@ -139,79 +154,74 @@ class ClaimShape:
     Each span is (offset, first subchannel): the first occurrence sits
     at offset 0 on the claim's primary span; later same-period
     occurrences (time gaps) reuse that span for two-per-reserve pools
-    and the secondary start for three-per-reserve pools.
+    and the secondary start for three-per-reserve pools. `lifetime` is
+    how many slots an occurrence keeps blocking after its own slot, and
+    `reach` how many slots after the heard slot the latest occurrence
+    expires.
     """
 
     spans: tuple[tuple[int, int], ...]
     length: int
     rri_slots: int
-    priority: int
-
-    @property
-    def lifetime(self) -> int:
-        """Slots an occurrence keeps blocking after its own slot."""
-        return MISS_REFRESH_LIMIT * self.rri_slots
-
-    @property
-    def reach(self) -> int:
-        """Slots after the heard slot until the latest occurrence expires."""
-        return self.lifetime + max(offset for offset, _ in self.spans)
+    lifetime: int
+    reach: int
 
 
 def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
-    """Decode the frequency and time resource fields of a claim once."""
+    """Decode the frequency and time resource fields of a claim."""
     start, length, start2 = fra_decode(
         pool.num_subchannels, pool.sl_max_num_per_reserve, sci.frequency_resource
     )
     gaps = tra_decode(pool.sl_max_num_per_reserve, sci.time_resource)
     later_start = start if pool.sl_max_num_per_reserve == 2 else start2
-    return ClaimShape(((0, start),) + tuple((gap, later_start) for gap in gaps), length,
-                      pool.rri_slots(pool.period_list_ms[sci.rri_index]), sci.priority)
+    spans = ((0, start),) + tuple((gap, later_start) for gap in gaps)
+    rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
+    lifetime = MISS_REFRESH_LIMIT * rri
+    return ClaimShape(spans, length, rri, lifetime,
+                      lifetime + max(offset for offset, _ in spans))
 
 
 def sense(
     received: list[tuple[Sci1A | None, float, int]],
     pool: ResourcePool,
     window_start: int,
+    shapes: dict[int, ClaimShape] | None = None,
 ) -> OccupancyMap:
     """Project heard claims onto the upcoming selection window.
 
     received holds (sci, rsrp, slot) per decoded announcement; a None
-    sci stands for an undecodable one and is skipped but counted.
-    Claims below the exclusion threshold are ignored, and so is each
-    occurrence that expired before the window starts. Each distinct
-    claim object is decoded once per call; the world hands every
-    receiver the same object for the same payload. An entry heard
-    before its claim's first live slot, where even the latest
-    occurrence has expired, is skipped with one comparison.
+    sci stands for an undecodable one and is skipped. Claims below the
+    exclusion threshold are ignored, and so is each occurrence that
+    expired before the window starts. An entry heard so long before the
+    window that even its latest occurrence has expired is skipped with
+    one comparison.
+
+    `shapes` caches `claim_shape` by `id(claim)`; a missing shape is
+    decoded on the claim's first entry. The caller owns the cache and
+    keeps every claim in it alive: the world fills it once per distinct
+    claim as it decodes it and hands every receiver the same object for
+    the same payload. Without one, shapes last for this call.
     """
     threshold = pool.rsrp_exclusion_threshold_dbm
-    # id(claim) -> (shape, first slot in which a heard claim still has a
-    # live occurrence)
-    shapes: dict[int, tuple[ClaimShape, int]] = {}
+    if shapes is None:
+        shapes = {}
     live: list[Reservation] = []
-    skipped = 0
     for sci, rsrp, slot in received:
-        if sci is None:
-            skipped += 1
-            continue
-        if rsrp < threshold:
+        if sci is None or rsrp < threshold:
             continue
         try:
-            shape, first_live = shapes[id(sci)]
+            shape = shapes[id(sci)]
         except KeyError:
-            shape = claim_shape(sci, pool)
-            first_live = window_start - shape.reach
-            shapes[id(sci)] = shape, first_live
-        if slot < first_live:
+            shape = shapes[id(sci)] = claim_shape(sci, pool)
+        if slot + shape.reach < window_start:
             continue
         # live while slot + offset + lifetime >= window_start
         min_offset = window_start - shape.lifetime - slot
         for offset, start in shape.spans:
             if offset >= min_offset:
                 live.append(Reservation(start, shape.length, slot + offset,
-                                        shape.rri_slots, shape.priority, rsrp))
-    return OccupancyMap(pool, window_start, threshold, live, skipped)
+                                        shape.rri_slots, rsrp))
+    return OccupancyMap(pool, window_start, threshold, live)
 
 
 @dataclass
@@ -237,7 +247,7 @@ def candidate_positions(pool: ResourcePool, occ: OccupancyMap, demand: int) -> l
     starts = range(pool.num_subchannels - demand + 1)
     return [
         (occ.window_start + offset, start)
-        for offset, mask in enumerate(occ.blocked_masks())
+        for offset, mask in enumerate(occ.masks)
         for start in starts
         if not (mask >> start) & span
     ]
@@ -252,9 +262,9 @@ def select_resources(
     """Pick a transmission cell uniformly from the unblocked candidates.
 
     When fewer than min_candidate_ratio of the positions are free, the
-    exclusion threshold rises step by step and the same heard claims
-    are re-projected, dropping the weakest first, until enough
-    candidates exist.
+    exclusion threshold rises step by step and the heard claims still
+    above it are projected onto a new map, dropping the weakest first,
+    until enough candidates exist.
     """
     if demand < 1 or demand > pool.num_subchannels:
         raise ValueError(f"demand {demand} impossible on {pool.num_subchannels} subchannels")
@@ -270,7 +280,7 @@ def select_resources(
             break  # nothing left to drop; window is structurally full
         threshold += pool.threshold_step_db
         kept = [r for r in current.reservations if r.observed_rsrp_dbm >= threshold]
-        current = replace(current, threshold_dbm=threshold, reservations=kept)
+        current = OccupancyMap(occ.pool, occ.window_start, threshold, kept)
     slot, start = rng.choice(cands)
     return Selection(slot, start, demand, len(cands), total, threshold)
 

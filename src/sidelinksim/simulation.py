@@ -62,10 +62,14 @@ of any claim decoded so far) before the selection window. Each slot on
 air cuts it too: the reach only grows, and an entry's claim reach is at
 most the reach when it was heard, so a cut entry is dead to later windows.
 
-A TB's control costs scale with grants and headers, not with
-transmissions: SCI 1-A is encoded once per grant, SCI 2-A once per
+A TB's control costs scale with distinct claims and headers, not with
+transmissions or grants: SCI 1-A is encoded once per distinct grant
+claim (span, rri and priority, `World.sci1a_bits`), SCI 2-A once per
 distinct header, and each distinct SCI 1-A or SCI 2-A payload is decoded
-once per world, every receiver sharing the frozen result.
+once per world, every receiver sharing the frozen result. Where a claim
+is first decoded its `ClaimShape` is worked out too, once per world,
+into `World.claim_shapes`: the shape cache each reselection hands
+`sense`, so a reselection decodes no claim.
 
 Every sent TB gets one `TbOutcome` in `World.tb_log`: a TB without
 feedback ("sent") when it goes out, a HARQ TB when it is done or failed.
@@ -108,6 +112,7 @@ from .metrics import MetricsReport
 from .pc5 import BROADCAST_L2, Pc5Endpoint, refresh_identifier
 from .radio import LazyRow, PathLossRow, Reception, SensedRow, Transmission, child_rng, deliver
 from .resources import (
+    ClaimShape,
     ControlBurst,
     Selection,
     announce,
@@ -345,7 +350,6 @@ class UeAgent:
         if decision.action == "switch":
             self.state.source = SyncSourceKind.SYNC_REF_UE
             self.state.reference = decision.candidate
-            self.state.switch_count += 1
             self.state.own_slss = derive_own_slss(
                 SyncSourceKind.SYNC_REF_UE, decision.candidate.slss, self.rng, set(entries)
             )
@@ -402,23 +406,28 @@ class UeAgent:
         self._emit_tb(rt, slot, out)
 
     def _reselect(self, rt: FlowRuntime, slot: int):
-        pool = self.world.sc.pool
+        world = self.world
+        pool = world.sc.pool
         window_start = slot + 1
         uid = self.spec.id
-        self.sensing = [(claim, rsrp, heard) for heard, claim, row in self.world.live_sensing(slot)
+        self.sensing = [(claim, rsrp, heard) for heard, claim, row in world.live_sensing(slot)
                         if (rsrp := row.get(uid)) is not None]
-        occ = sense(self.sensing, pool, window_start)
+        occ = sense(self.sensing, pool, window_start, world.claim_shapes)
         sel = select_resources(pool, occ, rt.demand, self.rng)
         counter = draw_reselection_counter(self.rng)
         had_grant = rt.grant is not None
         flow = rt.flow
+        # `announce`'s arguments, in its order
+        claim = (sel.subchannel_start, sel.subchannel_len, flow.rri_ms, flow.priority)
+        sci1_bits = world.sci1a_bits.get(claim)
+        if sci1_bits is None:
+            sci1_bits = world.sci1a_bits[claim] = announce(pool, *claim).encode(pool)
         rt.grant = GrantState(
             next_slot=sel.slot,
             remaining=counter,
             span=(sel.subchannel_start, sel.subchannel_len),
             rri_slots=pool.rri_slots(flow.rri_ms),
-            sci1_bits=announce(pool, sel.subchannel_start, sel.subchannel_len, flow.rri_ms,
-                               flow.priority).encode(pool),
+            sci1_bits=sci1_bits,
         )
         self.world.metrics.bump("selections")
         if had_grant:
@@ -597,6 +606,10 @@ class World:
         # decoded once per world and every sensing entry shares the (frozen) result.
         # The tuple key compares like BitString equality but hashes in C.
         self.sci1a_cache: dict[tuple[bytes, int], Sci1A | None] = {}
+        # id(claim) -> its `ClaimShape`, for every claim in sci1a_cache (which
+        # keeps each claim alive): `sense`'s shape cache, so each distinct
+        # claim is decoded into a shape once per world
+        self.claim_shapes: dict[int, ClaimShape] = {}
         # the largest `ClaimShape.reach` of a claim in sci1a_cache: a
         # sensing entry heard longer ago than that before a selection
         # window holds no live occurrence in it
@@ -606,6 +619,9 @@ class World:
         # Sci2A.for_tb arguments -> the encoded header; a sender's header
         # repeats for every TB of a process, so each is encoded once
         self.sci2a_bits: dict[tuple, BitString] = {}
+        # `announce` arguments after the pool -> the encoded grant claim;
+        # grants repeat their span, rri and priority, so each is encoded once
+        self.sci1a_bits: dict[tuple, BitString] = {}
         # sender -> its path-loss row (`radio.path_loss_row`), built on
         # the sender's first transmission and dropped when any node moves;
         # it also keeps the sender's lossless-broadcast masks (`kept_bits`)
@@ -782,7 +798,8 @@ class World:
             fresh = (bits.data, bits.bit_length) not in cache
             claim = decode_once(cache, Sci1A.decode, pool, bits)
             if fresh and claim is not None:
-                self.sensing_reach = max(self.sensing_reach, claim_shape(claim, pool).reach)
+                shape = self.claim_shapes[id(claim)] = claim_shape(claim, pool)
+                self.sensing_reach = max(self.sensing_reach, shape.reach)
             self.sensing_log.append((slot, claim, row))
             if lossless and type(payload) is DataBurst and payload.mac_dst_l2 == BROADCAST_L2:
                 seen = ledger.get(payload.tb_id, 0)
@@ -878,15 +895,17 @@ class World:
             self.metrics.gauge("candidate_set_ratio", mean)
         for attacker in self.attackers:
             if isinstance(attacker, TrackerAgent):
-                truth = {
-                    observed: self.identity_truth[observed]
-                    for observed in attacker.traces
-                    if observed in self.identity_truth
-                }
-                scores = attacker.report(truth)
-                self.metrics.gauge("tracking_precision", scores["precision"])
-                self.metrics.gauge("tracking_recall", scores["recall"])
-                self.metrics.gauge("tracking_f1", scores["f1"])
+                # a tracker that saw no id has no score: its gauges stay "na"
+                if attacker.traces:
+                    truth = {
+                        observed: self.identity_truth[observed]
+                        for observed in attacker.traces
+                        if observed in self.identity_truth
+                    }
+                    scores = attacker.report(truth)
+                    self.metrics.gauge("tracking_precision", scores["precision"])
+                    self.metrics.gauge("tracking_recall", scores["recall"])
+                    self.metrics.gauge("tracking_f1", scores["f1"])
                 break
         if self.incidents.enabled:
             self.metrics.bump("incidents", self.incidents.count())

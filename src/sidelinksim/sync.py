@@ -67,7 +67,6 @@ class SyncState:
     reference: SyncCandidate | None = None  # set iff source is SYNC_REF_UE
     own_slss: SlssIdentity | None = None
     network_sync_ref: bool = False  # configured to transmit S-SSB unconditionally
-    switch_count: int = 0
 
 
 def tier(slss: SlssIdentity) -> int:

@@ -458,6 +458,16 @@ def test_criterion_7_tracking(announce):
              f"+/-{null_sigma:.3f} ({elapsed:.2f}s)")
 
 
+def test_criterion_7_weak_tracking_holds_over_seeds(announce):
+    sc = catalog("tracking_weak")
+    t0 = time.perf_counter()
+    f1 = [run_scenario(sc, seed=seed)[0].totals["tracking_f1"] for seed in range(20)]
+    assert min(f1) >= 0.9, f1
+    announce(f"PASS criterion 7 over seeds 0-19: weak F1 min {min(f1):.2f}, median "
+             f"{sorted(f1)[10]:.2f}, {sum(v < 0.9 for v in f1)} below 0.9 "
+             f"({time.perf_counter() - t0:.2f}s)")
+
+
 # --------------------------------------------------------------------------
 # 8. catalog determinism
 

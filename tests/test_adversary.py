@@ -311,6 +311,32 @@ def test_tracker_respects_linkage_window():
     assert agent.link() == [{0x111111}, {0x222222}]
 
 
+def test_tracker_links_a_weak_successor_whatever_the_gap():
+    # the +1 id comes 400 slots after its predecessor, past the 50-slot
+    # window and 20 dB off it; an id at the same power that far apart
+    # stays apart, since only the power fallback keeps the window
+    agent = build(AttackKind.L2_TRACKING, params={"linkage_window_slots": 50,
+                                                  "rsrp_similarity_db": 3.0})
+    hear(agent, data_burst(0x111111, 0xFFFFFF), 0, rsrp=-70.0)
+    hear(agent, data_burst(0x333333, 0xFFFFFF), 0, rsrp=-80.0)
+    hear(agent, data_burst(0x111112, 0xFFFFFF), 400, rsrp=-90.0)
+    hear(agent, data_burst(0x444444, 0xFFFFFF), 400, rsrp=-80.0)
+    clusters = agent.link()
+    assert {0x111111, 0x111112} in clusters
+    assert {0x333333} in clusters and {0x444444} in clusters
+
+
+def test_tracker_that_saw_no_id_reports_na():
+    raw = yaml.safe_load((SCENARIO_DIR / "tracking_weak.yaml").read_text())
+    raw["attacks"][0]["window"] = [10000, 10001]
+    report, _, world = run_scenario(parse_scenario(raw))
+    (tracker,) = world.attackers
+    assert isinstance(tracker, TrackerAgent) and not tracker.traces
+    for name in ("tracking_precision", "tracking_recall", "tracking_f1"):
+        assert report.totals[name] is None
+        assert f"{name},na" in report.to_csv()
+
+
 def test_pair_scoring_edges():
     assert pairs_from_clusters([{1, 2, 3}]) == {(1, 2), (1, 3), (2, 3)}
     assert pairs_from_truth({5: 1, 9: 1, 7: 2}) == {(5, 9)}

@@ -13,6 +13,8 @@ perfbench/golden.json, which holds the same catalog digests).
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,15 @@ def test_golden_covers_the_catalog():
 def test_golden_matches_benchmark_digests():
     bench = json.loads((ROOT / "perfbench" / "golden.json").read_text())["catalog"]
     assert bench == GOLDEN
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's tracer wraps src attributes by name (`simulation.sense`,
+    `resources.candidate_positions`, `UeAgent.sensing`, ...), so a src rename
+    that breaks one fails here, not in a benchmark run."""
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sidelinksim import simulation
+from sidelinksim import resources, simulation
 from sidelinksim.bits import BitString
 from sidelinksim.frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, fra_decode
 from sidelinksim.harq import FEEDBACK_DELAY_SLOTS, DataBurst
@@ -279,16 +279,56 @@ def test_sensing_reach_is_the_largest_cached_claim_reach(make, monkeypatch):
     pool = world.sc.pool
     calls = []
 
-    def checked_sense(received, pool_, window_start):
+    def checked_sense(received, pool_, window_start, shapes):
         reaches = [claim_shape(sci, pool).reach
                    for sci in world.sci1a_cache.values() if sci is not None]
         assert world.sensing_reach == max(reaches, default=0)
         calls.append(window_start)
-        return sense(received, pool_, window_start)
+        return sense(received, pool_, window_start, shapes)
 
     monkeypatch.setattr(simulation, "sense", checked_sense)
     world.run()
     assert len(calls) > 5 and world.sensing_reach > 0
+
+
+def test_reselection_decodes_no_shape_and_encodes_each_grant_claim_once(monkeypatch):
+    """Dispatch decodes each distinct claim into a shape once per world,
+    so a reselection decodes none; and each distinct grant claim is
+    encoded once, however many grants repeat it."""
+    world = World(parse_scenario(workloads.unicast_harq(2, pairs=3)))
+    reselecting = []
+    shapes = {"dispatch": 0, "reselect": 0}
+    shape = resources.claim_shape
+
+    def counted(sci, pool):
+        shapes["reselect" if reselecting else "dispatch"] += 1
+        return shape(sci, pool)
+
+    reselect = UeAgent._reselect
+
+    def flagged(self, rt, slot):
+        reselecting.append(slot)
+        try:
+            reselect(self, rt, slot)
+        finally:
+            reselecting.pop()
+
+    encoded = []
+    encode = Sci1A.encode
+    monkeypatch.setattr(resources, "claim_shape", counted)
+    monkeypatch.setattr(simulation, "claim_shape", counted)
+    monkeypatch.setattr(UeAgent, "_reselect", flagged)
+    monkeypatch.setattr(Sci1A, "encode", lambda sci, pool: encoded.append(sci) or encode(sci, pool))
+    world.run()
+    claims = [sci for sci in world.sci1a_cache.values() if sci is not None]
+    assert shapes == {"dispatch": len(claims), "reselect": 0}
+    assert sorted(world.claim_shapes) == sorted(map(id, claims))
+    assert all(world.claim_shapes[id(sci)] == shape(sci, world.sc.pool) for sci in claims)
+    selections = world.metrics.totals["selections"]
+    assert len(encoded) == len(world.sci1a_bits) < selections
+    for (start, length, rri_ms, priority), bits in world.sci1a_bits.items():
+        assert bits == resources.announce(world.sc.pool, start, length, rri_ms,
+                                          priority).encode(world.sc.pool)
 
 
 def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
@@ -626,7 +666,7 @@ def _sync_trace(seed, min_hyst_db, rank_every_slot):
             agent._ranked_at = None
         agent._sync_step(slot, [])
         st = agent.state
-        trace.append((st.source, st.reference, st.own_slss, st.switch_count))
+        trace.append((st.source, st.reference, st.own_slss))
     return trace, world.events
 
 
