@@ -217,8 +217,8 @@ def tra_decode(max_reserve: int, value: int) -> tuple[int, ...]:
 class Sci1A:
     """First-stage control: where the data sits and how it repeats.
 
-    Frozen, because every receiver of one payload shares one decoded
-    instance (see `World.sci1a_cache`).
+    A heard payload is decoded once per world and kept only as the
+    `ClaimShape` it claims (see `World.sci1a_cache`).
     """
 
     priority: int

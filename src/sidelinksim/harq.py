@@ -2,8 +2,8 @@
 
 attempts counts transmissions of the pending TB, so the initial send is
 attempt 1. A NACK triggers a retransmission while attempts has not
-passed maxRetransmissions; a NACK arriving with attempts already at
-maxRetransmissions + 1 fails the process. The feedback for a TB sent
+passed MAX_RETRANSMISSIONS; a NACK arriving with attempts already at
+MAX_RETRANSMISSIONS + 1 fails the process. The feedback for a TB sent
 in slot t is heard in slot t + FEEDBACK_DELAY_SLOTS and nowhere else,
 and missing feedback in that slot counts as a NACK. Arbitration among
 the feedback bursts heard in that slot, as (burst, rsrp_dbm) pairs, is
@@ -18,6 +18,7 @@ from enum import Enum
 
 RV_SEQUENCE = (0, 2, 3, 1)  # redundancy version by attempt, cycling
 MAX_PROCESSES = 16  # HARQ processes per UE, ids 0..MAX_PROCESSES - 1
+MAX_RETRANSMISSIONS = 3  # retransmissions a TB may take before a NACK fails it
 FEEDBACK_DELAY_SLOTS = 2  # TB slot to the slot that carries its feedback
 
 
@@ -60,7 +61,6 @@ class Action(Enum):
 @dataclass
 class HarqProcess:
     process_id: int
-    max_retransmissions: int = 3
     ndi: int = 0
     state: TbState = TbState.IDLE
     attempts: int = 0
@@ -90,7 +90,7 @@ class HarqProcess:
         if self.tb_id is None:
             raise ValueError("no TB loaded")
         self.attempts += 1
-        if self.attempts > self.max_retransmissions + 1:
+        if self.attempts > MAX_RETRANSMISSIONS + 1:
             raise AssertionError("transmitted beyond the retransmission bound")
         self.state = TbState.AWAITING_FEEDBACK
         return self.ndi, self.rv
@@ -102,7 +102,7 @@ class HarqProcess:
         if ack:
             self.state = TbState.DONE
             return Action.COMPLETE
-        if self.attempts <= self.max_retransmissions:
+        if self.attempts <= MAX_RETRANSMISSIONS:
             self.state = TbState.IDLE  # ready for the next occurrence
             return Action.RETRANSMIT
         self.state = TbState.FAILED

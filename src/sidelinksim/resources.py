@@ -21,10 +21,10 @@ when t >= window_start, and none otherwise. The projection is therefore
 one subchannel bitmask per window slot, built once per occupancy map in
 missRefreshLimit + 1 steps per claim, each one rri after the last; when
 r is a multiple of P every step lands on the same window slot, so such
-a claim sets its one cell in a single step. A claim's shape is decoded
-once per world: the caller keeps a shape cache (the world fills it as it
-decodes each distinct claim) and `sense` builds each live occurrence
-stream straight from the cached shape.
+a claim sets its one cell in a single step. A heard claim is its
+`ClaimShape`: the world decodes each distinct SCI 1-A payload straight
+into one (`decode_shape`, memoised in `World.sci1a_cache`), and `sense`
+builds each live occurrence stream from the shapes it is handed.
 """
 
 from __future__ import annotations
@@ -168,7 +168,9 @@ class ClaimShape:
 
 
 def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
-    """Decode the frequency and time resource fields of a claim."""
+    """Decode the frequency, time and period fields of a claim."""
+    if sci.rri_index >= len(pool.period_list_ms):
+        raise ValueError(f"rri index {sci.rri_index} past the period list")
     start, length, start2 = fra_decode(
         pool.num_subchannels, pool.sl_max_num_per_reserve, sci.frequency_resource
     )
@@ -181,39 +183,28 @@ def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
                       lifetime + max(offset for offset, _ in spans))
 
 
+def decode_shape(pool: ResourcePool, bits) -> ClaimShape:
+    """`claim_shape` of SCI 1-A payload `bits`; ValueError for a bad one."""
+    return claim_shape(Sci1A.decode(pool, bits), pool)
+
+
 def sense(
-    received: list[tuple[Sci1A | None, float, int]],
+    received: list[tuple[ClaimShape, float, int]],
     pool: ResourcePool,
     window_start: int,
-    shapes: dict[int, ClaimShape] | None = None,
 ) -> OccupancyMap:
     """Project heard claims onto the upcoming selection window.
 
-    received holds (sci, rsrp, slot) per decoded announcement; a None
-    sci stands for an undecodable one and is skipped. Claims below the
-    exclusion threshold are ignored, and so is each occurrence that
-    expired before the window starts. An entry heard so long before the
-    window that even its latest occurrence has expired is skipped with
-    one comparison.
-
-    `shapes` caches `claim_shape` by `id(claim)`; a missing shape is
-    decoded on the claim's first entry. The caller owns the cache and
-    keeps every claim in it alive: the world fills it once per distinct
-    claim as it decodes it and hands every receiver the same object for
-    the same payload. Without one, shapes last for this call.
+    received holds (shape, rsrp, slot) per decoded announcement. Claims
+    below the exclusion threshold are ignored, and so is each occurrence
+    that expired before the window starts. An entry heard so long before
+    the window that even its latest occurrence has expired is skipped
+    with one comparison.
     """
     threshold = pool.rsrp_exclusion_threshold_dbm
-    if shapes is None:
-        shapes = {}
     live: list[Reservation] = []
-    for sci, rsrp, slot in received:
-        if sci is None or rsrp < threshold:
-            continue
-        try:
-            shape = shapes[id(sci)]
-        except KeyError:
-            shape = shapes[id(sci)] = claim_shape(sci, pool)
-        if slot + shape.reach < window_start:
+    for shape, rsrp, slot in received:
+        if rsrp < threshold or slot + shape.reach < window_start:
             continue
         # live while slot + offset + lifetime >= window_start
         min_offset = window_start - shape.lifetime - slot

@@ -402,10 +402,17 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
         links.append(link)
 
     attacks: list[AttackSpec] = []
+    trackers = []  # the paths of the l2_tracking attacks
     for i, entry in enumerate(_list(raw.get("attacks"), "scenario.attacks", errs)):
-        spec = _parse_attack(entry, f"scenario.attacks[{i}]", errs, parsed_pool)
+        path = f"scenario.attacks[{i}]"
+        spec = _parse_attack(entry, path, errs, parsed_pool)
         if spec is not None:
             attacks.append(spec)
+            if spec.plan.kind is AttackKind.L2_TRACKING:
+                trackers.append(path)
+    for path in trackers[1:]:  # metrics.csv has one set of tracking gauges
+        errs.add(f"{path}.kind", "a second l2_tracking attack; a run scores one "
+                                 f"tracker, the one at {trackers[0]}")
 
     defenses = _section(DefenseConfig, raw.get("defenses"), "scenario.defenses",
                         errs) or DefenseConfig()

@@ -44,9 +44,10 @@ once.
 
 Sensing is kept once per world: for each SCI-bearing transmission
 `deliver` returns a row, read through `row.get(node)` (the level the
-node kept, or None), and the world logs `(slot, claim, row)`. A row is
-a dict when its levels were computed anyway (a transmission every node
-reads, or one in a capture contest); otherwise it is a
+node kept, or None), and the world logs `(slot, shape, row)` for each
+one whose SCI 1-A decodes into a claim shape. A row is a dict when its
+levels were computed anyway (a transmission every node reads, or one
+in a capture contest); otherwise it is a
 `radio.LazyRow`, which computes a level when `get` asks for it, so the
 levels no reselection reads are never computed. Delivery is kept once
 per world too, in one ledger, `World.delivered`: TB id -> bitmask of
@@ -57,19 +58,19 @@ bits sum to `receiver_delivered`. For a lazy row the mask of the UEs surely
 above the noise floor, whatever their draw, is kept with the path-loss
 row (`LazyRow.kept_bits`), and only the UEs near the floor are computed. A
 reselection reads its own column of the log, cut to the sensing window
-and to `World.sensing_reach` (the largest lifetime plus latest offset
-of any claim decoded so far) before the selection window. Each slot on
-air cuts it too: the reach only grows, and an entry's claim reach is at
-most the reach when it was heard, so a cut entry is dead to later windows.
+and to `World.sensing_reach` (the largest `ClaimShape.reach` decoded so
+far) before the selection window. Each slot on air cuts it too: the
+reach only grows, and an entry's claim reach is at most the reach when
+it was heard, so a cut entry is dead to later windows.
 
 A TB's control costs scale with distinct claims and headers, not with
 transmissions or grants: SCI 1-A is encoded once per distinct grant
 claim (span, rri and priority, `World.sci1a_bits`), SCI 2-A once per
 distinct header, and each distinct SCI 1-A or SCI 2-A payload is decoded
-once per world, every receiver sharing the frozen result. Where a claim
-is first decoded its `ClaimShape` is worked out too, once per world,
-into `World.claim_shapes`: the shape cache each reselection hands
-`sense`, so a reselection decodes no claim.
+once per world. An SCI 1-A payload decodes straight into the
+`ClaimShape` it claims (`World.sci1a_cache`), which the sensing log
+holds and `sense` projects, so a reselection decodes no claim; every
+addressed receiver of an SCI 2-A payload shares its frozen header.
 
 Every sent TB gets one `TbOutcome` in `World.tb_log`: a TB without
 feedback ("sent") when it goes out, a HARQ TB when it is done or failed.
@@ -96,7 +97,7 @@ from .defense import (
     sign_ssb,
     verify_ssb,
 )
-from .frames import CastType, MibSl, Pc5Message, Sci1A, Sci2A, SlssIdentity, decode_once
+from .frames import CastType, MibSl, Pc5Message, Sci2A, SlssIdentity, decode_once
 from .harq import (
     FEEDBACK_DELAY_SLOTS,
     MAX_PROCESSES,
@@ -116,7 +117,7 @@ from .resources import (
     ControlBurst,
     Selection,
     announce,
-    claim_shape,
+    decode_shape,
     draw_reselection_counter,
     select_resources,
     sense,
@@ -227,8 +228,8 @@ class UeAgent:
         self.profile = FeedbackProfile()
 
         self.flows: list[FlowRuntime] = []
-        # the (claim, rsrp, slot) entries `sense` got at the last reselection
-        self.sensing: list[tuple[Sci1A | None, float, int]] = []
+        # the (shape, rsrp, slot) entries `sense` got at the last reselection
+        self.sensing: list[tuple[ClaimShape, float, int]] = []
         self.feedback_inbox: list[tuple[FeedbackBurst, float]] = []  # (burst, rsrp)
         self.outbox: dict[int, list[object]] = {}  # slot -> payloads to send
         self.tb_counter = 0
@@ -410,9 +411,9 @@ class UeAgent:
         pool = world.sc.pool
         window_start = slot + 1
         uid = self.spec.id
-        self.sensing = [(claim, rsrp, heard) for heard, claim, row in world.live_sensing(slot)
+        self.sensing = [(shape, rsrp, heard) for heard, shape, row in world.live_sensing(slot)
                         if (rsrp := row.get(uid)) is not None]
-        occ = sense(self.sensing, pool, window_start, world.claim_shapes)
+        occ = sense(self.sensing, pool, window_start)
         sel = select_resources(pool, occ, rt.demand, self.rng)
         counter = draw_reselection_counter(self.rng)
         had_grant = rt.grant is not None
@@ -598,21 +599,18 @@ class World:
         self.identity_truth: dict[int, int] = {}
         self.selection_log: list[SelectionRecord] = []
         self.tb_log: list[TbOutcome] = []
-        # (slot, claim, `deliver` row) per SCI-bearing transmission, in order
-        self.sensing_log: list[tuple[int, Sci1A | None, SensedRow]] = []
-        # SCI 1-A bits, as (data, bit_length), -> decoded claim, None for a malformed
-        # payload. A claim's content depends only on its bits and the pool, and only
-        # its RSRP on the receiver (TS 38.214 8.1.4), so each distinct payload sent is
-        # decoded once per world and every sensing entry shares the (frozen) result.
-        # The tuple key compares like BitString equality but hashes in C.
-        self.sci1a_cache: dict[tuple[bytes, int], Sci1A | None] = {}
-        # id(claim) -> its `ClaimShape`, for every claim in sci1a_cache (which
-        # keeps each claim alive): `sense`'s shape cache, so each distinct
-        # claim is decoded into a shape once per world
-        self.claim_shapes: dict[int, ClaimShape] = {}
-        # the largest `ClaimShape.reach` of a claim in sci1a_cache: a
-        # sensing entry heard longer ago than that before a selection
-        # window holds no live occurrence in it
+        # (slot, claim shape, `deliver` row) per decodable SCI 1-A sent, in order
+        self.sensing_log: list[tuple[int, ClaimShape, SensedRow]] = []
+        # SCI 1-A bits, as (data, bit_length), -> the `ClaimShape` they claim, None
+        # for a payload that does not decode or claims outside the pool. A claim
+        # depends only on its bits and the pool, and only its RSRP on the receiver
+        # (TS 38.214 8.1.4), so each distinct payload sent is decoded once per world
+        # and every sensing entry shares the (frozen) shape. The tuple key compares
+        # like BitString equality but hashes in C.
+        self.sci1a_cache: dict[tuple[bytes, int], ClaimShape | None] = {}
+        # the largest `ClaimShape.reach` in sci1a_cache: a sensing entry heard
+        # longer ago than that before a selection window holds no live
+        # occurrence in it
         self.sensing_reach = 0
         # the same for SCI 2-A, decoded by addressed receivers
         self.sci2a_cache: dict[tuple[bytes, int], Sci2A | None] = {}
@@ -689,7 +687,7 @@ class World:
         self.l2_readers = {l2: self.eavesdroppers.union(ids) for l2, ids in holders.items()}
         return self.l2_readers
 
-    def live_sensing(self, slot: int) -> list[tuple[int, Sci1A | None, SensedRow]]:
+    def live_sensing(self, slot: int) -> list[tuple[int, ClaimShape, SensedRow]]:
         """`sensing_log` cut to what a reselection in `slot` may read: the
         sensing window and `sensing_reach` slots before the selection window."""
         log = self.sensing_log
@@ -795,12 +793,11 @@ class World:
             row = rows[k]
             payload = transmissions[k].payload
             bits = payload.sci1_bits
-            fresh = (bits.data, bits.bit_length) not in cache
-            claim = decode_once(cache, Sci1A.decode, pool, bits)
-            if fresh and claim is not None:
-                shape = self.claim_shapes[id(claim)] = claim_shape(claim, pool)
-                self.sensing_reach = max(self.sensing_reach, shape.reach)
-            self.sensing_log.append((slot, claim, row))
+            shape = decode_once(cache, decode_shape, pool, bits)
+            if shape is not None:
+                if shape.reach > self.sensing_reach:
+                    self.sensing_reach = shape.reach
+                self.sensing_log.append((slot, shape, row))
             if lossless and type(payload) is DataBurst and payload.mac_dst_l2 == BROADCAST_L2:
                 seen = ledger.get(payload.tb_id, 0)
                 new = (row.kept_bits(ue_bits) if row.__class__ is LazyRow
@@ -821,8 +818,8 @@ class World:
         """Each UE in S-SSB `tx`'s row notes it, in `positions` order. The tag
         does not depend on the receiver, so it is checked once."""
         burst, sender, by_id, signed = tx.payload, tx.sender_id, self.by_id, self.ssb_signing
-        slss, mib = burst.slss, burst.mib
-        if signed is not None and not verify_ssb(self.ssb_key, slss.slss_id, mib.encode(),
+        slss = burst.slss
+        if signed is not None and not verify_ssb(self.ssb_key, slss.slss_id, burst.mib.encode(),
                                                  burst.auth_tag, signed.tag_bits):
             for uid in row:
                 if uid in by_id:
@@ -832,7 +829,7 @@ class World:
         for uid, rsrp in row.items():
             agent = by_id.get(uid)
             if (agent is not None
-                    and agent.buffer.note(SyncCandidate(slss, rsrp, mib, slot, sender))
+                    and agent.buffer.note(SyncCandidate(slss, rsrp, slot, sender))
                     and agent.state.source in SELECTING and slot + 1 < agent.sync_at):
                 agent.sync_at = slot + 1  # rank the changed buffer
 
@@ -894,7 +891,7 @@ class World:
             mean = reduce(add, ratios, 0.0) / len(ratios)
             self.metrics.gauge("candidate_set_ratio", mean)
         for attacker in self.attackers:
-            if isinstance(attacker, TrackerAgent):
+            if isinstance(attacker, TrackerAgent):  # `parse_scenario` allows one
                 # a tracker that saw no id has no score: its gauges stay "na"
                 if attacker.traces:
                     truth = {

@@ -47,7 +47,6 @@ class SyncSourceKind(Enum):
 class SyncCandidate:
     slss: SlssIdentity
     rsrp_dbm: float
-    mib: MibSl
     received_slot: int
     sender_id: int = -1  # ground truth for metrics, never used in ranking
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sidelinksim import simulation
+from sidelinksim import resources, simulation
 from sidelinksim.adversary import TrackerAgent
 from sidelinksim.frames import (
     PROTECTION,
@@ -252,16 +252,29 @@ def test_criterion_4_resource_blocking(announce, monkeypatch):
     t0 = time.perf_counter()
     sc = catalog("resource_blocking")
     sensed = []  # what each selection's `sense` call was handed
+    # id(shape) -> the decoded SCI 1-A it came from; the world's memo keeps
+    # every shape alive, so the ids stay valid
+    origin = {}
+    shape_of = resources.claim_shape
+
+    def recorded(sci, pool):
+        shape = shape_of(sci, pool)
+        origin[id(shape)] = sci
+        return shape
+
     with monkeypatch.context() as mp:
+        mp.setattr(resources, "claim_shape", recorded)
         mp.setattr(simulation, "sense", lambda received, *args: (
             sensed.append(list(received)) or sense(received, *args)))
         attacked_rep, _, attacked = run_scenario(sc)
     baseline_rep, _, baseline = run_scenario(replace(sc, attacks=()))
 
-    # brute-force oracle equality on every captured selection
+    # brute-force oracle equality on every captured selection, each
+    # entry's claim decoded from its SCI 1-A fields, not from its shape
     checked = 0
     assert len(sensed) == len(attacked.selection_log)
     for rec, entries in zip(attacked.selection_log, sensed):
+        entries = [(origin[id(shape)], rsrp, heard) for shape, rsrp, heard in entries]
         count, threshold = oracle_candidates(
             sc.pool, entries, rec.decided_slot + 1, rec.selection.subchannel_len)
         assert count == rec.selection.candidate_count, rec
@@ -305,7 +318,7 @@ def targeted_tbs(world, scenario, sender_id=1):
     """TBs whose full retransmission span lies inside the attack window."""
     start, end = scenario.attacks[0].plan.window
     rri = scenario.pool.rri_slots(scenario.traffic[0].rri_ms)
-    span = 4 * rri  # max_retransmissions + 1 attempts, one per interval
+    span = 4 * rri  # MAX_RETRANSMISSIONS + 1 attempts, one per interval
     return [tb for tb in world.tb_log
             if tb.ue_id == sender_id
             and tb.first_tx_slot >= start

@@ -130,6 +130,22 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert "scenario.duration_slots" in err
 
 
+def test_a_second_tracker_fails_validation(tmp_path, capsys):
+    # tracking_weak with a far tracker placed before its own: the run would
+    # score only the far one, which hears no id
+    text = (SCENARIO_DIR / "tracking_weak.yaml").read_text()
+    tracker = "  - kind: l2_tracking\n    window: [0, 2000]\n"
+    assert text.count(tracker) == 1
+    far = tracker + "    capability: {position: [10000, 10000]}\n"
+    bad = tmp_path / "two_trackers.yaml"
+    bad.write_text(text.replace(tracker, far + tracker))
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scenario error:",
+        "  - scenario.attacks[1].kind: a second l2_tracking attack; a run scores one "
+        "tracker, the one at scenario.attacks[0]"]
+
+
 def test_each_problem_is_printed_once(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("duration_slots: -1\nues: []\n")

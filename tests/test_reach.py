@@ -1,7 +1,9 @@
 """Reachability gate: every function in src is entered by the catalog, the
 two benchmark workload generators or the CLI commands, or it is on the
-allowlist below with the reason nothing there enters it. And every name a
-src module imports is used there.
+allowlist below with the reason nothing there enters it. Every name a
+src module imports is used there. And every field of a src dataclass is
+read there, as an attribute or named by a string, or it is on the field
+allowlist with the reason only tests read it.
 
 The probe runs in a fresh interpreter whose function-entry tracer is set
 before `sidelinksim` is imported, so a function called only at import
@@ -48,6 +50,19 @@ ALLOWED = {
     "ScenarioError.__init__": "invalid input only; tests/test_scenario.py and "
                               "tests/test_cli.py reach it",
     "_Errors.add": "invalid input only, as ScenarioError",
+}
+
+
+# Class.field -> why no src code reads it
+FIELDS_ALLOWED = {
+    "KeyHierarchy.k_nrp_sess": "derived for the key ladder; tests/test_pc5.py's known-answer "
+                               "tests pin it",
+    "SelectionRecord.decided_slot": "ground truth: criterion 4 in tests/test_acceptance.py "
+                                    "windows the selections by it",
+    "TbOutcome.first_tx_slot": "ground truth: criterion 5 in tests/test_acceptance.py and "
+                               "the multi-flow digests in tests/test_simulation.py read it",
+    "TbOutcome.spoof_candidates": "ground truth: the multi-flow digests in "
+                                  "tests/test_simulation.py read it",
 }
 
 
@@ -144,6 +159,32 @@ def test_every_src_import_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_every_dataclass_field_is_read_or_allowed():
+    """A dataclass field that src never reads is a leftover, or ground
+    truth for the tests (the allowlist). A read is an attribute load of
+    the field's name or a string constant equal to it: the codec width
+    tables name their fields and read them through `attrgetter`. The
+    match is by name alone, so a field whose name some other object's
+    attribute shares passes unread (a sync candidate's MIB did, while
+    `burst.mib` was read)."""
+    declared, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(d := getattr(deco, "func", deco), ast.Name) and d.id == "dataclass"
+                    for deco in node.decorator_list):
+                declared += [(node.name, stmt.target.id) for stmt in node.body
+                             if isinstance(stmt, ast.AnnAssign)
+                             and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = sorted(f"{cls}.{name}" for cls, name in declared if name not in read)
+    assert sorted(set(unread) - set(FIELDS_ALLOWED)) == [], "unread and not on the allowlist"
+    assert sorted(set(FIELDS_ALLOWED) - set(unread)) == [], "on the allowlist but read or gone"
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ from operator import itemgetter
 
 import pytest
 
-from sidelinksim.frames import Sci1A, fra_encode, tra_encode
+from sidelinksim.bits import BitString
+from sidelinksim.frames import Sci1A, fra_decode, fra_encode, tra_decode, tra_encode
 from sidelinksim.resources import (
     MISS_REFRESH_LIMIT,
     OccupancyMap,
@@ -16,6 +17,7 @@ from sidelinksim.resources import (
     announce,
     candidate_positions,
     claim_shape,
+    decode_shape,
     draw_reselection_counter,
     select_resources,
     sense,
@@ -27,10 +29,22 @@ POOL3 = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
 
 def reference_claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
                               slot: int) -> list[Reservation]:
-    """Expand a decoded SCI 1-A heard in `slot` into its occurrence streams."""
-    shape = claim_shape(sci, pool)
-    return [Reservation(start, shape.length, slot + offset, shape.rri_slots, rsrp)
-            for offset, start in shape.spans]
+    """Expand a decoded SCI 1-A heard in `slot` into its occurrence streams,
+    decoding its resource fields here rather than through `claim_shape`."""
+    reserve = pool.sl_max_num_per_reserve
+    start, length, start2 = fra_decode(pool.num_subchannels, reserve, sci.frequency_resource)
+    later = start if reserve == 2 else start2
+    rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
+    return [Reservation(start, length, slot, rri, rsrp)] + [
+        Reservation(later, length, slot + gap, rri, rsrp)
+        for gap in tra_decode(reserve, sci.time_resource)]
+
+
+def shaped(received, pool):
+    """(sci, rsrp, slot) entries as the world logs them: each claim as its
+    shape, an undecodable (None) one left out."""
+    return [(claim_shape(sci, pool), rsrp, slot)
+            for sci, rsrp, slot in received if sci is not None]
 
 
 def reference_total_cells(pool: ResourcePool) -> int:
@@ -99,6 +113,8 @@ def test_claims_from_sci_reserve2_reuses_primary_span():
     assert (first.start_slot, first.subchannel_start, first.subchannel_len) == (50, 1, 2)
     assert (second.start_slot, second.subchannel_start) == (57, 1)
     assert first.rri_slots == second.rri_slots == 100
+    shape = claim_shape(sci, POOL)
+    assert (shape.spans, shape.length, shape.rri_slots) == (((0, 1), (7, 1)), 2, 100)
 
 
 def test_claims_from_sci_reserve3_uses_secondary_start():
@@ -108,22 +124,26 @@ def test_claims_from_sci_reserve3_uses_secondary_start():
     claims = reference_claims_from_sci(sci, POOL3, -70.0, 100)
     starts = [(c.start_slot, c.subchannel_start) for c in claims]
     assert starts == [(100, 2), (104, 6), (111, 6)]
+    assert claim_shape(sci, POOL3).spans == ((0, 2), (4, 6), (11, 6))
 
 
 def test_sense_threshold_expiry_and_undecodable():
     fr = fra_encode(4, 2, 0, 1, 0)
     sci = Sci1A(priority=1, frequency_resource=fr,
                 time_resource=tra_encode(2, ()), rri_index=0, mcs=9)
+    shape = claim_shape(sci, POOL)
     received = [
-        (sci, -60.0, 900),    # live claim
-        (sci, -120.0, 900),   # below exclusion threshold
-        (None, -50.0, 920),   # undecodable; not projected
-        (sci, -60.0, 600),    # expiry 800 < window start: dropped
+        (shape, -60.0, 900),    # live claim
+        (shape, -120.0, 900),   # below exclusion threshold
+        (shape, -60.0, 600),    # expiry 800 < window start: dropped
     ]
     occ = sense(received, POOL, window_start=1000)
     assert len(occ.reservations) == 1
     assert occ.reservations[0].start_slot == 900
     assert occ.threshold_dbm == POOL.rsrp_exclusion_threshold_dbm
+    # an undecodable payload has no shape, so it never reaches `sense`
+    with pytest.raises(ValueError):
+        decode_shape(POOL, BitString(b"\x00", 8))
 
 
 def test_candidate_positions_matches_direct_enumeration():
@@ -257,7 +277,7 @@ def test_sense_matches_claim_expansion_table(pool, gaps):
             for edge in (window_start - 1, window_start):
                 received.append((sci, -70.0, edge - life - offset))
     received.sort(key=lambda entry: entry[2])
-    got = sense(received, pool, window_start)
+    got = sense(shaped(received, pool), pool, window_start)
     want = reference_sense(received, pool, window_start)
     assert got == want
     assert any(sci is None for sci, _, _ in received) and 0 < len(got.reservations) < len(
@@ -289,6 +309,7 @@ def test_sense_on_the_reach_suffix_matches_the_whole_list(periods, cut):
     window_start = 3000
     received = [(rng.choice(scis + [None]), rng.choice((-60.0, -90.0, -120.0)), slot)
                 for slot in range(window_start - pool.sensing_window_slots, window_start, 3)]
+    received = shaped(received, pool)
     reach = max(claim_shape(sci, pool).reach for sci in scis)
     live = bisect_left(received, window_start - reach, key=itemgetter(2))
     assert (live > 0) == cut
@@ -359,12 +380,9 @@ def test_selection_matches_the_k_loop_projection(reserve):
         received = sorted(((rng.choice(scis + [None]), rng.uniform(-110.0, -60.0),
                             window_start - rng.randint(1, 2200))
                            for _ in range(rng.randint(0, 120))), key=itemgetter(2))
-        shapes = {}
-        occ = sense(received, pool, window_start, shapes)
+        occ = sense(shaped(received, pool), pool, window_start)
         assert occ.masks == reference_blocked_masks(pool, window_start, occ.reservations)
-        # a warm shape cache projects what a decode per call projects
-        assert sense(received, pool, window_start, shapes) == occ == sense(
-            received, pool, window_start)
+        assert occ == reference_sense(received, pool, window_start)
         for res in occ.reservations:
             if res.rri_slots % window:
                 unaligned += 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from sidelinksim import resources, simulation
 from sidelinksim.bits import BitString
-from sidelinksim.frames import CastType, MibSl, Sci1A, Sci2A, SlssIdentity, fra_decode
+from sidelinksim.frames import CastType, Sci1A, Sci2A, SlssIdentity, fra_decode
 from sidelinksim.harq import FEEDBACK_DELAY_SLOTS, DataBurst
 from sidelinksim.metrics import event_line
 from sidelinksim.pc5 import BROADCAST_L2
@@ -262,11 +262,35 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
     world._deliver_and_dispatch([announce(a, wrong_length),
                                  announce(b, BitString(b"\x00", 8))], 6)
     log = world.sensing_log
+    shape = claim_shape(sci, pool)
+    # the malformed payload decodes to no shape, so it logs nothing
     assert [(slot, claim, kept(row, world.positions)) for slot, claim, row in log] == [
-        (5, sci, [2]), (5, sci, [1]), (6, None, [2]), (6, None, [1])]
+        (5, shape, [2]), (5, shape, [1])]
     assert log[0][1] is log[1][1]
     assert len(decoded) == 2
-    assert world.sci1a_cache == {astuple(sci.encode(pool)): sci, astuple(wrong_length): None}
+    assert world.sci1a_cache == {astuple(sci.encode(pool)): shape, astuple(wrong_length): None}
+
+
+@pytest.mark.parametrize("pool, fields", [
+    ({}, {"frequency_resource": 15}),
+    ({"period_list_ms": [100, 500, 1000]}, {"rri_index": 3}),
+], ids=["fra-past-the-subchannels", "rri-index-past-the-periods"])
+def test_a_claim_the_pool_cannot_carry_is_sensed_as_nothing(pool, fields):
+    """A right-length SCI 1-A whose frequency value or period index the
+    pool has no resource for decodes to no shape: its memo entry is None,
+    nobody logs it, and the slot completes."""
+    world = World(small_unicast(pool=pool))
+    sender = world.agents[0]
+    sci = Sci1A(**{"priority": 1, "frequency_resource": 0, "time_resource": 0,
+                   "rri_index": 0, "mcs": 9, **fields})
+    bits = sci.encode(world.sc.pool)
+    assert bits.bit_length == sum(Sci1A.field_widths(world.sc.pool).values())
+    with pytest.raises(ValueError):
+        claim_shape(sci, world.sc.pool)
+    world._deliver_and_dispatch(
+        [Transmission(sender.spec.id, sender.spec.tx_power_dbm, ControlBurst(bits))], 5)
+    assert world.sci1a_cache == {astuple(bits): None}
+    assert world.sensing_log == [] and world.sensing_reach == 0
 
 
 @pytest.mark.parametrize("make", [
@@ -279,12 +303,12 @@ def test_sensing_reach_is_the_largest_cached_claim_reach(make, monkeypatch):
     pool = world.sc.pool
     calls = []
 
-    def checked_sense(received, pool_, window_start, shapes):
-        reaches = [claim_shape(sci, pool).reach
-                   for sci in world.sci1a_cache.values() if sci is not None]
+    def checked_sense(received, pool_, window_start):
+        reaches = [claim_shape(Sci1A.decode(pool, BitString(*key)), pool).reach
+                   for key, shape in world.sci1a_cache.items() if shape is not None]
         assert world.sensing_reach == max(reaches, default=0)
         calls.append(window_start)
-        return sense(received, pool_, window_start, shapes)
+        return sense(received, pool_, window_start)
 
     monkeypatch.setattr(simulation, "sense", checked_sense)
     world.run()
@@ -316,14 +340,14 @@ def test_reselection_decodes_no_shape_and_encodes_each_grant_claim_once(monkeypa
     encoded = []
     encode = Sci1A.encode
     monkeypatch.setattr(resources, "claim_shape", counted)
-    monkeypatch.setattr(simulation, "claim_shape", counted)
     monkeypatch.setattr(UeAgent, "_reselect", flagged)
     monkeypatch.setattr(Sci1A, "encode", lambda sci, pool: encoded.append(sci) or encode(sci, pool))
     world.run()
-    claims = [sci for sci in world.sci1a_cache.values() if sci is not None]
-    assert shapes == {"dispatch": len(claims), "reselect": 0}
-    assert sorted(world.claim_shapes) == sorted(map(id, claims))
-    assert all(world.claim_shapes[id(sci)] == shape(sci, world.sc.pool) for sci in claims)
+    pool = world.sc.pool
+    assert None not in world.sci1a_cache.values()
+    assert shapes == {"dispatch": len(world.sci1a_cache), "reselect": 0}
+    for key, got in world.sci1a_cache.items():
+        assert got == shape(Sci1A.decode(pool, BitString(*key)), pool)
     selections = world.metrics.totals["selections"]
     assert len(encoded) == len(world.sci1a_bits) < selections
     for (start, length, rri_ms, priority), bits in world.sci1a_bits.items():
@@ -545,11 +569,12 @@ def test_sensing_window_drops_claims_sense_would_still_project():
     pool = world.sc.pool
     sci = Sci1A(priority=1, frequency_resource=0, time_resource=0,
                 rri_index=pool.period_list_ms.index(1000), mcs=9)
-    world.sensing_reach = claim_shape(sci, pool).reach
+    shape = claim_shape(sci, pool)
+    world.sensing_reach = shape.reach
     slot = 100 + pool.sensing_window_slots + 1
     assert slot + 1 - world.sensing_reach < 100
-    assert sense([(sci, -60.0, 100)], pool, slot + 1).reservations
-    world.sensing_log = [(100, sci, {1: -60.0})]
+    assert sense([(shape, -60.0, 100)], pool, slot + 1).reservations
+    world.sensing_log = [(100, shape, {1: -60.0})]
     assert world.live_sensing(slot) == []
 
 
@@ -596,17 +621,18 @@ def sensing_worlds(draw):
 def test_entries_from_the_log_equal_the_per_reception_lists(sc):
     """At every reselection, `sense` gets the UE's own column of the
     log's live suffix: in order, every SCI-bearing reception the UE kept
-    (`deliver` to every node, on a copy of the channel generator), cut
-    at the sensing window and the reach. Each reselection and each slot
-    on air cut the one log, so they cut every UE's reference list: an
-    entry cut then holds no live occurrence in a later window either."""
+    (`deliver` to every node, on a copy of the channel generator) whose
+    SCI 1-A decodes into a claim shape, cut at the sensing window and the
+    reach. Each reselection and each slot on air cut the one log, so they
+    cut every UE's reference list: an entry cut then holds no live
+    occurrence in a later window either."""
     world = World(sc)
     pool = sc.pool
     kept = {agent.spec.id: [] for agent in world.agents}
 
-    def claim(bits):
+    def shape(bits):
         try:
-            return Sci1A.decode(pool, bits)
+            return claim_shape(Sci1A.decode(pool, bits), pool)
         except ValueError:
             return None
 
@@ -625,8 +651,9 @@ def test_entries_from_the_log_equal_the_per_reception_lists(sc):
                                         self.path_loss)
         for uid, rs in recs.items():
             kept.get(uid, []).extend(
-                (claim(tx.payload.sci1_bits), rsrp, slot) for tx, rsrp in rs
-                if isinstance(tx.payload, (DataBurst, ControlBurst)))
+                (claim, rsrp, slot) for tx, rsrp in rs
+                if isinstance(tx.payload, (DataBurst, ControlBurst))
+                and (claim := shape(tx.payload.sci1_bits)) is not None)
         dispatch(self, transmissions, slot)
 
     handed = []
@@ -661,7 +688,7 @@ def _sync_trace(seed, min_hyst_db, rank_every_slot):
         for _ in range(0 if quiet else rng.choice((0, 0, 1, 2))):
             sid, cov = rng.choice(ids)
             agent.buffer.note(SyncCandidate(SlssIdentity(sid, cov), rng.uniform(-112, -60),
-                                            MibSl(0, cov, 0, 0), slot, sid))
+                                            slot, sid))
         if rank_every_slot:
             agent._ranked_at = None
         agent._sync_step(slot, [])

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from sidelinksim.frames import MibSl, SlssIdentity
+from sidelinksim.frames import SlssIdentity
 from sidelinksim.sync import (
     CandidateBuffer,
     SyncCandidate,
@@ -19,11 +19,10 @@ from sidelinksim.sync import (
 )
 
 CFG = SyncConfig()
-MIB = MibSl(0, True, 0, 0)
 
 
 def cand(slss_id, in_cov, rsrp, slot=0, sender=-1):
-    return SyncCandidate(SlssIdentity(slss_id, in_cov), rsrp, MIB, slot, sender)
+    return SyncCandidate(SlssIdentity(slss_id, in_cov), rsrp, slot, sender)
 
 
 def reference_rank_candidates(cands, cfg):
