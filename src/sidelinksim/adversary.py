@@ -155,6 +155,13 @@ class AttackerAgent:
                 out.append(self._tx(slot, payload))
         return out
 
+    def next_due(self, after: int) -> int | float:
+        """First slot from `after` on in which `transmissions` does anything
+        (sends, logs or draws), until a reception adds work; math.inf for
+        none. The world calls `transmissions` for every slot it visits, so
+        no queued slot is ever left behind."""
+        return min(self._queue, default=math.inf)
+
 
 # ---------------------------------------------------------------------------
 # synchronization attacks
@@ -187,6 +194,15 @@ class SyncImpersonationAgent(AttackerAgent):
         clone = self._ssb(slot, burst.slss, burst.mib.tdd_config, burst.mib.in_coverage)
         return [self._tx(slot, clone)]
 
+    def next_due(self, after):
+        """The heard burst's phase inside the window, once one is heard."""
+        if self._best is None:
+            return math.inf
+        start, end = self.plan.window
+        slot = max(after, start)
+        slot += (self._best[2] - slot) % self.ssb_period
+        return slot if slot < end else math.inf
+
 
 class FalseSyncInjectionAgent(AttackerAgent):
     """Fabricates a top-tier sync identity (default the GNSS-direct id 0
@@ -201,6 +217,15 @@ class FalseSyncInjectionAgent(AttackerAgent):
         slss = SlssIdentity(self.params["slss_id"], in_coverage=True)
         burst = self._ssb(slot, slss, self.params["tdd_config"], in_coverage=True)
         return [self._tx(slot, burst)]
+
+    def next_due(self, after):
+        """Every slot of the window under jitter, which is drawn in each;
+        with perfect timing only the beacon slots."""
+        start, end = self.plan.window
+        slot = max(after, start)
+        if not self.cap.timing_precision_slots:
+            slot += -slot % self.ssb_period
+        return slot if slot < end else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +276,12 @@ class ResourceBlockingAgent(AttackerAgent):
                 out.append(self._tx(slot, ControlBurst(sci1_bits=cell[1])))
         self._next_due = min(due for due, _ in self._cells)
         return out
+
+    def next_due(self, after):
+        """The first slot after listening, where the cells are laid out;
+        then the earliest refresh."""
+        slot = max(after, self._listen_until if self._cells is None else self._next_due)
+        return slot if slot < self.plan.window[1] else math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,20 @@ sync_at has come too, and the PC5 step only while the UE has a link or
 a link start pending. A UE whose sync_at alone has come runs just its
 sync step, in the same agent order. A sync step ranks the SyncRef
 candidates only after the buffer changed, and once more after a first
-lock under an entry margin (`UeAgent._rank_sync_ref`). At the end of the
-slot each due slot that has come is recomputed. A reception that adds
-work pulls a due slot forward: a changed sync buffer the sync_at; an
-outbox entry, a feedback candidate or a handled PC5 message the wake.
-Identifier-privacy epochs run only in epoch slots. A slot with nothing
-on air skips delivery, and only moving nodes get their positions
-recomputed.
+lock under an entry margin (`UeAgent._rank_sync_ref`); an S-SSB that
+repeats the entry it refreshes (same identity, power and sender) is no
+change (`CandidateBuffer.note`). At the end of the slot each due slot
+that has come is recomputed. A reception that adds work pulls a due slot
+forward: a changed sync buffer the sync_at; an outbox entry, a feedback
+candidate or a handled PC5 message the wake. Identifier-privacy epochs
+run only in epoch slots. A slot with nothing on air skips delivery, and
+only moving nodes get their positions recomputed.
+
+Idle slots are skipped too. A slot in which no UE stepped and nothing
+went on air changed nothing, so the loop jumps from it straight to the
+next due slot (`World._next_due`): the earliest UE wake or sync_at,
+privacy epoch slot and attacker `next_due`. Every other slot goes on to
+the next one, so the minimum is taken only where it can skip something.
 
 Reception costs one cached path-loss row per sender: the world keeps
 the rows `deliver` builds and drops them all in any slot in which a
@@ -834,23 +841,31 @@ class World:
                 agent.sync_at = slot + 1  # rank the changed buffer
 
     def run(self) -> MetricsReport:
+        """Step the slots that have work, from slot 0 to the end. A slot in
+        which no UE stepped and nothing went on air changed nothing, so the
+        loop jumps from it to the next due slot (`_next_due`); any other
+        slot goes on to the next one."""
         agents = self.agents
         privacy = self.sc.defenses.privacy_randomizer
         # slots per identifier-privacy epoch; 0: identifiers never change
         epoch = (round(privacy.timer_ms / self.sc.pool.slot_duration_ms)
                  if privacy.enabled and privacy.mode != "static" else 0)
-        for slot in range(self.sc.duration_slots):
+        slot, end = 0, self.sc.duration_slots
+        while slot < end:
             if self.moving:
                 self._place(self.moving, slot)
                 self.path_loss.clear()
             if epoch > 0 and slot and slot % epoch == 0:
                 self._privacy_epoch(slot)
             transmissions: list[Transmission] = []
+            stepped = False
             for agent in agents:
                 if agent.wake <= slot:
                     transmissions.extend(agent.act(slot))
+                    stepped = True
                 elif agent.sync_at <= slot:
                     agent._sync_step(slot, transmissions)
+                    stepped = True
             for attacker in self.attackers:
                 injected = attacker.transmissions(slot)
                 if injected:
@@ -858,6 +873,9 @@ class World:
                 transmissions.extend(injected)
             if transmissions:
                 self._deliver_and_dispatch(transmissions, slot)
+            elif not stepped:
+                slot = self._next_due(slot + 1, epoch)
+                continue
             # every UE that stepped is still due; receptions may add more.
             # A sync step before its sync_at has no work, so a UE whose
             # sync_at has not come keeps it.
@@ -867,8 +885,28 @@ class World:
                     agent.wake = agent.next_wake(slot + 1)
                 if agent.sync_at <= slot:
                     agent.sync_at = agent.sync_due(slot + 1)
+            slot += 1
+        if self.moving:  # where the run leaves them: their place in its last slot
+            self._place(self.moving, end - 1)
         self._finalize()
         return self.metrics
+
+    def _next_due(self, after: int, epoch: int) -> int:
+        """First slot from `after` on in which a UE, an attacker or the
+        privacy epoch has work; the end of the run if none has."""
+        due = self.sc.duration_slots
+        if epoch > 0:
+            due = min(due, after + -after % epoch)
+        for agent in self.agents:
+            if agent.wake < due:
+                due = agent.wake
+            if agent.sync_at < due:
+                due = agent.sync_at
+        for attacker in self.attackers:
+            at = attacker.next_due(after)
+            if at < due:
+                due = at
+        return due
 
     def _finalize(self):
         self.metrics.bump("slots_run", self.sc.duration_slots)

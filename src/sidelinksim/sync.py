@@ -191,10 +191,13 @@ class CandidateBuffer:
     sequence); the receiver locks onto the stronger instance, so a
     fresh weaker burst never evicts a fresh stronger one.
 
-    `changes` counts every edit of `entries`: a noted candidate that is
-    stored, and an aged-out entry that `prune` drops. While it stands
-    still the candidate set is the same, so a selector that ranked it
-    needs to rank again only once the count has moved.
+    `changes` counts only the edits a ranking can see: a noted candidate
+    that is stored, unless it repeats the entry it replaces (the same
+    identity, power and sender: an S-SSB heard again on an unshadowed
+    channel), and an aged-out entry that `prune` drops. A repeat still
+    stores its newer slot, so `expiry` moves. While the count stands
+    still a ranking reads the same candidates, so a selector that ranked
+    them needs to rank again only once the count has moved.
     """
 
     retention_slots: int
@@ -204,7 +207,8 @@ class CandidateBuffer:
     _oldest: float = field(default=math.inf, init=False, repr=False, compare=False)
 
     def note(self, cand: SyncCandidate) -> bool:
-        """Store the candidate unless a fresh stronger one holds its id."""
+        """Store the candidate unless a fresh stronger one holds its id;
+        True if a ranking can see the change (`changes` moved)."""
         sid, slot = cand.slss.slss_id, cand.received_slot
         held = self.entries.get(sid)
         if (
@@ -213,13 +217,16 @@ class CandidateBuffer:
             or cand.rsrp_dbm >= held.rsrp_dbm
         ):
             self.entries[sid] = cand
-            self.changes += 1
+            changed = (held is None or cand.rsrp_dbm != held.rsrp_dbm
+                       or cand.sender_id != held.sender_id or cand.slss != held.slss)
+            if changed:
+                self.changes += 1
             if slot < self._oldest:
                 self._oldest = slot
             elif held is not None and held.received_slot == self._oldest < slot:
                 # the replaced entry may have been the only one that old
                 self._oldest = min(c.received_slot for c in self.entries.values())
-            return True
+            return changed
         return False
 
     def expiry(self) -> int | None:

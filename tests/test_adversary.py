@@ -392,50 +392,116 @@ def _describe(payload) -> str:
     if isinstance(payload, FeedbackBurst):
         return (f"feedback ack={payload.ack} pid={payload.harq_process_id}"
                 f" src={payload.src_l2:x} dst={payload.dst_l2:x}")
+    if isinstance(payload, SsbBurst):
+        return (f"ssb {payload.slss.slss_id} cov={payload.slss.in_coverage}"
+                f" dfn={payload.mib.direct_frame_number} at={payload.mib.slot_index}"
+                f" tdd={payload.mib.tdd_config} tag={payload.auth_tag}")
     body = " ".join(f"{k}={v}" for k, v in payload.body.items())
     return f"{payload.kind.name} src={payload.src_l2:x} dst={payload.dst_l2:x} {body}"
 
 
-def _drive(label, agent, heard, slots):
-    rows, logged = [], 0
-    for slot in range(slots):
+def _drive(label, agent, heard, slots, jump=False) -> tuple[list[str], int]:
+    """The rows of `slots` slots, and the number of slots visited. `heard`
+    maps a slot to the (payload, rsrp) pairs heard in it. With `jump` only
+    the slots the world would visit for the agent: the ones its `next_due`
+    names and the ones it hears something in."""
+    rows, logged, visited, slot = [], 0, 0, 0
+    while slot < slots:
+        visited += 1
         for tx in agent.transmissions(slot):
             rows.append(f"{label} {slot} tx {_describe(tx.payload)}")
         for action in agent.actions[logged:]:
             rows.append(f"{label} {action.slot} log {action.kind} {action.outcome}")
         logged = len(agent.actions)
-        for payload in heard.get(slot, ()):
-            hear(agent, payload, slot)
-    return rows
+        for payload, rsrp in heard.get(slot, ()):
+            hear(agent, payload, slot, rsrp=rsrp)
+        if jump:
+            slot = min(agent.next_due(slot + 1), *(s for s in heard if s > slot), slots)
+        else:
+            slot += 1
+    return rows, visited
 
 
 def _request(src, dst, n, kind=K.ESTABLISHMENT_REQUEST):
     return Pc5Message(kind, src, dst, 1, {"nonce": f"{n:02x}" * 16})
 
 
-def deferred_frame_rows() -> list[str]:
-    rows = []
-    bursts = {s: [data_burst(0x100 + i, 0x200 + s, tb=s * 4 + i, pid=(s + i) % 16)
+def deferred_drives() -> list[tuple[str, object, dict, int]]:
+    """(label, fresh agent, slot -> payloads heard, slots) per drive."""
+    bursts = {s: [(data_burst(0x100 + i, 0x200 + s, tb=s * 4 + i, pid=(s + i) % 16), -70.0)
                   for i in range(s % 3 + 1)] for s in range(4, 60, 3)}
-    rows += _drive("nack", build(AttackKind.HARQ_SPOOF_NACK, window=(10, 50),
-                                 cap=JITTERY, seed="nack"), bursts, 70)
-    rows += _drive("ack", build(AttackKind.HARQ_SPOOF_ACK, window=(0, 40), cap=JITTERY,
-                                params={"slot_offset": -1}, seed="ack"), bursts, 70)
-    requests = {s: [_request(0x300 + i, 0x400 + s, s + i) for i in range(s % 3)]
-                + [_request(0x500, 0x600, s, K.AUTHENTICATION_REQUEST)]
+    requests = {s: [(_request(0x300 + i, 0x400 + s, s + i), -70.0) for i in range(s % 3)]
+                + [(_request(0x500, 0x600, s, K.AUTHENTICATION_REQUEST), -70.0)]
                 for s in range(2, 50, 4)}
-    rows += _drive("reject", build(AttackKind.PC5_FORGED_REJECT, window=(5, 40),
-                                   cap=JITTERY, seed="reject"), requests, 60)
-    rows += _drive("auth", build(AttackKind.PC5_AUTH_DISRUPT, window=(5, 40),
-                                 cap=JITTERY, seed="auth"), requests, 60)
-    rows += _drive("replay", build(AttackKind.PC5_REPLAY, window=(0, 45), cap=JITTERY,
-                                   params={"replay_delay_slots": 6}, seed="replay"),
-                   requests, 60)
     blind = AttackerCapability(timing_precision_slots=3, knows_pool_config=False)
-    rows += _drive("block", build(AttackKind.RESOURCE_BLOCKING, window=(20, 280), cap=blind,
-                                  params={"rri_ms": 100}, seed="block"), {}, 300)
-    return rows
+    return [
+        ("nack", build(AttackKind.HARQ_SPOOF_NACK, window=(10, 50), cap=JITTERY, seed="nack"),
+         bursts, 70),
+        ("ack", build(AttackKind.HARQ_SPOOF_ACK, window=(0, 40), cap=JITTERY,
+                      params={"slot_offset": -1}, seed="ack"), bursts, 70),
+        ("reject", build(AttackKind.PC5_FORGED_REJECT, window=(5, 40), cap=JITTERY,
+                         seed="reject"), requests, 60),
+        ("auth", build(AttackKind.PC5_AUTH_DISRUPT, window=(5, 40), cap=JITTERY, seed="auth"),
+         requests, 60),
+        ("replay", build(AttackKind.PC5_REPLAY, window=(0, 45), cap=JITTERY,
+                         params={"replay_delay_slots": 6}, seed="replay"), requests, 60),
+        ("block", build(AttackKind.RESOURCE_BLOCKING, window=(20, 280), cap=blind,
+                        params={"rri_ms": 100}, seed="block"), {}, 300),
+    ]
+
+
+def deferred_frame_rows() -> list[str]:
+    return [row for drive in deferred_drives() for row in _drive(*drive)[0]]
 
 
 def test_deferred_frames_match_recorded_rows():
     assert deferred_frame_rows() == ATTACK_LOG_ROWS_FILE.read_text().splitlines()
+
+
+def _assert_jumping_matches_every_slot(drives, oracles) -> list[str]:
+    """Drive each agent from one due slot to the next and each oracle in
+    every slot: the same rows and the same rng state. Returns the rows."""
+    rows = []
+    for (label, agent, heard, slots), (_, oracle, _, _) in zip(drives, oracles):
+        jumped, visited = _drive(label, agent, heard, slots, jump=True)
+        every, _ = _drive(label, oracle, heard, slots)
+        assert jumped == every, label
+        assert agent.rng.getstate() == oracle.rng.getstate(), label
+        assert visited < slots, label  # the jumps skip something
+        rows += jumped
+    return rows
+
+
+def test_deferred_frames_jumping_from_due_slot_to_due_slot():
+    rows = _assert_jumping_matches_every_slot(deferred_drives(), deferred_drives())
+    assert rows == ATTACK_LOG_ROWS_FILE.read_text().splitlines()
+
+
+def sync_drives() -> list[tuple[str, object, dict, int]]:
+    """Both beaconing attackers, with perfect and with jittered timing, in
+    a window that opens late and closes early, and in one that opens at
+    once and closes early; the impersonator hears a weak, a stronger and a
+    weaker burst, each on its own phase, from slot 50 on."""
+    heard = {50: [(SsbBurst(SlssIdentity(40, True), MibSl(2, True, 0, 0)), -80.0)],
+             83: [(SsbBurst(SlssIdentity(7, False), MibSl(1, False, 0, 0)), -60.0)],
+             131: [(SsbBurst(SlssIdentity(9, True), MibSl(3, True, 0, 0)), -75.0)]}
+    drives = []
+    for jitter in (0, 3):
+        cap = AttackerCapability(timing_precision_slots=jitter)
+        for window in ((37, 170), (0, 200)):
+            label = f"{jitter}:{window[0]}-{window[1]}"
+            drives.append((f"impersonate:{label}", build(
+                AttackKind.SYNC_IMPERSONATION, window=window, cap=cap, seed=label), heard, 240))
+            drives.append((f"inject:{label}", build(
+                AttackKind.FALSE_SYNC_INJECTION, window=window, cap=cap,
+                params={"slss_id": 3}, seed=label), {}, 240))
+    return drives
+
+
+def test_beacons_jumping_from_due_slot_to_due_slot():
+    rows = _assert_jumping_matches_every_slot(sync_drives(), sync_drives())
+    for kind in ("impersonate", "inject"):
+        for label in ("0:37-170", "3:37-170"):
+            sent = [int(row.split()[1]) for row in rows
+                    if row.startswith(f"{kind}:{label} ") and " tx " in row]
+            assert sent and 37 <= min(sent) and max(sent) < 170, (kind, label)

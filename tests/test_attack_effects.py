@@ -179,14 +179,17 @@ def _run(raw: dict):
     return report.totals, world
 
 
+def counterpart(row: Row) -> dict:
+    """The row's scenario with its defense on, or without the attacker."""
+    if row.defense is None:
+        return {**row.scenario, "attacks": []}
+    return {**row.scenario, "defenses": {**row.scenario.get("defenses", {}), **row.defense}}
+
+
 @pytest.mark.parametrize("kind", list(ROWS), ids=lambda k: k.value)
 def test_attack_has_an_effect_that_its_defense_removes(kind):
     row = ROWS[kind]
     totals, world = _run(row.scenario)
     assert row.effect(totals, world), {m: totals[m] for m in row.shown}
-    if row.defense is None:
-        other = {**row.scenario, "attacks": []}
-    else:
-        other = {**row.scenario, "defenses": {**row.scenario.get("defenses", {}), **row.defense}}
-    totals, world = _run(other)
+    totals, world = _run(counterpart(row))
     assert row.mitigated(totals, world), {m: totals[m] for m in row.shown}

@@ -719,6 +719,28 @@ def test_ranking_only_on_change_matches_ranking_every_slot(monkeypatch, min_hyst
     assert any(src == SyncSourceKind.SYNC_REF_UE for src, *_ in on_change)
 
 
+SYNC_STATE_RUNS = {
+    **{f"catalog:{p.stem}": (lambda p=p: load_scenario(p))
+       for p in sorted(SCENARIO_DIR.glob("*.yaml"))},
+    **{f"dense_broadcast:{seed}": (lambda seed=seed: parse_scenario(
+        workloads.dense_broadcast(seed, num_ues=16, duration_slots=300))) for seed in (0, 1)},
+    **{f"unicast_harq:{seed}": (lambda seed=seed: parse_scenario(
+        workloads.unicast_harq(seed, pairs=3, duration_slots=700))) for seed in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNC_STATE_RUNS))
+def test_a_selecting_ue_holds_a_reference_exactly_when_off_its_internal_clock(name):
+    """`SyncState.reference` is set iff the source is a SyncRef UE: a lapse
+    to the internal clock drops the reference and says so in `source`."""
+    _, _, world = run_scenario(SYNC_STATE_RUNS[name]())
+    states = [agent.state for agent in world.agents
+              if agent.state.source in simulation.SELECTING]
+    assert states
+    for state in states:
+        assert (state.reference is None) == (state.source is SyncSourceKind.INTERNAL_CLOCK)
+
+
 # -- feedback closure across many flows -------------------------------------
 
 

@@ -233,6 +233,30 @@ def test_candidate_buffer_counts_changes():
     assert buf.changes == 4
 
 
+def test_an_identical_refresh_moves_the_expiry_but_is_no_change():
+    buf = CandidateBuffer(retention_slots=32)
+    assert buf.note(cand(9, True, -60, slot=0, sender=1))
+    assert buf.changes == 1 and buf.expiry() == 33
+    # the same burst heard again a period later: a ranking sees nothing new
+    assert not buf.note(cand(9, True, -60, slot=16, sender=1))
+    assert buf.changes == 1 and buf.expiry() == 49
+    assert buf.entries[9].received_slot == 16
+    buf.prune(48)  # the refresh keeps the entry from ageing out
+    assert list(buf.entries) == [9] and buf.changes == 1
+
+
+def test_a_refresh_that_changes_power_coverage_or_sender_is_a_change():
+    buf = CandidateBuffer(retention_slots=32)
+    buf.note(cand(9, True, -60, slot=0, sender=1))
+    for slot, refresh in enumerate([cand(9, True, -59, sender=1),  # power
+                                    cand(9, False, -59, sender=1),  # coverage flag
+                                    cand(9, False, -59, sender=2)],  # sender
+                                   start=1):
+        refresh.received_slot = slot
+        assert buf.note(refresh)
+        assert buf.changes == 1 + slot and buf.entries[9] is refresh
+
+
 def test_candidate_buffer_ages_out():
     buf = CandidateBuffer(retention_slots=32)
     buf.note(cand(9, True, -60, slot=0))

@@ -1,10 +1,11 @@
-"""Wake on work: skipping idle UEs changes no output byte.
+"""Wake on work: skipping idle UEs and idle slots changes no output byte.
 
 The oracle run (`every_slot`) makes every UE due in every slot, for its
 sync step too, and ranks its SyncRef candidates at every sync step, so
 `act`, `_sync_step`, the ranking and `close_feedback` run for each UE in
-each slot, as a loop without due slots would. Both runs must write the
-same metrics.csv and events.jsonl.
+each slot, and the world visits every slot and asks every attacker for
+its transmissions in each, as a loop without due slots would. Both runs
+must write the same metrics.csv and events.jsonl.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from sidelinksim.pc5 import KEEPALIVE_PERIOD_SLOTS, PC5_TIMEOUT_SLOTS, LinkPhase
 from sidelinksim.radio import Reception, Transmission
 from sidelinksim.scenario import load_scenario, parse_scenario
 from sidelinksim.simulation import UeAgent, World
+from test_attack_effects import ROWS, counterpart, resource_squat, sync_capture
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -91,6 +93,21 @@ def pc5_timers():
     })
 
 
+def jittered_injection():
+    """A false-sync beacon drawn off its slot by up to 3 slots: the
+    attacker draws jitter in every slot of its window."""
+    raw = sync_capture("false_sync_injection")
+    raw["attacks"][0]["capability"]["timing_precision_slots"] = 3
+    return parse_scenario(raw)
+
+
+def blind_blocking():
+    """Resource blocking that listens 100 slots before its first claim."""
+    raw = resource_squat()
+    raw["attacks"][0]["capability"]["knows_pool_config"] = False
+    return parse_scenario(raw)
+
+
 CASES = {
     **{f"catalog:{p.stem}": (lambda p=p: load_scenario(p))
        for p in sorted(SCENARIO_DIR.glob("*.yaml"))},
@@ -104,6 +121,13 @@ CASES = {
     "entry_margin": entry_margin,
     "moving": moving_ues,
     "pc5_timers": pc5_timers,
+    # every registered attack kind, attacked and defended (or unattacked)
+    **{f"attack:{kind.value}": (lambda row=row: parse_scenario(row.scenario))
+       for kind, row in ROWS.items()},
+    **{f"attack:{kind.value}:counterpart": (lambda row=row: parse_scenario(counterpart(row)))
+       for kind, row in ROWS.items()},
+    "attack:false_sync_injection:jittered": jittered_injection,
+    "attack:resource_blocking:blind": blind_blocking,
 }
 
 
@@ -114,7 +138,8 @@ def run_bytes(world: World) -> str:
 
 def every_slot(m: pytest.MonkeyPatch):
     """Make every UE due in every slot, for its sync step as well, and
-    rank the SyncRef candidates at every sync step."""
+    rank the SyncRef candidates at every sync step. No slot is then idle,
+    so this also makes the world visit every slot."""
     m.setattr(UeAgent, "next_wake", lambda self, after: after)
     m.setattr(UeAgent, "sync_due", lambda self, after: after)
     step = UeAgent._sync_step
@@ -211,3 +236,21 @@ def test_a_handled_pc5_message_wakes_the_ue():
     ue.receive([heard], 7)
     assert ue.endpoint.links == {} and ue.endpoint.next_deadline() is None
     assert ue.wake == 7  # its timers are recomputed at the end of this slot
+
+
+def test_an_idle_slot_jumps_to_the_next_due_slot(monkeypatch):
+    """The catalog's quiet baseline: five UEs, flows every 100 or 200 slots
+    and S-SSBs every 16, without shadowing. The world visits fewer than a
+    quarter of its 2 000 slots."""
+    jumps = []
+    next_due = World._next_due
+
+    def counting(self, after, epoch):
+        due = next_due(self, after, epoch)
+        jumps.append(due - after)
+        return due
+    monkeypatch.setattr(World, "_next_due", counting)
+    world = World(load_scenario(SCENARIO_DIR / "baseline.yaml"))
+    world.run()
+    visited = world.sc.duration_slots - sum(jumps)
+    assert world.sc.duration_slots == 2000 and visited < 2000 / 4, visited
