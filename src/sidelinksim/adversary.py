@@ -2,10 +2,11 @@
 feedback forgery, PC5 signalling exploits and passive id tracking.
 
 Agents interact with the world only through the shared radio path:
-they receive what their radio hears and hand transmissions back for
-delivery. Capability flags gate what each one may parse or assume
-(pool geometry, feedback timing, key material); timing jitter draws
-from the agent's seeded source within the configured bound.
+they receive what their radio hears of the payload kinds they act on
+(`AttackerAgent.hears`) and hand transmissions back for delivery.
+Capability flags gate what each one may parse or assume (pool geometry,
+feedback timing, key material); timing jitter draws from the agent's
+seeded source within the configured bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .frames import (
 )
 from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
 from .pc5 import weak_successor
-from .radio import Reception, Transmission
+from .radio import Transmission
 from .resources import ControlBurst, ResourcePool, announce
 from .sync import SsbBurst
 
@@ -86,7 +87,17 @@ class AttackerAgent:
     `params` is the plan's parameters over the registry defaults for its
     kind. The world's pool, beacon period and beacon tag length are public
     configuration; the beacon key reaches only an insider.
+
+    `hears` names the payload classes a subclass acts on. Such a subclass
+    defines `on_receptions(receptions, slot)`, and the world calls it with
+    each slot's non-empty list of `radio.Reception` pairs heard. It builds
+    no reception of another kind for the agent, except lossy broadcast
+    data, which every node reads, so `on_receptions` still skips the kinds
+    it ignores. An agent that hears nothing has no `on_receptions`.
+    Everything an agent later forges it must hear there.
     """
+
+    hears: tuple[type, ...] = ()
 
     def __init__(self, attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
                  rng: random.Random, pool: ResourcePool, ssb_period: int, ssb_key: bytes,
@@ -143,9 +154,6 @@ class AttackerAgent:
 
     # hooks ---------------------------------------------------------------
 
-    def on_receptions(self, receptions: list[Reception], slot: int):
-        """Passive capture; everything an agent later forges it must hear here."""
-
     def transmissions(self, slot: int) -> list[Transmission]:
         out = []
         for payload in self._queue.pop(slot, ()):
@@ -170,6 +178,8 @@ class AttackerAgent:
 class SyncImpersonationAgent(AttackerAgent):
     """Clones the strongest legitimate SyncRef it has heard and rebroadcasts
     that identity louder, on the victim's burst phase."""
+
+    hears = (SsbBurst,)
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -293,6 +303,8 @@ class HarqSpoofAgent(AttackerAgent):
     the legitimate receiver's feedback with a louder forgery: an ACK or a
     NACK, by the plan's kind."""
 
+    hears = (DataBurst,)
+
     def __init__(self, *args):
         super().__init__(*args)
         self._sci2a: dict = {}  # SCI 2-A payloads heard, each decoded once
@@ -335,6 +347,8 @@ class _ReactiveForger(AttackerAgent):
     The forger works from headers alone (kind, source, destination); it
     never reads message bodies, so it cannot echo a victim's nonce.
     """
+
+    hears = (Pc5Message,)
 
     watch_kind: K
     forge_kind: K
@@ -387,6 +401,8 @@ class Pc5ReplayAgent(AttackerAgent):
     without interpreting them. A replay due outside the active window, or
     already past when captured, is dropped."""
 
+    hears = (Pc5Message,)
+
     def on_receptions(self, receptions, slot):
         if not self.active(slot):
             return
@@ -425,6 +441,8 @@ class TrackerAgent(AttackerAgent):
     earlier id it is the predictable increment of, however long apart,
     and otherwise to one that disappeared within the window at similar
     power."""
+
+    hears = (DataBurst, Pc5Message)
 
     def __init__(self, *args):
         super().__init__(*args)

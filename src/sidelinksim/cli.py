@@ -20,6 +20,7 @@ import argparse
 import logging
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .adversary import ATTACK_REGISTRY
@@ -40,19 +41,21 @@ class UsageError(ValueError):
     """A malformed command-line value (exit 1)."""
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """Accept "3", "1,4,9", or an inclusive range "1:10"."""
+def _parse_seeds(text: str) -> Sequence[int]:
+    """Accept "3", "1,4,9", or an inclusive range "1:10", kept a `range`:
+    its ends are checked before any seed is made."""
     try:
         if ":" in text:
-            lo, hi = text.split(":", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, text.split(":", 1))
+            seeds = range(lo, hi + 1)
         else:
             seeds = [int(part) for part in text.split(",") if part]
+            lo, hi = min(seeds, default=0), max(seeds, default=0)
     except ValueError:
         raise UsageError(f'--seeds {text!r}: expected "3", "1,4,9" or "1:10"') from None
     if not seeds:
         raise UsageError(f"--seeds {text!r}: no seeds given")
-    if min(seeds) < 0 or max(seeds) > MAX_SEED:
+    if lo < 0 or hi > MAX_SEED:
         raise UsageError(f"--seeds {text!r}: a seed must be an integer in [0, 2^64)")
     return seeds
 

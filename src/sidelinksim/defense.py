@@ -38,11 +38,26 @@ class AnomalyCheckConfig:
     power_tolerance_db: float = 3.0
     min_samples: int = 3
 
+    def __post_init__(self):
+        # a negative tolerance flags feedback below the learned mean
+        _refuse_negative(self, "power_tolerance_db", "min_samples")
+
 
 @dataclass(frozen=True)
 class ReplayGuardConfig:
     enabled: bool = False
     timestamp_skew_slots: int = 16
+
+    def __post_init__(self):
+        # a negative skew makes every timestamp stale
+        _refuse_negative(self, "timestamp_skew_slots")
+
+
+def _refuse_negative(config, *names: str):
+    for name in names:
+        value = getattr(config, name)
+        if value < 0:
+            raise ValueError(f"{name} {value} below 0")
 
 
 @dataclass(frozen=True)

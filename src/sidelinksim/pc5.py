@@ -345,6 +345,10 @@ class Pc5Endpoint:
         self.policy = policy
         self.rng = rng
         self.links: dict[int, LinkState] = {}
+        # the earliest link deadline: the first slot in which `tick` acts;
+        # None while no timer runs. Only `initiate`, `handle` and `tick` add,
+        # drop, rename or re-time a link, and each recomputes it on its way out.
+        self.deadline: int | None = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -375,6 +379,7 @@ class Pc5Endpoint:
         link.nonce_i = self._nonce()
         link.keys = KeyHierarchy(self.k_long_term).with_knrp(self.rng.getrandbits(32))
         self.links[peer_l2] = link
+        self._retime()
         body = {
             "nonce": link.nonce_i,
             "ts": slot,
@@ -400,12 +405,16 @@ class Pc5Endpoint:
 
     # -- timers ----------------------------------------------------------
 
-    def next_deadline(self) -> int | None:
-        """First slot in which `tick` acts; None while no timer runs."""
-        return min((link.deadline for link in self.links.values()
-                    if link.deadline is not None), default=None)
+    def _retime(self):
+        self.deadline = min((link.deadline for link in self.links.values()
+                             if link.deadline is not None), default=None)
 
     def tick(self, slot: int) -> tuple[list[Pc5Message], list[SecurityEvent]]:
+        """Fire the link timers due by `slot`: a pending link times out, an
+        established initiator sends a keepalive or, after too many
+        unanswered, releases the link. Nothing is due before `deadline`."""
+        if self.deadline is None or slot < self.deadline:
+            return [], []
         out: list[Pc5Message] = []
         events: list[SecurityEvent] = []
         for peer, link in list(self.links.items()):
@@ -422,6 +431,7 @@ class Pc5Endpoint:
                 out.append(self._msg(K.KEEPALIVE_REQUEST, peer, {"n": link.keepalive_misses}, link))
                 link.keepalive_misses += 1
                 link.deadline += KEEPALIVE_PERIOD_SLOTS
+        self._retime()
         return out, events
 
     # -- receive path ----------------------------------------------------
@@ -436,6 +446,12 @@ class Pc5Endpoint:
         (one sent before the context is in force) must echo the nonce
         its pending step is bound to.
         """
+        result = self._route(msg, slot, guard)
+        self._retime()
+        return result
+
+    def _route(self, msg: Pc5Message, slot: int,
+               guard) -> tuple[list[Pc5Message], list[SecurityEvent]]:
         link = self.links.get(msg.src_l2)
         if msg.kind == K.ESTABLISHMENT_REQUEST:
             return self._on_request(link, msg, slot, guard)

@@ -41,10 +41,13 @@ who reads; a lazy row computes a level only when it is read. A
 reception is a plain `(transmission, rsrp_dbm)` pair, built only for a
 node that acts on it: every node for broadcast data on a lossy channel
 (each UE draws its own CRC); the UEs holding the destination layer-2 id
-and every attacker for addressed data, PSFCH feedback and PC5 messages
-(`World.l2_readers`, rebuilt after identifiers change); attackers alone
-for control, lossless broadcast data and S-SSBs. Every UE reads an S-SSB
-from its row instead: S-SSBs are rowed, so `deliver` returns each
+and the attackers that hear the kind (`AttackerAgent.hears`,
+`World.hearers`) for addressed data, PSFCH feedback and PC5 messages
+(`World.l2_readers`, one map per kind, rebuilt after identifiers
+change); the attackers that hear the kind alone for control, lossless
+broadcast data and S-SSBs. An attacker is handed its receptions only if
+it hears some kind and heard something. Every UE reads an S-SSB from its
+row instead: S-SSBs are rowed, so `deliver` returns each
 burst's levels as a dict, and `World._note_ssb` notes each UE's
 candidate from it in `positions` order, checking a signed burst's tag
 once.
@@ -73,11 +76,13 @@ it was heard, so a cut entry is dead to later windows.
 A TB's control costs scale with distinct claims and headers, not with
 transmissions or grants: SCI 1-A is encoded once per distinct grant
 claim (span, rri and priority, `World.sci1a_bits`), SCI 2-A once per
-distinct header, and each distinct SCI 1-A or SCI 2-A payload is decoded
-once per world. An SCI 1-A payload decodes straight into the
-`ClaimShape` it claims (`World.sci1a_cache`), which the sensing log
-holds and `sense` projects, so a reselection decodes no claim; every
-addressed receiver of an SCI 2-A payload shares its frozen header.
+distinct header, and each distinct SCI 1-A payload is decoded once per
+world. An SCI 1-A payload decodes straight into the `ClaimShape` it
+claims (`World.sci1a_cache`), which the sensing log holds and `sense`
+projects, so a reselection decodes no claim. A header the world encodes
+is filed under its bits in `World.sci2a_cache` too, so no receiver
+decodes it; every addressed receiver of an SCI 2-A payload shares its
+frozen header.
 
 Every sent TB gets one `TbOutcome` in `World.tb_log`: a TB without
 feedback ("sent") when it goes out, a HARQ TB when it is done or failed.
@@ -143,6 +148,8 @@ from .sync import (
 
 # sync sources that pick a SyncRef from the candidate buffer
 SELECTING = (SyncSourceKind.SYNC_REF_UE, SyncSourceKind.INTERNAL_CLOCK)
+# the payload kinds sent to one layer-2 id
+ADDRESSED = (DataBurst, FeedbackBurst, Pc5Message)
 
 
 def demand_subchannels(flow: TrafficFlow, num_subchannels: int) -> int:
@@ -260,7 +267,7 @@ class UeAgent:
         due = min(self.outbox) if self.outbox else math.inf
         if self.link_starts:  # `_pc5_step` pops each start it has used
             due = min(due, *self.link_starts)
-        deadline = self.endpoint.next_deadline()
+        deadline = self.endpoint.deadline
         if deadline is not None and deadline < due:
             due = deadline
         for rt in self.flows:
@@ -455,7 +462,9 @@ class UeAgent:
         header = (proc.process_id, ndi, rv, self.endpoint.l2_id, dst_l2, flow.harq, cast)
         sci2_bits = self.world.sci2a_bits.get(header)
         if sci2_bits is None:
-            sci2_bits = self.world.sci2a_bits[header] = Sci2A.for_tb(*header).encode()
+            sci2 = Sci2A.for_tb(*header)
+            sci2_bits = self.world.sci2a_bits[header] = sci2.encode()
+            self.world.sci2a_cache[sci2_bits.data, sci2_bits.bit_length] = sci2
         burst = DataBurst(
             sci1_bits=g.sci1_bits,
             sci2_bits=sci2_bits,
@@ -619,7 +628,9 @@ class World:
         # longer ago than that before a selection window holds no live
         # occurrence in it
         self.sensing_reach = 0
-        # the same for SCI 2-A, decoded by addressed receivers
+        # the same for SCI 2-A, read by addressed receivers; `_emit_tb` files
+        # each header it encodes here too, so a receiver decodes only a
+        # payload the world did not encode
         self.sci2a_cache: dict[tuple[bytes, int], Sci2A | None] = {}
         # Sci2A.for_tb arguments -> the encoded header; a sender's header
         # repeats for every TB of a process, so each is encoded once
@@ -670,12 +681,14 @@ class World:
         self._place(self.agents, 0)
         for attacker in self.attackers:
             self.positions[attacker.id] = attacker.cap.position
-        # feedback and PC5 messages go to one layer-2 id; every attacker
-        # hears everything
-        self.eavesdroppers = frozenset(attacker.id for attacker in self.attackers)
-        # held layer-2 id -> the nodes that read what is addressed to it;
-        # None until a slot needs it, and again after ids change
-        self.l2_readers: dict[int, frozenset[int]] | None = None
+        # payload kind -> the attackers that hear it (`AttackerAgent.hears`),
+        # and the attackers that hear anything, in order
+        self.hearers = {kind: frozenset(a.id for a in self.attackers if kind in a.hears)
+                        for kind in (SsbBurst, ControlBurst, *ADDRESSED)}
+        self.listeners = [attacker for attacker in self.attackers if attacker.hears]
+        # addressed kind -> held layer-2 id -> the nodes that read that kind
+        # addressed to it; None until a slot needs it, and again after ids change
+        self.l2_readers: dict[type, dict[int, frozenset[int]]] | None = None
 
     # -- shared helpers ------------------------------------------------------
 
@@ -686,12 +699,14 @@ class World:
                 self._l2_used.add(candidate)
                 return candidate
 
-    def _index_l2(self) -> dict[int, frozenset[int]]:
-        """`l2_readers`: the UEs holding each layer-2 id, and every attacker."""
+    def _index_l2(self) -> dict[type, dict[int, frozenset[int]]]:
+        """`l2_readers`: per addressed kind, the UEs holding each layer-2 id
+        and the attackers that hear the kind."""
         holders: dict[int, set[int]] = {}
         for agent in self.agents:
             holders.setdefault(agent.endpoint.l2_id, set()).add(agent.spec.id)
-        self.l2_readers = {l2: self.eavesdroppers.union(ids) for l2, ids in holders.items()}
+        self.l2_readers = {kind: {l2: self.hearers[kind].union(ids) for l2, ids in holders.items()}
+                           for kind in ADDRESSED}
         return self.l2_readers
 
     def live_sensing(self, slot: int) -> list[tuple[int, ClaimShape, SensedRow]]:
@@ -709,7 +724,10 @@ class World:
         return self.by_id[ue_id].endpoint.l2_id
 
     def event(self, slot: int, event_type: str, **fields):
-        self.events.append({"slot": slot, "type": event_type, **fields})
+        # `event_line` sorts the keys, so the dict is kept as given
+        fields["slot"] = slot
+        fields["type"] = event_type
+        self.events.append(fields)
 
     def security_event(self, agent: UeAgent, ev):
         detail = {("msg_kind" if k == "kind" else k): v for k, v in ev.detail.items()}
@@ -763,23 +781,26 @@ class World:
 
     def _deliver_and_dispatch(self, transmissions: list[Transmission], slot: int):
         l2_readers = self.l2_readers or self._index_l2()
-        eavesdroppers = self.eavesdroppers
+        hearers = self.hearers
         lossless = self.sc.channel.tb_error_rate == 0
         # per transmission its readers (None: every node); SCI-bearing ones; S-SSBs
         readers, sensed, bursts = [], [], []
         for k, tx in enumerate(transmissions):
             payload = tx.payload
             kind = type(payload)
-            if kind is DataBurst or kind is ControlBurst:
+            if kind is DataBurst:
                 sensed.append(k)
-                dst = payload.mac_dst_l2 if kind is DataBurst else None  # control: attackers
+                dst = payload.mac_dst_l2
                 readers.append(None if dst == BROADCAST_L2 and not lossless
-                               else l2_readers.get(dst, eavesdroppers))
-            elif kind is FeedbackBurst or kind is Pc5Message:
-                readers.append(l2_readers.get(payload.dst_l2, eavesdroppers))
-            else:  # SsbBurst
+                               else l2_readers[kind].get(dst, hearers[kind]))
+            elif kind is ControlBurst:
+                sensed.append(k)
+                readers.append(hearers[kind])
+            elif kind is SsbBurst:
                 bursts.append(k)
-                readers.append(eavesdroppers)
+                readers.append(hearers[kind])
+            else:  # FeedbackBurst or Pc5Message
+                readers.append(l2_readers[kind].get(payload.dst_l2, hearers[kind]))
         recs_by_receiver, collisions, rows = deliver(
             transmissions, self.positions, self.sc.channel, self.channel_rng,
             self.path_loss, readers, sensed, bursts,
@@ -818,8 +839,10 @@ class World:
                 delivered += agent.receive(recs, slot)
         if delivered:
             self.metrics.bump("receiver_delivered", delivered, slot=slot)
-        for attacker in self.attackers:
-            attacker.on_receptions(recs_by_receiver[attacker.id], slot)
+        for attacker in self.listeners:
+            recs = recs_by_receiver[attacker.id]
+            if recs:
+                attacker.on_receptions(recs, slot)
 
     def _note_ssb(self, tx: Transmission, row: dict[int, float], slot: int):
         """Each UE in S-SSB `tx`'s row notes it, in `positions` order. The tag

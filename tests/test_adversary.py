@@ -1,5 +1,6 @@
 """Attack agent behaviors: targeting, timing, capture, and the tracker."""
 
+import copy
 import random
 from functools import reduce
 from operator import add
@@ -30,7 +31,7 @@ from sidelinksim.defense import sign_ssb, verify_ssb
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.pc5 import refresh_identifier
 from sidelinksim.radio import Transmission
-from sidelinksim.resources import ControlBurst, ResourcePool
+from sidelinksim.resources import ControlBurst, ResourcePool, announce
 from sidelinksim.frames import Sci1A
 from sidelinksim.scenario import parse_scenario
 from sidelinksim.simulation import run_scenario
@@ -414,12 +415,43 @@ def _drive(label, agent, heard, slots, jump=False) -> tuple[list[str], int]:
             rows.append(f"{label} {action.slot} log {action.kind} {action.outcome}")
         logged = len(agent.actions)
         for payload, rsrp in heard.get(slot, ()):
-            hear(agent, payload, slot, rsrp=rsrp)
+            if type(payload) in agent.hears:  # as the world hands it
+                hear(agent, payload, slot, rsrp=rsrp)
         if jump:
             slot = min(agent.next_due(slot + 1), *(s for s in heard if s > slot), slots)
         else:
             slot += 1
     return rows, visited
+
+
+PAYLOAD_KINDS = [
+    SsbBurst(SlssIdentity(40, True), MibSl(2, True, 0, 0)),
+    ControlBurst(sci1_bits=announce(POOL, 0, 1, 100, 1).encode(POOL)),
+    data_burst(0x000111, 0x000222),
+    FeedbackBurst(ack=False, harq_process_id=3, src_l2=0x000222, dst_l2=0x000111),
+    Pc5Message(K.ESTABLISHMENT_REQUEST, 0x000111, 0x000222, 1, {"nonce": "ab" * 16}),
+    Pc5Message(K.AUTHENTICATION_REQUEST, 0x000111, 0x000222, 1, {"challenge": "cd" * 16}),
+]
+
+
+@pytest.mark.parametrize("kind", list(AttackKind), ids=lambda kind: kind.value)
+def test_an_agent_is_inert_to_every_kind_it_does_not_hear(kind):
+    """The world hands an attacker every node's share of lossy broadcast
+    data whatever it hears, so `on_receptions` must skip the kinds outside
+    `hears`: no field, queued frame, action or draw changes. An agent
+    that hears nothing has no `on_receptions`."""
+    agent = build(kind, window=(0, 1000), cap=JITTERY)
+    if not agent.hears:
+        assert not hasattr(agent, "on_receptions")
+        return
+    ignored = [p for p in PAYLOAD_KINDS if type(p) not in agent.hears]
+    assert ignored
+    for slot, payload in enumerate(ignored, start=10):
+        fields = {k: v for k, v in vars(agent).items() if k != "rng"}
+        before, state = copy.deepcopy(fields), agent.rng.getstate()
+        hear(agent, payload, slot)
+        assert {k: v for k, v in vars(agent).items() if k != "rng"} == before, type(payload)
+        assert agent.rng.getstate() == state
 
 
 def _request(src, dst, n, kind=K.ESTABLISHMENT_REQUEST):

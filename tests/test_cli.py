@@ -32,7 +32,12 @@ def tiny(tmp_path):
 def test_parse_seeds_forms():
     assert _parse_seeds("3") == [3]
     assert _parse_seeds("1,4,9") == [1, 4, 9]
-    assert _parse_seeds("1:4") == [1, 2, 3, 4]
+    assert list(_parse_seeds("1:4")) == [1, 2, 3, 4]
+
+
+def test_a_seed_range_is_not_built_before_it_is_used():
+    seeds = _parse_seeds(f"0:{(1 << 64) - 1}")
+    assert (seeds[0], seeds[-1]) == (0, (1 << 64) - 1)
 
 
 @pytest.mark.parametrize("seeds", ["1:x", "a,b", ":", "3:1", ","])
@@ -47,6 +52,7 @@ def test_malformed_seeds_is_exit_1(tiny, capsys, seeds):
 @pytest.mark.parametrize("args", [
     ["run", "--seed", "-1"], ["run", "--seed", str(1 << 64)],
     ["batch", "--seeds=-2:-1"], ["batch", "--seeds", f"1,{1 << 64}"],
+    ["batch", "--seeds", f"0:{1 << 64}"],
 ])
 def test_seed_outside_the_scenario_range_is_exit_1(tiny, capsys, args):
     assert main([args[0], tiny, *args[1:]]) == 1
@@ -213,6 +219,24 @@ def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, tex
     for command in ("validate", "run"):
         assert main([command, str(bad)]) == 1
         assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, setting", [
+    ("harq_anomaly_check", "power_tolerance_db: -4.0"),
+    ("harq_anomaly_check", "min_samples: -2"),
+    ("replay_guard", "timestamp_skew_slots: -5"),
+])
+def test_negative_defense_setting_is_exit_1_for_validate_and_run(tmp_path, capsys, section,
+                                                                  setting):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(TINY + f"defenses: {{{section}: {{enabled: true, {setting}}}}}\n")
+    name, value = setting.split(": ")
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "scenario error:",
+            f"  - scenario.defenses.{section}: {name} {value} below 0",
+        ]
 
 
 @pytest.mark.parametrize("text", [

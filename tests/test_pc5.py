@@ -1,5 +1,6 @@
 """Unicast link establishment, key schedule, PDU protection, privacy."""
 
+import copy
 import hashlib
 import hmac
 import json
@@ -7,6 +8,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidelinksim.defense import ReplayGuard, enforce_policy
 from sidelinksim.frames import Pc5Message, Pc5MessageKind as K
@@ -371,39 +373,39 @@ def test_null_smc_is_refused_under_every_policy(cipher, integ, allow_null):
 
 def test_pending_link_times_out():
     a = endpoint(1, 0x000101)
-    assert a.next_deadline() is None
+    assert a.deadline is None
     a.initiate(0x000202, 10)
-    assert a.next_deadline() == 10 + PC5_TIMEOUT_SLOTS
+    assert a.deadline == 10 + PC5_TIMEOUT_SLOTS
     out, events = a.tick(10 + PC5_TIMEOUT_SLOTS - 1)
     assert events == []
-    assert a.next_deadline() == 10 + PC5_TIMEOUT_SLOTS
+    assert a.deadline == 10 + PC5_TIMEOUT_SLOTS
     out, events = a.tick(10 + PC5_TIMEOUT_SLOTS)
     assert [e.kind for e in events] == ["link_failure"]
     assert events[0].detail["cause"] == "timeout"
     assert a.links == {}
-    assert a.next_deadline() is None
+    assert a.deadline is None
 
 
 def test_keepalive_misses_release_the_link():
     a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
     events = pump(a, b, a.initiate(0x000202, 10))
     established = established_slot(events, a.l2_id)
-    assert a.next_deadline() == established + KEEPALIVE_PERIOD_SLOTS
+    assert a.deadline == established + KEEPALIVE_PERIOD_SLOTS
     # the responder's established link runs no timer
     assert b.links[0x000101].phase == LinkPhase.ESTABLISHED
-    assert b.next_deadline() is None
+    assert b.deadline is None
     # peer never answers: two probes then failure
     out1, ev1 = a.tick(established + KEEPALIVE_PERIOD_SLOTS)
     assert [m.kind for m in out1] == [K.KEEPALIVE_REQUEST] and ev1 == []
-    assert a.next_deadline() == established + 2 * KEEPALIVE_PERIOD_SLOTS
+    assert a.deadline == established + 2 * KEEPALIVE_PERIOD_SLOTS
     out2, ev2 = a.tick(established + 2 * KEEPALIVE_PERIOD_SLOTS)
     assert [m.kind for m in out2] == [K.KEEPALIVE_REQUEST] and ev2 == []
-    assert a.next_deadline() == established + 3 * KEEPALIVE_PERIOD_SLOTS
+    assert a.deadline == established + 3 * KEEPALIVE_PERIOD_SLOTS
     out3, ev3 = a.tick(established + 3 * KEEPALIVE_PERIOD_SLOTS)
     assert out3 == [] and [e.kind for e in ev3] == ["link_failure"]
     assert ev3[0].detail["cause"] == "keepalive"
     assert a.links[0x000202].phase == LinkPhase.RELEASED
-    assert a.next_deadline() is None
+    assert a.deadline is None
 
 
 def test_keepalive_answered_resets_misses():
@@ -424,6 +426,63 @@ def test_identifier_update_rebinds_peer():
     assert any(e.kind == "identifier_update" for _, e in events)
     assert 0x000999 in b.links and 0x000101 not in b.links
     assert b.links[0x000999].peer_l2 == 0x000999
+
+
+def earliest_link_deadline(ep):
+    return min((link.deadline for link in ep.links.values() if link.deadline is not None),
+               default=None)
+
+
+POLICIES = [SecurityPolicy(), SecurityPolicy(auth_mandatory=True), SecurityPolicy(N, N),
+            enforce_policy(SecurityPolicy())]
+STEPS = st.tuples(
+    st.sampled_from(["initiate", "deliver", "deliver", "deliver", "forge", "replay",
+                     "update", "tick"]),
+    st.integers(0, 1),  # the endpoint that acts
+    st.integers(0, 2100),  # slots a tick moves on, or which message is taken
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(policies=st.tuples(st.sampled_from(POLICIES), st.sampled_from(POLICIES)),
+       steps=st.lists(STEPS, max_size=40))
+def test_deadline_is_the_earliest_link_deadline(policies, steps):
+    """Two endpoints driven through random link starts, deliveries,
+    forged rejects, replays, identifier updates and ticks: after every
+    call `deadline` is the earliest link deadline, and a tick before it
+    returns nothing and leaves every link as it was."""
+    eps = [endpoint(1, 0x000101, policies[0]), endpoint(2, 0x000202, policies[1])]
+    on_air, handled = [], []  # sent and not yet handled; handled
+    slot = 0
+    for step, who, n in steps:
+        ep, peer = eps[who], eps[1 - who]
+        msg = None
+        if step == "initiate":
+            on_air += ep.initiate(peer.l2_id, slot)
+        elif step == "update":
+            on_air += ep.begin_identifier_update(ep.l2_id + 0x1000, n)
+        elif step == "tick":
+            slot += n
+            if ep.deadline is None or slot < ep.deadline:
+                links = copy.deepcopy(ep.links)
+                assert ep.tick(slot) == ([], [])
+                assert ep.links == links
+            else:
+                on_air += ep.tick(slot)[0]
+        elif step == "forge":
+            msg = Pc5Message(K.ESTABLISHMENT_REJECT, peer.l2_id, ep.l2_id, 0,
+                             {"cause": "congestion", "echo_nonce": "00" * 16, "ts": slot})
+        elif step == "replay" and handled:
+            msg = handled[n % len(handled)]
+        elif step == "deliver" and on_air:
+            msg = on_air.pop(n % len(on_air))
+            handled.append(msg)
+        receiver = next((e for e in eps if msg is not None and e.l2_id == msg.dst_l2), None)
+        if receiver is not None:
+            on_air += receiver.handle(msg, slot)[0]
+            slot += 1
+        for e in eps:
+            assert e.deadline == earliest_link_deadline(e)
 
 
 # -- receive-path characterization -------------------------------------------

@@ -151,6 +151,9 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("harq_spoof_nack", "pool.period_list_ms", [0, 1000]),
     ("harq_spoof_nack", "pool.period_list_ms", [-100, 1000]),
     ("harq_spoof_nack", "links[0].start_slot", -1),
+    ("harq_spoof_nack", "defenses.harq_anomaly_check.power_tolerance_db", -4.0),
+    ("harq_spoof_nack", "defenses.harq_anomaly_check.min_samples", -2),
+    ("harq_spoof_nack", "defenses.replay_guard.timestamp_skew_slots", -5),
 ])
 def test_out_of_range_value_is_an_error(kind, dotted, value):
     raw = with_value(dotted, value)

@@ -382,6 +382,28 @@ def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
     assert world.sci2a_cache == {astuple(sci2.encode()): sci2, astuple(wrong_length): None}
 
 
+def test_data_for_another_layer2_id_queues_no_feedback():
+    """`_receive_data` answers only data sent to this UE's own layer-2 id.
+    The two bursts below differ only in the MAC destination: the SCI 2-A
+    carries the low 16 bits of `a`'s id either way, so only the address
+    check tells the overheard one apart."""
+    world = World(small_unicast())
+    a, b = world.agents
+    mine, other = a.endpoint.l2_id, a.endpoint.l2_id ^ 0x800000
+    sci2 = Sci2A.for_tb(3, 0, 0, b.endpoint.l2_id, mine, True, CastType.UNICAST)
+
+    def heard(dst, tb):
+        burst = DataBurst(None, sci2.encode(), mac_src_l2=b.endpoint.l2_id, mac_dst_l2=dst,
+                          tb_id=tb, size_bytes=300)
+        return (Transmission(b.spec.id, 23.0, burst), -60.0)
+
+    a.receive([heard(other, 1)], 5)
+    assert a.outbox == {} and world.metrics.totals["feedback_sent"] == 0
+    a.receive([heard(mine, 2)], 6)
+    [fb] = a.outbox[6 + FEEDBACK_DELAY_SLOTS]
+    assert (fb.src_l2, fb.dst_l2) == (mine, b.endpoint.l2_id)
+
+
 def kept(row, nodes) -> list[int]:
     """The nodes, in `nodes` order, that kept a `deliver` row's level."""
     return [uid for uid in nodes if row.get(uid) is not None]
@@ -719,7 +741,8 @@ def test_ranking_only_on_change_matches_ranking_every_slot(monkeypatch, min_hyst
     assert any(src == SyncSourceKind.SYNC_REF_UE for src, *_ in on_change)
 
 
-SYNC_STATE_RUNS = {
+# the catalog and both generators, short
+SHORT_RUNS = {
     **{f"catalog:{p.stem}": (lambda p=p: load_scenario(p))
        for p in sorted(SCENARIO_DIR.glob("*.yaml"))},
     **{f"dense_broadcast:{seed}": (lambda seed=seed: parse_scenario(
@@ -729,16 +752,27 @@ SYNC_STATE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SYNC_STATE_RUNS))
+@pytest.mark.parametrize("name", sorted(SHORT_RUNS))
 def test_a_selecting_ue_holds_a_reference_exactly_when_off_its_internal_clock(name):
     """`SyncState.reference` is set iff the source is a SyncRef UE: a lapse
     to the internal clock drops the reference and says so in `source`."""
-    _, _, world = run_scenario(SYNC_STATE_RUNS[name]())
+    _, _, world = run_scenario(SHORT_RUNS[name]())
     states = [agent.state for agent in world.agents
               if agent.state.source in simulation.SELECTING]
     assert states
     for state in states:
         assert (state.reference is None) == (state.source is SyncSourceKind.INTERNAL_CLOCK)
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_RUNS))
+def test_every_header_a_run_encodes_is_filed_as_its_decode(name):
+    """`_emit_tb` files each SCI 2-A header it encodes in `sci2a_cache`, so
+    no receiver decodes it: the filed header is what decoding gives."""
+    _, _, world = run_scenario(SHORT_RUNS[name]())
+    for header, bits in world.sci2a_bits.items():
+        decoded = Sci2A.decode(bits)
+        assert Sci2A.for_tb(*header) == decoded
+        assert world.sci2a_cache[astuple(bits)] == decoded
 
 
 # -- feedback closure across many flows -------------------------------------

@@ -229,12 +229,12 @@ def test_a_handled_pc5_message_wakes_the_ue():
     world = World(pc5_timers())
     ue, peer = world.by_id[1], world.l2_of(2)
     ue.endpoint.initiate(peer, 5)
-    assert ue.endpoint.next_deadline() == 5 + PC5_TIMEOUT_SLOTS
+    assert ue.endpoint.deadline == 5 + PC5_TIMEOUT_SLOTS
     ue.wake = math.inf
     reject = Pc5Message(K.ESTABLISHMENT_REJECT, peer, ue.endpoint.l2_id, 1, {"cause": "congestion"})
     heard: Reception = (Transmission(2, 23.0, reject), -60.0)
     ue.receive([heard], 7)
-    assert ue.endpoint.links == {} and ue.endpoint.next_deadline() is None
+    assert ue.endpoint.links == {} and ue.endpoint.deadline is None
     assert ue.wake == 7  # its timers are recomputed at the end of this slot
 
 
