@@ -90,11 +90,10 @@ class AttackerAgent:
 
     `hears` names the payload classes a subclass acts on. Such a subclass
     defines `on_receptions(receptions, slot)`, and the world calls it with
-    each slot's non-empty list of `radio.Reception` pairs heard. It builds
-    no reception of another kind for the agent, except lossy broadcast
-    data, which every node reads, so `on_receptions` still skips the kinds
-    it ignores. An agent that hears nothing has no `on_receptions`.
-    Everything an agent later forges it must hear there.
+    each slot's non-empty list of `radio.Reception` pairs heard, each of a
+    kind in `hears`: no reception of another kind is built for the agent.
+    An agent that hears nothing is never a reader, so it has no
+    `on_receptions`. Everything an agent later forges it must hear there.
     """
 
     hears: tuple[type, ...] = ()
@@ -187,13 +186,8 @@ class SyncImpersonationAgent(AttackerAgent):
 
     def on_receptions(self, receptions, slot):
         for tx, rsrp in receptions:
-            burst = tx.payload
-            if not isinstance(burst, SsbBurst):
-                continue
-            if tx.sender_id == self.id:
-                continue
             if self._best is None or rsrp > self._best[0]:
-                self._best = (rsrp, burst, slot)
+                self._best = (rsrp, tx.payload, slot)
 
     def transmissions(self, slot):
         if not self.active(slot) or self._best is None:
@@ -316,8 +310,6 @@ class HarqSpoofAgent(AttackerAgent):
         target_dst = self.params["target_dst_l2"]
         for tx, _ in receptions:
             burst = tx.payload
-            if not isinstance(burst, DataBurst) or burst.sci2_bits is None:
-                continue
             sci2 = decode_once(self._sci2a, Sci2A.decode, burst.sci2_bits)
             if sci2 is None or not sci2.harq_enabled:
                 continue
@@ -362,7 +354,7 @@ class _ReactiveForger(AttackerAgent):
             return
         for tx, _ in receptions:
             msg = tx.payload
-            if not isinstance(msg, Pc5Message) or msg.kind != self.watch_kind:
+            if msg.kind != self.watch_kind:
                 continue
             if self.target_side == "requester":
                 victim, impersonated = msg.src_l2, msg.dst_l2
@@ -409,7 +401,7 @@ class Pc5ReplayAgent(AttackerAgent):
         delay = self.params["replay_delay_slots"]
         for tx, _ in receptions:
             msg = tx.payload
-            if not isinstance(msg, Pc5Message) or msg.kind != K.ESTABLISHMENT_REQUEST:
+            if msg.kind != K.ESTABLISHMENT_REQUEST:
                 continue
             emit = slot + delay + self.jitter()
             if emit > slot and self.active(emit):
@@ -455,13 +447,7 @@ class TrackerAgent(AttackerAgent):
             return
         for tx, rsrp in receptions:
             burst = tx.payload
-            src = None
-            if isinstance(burst, DataBurst):
-                src = burst.mac_src_l2
-            elif isinstance(burst, Pc5Message):
-                src = burst.src_l2
-            if src is None:
-                continue
+            src = burst.mac_src_l2 if type(burst) is DataBurst else burst.src_l2
             t = self.traces.get(src)
             if t is None:
                 t = self.traces[src] = _IdTrace(slot, slot)

@@ -236,22 +236,26 @@ class Sci1A:
 
     @staticmethod
     def field_widths(pool) -> dict[str, int]:
-        """Per-field bit widths for a given resource pool configuration."""
+        """Per-field bit widths for a given resource pool configuration.
+
+        The pool sets the resource and period widths; the rest are fixed
+        at one DMRS pattern, no additional MCS table, a PSFCH period of 2
+        or 4 slots and 2 reserved bits (TS 38.212 8.3.1.1).
+        """
         rri_entries = len(pool.period_list_ms)
-        dmrs_entries = len(pool.dmrs_patterns)
         return {
             "priority": 3,
             "frequency_resource": fra_width(pool.num_subchannels, pool.sl_max_num_per_reserve),
             "time_resource": tra_width(pool.sl_max_num_per_reserve),
             "rri_index": ceil(log2(rri_entries)) if rri_entries > 1 else 0,
-            "dmrs_pattern": ceil(log2(dmrs_entries)) if dmrs_entries > 1 else 0,
+            "dmrs_pattern": 0,
             "second_stage_format": 2,
             "beta_offset": 2,
             "dmrs_ports": 1,
             "mcs": 5,
-            "additional_mcs": pool.additional_mcs_tables,
-            "psfch_overhead": 1 if pool.psfch_period in (2, 4) else 0,
-            "reserved": pool.num_reserved_bits,
+            "additional_mcs": 0,
+            "psfch_overhead": 1,
+            "reserved": 2,
         }
 
     def encode(self, pool) -> BitString:

@@ -260,7 +260,7 @@ def deliver(
     model: ChannelModel,
     rng: random.Random,
     losses: dict[int, PathLossRow] | None = None,
-    readers: list[Collection[int] | None] | None = None,
+    readers: list[Collection[int]] | None = None,
     sensed: Collection[int] = (),
     rowed: Collection[int] = (),
 ) -> tuple[dict[int, list[Reception]], list[CollisionRecord], dict[int, SensedRow]]:
@@ -276,9 +276,9 @@ def deliver(
     read through `row.get(node)`: the level the node kept, or None.
 
     `readers`, one entry per transmission, names the nodes that read
-    it; None (for the list or an entry) means every node. A node
-    outside a transmission's readers gets no reception of it; rows and
-    collision records do not depend on readers. Every node reads a
+    it; None for the whole list means every node reads everything. A
+    node outside a transmission's readers gets no reception of it; rows
+    and collision records do not depend on readers. Every node reads a
     transmission in `rowed` from its row, a dict of every kept level;
     only its readers get receptions of it.
 
@@ -330,7 +330,7 @@ def deliver(
         if row is None:
             row = losses[sender] = path_loss_row(sender, positions, model)
         base = tx.tx_power_dbm - ref_loss
-        if k not in eager and readers is not None and readers[k] is not None:
+        if k not in eager and readers is not None:
             levels.append(LazyRow(shadowing, start, base, row, floor))
         elif shadowing is None:
             levels.append({uid: level for uid, loss in zip(row.receivers, row.losses)
@@ -367,7 +367,7 @@ def deliver(
     for k, tx in enumerate(transmissions):
         row = levels[k]
         get = row.get
-        for uid in row if readers is None or readers[k] is None else readers[k]:
+        for uid in row if readers is None else readers[k]:
             level = get(uid)
             if level is not None:
                 recs = raw[uid]

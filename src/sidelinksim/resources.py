@@ -49,19 +49,18 @@ class ResourcePool:
     slot_duration_ms: float = 1.0
     min_candidate_ratio: float = 0.2
     threshold_step_db: float = 3.0
-    # SCI 1-A codec knobs
-    dmrs_patterns: list[int] = field(default_factory=lambda: [0])
-    additional_mcs_tables: int = 0
-    psfch_period: int = 4
-    num_reserved_bits: int = 2
 
     def __post_init__(self):
-        if self.num_subchannels < 1:
-            raise ValueError("pool needs at least one subchannel")
-        if self.slots_per_selection_window < 1:
-            raise ValueError("selection window must be at least one slot")
+        if not 1 <= self.num_subchannels <= 27:  # TS 38.331 sl-NumSubchannel
+            raise ValueError(f"num_subchannels {self.num_subchannels} outside 1..27")
         if self.slot_duration_ms <= 0:
             raise ValueError("slot_duration_ms must be positive")
+        # T2 is at most the remaining packet delay budget (TS 38.214 8.1.4),
+        # and no budget here exceeds the longest reservation period
+        longest = self.rri_slots(1000)
+        if not 1 <= self.slots_per_selection_window <= longest:
+            raise ValueError(f"slots_per_selection_window {self.slots_per_selection_window} "
+                             f"outside 1..{longest}")
         if self.threshold_step_db <= 0:
             # selection raises its threshold by this step until enough is free,
             # so a step of 0 or less never ends
@@ -78,10 +77,6 @@ class ResourcePool:
             raise ValueError("period list must include 1000 ms")
         if self.sl_max_num_per_reserve not in (2, 3):
             raise ValueError("sl_max_num_per_reserve must be 2 or 3")
-        if self.additional_mcs_tables not in (0, 1, 2):
-            raise ValueError("additional_mcs_tables must be 0, 1 or 2")
-        if not 2 <= self.num_reserved_bits <= 4:
-            raise ValueError("num_reserved_bits must be 2..4")
         for rri in self.period_list_ms:
             if self.rri_slots(rri) * self.slot_duration_ms != rri:
                 raise ValueError(f"rri {rri} ms is not a whole number of slots")
@@ -264,11 +259,9 @@ def select_resources(
     current = occ
     while True:
         cands = candidate_positions(pool, current, demand)
-        if cands and (len(cands) / total >= pool.min_candidate_ratio
-                      or not current.reservations):
+        # with no claim left every position is a candidate
+        if not current.reservations or (cands and len(cands) / total >= pool.min_candidate_ratio):
             break
-        if not current.reservations:
-            break  # nothing left to drop; window is structurally full
         threshold += pool.threshold_step_db
         kept = [r for r in current.reservations if r.observed_rsrp_dbm >= threshold]
         current = OccupancyMap(occ.pool, occ.window_start, threshold, kept)

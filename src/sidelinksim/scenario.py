@@ -237,7 +237,7 @@ def _section(cls, raw, path: str, errs: _Errors, casts: dict | None = None):
 # section parsers
 
 
-_POOL_CASTS = {"period_list_ms": _ints, "dmrs_patterns": _ints}
+_POOL_CASTS = {"period_list_ms": _ints}
 
 _UE_CASTS = {"position": _pair, "velocity": _pair, "tx_power_dbm": _number}
 

@@ -39,25 +39,24 @@ slot draws the shadowing uniforms of every (transmission, receiver)
 pair in one go, in pair order, so the channel stream does not depend on
 who reads; a lazy row computes a level only when it is read. A
 reception is a plain `(transmission, rsrp_dbm)` pair, built only for a
-node that acts on it: every node for broadcast data on a lossy channel
-(each UE draws its own CRC); the UEs holding the destination layer-2 id
-and the attackers that hear the kind (`AttackerAgent.hears`,
-`World.hearers`) for addressed data, PSFCH feedback and PC5 messages
-(`World.l2_readers`, one map per kind, rebuilt after identifiers
-change); the attackers that hear the kind alone for control, lossless
-broadcast data and S-SSBs. An attacker is handed its receptions only if
-it hears some kind and heard something. Every UE reads an S-SSB from its
-row instead: S-SSBs are rowed, so `deliver` returns each
-burst's levels as a dict, and `World._note_ssb` notes each UE's
-candidate from it in `positions` order, checking a signed burst's tag
-once.
+node that acts on it, and an attacker is a reader only of the kinds it
+hears (`AttackerAgent.hears`, `World.hearers`). Addressed data, PSFCH
+feedback and PC5 messages go to the UEs holding the destination layer-2
+id and the attackers that hear the kind (`World.l2_readers`, one map per
+kind, rebuilt after identifiers change); on a lossy channel broadcast
+data goes to every UE, each drawing its own CRC, and the data hearers.
+Control, lossless broadcast data and S-SSBs go to the attackers that
+hear the kind alone. Every UE reads an S-SSB from its row instead:
+S-SSBs are rowed, so `deliver` returns each burst's levels as a dict,
+and `World._note_ssb` notes each UE's candidate from it in `positions`
+order, checking a signed burst's tag once.
 
 Sensing is kept once per world: for each SCI-bearing transmission
 `deliver` returns a row, read through `row.get(node)` (the level the
 node kept, or None), and the world logs `(slot, shape, row)` for each
 one whose SCI 1-A decodes into a claim shape. A row is a dict when its
-levels were computed anyway (a transmission every node reads, or one
-in a capture contest); otherwise it is a
+levels were computed anyway (lossy broadcast data, which is rowed, or
+a transmission in a capture contest); otherwise it is a
 `radio.LazyRow`, which computes a level when `get` asks for it, so the
 levels no reselection reads are never computed. Delivery is kept once
 per world too, in one ledger, `World.delivered`: TB id -> bitmask of
@@ -605,7 +604,6 @@ class World:
         self.channel_rng = child_rng(self.seed, "channel")
         self.privacy_rng = child_rng(self.seed, "privacy")
         self._l2_rng = child_rng(self.seed, "l2init")
-        self._l2_used: set[int] = {BROADCAST_L2}
         self.psk = child_rng(self.seed, "psk").randbytes(32)
         self.ssb_key = child_rng(self.seed, "ssbkey").randbytes(32)
         # the signed-SSB settings, None while signing is off
@@ -681,11 +679,9 @@ class World:
         self._place(self.agents, 0)
         for attacker in self.attackers:
             self.positions[attacker.id] = attacker.cap.position
-        # payload kind -> the attackers that hear it (`AttackerAgent.hears`),
-        # and the attackers that hear anything, in order
+        # payload kind -> the attackers that hear it (`AttackerAgent.hears`)
         self.hearers = {kind: frozenset(a.id for a in self.attackers if kind in a.hears)
                         for kind in (SsbBurst, ControlBurst, *ADDRESSED)}
-        self.listeners = [attacker for attacker in self.attackers if attacker.hears]
         # addressed kind -> held layer-2 id -> the nodes that read that kind
         # addressed to it; None until a slot needs it, and again after ids change
         self.l2_readers: dict[type, dict[int, frozenset[int]]] | None = None
@@ -693,20 +689,23 @@ class World:
     # -- shared helpers ------------------------------------------------------
 
     def take_l2(self) -> int:
+        """A fresh layer-2 id: not broadcast, and held by no UE yet."""
         while True:
             candidate = self._l2_rng.getrandbits(24)
-            if candidate not in self._l2_used:
-                self._l2_used.add(candidate)
+            if candidate != BROADCAST_L2 and candidate not in self.identity_truth:
                 return candidate
 
     def _index_l2(self) -> dict[type, dict[int, frozenset[int]]]:
         """`l2_readers`: per addressed kind, the UEs holding each layer-2 id
-        and the attackers that hear the kind."""
+        and the attackers that hear the kind. On a lossy channel every UE
+        reads broadcast data too."""
         holders: dict[int, set[int]] = {}
         for agent in self.agents:
             holders.setdefault(agent.endpoint.l2_id, set()).add(agent.spec.id)
         self.l2_readers = {kind: {l2: self.hearers[kind].union(ids) for l2, ids in holders.items()}
                            for kind in ADDRESSED}
+        if self.sc.channel.tb_error_rate > 0:
+            self.l2_readers[DataBurst][BROADCAST_L2] = self.hearers[DataBurst].union(self.by_id)
         return self.l2_readers
 
     def live_sensing(self, slot: int) -> list[tuple[int, ClaimShape, SensedRow]]:
@@ -783,16 +782,17 @@ class World:
         l2_readers = self.l2_readers or self._index_l2()
         hearers = self.hearers
         lossless = self.sc.channel.tb_error_rate == 0
-        # per transmission its readers (None: every node); SCI-bearing ones; S-SSBs
-        readers, sensed, bursts = [], [], []
+        # per transmission its readers; SCI-bearing ones; S-SSBs; lossy broadcast data
+        readers, sensed, bursts, lossy = [], [], [], []
         for k, tx in enumerate(transmissions):
             payload = tx.payload
             kind = type(payload)
             if kind is DataBurst:
                 sensed.append(k)
                 dst = payload.mac_dst_l2
-                readers.append(None if dst == BROADCAST_L2 and not lossless
-                               else l2_readers[kind].get(dst, hearers[kind]))
+                if dst == BROADCAST_L2 and not lossless:
+                    lossy.append(k)
+                readers.append(l2_readers[kind].get(dst, hearers[kind]))
             elif kind is ControlBurst:
                 sensed.append(k)
                 readers.append(hearers[kind])
@@ -803,7 +803,7 @@ class World:
                 readers.append(l2_readers[kind].get(payload.dst_l2, hearers[kind]))
         recs_by_receiver, collisions, rows = deliver(
             transmissions, self.positions, self.sc.channel, self.channel_rng,
-            self.path_loss, readers, sensed, bursts,
+            self.path_loss, readers, sensed, bursts + lossy,
         )
         for record in collisions:
             self.event(slot, "collision", receiver=record.receiver_id,
@@ -839,7 +839,7 @@ class World:
                 delivered += agent.receive(recs, slot)
         if delivered:
             self.metrics.bump("receiver_delivered", delivered, slot=slot)
-        for attacker in self.listeners:
+        for attacker in self.attackers:
             recs = recs_by_receiver[attacker.id]
             if recs:
                 attacker.on_receptions(recs, slot)

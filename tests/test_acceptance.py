@@ -481,6 +481,38 @@ def test_criterion_7_weak_tracking_holds_over_seeds(announce):
              f"({time.perf_counter() - t0:.2f}s)")
 
 
+def test_criterion_3_sync_capture_holds_over_seeds(announce):
+    sc = catalog("sync_false_injection")
+    t0 = time.perf_counter()
+    captured = [run_scenario(sc, seed=seed)[0].totals["sync_victims"] for seed in range(20)]
+    assert min(captured) >= 4, captured
+    announce(f"PASS criterion 3 over seeds 0-19: victims captured min {min(captured)}/5, "
+             f"median {sorted(captured)[10]}/5, {sum(v < 4 for v in captured)} below 4 "
+             f"({time.perf_counter() - t0:.2f}s)")
+
+
+def test_criterion_4_resource_blocking_holds_over_seeds(announce):
+    sc = catalog("resource_blocking")
+    baseline = replace(sc, attacks=())
+    window_lo, window_hi = 600, sc.attacks[0].plan.window[1]
+    t0 = time.perf_counter()
+    fractions, margins = [], []
+    for seed in range(20):
+        attacked_rep, _, attacked = run_scenario(sc, seed=seed)
+        baseline_rep, _, healthy = run_scenario(baseline, seed=seed)
+        fractions.append(mean_ratio(attacked, window_lo, window_hi)
+                         / mean_ratio(healthy, window_lo, window_hi))
+        margins.append(attacked_rep.totals["collision_count"]
+                       - baseline_rep.totals["collision_count"])
+    assert max(fractions) <= 0.30, fractions
+    assert min(margins) > 0, margins
+    announce(f"PASS criterion 4 over seeds 0-19: in-attack ratio max {max(fractions):.3f}, "
+             f"median {sorted(fractions)[10]:.3f} of baseline (<=0.30), "
+             f"{sum(f > 0.30 for f in fractions)} above; collisions over baseline min "
+             f"{min(margins)}, {sum(m <= 0 for m in margins)} not above "
+             f"({time.perf_counter() - t0:.2f}s)")
+
+
 # --------------------------------------------------------------------------
 # 8. catalog determinism
 

@@ -1,6 +1,5 @@
 """Attack agent behaviors: targeting, timing, capture, and the tracker."""
 
-import copy
 import random
 from functools import reduce
 from operator import add
@@ -424,34 +423,38 @@ def _drive(label, agent, heard, slots, jump=False) -> tuple[list[str], int]:
     return rows, visited
 
 
-PAYLOAD_KINDS = [
-    SsbBurst(SlssIdentity(40, True), MibSl(2, True, 0, 0)),
-    ControlBurst(sci1_bits=announce(POOL, 0, 1, 100, 1).encode(POOL)),
-    data_burst(0x000111, 0x000222),
-    FeedbackBurst(ack=False, harq_process_id=3, src_l2=0x000222, dst_l2=0x000111),
-    Pc5Message(K.ESTABLISHMENT_REQUEST, 0x000111, 0x000222, 1, {"nonce": "ab" * 16}),
-    Pc5Message(K.AUTHENTICATION_REQUEST, 0x000111, 0x000222, 1, {"challenge": "cd" * 16}),
-]
-
-
-@pytest.mark.parametrize("kind", list(AttackKind), ids=lambda kind: kind.value)
-def test_an_agent_is_inert_to_every_kind_it_does_not_hear(kind):
-    """The world hands an attacker every node's share of lossy broadcast
-    data whatever it hears, so `on_receptions` must skip the kinds outside
-    `hears`: no field, queued frame, action or draw changes. An agent
+def test_each_attacker_hears_only_the_kinds_it_declares(monkeypatch):
+    """A lossy-channel run with S-SSBs, broadcast and unicast data, HARQ
+    feedback and PC5 links on air, and one attacker of each kind, hands
+    each listening attacker receptions of every kind in its `hears` and of
+    no other: lossy broadcast data goes to the data hearers only. An agent
     that hears nothing has no `on_receptions`."""
-    agent = build(kind, window=(0, 1000), cap=JITTERY)
-    if not agent.hears:
-        assert not hasattr(agent, "on_receptions")
-        return
-    ignored = [p for p in PAYLOAD_KINDS if type(p) not in agent.hears]
-    assert ignored
-    for slot, payload in enumerate(ignored, start=10):
-        fields = {k: v for k, v in vars(agent).items() if k != "rng"}
-        before, state = copy.deepcopy(fields), agent.rng.getstate()
-        hear(agent, payload, slot)
-        assert {k: v for k, v in vars(agent).items() if k != "rng"} == before, type(payload)
-        assert agent.rng.getstate() == state
+    heard = {}  # listening attacker class -> payload kinds handed to it
+    for cls in dict.fromkeys(cls for cls, _ in ATTACK_REGISTRY.values()):
+        if not cls.hears:
+            assert not hasattr(cls, "on_receptions"), cls
+            continue
+        heard[cls] = set()
+
+        def recording(self, receptions, slot, _heard=heard[cls], _on=cls.on_receptions):
+            _heard.update(type(tx.payload) for tx, _ in receptions)
+            return _on(self, receptions, slot)
+
+        monkeypatch.setattr(cls, "on_receptions", recording)
+    sc = parse_scenario({
+        "duration_slots": 400,
+        "channel": {"tb_error_rate": 0.3},
+        "ues": [{"id": 0, "role": "gnss_visible"}, *({"id": i, "position": [30 * i, 0]}
+                                                     for i in range(1, 5))],
+        "traffic": [{"src": 1, "dst": "broadcast", "period_slots": 20, "harq": False},
+                    {"src": 2, "dst": 3, "period_slots": 20}],
+        "links": [{"initiator": 3, "responder": 4, "start_slot": 30},
+                  {"initiator": 4, "responder": 1, "start_slot": 90}],
+        "attacks": [{"kind": kind.value, "window": [0, 400],
+                     "capability": {"position": [45, 10]}} for kind in AttackKind],
+    })
+    run_scenario(sc)
+    assert heard == {cls: set(cls.hears) for cls in heard}
 
 
 def _request(src, dst, n, kind=K.ESTABLISHMENT_REQUEST):

@@ -221,6 +221,23 @@ def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, tex
         assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, code", [
+    ("num_subchannels: 27", 0),
+    ("num_subchannels: 28", 1),
+    ("slots_per_selection_window: 1000", 0),
+    ("slots_per_selection_window: 1001", 1),
+])
+def test_a_pool_size_past_its_bound_is_exit_1_for_validate_and_run(tmp_path, capsys, setting,
+                                                                     code):
+    # unbounded, a large size passed `validate` and ran out of memory in `run`
+    path = tmp_path / "pool.yaml"
+    path.write_text(TINY + f"pool: {{{setting}}}\n")
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == code
+        err = capsys.readouterr().err
+        assert ("scenario error" in err) == bool(code)
+
+
 @pytest.mark.parametrize("section, setting", [
     ("harq_anomaly_check", "power_tolerance_db: -4.0"),
     ("harq_anomaly_check", "min_samples: -2"),

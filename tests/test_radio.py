@@ -389,12 +389,11 @@ def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm
 
 @st.composite
 def read_slots(draw):
-    """A slot from `slots()` and, per transmission, None (every node
-    reads it) or a random set of its readers, the sender and unknown
-    ids included."""
+    """A slot from `slots()` and, per transmission, every node or a random
+    set of its readers, the sender and unknown ids included."""
     txs, positions = draw(slots())
     uids = sorted(positions)
-    readers = [draw(st.one_of(st.none(), st.sets(st.sampled_from(uids + [99]))))
+    readers = [draw(st.one_of(st.just(set(uids)), st.sets(st.sampled_from(uids + [99]))))
                for _ in txs]
     return txs, positions, readers
 
@@ -424,7 +423,7 @@ def test_deliver_to_readers_matches_all_pairs(slot, sigma, seed, warm, sensed, r
                                                          **kwargs)
         if fn is reference_deliver:
             recs = {uid: [(tx, rsrp) for tx, rsrp in rs
-                          if readers[index[id(tx)]] is None or uid in readers[index[id(tx)]]]
+                          if uid in readers[index[id(tx)]]]
                     for uid, rs in recs.items()}
         results.append((
             [(uid, [(index[id(tx)], rsrp) for tx, rsrp in rs]) for uid, rs in recs.items()],

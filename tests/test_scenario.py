@@ -114,6 +114,19 @@ def test_unknown_key_in_every_section(section):
     assert err.value.problems == [f"scenario.{section}.bogus: unknown key"]
 
 
+def test_the_fixed_sci1a_widths_are_no_pool_keys():
+    keys = ("dmrs_patterns", "additional_mcs_tables", "psfch_period", "num_reserved_bits")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(minimal(pool=dict.fromkeys(keys, 1)))
+    assert err.value.problems == [f"scenario.pool.{key}: unknown key" for key in keys]
+
+
+@pytest.mark.parametrize("key, largest", [("num_subchannels", 27),
+                                          ("slots_per_selection_window", 1000)])
+def test_the_largest_pool_size_parses(key, largest):
+    assert getattr(parse_scenario(minimal(pool={key: largest})).pool, key) == largest
+
+
 @pytest.mark.parametrize("dotted,value", [
     ("channel.shadowing_sigma_db", "x"),
     ("attacks[0].capability.timing_precision_slots", "x"),
@@ -150,6 +163,11 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("harq_spoof_nack", "channel.shadowing_sigma_db", -4.0),
     ("harq_spoof_nack", "pool.period_list_ms", [0, 1000]),
     ("harq_spoof_nack", "pool.period_list_ms", [-100, 1000]),
+    # TS 38.331 sl-NumSubchannel is 1..27; a window runs at most 1000 ms
+    ("harq_spoof_nack", "pool.num_subchannels", 28),
+    ("harq_spoof_nack", "pool.num_subchannels", 10**7),
+    ("harq_spoof_nack", "pool.slots_per_selection_window", 1001),
+    ("harq_spoof_nack", "pool.slots_per_selection_window", 2**31),
     ("harq_spoof_nack", "links[0].start_slot", -1),
     ("harq_spoof_nack", "defenses.harq_anomaly_check.power_tolerance_db", -4.0),
     ("harq_spoof_nack", "defenses.harq_anomaly_check.min_samples", -2),
@@ -275,7 +293,7 @@ def test_values_are_type_checked_not_converted():
                           ("ues[0].network_sync_ref", "false"),
                           ("ues[0].tx_power_dbm", True),
                           ("ues[0].position", ["1", 2]),
-                          ("pool.dmrs_patterns", [0.5]),
+                          ("pool.period_list_ms", [0.5]),
                           ("traffic[0].period_slots", 2.5),
                           ("traffic[0].harq", "false"),
                           ("links[0].start_slot", 2.9)):
