@@ -31,7 +31,11 @@ SCI 2-A (35 bits, second-stage control on PSSCH):
     | csi_request      |   1  | channel state report request        |
     +------------------+------+-------------------------------------+
 
-SCI 1-A widths depend on the resource pool; see Sci1A.field_widths.
+SCI 1-A carries one claim: a contiguous subchannel span, packed as the
+two-reservation frequency resource assignment (FRA), and its period. Its
+5-bit time resource assignment (TRA) codes time gaps to later occurrences;
+senders write it as 0, so a claim is one occurrence per period. The FRA and
+period widths depend on the resource pool; see Sci1A.field_widths.
 """
 
 from __future__ import annotations
@@ -103,110 +107,40 @@ class MibSl:
 
 
 # ---------------------------------------------------------------------------
-# frequency / time resource assignment packings for SCI 1-A
-
-MAX_TIME_GAP = 31  # slot gap field range for later reservations
+# frequency resource assignment packing for SCI 1-A
 
 
-def fra_value_count(num_subchannels: int, max_reserve: int) -> int:
+def fra_value_count(num_subchannels: int) -> int:
     n = num_subchannels
-    if max_reserve == 2:
-        return n * (n + 1) // 2
-    if max_reserve == 3:
-        return n * (n + 1) * (2 * n + 1) // 6
-    raise ValueError(f"max_reserve {max_reserve} not in {{2, 3}}")
+    return n * (n + 1) // 2
 
 
-def fra_width(num_subchannels: int, max_reserve: int) -> int:
-    return ceil(log2(fra_value_count(num_subchannels, max_reserve)))
+def fra_width(num_subchannels: int) -> int:
+    return ceil(log2(fra_value_count(num_subchannels)))
 
 
-def tra_width(max_reserve: int) -> int:
-    if max_reserve == 2:
-        return 5
-    if max_reserve == 3:
-        return 9
-    raise ValueError(f"max_reserve {max_reserve} not in {{2, 3}}")
-
-
-def fra_encode(num_subchannels: int, max_reserve: int,
-               start: int, length: int, start2: int) -> int:
-    """Index of a contiguous subchannel assignment.
-
-    Enumeration is lexicographic over (length, start) and, when three
-    reservations are allowed, the second occurrence's start too. start2
-    is ignored for max_reserve == 2.
-    """
+def fra_encode(num_subchannels: int, start: int, length: int) -> int:
+    """Index of a contiguous subchannel assignment, enumerated
+    lexicographically over (length, start)."""
     n = num_subchannels
     if not 1 <= length <= n:
         raise ValueError(f"length {length} outside 1..{n}")
     if not 0 <= start <= n - length:
         raise ValueError(f"start {start} leaves no room for length {length}")
-    index = 0
-    for shorter in range(1, length):
-        span = n - shorter + 1
-        index += span if max_reserve == 2 else span * span
-    if max_reserve == 2:
-        return index + start
-    if not 0 <= start2 <= n - length:
-        raise ValueError(f"start2 {start2} leaves no room for length {length}")
-    return index + start * (n - length + 1) + start2
+    return sum(n - shorter + 1 for shorter in range(1, length)) + start
 
 
-def fra_decode(num_subchannels: int, max_reserve: int, value: int) -> tuple[int, int, int]:
-    """Inverse of fra_encode; returns (start, length, start2)."""
+def fra_decode(num_subchannels: int, value: int) -> tuple[int, int]:
+    """Inverse of fra_encode; returns (start, length)."""
     n = num_subchannels
-    if not 0 <= value < fra_value_count(n, max_reserve):
+    if not 0 <= value < fra_value_count(n):
         raise ValueError(f"fra value {value} out of range")
     for length in range(1, n + 1):
         span = n - length + 1
-        block = span if max_reserve == 2 else span * span
-        if value < block:
-            if max_reserve == 2:
-                return value, length, 0
-            return value // span, length, value % span
-        value -= block
+        if value < span:
+            return value, length
+        value -= span
     raise AssertionError("unreachable: value bounded by fra_value_count")
-
-
-def tra_encode(max_reserve: int, gaps: tuple[int, ...]) -> int:
-    """Index of the slot gaps to later reservations of the same claim.
-
-    Gaps are strictly increasing values in 1..31. Zero gaps means the
-    claim covers a single occurrence per period.
-    """
-    if len(gaps) > max_reserve - 1:
-        raise ValueError(f"{len(gaps)} gaps exceed max_reserve {max_reserve}")
-    for g in gaps:
-        if not 1 <= g <= MAX_TIME_GAP:
-            raise ValueError(f"gap {g} outside 1..{MAX_TIME_GAP}")
-    if not gaps:
-        return 0
-    if len(gaps) == 1:
-        return gaps[0]
-    k1, k2 = gaps
-    if k2 <= k1:
-        raise ValueError(f"gaps must increase, got {gaps}")
-    # after the 31 single-gap codes, pairs (k1, k2) in lexicographic order
-    index = 1 + MAX_TIME_GAP
-    index += (k1 - 1) * MAX_TIME_GAP - k1 * (k1 - 1) // 2
-    return index + (k2 - k1 - 1)
-
-
-def tra_decode(max_reserve: int, value: int) -> tuple[int, ...]:
-    if value == 0:
-        return ()
-    if value <= MAX_TIME_GAP:
-        return (value,)
-    if max_reserve != 3:
-        raise ValueError(f"tra value {value} out of range for max_reserve 2")
-    value -= 1 + MAX_TIME_GAP
-    for k1 in range(1, MAX_TIME_GAP + 1):
-        pairs = MAX_TIME_GAP - k1
-        if value < pairs:
-            return (k1, k1 + 1 + value)
-        value -= pairs
-    raise ValueError("tra value out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +172,16 @@ class Sci1A:
     def field_widths(pool) -> dict[str, int]:
         """Per-field bit widths for a given resource pool configuration.
 
-        The pool sets the resource and period widths; the rest are fixed
-        at one DMRS pattern, no additional MCS table, a PSFCH period of 2
-        or 4 slots and 2 reserved bits (TS 38.212 8.3.1.1).
+        The pool sets the frequency resource and period widths; the rest
+        are fixed at two reservations per period (a 5-bit time resource),
+        one DMRS pattern, no additional MCS table, a PSFCH period of 2 or
+        4 slots and 2 reserved bits (TS 38.212 8.3.1.1).
         """
         rri_entries = len(pool.period_list_ms)
         return {
             "priority": 3,
-            "frequency_resource": fra_width(pool.num_subchannels, pool.sl_max_num_per_reserve),
-            "time_resource": tra_width(pool.sl_max_num_per_reserve),
+            "frequency_resource": fra_width(pool.num_subchannels),
+            "time_resource": 5,
             "rri_index": ceil(log2(rri_entries)) if rri_entries > 1 else 0,
             "dmrs_pattern": 0,
             "second_stage_format": 2,

@@ -1,5 +1,7 @@
 """Sensing-based resource selection over a subchannel x slot grid.
 
+A claim is one subchannel span that recurs every reservation interval:
+its SCI 1-A carries no time gap, so each period holds one occurrence.
 A claim heard at slot t0 with reservation interval r (in slots) blocks
 cell (t, sc) of the selection window iff
 
@@ -24,7 +26,7 @@ r is a multiple of P every step lands on the same window slot, so such
 a claim sets its one cell in a single step. A heard claim is its
 `ClaimShape`: the world decodes each distinct SCI 1-A payload straight
 into one (`decode_shape`, memoised in `World.sci1a_cache`), and `sense`
-builds each live occurrence stream from the shapes it is handed.
+makes one occurrence stream of each live shape it is handed.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .frames import Sci1A, fra_decode, fra_encode, tra_decode, tra_encode
+from .frames import Sci1A, fra_decode, fra_encode
 
 MISS_REFRESH_LIMIT = 2  # claims lapse after this many missed refresh periods
 RESELECTION_COUNTER_RANGE = (5, 15)
+NR_SLOT_MS = (1.0, 0.5, 0.25, 0.125)  # 1 ms / 2^mu, mu = 0..3 (TS 38.211 4.3.2)
 
 
 @dataclass
@@ -43,7 +46,6 @@ class ResourcePool:
     num_subchannels: int = 4
     slots_per_selection_window: int = 10
     period_list_ms: tuple[int, ...] = (100, 1000)
-    sl_max_num_per_reserve: int = 2
     sensing_window_slots: int = 1100
     rsrp_exclusion_threshold_dbm: float = -100.0
     slot_duration_ms: float = 1.0
@@ -53,8 +55,10 @@ class ResourcePool:
     def __post_init__(self):
         if not 1 <= self.num_subchannels <= 27:  # TS 38.331 sl-NumSubchannel
             raise ValueError(f"num_subchannels {self.num_subchannels} outside 1..27")
-        if self.slot_duration_ms <= 0:
-            raise ValueError("slot_duration_ms must be positive")
+        if self.slot_duration_ms not in NR_SLOT_MS:
+            # every integer-ms period is then a whole number of slots
+            raise ValueError(f"slot_duration_ms {self.slot_duration_ms} is not "
+                             f"one of the NR slot lengths {NR_SLOT_MS}")
         # T2 is at most the remaining packet delay budget (TS 38.214 8.1.4),
         # and no budget here exceeds the longest reservation period
         longest = self.rri_slots(1000)
@@ -75,11 +79,6 @@ class ResourcePool:
             raise ValueError(f"period list max {max(self.period_list_ms)} exceeds 1000 ms")
         if 1000 not in self.period_list_ms:
             raise ValueError("period list must include 1000 ms")
-        if self.sl_max_num_per_reserve not in (2, 3):
-            raise ValueError("sl_max_num_per_reserve must be 2 or 3")
-        for rri in self.period_list_ms:
-            if self.rri_slots(rri) * self.slot_duration_ms != rri:
-                raise ValueError(f"rri {rri} ms is not a whole number of slots")
 
     def rri_slots(self, rri_ms: int) -> int:
         return round(rri_ms / self.slot_duration_ms)
@@ -144,38 +143,26 @@ class OccupancyMap:
 
 @dataclass(frozen=True)
 class ClaimShape:
-    """What one SCI 1-A reserves, relative to the slot it was heard in.
+    """What one SCI 1-A reserves: subchannels [start, start + length) in
+    the slot it was heard in, recurring every `rri_slots`. `lifetime` is
+    how many slots after the heard slot the claim keeps blocking."""
 
-    Each span is (offset, first subchannel): the first occurrence sits
-    at offset 0 on the claim's primary span; later same-period
-    occurrences (time gaps) reuse that span for two-per-reserve pools
-    and the secondary start for three-per-reserve pools. `lifetime` is
-    how many slots an occurrence keeps blocking after its own slot, and
-    `reach` how many slots after the heard slot the latest occurrence
-    expires.
-    """
-
-    spans: tuple[tuple[int, int], ...]
+    start: int
     length: int
     rri_slots: int
     lifetime: int
-    reach: int
 
 
 def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
-    """Decode the frequency, time and period fields of a claim."""
+    """Decode the frequency, time and period fields of a claim. A claim
+    is one occurrence per period, so a nonzero time gap is refused."""
     if sci.rri_index >= len(pool.period_list_ms):
         raise ValueError(f"rri index {sci.rri_index} past the period list")
-    start, length, start2 = fra_decode(
-        pool.num_subchannels, pool.sl_max_num_per_reserve, sci.frequency_resource
-    )
-    gaps = tra_decode(pool.sl_max_num_per_reserve, sci.time_resource)
-    later_start = start if pool.sl_max_num_per_reserve == 2 else start2
-    spans = ((0, start),) + tuple((gap, later_start) for gap in gaps)
+    if sci.time_resource:
+        raise ValueError(f"time resource {sci.time_resource} claims a time gap")
+    start, length = fra_decode(pool.num_subchannels, sci.frequency_resource)
     rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
-    lifetime = MISS_REFRESH_LIMIT * rri
-    return ClaimShape(spans, length, rri, lifetime,
-                      lifetime + max(offset for offset, _ in spans))
+    return ClaimShape(start, length, rri, MISS_REFRESH_LIMIT * rri)
 
 
 def decode_shape(pool: ResourcePool, bits) -> ClaimShape:
@@ -191,22 +178,13 @@ def sense(
     """Project heard claims onto the upcoming selection window.
 
     received holds (shape, rsrp, slot) per decoded announcement. Claims
-    below the exclusion threshold are ignored, and so is each occurrence
-    that expired before the window starts. An entry heard so long before
-    the window that even its latest occurrence has expired is skipped
-    with one comparison.
+    below the exclusion threshold are ignored, and so is each claim that
+    expired before the window starts.
     """
     threshold = pool.rsrp_exclusion_threshold_dbm
-    live: list[Reservation] = []
-    for shape, rsrp, slot in received:
-        if rsrp < threshold or slot + shape.reach < window_start:
-            continue
-        # live while slot + offset + lifetime >= window_start
-        min_offset = window_start - shape.lifetime - slot
-        for offset, start in shape.spans:
-            if offset >= min_offset:
-                live.append(Reservation(start, shape.length, slot + offset,
-                                        shape.rri_slots, rsrp))
+    live = [Reservation(shape.start, shape.length, slot, shape.rri_slots, rsrp)
+            for shape, rsrp, slot in received
+            if rsrp >= threshold and slot + shape.lifetime >= window_start]
     return OccupancyMap(pool, window_start, threshold, live)
 
 
@@ -273,11 +251,10 @@ def announce(pool: ResourcePool, start: int, length: int, rri_ms: int, priority:
     """SCI 1-A claiming subchannels [start, start + length) every rri_ms."""
     if rri_ms not in pool.period_list_ms:
         raise ValueError(f"rri {rri_ms} ms not in pool period list {pool.period_list_ms}")
-    reserve = pool.sl_max_num_per_reserve
     return Sci1A(
         priority=priority,
-        frequency_resource=fra_encode(pool.num_subchannels, reserve, start, length, start),
-        time_resource=tra_encode(reserve, ()),
+        frequency_resource=fra_encode(pool.num_subchannels, start, length),
+        time_resource=0,
         rri_index=pool.period_list_ms.index(rri_ms),
         mcs=9,
     )

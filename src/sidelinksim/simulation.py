@@ -67,10 +67,10 @@ bits sum to `receiver_delivered`. For a lazy row the mask of the UEs surely
 above the noise floor, whatever their draw, is kept with the path-loss
 row (`LazyRow.kept_bits`), and only the UEs near the floor are computed. A
 reselection reads its own column of the log, cut to the sensing window
-and to `World.sensing_reach` (the largest `ClaimShape.reach` decoded so
-far) before the selection window. Each slot on air cuts it too: the
-reach only grows, and an entry's claim reach is at most the reach when
-it was heard, so a cut entry is dead to later windows.
+and to `World.sensing_reach` (the largest `ClaimShape.lifetime` decoded
+so far) before the selection window. Each slot on air cuts it too: the
+reach only grows, and an entry's claim lifetime is at most the reach
+when it was heard, so a cut entry is dead to later windows.
 
 A TB's control costs scale with distinct claims and headers, not with
 transmissions or grants: SCI 1-A is encoded once per distinct grant
@@ -622,8 +622,8 @@ class World:
         # and every sensing entry shares the (frozen) shape. The tuple key compares
         # like BitString equality but hashes in C.
         self.sci1a_cache: dict[tuple[bytes, int], ClaimShape | None] = {}
-        # the largest `ClaimShape.reach` in sci1a_cache: a sensing entry heard
-        # longer ago than that before a selection window holds no live
+        # the largest `ClaimShape.lifetime` in sci1a_cache: a sensing entry
+        # heard longer ago than that before a selection window holds no live
         # occurrence in it
         self.sensing_reach = 0
         # the same for SCI 2-A, read by addressed receivers; `_emit_tb` files
@@ -823,8 +823,8 @@ class World:
             bits = payload.sci1_bits
             shape = decode_once(cache, decode_shape, pool, bits)
             if shape is not None:
-                if shape.reach > self.sensing_reach:
-                    self.sensing_reach = shape.reach
+                if shape.lifetime > self.sensing_reach:
+                    self.sensing_reach = shape.lifetime
                 self.sensing_log.append((slot, shape, row))
             if lossless and type(payload) is DataBurst and payload.mac_dst_l2 == BROADCAST_L2:
                 seen = ledger.get(payload.tb_id, 0)

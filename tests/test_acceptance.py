@@ -23,7 +23,6 @@ from sidelinksim.frames import (
     SecurityPhase,
     SlssIdentity,
     fra_decode,
-    tra_decode,
 )
 from sidelinksim.metrics import event_line
 from sidelinksim.pc5 import (
@@ -209,15 +208,10 @@ def oracle_candidates(pool, snapshot, window_start, demand):
         for sci, rsrp, heard in snapshot:
             if sci is None or rsrp < threshold:
                 continue
-            start, length, start2 = fra_decode(
-                pool.num_subchannels, pool.sl_max_num_per_reserve,
-                sci.frequency_resource)
-            gaps = tra_decode(pool.sl_max_num_per_reserve, sci.time_resource)
+            start, length = fra_decode(pool.num_subchannels, sci.frequency_resource)
             rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
-            later = start if pool.sl_max_num_per_reserve == 2 else start2
-            for t0, s0 in [(heard, start)] + [(heard + g, later) for g in gaps]:
-                if t0 + 2 * rri >= window_start:  # not yet expired
-                    claims.append((t0, rri, s0, length))
+            if heard + 2 * rri >= window_start:  # not yet expired
+                claims.append((heard, rri, start, length))
         free = 0
         for slot in range(window_start, window_start + period):
             for sc_start in range(pool.num_subchannels - demand + 1):

@@ -201,6 +201,10 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("text", [
     *(TINY + f"attacks:\n  - {attack}\n" for attack in OUT_OF_RANGE.values()),
     TINY + "pool: {slot_duration_ms: 0}\n",
+    # rri_slots divided by it to an infinity and raised OverflowError
+    TINY + "pool: {slot_duration_ms: 1.0e-320}\n",
+    # 2**-900 ms: the slots in 1000 ms, the window bound, ran to 274 digits
+    TINY + "pool: {slot_duration_ms: 1.1830521861667747e-271}\n",
     TINY + "pool: {threshold_step_db: 0.0}\n",
     TINY + "pool: {threshold_step_db: -3.0}\n",
     TINY + "channel: {shadowing_sigma_db: -4.0}\n",
@@ -209,9 +213,10 @@ OUT_OF_RANGE = {
     TINY.replace("rri_ms: 100", "rri_ms: 0") + "pool: {period_list_ms: [0, 1000]}\n",
     TINY.replace("rri_ms: 100", "rri_ms: -100") + "pool: {period_list_ms: [-100, 1000]}\n",
     TINY + "links:\n  - {initiator: 1, responder: 2, start_slot: -1}\n",
-], ids=[*OUT_OF_RANGE, "slot_duration_ms", "threshold_step_db_zero",
-        "threshold_step_db_negative", "shadowing_sigma_db_negative", "name_line_break",
-        "period_list_ms_zero", "period_list_ms_negative", "link_start_slot_negative"])
+], ids=[*OUT_OF_RANGE, "slot_duration_ms", "slot_duration_ms_subnormal", "slot_duration_ms_tiny",
+        "threshold_step_db_zero", "threshold_step_db_negative", "shadowing_sigma_db_negative",
+        "name_line_break", "period_list_ms_zero", "period_list_ms_negative",
+        "link_start_slot_negative"])
 def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     # signed beacons make the sync injector encode its tdd_config

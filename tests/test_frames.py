@@ -20,15 +20,12 @@ from sidelinksim.frames import (
     fra_encode,
     fra_value_count,
     fra_width,
-    tra_decode,
-    tra_encode,
-    tra_width,
 )
 from sidelinksim.resources import ResourcePool
 from sidelinksim.sync import tier
 
 POOL_4x10 = ResourcePool(4, 10, [100, 1000])
-POOL_10x20 = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
+POOL_10x20 = ResourcePool(10, 20, [20, 50, 100, 1000])
 
 
 def reference_mib_sl_decode(payload: BitString) -> MibSl:
@@ -123,7 +120,7 @@ def test_sci_2a_for_tb_truncates_l2_ids():
 # frozen width anchors for the two reference pools
 def test_sci_1a_width_anchors():
     assert sum(Sci1A.field_widths(POOL_4x10).values()) == 26
-    assert sum(Sci1A.field_widths(POOL_10x20).values()) == 36
+    assert sum(Sci1A.field_widths(POOL_10x20).values()) == 29
 
 
 def test_sci_1a_round_trip_both_pools():
@@ -165,45 +162,24 @@ def test_a_payload_one_bit_short_or_long_is_refused(what, bits, decode, delta):
 
 
 def test_fra_bijection():
-    for n, reserve in ((4, 2), (10, 2), (4, 3), (10, 3)):
-        count = fra_value_count(n, reserve)
-        assert count <= 1 << fra_width(n, reserve)
+    for n in range(1, 28):
+        count = fra_value_count(n)
+        assert count <= 1 << fra_width(n)
         seen = set()
         for length in range(1, n + 1):
             for start in range(n - length + 1):
-                starts2 = range(n - length + 1) if reserve == 3 else [0]
-                for start2 in starts2:
-                    v = fra_encode(n, reserve, start, length, start2)
-                    assert v not in seen
-                    seen.add(v)
-                    assert fra_decode(n, reserve, v) == (start, length, start2)
+                v = fra_encode(n, start, length)
+                assert v not in seen
+                seen.add(v)
+                assert fra_decode(n, v) == (start, length)
         assert seen == set(range(count))
 
 
 def test_fra_rejects_out_of_range():
     with pytest.raises(ValueError):
-        fra_encode(4, 2, 3, 2, 3)  # start 3 + length 2 > 4 subchannels
+        fra_encode(4, 3, 2)  # start 3 + length 2 > 4 subchannels
     with pytest.raises(ValueError):
-        fra_decode(4, 2, fra_value_count(4, 2))
-
-
-def test_tra_bijection():
-    seen = {tra_encode(3, ())}
-    for k1 in range(1, 32):
-        seen.add(tra_encode(3, (k1,)))
-        for k2 in range(k1 + 1, 32):
-            v = tra_encode(3, (k1, k2))
-            assert v not in seen
-            seen.add(v)
-            assert tra_decode(3, v) == (k1, k2)
-    # () + 31 singles + C(31,2) pairs
-    assert len(seen) == 1 + 31 + 31 * 30 // 2
-    assert seen == set(range(len(seen)))
-    assert 1 + 31 + 31 * 30 // 2 <= 1 << tra_width(3)
-    # two-per-reserve claims never carry a second gap
-    with pytest.raises(ValueError):
-        tra_encode(2, (1, 2))
-    assert tra_decode(2, 31) == (31,)
+        fra_decode(4, fra_value_count(4))
 
 
 def test_slss_identity_rejects_out_of_range():

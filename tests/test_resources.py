@@ -2,14 +2,16 @@
 
 import random
 from bisect import bisect_left
+from dataclasses import replace
 from operator import itemgetter
 
 import pytest
 
 from sidelinksim.bits import BitString
-from sidelinksim.frames import Sci1A, fra_decode, fra_encode, tra_decode, tra_encode
+from sidelinksim.frames import Sci1A, fra_decode, fra_encode
 from sidelinksim.resources import (
     MISS_REFRESH_LIMIT,
+    ClaimShape,
     OccupancyMap,
     Reservation,
     ResourcePool,
@@ -24,20 +26,16 @@ from sidelinksim.resources import (
 )
 
 POOL = ResourcePool(4, 10, [100, 1000])
-POOL3 = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
+POOL10 = ResourcePool(10, 20, [20, 50, 100, 1000])
 
 
 def reference_claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
                               slot: int) -> list[Reservation]:
-    """Expand a decoded SCI 1-A heard in `slot` into its occurrence streams,
+    """Expand a decoded SCI 1-A heard in `slot` into its occurrence stream,
     decoding its resource fields here rather than through `claim_shape`."""
-    reserve = pool.sl_max_num_per_reserve
-    start, length, start2 = fra_decode(pool.num_subchannels, reserve, sci.frequency_resource)
-    later = start if reserve == 2 else start2
+    start, length = fra_decode(pool.num_subchannels, sci.frequency_resource)
     rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
-    return [Reservation(start, length, slot, rri, rsrp)] + [
-        Reservation(later, length, slot + gap, rri, rsrp)
-        for gap in tra_decode(reserve, sci.time_resource)]
+    return [Reservation(start, length, slot, rri, rsrp)]
 
 
 def shaped(received, pool):
@@ -73,8 +71,6 @@ def test_pool_validation():
         ResourcePool(4, 10, [100])  # missing the mandatory 1000 ms entry
     with pytest.raises(ValueError):
         ResourcePool(4, 10, [1000, 2000])
-    with pytest.raises(ValueError):
-        ResourcePool(4, 10, [1000], sl_max_num_per_reserve=4)
     assert POOL.rri_slots(100) == 100
     assert reference_total_cells(POOL) == 40
 
@@ -103,34 +99,21 @@ def test_blocked_masks_rri_multiple_of_period_owns_position():
         assert blocked_at(r, slot) == expected
 
 
-def test_claims_from_sci_reserve2_reuses_primary_span():
-    fr = fra_encode(4, 2, 1, 2, 0)
-    sci = Sci1A(priority=2, frequency_resource=fr,
-                time_resource=tra_encode(2, (7,)), rri_index=0, mcs=9)
-    claims = reference_claims_from_sci(sci, POOL, -70.0, 50)
-    assert len(claims) == 2
-    first, second = claims
-    assert (first.start_slot, first.subchannel_start, first.subchannel_len) == (50, 1, 2)
-    assert (second.start_slot, second.subchannel_start) == (57, 1)
-    assert first.rri_slots == second.rri_slots == 100
-    shape = claim_shape(sci, POOL)
-    assert (shape.spans, shape.length, shape.rri_slots) == (((0, 1), (7, 1)), 2, 100)
-
-
-def test_claims_from_sci_reserve3_uses_secondary_start():
-    fr = fra_encode(10, 3, 2, 3, 6)
-    sci = Sci1A(priority=1, frequency_resource=fr,
-                time_resource=tra_encode(3, (4, 11)), rri_index=3, mcs=9)
-    claims = reference_claims_from_sci(sci, POOL3, -70.0, 100)
-    starts = [(c.start_slot, c.subchannel_start) for c in claims]
-    assert starts == [(100, 2), (104, 6), (111, 6)]
-    assert claim_shape(sci, POOL3).spans == ((0, 2), (4, 6), (11, 6))
+def test_a_claim_is_one_span_and_a_time_gap_is_refused():
+    sci = Sci1A(priority=2, frequency_resource=fra_encode(4, 1, 2),
+                time_resource=0, rri_index=0, mcs=9)
+    assert claim_shape(sci, POOL) == ClaimShape(1, 2, 100, MISS_REFRESH_LIMIT * 100)
+    gapped = replace(sci, time_resource=7)
+    with pytest.raises(ValueError, match="time gap"):
+        claim_shape(gapped, POOL)
+    with pytest.raises(ValueError, match="time gap"):
+        decode_shape(POOL, gapped.encode(POOL))
 
 
 def test_sense_threshold_expiry_and_undecodable():
-    fr = fra_encode(4, 2, 0, 1, 0)
+    fr = fra_encode(4, 0, 1)
     sci = Sci1A(priority=1, frequency_resource=fr,
-                time_resource=tra_encode(2, ()), rri_index=0, mcs=9)
+                time_resource=0, rri_index=0, mcs=9)
     shape = claim_shape(sci, POOL)
     received = [
         (shape, -60.0, 900),    # live claim
@@ -249,20 +232,16 @@ def reference_sense(received, pool, window_start):
     return OccupancyMap(pool, window_start, threshold, live)
 
 
-@pytest.mark.parametrize("pool, gaps", [
-    (POOL, ()), (POOL, (7,)), (POOL3, ()), (POOL3, (4,)), (POOL3, (4, 11)),
-], ids=["reserve2-0gap", "reserve2-1gap", "reserve3-0gap", "reserve3-1gap", "reserve3-2gap"])
-def test_sense_matches_claim_expansion_table(pool, gaps):
-    n, reserve = pool.num_subchannels, pool.sl_max_num_per_reserve
-    rng = random.Random(f"{reserve}:{gaps}")
+@pytest.mark.parametrize("pool", [POOL, POOL10], ids=["4x10", "10x20"])
+def test_sense_matches_claim_expansion_table(pool):
+    n = pool.num_subchannels
+    rng = random.Random(n)
     scis = []
     for rri_index in range(len(pool.period_list_ms)):
         length = rng.randint(1, n)
-        fr = fra_encode(n, reserve, rng.randint(0, n - length), length,
-                        rng.randint(0, n - length))
+        fr = fra_encode(n, rng.randint(0, n - length), length)
         scis.append(Sci1A(priority=rng.randint(0, 7), frequency_resource=fr,
-                          time_resource=tra_encode(reserve, gaps),
-                          rri_index=rri_index, mcs=9))
+                          time_resource=0, rri_index=rri_index, mcs=9))
     window_start = 2000
     received = []
     for slot in range(0, window_start, 7):
@@ -270,12 +249,11 @@ def test_sense_matches_claim_expansion_table(pool, gaps):
         twin = Sci1A(**vars(sci))  # equal claim, another object
         received.append((rng.choice((sci, sci, twin, None)),
                          rng.choice((-60.0, -99.5, -100.0, -100.5, -120.0)), slot))
-    # occurrences whose expiry falls on either side of the window start
+    # claims whose expiry falls on either side of the window start
     for sci in scis:
         life = MISS_REFRESH_LIMIT * pool.rri_slots(pool.period_list_ms[sci.rri_index])
-        for offset in (0, *gaps):
-            for edge in (window_start - 1, window_start):
-                received.append((sci, -70.0, edge - life - offset))
+        for edge in (window_start - 1, window_start):
+            received.append((sci, -70.0, edge - life))
     received.sort(key=lambda entry: entry[2])
     got = sense(shaped(received, pool), pool, window_start)
     want = reference_sense(received, pool, window_start)
@@ -292,25 +270,24 @@ def test_sense_matches_claim_expansion_table(pool, gaps):
                          ids=["short-claims", "with-1000ms"])
 def test_sense_on_the_reach_suffix_matches_the_whole_list(periods, cut):
     """The world hands `sense` only the entries heard at most the largest
-    claim reach before the window; that gives the same reservations, in
-    the same order. 1000 ms claims reach past the sensing window, so
+    claim lifetime before the window; that gives the same reservations,
+    in the same order. 1000 ms claims live past the sensing window, so
     their list keeps every entry."""
-    pool = ResourcePool(10, 20, [20, 50, 100, 1000], sl_max_num_per_reserve=3)
+    pool = POOL10
     rng = random.Random(str(periods))
     scis = []
     for rri_ms in periods:
-        for gaps in ((), (4,), (4, 11)):
+        for _ in range(3):
             length = rng.randint(1, 4)
-            fr = fra_encode(10, 3, rng.randint(0, 10 - length), length,
-                            rng.randint(0, 10 - length))
+            fr = fra_encode(10, rng.randint(0, 10 - length), length)
             scis.append(Sci1A(priority=rng.randint(0, 7), frequency_resource=fr,
-                              time_resource=tra_encode(3, gaps),
+                              time_resource=0,
                               rri_index=pool.period_list_ms.index(rri_ms), mcs=9))
     window_start = 3000
     received = [(rng.choice(scis + [None]), rng.choice((-60.0, -90.0, -120.0)), slot)
                 for slot in range(window_start - pool.sensing_window_slots, window_start, 3)]
     received = shaped(received, pool)
-    reach = max(claim_shape(sci, pool).reach for sci in scis)
+    reach = max(claim_shape(sci, pool).lifetime for sci in scis)
     live = bisect_left(received, window_start - reach, key=itemgetter(2))
     assert (live > 0) == cut
     whole = sense(received, pool, window_start)
@@ -355,27 +332,24 @@ def reference_select(pool, occ, demand, rng):
     return Selection(slot, start, demand, len(cands), total, threshold)
 
 
-@pytest.mark.parametrize("reserve", [2, 3])
-def test_selection_matches_the_k_loop_projection(reserve):
+def test_selection_matches_the_k_loop_projection():
     """Random pools whose period lists hold rri both multiples of the
-    window and not, random claims with time gaps heard at random levels,
-    enough of them that the threshold often backs off."""
-    rng = random.Random(f"projection:{reserve}")
+    window and not, random claims heard at random levels, enough of them
+    that the threshold often backs off."""
+    rng = random.Random("projection")
     backed_off = aligned = unaligned = 0
     for trial in range(150):
         window = rng.choice((7, 10, 20, 25))
         periods = sorted({1000, *rng.sample((20, 40, 50, 100, 300, 500), rng.randint(1, 3))})
         n = rng.randint(2, 8)
-        pool = ResourcePool(n, window, periods, sl_max_num_per_reserve=reserve)
+        pool = ResourcePool(n, window, periods)
         scis = []
         for _ in range(rng.randint(1, 12)):
             length = rng.randint(1, n)
-            fr = fra_encode(n, reserve, rng.randint(0, n - length), length,
-                            rng.randint(0, n - length))
-            gaps = tuple(sorted(rng.sample(range(1, 32), rng.randint(0, reserve - 1))))
+            fr = fra_encode(n, rng.randint(0, n - length), length)
             scis.append(Sci1A(priority=rng.randint(0, 7), frequency_resource=fr,
-                              time_resource=tra_encode(reserve, gaps),
-                              rri_index=rng.randrange(len(periods)), mcs=9))
+                              time_resource=0, rri_index=rng.randrange(len(periods)),
+                              mcs=9))
         window_start = rng.randint(2500, 4000)
         received = sorted(((rng.choice(scis + [None]), rng.uniform(-110.0, -60.0),
                             window_start - rng.randint(1, 2200))

@@ -11,6 +11,8 @@ from hypothesis import example, given, strategies as st
 from sidelinksim.adversary import AttackKind
 from sidelinksim.metrics import MetricsReport
 from sidelinksim.pc5 import PolicyLevel
+from sidelinksim.radio import ChannelModel
+from sidelinksim.resources import ResourcePool
 from sidelinksim.scenario import (
     ATTACKER_ID_BASE,
     Scenario,
@@ -20,6 +22,7 @@ from sidelinksim.scenario import (
     parse_scenario,
 )
 from sidelinksim.simulation import World
+from sidelinksim.sync import SyncConfig
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -69,7 +72,7 @@ def test_full_sections_parse():
     sc = parse_scenario(minimal(
         channel={"shadowing_sigma_db": 2.0, "tb_error_rate": 0.1},
         pool={"num_subchannels": 10, "slots_per_selection_window": 20,
-              "period_list_ms": [20, 50, 100, 1000], "sl_max_num_per_reserve": 3},
+              "period_list_ms": [20, 50, 100, 1000], "slot_duration_ms": 0.5},
         sync={"ssb_period_slots": 32},
         traffic=[{"src": 1, "dst": 2, "period_slots": 100}],
         links=[{"initiator": 1, "responder": 2, "start_slot": 5}],
@@ -81,7 +84,8 @@ def test_full_sections_parse():
         }],
         defenses={"replay_guard": {"enabled": True, "timestamp_skew_slots": 8}},
     ))
-    assert sc.pool.sl_max_num_per_reserve == 3
+    assert sc.pool.period_list_ms == (20, 50, 100, 1000)
+    assert sc.pool.slot_duration_ms == 0.5
     assert sc.channel.tb_error_rate == 0.1
     assert sc.traffic[0].harq is True
     assert sc.links[0].start_slot == 5
@@ -115,7 +119,8 @@ def test_unknown_key_in_every_section(section):
 
 
 def test_the_fixed_sci1a_widths_are_no_pool_keys():
-    keys = ("dmrs_patterns", "additional_mcs_tables", "psfch_period", "num_reserved_bits")
+    keys = ("dmrs_patterns", "additional_mcs_tables", "psfch_period", "num_reserved_bits",
+            "sl_max_num_per_reserve")
     with pytest.raises(ScenarioError) as err:
         parse_scenario(minimal(pool=dict.fromkeys(keys, 1)))
     assert err.value.problems == [f"scenario.pool.{key}: unknown key" for key in keys]
@@ -158,6 +163,10 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("false_sync_injection", "attacks[0].params.slss_id", 99999),
     ("false_sync_injection", "attacks[0].params.tdd_config", 5000),
     ("harq_spoof_nack", "pool.slot_duration_ms", 0),
+    # a slot is 1 ms / 2^mu, mu = 0..3 (TS 38.211 4.3.2)
+    ("harq_spoof_nack", "pool.slot_duration_ms", 1.0e-320),
+    ("harq_spoof_nack", "pool.slot_duration_ms", 0.3),
+    ("harq_spoof_nack", "pool.slot_duration_ms", 2.0),
     ("harq_spoof_nack", "pool.threshold_step_db", 0.0),
     ("harq_spoof_nack", "pool.threshold_step_db", -3.0),
     ("harq_spoof_nack", "channel.shadowing_sigma_db", -4.0),
@@ -180,6 +189,22 @@ def test_out_of_range_value_is_an_error(kind, dotted, value):
         parse_scenario(raw)
     section, name = dotted.rsplit(".", 1)
     assert any(p.startswith(f"scenario.{section}") and name in p for p in err.value.problems)
+
+
+@pytest.mark.parametrize("slot_ms, window", [(0.125, 8000), (0.125, 8001), (2.0**-900, 2**31)],
+                         ids=["0.125ms-8000", "0.125ms-8001", "2^-900ms-2^31"])
+def test_the_window_bound_holds_at_every_slot_length(slot_ms, window):
+    """The longest window is the 1000 ms period in slots, 8000 at the
+    shortest NR slot. A shorter slot is refused, so it cannot stretch
+    the bound to a window no run can allocate."""
+    raw = minimal(pool={"slot_duration_ms": slot_ms, "slots_per_selection_window": window})
+    if window == 8000:
+        assert parse_scenario(raw).pool.slots_per_selection_window == window
+        return
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert len(err.value.problems) == 1
+    assert err.value.problems[0].startswith("scenario.pool: ")
 
 
 POOL_ZERO = "scenario.pool: period_list_ms holds 0; every period must be positive"
@@ -404,6 +429,76 @@ def test_shipped_catalog_parses():
         sc = load_scenario(f)
         assert sc.duration_slots > 0
         assert sc.ues
+
+
+def test_the_readme_example_parses_and_runs():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```yaml\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    sc = parse_scenario(yaml.load(blocks[0], Loader=YAML_LOADER))
+    totals = World(sc).run().totals
+    assert totals["slots_run"] == sc.duration_slots == 2000
+    assert totals["receiver_delivered"] > 0 and totals["links_established"] > 0
+    assert totals["feedback_spoofed"] > 0 and totals["feedback_flagged"] > 0
+
+
+# -- one-value mutations of the catalog ----------------------------------------
+
+MUTATIONS = (0, -1, 2**31, 2**64, 10**7, 1e-320, 5e-324, 1e308, 0.3, True, "x", None, [], {})
+DEFAULTED = {"pool": ResourcePool, "channel": ChannelModel, "sync": SyncConfig}
+# together these hold every section, defense and attack kind the catalog holds
+MUTATED = ("harq_false_ack", "harq_false_nack_guarded", "pc5_forged_reject_guarded",
+           "pc5_replay", "resource_blocking", "sync_false_injection_signed",
+           "sync_impersonation", "tracking_weak")
+
+
+def catalog_raw(stem):
+    return yaml.load((SCENARIO_DIR / f"{stem}.yaml").read_bytes(), Loader=YAML_LOADER)
+
+
+def kinds_and_sections(raws):
+    return ({attack["kind"] for raw in raws for attack in raw.get("attacks", ())},
+            {key for raw in raws for key in raw}
+            | {key for raw in raws for key in raw.get("defenses", {})})
+
+
+def leaf_paths(node, path=()):
+    """The key path of each scalar, empty list and empty mapping in `node`."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)) and value:
+            yield from leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def test_the_mutated_files_cover_the_catalog():
+    every = kinds_and_sections(map(catalog_raw, (p.stem for p in SCENARIO_DIR.glob("*.yaml"))))
+    assert kinds_and_sections(map(catalog_raw, MUTATED)) == every
+
+
+@pytest.mark.parametrize("stem", MUTATED)
+def test_a_one_value_mutation_of_the_catalog_parses_or_is_a_scenario_error(stem):
+    """Each leaf of a catalog file, with its pool, channel and sync
+    defaults written out, replaced by each extreme or mistyped value in
+    turn. Parse only: an accepted extreme could allocate or loop without
+    end in a run."""
+    raw = catalog_raw(stem)
+    for key, section in DEFAULTED.items():
+        defaults = {k: list(v) if isinstance(v, tuple) else v for k, v in vars(section()).items()}
+        raw[key] = {**defaults, **(raw.get(key) or {})}
+    parse_scenario(raw)
+    for *where, last in leaf_paths(raw):
+        node = raw
+        for key in where:
+            node = node[key]
+        kept = node[last]
+        for value in MUTATIONS:
+            node[last] = value
+            try:
+                parse_scenario(raw)
+            except ScenarioError:
+                pass
+        node[last] = kept
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)

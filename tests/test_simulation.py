@@ -212,8 +212,7 @@ def test_each_tbs_control_stages_describe_that_tb(monkeypatch):
         tx, proc = out[-1], rt.process
         burst = tx.payload
         sci1 = Sci1A.decode(pool, burst.sci1_bits)
-        start, length, _ = fra_decode(pool.num_subchannels, pool.sl_max_num_per_reserve,
-                                      sci1.frequency_resource)
+        start, length = fra_decode(pool.num_subchannels, sci1.frequency_resource)
         assert (start, length) == tx.subchannel_range
         assert sci1.rri_index == pool.period_list_ms.index(rt.flow.rri_ms)
         assert (burst.mac_src_l2, burst.mac_dst_l2) == (agent.endpoint.l2_id,
@@ -274,11 +273,12 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
 @pytest.mark.parametrize("pool, fields", [
     ({}, {"frequency_resource": 15}),
     ({"period_list_ms": [100, 500, 1000]}, {"rri_index": 3}),
-], ids=["fra-past-the-subchannels", "rri-index-past-the-periods"])
+    ({}, {"time_resource": 7}),
+], ids=["fra-past-the-subchannels", "rri-index-past-the-periods", "time-gap"])
 def test_a_claim_the_pool_cannot_carry_is_sensed_as_nothing(pool, fields):
     """A right-length SCI 1-A whose frequency value or period index the
-    pool has no resource for decodes to no shape: its memo entry is None,
-    nobody logs it, and the slot completes."""
+    pool has no resource for, or that claims a time gap, decodes to no
+    shape: its memo entry is None, nobody logs it, and the slot completes."""
     world = World(small_unicast(pool=pool))
     sender = world.agents[0]
     sci = Sci1A(**{"priority": 1, "frequency_resource": 0, "time_resource": 0,
@@ -298,15 +298,15 @@ def test_a_claim_the_pool_cannot_carry_is_sensed_as_nothing(pool, fields):
     lambda: load_scenario(SCENARIO_DIR / "resource_blocking.yaml"),
     moving_ues,
 ], ids=["unicast_harq", "resource_blocking", "moving"])
-def test_sensing_reach_is_the_largest_cached_claim_reach(make, monkeypatch):
+def test_sensing_reach_is_the_largest_cached_claim_lifetime(make, monkeypatch):
     world = World(make())
     pool = world.sc.pool
     calls = []
 
     def checked_sense(received, pool_, window_start):
-        reaches = [claim_shape(Sci1A.decode(pool, BitString(*key)), pool).reach
-                   for key, shape in world.sci1a_cache.items() if shape is not None]
-        assert world.sensing_reach == max(reaches, default=0)
+        lifetimes = [claim_shape(Sci1A.decode(pool, BitString(*key)), pool).lifetime
+                     for key, shape in world.sci1a_cache.items() if shape is not None]
+        assert world.sensing_reach == max(lifetimes, default=0)
         calls.append(window_start)
         return sense(received, pool_, window_start)
 
@@ -592,7 +592,7 @@ def test_sensing_window_drops_claims_sense_would_still_project():
     sci = Sci1A(priority=1, frequency_resource=0, time_resource=0,
                 rri_index=pool.period_list_ms.index(1000), mcs=9)
     shape = claim_shape(sci, pool)
-    world.sensing_reach = shape.reach
+    world.sensing_reach = shape.lifetime
     slot = 100 + pool.sensing_window_slots + 1
     assert slot + 1 - world.sensing_reach < 100
     assert sense([(shape, -60.0, 100)], pool, slot + 1).reservations
