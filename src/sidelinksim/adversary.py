@@ -28,7 +28,7 @@ from .frames import (
 )
 from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
 from .pc5 import weak_successor
-from .radio import Transmission
+from .radio import MAX_TX_POWER_DBM, Transmission
 from .resources import ControlBurst, ResourcePool, announce
 from .sync import SsbBurst
 
@@ -57,6 +57,8 @@ class AttackerCapability:
     def __post_init__(self):
         if self.timing_precision_slots < 0:
             raise ValueError(f"timing_precision_slots {self.timing_precision_slots} below 0")
+        if self.tx_power_dbm > MAX_TX_POWER_DBM:
+            raise ValueError(f"tx_power_dbm {self.tx_power_dbm} above {MAX_TX_POWER_DBM}")
 
 
 @dataclass(frozen=True)
@@ -266,12 +268,11 @@ class ResourceBlockingAgent(AttackerAgent):
             self._next_due = min((due for due, _ in self._cells), default=math.inf)
         if slot < self._next_due:
             return []
-        rri = pool.rri_slots(rri_ms)
         out = []
         for cell in self._cells:
             if slot < cell[0]:
                 continue
-            cell[0] += rri
+            cell[0] += rri_ms
             if self.jitter():
                 # jitter pushed the frame off its intended slot; it would
                 # claim the wrong pool position, so the injection is wasted

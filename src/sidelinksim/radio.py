@@ -1,19 +1,20 @@
 """Abstract propagation connecting the UEs.
 
-Time is an integer slot counter. Power is dBm end to end; path loss is
-log-distance with optional seeded Gaussian shadowing. A transmission's
-payload class names its physical channel: `SsbBurst` rides PSBCH,
-`ControlBurst` PSCCH, `DataBurst` and `Pc5Message` PSSCH, and
-`FeedbackBurst` PSFCH. Collisions use a capture model among the
-overlapping transmissions with a subchannel span: of two such same-slot
-transmissions, the stronger survives only if it exceeds the weaker by at
-least the capture threshold, otherwise both are destroyed. The world
-gives a span only to data bursts, on their grant's subchannels; control,
-sync, feedback and PC5 bursts carry none, so none of them is destroyed.
-`deliver` works a slot in three passes: a row of levels per
-transmission, the capture contest on those rows, then each reader's
-receptions read from them. A node's reception list is made on its first
-reception; the nodes that hear nothing in a slot share one empty list.
+Time is an integer slot counter of 1 ms slots. Power is dBm end to end;
+path loss is log-distance, its constants fixed, with optional seeded
+Gaussian shadowing. A transmission's payload class names its physical
+channel: `SsbBurst` rides PSBCH, `ControlBurst` PSCCH, `DataBurst` and
+`Pc5Message` PSSCH, and `FeedbackBurst` PSFCH. Collisions use a capture
+model among the overlapping transmissions with a subchannel span: of two
+such same-slot transmissions, the stronger survives only if it exceeds
+the weaker by at least the capture threshold, otherwise both are
+destroyed. The world gives a span only to data bursts, on their grant's
+subchannels; control, sync, feedback and PC5 bursts carry none, so none
+of them is destroyed. `deliver` works a slot in three passes: a row of
+levels per transmission, the capture contest on those rows, then each
+reader's receptions read from them. A node's reception list is made on
+its first reception; the nodes that hear nothing in a slot share one
+empty list.
 """
 
 from __future__ import annotations
@@ -43,20 +44,26 @@ HIGH_BITS = b"\x00\x00\x00\x00\xc0\xff\xff\xff"
 SURE_SIGMAS = 9.0
 
 
+REFERENCE_LOSS_DB = 46.7  # path loss at 1 m
+PATH_LOSS_EXPONENT = 2.7
+NOISE_FLOOR_DBM = -110.0  # a level at or below it is not received
+CAPTURE_THRESHOLD_DB = 3.0  # the margin by which a colliding burst survives
+# Selection backs off 3 dB at a time up to the strongest claim it must
+# drop, so what sets a level is bounded; the 3GPP V2X channel models
+# (TR 37.885) have single-digit-dB shadow fading
+MAX_TX_POWER_DBM = 60.0
+MAX_SHADOWING_SIGMA_DB = 20.0
+
+
 @dataclass
 class ChannelModel:
-    reference_loss_db: float = 46.7
-    path_loss_exponent: float = 2.7
-    noise_floor_dbm: float = -110.0
     shadowing_sigma_db: float = 0.0
-    capture_threshold_db: float = 3.0
     tb_error_rate: float = 0.0
 
     def __post_init__(self):
-        if self.path_loss_exponent < 2:
-            raise ValueError(f"path loss exponent {self.path_loss_exponent} below 2")
-        if self.shadowing_sigma_db < 0:
-            raise ValueError(f"shadowing_sigma_db {self.shadowing_sigma_db} below 0")
+        if not 0 <= self.shadowing_sigma_db <= MAX_SHADOWING_SIGMA_DB:
+            raise ValueError(f"shadowing_sigma_db {self.shadowing_sigma_db} "
+                             f"outside [0, {MAX_SHADOWING_SIGMA_DB}]")
         if not 0 <= self.tb_error_rate <= 1:
             raise ValueError(f"tb_error_rate {self.tb_error_rate} outside [0, 1]")
 
@@ -107,10 +114,9 @@ class PathLossRow:
         self.kept: dict[float, tuple[int, tuple[int, ...]]] = {}
 
 
-def path_loss_row(sender: int, positions: dict[int, tuple[float, float]],
-                  model: ChannelModel) -> PathLossRow:
+def path_loss_row(sender: int, positions: dict[int, tuple[float, float]]) -> PathLossRow:
     """Receivers of `sender` in `positions` order, and the path loss to each."""
-    slope = 10.0 * model.path_loss_exponent
+    slope = 10.0 * PATH_LOSS_EXPONENT
     log10, hypot = math.log10, math.hypot
     sx, sy = positions[sender]
     receivers = tuple(uid for uid in positions if uid != sender)
@@ -307,9 +313,9 @@ def deliver(
     # log-distance path loss, no fading: a level is
     # (tx_power - reference_loss) - 10 * exponent * log10(distance), in that
     # operation order, with the model constants hoisted
-    ref_loss = model.reference_loss_db
+    ref_loss = REFERENCE_LOSS_DB
     sigma = model.shadowing_sigma_db
-    floor = model.noise_floor_dbm
+    floor = NOISE_FLOOR_DBM
     if losses is None:
         losses = {}
     grid = [(k, tx) for k, tx in enumerate(transmissions)
@@ -328,7 +334,7 @@ def deliver(
         sender = tx.sender_id
         row = losses.get(sender)
         if row is None:
-            row = losses[sender] = path_loss_row(sender, positions, model)
+            row = losses[sender] = path_loss_row(sender, positions)
         base = tx.tx_power_dbm - ref_loss
         if k not in eager and readers is not None:
             levels.append(LazyRow(shadowing, start, base, row, floor))
@@ -343,7 +349,7 @@ def deliver(
 
     # the capture contest, on dict rows: a destroyed pair leaves its row
     collisions: list[CollisionRecord] = []
-    threshold = model.capture_threshold_db
+    threshold = CAPTURE_THRESHOLD_DB
     for uid in positions if pairs else ():
         destroyed: set[int] = set()
         for i, j in pairs:

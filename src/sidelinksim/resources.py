@@ -1,9 +1,10 @@
 """Sensing-based resource selection over a subchannel x slot grid.
 
-A claim is one subchannel span that recurs every reservation interval:
-its SCI 1-A carries no time gap, so each period holds one occurrence.
-A claim heard at slot t0 with reservation interval r (in slots) blocks
-cell (t, sc) of the selection window iff
+A slot is 1 ms (numerology 0, TS 38.211 4.3.2), so a reservation period
+in ms is its length in slots. A claim is one subchannel span that recurs
+every reservation interval: its SCI 1-A carries no time gap, so each
+period holds one occurrence. A claim heard at slot t0 with reservation
+interval r blocks cell (t, sc) of the selection window iff
 
     exists k in 0..missRefreshLimit:
         d = t0 + k*r - t,  d >= 0  and  d % P == 0
@@ -38,7 +39,13 @@ from .frames import Sci1A, fra_decode, fra_encode
 
 MISS_REFRESH_LIMIT = 2  # claims lapse after this many missed refresh periods
 RESELECTION_COUNTER_RANGE = (5, 15)
-NR_SLOT_MS = (1.0, 0.5, 0.25, 0.125)  # 1 ms / 2^mu, mu = 0..3 (TS 38.211 4.3.2)
+# sensing and exclusion (TS 38.214 8.1.4): the sensing window, the first
+# RSRP threshold, the share of positions that must stay free, and the step
+# the threshold rises by until they do
+SENSING_WINDOW_SLOTS = 1100
+RSRP_EXCLUSION_THRESHOLD_DBM = -100.0
+MIN_CANDIDATE_RATIO = 0.2
+THRESHOLD_STEP_DB = 3.0
 
 
 @dataclass
@@ -46,29 +53,15 @@ class ResourcePool:
     num_subchannels: int = 4
     slots_per_selection_window: int = 10
     period_list_ms: tuple[int, ...] = (100, 1000)
-    sensing_window_slots: int = 1100
-    rsrp_exclusion_threshold_dbm: float = -100.0
-    slot_duration_ms: float = 1.0
-    min_candidate_ratio: float = 0.2
-    threshold_step_db: float = 3.0
 
     def __post_init__(self):
         if not 1 <= self.num_subchannels <= 27:  # TS 38.331 sl-NumSubchannel
             raise ValueError(f"num_subchannels {self.num_subchannels} outside 1..27")
-        if self.slot_duration_ms not in NR_SLOT_MS:
-            # every integer-ms period is then a whole number of slots
-            raise ValueError(f"slot_duration_ms {self.slot_duration_ms} is not "
-                             f"one of the NR slot lengths {NR_SLOT_MS}")
         # T2 is at most the remaining packet delay budget (TS 38.214 8.1.4),
         # and no budget here exceeds the longest reservation period
-        longest = self.rri_slots(1000)
-        if not 1 <= self.slots_per_selection_window <= longest:
+        if not 1 <= self.slots_per_selection_window <= 1000:
             raise ValueError(f"slots_per_selection_window {self.slots_per_selection_window} "
-                             f"outside 1..{longest}")
-        if self.threshold_step_db <= 0:
-            # selection raises its threshold by this step until enough is free,
-            # so a step of 0 or less never ends
-            raise ValueError("threshold_step_db must be positive")
+                             "outside 1..1000")
         if not self.period_list_ms:
             raise ValueError("period list must not be empty")
         if min(self.period_list_ms) <= 0:
@@ -79,9 +72,6 @@ class ResourcePool:
             raise ValueError(f"period list max {max(self.period_list_ms)} exceeds 1000 ms")
         if 1000 not in self.period_list_ms:
             raise ValueError("period list must include 1000 ms")
-
-    def rri_slots(self, rri_ms: int) -> int:
-        return round(rri_ms / self.slot_duration_ms)
 
 
 @dataclass(slots=True)
@@ -161,7 +151,7 @@ def claim_shape(sci: Sci1A, pool: ResourcePool) -> ClaimShape:
     if sci.time_resource:
         raise ValueError(f"time resource {sci.time_resource} claims a time gap")
     start, length = fra_decode(pool.num_subchannels, sci.frequency_resource)
-    rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
+    rri = pool.period_list_ms[sci.rri_index]
     return ClaimShape(start, length, rri, MISS_REFRESH_LIMIT * rri)
 
 
@@ -181,7 +171,7 @@ def sense(
     below the exclusion threshold are ignored, and so is each claim that
     expired before the window starts.
     """
-    threshold = pool.rsrp_exclusion_threshold_dbm
+    threshold = RSRP_EXCLUSION_THRESHOLD_DBM
     live = [Reservation(shape.start, shape.length, slot, shape.rri_slots, rsrp)
             for shape, rsrp, slot in received
             if rsrp >= threshold and slot + shape.lifetime >= window_start]
@@ -225,22 +215,22 @@ def select_resources(
 ) -> Selection:
     """Pick a transmission cell uniformly from the unblocked candidates.
 
-    When fewer than min_candidate_ratio of the positions are free, the
-    exclusion threshold rises step by step and the heard claims still
-    above it are projected onto a new map, dropping the weakest first,
-    until enough candidates exist.
+    When fewer than MIN_CANDIDATE_RATIO of the positions are free, the
+    exclusion threshold rises by THRESHOLD_STEP_DB and the heard claims
+    still above it are projected onto a new map, dropping the weakest
+    first, until enough candidates exist.
     """
     if demand < 1 or demand > pool.num_subchannels:
         raise ValueError(f"demand {demand} impossible on {pool.num_subchannels} subchannels")
     total = pool.slots_per_selection_window * (pool.num_subchannels - demand + 1)
-    threshold = occ.threshold_dbm
+    threshold, ratio, step = occ.threshold_dbm, MIN_CANDIDATE_RATIO, THRESHOLD_STEP_DB
     current = occ
     while True:
         cands = candidate_positions(pool, current, demand)
         # with no claim left every position is a candidate
-        if not current.reservations or (cands and len(cands) / total >= pool.min_candidate_ratio):
+        if not current.reservations or (cands and len(cands) / total >= ratio):
             break
-        threshold += pool.threshold_step_db
+        threshold += step
         kept = [r for r in current.reservations if r.observed_rsrp_dbm >= threshold]
         current = OccupancyMap(occ.pool, occ.window_start, threshold, kept)
     slot, start = rng.choice(cands)

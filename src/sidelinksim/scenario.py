@@ -24,7 +24,7 @@ import yaml
 from .adversary import ATTACK_REGISTRY, AttackKind, AttackerCapability, AttackPlan
 from .defense import DefenseConfig
 from .pc5 import SecurityPolicy
-from .radio import ChannelModel
+from .radio import MAX_TX_POWER_DBM, ChannelModel
 from .resources import ResourcePool
 from .sync import SyncConfig
 
@@ -252,6 +252,8 @@ def _parse_ue(raw, path: str, errs: _Errors) -> UeSpec | None:
         errs.add(f"{path}.id", f"must lie in [0, {ATTACKER_ID_BASE})")
     if ue.role not in UE_ROLES:
         errs.add(f"{path}.role", f"must be one of {UE_ROLES}")
+    if ue.tx_power_dbm > MAX_TX_POWER_DBM:
+        errs.add(f"{path}.tx_power_dbm", f"{ue.tx_power_dbm} above {MAX_TX_POWER_DBM}")
     return ue
 
 
@@ -417,11 +419,11 @@ def parse_scenario(raw: dict, default_name: str = "scenario") -> Scenario:
     defenses = _section(DefenseConfig, raw.get("defenses"), "scenario.defenses",
                         errs) or DefenseConfig()
     privacy = defenses.privacy_randomizer
-    if privacy.enabled and round(privacy.timer_ms / pool.slot_duration_ms) < 1:
-        # the world refreshes identifiers every that many slots
+    if privacy.enabled and round(privacy.timer_ms) < 1:
+        # the world refreshes identifiers every that many 1 ms slots
         errs.add("scenario.defenses.privacy_randomizer.timer_ms",
-                 f"{privacy.timer_ms} ms rounds to no whole slot of "
-                 f"{pool.slot_duration_ms} ms; an enabled randomizer needs at least one")
+                 f"{privacy.timer_ms} ms rounds to no whole 1 ms slot; "
+                 "an enabled randomizer needs at least one")
 
     errs.raise_if_any()
     return Scenario(

@@ -124,6 +124,7 @@ from .metrics import MetricsReport
 from .pc5 import BROADCAST_L2, Pc5Endpoint, refresh_identifier
 from .radio import LazyRow, PathLossRow, Reception, SensedRow, Transmission, child_rng, deliver
 from .resources import (
+    SENSING_WINDOW_SLOTS,
     ClaimShape,
     ControlBurst,
     Selection,
@@ -161,7 +162,6 @@ class GrantState:
     next_slot: int
     remaining: int
     span: tuple[int, int]  # (subchannel start, length)
-    rri_slots: int
     sci1_bits: BitString  # the grant's SCI 1-A, the same for each of its TBs
 
 
@@ -414,7 +414,7 @@ class UeAgent:
             # Grant occurrences that passed while no TB was pending went
             # unused; a TB generated after them realigns to the next one.
             while g.next_slot < slot:
-                g.next_slot += g.rri_slots
+                g.next_slot += rt.flow.rri_ms
                 g.remaining -= 1
             return
         self._emit_tb(rt, slot, out)
@@ -440,7 +440,6 @@ class UeAgent:
             next_slot=sel.slot,
             remaining=counter,
             span=(sel.subchannel_start, sel.subchannel_len),
-            rri_slots=pool.rri_slots(flow.rri_ms),
             sci1_bits=sci1_bits,
         )
         self.world.metrics.bump("selections")
@@ -478,7 +477,7 @@ class UeAgent:
             rt.first_slot, rt.spoof_hits = slot, 0
         else:
             self.world.metrics.bump("retransmissions", slot=slot)
-        g.next_slot += g.rri_slots
+        g.next_slot += flow.rri_ms
         g.remaining -= 1
         if flow.harq and cast == CastType.UNICAST:
             rt.feedback_slot = slot + FEEDBACK_DELAY_SLOTS
@@ -712,7 +711,7 @@ class World:
         """`sensing_log` cut to what a reselection in `slot` may read: the
         sensing window and `sensing_reach` slots before the selection window."""
         log = self.sensing_log
-        cut = max(slot - self.sc.pool.sensing_window_slots, slot + 1 - self.sensing_reach)
+        cut = max(slot - SENSING_WINDOW_SLOTS, slot + 1 - self.sensing_reach)
         if log and log[0][0] < cut:
             del log[:bisect_left(log, cut, key=itemgetter(0))]
         return log
@@ -752,7 +751,7 @@ class World:
     # -- slot phases -----------------------------------------------------------
 
     def _place(self, agents: list[UeAgent], slot: int):
-        t_s = slot * self.sc.pool.slot_duration_ms / 1000.0
+        t_s = slot / 1000.0  # a slot is 1 ms
         for agent in agents:
             x0, y0 = agent.spec.position
             vx, vy = agent.spec.velocity
@@ -871,8 +870,7 @@ class World:
         agents = self.agents
         privacy = self.sc.defenses.privacy_randomizer
         # slots per identifier-privacy epoch; 0: identifiers never change
-        epoch = (round(privacy.timer_ms / self.sc.pool.slot_duration_ms)
-                 if privacy.enabled and privacy.mode != "static" else 0)
+        epoch = round(privacy.timer_ms) if privacy.enabled and privacy.mode != "static" else 0
         slot, end = 0, self.sc.duration_slots
         while slot < end:
             if self.moving:

@@ -36,7 +36,12 @@ from sidelinksim.pc5 import (
     unprotect_pdu,
 )
 from sidelinksim.radio import child_rng
-from sidelinksim.resources import sense
+from sidelinksim.resources import (
+    MIN_CANDIDATE_RATIO,
+    RSRP_EXCLUSION_THRESHOLD_DBM,
+    THRESHOLD_STEP_DB,
+    sense,
+)
 from sidelinksim.scenario import load_scenario
 from sidelinksim.simulation import run_scenario
 from sidelinksim.sync import tier
@@ -202,14 +207,14 @@ def oracle_candidates(pool, snapshot, window_start, demand):
     """
     period = pool.slots_per_selection_window
     total = period * (pool.num_subchannels - demand + 1)
-    threshold = pool.rsrp_exclusion_threshold_dbm
+    threshold = RSRP_EXCLUSION_THRESHOLD_DBM
     while True:
         claims = []
         for sci, rsrp, heard in snapshot:
             if sci is None or rsrp < threshold:
                 continue
             start, length = fra_decode(pool.num_subchannels, sci.frequency_resource)
-            rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
+            rri = pool.period_list_ms[sci.rri_index]  # 1 ms slots
             if heard + 2 * rri >= window_start:  # not yet expired
                 claims.append((heard, rri, start, length))
         free = 0
@@ -228,11 +233,11 @@ def oracle_candidates(pool, snapshot, window_start, demand):
                         break
                 if not blocked:
                     free += 1
-        if free and (free / total >= pool.min_candidate_ratio or not claims):
+        if free and (free / total >= MIN_CANDIDATE_RATIO or not claims):
             return free, threshold
         if not claims:
             return free, threshold
-        threshold += pool.threshold_step_db
+        threshold += THRESHOLD_STEP_DB
 
 
 def mean_ratio(world, lo, hi):
@@ -290,7 +295,7 @@ def test_criterion_4_resource_blocking(announce, monkeypatch):
 
     # recovery: claims stop refreshing when the window closes; well within
     # two reservation intervals (stop + 2000 slots) ratios match baseline
-    rri_slots = sc.pool.rri_slots(sc.attacks[0].plan.params["rri_ms"])
+    rri_slots = sc.attacks[0].plan.params["rri_ms"]  # 1 ms slots
     recover_from = window_hi + 2 * rri_slots - 990
     recovered = mean_ratio(attacked, recover_from, sc.duration_slots)
     healthy_tail = mean_ratio(baseline, recover_from, sc.duration_slots)
@@ -311,7 +316,7 @@ def test_criterion_4_resource_blocking(announce, monkeypatch):
 def targeted_tbs(world, scenario, sender_id=1):
     """TBs whose full retransmission span lies inside the attack window."""
     start, end = scenario.attacks[0].plan.window
-    rri = scenario.pool.rri_slots(scenario.traffic[0].rri_ms)
+    rri = scenario.traffic[0].rri_ms  # 1 ms slots
     span = 4 * rri  # MAX_RETRANSMISSIONS + 1 attempts, one per interval
     return [tb for tb in world.tb_log
             if tb.ue_id == sender_id

@@ -200,22 +200,21 @@ OUT_OF_RANGE = {
 
 @pytest.mark.parametrize("text", [
     *(TINY + f"attacks:\n  - {attack}\n" for attack in OUT_OF_RANGE.values()),
-    TINY + "pool: {slot_duration_ms: 0}\n",
-    # rri_slots divided by it to an infinity and raised OverflowError
-    TINY + "pool: {slot_duration_ms: 1.0e-320}\n",
-    # 2**-900 ms: the slots in 1000 ms, the window bound, ran to 274 digits
-    TINY + "pool: {slot_duration_ms: 1.1830521861667747e-271}\n",
-    TINY + "pool: {threshold_step_db: 0.0}\n",
-    TINY + "pool: {threshold_step_db: -3.0}\n",
     TINY + "channel: {shadowing_sigma_db: -4.0}\n",
+    # selection backs off 3 dB at a time up to the strongest claim, so an
+    # unbounded level was a run without end; this one runs in milliseconds
+    # where the bound is missing, so the row fails rather than hangs
+    TINY + ("attacks:\n  - {kind: resource_blocking, window: [0, 60],"
+            " capability: {tx_power_dbm: 61.0}}\n"),
+    TINY.replace("role: gnss_visible", "role: gnss_visible, tx_power_dbm: 61.0"),
+    TINY + "channel: {shadowing_sigma_db: 21.0}\n",
     TINY.replace("name: tiny", 'name: "a\\nb"'),
     # a flow on a period of 0 or less never got past its first grant
     TINY.replace("rri_ms: 100", "rri_ms: 0") + "pool: {period_list_ms: [0, 1000]}\n",
     TINY.replace("rri_ms: 100", "rri_ms: -100") + "pool: {period_list_ms: [-100, 1000]}\n",
     TINY + "links:\n  - {initiator: 1, responder: 2, start_slot: -1}\n",
-], ids=[*OUT_OF_RANGE, "slot_duration_ms", "slot_duration_ms_subnormal", "slot_duration_ms_tiny",
-        "threshold_step_db_zero", "threshold_step_db_negative", "shadowing_sigma_db_negative",
-        "name_line_break", "period_list_ms_zero", "period_list_ms_negative",
+], ids=[*OUT_OF_RANGE, "shadowing_sigma_db_negative", "attacker_tx_power_dbm_61",
+        "ue_tx_power_dbm_61", "shadowing_sigma_db_21", "name_line_break", "period_list_ms_zero", "period_list_ms_negative",
         "link_start_slot_negative"])
 def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
@@ -241,6 +240,32 @@ def test_a_pool_size_past_its_bound_is_exit_1_for_validate_and_run(tmp_path, cap
         assert main([command, str(path)]) == code
         err = capsys.readouterr().err
         assert ("scenario error" in err) == bool(code)
+
+
+@pytest.mark.parametrize("section, setting", [
+    ("pool", "threshold_step_db: 3.0"),
+    ("pool", "rsrp_exclusion_threshold_dbm: -100.0"),
+    ("pool", "sensing_window_slots: 1100"),
+    ("pool", "min_candidate_ratio: 0.2"),
+    ("pool", "slot_duration_ms: 1.0"),
+    ("channel", "reference_loss_db: 46.7"),
+    ("channel", "path_loss_exponent: 2.7"),
+    ("channel", "noise_floor_dbm: -110.0"),
+    ("channel", "capture_threshold_db: 3.0"),
+])
+def test_a_fixed_physical_value_is_an_unknown_key_for_validate_and_run(tmp_path, capsys, section,
+                                                                     setting):
+    # each at the value it is fixed to, so a file that could still set it
+    # runs in milliseconds and fails here rather than hangs
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(TINY + f"{section}: {{{setting}}}\n")
+    name = setting.split(":")[0]
+    for command in ("validate", "run"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "scenario error:",
+            f"  - scenario.{section}.{name}: unknown key",
+        ]
 
 
 @pytest.mark.parametrize("section, setting", [
@@ -281,8 +306,8 @@ def test_a_refused_pool_prints_only_its_own_error(tmp_path, capsys, text):
     TINY + "defenses: {privacy_randomizer: {enabled: true, timer_ms: .nan}}\n",
     TINY + ("attacks:\n  - {kind: harq_spoof_nack, window: [0, 60],"
             " capability: {tx_power_dbm: .inf}}\n"),
-    TINY + "pool: {rsrp_exclusion_threshold_dbm: .nan}\n",
-], ids=["timer_ms_inf", "timer_ms_nan", "tx_power_dbm_inf", "rsrp_exclusion_threshold_dbm_nan"])
+    TINY + "channel: {shadowing_sigma_db: .nan}\n",
+], ids=["timer_ms_inf", "timer_ms_nan", "tx_power_dbm_inf", "shadowing_sigma_db_nan"])
 def test_a_non_finite_float_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)

@@ -10,6 +10,11 @@ from hypothesis import given, settings, strategies as st
 from sidelinksim.harq import DataBurst, FeedbackBurst
 from sidelinksim.frames import BitString, Pc5Message, Pc5MessageKind
 from sidelinksim.radio import (
+    CAPTURE_THRESHOLD_DB,
+    MAX_SHADOWING_SIGMA_DB,
+    NOISE_FLOOR_DBM,
+    PATH_LOSS_EXPONENT,
+    REFERENCE_LOSS_DB,
     SURE_SIGMAS,
     TWOPI,
     ChannelModel,
@@ -29,15 +34,15 @@ MODEL = ChannelModel()
 BITS = BitString(b"", 0)
 
 
-def reference_rsrp_at(tx_power_dbm: float, distance_m: float, model: ChannelModel) -> float:
+def reference_rsrp_at(tx_power_dbm: float, distance_m: float) -> float:
     """Received power from log-distance path loss, no fading: the level
     `deliver` computes, before shadowing, with its constants inlined."""
     if distance_m <= 0:
         raise ValueError(f"distance {distance_m} must be positive")
     return (
         tx_power_dbm
-        - model.reference_loss_db
-        - 10.0 * model.path_loss_exponent * math.log10(distance_m)
+        - REFERENCE_LOSS_DB
+        - 10.0 * PATH_LOSS_EXPONENT * math.log10(distance_m)
     )
 
 
@@ -49,9 +54,9 @@ def data_tx(sender, span, power=23.0, tb=1):
 
 def test_rsrp_known_value():
     # 23 dBm at 100 m: 23 - 46.7 - 27*log10(100) = -77.7
-    assert reference_rsrp_at(23.0, 100.0, MODEL) == pytest.approx(-77.7)
+    assert reference_rsrp_at(23.0, 100.0) == pytest.approx(-77.7)
     with pytest.raises(ValueError):
-        reference_rsrp_at(23.0, 0.0, MODEL)
+        reference_rsrp_at(23.0, 0.0)
 
 
 def test_rsrp_monotone_in_distance():
@@ -59,7 +64,7 @@ def test_rsrp_monotone_in_distance():
     for _ in range(100):
         d1 = rng.uniform(1, 500)
         d2 = d1 + rng.uniform(0.1, 500)
-        assert reference_rsrp_at(23.0, d1, MODEL) > reference_rsrp_at(23.0, d2, MODEL)
+        assert reference_rsrp_at(23.0, d1) > reference_rsrp_at(23.0, d2)
 
 
 def test_deliver_drops_below_noise_floor():
@@ -136,7 +141,8 @@ def test_shadowing_is_reproducible():
 
 def test_shadowing_draws_match_random_gauss():
     sigma = 4.0
-    model = ChannelModel(shadowing_sigma_db=sigma, noise_floor_dbm=-1000.0)
+    model = ChannelModel(shadowing_sigma_db=sigma)
+    # within 100 m of each other: every level clears the noise floor
     positions = {1: (0.0, 0.0), 2: (40.0, 10.0), 3: (-70.0, 25.0), 4: (15.0, -90.0)}
     rng, reference = random.Random(5), random.Random(5)
     # 1, 3 and 5 feedback bursts (no capture contest), 3 receivers each: odd
@@ -151,7 +157,7 @@ def test_shadowing_draws_match_random_gauss():
             sx, sy = positions[tx.sender_id]
             for uid, (rx, ry) in positions.items():
                 if uid != tx.sender_id:
-                    level = reference_rsrp_at(tx.tx_power_dbm, math.hypot(rx - sx, ry - sy), model)
+                    level = reference_rsrp_at(tx.tx_power_dbm, math.hypot(rx - sx, ry - sy))
                     assert heard[uid, id(tx)] == level + reference.gauss(0.0, sigma)
     assert rng.getstate() == reference.getstate()
 
@@ -224,14 +230,13 @@ def test_busy_slot_receptions_and_collisions_are_pinned():
 
 def test_deliver_level_is_rsrp_at_without_shadowing():
     txs, positions = busy_slot()
-    model = ChannelModel(noise_floor_dbm=-1000.0)
-    recs, _, _ = deliver(txs, positions, model, random.Random(0))
+    recs, _, _ = deliver(txs, positions, MODEL, random.Random(0))
     for uid, rs in recs.items():
         rx, ry = positions[uid]
         for tx, rsrp in rs:
             sx, sy = positions[tx.sender_id]
             distance = max(math.hypot(rx - sx, ry - sy), 1e-3)
-            assert rsrp == reference_rsrp_at(tx.tx_power_dbm, distance, model)
+            assert rsrp == reference_rsrp_at(tx.tx_power_dbm, distance)
 
 
 # -- deliver against a per-receiver capture contest ----------------------------
@@ -242,9 +247,9 @@ def reference_deliver(transmissions, positions, model, rng, losses=None, sensed=
     over every pair of receptions with a subchannel span it heard; a
     transmission is known by its index in `transmissions`. The row of a
     sensed transmission is read off every node's kept receptions."""
-    ref_loss = model.reference_loss_db
+    ref_loss = REFERENCE_LOSS_DB
     sigma = model.shadowing_sigma_db
-    floor = model.noise_floor_dbm
+    floor = NOISE_FLOOR_DBM
     if losses is None:
         losses = {}
     rand, log, sqrt, cos, sin = rng.random, math.log, math.sqrt, math.cos, math.sin
@@ -256,7 +261,7 @@ def reference_deliver(transmissions, positions, model, rng, losses=None, sensed=
             sender = tx.sender_id
             row = losses.get(sender)
             if row is None:
-                row = losses[sender] = path_loss_row(sender, positions, model)
+                row = losses[sender] = path_loss_row(sender, positions)
             base = tx.tx_power_dbm - ref_loss
             grid = tx.subchannel_range is not None
             for uid, loss in zip(row.receivers, row.losses):
@@ -289,7 +294,7 @@ def reference_deliver(transmissions, positions, model, rng, losses=None, sensed=
                     continue
                 weak, strong = (b, a) if b[2] < a[2] else (a, b)
                 destroyed.add(weak[0])
-                if strong[2] - weak[2] < model.capture_threshold_db:
+                if strong[2] - weak[2] < CAPTURE_THRESHOLD_DB:
                     destroyed.add(strong[0])
         if destroyed:
             collisions.append(CollisionRecord(uid, tuple(sorted(destroyed))))
@@ -341,8 +346,8 @@ def slots(draw):
 
 
 # shadowing: none, usual, subnormal (every draw rounds to a few units of
-# the smallest double) and huge (levels far from the floor either way)
-SIGMAS = (0.0, 0.0, 2.0, 4.0, 5e-324, 1e300)
+# the smallest double) and the largest a scenario may set
+SIGMAS = (0.0, 0.0, 2.0, 4.0, 5e-324, MAX_SHADOWING_SIGMA_DB)
 
 
 def run_twice(fn, txs, positions, model, seed, warm, **kwargs):
@@ -361,15 +366,13 @@ def run_twice(fn, txs, positions, model, seed, warm, **kwargs):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(slot=slots(), sigma=st.sampled_from(SIGMAS),
-       threshold=st.sampled_from((0.0, 3.0)), seed=st.integers(0, 2**16), warm=st.booleans(),
-       sensed=st.sets(st.integers(0, 7)))
-def test_deliver_matches_per_receiver_contest(slot, sigma, threshold, seed, warm, sensed):
+@given(slot=slots(), sigma=st.sampled_from(SIGMAS), seed=st.integers(0, 2**16),
+       warm=st.booleans(), sensed=st.sets(st.integers(0, 7)))
+def test_deliver_matches_per_receiver_contest(slot, sigma, seed, warm, sensed):
     txs, positions = slot
     sensed = sorted(k for k in sensed if k < len(txs))
     index = {id(tx): k for k, tx in enumerate(txs)}
-    # with no capture margin, which of two equal levels survives shows
-    model = ChannelModel(shadowing_sigma_db=sigma, capture_threshold_db=threshold)
+    model = ChannelModel(shadowing_sigma_db=sigma)
     results = []
     for fn in (deliver, reference_deliver):
         recs, collisions, rows, state, spare = run_twice(fn, txs, positions, model, seed, warm,
@@ -506,29 +509,28 @@ def test_no_normal_from_random_uniforms_exceeds_the_bound():
     assert max(abs(rng.gauss(0.0, 1.0)) for _ in range(100_000)) < bound
 
 
-@pytest.mark.parametrize("sigma", [0.0, 2.0, 5e-324, 1e300])
+@pytest.mark.parametrize("sigma", [0.0, 2.0, 5e-324, MAX_SHADOWING_SIGMA_DB])
 def test_kept_bits_equal_the_or_over_kept_nodes(sigma):
     """A lazy row's ledger mask, from the sure bound, is the OR of the bits
     of the nodes whose `get` keeps a level: near the floor, far from it,
     and where levels overflow to +-inf or NaN (transmit power 1e308,
-    reference loss -1e308, a node at 1e308)."""
+    nodes at +-1e308)."""
     rng = random.Random(3)
     positions = {uid: (rng.uniform(0.0, 3000.0), rng.uniform(0.0, 300.0)) for uid in range(30)}
     positions.update({30: (1e308, 0.0), 31: (-1e308, 0.0), 32: (0.0, 0.0), 33: (0.0, 0.0)})
     bits = {uid: 1 << uid for uid in positions}
     checked = 0
-    for ref_loss in (46.7, -1e308):
-        model = ChannelModel(reference_loss_db=ref_loss, shadowing_sigma_db=sigma)
-        cache = {}
-        channel = random.Random(ref_loss)
-        for _ in range(3):  # the memo in the path-loss cache, reused by later slots
-            txs = [Transmission(sender, power, None)
-                   for sender in (0, 5, 30, 32) for power in (23.0, -40.0, 1e308)]
-            _, _, rows = deliver(txs, positions, model, channel, cache,
-                                 readers=[()] * len(txs), sensed=range(len(txs)))
-            for row in rows.values():
-                assert isinstance(row, LazyRow)
-                kept = [uid for uid in positions if row.get(uid) is not None]
-                assert row.kept_bits(bits) == sum(bits[uid] for uid in kept)
-                checked += 0 < len(kept) < len(positions) - 1
+    model = ChannelModel(shadowing_sigma_db=sigma)
+    cache = {}
+    channel = random.Random(4)
+    for _ in range(3):  # the memo in the path-loss cache, reused by later slots
+        txs = [Transmission(sender, power, None)
+               for sender in (0, 5, 30, 32) for power in (23.0, -40.0, 1e308)]
+        _, _, rows = deliver(txs, positions, model, channel, cache,
+                             readers=[()] * len(txs), sensed=range(len(txs)))
+        for row in rows.values():
+            assert isinstance(row, LazyRow)
+            kept = [uid for uid in positions if row.get(uid) is not None]
+            assert row.kept_bits(bits) == sum(bits[uid] for uid in kept)
+            checked += 0 < len(kept) < len(positions) - 1
     assert checked > 0

@@ -10,7 +10,11 @@ import pytest
 from sidelinksim.bits import BitString
 from sidelinksim.frames import Sci1A, fra_decode, fra_encode
 from sidelinksim.resources import (
+    MIN_CANDIDATE_RATIO,
     MISS_REFRESH_LIMIT,
+    RSRP_EXCLUSION_THRESHOLD_DBM,
+    SENSING_WINDOW_SLOTS,
+    THRESHOLD_STEP_DB,
     ClaimShape,
     OccupancyMap,
     Reservation,
@@ -34,7 +38,7 @@ def reference_claims_from_sci(sci: Sci1A, pool: ResourcePool, rsrp: float,
     """Expand a decoded SCI 1-A heard in `slot` into its occurrence stream,
     decoding its resource fields here rather than through `claim_shape`."""
     start, length = fra_decode(pool.num_subchannels, sci.frequency_resource)
-    rri = pool.rri_slots(pool.period_list_ms[sci.rri_index])
+    rri = pool.period_list_ms[sci.rri_index]  # 1 ms slots
     return [Reservation(start, length, slot, rri, rsrp)]
 
 
@@ -71,7 +75,6 @@ def test_pool_validation():
         ResourcePool(4, 10, [100])  # missing the mandatory 1000 ms entry
     with pytest.raises(ValueError):
         ResourcePool(4, 10, [1000, 2000])
-    assert POOL.rri_slots(100) == 100
     assert reference_total_cells(POOL) == 40
 
 
@@ -123,7 +126,7 @@ def test_sense_threshold_expiry_and_undecodable():
     occ = sense(received, POOL, window_start=1000)
     assert len(occ.reservations) == 1
     assert occ.reservations[0].start_slot == 900
-    assert occ.threshold_dbm == POOL.rsrp_exclusion_threshold_dbm
+    assert occ.threshold_dbm == RSRP_EXCLUSION_THRESHOLD_DBM
     # an undecodable payload has no shape, so it never reaches `sense`
     with pytest.raises(ValueError):
         decode_shape(POOL, BitString(b"\x00", 8))
@@ -224,7 +227,7 @@ def test_reselection_counter_range():
 
 def reference_sense(received, pool, window_start):
     """Every claim expanded on its own, then the expiry filter."""
-    threshold = pool.rsrp_exclusion_threshold_dbm
+    threshold = RSRP_EXCLUSION_THRESHOLD_DBM
     claims = [c for sci, rsrp, slot in received
               if sci is not None and rsrp >= threshold
               for c in reference_claims_from_sci(sci, pool, rsrp, slot)]
@@ -251,7 +254,7 @@ def test_sense_matches_claim_expansion_table(pool):
                          rng.choice((-60.0, -99.5, -100.0, -100.5, -120.0)), slot))
     # claims whose expiry falls on either side of the window start
     for sci in scis:
-        life = MISS_REFRESH_LIMIT * pool.rri_slots(pool.period_list_ms[sci.rri_index])
+        life = MISS_REFRESH_LIMIT * pool.period_list_ms[sci.rri_index]
         for edge in (window_start - 1, window_start):
             received.append((sci, -70.0, edge - life))
     received.sort(key=lambda entry: entry[2])
@@ -285,7 +288,7 @@ def test_sense_on_the_reach_suffix_matches_the_whole_list(periods, cut):
                               rri_index=pool.period_list_ms.index(rri_ms), mcs=9))
     window_start = 3000
     received = [(rng.choice(scis + [None]), rng.choice((-60.0, -90.0, -120.0)), slot)
-                for slot in range(window_start - pool.sensing_window_slots, window_start, 3)]
+                for slot in range(window_start - SENSING_WINDOW_SLOTS, window_start, 3)]
     received = shaped(received, pool)
     reach = max(claim_shape(sci, pool).lifetime for sci in scis)
     live = bisect_left(received, window_start - reach, key=itemgetter(2))
@@ -324,9 +327,9 @@ def reference_select(pool, occ, demand, rng):
                  for offset, mask in enumerate(masks)
                  for start in range(pool.num_subchannels - demand + 1)
                  if not any(mask >> sc & 1 for sc in range(start, start + demand))]
-        if not reservations or (cands and len(cands) / total >= pool.min_candidate_ratio):
+        if not reservations or (cands and len(cands) / total >= MIN_CANDIDATE_RATIO):
             break
-        threshold += pool.threshold_step_db
+        threshold += THRESHOLD_STEP_DB
         reservations = [r for r in reservations if r.observed_rsrp_dbm >= threshold]
     slot, start = rng.choice(cands)
     return Selection(slot, start, demand, len(cands), total, threshold)

@@ -72,7 +72,7 @@ def test_full_sections_parse():
     sc = parse_scenario(minimal(
         channel={"shadowing_sigma_db": 2.0, "tb_error_rate": 0.1},
         pool={"num_subchannels": 10, "slots_per_selection_window": 20,
-              "period_list_ms": [20, 50, 100, 1000], "slot_duration_ms": 0.5},
+              "period_list_ms": [20, 50, 100, 1000]},
         sync={"ssb_period_slots": 32},
         traffic=[{"src": 1, "dst": 2, "period_slots": 100}],
         links=[{"initiator": 1, "responder": 2, "start_slot": 5}],
@@ -85,7 +85,6 @@ def test_full_sections_parse():
         defenses={"replay_guard": {"enabled": True, "timestamp_skew_slots": 8}},
     ))
     assert sc.pool.period_list_ms == (20, 50, 100, 1000)
-    assert sc.pool.slot_duration_ms == 0.5
     assert sc.channel.tb_error_rate == 0.1
     assert sc.traffic[0].harq is True
     assert sc.links[0].start_slot == 5
@@ -118,12 +117,18 @@ def test_unknown_key_in_every_section(section):
     assert err.value.problems == [f"scenario.{section}.bogus: unknown key"]
 
 
-def test_the_fixed_sci1a_widths_are_no_pool_keys():
-    keys = ("dmrs_patterns", "additional_mcs_tables", "psfch_period", "num_reserved_bits",
-            "sl_max_num_per_reserve")
+def test_the_fixed_sci1a_widths_and_physical_values_are_no_keys():
+    channel_keys = ("reference_loss_db", "path_loss_exponent", "noise_floor_dbm",
+                    "capture_threshold_db")
+    pool_keys = ("dmrs_patterns", "additional_mcs_tables", "psfch_period", "num_reserved_bits",
+                 "sl_max_num_per_reserve", "sensing_window_slots",
+                 "rsrp_exclusion_threshold_dbm", "min_candidate_ratio", "threshold_step_db",
+                 "slot_duration_ms")
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(minimal(pool=dict.fromkeys(keys, 1)))
-    assert err.value.problems == [f"scenario.pool.{key}: unknown key" for key in keys]
+        parse_scenario(minimal(channel=dict.fromkeys(channel_keys, 1),
+                               pool=dict.fromkeys(pool_keys, 1)))
+    assert err.value.problems == [*(f"scenario.channel.{key}: unknown key" for key in channel_keys),
+                                  *(f"scenario.pool.{key}: unknown key" for key in pool_keys)]
 
 
 @pytest.mark.parametrize("key, largest", [("num_subchannels", 27),
@@ -162,14 +167,12 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("harq_spoof_nack", "attacks[0].capability.timing_precision_slots", -2),
     ("false_sync_injection", "attacks[0].params.slss_id", 99999),
     ("false_sync_injection", "attacks[0].params.tdd_config", 5000),
-    ("harq_spoof_nack", "pool.slot_duration_ms", 0),
-    # a slot is 1 ms / 2^mu, mu = 0..3 (TS 38.211 4.3.2)
-    ("harq_spoof_nack", "pool.slot_duration_ms", 1.0e-320),
-    ("harq_spoof_nack", "pool.slot_duration_ms", 0.3),
-    ("harq_spoof_nack", "pool.slot_duration_ms", 2.0),
-    ("harq_spoof_nack", "pool.threshold_step_db", 0.0),
-    ("harq_spoof_nack", "pool.threshold_step_db", -3.0),
     ("harq_spoof_nack", "channel.shadowing_sigma_db", -4.0),
+    # selection backs off 3 dB at a time up to the strongest claim, so what
+    # sets a received level is bounded
+    ("harq_spoof_nack", "channel.shadowing_sigma_db", 21.0),
+    ("harq_spoof_nack", "ues[0].tx_power_dbm", 61.0),
+    ("harq_spoof_nack", "attacks[0].capability.tx_power_dbm", 61.0),
     ("harq_spoof_nack", "pool.period_list_ms", [0, 1000]),
     ("harq_spoof_nack", "pool.period_list_ms", [-100, 1000]),
     # TS 38.331 sl-NumSubchannel is 1..27; a window runs at most 1000 ms
@@ -191,20 +194,13 @@ def test_out_of_range_value_is_an_error(kind, dotted, value):
     assert any(p.startswith(f"scenario.{section}") and name in p for p in err.value.problems)
 
 
-@pytest.mark.parametrize("slot_ms, window", [(0.125, 8000), (0.125, 8001), (2.0**-900, 2**31)],
-                         ids=["0.125ms-8000", "0.125ms-8001", "2^-900ms-2^31"])
-def test_the_window_bound_holds_at_every_slot_length(slot_ms, window):
-    """The longest window is the 1000 ms period in slots, 8000 at the
-    shortest NR slot. A shorter slot is refused, so it cannot stretch
-    the bound to a window no run can allocate."""
-    raw = minimal(pool={"slot_duration_ms": slot_ms, "slots_per_selection_window": window})
-    if window == 8000:
-        assert parse_scenario(raw).pool.slots_per_selection_window == window
-        return
-    with pytest.raises(ScenarioError) as err:
-        parse_scenario(raw)
-    assert len(err.value.problems) == 1
-    assert err.value.problems[0].startswith("scenario.pool: ")
+@pytest.mark.parametrize("dotted, largest", [("ues[0].tx_power_dbm", 60.0),
+                                             ("attacks[0].capability.tx_power_dbm", 60.0),
+                                             ("channel.shadowing_sigma_db", 20.0)])
+def test_the_largest_level_settings_parse(dotted, largest):
+    sc = parse_scenario(with_value(dotted, largest))
+    assert largest in (sc.ues[0].tx_power_dbm, sc.attacks[0].capability.tx_power_dbm,
+                       sc.channel.shadowing_sigma_db)
 
 
 POOL_ZERO = "scenario.pool: period_list_ms holds 0; every period must be positive"
@@ -236,7 +232,7 @@ def test_rri_ms_is_checked_only_against_a_pool_that_parsed(pool, flow_rri, attac
     ("harq_spoof_nack", "defenses.privacy_randomizer.timer_ms", math.nan),
     ("harq_spoof_nack", "attacks[0].capability.tx_power_dbm", math.inf),
     ("harq_spoof_nack", "attacks[0].capability.position", [0.0, math.nan]),
-    ("harq_spoof_nack", "pool.rsrp_exclusion_threshold_dbm", -math.inf),
+    ("harq_spoof_nack", "channel.shadowing_sigma_db", -math.inf),
     ("harq_spoof_nack", "ues[0].tx_power_dbm", math.nan),
     ("harq_spoof_nack", "ues[0].position", [math.inf, 0.0]),
     ("resource_blocking", "attacks[0].params.claim_fraction", math.inf),
@@ -252,9 +248,8 @@ def test_a_non_finite_float_is_an_error_at_its_path(kind, dotted, value):
                for p in err.value.problems)
 
 
-def privacy(timer_ms, slot_duration_ms=1.0):
-    return minimal(pool={"slot_duration_ms": slot_duration_ms},
-                   defenses={"privacy_randomizer": {"enabled": True, "timer_ms": timer_ms,
+def privacy(timer_ms):
+    return minimal(defenses={"privacy_randomizer": {"enabled": True, "timer_ms": timer_ms,
                                                     "mode": "weak"}})
 
 
@@ -268,9 +263,9 @@ def test_an_enabled_privacy_timer_under_one_slot_is_an_error(timer_ms):
     assert problem.startswith("scenario.defenses.privacy_randomizer.timer_ms: ")
 
 
-@pytest.mark.parametrize("timer_ms,slot_duration_ms", [(1.0, 1.0), (0.3, 0.25)])
-def test_a_one_slot_privacy_timer_refreshes_every_slot(timer_ms, slot_duration_ms):
-    world = World(parse_scenario(privacy(timer_ms, slot_duration_ms)))
+@pytest.mark.parametrize("timer_ms", [1.0, 1.4])
+def test_a_one_slot_privacy_timer_refreshes_every_slot(timer_ms):
+    world = World(parse_scenario(privacy(timer_ms)))
     world.run()
     # two legit UEs, refreshed in every slot but the first
     assert world.metrics.totals["identifier_refreshes"] == 2 * (100 - 1)
@@ -311,7 +306,7 @@ def test_values_are_type_checked_not_converted():
     sc = parse_scenario(with_value("attacks[0].params.target_src_l2", 5))
     assert sc.attacks[0].plan.params == {"target_src_l2": 5}
     for dotted, value in (("sync.ssb_period_slots", True),
-                          ("channel.noise_floor_dbm", False),
+                          ("channel.tb_error_rate", False),
                           ("defenses.replay_guard.enabled", 1),
                           ("attacks[0].params.slot_offset", 1.5),
                           ("ues[0].policy.allow_null_cipher", "no"),

@@ -3,11 +3,13 @@
 import hashlib
 import math
 import random
+import time
 from collections import Counter
 from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from sidelinksim import resources, simulation
@@ -16,8 +18,14 @@ from sidelinksim.frames import CastType, Sci1A, Sci2A, SlssIdentity, fra_decode
 from sidelinksim.harq import FEEDBACK_DELAY_SLOTS, DataBurst
 from sidelinksim.metrics import event_line
 from sidelinksim.pc5 import BROADCAST_L2
-from sidelinksim.radio import Transmission
-from sidelinksim.resources import ControlBurst, claim_shape, sense
+from sidelinksim.radio import MAX_SHADOWING_SIGMA_DB, MAX_TX_POWER_DBM, Transmission
+from sidelinksim.resources import (
+    RSRP_EXCLUSION_THRESHOLD_DBM,
+    SENSING_WINDOW_SLOTS,
+    ControlBurst,
+    claim_shape,
+    sense,
+)
 from sidelinksim.scenario import ATTACKER_ID_BASE, load_scenario, parse_scenario
 from sidelinksim.simulation import UeAgent, World, run_scenario
 from sidelinksim.sync import SyncCandidate, SyncSourceKind
@@ -188,9 +196,10 @@ def test_grant_realigns_past_occurrences_left_unused():
     grant = rt.grant
     assert len(sent) == 1
     stale, remaining = grant.next_slot, grant.remaining
-    skipped = -(-(250 - stale) // grant.rri_slots)  # occurrences before slot 250
+    rri = rt.flow.rri_ms  # 1 ms slots
+    skipped = -(-(250 - stale) // rri)  # occurrences before slot 250
     assert skipped >= 1 and remaining > skipped
-    realigned = stale + skipped * grant.rri_slots
+    realigned = stale + skipped * rri
     for slot in range(250, realigned + 1):
         step(slot)
     assert rt.grant is grant  # realigned, not reselected
@@ -530,8 +539,7 @@ def test_cached_path_loss_follows_moving_nodes(monkeypatch):
     assert len({positions[1] for positions, _, _, _ in heard}) > 10
     for positions, uid, tx, rsrp in heard:
         (sx, sy), (rx, ry) = positions[tx.sender_id], positions[uid]
-        assert rsrp == reference_rsrp_at(tx.tx_power_dbm,
-                                         math.hypot(rx - sx, ry - sy), world.sc.channel)
+        assert rsrp == reference_rsrp_at(tx.tx_power_dbm, math.hypot(rx - sx, ry - sy))
 
 
 def lossy_dense_broadcast():
@@ -565,9 +573,27 @@ def test_lossy_broadcast_tally_matches_recorded_digests(name, build, collides):
     assert _sha(text) == BROADCAST_DIGESTS[name]
 
 
+def test_full_pool_blockers_at_the_level_bounds_finish():
+    """Selection backs off 3 dB at a time up to the strongest claim it
+    must drop. Three blockers claim every cell at the largest power a
+    scenario may set, under the largest shadowing, and the run ends."""
+    raw = yaml.safe_load((SCENARIO_DIR / "resource_blocking.yaml").read_text())
+    raw["channel"]["shadowing_sigma_db"] = MAX_SHADOWING_SIGMA_DB
+    raw["attacks"] = [{"kind": "resource_blocking", "window": [500, 2500],
+                       "capability": {"tx_power_dbm": MAX_TX_POWER_DBM, "position": [x, 5]},
+                       "params": {"claim_fraction": 1.0, "rri_ms": 1000}}
+                      for x in (-20, 5, 20)]
+    world = World(parse_scenario(raw))
+    start = time.perf_counter()
+    world.run()
+    assert time.perf_counter() - start < 5.0
+    thresholds = [r.selection.threshold_dbm for r in world.selection_log]
+    assert max(thresholds) > RSRP_EXCLUSION_THRESHOLD_DBM  # selections backed off
+
+
 def test_sensing_prefix_prune_equals_the_filter():
     world = lone_ue_world()
-    window = world.sc.pool.sensing_window_slots
+    window = SENSING_WINDOW_SLOTS
     rng = random.Random(11)
     for _ in range(300):
         slots = sorted(rng.randrange(40) for _ in range(rng.randint(0, 25)))
@@ -593,7 +619,7 @@ def test_sensing_window_drops_claims_sense_would_still_project():
                 rri_index=pool.period_list_ms.index(1000), mcs=9)
     shape = claim_shape(sci, pool)
     world.sensing_reach = shape.lifetime
-    slot = 100 + pool.sensing_window_slots + 1
+    slot = 100 + SENSING_WINDOW_SLOTS + 1
     assert slot + 1 - world.sensing_reach < 100
     assert sense([(shape, -60.0, 100)], pool, slot + 1).reservations
     world.sensing_log = [(100, shape, {1: -60.0})]
@@ -604,10 +630,11 @@ def test_sensing_window_drops_claims_sense_would_still_project():
 def sensing_worlds(draw):
     """2-8 UEs in a 200 m square, some moving, with broadcast and unicast
     flows of two subchannels on a two-subchannel pool, so selections
-    overlap and collide; a lossless or lossy channel; at times a
-    resource_blocking attacker. Its 1000 ms claims reach past the
-    sensing window, and the 100 ms claims of the UEs reach past a
-    150-slot window but not a 300-slot one, so either cut can bind."""
+    overlap and collide; a lossless or lossy channel; a resource_blocking
+    attacker. The UEs' claims of at most 100 ms reach 200 slots, so the
+    reach cuts the log until the attacker's first 1000 ms claim is heard;
+    that claim reaches 2000 slots, past the 1100-slot sensing window, so
+    from then on the window cuts it."""
     n = draw(st.integers(2, 8))
     coord = st.integers(-100, 100)
     ues = [{"id": i, "position": [draw(coord), draw(coord)],
@@ -622,19 +649,17 @@ def sensing_worlds(draw):
                             "rri_ms": draw(st.sampled_from((20, 50, 100))),
                             "start_slot": draw(st.integers(0, 40)),
                             "harq": dst != "broadcast" and draw(st.booleans())})
-    raw = {"name": "sensing", "seed": draw(st.integers(0, 999)), "duration_slots": 400,
+    raw = {"name": "sensing", "seed": draw(st.integers(0, 999)), "duration_slots": 1400,
            "channel": {"shadowing_sigma_db": draw(st.sampled_from((0.0, 2.0))),
                        "tb_error_rate": draw(st.sampled_from((0.0, 0.0, 0.3)))},
            "pool": {"num_subchannels": 2, "slots_per_selection_window": 5,
-                    "period_list_ms": [20, 50, 100, 1000],
-                    "sensing_window_slots": draw(st.sampled_from((150, 300)))},
+                    "period_list_ms": [20, 50, 100, 1000]},
            "ues": ues, "traffic": traffic}
-    if draw(st.booleans()):
-        start = draw(st.integers(0, 150))
-        raw["attacks"] = [{"kind": "resource_blocking", "window": [start, start + 150],
-                           "capability": {"position": [draw(coord), draw(coord)]},
-                           "params": {"claim_fraction": draw(st.sampled_from((0.25, 0.5))),
-                                      "rri_ms": 1000}}]
+    start = draw(st.integers(0, 150))
+    raw["attacks"] = [{"kind": "resource_blocking", "window": [start, start + 150],
+                       "capability": {"position": [draw(coord), draw(coord)]},
+                       "params": {"claim_fraction": draw(st.sampled_from((0.25, 0.5))),
+                                  "rri_ms": 1000}}]
     return parse_scenario(raw)
 
 
@@ -658,9 +683,13 @@ def test_entries_from_the_log_equal_the_per_reception_lists(sc):
         except ValueError:
             return None
 
+    windowed = []  # entries the sensing window cut and the reach would have kept
+
     def cut(slot):
-        bound = max(slot - pool.sensing_window_slots, slot + 1 - world.sensing_reach)
+        reach = slot + 1 - world.sensing_reach
+        bound = max(slot - SENSING_WINDOW_SLOTS, reach)
         for entries in kept.values():
+            windowed.extend(e for e in entries if reach <= e[2] < bound)
             entries[:] = [e for e in entries if e[2] >= bound]
 
     dispatch = World._deliver_and_dispatch
@@ -694,7 +723,7 @@ def test_entries_from_the_log_equal_the_per_reception_lists(sc):
         mp.setattr(World, "_deliver_and_dispatch", reference_dispatch)
         mp.setattr(UeAgent, "_reselect", checked_reselect)
         world.run()
-    assert checked
+    assert checked and windowed
     assert ledger_count(world) == world.metrics.totals["receiver_delivered"]
 
 
