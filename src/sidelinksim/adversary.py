@@ -4,9 +4,9 @@ feedback forgery, PC5 signalling exploits and passive id tracking.
 Agents interact with the world only through the shared radio path:
 they receive what their radio hears of the payload kinds they act on
 (`AttackerAgent.hears`) and hand transmissions back for delivery.
-Capability flags gate what each one may parse or assume (pool geometry,
-feedback timing, key material); timing jitter draws from the agent's
-seeded source within the configured bound.
+The capability sets power, position, timing and key material: timing
+jitter draws from the agent's seeded source within the configured
+bound, and only an insider holds the beacon key.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ from .harq import FEEDBACK_DELAY_SLOTS, DataBurst, FeedbackBurst
 from .pc5 import weak_successor
 from .radio import MAX_TX_POWER_DBM, Transmission
 from .resources import ControlBurst, ResourcePool, announce
-from .sync import SsbBurst
+from .sync import SSB_PERIOD_SLOTS, SsbBurst
+
+# the SCI 1-A priority of the blocker's claims; no decision reads it
+BLOCKER_PRIORITY = 1
 
 
 class AttackKind(Enum):
@@ -49,8 +52,6 @@ class AttackKind(Enum):
 class AttackerCapability:
     tx_power_dbm: float = 33.0
     timing_precision_slots: int = 0  # jitter bound; 0 = perfect timing
-    knows_pool_config: bool = True
-    knows_harq_params: bool = True
     has_key: bool = False  # insider: provisioned with the scenario key
     position: tuple[float, float] = (0.0, 0.0)
 
@@ -87,8 +88,8 @@ class AttackerAgent:
     """Base: window gating, jitter draws, deferred frames, the action log.
 
     `params` is the plan's parameters over the registry defaults for its
-    kind. The world's pool, beacon period and beacon tag length are public
-    configuration; the beacon key reaches only an insider.
+    kind. The world's pool and beacon tag length are public configuration,
+    and the beacon period is fixed; the beacon key reaches only an insider.
 
     `hears` names the payload classes a subclass acts on. Such a subclass
     defines `on_receptions(receptions, slot)`, and the world calls it with
@@ -101,8 +102,7 @@ class AttackerAgent:
     hears: tuple[type, ...] = ()
 
     def __init__(self, attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
-                 rng: random.Random, pool: ResourcePool, ssb_period: int, ssb_key: bytes,
-                 tag_bits: int):
+                 rng: random.Random, pool: ResourcePool, ssb_key: bytes, tag_bits: int):
         self.id = attacker_id
         self.cap = capability
         self.plan = plan
@@ -112,7 +112,6 @@ class AttackerAgent:
         } | plan.params
         self.rng = rng
         self.pool = pool
-        self.ssb_period = ssb_period
         self.ssb_key = ssb_key if capability.has_key else None
         self.tag_bits = tag_bits
         self.actions: list[AttackAction] = []
@@ -195,7 +194,7 @@ class SyncImpersonationAgent(AttackerAgent):
         if not self.active(slot) or self._best is None:
             return []
         _, burst, heard_slot = self._best
-        if slot % self.ssb_period != heard_slot % self.ssb_period:
+        if slot % SSB_PERIOD_SLOTS != heard_slot % SSB_PERIOD_SLOTS:
             return []
         clone = self._ssb(slot, burst.slss, burst.mib.tdd_config, burst.mib.in_coverage)
         return [self._tx(slot, clone)]
@@ -206,7 +205,7 @@ class SyncImpersonationAgent(AttackerAgent):
             return math.inf
         start, end = self.plan.window
         slot = max(after, start)
-        slot += (self._best[2] - slot) % self.ssb_period
+        slot += (self._best[2] - slot) % SSB_PERIOD_SLOTS
         return slot if slot < end else math.inf
 
 
@@ -218,10 +217,11 @@ class FalseSyncInjectionAgent(AttackerAgent):
         if not self.active(slot):
             return []
         planned = slot + self.jitter()
-        if planned % self.ssb_period != 0 or planned < 0:
+        if planned % SSB_PERIOD_SLOTS != 0 or planned < 0:
             return []
         slss = SlssIdentity(self.params["slss_id"], in_coverage=True)
-        burst = self._ssb(slot, slss, self.params["tdd_config"], in_coverage=True)
+        # TDD pattern 0, as every UE sends: no receiver reads the field
+        burst = self._ssb(slot, slss, 0, in_coverage=True)
         return [self._tx(slot, burst)]
 
     def next_due(self, after):
@@ -230,7 +230,7 @@ class FalseSyncInjectionAgent(AttackerAgent):
         start, end = self.plan.window
         slot = max(after, start)
         if not self.cap.timing_precision_slots:
-            slot += -slot % self.ssb_period
+            slot += -slot % SSB_PERIOD_SLOTS
         return slot if slot < end else math.inf
 
 
@@ -246,14 +246,12 @@ class ResourceBlockingAgent(AttackerAgent):
 
     def __init__(self, *args):
         super().__init__(*args)
-        discovery = 0 if self.cap.knows_pool_config else int(self.params["pool_discovery_slots"])
-        self._listen_until = self.plan.window[0] + discovery
         # [next refresh slot, encoded claim] per claimed cell, built at the first claim slot
         self._cells: list[list] | None = None
         self._next_due: int | float = math.inf  # the earliest refresh slot
 
     def transmissions(self, slot):
-        if not self.active(slot) or slot < self._listen_until:
+        if not self.active(slot):
             return []
         pool = self.pool
         rri_ms = self.params["rri_ms"]
@@ -262,7 +260,7 @@ class ResourceBlockingAgent(AttackerAgent):
             take = round(self.params["claim_fraction"] * period * n)
             self._cells = [
                 [slot + (i // n - slot) % period,
-                 announce(pool, i % n, 1, rri_ms, self.params["priority"]).encode(pool)]
+                 announce(pool, i % n, 1, rri_ms, BLOCKER_PRIORITY).encode(pool)]
                 for i in range(take)
             ]
             self._next_due = min((due for due, _ in self._cells), default=math.inf)
@@ -283,9 +281,9 @@ class ResourceBlockingAgent(AttackerAgent):
         return out
 
     def next_due(self, after):
-        """The first slot after listening, where the cells are laid out;
-        then the earliest refresh."""
-        slot = max(after, self._listen_until if self._cells is None else self._next_due)
+        """The window's first slot, where the cells are laid out; then the
+        earliest refresh."""
+        slot = max(after, self.plan.window[0] if self._cells is None else self._next_due)
         return slot if slot < self.plan.window[1] else math.inf
 
 
@@ -305,7 +303,7 @@ class HarqSpoofAgent(AttackerAgent):
         self._sci2a: dict = {}  # SCI 2-A payloads heard, each decoded once
 
     def on_receptions(self, receptions, slot):
-        if not self.cap.knows_harq_params or not self.active(slot):
+        if not self.active(slot):
             return
         target_src = self.params["target_src_l2"]
         target_dst = self.params["target_dst_l2"]
@@ -571,14 +569,11 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
     AttackKind.SYNC_IMPERSONATION: (SyncImpersonationAgent, {}),
     AttackKind.FALSE_SYNC_INJECTION: (FalseSyncInjectionAgent, {
         "slss_id": ParamSpec(0, "sync identity to fabricate (0 claims GNSS-direct)", 0, 671),
-        "tdd_config": ParamSpec(0, "TDD pattern index carried in the fake payload", 0, 4095),
     }),
     AttackKind.RESOURCE_BLOCKING: (ResourceBlockingAgent, {
         "claim_fraction": ParamSpec(0.75, "fraction of pool cells to claim", 0, 1),
         "rri_ms": ParamSpec(1000, "reservation interval advertised on each claim, "
                                   "one of pool.period_list_ms"),
-        "priority": ParamSpec(1, "priority field carried on fake claims", 0, 7),
-        "pool_discovery_slots": ParamSpec(100, "listen time before injecting when pool unknown", 0),
     }),
     AttackKind.HARQ_SPOOF_ACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
     AttackKind.HARQ_SPOOF_NACK: (HarqSpoofAgent, _HARQ_SPOOF_PARAMS),
@@ -595,10 +590,10 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
 
 
 def build_attacker(attacker_id: int, capability: AttackerCapability, plan: AttackPlan,
-                   rng: random.Random, *, pool: ResourcePool, ssb_period: int,
-                   ssb_key: bytes, tag_bits: int) -> AttackerAgent:
+                   rng: random.Random, *, pool: ResourcePool, ssb_key: bytes,
+                   tag_bits: int) -> AttackerAgent:
     cls, param_spec = ATTACK_REGISTRY[plan.kind]
     unknown = set(plan.params) - set(param_spec)
     if unknown:
         raise ValueError(f"unknown parameters for {plan.kind.value}: {sorted(unknown)}")
-    return cls(attacker_id, capability, plan, rng, pool, ssb_period, ssb_key, tag_bits)
+    return cls(attacker_id, capability, plan, rng, pool, ssb_key, tag_bits)

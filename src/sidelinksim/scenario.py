@@ -1,11 +1,12 @@
 """Scenario files: schema, strict validation, loading.
 
 A scenario is a YAML mapping with sections for the channel, the
-resource pool, sync parameters, UEs, traffic flows, unicast links,
-attacks and defense toggles. Each section's keys, value types and
-defaults are the fields of the dataclass it builds. Unknown keys and
-wrongly typed values anywhere are errors; all problems are collected
-and reported together with their paths.
+resource pool, sync (a section with no key: every sync value is fixed),
+UEs, traffic flows, unicast links, attacks and defense toggles. Each
+section's keys, value types and defaults are the fields of the
+dataclass it builds. Unknown keys and wrongly typed values anywhere are
+errors; all problems are collected and reported together with their
+paths.
 """
 
 from __future__ import annotations
@@ -31,9 +32,21 @@ from .sync import SyncConfig
 MAX_SEED = (1 << 64) - 1
 ATTACKER_ID_BASE = 9000
 UE_ROLES = ("legit", "gnode_b", "gnss_visible")
-# libyaml's C loader where pyyaml was built with it. It shares SafeLoader's
-# constructor and resolver, so both build the same objects from a file.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's C loader where pyyaml was built with it. It shares
+    SafeLoader's constructor and resolver, so both build the same objects
+    from a file. YAML 1.1 reads a float only with a dot and a signed
+    exponent (`1.0e+6`); this loader also reads the exponent forms without
+    them (`1e6`, `1.0e6`, `-3e-2`) as floats, not strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+YAML_LOADER = _Loader
 
 
 class ScenarioError(ValueError):
@@ -48,7 +61,6 @@ class UeSpec:
     position: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (0.0, 0.0)
     role: str = "legit"
-    network_sync_ref: bool = False
     tx_power_dbm: float = 23.0
     policy: SecurityPolicy = field(default_factory=SecurityPolicy)
 
@@ -62,7 +74,6 @@ class TrafficFlow:
     start_slot: int = 0
     rri_ms: int = 100
     harq: bool = True
-    priority: int = 3
 
 
 @dataclass(frozen=True)
@@ -273,8 +284,6 @@ def _parse_traffic(raw, path: str, errs: _Errors, ue_ids: set[int],
     if pool is not None and flow.rri_ms not in pool.period_list_ms:
         errs.add(f"{path}.rri_ms",
                  f"{flow.rri_ms} not in pool period list {pool.period_list_ms}")
-    if not 0 <= flow.priority <= 7:
-        errs.add(f"{path}.priority", "must lie in [0, 7]")
     if flow.dst == "broadcast" and flow.harq:
         errs.add(f"{path}.harq", "broadcast flows cannot request feedback")
     return flow
@@ -306,8 +315,7 @@ def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool | None) -> A
     _, param_spec = ATTACK_REGISTRY[kind]
     for key, value in params.items():
         if key not in param_spec:
-            errs.add(f"{path}.params.{key}",
-                     f"unknown parameter for {kind.value}")
+            errs.add(f"{path}.params.{key}", "unknown key")
             continue
         # a parameter takes the type of its default (a None default takes an
         # int) and lies within its bounds

@@ -14,15 +14,15 @@ UE whose wake has come; `act` runs the sync step first, but only if
 sync_at has come too, and the PC5 step only while the UE has a link or
 a link start pending. A UE whose sync_at alone has come runs just its
 sync step, in the same agent order. A sync step ranks the SyncRef
-candidates only after the buffer changed, and once more after a first
-lock under an entry margin (`UeAgent._rank_sync_ref`); an S-SSB that
-repeats the entry it refreshes (same identity, power and sender) is no
-change (`CandidateBuffer.note`). At the end of the slot each due slot
-that has come is recomputed. A reception that adds work pulls a due slot
-forward: a changed sync buffer the sync_at; an outbox entry, a feedback
-candidate or a handled PC5 message the wake. Identifier-privacy epochs
-run only in epoch slots. A slot with nothing on air skips delivery, and
-only moving nodes get their positions recomputed.
+candidates only after the buffer changed (`UeAgent._rank_sync_ref`); an
+S-SSB that repeats the entry it refreshes (same identity, power and
+sender) is no change (`CandidateBuffer.note`). At the end of the slot
+each due slot that has come is recomputed. A reception that adds work
+pulls a due slot forward: a changed sync buffer the sync_at; an outbox
+entry, a feedback candidate or a handled PC5 message the wake.
+Identifier-privacy epochs run only in epoch slots. A slot with nothing
+on air skips delivery, and only moving nodes get their positions
+recomputed.
 
 Idle slots are skipped too. A slot in which no UE stepped and nothing
 went on air changed nothing, so the loop jumps from it straight to the
@@ -74,7 +74,7 @@ when it was heard, so a cut entry is dead to later windows.
 
 A TB's control costs scale with distinct claims and headers, not with
 transmissions or grants: SCI 1-A is encoded once per distinct grant
-claim (span, rri and priority, `World.sci1a_bits`), SCI 2-A once per
+claim (span and rri, `World.sci1a_bits`), SCI 2-A once per
 distinct header, and each distinct SCI 1-A payload is decoded once per
 world. An SCI 1-A payload decodes straight into the `ClaimShape` it
 claims (`World.sci1a_cache`), which the sensing log holds and `sense`
@@ -136,6 +136,7 @@ from .resources import (
 )
 from .scenario import ATTACKER_ID_BASE, Scenario, TrafficFlow, UeSpec
 from .sync import (
+    SSB_PERIOD_SLOTS,
     CandidateBuffer,
     SsbBurst,
     SyncCandidate,
@@ -150,6 +151,8 @@ from .sync import (
 SELECTING = (SyncSourceKind.SYNC_REF_UE, SyncSourceKind.INTERNAL_CLOCK)
 # the payload kinds sent to one layer-2 id
 ADDRESSED = (DataBurst, FeedbackBurst, Pc5Message)
+# the SCI 1-A priority of every flow's claims; no decision reads it
+FLOW_PRIORITY = 3
 
 
 def demand_subchannels(flow: TrafficFlow, num_subchannels: int) -> int:
@@ -211,20 +214,17 @@ class UeAgent:
         world.identity_truth[l2_id] = spec.id
         self.retired_l2: set[int] = set()  # layer-2 ids this UE held before
 
-        cfg = world.sc.sync
         if spec.role == "gnss_visible":
-            self.state = SyncState(SyncSourceKind.GNSS, None, SlssIdentity(0, True), True)
+            self.state = SyncState(SyncSourceKind.GNSS, None, SlssIdentity(0, True))
         elif spec.role == "gnode_b":
             own = derive_own_slss(SyncSourceKind.GNODE_B, None, self.rng)
-            self.state = SyncState(SyncSourceKind.GNODE_B, None, own, True)
+            self.state = SyncState(SyncSourceKind.GNODE_B, None, own)
         else:
             own = derive_own_slss(SyncSourceKind.INTERNAL_CLOCK, None, self.rng)
-            self.state = SyncState(SyncSourceKind.INTERNAL_CLOCK, None, own,
-                                   spec.network_sync_ref)
-        self.buffer = CandidateBuffer(retention_slots=2 * cfg.ssb_period_slots)
-        # buffer.changes at the last ranking (an empty buffer needs none);
-        # None forces the next one
-        self._ranked_at: int | None = self.buffer.changes
+            self.state = SyncState(SyncSourceKind.INTERNAL_CLOCK, None, own)
+        self.buffer = CandidateBuffer(retention_slots=2 * SSB_PERIOD_SLOTS)
+        # buffer.changes at the last ranking (an empty buffer needs none)
+        self._ranked_at = self.buffer.changes
         # start slot -> responders of the links this UE initiates, in link order
         self.link_starts: dict[int, list[int]] = {}
         for link in world.sc.links:
@@ -298,8 +298,7 @@ class UeAgent:
             if expiry is not None:
                 due = expiry
         if self._sends_ssb():
-            period = self.world.sc.sync.ssb_period_slots
-            phase = after + (self.spec.id - after) % period
+            phase = after + (self.spec.id - after) % SSB_PERIOD_SLOTS
             if phase < due:
                 due = phase
         return due if due > after else after
@@ -327,16 +326,15 @@ class UeAgent:
         return out
 
     def _sync_step(self, slot: int, out: list[Transmission]):
-        cfg = self.world.sc.sync
         if self.state.source in SELECTING:
             self.buffer.prune(slot)
             # The same candidates and the same reference give the same
             # decision, and re-applying a keep changes nothing; so rank
-            # only after the buffer changed or when `_rank_sync_ref` forced it.
+            # only after the buffer changed.
             if self.buffer.changes != self._ranked_at:
                 self._rank_sync_ref(slot)
 
-        if slot % cfg.ssb_period_slots != self.spec.id % cfg.ssb_period_slots:
+        if slot % SSB_PERIOD_SLOTS != self.spec.id % SSB_PERIOD_SLOTS:
             return
         if not self._sends_ssb():
             return
@@ -353,13 +351,11 @@ class UeAgent:
 
     def _sends_ssb(self) -> bool:
         ref = self.state.reference
-        return should_transmit_ssb(self.state, ref.rsrp_dbm if ref else None,
-                                   self.world.sc.sync)
+        return should_transmit_ssb(self.state, ref.rsrp_dbm if ref else None)
 
     def _rank_sync_ref(self, slot: int):
         entries = self.buffer.entries  # SLSS id -> candidate
-        first_lock = self.state.reference is None
-        decision = select_sync_ref(self.state.reference, entries.values(), self.world.sc.sync)
+        decision = select_sync_ref(self.state.reference, entries.values())
         self._ranked_at = self.buffer.changes
         if decision.action == "switch":
             self.state.source = SyncSourceKind.SYNC_REF_UE
@@ -367,11 +363,6 @@ class UeAgent:
             self.state.own_slss = derive_own_slss(
                 SyncSourceKind.SYNC_REF_UE, decision.candidate.slss, self.rng, set(entries)
             )
-            # Re-ranking this buffer would keep the candidate just chosen (and
-            # after a lapse find nothing usable again); only a first lock under
-            # an entry margin ranked at a floor that a held reference lowers.
-            if first_lock and self.world.sc.sync.min_hyst_db > 0:
-                self._ranked_at = None
             self.world.metrics.bump("sync_switches")
             self.world.event(slot, "sync_switch", ue=self.spec.id,
                              slss=decision.candidate.slss.slss_id,
@@ -430,12 +421,12 @@ class UeAgent:
         sel = select_resources(pool, occ, rt.demand, self.rng)
         counter = draw_reselection_counter(self.rng)
         had_grant = rt.grant is not None
-        flow = rt.flow
-        # `announce`'s arguments, in its order
-        claim = (sel.subchannel_start, sel.subchannel_len, flow.rri_ms, flow.priority)
+        # `announce`'s arguments between the pool and the priority
+        claim = (sel.subchannel_start, sel.subchannel_len, rt.flow.rri_ms)
         sci1_bits = world.sci1a_bits.get(claim)
         if sci1_bits is None:
-            sci1_bits = world.sci1a_bits[claim] = announce(pool, *claim).encode(pool)
+            sci1_bits = announce(pool, *claim, FLOW_PRIORITY).encode(pool)
+            world.sci1a_bits[claim] = sci1_bits
         rt.grant = GrantState(
             next_slot=sel.slot,
             remaining=counter,
@@ -632,8 +623,9 @@ class World:
         # Sci2A.for_tb arguments -> the encoded header; a sender's header
         # repeats for every TB of a process, so each is encoded once
         self.sci2a_bits: dict[tuple, BitString] = {}
-        # `announce` arguments after the pool -> the encoded grant claim;
-        # grants repeat their span, rri and priority, so each is encoded once
+        # `announce` arguments between the pool and the priority -> the
+        # encoded grant claim; grants repeat their span and rri, so each is
+        # encoded once
         self.sci1a_bits: dict[tuple, BitString] = {}
         # sender -> its path-loss row (`radio.path_loss_row`), built on
         # the sender's first transmission and dropped when any node moves;
@@ -663,7 +655,6 @@ class World:
                 spec.plan,
                 child_rng(self.seed, f"attacker:{i}"),
                 pool=scenario.pool,
-                ssb_period=scenario.sync.ssb_period_slots,
                 ssb_key=self.ssb_key,
                 tag_bits=scenario.defenses.signed_ssb.tag_bits,
             )

@@ -4,10 +4,18 @@ Candidates are ranked by a five-tier priority: the GNSS-direct id 0
 outranks everything, then in-coverage senders with the priority
 indicator set, in-coverage without it, out-of-coverage with it, and
 out-of-coverage without it. Within a tier higher power wins; remaining
-ties go to the lowest id. Selection applies entry hysteresis on first
-lock and a switching margin afterwards; with no usable candidate the
-UE falls back to its internal clock. A selection finds the best usable
-candidate in one pass over the candidates, without sorting them.
+ties go to the lowest id. A held reference yields only to a better tier
+or to a challenger of its tier a switching margin stronger; with no
+usable candidate the UE falls back to its internal clock. A selection
+finds the best usable candidate in one pass over the candidates, without
+sorting them.
+
+The sync values are fixed, as a UE's preconfiguration fixes them (TS
+38.331 `SL-SyncConfig`): the switching margin is `sl-SyncRefDiffHyst`,
+the S-SSB transmit threshold out of coverage is `sl-SyncTxThreshOoC`, and
+the S-SSB period is the S-SSB time allocation. A candidate is usable at
+the selection threshold, the minimum S-RSRP the UE needs, with
+`sl-SyncRefMinHyst` 0 dB above it.
 """
 
 from __future__ import annotations
@@ -21,19 +29,16 @@ from enum import Enum
 from .frames import MibSl, SlssIdentity
 
 
+DIFF_HYST_DB = 3.0  # margin a challenger needs over the held reference
+TX_THRESH_OOC_DBM = -110.0  # below this reference strength a UE extends sync itself
+SELECTION_RSRP_THRESHOLD_DBM = -105.0  # weakest usable candidate
+SSB_PERIOD_SLOTS = 16
+
+
 @dataclass
 class SyncConfig:
-    min_hyst_db: float = 0.0          # entry margin over the selection threshold
-    diff_hyst_db: float = 3.0         # margin a challenger needs over the held reference
-    tx_thresh_ooc_dbm: float = -110.0  # below this reference strength a UE extends sync itself
-    selection_rsrp_threshold_dbm: float = -105.0
-    ssb_period_slots: int = 16
-
-    def __post_init__(self):
-        if self.min_hyst_db < 0 or self.diff_hyst_db < 0:
-            raise ValueError("hysteresis values must be >= 0")
-        if self.ssb_period_slots < 1:
-            raise ValueError("ssb_period_slots must be >= 1")
+    """The scenario's `sync` section: it takes no key, since every sync
+    value is fixed (see the module docstring)."""
 
 
 class SyncSourceKind(Enum):
@@ -65,7 +70,6 @@ class SyncState:
     source: SyncSourceKind = SyncSourceKind.INTERNAL_CLOCK
     reference: SyncCandidate | None = None  # set iff source is SYNC_REF_UE
     own_slss: SlssIdentity | None = None
-    network_sync_ref: bool = False  # configured to transmit S-SSB unconditionally
 
 
 def tier(slss: SlssIdentity) -> int:
@@ -86,7 +90,6 @@ class SyncDecision:
 def select_sync_ref(
     current: SyncCandidate | None,
     cands: Iterable[SyncCandidate],
-    cfg: SyncConfig,
 ) -> SyncDecision:
     """Hold, switch, or lapse to internal clock given fresh candidates.
 
@@ -94,14 +97,11 @@ def select_sync_ref(
     internal clock. Primary sources (GNSS, gNodeB) are handled upstream
     and never reach this selector.
 
-    A candidate is usable at or above the selection threshold, and on
-    first lock at or above the threshold plus the entry margin. The best
+    A candidate is usable at or above the selection threshold. The best
     usable one, by (tier, higher power, lower id), is found in one pass;
     of two that tie on all three, the first in `cands` wins.
     """
-    floor = cfg.selection_rsrp_threshold_dbm
-    if current is None:
-        floor += cfg.min_hyst_db
+    floor = SELECTION_RSRP_THRESHOLD_DBM  # a local: the loop reads it per candidate
     best = None
     best_tier, best_rsrp, best_id = 5, 0.0, 0  # tier 5: below every candidate
     for cand in cands:
@@ -123,7 +123,7 @@ def select_sync_ref(
     same_id = best_id == current.slss.slss_id
     if best_tier < held_tier or (
         best_tier == held_tier and not same_id
-        and best_rsrp >= current.rsrp_dbm + cfg.diff_hyst_db
+        and best_rsrp >= current.rsrp_dbm + DIFF_HYST_DB
     ):
         return SyncDecision("switch", best)
     if same_id:
@@ -132,20 +132,19 @@ def select_sync_ref(
     return SyncDecision("keep", current)
 
 
-def should_transmit_ssb(state: SyncState, measured_primary_rsrp: float | None,
-                        cfg: SyncConfig) -> bool:
+def should_transmit_ssb(state: SyncState, measured_primary_rsrp: float | None) -> bool:
     """Whether this UE acts as a SyncRef this period.
 
-    Network-configured SyncRefs always transmit. Everyone else extends
-    the sync chain only when their reference is weak: measured strength
-    strictly below the OOC transmit threshold (an absent reference
-    counts as infinitely weak).
+    A UE synced to GNSS or a gNodeB always transmits. Everyone else
+    extends the sync chain only when their reference is weak: measured
+    strength strictly below the OOC transmit threshold (an absent
+    reference counts as infinitely weak).
     """
-    if state.network_sync_ref:
+    if state.source in (SyncSourceKind.GNSS, SyncSourceKind.GNODE_B):
         return True
     if measured_primary_rsrp is None:
         return True
-    return measured_primary_rsrp < cfg.tx_thresh_ooc_dbm
+    return measured_primary_rsrp < TX_THRESH_OOC_DBM
 
 
 def derive_own_slss(

@@ -67,7 +67,7 @@ def build(kind, window=(0, 1000), params=None, cap=CAP, seed="atk", ssb_key=b"\x
           tag_bits=32):
     plan = AttackPlan(kind, window, params or {})
     return build_attacker(9000, cap, plan, random.Random(seed),
-                          pool=POOL, ssb_period=16, ssb_key=ssb_key, tag_bits=tag_bits)
+                          pool=POOL, ssb_key=ssb_key, tag_bits=tag_bits)
 
 
 def hear(agent, payload, slot, sender=1, rsrp=-70.0):
@@ -191,14 +191,6 @@ def test_resource_blocking_claims_requested_fraction():
     # each claim refreshes every interval, holding the cells indefinitely
     refreshed = [tx for slot in range(1000, 2000) for tx in agent.transmissions(slot)]
     assert len(refreshed) == 30
-
-
-def test_resource_blocking_listens_first_without_pool_knowledge():
-    cap = AttackerCapability(knows_pool_config=False)
-    agent = build(AttackKind.RESOURCE_BLOCKING, window=(0, 5000), cap=cap,
-                  params={"pool_discovery_slots": 100})
-    assert all(agent.transmissions(s) == [] for s in range(100))
-    assert any(agent.transmissions(s) for s in range(100, 120))
 
 
 def test_harq_spoof_targets_and_times_the_race():
@@ -468,7 +460,6 @@ def deferred_drives() -> list[tuple[str, object, dict, int]]:
     requests = {s: [(_request(0x300 + i, 0x400 + s, s + i), -70.0) for i in range(s % 3)]
                 + [(_request(0x500, 0x600, s, K.AUTHENTICATION_REQUEST), -70.0)]
                 for s in range(2, 50, 4)}
-    blind = AttackerCapability(timing_precision_slots=3, knows_pool_config=False)
     return [
         ("nack", build(AttackKind.HARQ_SPOOF_NACK, window=(10, 50), cap=JITTERY, seed="nack"),
          bursts, 70),
@@ -480,7 +471,7 @@ def deferred_drives() -> list[tuple[str, object, dict, int]]:
          requests, 60),
         ("replay", build(AttackKind.PC5_REPLAY, window=(0, 45), cap=JITTERY,
                          params={"replay_delay_slots": 6}, seed="replay"), requests, 60),
-        ("block", build(AttackKind.RESOURCE_BLOCKING, window=(20, 280), cap=blind,
+        ("block", build(AttackKind.RESOURCE_BLOCKING, window=(120, 280), cap=JITTERY,
                         params={"rri_ms": 100}, seed="block"), {}, 300),
     ]
 

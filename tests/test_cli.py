@@ -189,10 +189,8 @@ def test_wrongly_typed_value_is_exit_1_for_validate_and_run(tmp_path, capsys, te
 
 OUT_OF_RANGE = {
     "rri_ms": "{kind: resource_blocking, window: [0, 60], params: {rri_ms: 37}}",
-    "priority": "{kind: resource_blocking, window: [0, 60], params: {priority: 99}}",
     "target_src_l2": "{kind: harq_spoof_nack, window: [0, 60], params: {target_src_l2: 1073741824}}",
     "slss_id": "{kind: false_sync_injection, window: [0, 60], params: {slss_id: 99999}}",
-    "tdd_config": "{kind: false_sync_injection, window: [0, 60], params: {tdd_config: 5000}}",
     "timing_precision_slots": ("{kind: false_sync_injection, window: [0, 60],"
                                " capability: {timing_precision_slots: -2}}"),
 }
@@ -218,7 +216,7 @@ OUT_OF_RANGE = {
         "link_start_slot_negative"])
 def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
-    # signed beacons make the sync injector encode its tdd_config
+    # signed beacons make the sync injector sign what it sends
     bad.write_text(text + "defenses: {signed_ssb: {enabled: true}}\n")
     for command in ("validate", "run"):
         assert main([command, str(bad)]) == 1
@@ -242,6 +240,22 @@ def test_a_pool_size_past_its_bound_is_exit_1_for_validate_and_run(tmp_path, cap
         assert ("scenario error" in err) == bool(code)
 
 
+# each place a fixed value's key sat, with `@` for its `key: value`
+KEY_PLACES = {
+    "pool": TINY + "pool: {@}\n",
+    "channel": TINY + "channel: {@}\n",
+    "sync": TINY + "sync: {@}\n",
+    "ues[1]": TINY.replace("[40, 0]}", "[40, 0], @}"),
+    "traffic[0]": TINY.replace("rri_ms: 100}", "rri_ms: 100, @}"),
+    "attacks[0].capability": (TINY + "attacks:\n"
+                              "  - {kind: resource_blocking, window: [0, 60], capability: {@}}\n"),
+    "attacks[0].params": (TINY + "attacks:\n"
+                          "  - {kind: resource_blocking, window: [0, 60], params: {@}}\n"),
+    "attacks[1].params": (TINY + "attacks:\n  - {kind: resource_blocking, window: [0, 60]}\n"
+                          "  - {kind: false_sync_injection, window: [0, 60], params: {@}}\n"),
+}
+
+
 @pytest.mark.parametrize("section, setting", [
     ("pool", "threshold_step_db: 3.0"),
     ("pool", "rsrp_exclusion_threshold_dbm: -100.0"),
@@ -252,13 +266,25 @@ def test_a_pool_size_past_its_bound_is_exit_1_for_validate_and_run(tmp_path, cap
     ("channel", "path_loss_exponent: 2.7"),
     ("channel", "noise_floor_dbm: -110.0"),
     ("channel", "capture_threshold_db: 3.0"),
+    ("sync", "min_hyst_db: 0.0"),
+    ("sync", "diff_hyst_db: 3.0"),
+    ("sync", "tx_thresh_ooc_dbm: -110.0"),
+    ("sync", "selection_rsrp_threshold_dbm: -105.0"),
+    ("sync", "ssb_period_slots: 16"),
+    ("ues[1]", "network_sync_ref: false"),
+    ("traffic[0]", "priority: 3"),
+    ("attacks[0].capability", "knows_pool_config: true"),
+    ("attacks[0].capability", "knows_harq_params: true"),
+    ("attacks[0].params", "priority: 1"),
+    ("attacks[0].params", "pool_discovery_slots: 100"),
+    ("attacks[1].params", "tdd_config: 0"),
 ])
 def test_a_fixed_physical_value_is_an_unknown_key_for_validate_and_run(tmp_path, capsys, section,
                                                                      setting):
     # each at the value it is fixed to, so a file that could still set it
     # runs in milliseconds and fails here rather than hangs
     bad = tmp_path / "bad.yaml"
-    bad.write_text(TINY + f"{section}: {{{setting}}}\n")
+    bad.write_text(KEY_PLACES[section].replace("@", setting))
     name = setting.split(":")[0]
     for command in ("validate", "run"):
         assert main([command, str(bad)]) == 1

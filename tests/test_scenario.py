@@ -62,7 +62,7 @@ def test_minimal_scenario_parses_with_defaults():
     assert isinstance(sc, Scenario)
     assert sc.name == "demo" and sc.seed == 7
     assert sc.pool.num_subchannels == 4
-    assert sc.sync.ssb_period_slots == 16
+    assert sc.sync == SyncConfig()
     assert sc.ues[0].policy.ciphering == PolicyLevel.REQUIRED
     assert sc.traffic == () and sc.attacks == ()
     assert not sc.defenses.signed_ssb.enabled
@@ -73,7 +73,7 @@ def test_full_sections_parse():
         channel={"shadowing_sigma_db": 2.0, "tb_error_rate": 0.1},
         pool={"num_subchannels": 10, "slots_per_selection_window": 20,
               "period_list_ms": [20, 50, 100, 1000]},
-        sync={"ssb_period_slots": 32},
+        sync={},
         traffic=[{"src": 1, "dst": 2, "period_slots": 100}],
         links=[{"initiator": 1, "responder": 2, "start_slot": 5}],
         attacks=[{
@@ -124,11 +124,30 @@ def test_the_fixed_sci1a_widths_and_physical_values_are_no_keys():
                  "sl_max_num_per_reserve", "sensing_window_slots",
                  "rsrp_exclusion_threshold_dbm", "min_candidate_ratio", "threshold_step_db",
                  "slot_duration_ms")
+    sync_keys = ("min_hyst_db", "diff_hyst_db", "tx_thresh_ooc_dbm",
+                 "selection_rsrp_threshold_dbm", "ssb_period_slots")
+    capability_keys = ("knows_pool_config", "knows_harq_params")
+    blocker_keys = ("priority", "pool_discovery_slots")
+    raw = minimal(channel=dict.fromkeys(channel_keys, 1), pool=dict.fromkeys(pool_keys, 1),
+                  sync=dict.fromkeys(sync_keys, 1),
+                  traffic=[{"src": 1, "dst": 2, "period_slots": 100, "priority": 3}],
+                  attacks=[{"kind": "resource_blocking", "window": [0, 10],
+                            "capability": dict.fromkeys(capability_keys, True),
+                            "params": dict.fromkeys(blocker_keys, 1)},
+                           {"kind": "false_sync_injection", "window": [0, 10],
+                            "params": {"tdd_config": 0}}])
+    raw["ues"][0]["network_sync_ref"] = True
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(minimal(channel=dict.fromkeys(channel_keys, 1),
-                               pool=dict.fromkeys(pool_keys, 1)))
-    assert err.value.problems == [*(f"scenario.channel.{key}: unknown key" for key in channel_keys),
-                                  *(f"scenario.pool.{key}: unknown key" for key in pool_keys)]
+        parse_scenario(raw)
+    assert err.value.problems == [
+        *(f"scenario.channel.{key}: unknown key" for key in channel_keys),
+        *(f"scenario.pool.{key}: unknown key" for key in pool_keys),
+        *(f"scenario.sync.{key}: unknown key" for key in sync_keys),
+        "scenario.ues[0].network_sync_ref: unknown key",
+        "scenario.traffic[0].priority: unknown key",
+        *(f"scenario.attacks[0].capability.{key}: unknown key" for key in capability_keys),
+        *(f"scenario.attacks[0].params.{key}: unknown key" for key in blocker_keys),
+        "scenario.attacks[1].params.tdd_config: unknown key"]
 
 
 @pytest.mark.parametrize("key, largest", [("num_subchannels", 27),
@@ -161,12 +180,10 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
 
 @pytest.mark.parametrize("kind,dotted,value", [
     ("resource_blocking", "attacks[0].params.rri_ms", 37),
-    ("resource_blocking", "attacks[0].params.priority", 99),
     ("harq_spoof_nack", "attacks[0].params.target_src_l2", 2**30),
     ("harq_spoof_nack", "attacks[0].params.target_src_l2", -1),
     ("harq_spoof_nack", "attacks[0].capability.timing_precision_slots", -2),
     ("false_sync_injection", "attacks[0].params.slss_id", 99999),
-    ("false_sync_injection", "attacks[0].params.tdd_config", 5000),
     ("harq_spoof_nack", "channel.shadowing_sigma_db", -4.0),
     # selection backs off 3 dB at a time up to the strongest claim, so what
     # sets a received level is bounded
@@ -289,9 +306,8 @@ def test_a_name_is_refused_or_reads_back_from_metrics_csv(name):
 
 
 def test_attack_param_bounds_are_inclusive():
-    for kind, params in [("false_sync_injection", {"slss_id": 671, "tdd_config": 4095}),
-                         ("resource_blocking", {"priority": 7, "rri_ms": 100,
-                                                "claim_fraction": 1.0}),
+    for kind, params in [("false_sync_injection", {"slss_id": 671}),
+                         ("resource_blocking", {"rri_ms": 100, "claim_fraction": 1.0}),
                          ("harq_spoof_nack", {"target_src_l2": 2**24 - 1,
                                               "target_dst_l2": 0}),
                          ("pc5_replay", {"replay_delay_slots": 0})]:
@@ -305,12 +321,10 @@ def test_values_are_type_checked_not_converted():
     assert type(sc.channel.shadowing_sigma_db) is int
     sc = parse_scenario(with_value("attacks[0].params.target_src_l2", 5))
     assert sc.attacks[0].plan.params == {"target_src_l2": 5}
-    for dotted, value in (("sync.ssb_period_slots", True),
-                          ("channel.tb_error_rate", False),
+    for dotted, value in (("channel.tb_error_rate", False),
                           ("defenses.replay_guard.enabled", 1),
                           ("attacks[0].params.slot_offset", 1.5),
                           ("ues[0].policy.allow_null_cipher", "no"),
-                          ("ues[0].network_sync_ref", "false"),
                           ("ues[0].tx_power_dbm", True),
                           ("ues[0].position", ["1", 2]),
                           ("pool.period_list_ms", [0.5]),
@@ -415,6 +429,18 @@ def test_load_scenario_from_yaml(tmp_path):
     broken.write_text("ues: [::")
     with pytest.raises(ScenarioError):
         load_scenario(broken)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("12", 12), ("1_000", 1000), ("2.5", 2.5), ("1.0e+6", 1e6),
+    # YAML 1.1 reads these four as strings
+    ("1e6", 1e6), ("1e+6", 1e6), ("1.0e6", 1e6), ("-3e-2", -0.03),
+])
+def test_a_number_loads_as_a_number_in_each_spelling(tmp_path, text, value):
+    assert repr(yaml.load(f"x: {text}", Loader=YAML_LOADER)["x"]) == repr(value)
+    path = tmp_path / "spelled.yaml"
+    path.write_text(f"duration_slots: 10\nues:\n  - {{id: 1, position: [{text}, 0]}}\n")
+    assert load_scenario(path).ues[0].position == (value, 0.0)
 
 
 def test_shipped_catalog_parses():

@@ -359,9 +359,9 @@ def test_reselection_decodes_no_shape_and_encodes_each_grant_claim_once(monkeypa
         assert got == shape(Sci1A.decode(pool, BitString(*key)), pool)
     selections = world.metrics.totals["selections"]
     assert len(encoded) == len(world.sci1a_bits) < selections
-    for (start, length, rri_ms, priority), bits in world.sci1a_bits.items():
+    for (start, length, rri_ms), bits in world.sci1a_bits.items():
         assert bits == resources.announce(world.sc.pool, start, length, rri_ms,
-                                          priority).encode(world.sc.pool)
+                                          simulation.FLOW_PRIORITY).encode(world.sc.pool)
 
 
 def test_equal_sci2_bits_decode_once_to_one_shared_header(monkeypatch):
@@ -727,9 +727,9 @@ def test_entries_from_the_log_equal_the_per_reception_lists(sc):
     assert ledger_count(world) == world.metrics.totals["receiver_delivered"]
 
 
-def _sync_trace(seed, min_hyst_db, rank_every_slot):
+def _sync_trace(seed, rank_every_slot):
     """Drive one UE's sync step on a random stream of heard S-SSBs."""
-    world = lone_ue_world(sync={"min_hyst_db": min_hyst_db})
+    world = lone_ue_world()
     agent = world.agents[0]
     rng = random.Random(seed)
     ids = [(0, True), (7, True), (9, False), (340, True), (400, False), (401, False)]
@@ -748,19 +748,16 @@ def _sync_trace(seed, min_hyst_db, rank_every_slot):
     return trace, world.events
 
 
-@pytest.mark.parametrize("min_hyst_db", [0.0, 6.0])
-def test_ranking_only_on_change_matches_ranking_every_slot(monkeypatch, min_hyst_db):
-    # with an entry margin, the first lock can skip a stronger-tier
-    # candidate that the next ranking switches to, buffer unchanged
+def test_ranking_only_on_change_matches_ranking_every_slot(monkeypatch):
     calls = []
     select = simulation.select_sync_ref
     monkeypatch.setattr(simulation, "select_sync_ref",
                         lambda *a: calls.append(1) or select(*a))
     kinds = set()
     for seed in range(12):
-        every, every_events = _sync_trace(seed, min_hyst_db, True)
+        every, every_events = _sync_trace(seed, True)
         ranked_every = len(calls)
-        on_change, events = _sync_trace(seed, min_hyst_db, False)
+        on_change, events = _sync_trace(seed, False)
         assert on_change == every
         assert events == every_events
         assert len(calls) - ranked_every < ranked_every / 2

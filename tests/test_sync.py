@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from sidelinksim.frames import SlssIdentity
 from sidelinksim.sync import (
+    DIFF_HYST_DB,
+    SELECTION_RSRP_THRESHOLD_DBM,
+    TX_THRESH_OOC_DBM,
     CandidateBuffer,
     SyncCandidate,
-    SyncConfig,
     SyncDecision,
     SyncSourceKind,
     SyncState,
@@ -18,38 +20,33 @@ from sidelinksim.sync import (
     tier,
 )
 
-CFG = SyncConfig()
-
 
 def cand(slss_id, in_cov, rsrp, slot=0, sender=-1):
     return SyncCandidate(SlssIdentity(slss_id, in_cov), rsrp, slot, sender)
 
 
-def reference_rank_candidates(cands, cfg):
+def reference_rank_candidates(cands):
     """Usable candidates, best first, by sorting; below-threshold entries
     are dropped."""
-    usable = [c for c in cands if c.rsrp_dbm >= cfg.selection_rsrp_threshold_dbm]
+    usable = [c for c in cands if c.rsrp_dbm >= SELECTION_RSRP_THRESHOLD_DBM]
     return sorted(usable, key=lambda c: (tier(c.slss), -c.rsrp_dbm, c.slss.slss_id))
 
 
-def reference_select_sync_ref(current, cands, cfg):
+def reference_select_sync_ref(current, cands):
     """`select_sync_ref` as it was: rank every usable candidate, then
     walk the ranking."""
-    ranked = reference_rank_candidates(cands, cfg)
-    if current is None:
-        for c in ranked:
-            if c.rsrp_dbm >= cfg.selection_rsrp_threshold_dbm + cfg.min_hyst_db:
-                return SyncDecision("switch", c)
-        return SyncDecision("internal_clock")
+    ranked = reference_rank_candidates(cands)
     if not ranked:
         return SyncDecision("internal_clock")
     best = ranked[0]
+    if current is None:
+        return SyncDecision("switch", best)
     if tier(best.slss) < tier(current.slss):
         return SyncDecision("switch", best)
     if (
         tier(best.slss) == tier(current.slss)
         and best.slss.slss_id != current.slss.slss_id
-        and best.rsrp_dbm >= current.rsrp_dbm + cfg.diff_hyst_db
+        and best.rsrp_dbm >= current.rsrp_dbm + DIFF_HYST_DB
     ):
         return SyncDecision("switch", best)
     if best.slss.slss_id == current.slss.slss_id:
@@ -69,11 +66,11 @@ def test_tier_boundaries():
 
 
 def test_rank_drops_below_threshold():
-    weak = cand(5, True, CFG.selection_rsrp_threshold_dbm - 0.1)
+    weak = cand(5, True, SELECTION_RSRP_THRESHOLD_DBM - 0.1)
     strong = cand(400, False, -60)
-    assert reference_rank_candidates([weak, strong], CFG) == [strong]
+    assert reference_rank_candidates([weak, strong]) == [strong]
     # the weak candidate's tier would outrank the strong one's
-    assert select_sync_ref(None, [weak, strong], CFG).candidate is strong
+    assert select_sync_ref(None, [weak, strong]).candidate is strong
 
 
 def test_rank_matches_brute_force():
@@ -85,10 +82,10 @@ def test_rank_matches_brute_force():
             for i in range(rng.randint(0, 8))
         ]
         expected = sorted(
-            (c for c in cands if c.rsrp_dbm >= CFG.selection_rsrp_threshold_dbm),
+            (c for c in cands if c.rsrp_dbm >= SELECTION_RSRP_THRESHOLD_DBM),
             key=lambda c: (tier(c.slss), -c.rsrp_dbm, c.slss.slss_id),
         )
-        assert reference_rank_candidates(list(cands), CFG) == expected
+        assert reference_rank_candidates(list(cands)) == expected
 
 
 # ids at every tier edge: 0, the in-coverage range 1..335 and the
@@ -98,15 +95,12 @@ SYNC_IDS = st.sampled_from((0, 1, 7, 335, 336, 400, 671))
 
 @st.composite
 def sync_rankings(draw):
-    """(current, candidates, cfg) for `select_sync_ref`: few ids, so
-    duplicates are common, and powers on the threshold, the entry margin
-    and the switching margin, so ties and edges are common too."""
-    threshold = draw(st.sampled_from((-105.0, -100.5)))
-    cfg = SyncConfig(min_hyst_db=draw(st.sampled_from((0.0, 2.0))),
-                     diff_hyst_db=draw(st.sampled_from((0.0, 3.0))),
-                     selection_rsrp_threshold_dbm=threshold)
-    edges = (threshold - 0.5, threshold, threshold + 1.0, threshold + cfg.min_hyst_db,
-             threshold + cfg.min_hyst_db + cfg.diff_hyst_db, -80.0, -77.0)
+    """(current, candidates) for `select_sync_ref`: few ids, so duplicates
+    are common, and powers on the threshold and the switching margin, so
+    ties and edges are common too."""
+    threshold = SELECTION_RSRP_THRESHOLD_DBM
+    edges = (threshold - 0.5, threshold, threshold + 1.0, threshold + DIFF_HYST_DB,
+             -80.0, -80.0 + DIFF_HYST_DB)
     power = st.one_of(st.sampled_from(edges), st.floats(-120.0, -50.0))
 
     def candidate(sender):
@@ -116,41 +110,40 @@ def sync_rankings(draw):
     held = draw(st.sampled_from(("none", "listed", "absent") if cands else ("none", "absent")))
     current = (None if held == "none" else draw(st.sampled_from(cands)) if held == "listed"
                else candidate(-2))
-    return current, cands, cfg
+    return current, cands
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(case=sync_rankings())
 def test_one_pass_selection_matches_the_sorted_ranking(case):
-    current, cands, cfg = case
-    got = select_sync_ref(current, cands, cfg)
-    want = reference_select_sync_ref(current, cands, cfg)
+    current, cands = case
+    got = select_sync_ref(current, cands)
+    want = reference_select_sync_ref(current, cands)
     assert got.action == want.action
     assert got.candidate is want.candidate
 
 
-def test_acquire_needs_threshold_plus_hysteresis():
-    cfg = SyncConfig(min_hyst_db=3)
-    edge = cand(10, True, cfg.selection_rsrp_threshold_dbm + 2.9)
-    assert select_sync_ref(None, [edge], cfg).action == "internal_clock"
-    ok = cand(10, True, cfg.selection_rsrp_threshold_dbm + 3.0)
-    assert select_sync_ref(None, [ok], cfg).action == "switch"
+def test_acquire_needs_the_threshold():
+    edge = cand(10, True, SELECTION_RSRP_THRESHOLD_DBM - 0.1)
+    assert select_sync_ref(None, [edge]).action == "internal_clock"
+    ok = cand(10, True, SELECTION_RSRP_THRESHOLD_DBM)
+    assert select_sync_ref(None, [ok]).action == "switch"
 
 
 def test_better_tier_switches_without_hysteresis():
     current = cand(100, True, -60)  # tier 1, strong
     usurper = cand(0, True, -80)    # tier 0, much weaker
-    decision = select_sync_ref(current, [usurper, current], CFG)
+    decision = select_sync_ref(current, [usurper, current])
     assert decision.action == "switch"
     assert decision.candidate.slss.slss_id == 0
 
 
 def test_same_tier_needs_rsrp_margin():
     current = cand(100, True, -70)
-    rival_weak = cand(200, True, -70 + CFG.diff_hyst_db - 0.1)
-    rival_strong = cand(200, True, -70 + CFG.diff_hyst_db)
-    assert select_sync_ref(current, [rival_weak, current], CFG).action == "keep"
-    decision = select_sync_ref(current, [rival_strong, current], CFG)
+    rival_weak = cand(200, True, -70 + DIFF_HYST_DB - 0.1)
+    rival_strong = cand(200, True, -70 + DIFF_HYST_DB)
+    assert select_sync_ref(current, [rival_weak, current]).action == "keep"
+    decision = select_sync_ref(current, [rival_strong, current])
     assert decision.action == "switch"
     assert decision.candidate.slss.slss_id == 200
 
@@ -158,24 +151,25 @@ def test_same_tier_needs_rsrp_margin():
 def test_same_id_keeps_with_updated_measurement():
     current = cand(100, True, -70, slot=0, sender=7)
     louder = cand(100, True, -55, slot=16, sender=9)
-    decision = select_sync_ref(current, [louder], CFG)
+    decision = select_sync_ref(current, [louder])
     assert decision.action == "keep"
     assert decision.candidate is louder  # measurement (and sender) refreshed
 
 
 def test_empty_candidates_lapse_to_internal_clock():
     current = cand(100, True, -70)
-    assert select_sync_ref(current, [], CFG).action == "internal_clock"
-    assert select_sync_ref(None, [], CFG).action == "internal_clock"
+    assert select_sync_ref(current, []).action == "internal_clock"
+    assert select_sync_ref(None, []).action == "internal_clock"
 
 
 def test_should_transmit_ssb():
-    ref = SyncState(network_sync_ref=True)
-    assert should_transmit_ssb(ref, -50, CFG)  # configured refs always send
-    plain = SyncState()
-    assert should_transmit_ssb(plain, None, CFG)  # no reference at all
-    assert should_transmit_ssb(plain, CFG.tx_thresh_ooc_dbm - 0.1, CFG)
-    assert not should_transmit_ssb(plain, CFG.tx_thresh_ooc_dbm, CFG)
+    for primary in (SyncSourceKind.GNSS, SyncSourceKind.GNODE_B):
+        assert should_transmit_ssb(SyncState(primary), -50)  # primary sources always send
+    for source in (SyncSourceKind.INTERNAL_CLOCK, SyncSourceKind.SYNC_REF_UE):
+        plain = SyncState(source)
+        assert should_transmit_ssb(plain, None)  # no reference at all
+        assert should_transmit_ssb(plain, TX_THRESH_OOC_DBM - 0.1)
+        assert not should_transmit_ssb(plain, TX_THRESH_OOC_DBM)
 
 
 def test_derive_own_slss_ranges():

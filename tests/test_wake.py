@@ -58,20 +58,6 @@ def moving_ues():
     })
 
 
-def entry_margin():
-    """A GNSS UE about 800 m from six others, with an entry margin and
-    shadowing: a first lock often skips the GNSS UE, just above the
-    selection threshold but below threshold plus margin, for a weaker-tier
-    neighbour, and the re-rank this forces switches to it."""
-    ues = [{"id": 1, "position": [0, 0], "role": "gnss_visible"},
-           *({"id": i, "position": [800 + 30 * (i % 3), 25 * (i // 3)]} for i in range(2, 8))]
-    return parse_scenario({
-        "name": "entry_margin", "seed": 1, "duration_slots": 600, "ues": ues,
-        "channel": {"shadowing_sigma_db": 3.0}, "sync": {"min_hyst_db": 6.0},
-        "traffic": [{"src": 2, "dst": 3, "period_slots": 50, "rri_ms": 100}],
-    })
-
-
 def early_spoof():
     """Spoofed NACKs land a slot before the feedback slot, when the TB
     sender has nothing else due: they must be dropped, not kept for the
@@ -101,10 +87,11 @@ def jittered_injection():
     return parse_scenario(raw)
 
 
-def blind_blocking():
-    """Resource blocking that listens 100 slots before its first claim."""
+def late_blocking():
+    """Resource blocking whose window opens 100 slots into the run, after
+    the flows have made their first selections."""
     raw = resource_squat()
-    raw["attacks"][0]["capability"]["knows_pool_config"] = False
+    raw["attacks"][0]["window"][0] = 100
     return parse_scenario(raw)
 
 
@@ -118,7 +105,6 @@ CASES = {
         workloads.unicast_harq(seed, pairs=3, duration_slots=700)))
        for seed in (1, 2, 3)},
     "unicast_harq:early_spoof": early_spoof,
-    "entry_margin": entry_margin,
     "moving": moving_ues,
     "pc5_timers": pc5_timers,
     # every registered attack kind, attacked and defended (or unattacked)
@@ -127,7 +113,7 @@ CASES = {
     **{f"attack:{kind.value}:counterpart": (lambda row=row: parse_scenario(counterpart(row)))
        for kind, row in ROWS.items()},
     "attack:false_sync_injection:jittered": jittered_injection,
-    "attack:resource_blocking:blind": blind_blocking,
+    "attack:resource_blocking:late": late_blocking,
 }
 
 
