@@ -18,7 +18,6 @@ from enum import Enum
 
 from .defense import sign_ssb
 from .frames import (
-    L2_ID_MASK,
     MibSl,
     Pc5Message,
     Pc5MessageKind as K,
@@ -34,6 +33,8 @@ from .sync import SSB_PERIOD_SLOTS, SsbBurst
 
 # the SCI 1-A priority of the blocker's claims; no decision reads it
 BLOCKER_PRIORITY = 1
+# the identity the sync injector claims: GNSS-direct, the top tier
+GNSS_DIRECT = SlssIdentity(0, in_coverage=True)
 
 
 class AttackKind(Enum):
@@ -210,8 +211,8 @@ class SyncImpersonationAgent(AttackerAgent):
 
 
 class FalseSyncInjectionAgent(AttackerAgent):
-    """Fabricates a top-tier sync identity (default the GNSS-direct id 0
-    with the coverage indicator raised) and beacons it at high power."""
+    """Fabricates the top-tier sync identity, the GNSS-direct id 0 with the
+    coverage indicator raised, and beacons it at high power."""
 
     def transmissions(self, slot):
         if not self.active(slot):
@@ -219,9 +220,8 @@ class FalseSyncInjectionAgent(AttackerAgent):
         planned = slot + self.jitter()
         if planned % SSB_PERIOD_SLOTS != 0 or planned < 0:
             return []
-        slss = SlssIdentity(self.params["slss_id"], in_coverage=True)
         # TDD pattern 0, as every UE sends: no receiver reads the field
-        burst = self._ssb(slot, slss, 0, in_coverage=True)
+        burst = self._ssb(slot, GNSS_DIRECT, 0, in_coverage=True)
         return [self._tx(slot, burst)]
 
     def next_due(self, after):
@@ -294,7 +294,7 @@ class ResourceBlockingAgent(AttackerAgent):
 class HarqSpoofAgent(AttackerAgent):
     """Watches data-channel control stages for HARQ process ids, then races
     the legitimate receiver's feedback with a louder forgery: an ACK or a
-    NACK, by the plan's kind."""
+    NACK, by the plan's kind, for every HARQ TB it hears in its window."""
 
     hears = (DataBurst,)
 
@@ -305,16 +305,10 @@ class HarqSpoofAgent(AttackerAgent):
     def on_receptions(self, receptions, slot):
         if not self.active(slot):
             return
-        target_src = self.params["target_src_l2"]
-        target_dst = self.params["target_dst_l2"]
         for tx, _ in receptions:
             burst = tx.payload
             sci2 = decode_once(self._sci2a, Sci2A.decode, burst.sci2_bits)
             if sci2 is None or not sci2.harq_enabled:
-                continue
-            if target_src is not None and burst.mac_src_l2 != target_src:
-                continue
-            if target_dst is not None and burst.mac_dst_l2 != target_dst:
                 continue
             offset = self.params["slot_offset"]
             emit = slot + FEEDBACK_DELAY_SLOTS + offset + self.jitter()
@@ -412,6 +406,10 @@ class Pc5ReplayAgent(AttackerAgent):
 
 
 RSRP_QUANTUM_DB = 0.5
+# the power fallback links an id to one that vanished at most this many
+# slots before it appeared, at a mean power at most this far from its own
+LINKAGE_WINDOW_SLOTS = 50
+RSRP_SIMILARITY_DB = 3.0
 
 
 @dataclass
@@ -437,8 +435,6 @@ class TrackerAgent(AttackerAgent):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.window_slots = self.params["linkage_window_slots"]
-        self.rsrp_gate_db = self.params["rsrp_similarity_db"]
         self.traces: dict[int, _IdTrace] = {}
 
     def on_receptions(self, receptions, slot):
@@ -479,8 +475,8 @@ class TrackerAgent(AttackerAgent):
             near = [
                 (abs(t.mean_rsrp - new_trace.mean_rsrp), -t.last_seen, o)
                 for o, t in earlier
-                if new_trace.first_seen - t.last_seen <= self.window_slots
-                and abs(t.mean_rsrp - new_trace.mean_rsrp) <= self.rsrp_gate_db
+                if new_trace.first_seen - t.last_seen <= LINKAGE_WINDOW_SLOTS
+                and abs(t.mean_rsrp - new_trace.mean_rsrp) <= RSRP_SIMILARITY_DB
             ]
             if near:
                 near.sort()
@@ -552,24 +548,18 @@ class ParamSpec:
 
     def range_error(self, value) -> str | None:
         """Why `value` (already of the right type) is out of bounds, or None."""
-        if value is None or ((self.lo is None or value >= self.lo)
-                             and (self.hi is None or value <= self.hi)):
+        if (self.lo is None or value >= self.lo) and (self.hi is None or value <= self.hi):
             return None
         return f"{value} outside {self.bounds()}"
 
 
 _HARQ_SPOOF_PARAMS = {
-    "target_src_l2": ParamSpec(None, "only spoof TBs from this sender (None = all)", 0, L2_ID_MASK),
-    "target_dst_l2": ParamSpec(None, "only spoof TBs toward this receiver (None = all)",
-                               0, L2_ID_MASK),
     "slot_offset": ParamSpec(0, "extra slots past the feedback deadline"),
 }
 
 ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec]]] = {
     AttackKind.SYNC_IMPERSONATION: (SyncImpersonationAgent, {}),
-    AttackKind.FALSE_SYNC_INJECTION: (FalseSyncInjectionAgent, {
-        "slss_id": ParamSpec(0, "sync identity to fabricate (0 claims GNSS-direct)", 0, 671),
-    }),
+    AttackKind.FALSE_SYNC_INJECTION: (FalseSyncInjectionAgent, {}),
     AttackKind.RESOURCE_BLOCKING: (ResourceBlockingAgent, {
         "claim_fraction": ParamSpec(0.75, "fraction of pool cells to claim", 0, 1),
         "rri_ms": ParamSpec(1000, "reservation interval advertised on each claim, "
@@ -582,10 +572,7 @@ ATTACK_REGISTRY: dict[AttackKind, tuple[type[AttackerAgent], dict[str, ParamSpec
     AttackKind.PC5_REPLAY: (Pc5ReplayAgent, {
         "replay_delay_slots": ParamSpec(40, "slots between capture and re-emission", 0),
     }),
-    AttackKind.L2_TRACKING: (TrackerAgent, {
-        "linkage_window_slots": ParamSpec(50, "max gap between an id vanishing and a successor linked by power", 0),
-        "rsrp_similarity_db": ParamSpec(3.0, "power gate for linking two ids", 0),
-    }),
+    AttackKind.L2_TRACKING: (TrackerAgent, {}),
 }
 
 

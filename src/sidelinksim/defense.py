@@ -16,6 +16,8 @@ from .frames import Pc5Message
 from .harq import FeedbackBurst
 
 VALID_TAG_BITS = (16, 32)
+# how far a pre-security PDU's slot timestamp may lie from the receiving slot
+TIMESTAMP_SKEW_SLOTS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +48,6 @@ class AnomalyCheckConfig:
 @dataclass(frozen=True)
 class ReplayGuardConfig:
     enabled: bool = False
-    timestamp_skew_slots: int = 16
-
-    def __post_init__(self):
-        # a negative skew makes every timestamp stale
-        _refuse_negative(self, "timestamp_skew_slots")
 
 
 def _refuse_negative(config, *names: str):
@@ -174,17 +171,16 @@ def _nonce_of(msg: Pc5Message) -> str:
 
 
 class ReplayGuard:
-    """Screens unprotected PC5 PDUs: slot timestamps within a skew,
-    nonce freshness per (source, kind), and response-to-request echo
-    binding. State is per-endpoint."""
+    """Screens unprotected PC5 PDUs: slot timestamps within
+    `TIMESTAMP_SKEW_SLOTS`, nonce freshness per (source, kind), and
+    response-to-request echo binding. State is per-endpoint."""
 
-    def __init__(self, timestamp_skew_slots: int = 16):
-        self.skew = timestamp_skew_slots
+    def __init__(self):
         self.seen: set[tuple[int, int, str]] = set()
 
     def _stale(self, msg: Pc5Message, slot: int) -> bool:
         ts = msg.body.get("ts")
-        return ts is None or abs(slot - int(ts)) > self.skew
+        return ts is None or abs(slot - int(ts)) > TIMESTAMP_SKEW_SLOTS
 
     def _duplicate(self, msg: Pc5Message) -> bool:
         return (msg.src_l2, int(msg.kind), _nonce_of(msg)) in self.seen

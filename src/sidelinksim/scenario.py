@@ -25,7 +25,7 @@ import yaml
 from .adversary import ATTACK_REGISTRY, AttackKind, AttackerCapability, AttackPlan
 from .defense import DefenseConfig
 from .pc5 import SecurityPolicy
-from .radio import MAX_TX_POWER_DBM, ChannelModel
+from .radio import ChannelModel
 from .resources import ResourcePool
 from .sync import SyncConfig
 
@@ -36,15 +36,28 @@ UE_ROLES = ("legit", "gnode_b", "gnss_visible")
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's C loader where pyyaml was built with it. It shares
-    SafeLoader's constructor and resolver, so both build the same objects
-    from a file. YAML 1.1 reads a float only with a dot and a signed
-    exponent (`1.0e+6`); this loader also reads the exponent forms without
-    them (`1e6`, `1.0e6`, `-3e-2`) as floats, not strings."""
+    SafeLoader's constructor, so both build the same objects from a file,
+    but it keeps its own table of implicit number forms. An integer is
+    decimal (`12`, `1_000`) or hexadecimal (`0x1f`); a float has a dot
+    (`2.5`), an exponent (`1e6`, `1.0e6`, `-3e-2`, which YAML 1.1 reads as
+    strings without a dot and a signed exponent) or is `.inf` or `.nan`.
+    YAML 1.1's octal (`010`), binary (`0b101`) and base-60 (`1:40`,
+    `1:30.5`) forms stay strings, so such a value is a wrongly typed one."""
 
 
+_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
+_Loader.yaml_implicit_resolvers = {
+    first: kept for first, resolvers in _Loader.yaml_implicit_resolvers.items()
+    if (kept := [(tag, regexp) for tag, regexp in resolvers if tag not in (_INT, _FLOAT)])}
 _Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    _INT, re.compile(r"^[-+]?(?:0|[1-9][0-9_]*|0x[0-9a-fA-F_]+)$"), list("-+0123456789"))
+_Loader.add_implicit_resolver(
+    _FLOAT,
+    re.compile(r"""^(?:[-+]?[0-9][0-9_]*\.[0-9_]*(?:[eE][-+]?[0-9]+)?
+                   |\.[0-9][0-9_]*(?:[eE][-+]?[0-9]+)?
+                   |[-+]?(?:[0-9][0-9_]*|\.[0-9][0-9_]*)[eE][-+]?[0-9]+
+                   |[-+]?\.(?:inf|Inf|INF)
+                   |\.(?:nan|NaN|NAN))$""", re.X),
     list("-+.0123456789"))
 YAML_LOADER = _Loader
 
@@ -61,7 +74,6 @@ class UeSpec:
     position: tuple[float, float] = (0.0, 0.0)
     velocity: tuple[float, float] = (0.0, 0.0)
     role: str = "legit"
-    tx_power_dbm: float = 23.0
     policy: SecurityPolicy = field(default_factory=SecurityPolicy)
 
 
@@ -250,7 +262,7 @@ def _section(cls, raw, path: str, errs: _Errors, casts: dict | None = None):
 
 _POOL_CASTS = {"period_list_ms": _ints}
 
-_UE_CASTS = {"position": _pair, "velocity": _pair, "tx_power_dbm": _number}
+_UE_CASTS = {"position": _pair, "velocity": _pair}
 
 _ATTACK_KEYS = {"kind", "window", "capability", "params"}
 
@@ -263,8 +275,6 @@ def _parse_ue(raw, path: str, errs: _Errors) -> UeSpec | None:
         errs.add(f"{path}.id", f"must lie in [0, {ATTACKER_ID_BASE})")
     if ue.role not in UE_ROLES:
         errs.add(f"{path}.role", f"must be one of {UE_ROLES}")
-    if ue.tx_power_dbm > MAX_TX_POWER_DBM:
-        errs.add(f"{path}.tx_power_dbm", f"{ue.tx_power_dbm} above {MAX_TX_POWER_DBM}")
     return ue
 
 
@@ -317,11 +327,9 @@ def _parse_attack(raw, path: str, errs: _Errors, pool: ResourcePool | None) -> A
         if key not in param_spec:
             errs.add(f"{path}.params.{key}", "unknown key")
             continue
-        # a parameter takes the type of its default (a None default takes an
-        # int) and lies within its bounds
+        # a parameter takes the type of its default and lies within its bounds
         spec = param_spec[key]
-        problem = (_type_error(value, int | None if spec.default is None else type(spec.default))
-                   or spec.range_error(value))
+        problem = _type_error(value, type(spec.default)) or spec.range_error(value)
         if (problem is None and key == "rri_ms" and pool is not None
                 and value not in pool.period_list_ms):
             problem = f"{value} not in pool period list {pool.period_list_ms}"

@@ -153,6 +153,8 @@ SELECTING = (SyncSourceKind.SYNC_REF_UE, SyncSourceKind.INTERNAL_CLOCK)
 ADDRESSED = (DataBurst, FeedbackBurst, Pc5Message)
 # the SCI 1-A priority of every flow's claims; no decision reads it
 FLOW_PRIORITY = 3
+# every UE sends at the power class 3 maximum (TS 38.101-1)
+UE_TX_POWER_DBM = 23.0
 
 
 def demand_subchannels(flow: TrafficFlow, num_subchannels: int) -> int:
@@ -236,8 +238,7 @@ class UeAgent:
             policy = enforce_policy(policy)
         self.endpoint = Pc5Endpoint(l2_id, world.psk, policy,
                                     child_rng(world.seed, f"pc5:{spec.id}"))
-        guard_cfg = world.sc.defenses.replay_guard
-        self.guard = ReplayGuard(guard_cfg.timestamp_skew_slots) if guard_cfg.enabled else None
+        self.guard = ReplayGuard() if world.sc.defenses.replay_guard.enabled else None
         self.profile = FeedbackProfile()
 
         self.flows: list[FlowRuntime] = []
@@ -315,7 +316,7 @@ class UeAgent:
     # -- per-slot action ---------------------------------------------------
 
     def act(self, slot: int) -> list[Transmission]:
-        out = [Transmission(self.spec.id, self.spec.tx_power_dbm, payload)
+        out = [Transmission(self.spec.id, UE_TX_POWER_DBM, payload)
                for payload in self.outbox.pop(slot, ())]
         if self.sync_at <= slot:  # before it, a sync step has no work
             self._sync_step(slot, out)
@@ -345,7 +346,7 @@ class UeAgent:
             tag = sign_ssb(self.world.ssb_key, self.state.own_slss.slss_id,
                            mib.encode(), signed.tag_bits)
             self.world.metrics.bump("airtime_overhead_bits", signed.tag_bits)
-        out.append(Transmission(self.spec.id, self.spec.tx_power_dbm,
+        out.append(Transmission(self.spec.id, UE_TX_POWER_DBM,
                                 SsbBurst(self.state.own_slss, mib, tag)))
         self.world.metrics.bump("ssb_sent")
 
@@ -385,7 +386,7 @@ class UeAgent:
             self.world.security_event(self, ev)
 
     def _pc5_tx(self, msg) -> Transmission:
-        return Transmission(self.spec.id, self.spec.tx_power_dbm, msg)
+        return Transmission(self.spec.id, UE_TX_POWER_DBM, msg)
 
     def _flow_step(self, rt: FlowRuntime, slot: int, out: list[Transmission]):
         flow, proc = rt.flow, rt.process
@@ -462,7 +463,7 @@ class UeAgent:
             tb_id=proc.tb_id,
             size_bytes=flow.size_bytes,
         )
-        out.append(Transmission(self.spec.id, self.spec.tx_power_dbm, burst, g.span))
+        out.append(Transmission(self.spec.id, UE_TX_POWER_DBM, burst, g.span))
         if proc.attempts == 1:
             self.world.metrics.bump("tb_sent")
             rt.first_slot, rt.spoof_hits = slot, 0

@@ -1,4 +1,4 @@
-"""End-to-end acceptance run: eight checks, one visible verdict line each.
+"""End-to-end acceptance run: nine checks, one visible verdict line each.
 
 Each test prints "PASS criterion N: ..." with the measured values once its
 assertions hold; a failure surfaces as a normal pytest failure for that
@@ -534,3 +534,57 @@ def test_criterion_8_catalog_determinism(announce):
         assert lines1 == lines2, path.name
     announce(f"PASS criterion 8: {len(files)} catalog scenarios byte-identical "
              f"across repeat runs (slowest single run {slowest:.2f}s)")
+
+
+# --------------------------------------------------------------------------
+# 9. the attacker's capability levers, over seeds
+
+
+def with_capability(scenario, **change):
+    """`scenario` with its one attacker's capability changed."""
+    (atk,) = scenario.attacks
+    return replace(scenario, attacks=(replace(atk, capability=replace(atk.capability,
+                                                                      **change)),))
+
+
+def test_criterion_9_an_insider_key_beats_beacon_signing_over_seeds(announce):
+    signed = catalog("sync_false_injection_signed")
+    insider = with_capability(signed, has_key=True)
+    t0 = time.perf_counter()
+    outsider_victims, insider_victims, insider_rejected = [], [], []
+    for seed in range(20):
+        outsider_victims.append(run_scenario(signed, seed=seed)[0].totals["sync_victims"])
+        totals = run_scenario(insider, seed=seed)[0].totals
+        insider_victims.append(totals["sync_victims"])
+        insider_rejected.append(totals["ssb_rejected"])
+    assert all(i >= o for i, o in zip(insider_victims, outsider_victims)), (
+        insider_victims, outsider_victims)
+    # every other beacon is a legitimate UE's, signed with the key
+    assert insider_rejected == [0] * 20, insider_rejected
+    announce(f"PASS criterion 9 over seeds 0-19: with signed beacons an insider captures "
+             f"{sum(insider_victims)} victims (min {min(insider_victims)}/5), an outsider "
+             f"{sum(outsider_victims)} (max {max(outsider_victims)}/5); beacons rejected "
+             f"with the insider {sum(insider_rejected)} "
+             f"({time.perf_counter() - t0:.2f}s)")
+
+
+JITTERS = (0, 1, 2, 8)
+
+
+def test_criterion_9_timing_jitter_blunts_the_nack_spoofer_over_seeds(announce):
+    sc = catalog("harq_false_nack")
+    t0 = time.perf_counter()
+    spoofed, exhausted = [], []
+    for jitter in JITTERS:
+        variant = with_capability(sc, timing_precision_slots=jitter)
+        totals = [run_scenario(variant, seed=seed)[0].totals for seed in range(20)]
+        spoofed.append(sum(t["feedback_spoofed"] for t in totals))
+        exhausted.append(sum(t["harq_failures"] for t in totals))
+    # a spoof counts only in the one feedback slot, so jitter can only cost it
+    assert spoofed == sorted(spoofed, reverse=True), spoofed
+    assert exhausted == sorted(exhausted, reverse=True), exhausted
+    assert spoofed[0] > 0 and exhausted[0] > 0, (spoofed, exhausted)
+    announce(f"PASS criterion 9 over seeds 0-19: at jitter {'/'.join(map(str, JITTERS))} "
+             f"slots the NACK spoofer counts {'/'.join(map(str, spoofed))} spoofs and "
+             f"exhausts {'/'.join(map(str, exhausted))} TBs "
+             f"({time.perf_counter() - t0:.2f}s)")

@@ -10,6 +10,7 @@ import yaml
 
 from sidelinksim.adversary import (
     ATTACK_REGISTRY,
+    LINKAGE_WINDOW_SLOTS,
     AttackKind,
     AttackPlan,
     AttackerCapability,
@@ -108,8 +109,7 @@ def test_window_gating_and_jitter_bounds():
 
 
 def test_false_sync_injection_beacons_on_period():
-    agent = build(AttackKind.FALSE_SYNC_INJECTION, window=(0, 100),
-                  params={"slss_id": 0})
+    agent = build(AttackKind.FALSE_SYNC_INJECTION, window=(0, 100))
     assert agent.transmissions(15) == []
     out = agent.transmissions(16)
     assert len(out) == 1
@@ -193,19 +193,17 @@ def test_resource_blocking_claims_requested_fraction():
     assert len(refreshed) == 30
 
 
-def test_harq_spoof_targets_and_times_the_race():
-    agent = build(AttackKind.HARQ_SPOOF_NACK, window=(0, 100),
-                  params={"target_src_l2": 0x000111, "target_dst_l2": 0x000222})
-    hear(agent, data_burst(0x000111, 0x000222, pid=5), 10)
-    hear(agent, data_burst(0x000333, 0x000222), 10)  # wrong sender
-    hear(agent, data_burst(0x000111, 0x000444), 10)  # wrong receiver
+def test_harq_spoof_forges_for_every_harq_tb_and_times_the_race():
+    agent = build(AttackKind.HARQ_SPOOF_NACK, window=(0, 100))
+    pairs = [(0x000111, 0x000222, 5), (0x000333, 0x000222, 6), (0x000111, 0x000444, 7)]
+    for src, dst, pid in pairs:
+        hear(agent, data_burst(src, dst, pid=pid), 10)
     assert agent.transmissions(11) == []
     out = agent.transmissions(12)  # tb slot + feedback delay
-    assert len(out) == 1
-    forged = out[0].payload
-    assert isinstance(forged, FeedbackBurst) and forged.spoofed
-    assert not forged.ack and forged.harq_process_id == 5
-    assert forged.src_l2 == 0x000222 and forged.dst_l2 == 0x000111
+    forged = [tx.payload for tx in out]
+    assert all(isinstance(f, FeedbackBurst) and f.spoofed and not f.ack for f in forged)
+    # each claims to come from its TB's receiver and goes back to the sender
+    assert [(f.dst_l2, f.src_l2, f.harq_process_id) for f in forged] == pairs
     assert agent.transmissions(13) == []
 
 
@@ -258,8 +256,7 @@ def test_replay_agent_re_emits_captured_frame_verbatim():
 
 
 def test_tracker_links_increment_scheme_first():
-    agent = build(AttackKind.L2_TRACKING, window=(0, 1000),
-                  params={"linkage_window_slots": 50})
+    agent = build(AttackKind.L2_TRACKING, window=(0, 1000))
     # UE A: id 100 then 101 (weak refresh); UE B: id 500 throughout
     for slot in range(0, 200, 40):
         hear(agent, data_burst(100, 0xFFFFFF, tb=slot), slot, rsrp=-70.0)
@@ -274,8 +271,8 @@ def test_tracker_links_increment_scheme_first():
 
 
 def test_tracker_links_the_weak_refresh_past_the_broadcast_id():
-    # 20 dB apart under a 0 dB power gate: only the increment rule can link
-    agent = build(AttackKind.L2_TRACKING, params={"rsrp_similarity_db": 0.0})
+    # 20 dB apart, past the 3 dB power gate: only the increment rule can link
+    agent = build(AttackKind.L2_TRACKING)
     for old in (0xFFFFFE, 5):
         hear(agent, data_burst(old, 0xFFFFFF), 0, rsrp=-70.0)
     for new in (refresh_identifier(0xFFFFFE, set(), random.Random(0), "weak", set()), 6):
@@ -285,7 +282,7 @@ def test_tracker_links_the_weak_refresh_past_the_broadcast_id():
 
 
 def test_tracker_falls_back_to_power_similarity():
-    agent = build(AttackKind.L2_TRACKING, params={"rsrp_similarity_db": 3.0})
+    agent = build(AttackKind.L2_TRACKING)
     for slot in range(0, 100, 20):
         hear(agent, data_burst(0x111111, 0xFFFFFF), slot, rsrp=-70.0)
         hear(agent, data_burst(0x333333, 0xFFFFFF), slot, rsrp=-90.0)
@@ -297,18 +294,20 @@ def test_tracker_falls_back_to_power_similarity():
 
 
 def test_tracker_respects_linkage_window():
-    agent = build(AttackKind.L2_TRACKING, params={"linkage_window_slots": 50})
-    hear(agent, data_burst(0x111111, 0xFFFFFF), 0, rsrp=-70.0)
-    hear(agent, data_burst(0x222222, 0xFFFFFF), 100, rsrp=-70.0)
-    assert agent.link() == [{0x111111}, {0x222222}]
+    # the power fallback links across a gap of LINKAGE_WINDOW_SLOTS, not one more
+    for gap, clusters in ((LINKAGE_WINDOW_SLOTS, [{0x111111, 0x222222}]),
+                          (LINKAGE_WINDOW_SLOTS + 1, [{0x111111}, {0x222222}])):
+        agent = build(AttackKind.L2_TRACKING)
+        hear(agent, data_burst(0x111111, 0xFFFFFF), 0, rsrp=-70.0)
+        hear(agent, data_burst(0x222222, 0xFFFFFF), gap, rsrp=-70.0)
+        assert agent.link() == clusters, gap
 
 
 def test_tracker_links_a_weak_successor_whatever_the_gap():
     # the +1 id comes 400 slots after its predecessor, past the 50-slot
     # window and 20 dB off it; an id at the same power that far apart
     # stays apart, since only the power fallback keeps the window
-    agent = build(AttackKind.L2_TRACKING, params={"linkage_window_slots": 50,
-                                                  "rsrp_similarity_db": 3.0})
+    agent = build(AttackKind.L2_TRACKING)
     hear(agent, data_burst(0x111111, 0xFFFFFF), 0, rsrp=-70.0)
     hear(agent, data_burst(0x333333, 0xFFFFFF), 0, rsrp=-80.0)
     hear(agent, data_burst(0x111112, 0xFFFFFF), 400, rsrp=-90.0)
@@ -519,8 +518,7 @@ def sync_drives() -> list[tuple[str, object, dict, int]]:
             drives.append((f"impersonate:{label}", build(
                 AttackKind.SYNC_IMPERSONATION, window=window, cap=cap, seed=label), heard, 240))
             drives.append((f"inject:{label}", build(
-                AttackKind.FALSE_SYNC_INJECTION, window=window, cap=cap,
-                params={"slss_id": 3}, seed=label), {}, 240))
+                AttackKind.FALSE_SYNC_INJECTION, window=window, cap=cap, seed=label), {}, 240))
     return drives
 
 

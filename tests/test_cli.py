@@ -178,7 +178,9 @@ def test_a_multi_line_problem_stays_under_its_bullet(tmp_path, capsys):
     TINY + "channel: {shadowing_sigma_db: x}\n",
     TINY.replace("period_slots: 50", "period_slots: abc"),
     TINY.replace("name: tiny", "name: 5"),
-], ids=["channel", "traffic", "name"])
+    # YAML 1.1 would read it as the octal 48; this loader reads a string
+    TINY.replace("duration_slots: 60", "duration_slots: 060"),
+], ids=["channel", "traffic", "name", "octal_duration"])
 def test_wrongly_typed_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
     bad.write_text(text)
@@ -189,8 +191,7 @@ def test_wrongly_typed_value_is_exit_1_for_validate_and_run(tmp_path, capsys, te
 
 OUT_OF_RANGE = {
     "rri_ms": "{kind: resource_blocking, window: [0, 60], params: {rri_ms: 37}}",
-    "target_src_l2": "{kind: harq_spoof_nack, window: [0, 60], params: {target_src_l2: 1073741824}}",
-    "slss_id": "{kind: false_sync_injection, window: [0, 60], params: {slss_id: 99999}}",
+    "claim_fraction": "{kind: resource_blocking, window: [0, 60], params: {claim_fraction: 1.5}}",
     "timing_precision_slots": ("{kind: false_sync_injection, window: [0, 60],"
                                " capability: {timing_precision_slots: -2}}"),
 }
@@ -204,7 +205,6 @@ OUT_OF_RANGE = {
     # where the bound is missing, so the row fails rather than hangs
     TINY + ("attacks:\n  - {kind: resource_blocking, window: [0, 60],"
             " capability: {tx_power_dbm: 61.0}}\n"),
-    TINY.replace("role: gnss_visible", "role: gnss_visible, tx_power_dbm: 61.0"),
     TINY + "channel: {shadowing_sigma_db: 21.0}\n",
     TINY.replace("name: tiny", 'name: "a\\nb"'),
     # a flow on a period of 0 or less never got past its first grant
@@ -212,7 +212,7 @@ OUT_OF_RANGE = {
     TINY.replace("rri_ms: 100", "rri_ms: -100") + "pool: {period_list_ms: [-100, 1000]}\n",
     TINY + "links:\n  - {initiator: 1, responder: 2, start_slot: -1}\n",
 ], ids=[*OUT_OF_RANGE, "shadowing_sigma_db_negative", "attacker_tx_power_dbm_61",
-        "ue_tx_power_dbm_61", "shadowing_sigma_db_21", "name_line_break", "period_list_ms_zero", "period_list_ms_negative",
+        "shadowing_sigma_db_21", "name_line_break", "period_list_ms_zero", "period_list_ms_negative",
         "link_start_slot_negative"])
 def test_out_of_range_value_is_exit_1_for_validate_and_run(tmp_path, capsys, text):
     bad = tmp_path / "bad.yaml"
@@ -249,11 +249,14 @@ KEY_PLACES = {
     "traffic[0]": TINY.replace("rri_ms: 100}", "rri_ms: 100, @}"),
     "attacks[0].capability": (TINY + "attacks:\n"
                               "  - {kind: resource_blocking, window: [0, 60], capability: {@}}\n"),
-    "attacks[0].params": (TINY + "attacks:\n"
-                          "  - {kind: resource_blocking, window: [0, 60], params: {@}}\n"),
-    "attacks[1].params": (TINY + "attacks:\n  - {kind: resource_blocking, window: [0, 60]}\n"
-                          "  - {kind: false_sync_injection, window: [0, 60], params: {@}}\n"),
+    "defenses.replay_guard": TINY + "defenses: {replay_guard: {enabled: true, @}}\n",
 }
+# the attack at index i, with the params at `@`, follows those of the kinds before it
+PLACED_KINDS = ("resource_blocking", "false_sync_injection", "harq_spoof_ack",
+                "harq_spoof_nack", "l2_tracking")
+KEY_PLACES |= {f"attacks[{i}].params": TINY + "attacks:\n" + "".join(
+    f"  - {{kind: {kind}, window: [0, 60]{', params: {@}' if j == i else ''}}}\n"
+    for j, kind in enumerate(PLACED_KINDS[:i + 1])) for i in range(len(PLACED_KINDS))}
 
 
 @pytest.mark.parametrize("section, setting", [
@@ -278,11 +281,21 @@ KEY_PLACES = {
     ("attacks[0].params", "priority: 1"),
     ("attacks[0].params", "pool_discovery_slots: 100"),
     ("attacks[1].params", "tdd_config: 0"),
+    ("ues[1]", "tx_power_dbm: 23.0"),
+    ("attacks[1].params", "slss_id: 0"),
+    ("attacks[2].params", "target_src_l2: 1"),
+    ("attacks[2].params", "target_dst_l2: 2"),
+    ("attacks[3].params", "target_src_l2: 1"),
+    ("attacks[3].params", "target_dst_l2: 2"),
+    ("attacks[4].params", "linkage_window_slots: 50"),
+    ("attacks[4].params", "rsrp_similarity_db: 3.0"),
+    ("defenses.replay_guard", "timestamp_skew_slots: 16"),
 ])
 def test_a_fixed_physical_value_is_an_unknown_key_for_validate_and_run(tmp_path, capsys, section,
                                                                      setting):
-    # each at the value it is fixed to, so a file that could still set it
-    # runs in milliseconds and fails here rather than hangs
+    # each at the value it is fixed to (a spoof target, which had no fixed
+    # value, at an arbitrary id), so a file that could still set it runs in
+    # milliseconds and fails here rather than hangs
     bad = tmp_path / "bad.yaml"
     bad.write_text(KEY_PLACES[section].replace("@", setting))
     name = setting.split(":")[0]
@@ -297,7 +310,6 @@ def test_a_fixed_physical_value_is_an_unknown_key_for_validate_and_run(tmp_path,
 @pytest.mark.parametrize("section, setting", [
     ("harq_anomaly_check", "power_tolerance_db: -4.0"),
     ("harq_anomaly_check", "min_samples: -2"),
-    ("replay_guard", "timestamp_skew_slots: -5"),
 ])
 def test_negative_defense_setting_is_exit_1_for_validate_and_run(tmp_path, capsys, section,
                                                                   setting):
@@ -387,5 +399,5 @@ def test_list_attacks_prints_catalog(capsys):
 def test_list_attacks_prints_param_bounds(capsys):
     assert main(["list-attacks"]) == 0
     out = capsys.readouterr().out
-    assert "slss_id (default 0, 0..671)" in out
+    assert "claim_fraction (default 0.75, 0..1)" in out
     assert "replay_delay_slots (default 40, 0..)" in out

@@ -8,7 +8,7 @@ benchmark generator at its default seed, or the README's yaml example. A
 key with no default is set by every input that has its section.
 
 `config_keys.txt` gives each key that no pinned input varies one row
-with why it stays (its header lists the three forms). A key with no row
+with why it stays (its header lists the two forms). A key with no row
 fails, and so does a row that names no such key, so a new knob needs a
 reason in review.
 """
@@ -44,8 +44,7 @@ _spec.loader.exec_module(workloads)
 SECTIONS = ("channel", "pool", "sync", "defenses")
 LISTS = {"ues": UeSpec, "traffic": TrafficFlow, "links": LinkSpec}
 DISPOSITION = re.compile(r"constant next: item \d+"
-                         r"|varied by (?P<file>test_\w+\.py)::(?P<test>\w+), effect: \S.*"
-                         r"|claim without pinned evidence: item \d+")
+                         r"|varied by (?P<file>test_\w+\.py)::(?P<test>\w+), effect: \S.*")
 
 
 def leaf_fields(cls, prefix):
@@ -142,7 +141,7 @@ def test_every_unvaried_key_has_a_row_and_every_row_a_key():
     assert sorted(listed - unvaried) == [], "a row for a key that is gone or varied"
 
 
-def test_every_row_gives_a_disposition_in_one_of_the_three_forms():
+def test_every_row_gives_a_disposition_in_one_of_the_two_forms():
     for key, disposition in rows().items():
         match = DISPOSITION.fullmatch(disposition)
         assert match, f"{key}: {disposition}"

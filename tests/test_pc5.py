@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sidelinksim.defense import ReplayGuard, enforce_policy
+from sidelinksim.defense import TIMESTAMP_SKEW_SLOTS, ReplayGuard, enforce_policy
 from sidelinksim.frames import Pc5Message, Pc5MessageKind as K
 from sidelinksim.pc5 import (
     BROADCAST_L2,
@@ -278,7 +278,7 @@ def test_duplicate_request_against_live_link_is_stateless():
 
 def test_replay_guard_blocks_duplicate_and_stale_requests():
     a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
-    guard = ReplayGuard(timestamp_skew_slots=16)
+    guard = ReplayGuard()
     req = a.initiate(0x000202, 10)[0]
     replies, events = b.handle(req, 12, guard)
     assert replies  # fresh request sails through
@@ -288,8 +288,11 @@ def test_replay_guard_blocks_duplicate_and_stale_requests():
 
     c = endpoint(3, 0x000303)
     stale = c.initiate(0x000202, 10)[0]
-    _, events = b.handle(stale, 100, guard)
+    _, events = b.handle(stale, 10 + TIMESTAMP_SKEW_SLOTS + 1, guard)
     assert events[0].detail["reason"] == "stale_timestamp"
+    d = endpoint(4, 0x000404)
+    replies, _ = b.handle(d.initiate(0x000202, 10)[0], 10 + TIMESTAMP_SKEW_SLOTS, guard)
+    assert replies  # a timestamp right at the skew is still fresh
 
 
 def test_forged_reject_aborts_pending_link_without_guard():
@@ -304,7 +307,7 @@ def test_forged_reject_aborts_pending_link_without_guard():
 
 def test_forged_reject_blocked_by_echo_binding():
     a, b = endpoint(1, 0x000101), endpoint(2, 0x000202)
-    guard = ReplayGuard(16)
+    guard = ReplayGuard()
     a.initiate(0x000202, 10)
     forged = Pc5Message(K.ESTABLISHMENT_REJECT, 0x000202, 0x000101, 1,
                         {"cause": "congestion", "echo_nonce": "ff" * 16, "ts": 10})
@@ -553,7 +556,7 @@ def _receive_case(phase, initiator, kind, variant, guarded):
         me, slot = _receiver_at(phase, initiator)
     msg = _case_message(kind, me.links.get(PEER), variant, slot)
     try:
-        replies, events = me.handle(msg, slot, ReplayGuard(16) if guarded else None)
+        replies, events = me.handle(msg, slot, ReplayGuard() if guarded else None)
     except Exception as exc:  # recorded, so a changed failure shows too
         return f"raises {type(exc).__name__}"
     link = me.links.get(PEER)

@@ -80,9 +80,9 @@ def test_full_sections_parse():
             "kind": "harq_spoof_nack",
             "window": [10, 90],
             "capability": {"tx_power_dbm": 33.0, "position": [5, 5]},
-            "params": {"target_src_l2": None},
+            "params": {"slot_offset": 1},
         }],
-        defenses={"replay_guard": {"enabled": True, "timestamp_skew_slots": 8}},
+        defenses={"replay_guard": {"enabled": True}},
     ))
     assert sc.pool.period_list_ms == (20, 50, 100, 1000)
     assert sc.channel.tb_error_rate == 0.1
@@ -92,8 +92,8 @@ def test_full_sections_parse():
     assert atk.plan.kind == AttackKind.HARQ_SPOOF_NACK
     assert atk.plan.window == (10, 90)
     assert atk.capability.position == (5.0, 5.0)
+    assert atk.plan.params == {"slot_offset": 1}
     assert sc.defenses.replay_guard.enabled
-    assert sc.defenses.replay_guard.timestamp_skew_slots == 8
 
 
 def test_unknown_keys_are_errors_with_paths():
@@ -128,6 +128,8 @@ def test_the_fixed_sci1a_widths_and_physical_values_are_no_keys():
                  "selection_rsrp_threshold_dbm", "ssb_period_slots")
     capability_keys = ("knows_pool_config", "knows_harq_params")
     blocker_keys = ("priority", "pool_discovery_slots")
+    spoof_keys = ("target_src_l2", "target_dst_l2")
+    tracker_keys = ("linkage_window_slots", "rsrp_similarity_db")
     raw = minimal(channel=dict.fromkeys(channel_keys, 1), pool=dict.fromkeys(pool_keys, 1),
                   sync=dict.fromkeys(sync_keys, 1),
                   traffic=[{"src": 1, "dst": 2, "period_slots": 100, "priority": 3}],
@@ -135,8 +137,15 @@ def test_the_fixed_sci1a_widths_and_physical_values_are_no_keys():
                             "capability": dict.fromkeys(capability_keys, True),
                             "params": dict.fromkeys(blocker_keys, 1)},
                            {"kind": "false_sync_injection", "window": [0, 10],
-                            "params": {"tdd_config": 0}}])
+                            "params": {"tdd_config": 0, "slss_id": 0}},
+                           *({"kind": kind, "window": [0, 10],
+                              "params": dict.fromkeys(spoof_keys, 1)}
+                             for kind in ("harq_spoof_ack", "harq_spoof_nack")),
+                           {"kind": "l2_tracking", "window": [0, 10],
+                            "params": dict.fromkeys(tracker_keys, 1)}],
+                  defenses={"replay_guard": {"timestamp_skew_slots": 16}})
     raw["ues"][0]["network_sync_ref"] = True
+    raw["ues"][0]["tx_power_dbm"] = 23.0
     with pytest.raises(ScenarioError) as err:
         parse_scenario(raw)
     assert err.value.problems == [
@@ -144,10 +153,16 @@ def test_the_fixed_sci1a_widths_and_physical_values_are_no_keys():
         *(f"scenario.pool.{key}: unknown key" for key in pool_keys),
         *(f"scenario.sync.{key}: unknown key" for key in sync_keys),
         "scenario.ues[0].network_sync_ref: unknown key",
+        "scenario.ues[0].tx_power_dbm: unknown key",
         "scenario.traffic[0].priority: unknown key",
         *(f"scenario.attacks[0].capability.{key}: unknown key" for key in capability_keys),
         *(f"scenario.attacks[0].params.{key}: unknown key" for key in blocker_keys),
-        "scenario.attacks[1].params.tdd_config: unknown key"]
+        "scenario.attacks[1].params.tdd_config: unknown key",
+        "scenario.attacks[1].params.slss_id: unknown key",
+        *(f"scenario.attacks[{i}].params.{key}: unknown key"
+          for i in (2, 3) for key in spoof_keys),
+        *(f"scenario.attacks[4].params.{key}: unknown key" for key in tracker_keys),
+        "scenario.defenses.replay_guard.timestamp_skew_slots: unknown key"]
 
 
 @pytest.mark.parametrize("key, largest", [("num_subchannels", 27),
@@ -161,7 +176,7 @@ def test_the_largest_pool_size_parses(key, largest):
     ("attacks[0].capability.timing_precision_slots", "x"),
     ("attacks[0].params.slot_offset", "x"),
     ("traffic[0].period_slots", "abc"),
-    ("ues[0].tx_power_dbm", "loud"),
+    ("attacks[0].capability.tx_power_dbm", "loud"),
     ("links[0].start_slot", "x"),
     ("traffic", 5),
     ("traffic[0].dst", [1]),
@@ -180,15 +195,13 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
 
 @pytest.mark.parametrize("kind,dotted,value", [
     ("resource_blocking", "attacks[0].params.rri_ms", 37),
-    ("harq_spoof_nack", "attacks[0].params.target_src_l2", 2**30),
-    ("harq_spoof_nack", "attacks[0].params.target_src_l2", -1),
+    ("resource_blocking", "attacks[0].params.claim_fraction", 1.5),
+    ("pc5_replay", "attacks[0].params.replay_delay_slots", -1),
     ("harq_spoof_nack", "attacks[0].capability.timing_precision_slots", -2),
-    ("false_sync_injection", "attacks[0].params.slss_id", 99999),
     ("harq_spoof_nack", "channel.shadowing_sigma_db", -4.0),
     # selection backs off 3 dB at a time up to the strongest claim, so what
     # sets a received level is bounded
     ("harq_spoof_nack", "channel.shadowing_sigma_db", 21.0),
-    ("harq_spoof_nack", "ues[0].tx_power_dbm", 61.0),
     ("harq_spoof_nack", "attacks[0].capability.tx_power_dbm", 61.0),
     ("harq_spoof_nack", "pool.period_list_ms", [0, 1000]),
     ("harq_spoof_nack", "pool.period_list_ms", [-100, 1000]),
@@ -200,7 +213,6 @@ def test_wrongly_typed_value_is_an_error_at_its_path(dotted, value):
     ("harq_spoof_nack", "links[0].start_slot", -1),
     ("harq_spoof_nack", "defenses.harq_anomaly_check.power_tolerance_db", -4.0),
     ("harq_spoof_nack", "defenses.harq_anomaly_check.min_samples", -2),
-    ("harq_spoof_nack", "defenses.replay_guard.timestamp_skew_slots", -5),
 ])
 def test_out_of_range_value_is_an_error(kind, dotted, value):
     raw = with_value(dotted, value)
@@ -211,13 +223,11 @@ def test_out_of_range_value_is_an_error(kind, dotted, value):
     assert any(p.startswith(f"scenario.{section}") and name in p for p in err.value.problems)
 
 
-@pytest.mark.parametrize("dotted, largest", [("ues[0].tx_power_dbm", 60.0),
-                                             ("attacks[0].capability.tx_power_dbm", 60.0),
+@pytest.mark.parametrize("dotted, largest", [("attacks[0].capability.tx_power_dbm", 60.0),
                                              ("channel.shadowing_sigma_db", 20.0)])
 def test_the_largest_level_settings_parse(dotted, largest):
     sc = parse_scenario(with_value(dotted, largest))
-    assert largest in (sc.ues[0].tx_power_dbm, sc.attacks[0].capability.tx_power_dbm,
-                       sc.channel.shadowing_sigma_db)
+    assert largest in (sc.attacks[0].capability.tx_power_dbm, sc.channel.shadowing_sigma_db)
 
 
 POOL_ZERO = "scenario.pool: period_list_ms holds 0; every period must be positive"
@@ -250,7 +260,7 @@ def test_rri_ms_is_checked_only_against_a_pool_that_parsed(pool, flow_rri, attac
     ("harq_spoof_nack", "attacks[0].capability.tx_power_dbm", math.inf),
     ("harq_spoof_nack", "attacks[0].capability.position", [0.0, math.nan]),
     ("harq_spoof_nack", "channel.shadowing_sigma_db", -math.inf),
-    ("harq_spoof_nack", "ues[0].tx_power_dbm", math.nan),
+    ("harq_spoof_nack", "ues[0].velocity", [0.0, math.nan]),
     ("harq_spoof_nack", "ues[0].position", [math.inf, 0.0]),
     ("resource_blocking", "attacks[0].params.claim_fraction", math.inf),
 ])
@@ -306,10 +316,8 @@ def test_a_name_is_refused_or_reads_back_from_metrics_csv(name):
 
 
 def test_attack_param_bounds_are_inclusive():
-    for kind, params in [("false_sync_injection", {"slss_id": 671}),
-                         ("resource_blocking", {"rri_ms": 100, "claim_fraction": 1.0}),
-                         ("harq_spoof_nack", {"target_src_l2": 2**24 - 1,
-                                              "target_dst_l2": 0}),
+    for kind, params in [("resource_blocking", {"rri_ms": 100, "claim_fraction": 1.0}),
+                         ("resource_blocking", {"claim_fraction": 0.0}),
                          ("pc5_replay", {"replay_delay_slots": 0})]:
         sc = parse_scenario(minimal(attacks=[{"kind": kind, "window": [0, 10],
                                               "params": params}]))
@@ -319,13 +327,14 @@ def test_attack_param_bounds_are_inclusive():
 def test_values_are_type_checked_not_converted():
     sc = parse_scenario(with_value("channel.shadowing_sigma_db", 2))
     assert type(sc.channel.shadowing_sigma_db) is int
-    sc = parse_scenario(with_value("attacks[0].params.target_src_l2", 5))
-    assert sc.attacks[0].plan.params == {"target_src_l2": 5}
+    raw = with_value("attacks[0].params.claim_fraction", 1)
+    raw["attacks"][0]["kind"] = "resource_blocking"
+    assert type(parse_scenario(raw).attacks[0].plan.params["claim_fraction"]) is int
     for dotted, value in (("channel.tb_error_rate", False),
                           ("defenses.replay_guard.enabled", 1),
                           ("attacks[0].params.slot_offset", 1.5),
                           ("ues[0].policy.allow_null_cipher", "no"),
-                          ("ues[0].tx_power_dbm", True),
+                          ("attacks[0].capability.tx_power_dbm", True),
                           ("ues[0].position", ["1", 2]),
                           ("pool.period_list_ms", [0.5]),
                           ("traffic[0].period_slots", 2.5),
@@ -432,7 +441,7 @@ def test_load_scenario_from_yaml(tmp_path):
 
 
 @pytest.mark.parametrize("text, value", [
-    ("12", 12), ("1_000", 1000), ("2.5", 2.5), ("1.0e+6", 1e6),
+    ("12", 12), ("1_000", 1000), ("0", 0), ("0x1f", 31), ("2.5", 2.5), ("1.0e+6", 1e6),
     # YAML 1.1 reads these four as strings
     ("1e6", 1e6), ("1e+6", 1e6), ("1.0e6", 1e6), ("-3e-2", -0.03),
 ])
@@ -441,6 +450,26 @@ def test_a_number_loads_as_a_number_in_each_spelling(tmp_path, text, value):
     path = tmp_path / "spelled.yaml"
     path.write_text(f"duration_slots: 10\nues:\n  - {{id: 1, position: [{text}, 0]}}\n")
     assert load_scenario(path).ues[0].position == (value, 0.0)
+
+
+@pytest.mark.parametrize("text", [
+    # YAML 1.1 reads these as the integers 8, -8, 5 and 100 and the float
+    # 90.5: octal, binary and base-60 forms
+    "010", "-010", "0b101", "1:40", "1:30.5",
+])
+def test_an_octal_binary_or_base_60_number_is_a_string(tmp_path, text):
+    assert yaml.load(f"x: {text}", Loader=YAML_LOADER)["x"] == text
+    path = tmp_path / "spelled.yaml"
+    path.write_text(f"duration_slots: {text}\nues:\n  - {{id: 1, position: [{text}, 0]}}\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert err.value.problems == [
+        "scenario.duration_slots: required positive integer",
+        "scenario.ues[0].position: expected float, got str"]
+
+
+def test_the_loader_leaves_safe_loader_as_yaml_1_1_reads():
+    assert yaml.load("[010, 0b101, 1:40]", Loader=yaml.SafeLoader) == [8, 5, 100]
 
 
 def test_shipped_catalog_parses():

@@ -27,7 +27,7 @@ from sidelinksim.resources import (
     sense,
 )
 from sidelinksim.scenario import ATTACKER_ID_BASE, load_scenario, parse_scenario
-from sidelinksim.simulation import UeAgent, World, run_scenario
+from sidelinksim.simulation import UE_TX_POWER_DBM, UeAgent, World, run_scenario
 from sidelinksim.sync import SyncCandidate, SyncSourceKind
 from test_radio import reference_rsrp_at
 from test_wake import moving_ues, workloads
@@ -262,7 +262,7 @@ def test_equal_sci_bits_decode_once_to_one_shared_claim(monkeypatch):
     sci = Sci1A(priority=1, frequency_resource=0, time_resource=0, rri_index=0, mcs=9)
 
     def announce(sender, bits):
-        return Transmission(sender.spec.id, sender.spec.tx_power_dbm, ControlBurst(bits))
+        return Transmission(sender.spec.id, UE_TX_POWER_DBM, ControlBurst(bits))
 
     # equal bits, another BitString
     world._deliver_and_dispatch([announce(a, sci.encode(pool)), announce(b, sci.encode(pool))], 5)
@@ -297,7 +297,7 @@ def test_a_claim_the_pool_cannot_carry_is_sensed_as_nothing(pool, fields):
     with pytest.raises(ValueError):
         claim_shape(sci, world.sc.pool)
     world._deliver_and_dispatch(
-        [Transmission(sender.spec.id, sender.spec.tx_power_dbm, ControlBurst(bits))], 5)
+        [Transmission(sender.spec.id, UE_TX_POWER_DBM, ControlBurst(bits))], 5)
     assert world.sci1a_cache == {astuple(bits): None}
     assert world.sensing_log == [] and world.sensing_reach == 0
 
